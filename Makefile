@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test test-short test-race bench bench-save bench-engine experiments examples audit chaos campaign byzantine disciplines serve-bench flight attr-bench
+.PHONY: all build vet test test-short test-race benchmark benchmark-trace benchmark-compare bench bench-save bench-engine experiments examples audit chaos campaign byzantine disciplines serve-bench flight attr-bench
 
 all: build vet test
 
@@ -21,6 +21,24 @@ test-short:
 # simulation; the race detector proves that sound.
 test-race:
 	go test -race -short ./...
+
+# The repo's benchmark (BENCHMARK.json, benchmark/README.md): all five
+# workloads, correctness-gated, end-to-end metrics with tracing off
+# (~70 s) into benchmark/out/results.json; exits non-zero, naming the
+# workload, when a correctness check fails.
+benchmark:
+	go run ./benchmark
+
+# The same with spans and the per-layer probes (~110 s):
+# benchmark/out/results-trace.json and benchmark/out/trace.json.
+benchmark-trace:
+	go run ./benchmark -trace 1
+
+# Compare two results files (A is the base): every end-to-end metric
+# against its bound, then failed == 0, exact statistics and digests
+# identical. make benchmark-compare A=parent.json B=change.json
+benchmark-compare:
+	go run ./benchmark -compare $(A) $(B)
 
 # One iteration of every paper table/figure benchmark with its metrics.
 bench:

@@ -428,12 +428,12 @@ func (s *System) BoundNanos() float64 {
 	return float64(s.BoundTicks()) * s.TickNanos()
 }
 
-// ByzantineStats reports the hardened-mode defense activity so far:
 // EventsProcessed returns the number of scheduler events dispatched
 // since construction — the numerator of the engine's events/sec figure
 // (see ThroughputSummary and BENCH_8.json).
 func (s *System) EventsProcessed() uint64 { return s.sch.Processed() }
 
+// ByzantineStats reports the hardened-mode defense activity so far:
 // remote counter advances refused by bounded-jump admission, and ports
 // quarantined after repeated rejections. Both are zero on honest runs
 // and always zero when the System was not built WithHardened.

@@ -113,10 +113,19 @@ type Auditor struct {
 	cfg Config
 
 	nodes   []int   // audited node IDs
+	nodePos []int   // node ID -> position in nodes, -1 if unaudited
 	weights []int64 // per-link bound contribution, units
 	active  []bool  // link-synced bitmap as of the last check
 	hops    [][]int
 	bounds  [][]int64
+
+	// Per-pair state, dense: the pair of positions x < y in nodes lives
+	// at pairIndex(x, y), so one sweep walks each slice front to back.
+	// pairBound is rebuilt when the synced link set changes; pairWorst
+	// and pairGauges (nil unless Instrument registered them) persist.
+	pairBound  []int64 // bound + software margin, or unreachable
+	pairWorst  []int64
+	pairGauges []*telemetry.Gauge
 
 	grace         int
 	converged     bool
@@ -136,21 +145,19 @@ type Auditor struct {
 	violations uint64
 	worst      int64
 	minSlack   int64
-	pairWorst  map[[2]int]int64
 	lastViol   *Violation
 
-	tr         *telemetry.Tracer
-	mChecks    *telemetry.Counter
-	mPairs     *telemetry.Counter
-	mViol      *telemetry.Counter
-	mExcused   *telemetry.Counter
-	mWorst     *telemetry.Gauge
-	mSlack     *telemetry.Gauge
-	mTTS       *telemetry.Gauge
-	mReconv    *telemetry.Histogram
-	pairGauges map[[2]int]*telemetry.Gauge
+	tr       *telemetry.Tracer
+	mChecks  *telemetry.Counter
+	mPairs   *telemetry.Counter
+	mViol    *telemetry.Counter
+	mExcused *telemetry.Counter
+	mWorst   *telemetry.Gauge
+	mSlack   *telemetry.Gauge
+	mTTS     *telemetry.Gauge
+	mReconv  *telemetry.Histogram
 
-	counters []uint64 // per-node snapshot scratch, reused across checks
+	counters []uint64 // snapshot scratch by position in nodes, reused across checks
 	event    sim.Event
 	stopped  bool
 }
@@ -165,11 +172,9 @@ func New(n *core.Network, cfg Config) *Auditor {
 		cfg:        cfg,
 		active:     make([]bool, len(n.Graph.Links)),
 		weights:    make([]int64, len(n.Graph.Links)),
-		pairWorst:  map[[2]int]int64{},
-		pairGauges: map[[2]int]*telemetry.Gauge{},
+		nodePos:    make([]int, len(n.Graph.Nodes)),
 		timeToSync: -1,
 		minSlack:   math.MaxInt64,
-		counters:   make([]uint64, len(n.Graph.Nodes)),
 	}
 	for i := range n.Graph.Links {
 		a.weights[i] = n.LinkBoundUnits(i)
@@ -181,7 +186,28 @@ func New(n *core.Network, cfg Config) *Auditor {
 			a.nodes = append(a.nodes, i)
 		}
 	}
+	for i := range a.nodePos {
+		a.nodePos[i] = -1
+	}
+	for x, i := range a.nodes {
+		a.nodePos[i] = x
+	}
+	np := a.numPairs()
+	a.pairBound = make([]int64, np)
+	a.pairWorst = make([]int64, np)
+	a.counters = make([]uint64, len(a.nodes))
 	return a
+}
+
+// unreachable marks a pair with no synced path in pairBound.
+const unreachable = math.MinInt64
+
+func (a *Auditor) numPairs() int { return len(a.nodes) * (len(a.nodes) - 1) / 2 }
+
+// pairIndex returns where the pair of positions x < y sits in the
+// per-pair slices: row x of the strict upper triangle, row-major.
+func (a *Auditor) pairIndex(x, y int) int {
+	return x*(2*len(a.nodes)-x-1)/2 + y - x - 1
 }
 
 // Instrument attaches a metrics registry and/or tracer. Either may be
@@ -208,16 +234,13 @@ func (a *Auditor) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	a.mReconv = reg.Histogram("dtp_audit_reconvergence_seconds",
 		"Durations from a disruption (link flap, violation) back to a fully in-bound network.",
 		telemetry.ExponentialBuckets(1e-6, 4, 12))
-	if reg != nil {
-		np := len(a.nodes) * (len(a.nodes) - 1) / 2
-		if np <= a.cfg.MaxPairSeries {
-			for x, i := range a.nodes {
-				for _, j := range a.nodes[x+1:] {
-					key := [2]int{i, j}
-					a.pairGauges[key] = reg.Gauge("dtp_audit_pair_worst_offset_units",
-						"Largest |offset| observed for this device pair, in counter units.",
-						"pair", a.pairName(i, j))
-				}
+	a.pairGauges = nil
+	if reg != nil && a.numPairs() <= a.cfg.MaxPairSeries {
+		for x, i := range a.nodes {
+			for _, j := range a.nodes[x+1:] {
+				a.pairGauges = append(a.pairGauges, reg.Gauge("dtp_audit_pair_worst_offset_units",
+					"Largest |offset| observed for this device pair, in counter units.",
+					"pair", a.pairName(i, j)))
 			}
 		}
 	}
@@ -231,7 +254,7 @@ func (a *Auditor) pairName(i, j int) string {
 // first link synchronizes.
 func (a *Auditor) Start() {
 	a.stopped = false
-	a.event = a.sch.After(a.cfg.Interval, a.check)
+	a.reschedule()
 }
 
 // Stop cancels the periodic check.
@@ -301,6 +324,7 @@ func (a *Auditor) check() {
 	}
 	if changed {
 		a.hops, a.bounds = a.net.Graph.HopsWith(a.active, a.weights)
+		a.rebuildPairBounds()
 		a.grace = a.cfg.GraceChecks
 		a.noteDisruption(now)
 	}
@@ -310,57 +334,10 @@ func (a *Auditor) check() {
 		return
 	}
 
-	for _, i := range a.nodes {
-		a.counters[i] = a.net.Devices[i].GlobalCounterAt(now)
-	}
-	clean := true
-	connected := true
-	excused := a.excusedAt(now)
-	var pairs uint64
-	var eventsLeft = a.cfg.MaxViolationEvents
 	for x, i := range a.nodes {
-		for _, j := range a.nodes[x+1:] {
-			d := a.hops[i][j]
-			if d < 0 {
-				connected = false
-				continue
-			}
-			pairs++
-			off := int64(a.counters[i]) - int64(a.counters[j])
-			abs := off
-			if abs < 0 {
-				abs = -abs
-			}
-			bound := a.bounds[i][j] + a.cfg.SoftwareMarginUnits
-			if abs > a.worst {
-				a.worst = abs
-				a.mWorst.Set(float64(abs))
-			}
-			key := [2]int{i, j}
-			if abs > a.pairWorst[key] {
-				a.pairWorst[key] = abs
-				if g := a.pairGauges[key]; g != nil {
-					g.Set(float64(abs))
-				}
-			}
-			if slack := bound - abs; slack < a.minSlack {
-				a.minSlack = slack
-				a.mSlack.Set(float64(slack))
-			}
-			if abs > bound {
-				clean = false
-				if excused {
-					a.excused++
-					a.mExcused.Inc()
-				} else {
-					a.recordViolation(now, i, j, d, off, bound, eventsLeft > 0)
-					if eventsLeft > 0 {
-						eventsLeft--
-					}
-				}
-			}
-		}
+		a.counters[x] = a.net.Devices[i].GlobalCounterAt(now)
 	}
+	clean, connected, pairs := a.sweep(now, a.excusedAt(now))
 	a.pairChecks += pairs
 	a.mPairs.Add(pairs)
 
@@ -383,9 +360,105 @@ func (a *Auditor) check() {
 	a.reschedule()
 }
 
+// rebuildPairBounds refreshes pairBound from the BFS tables; it runs
+// only when the synced link set changed.
+func (a *Auditor) rebuildPairBounds() {
+	k := 0
+	for x, i := range a.nodes {
+		hops, bounds := a.hops[i], a.bounds[i]
+		for _, j := range a.nodes[x+1:] {
+			if hops[j] < 0 {
+				a.pairBound[k] = unreachable
+			} else {
+				a.pairBound[k] = bounds[j] + a.cfg.SoftwareMarginUnits
+			}
+			k++
+		}
+	}
+}
+
+// sweep checks every reachable pair of the a.counters snapshot against
+// its bound. A pair in bound costs three loads, a subtract and a few
+// compares: the running worst and minimum slack stay in locals and
+// reach the struct and its gauges through publish, before anything that
+// can observe them (a violation's trace event may trip a flight-recorder
+// dump) and when the sweep ends. No pair beats the global worst without
+// beating its own, so that compare sits on the rare path.
+func (a *Auditor) sweep(now sim.Time, excused bool) (clean, connected bool, pairs uint64) {
+	clean, connected = true, true
+	worst, minSlack := a.worst, a.minSlack
+	eventsLeft := a.cfg.MaxViolationEvents
+	n := len(a.nodes)
+	k := 0
+	for x := 0; x < n-1; x++ {
+		ci := int64(a.counters[x])
+		peers := a.counters[x+1:]
+		bounds := a.pairBound[k : k+len(peers)]
+		worsts := a.pairWorst[k : k+len(peers)]
+		for y, bound := range bounds {
+			if bound == unreachable {
+				connected = false
+				continue
+			}
+			pairs++
+			off := ci - int64(peers[y])
+			abs := off
+			if abs < 0 {
+				abs = -abs
+			}
+			if abs > worsts[y] {
+				worsts[y] = abs
+				if abs > worst {
+					worst = abs
+				}
+				if a.pairGauges != nil {
+					a.pairGauges[k+y].Set(float64(abs))
+				}
+			}
+			if slack := bound - abs; slack < minSlack {
+				minSlack = slack
+			}
+			if abs > bound {
+				clean = false
+				if excused {
+					a.excused++
+					a.mExcused.Inc()
+				} else {
+					a.publish(worst, minSlack)
+					i, j := a.nodes[x], a.nodes[x+1+y]
+					a.recordViolation(now, i, j, a.hops[i][j], off, bound, eventsLeft > 0)
+					if eventsLeft > 0 {
+						eventsLeft--
+					}
+				}
+			}
+		}
+		k += len(peers)
+	}
+	a.publish(worst, minSlack)
+	return clean, connected, pairs
+}
+
+// publish stores the sweep's running worst offset and minimum slack.
+func (a *Auditor) publish(worst, minSlack int64) {
+	if worst != a.worst {
+		a.worst = worst
+		a.mWorst.Set(float64(worst))
+	}
+	if minSlack != a.minSlack {
+		a.minSlack = minSlack
+		a.mSlack.Set(float64(minSlack))
+	}
+}
+
+// OnEvent makes Auditor a sim.Actor so the periodic check reschedules
+// without allocating a method-value closure; the check is its only
+// event, so the opcode is unused.
+func (a *Auditor) OnEvent(uint8, uint64, uint64) { a.check() }
+
 func (a *Auditor) reschedule() {
 	if !a.stopped {
-		a.event = a.sch.After(a.cfg.Interval, a.check)
+		a.event = a.sch.AfterActor(a.cfg.Interval, a, 0, 0, 0)
 	}
 }
 
@@ -538,10 +611,17 @@ func (a *Auditor) LiveBoundUnits(device string) int64 {
 // WorstPairOffsetUnits returns the worst |offset| seen for a device
 // pair, by topology node IDs in either order (0 if never checked).
 func (a *Auditor) WorstPairOffsetUnits(i, j int) int64 {
-	if i > j {
-		i, j = j, i
+	if i < 0 || j < 0 || i >= len(a.nodePos) || j >= len(a.nodePos) {
+		return 0
 	}
-	return a.pairWorst[[2]int{i, j}]
+	x, y := a.nodePos[i], a.nodePos[j]
+	if x > y {
+		x, y = y, x
+	}
+	if x < 0 || x == y {
+		return 0
+	}
+	return a.pairWorst[a.pairIndex(x, y)]
 }
 
 // Summary renders a one-line report.

@@ -255,21 +255,27 @@ func (n *Network) MaxAdjacentOffset() int64 {
 }
 
 // MaxPairwiseOffset returns the largest |true offset| across all device
-// pairs — the network-wide ε.
+// pairs — the network-wide ε. Each counter is read once: the largest
+// pairwise difference is the spread of the wrap-safe deltas against
+// device 0, wherever the counters sit on the 64-bit circle (astride
+// 2^63 or the 2^64 wrap included) as long as they span less than 2^63.
 func (n *Network) MaxPairwiseOffset() int64 {
-	var max int64
-	for i := range n.Devices {
-		for j := i + 1; j < len(n.Devices); j++ {
-			o := n.TrueOffsetUnits(i, j)
-			if o < 0 {
-				o = -o
-			}
-			if o > max {
-				max = o
-			}
+	if len(n.Devices) == 0 {
+		return 0
+	}
+	t := n.Sch.Now()
+	c0 := n.Devices[0].gc.at(t)
+	var lo, hi int64
+	for _, d := range n.Devices[1:] {
+		delta := int64(d.gc.at(t) - c0)
+		if delta < lo {
+			lo = delta
+		}
+		if delta > hi {
+			hi = delta
 		}
 	}
-	return max
+	return hi - lo
 }
 
 // LinkSynced reports whether both ports of topology link i completed
