@@ -334,8 +334,13 @@ func runSingle() {
 	events := sys.EventsProcessed()
 	eventsSec := float64(events) / wall
 	devSimPerWall := float64(len(g.Nodes)) * sys.Now().Seconds() / wall
-	fmt.Printf("engine: %d events in %.2f s wall = %.0f events/sec (%.1f device-sim-seconds/wall-second)\n",
-		events, wall, eventsSec, devSimPerWall)
+	qs := sys.QueueStats()
+	laneShare := 0.0
+	if actorEvents := qs.LaneInserts + qs.LaneOverflows; actorEvents > 0 {
+		laneShare = 100 * float64(qs.LaneInserts) / float64(actorEvents)
+	}
+	fmt.Printf("engine: %d events in %.2f s wall = %.0f events/sec (%.1f device-sim-seconds/wall-second); %.2f%% of actor events in FIFO lanes, %d overflowed, %d calendar rebuilds\n",
+		events, wall, eventsSec, devSimPerWall, laneShare, qs.LaneOverflows, qs.CalendarRebuilds)
 	if reg != nil {
 		rate := reg.Gauge("dtp_sim_events_per_sec",
 			"Simulation events dispatched per wall-clock second over the whole run (host-dependent).")

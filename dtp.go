@@ -433,6 +433,10 @@ func (s *System) BoundNanos() float64 {
 // (see ThroughputSummary and BENCH_8.json).
 func (s *System) EventsProcessed() uint64 { return s.sch.Processed() }
 
+// QueueStats returns the scheduler's report on how it filed those
+// events (FIFO lanes vs. the calendar queue). Deterministic per seed.
+func (s *System) QueueStats() sim.QueueStats { return s.sch.QueueStats() }
+
 // ByzantineStats reports the hardened-mode defense activity so far:
 // remote counter advances refused by bounded-jump admission, and ports
 // quarantined after repeated rejections. Both are zero on honest runs

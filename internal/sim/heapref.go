@@ -4,12 +4,12 @@ package sim
 // engine's data structure (O(log n) sift per operation, index swaps on
 // every level) kept behind NewHeapScheduler for the dispatch-order
 // equivalence property test and the BENCH_8 speedup trajectory. Slot
-// .pos tracks each pending event's heap position so Cancel can remove
-// from the middle.
+// .prev (unused otherwise: the heap has no lanes) tracks each pending
+// event's heap position so Cancel can remove from the middle.
 
 func (s *Scheduler) heapPush(idx uint32) {
 	s.heap = append(s.heap, idx)
-	s.slots[idx].pos = uint32(len(s.heap) - 1)
+	s.slots[idx].prev = uint32(len(s.heap) - 1)
 	s.heapUp(len(s.heap) - 1)
 }
 
@@ -32,7 +32,7 @@ func (s *Scheduler) heapPopLE(until Time) (uint32, bool) {
 // heapRemove deletes the pending slot idx from the middle of the heap
 // (Cancel path).
 func (s *Scheduler) heapRemove(idx uint32) {
-	i := int(s.slots[idx].pos)
+	i := int(s.slots[idx].prev)
 	last := len(s.heap) - 1
 	if i != last {
 		s.heapSwap(i, last)
@@ -47,8 +47,8 @@ func (s *Scheduler) heapRemove(idx uint32) {
 
 func (s *Scheduler) heapSwap(i, j int) {
 	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.slots[s.heap[i]].pos = uint32(i)
-	s.slots[s.heap[j]].pos = uint32(j)
+	s.slots[s.heap[i]].prev = uint32(i)
+	s.slots[s.heap[j]].prev = uint32(j)
 }
 
 func (s *Scheduler) heapUp(i int) {

@@ -13,7 +13,7 @@ type Actor interface {
 	OnEvent(code uint8, a, b uint64)
 }
 
-// nilSlot terminates slot chains (bucket lists, the free list).
+// nilSlot terminates slot chains (lanes, bucket lists, the free list).
 const nilSlot = ^uint32(0)
 
 // eventSlot is one pooled event. Slots live in Scheduler.slots and are
@@ -27,10 +27,11 @@ type eventSlot struct {
 	a, b    uint64
 	fn      func()
 	actor   Actor
-	next    uint32 // bucket chain (calendar), free-list link
-	pos     uint32 // heap position (heap discipline only)
+	next    uint32 // lane / bucket chain successor, free-list link
+	prev    uint32 // lane predecessor; heap position under the heap discipline
 	gen     uint32
 	code    uint8
+	lane    uint8 // which lane holds the slot; calLane for a calendar resident
 	pending bool
 }
 
@@ -74,14 +75,22 @@ func (e Event) Cancel() bool {
 	if sl.gen != e.gen || !sl.pending {
 		return false
 	}
-	if s.heapMode {
+	switch {
+	case s.heapMode:
 		s.heapRemove(e.slot)
-	} else {
+	case sl.lane == calLane:
 		s.calUnlink(e.slot)
+		s.calSize--
+		if s.shrinkDue() {
+			s.rebuild(len(s.buckets) / 2)
+		} else if e.slot == s.head[calLane] {
+			s.calRefreshMin(s.now)
+		}
+	default:
+		s.laneUnlink(e.slot)
 	}
 	s.size--
 	s.release(e.slot)
-	s.maybeShrink()
 	return true
 }
 
@@ -92,10 +101,15 @@ func (e Event) Cancel() bool {
 // Two queue disciplines share the same pooled-slot machinery and produce
 // byte-identical dispatch orders (total order by (time, seq)):
 //
-//   - NewScheduler: a calendar queue (Brown 1988) — events hash into
-//     power-of-two-width time buckets holding short sorted chains, giving
-//     O(1) amortized schedule/dispatch with no pointer swapping, sized
-//     and recalibrated deterministically from the dispatch-gap EWMA.
+//   - NewScheduler: FIFO lanes in front of a calendar queue (Brown
+//     1988). An actor event is offered to the lane its opcode names —
+//     the model's pipeline stages each schedule at now + a constant, so
+//     within an opcode times are nearly monotone and the insert is a
+//     tail append (lanes.go). Closures, and actor events a lane refuses,
+//     hash into power-of-two-width time buckets holding short sorted
+//     chains (calqueue.go), sized and recalibrated deterministically
+//     from the calendar's own traffic. Dispatch pops the (time, seq)
+//     minimum over the lane heads and the calendar's minimum.
 //   - NewHeapScheduler: a binary heap over slot indices — the reference
 //     discipline, kept for equivalence tests and benchmark baselines.
 type Scheduler struct {
@@ -112,31 +126,72 @@ type Scheduler struct {
 	slots []eventSlot
 	free  uint32
 
-	// Queue discipline: calendar buckets by default, binary heap when
-	// heapMode is set.
+	// Queue discipline: lanes + calendar buckets by default, binary heap
+	// when heapMode is set.
 	heapMode bool
 	heap     []uint32
 
+	// head[l] is the first slot of lane l and, at index calLane, the
+	// calendar's minimum (nilSlot when the source is empty); headAt and
+	// headSeq cache its (time, seq) key — (maxTime, ^0) when empty,
+	// which sorts after any real event — so dispatch picks the next
+	// event from adjacent keys without touching a slot. minLane is the
+	// lane whose head sorts first, or -1 when a head has departed since
+	// it was last found (see laneDropHead).
+	head    [numLanes + 1]uint32
+	headAt  [numLanes + 1]Time
+	headSeq [numLanes + 1]uint64
+	minLane int
+
+	// FIFO lanes: doubly linked slot lists sorted by (time, seq).
+	// laneSkip[l] > 0 sends that many out-of-order inserts straight to
+	// the calendar after a refused walk (see laneBypass).
+	laneTail [numLanes]uint32
+	laneSkip [numLanes]uint32
+
 	// Calendar queue state: len(buckets) is a power of two, bucket width
-	// is 1<<shift picoseconds, bucket(t) = (t>>shift)&mask.
+	// is 1<<shift picoseconds, bucket(t) = (t>>shift)&mask. calSize
+	// counts calendar residents.
 	buckets []uint32
 	shift   uint
 	mask    uint64
+	calSize int
 
-	// Deterministic width statistics: an EWMA of gaps between dispatched
-	// event timestamps. Depends only on the dispatch sequence, so resizes
-	// and recalibrations can never perturb determinism.
-	lastAt  Time
-	gapEWMA Time
+	// Deterministic width statistics: the mean gap between calendar pops
+	// over the last recalibration window. Depends only on the event
+	// sequence, so resizes and recalibrations can never perturb
+	// determinism.
+	calPops     uint64
+	windowStart Time
+	calGap      Time
+
+	stats QueueStats
 
 	scratch []uint32 // rebuild buffer
 }
 
-// NewScheduler returns an empty calendar-queue scheduler at time zero.
+// QueueStats reports how the default discipline filed its events. Every
+// field is a function of the event sequence alone, so the figures are
+// byte-deterministic per seed. All zero under NewHeapScheduler.
+type QueueStats struct {
+	LaneInserts      uint64 // actor events linked into a FIFO lane
+	LaneOverflows    uint64 // actor events a lane refused, filed in the calendar
+	CalendarPending  int    // events resident in the calendar now
+	CalendarRebuilds uint64 // bucket-array resizes and width recalibrations
+}
+
+// NewScheduler returns an empty scheduler at time zero using the default
+// discipline (FIFO lanes ahead of a calendar queue).
 func NewScheduler() *Scheduler {
 	s := &Scheduler{free: nilSlot, shift: initialShift}
 	s.buckets = newBuckets(initialBuckets)
 	s.mask = initialBuckets - 1
+	for src := range s.head {
+		s.clearHead(src)
+	}
+	for l := range s.laneTail {
+		s.laneTail[l] = nilSlot
+	}
 	return s
 }
 
@@ -158,6 +213,18 @@ func (s *Scheduler) Pending() int { return s.size }
 
 // HighWaterPending returns the largest queue depth ever reached.
 func (s *Scheduler) HighWaterPending() int { return s.highWater }
+
+// clearHead marks source src (a lane, or calLane) empty in the key cache.
+func (s *Scheduler) clearHead(src int) {
+	s.head[src], s.headAt[src], s.headSeq[src] = nilSlot, maxTime, ^uint64(0)
+}
+
+// QueueStats returns the queue's self-report. See QueueStats.
+func (s *Scheduler) QueueStats() QueueStats {
+	st := s.stats
+	st.CalendarPending = s.calSize
+	return st
+}
 
 // alloc pops a recycled slot or grows the arena. Steady-state loops
 // reuse slots and never grow, which is what AllocsPerRun == 0 pins.
@@ -185,7 +252,9 @@ func (s *Scheduler) release(idx uint32) {
 	s.free = idx
 }
 
-func (s *Scheduler) schedule(t Time, fn func(), act Actor, code uint8, a, b uint64) Event {
+// schedule files one event. lane is the FIFO lane to offer it to, or
+// calLane to send it straight to the calendar.
+func (s *Scheduler) schedule(t Time, fn func(), act Actor, lane int, code uint8, a, b uint64) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
 	}
@@ -199,17 +268,20 @@ func (s *Scheduler) schedule(t Time, fn func(), act Actor, code uint8, a, b uint
 	sl.code = code
 	sl.a, sl.b = a, b
 	sl.pending = true
-	if s.heapMode {
+	switch {
+	case s.heapMode:
 		s.heapPush(idx)
-	} else {
+	case lane == calLane:
+		s.calInsert(idx)
+	case !s.laneBypass(lane, t) && s.laneInsert(idx, lane):
+		s.stats.LaneInserts++
+	default:
+		s.stats.LaneOverflows++
 		s.calInsert(idx)
 	}
 	s.size++
 	if s.size > s.highWater {
 		s.highWater = s.size
-	}
-	if !s.heapMode && s.size > 2*len(s.buckets) {
-		s.rebuild(2 * len(s.buckets))
 	}
 	return Event{s: s, slot: idx, gen: sl.gen}
 }
@@ -221,7 +293,7 @@ func (s *Scheduler) At(t Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	return s.schedule(t, fn, nil, 0, 0, 0)
+	return s.schedule(t, fn, nil, calLane, 0, 0, 0)
 }
 
 // After schedules fn to run d after the current time.
@@ -238,7 +310,7 @@ func (s *Scheduler) AtActor(t Time, act Actor, code uint8, a, b uint64) Event {
 	if act == nil {
 		panic("sim: nil event actor")
 	}
-	return s.schedule(t, nil, act, code, a, b)
+	return s.schedule(t, nil, act, int(code&(numLanes-1)), code, a, b)
 }
 
 // AfterActor schedules act.OnEvent(code, a, b) to run d after the
@@ -259,15 +331,9 @@ func (s *Scheduler) dispatch(idx uint32) {
 	sl := &s.slots[idx]
 	s.now = sl.at
 	fn, act, code, a, b := sl.fn, sl.actor, sl.code, sl.a, sl.b
-	gap := sl.at - s.lastAt
-	s.lastAt = sl.at
-	s.gapEWMA += (gap - s.gapEWMA) >> 3
 	s.size--
 	s.release(idx)
 	s.processed++
-	if !s.heapMode && s.processed&(recalibrateEvery-1) == 0 {
-		s.maybeRecalibrate()
-	}
 	if act != nil {
 		act.OnEvent(code, a, b)
 	} else {
@@ -276,12 +342,31 @@ func (s *Scheduler) dispatch(idx uint32) {
 }
 
 // popLE removes and returns the earliest pending slot if its time is at
-// or before `until`.
+// or before `until`: the (time, seq) minimum of the earliest lane head
+// and the calendar's minimum, both read from the key cache. Which source
+// holds an event never enters the comparison, so filing is free to be a
+// cost decision.
 func (s *Scheduler) popLE(until Time) (uint32, bool) {
 	if s.heapMode {
 		return s.heapPopLE(until)
 	}
-	return s.calPopLE(until)
+	if s.size == 0 {
+		return 0, false
+	}
+	if s.minLane < 0 {
+		s.findMinLane()
+	}
+	src := s.minLane
+	if t, c := s.headAt[src], s.headAt[calLane]; c < t || c == t && s.headSeq[calLane] < s.headSeq[src] {
+		src = calLane
+	}
+	if s.headAt[src] > until {
+		return 0, false
+	}
+	if src == calLane {
+		return s.calPop(), true
+	}
+	return s.lanePop(src), true
 }
 
 const maxTime = Time(1<<63 - 1)

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // The steady-state guarantees the calendar queue exists to provide:
 // once the slot arena and bucket array have grown to the workload's
@@ -111,6 +114,54 @@ func TestCancelRecyclesImmediately(t *testing.T) {
 	}
 }
 
+// The lane links must not grow the pooled slot: prev shares storage with
+// the heap position and the lane tag fits the padding, so an arena of N
+// slots costs what it did before lanes existed.
+func TestEventSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(eventSlot{}); got > 72 {
+		t.Fatalf("eventSlot is %d bytes, want <= 72", got)
+	}
+}
+
+// pipelineActor reproduces the shape of a port's per-beacon traffic:
+// five opcodes, each scheduled one per-stage constant ahead of now
+// (beacon period, TX pipeline, cable, RX pipeline, CDC), the constants
+// differing between actors by an oscillator's worth of skew. Within an
+// opcode, schedule times are monotone up to a few places — the class of
+// traffic the FIFO lanes exist for.
+type pipelineActor struct {
+	s     *Scheduler
+	delay [5]Time // indexed by the opcode the delay leads to
+}
+
+func (a *pipelineActor) OnEvent(code uint8, _, _ uint64) {
+	if code == 0 {
+		a.s.AfterActor(a.delay[0], a, 0, 0, 0)
+	}
+	if code < 4 {
+		a.s.AfterActor(a.delay[code+1], a, code+1, 0, 0)
+	}
+}
+
+// BenchmarkPipelineThroughput is the go-test handle on the lane path:
+// 768 actors (fattree:8's port count) at ≈ 1 800 pending events.
+func BenchmarkPipelineThroughput(b *testing.B) {
+	s := NewScheduler()
+	stage := [5]Time{7680 * Nanosecond, 2 * Microsecond, 2500 * Nanosecond, 3 * Microsecond, 2800 * Nanosecond}
+	for i := 0; i < 768; i++ {
+		a := &pipelineActor{s: s}
+		ppm := Time(i*37%201 - 100) // ±100 ppm, spread over the actors
+		for c, d := range stage {
+			a.delay[c] = d + d*ppm/1000000
+		}
+		s.AtActor(Time(i)*10*Nanosecond, a, 0, 0, 0)
+	}
+	benchRun(b, s)
+}
+
+// BenchmarkCalendarThroughput is the guard on the other regime: 256
+// skewed periods on one opcode have no FIFO order for a lane to use, so
+// nearly every insert is refused and lands in the calendar.
 func BenchmarkCalendarThroughput(b *testing.B) {
 	benchThroughput(b, NewScheduler())
 }
@@ -125,6 +176,10 @@ func benchThroughput(b *testing.B, s *Scheduler) {
 		actors[i] = &periodicActor{s: s, period: Microsecond + Time(i)*53*Nanosecond}
 		s.AtActor(Time(i)*Nanosecond, actors[i], 0, 0, 0)
 	}
+	benchRun(b, s)
+}
+
+func benchRun(b *testing.B, s *Scheduler) {
 	s.RunFor(Millisecond)
 	b.ResetTimer()
 	start := s.Processed()

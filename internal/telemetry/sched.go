@@ -19,7 +19,9 @@ type SchedOptions struct {
 
 // InstrumentScheduler exports the event loop's own throughput through
 // the registry: events processed, current and high-water queue depth, a
-// queue-depth histogram sampled every Interval of simulated time, and
+// queue-depth histogram sampled every Interval of simulated time, the
+// queue's own geometry (sim.QueueStats: FIFO-lane inserts, overflows to
+// the calendar, calendar population — all deterministic per seed), and
 // (optionally) wall-clock events/sec. The sampler runs as a scheduler
 // event, so all reads happen on the simulation goroutine; concurrent
 // HTTP scrapes only touch the atomic metric values.
@@ -40,6 +42,12 @@ func InstrumentScheduler(reg *Registry, sch *sim.Scheduler, o SchedOptions) {
 	depth := reg.Histogram("dtp_sched_queue_depth",
 		"Scheduler queue depth sampled every instrumentation interval.",
 		ExponentialBuckets(1, 2, 16))
+	laneInserts := reg.Gauge("dtp_sched_lane_inserts_total",
+		"Actor events the scheduler filed in a FIFO lane.")
+	laneOverflow := reg.Gauge("dtp_sched_lane_overflow_total",
+		"Actor events a FIFO lane refused, filed in the calendar queue instead.")
+	calPending := reg.Gauge("dtp_sched_calendar_pending",
+		"Scheduler events currently resident in the calendar queue (closures and lane overflows).")
 	var rate *Gauge
 	if o.WallRate {
 		rate = reg.Gauge("dtp_sched_events_per_wall_second",
@@ -55,6 +63,10 @@ func InstrumentScheduler(reg *Registry, sch *sim.Scheduler, o SchedOptions) {
 		pending.Set(float64(pen))
 		highWater.Set(float64(sch.HighWaterPending()))
 		depth.Observe(float64(pen))
+		qs := sch.QueueStats()
+		laneInserts.Set(float64(qs.LaneInserts))
+		laneOverflow.Set(float64(qs.LaneOverflows))
+		calPending.Set(float64(qs.CalendarPending))
 		if rate != nil {
 			now := time.Now()
 			if el := now.Sub(lastWall).Seconds(); el > 0 {

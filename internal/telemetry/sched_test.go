@@ -7,6 +7,10 @@ import (
 	"github.com/dtplab/dtp/internal/sim"
 )
 
+type nopActor struct{}
+
+func (nopActor) OnEvent(uint8, uint64, uint64) {}
+
 func TestInstrumentScheduler(t *testing.T) {
 	sch := sim.NewScheduler()
 	reg := New()
@@ -26,6 +30,12 @@ func TestInstrumentScheduler(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		sch.At(5*sim.Millisecond+sim.Time(i), func() {})
 	}
+	// Actor events too, in and out of time order, so the queue-geometry
+	// gauges have lane inserts and overflows to report.
+	for i := 0; i < 64; i++ {
+		sch.AtActor(sim.Millisecond+sim.Time(i), nopActor{}, 1, 0, 0)
+		sch.AtActor(2*sim.Millisecond-sim.Time(i), nopActor{}, 2, 0, 0)
+	}
 	sch.Run(20 * sim.Millisecond)
 
 	if g := reg.Gauge("dtp_sched_events_processed_total", ""); uint64(g.Value()) != sch.Processed() {
@@ -38,6 +48,22 @@ func TestInstrumentScheduler(t *testing.T) {
 		t.Fatal("queue depth histogram never sampled")
 	}
 
+	qs := sch.QueueStats()
+	if qs.LaneInserts < 64 || qs.LaneOverflows == 0 {
+		t.Fatalf("workload should fill a lane and overflow another: %+v", qs)
+	}
+	if g := reg.Gauge("dtp_sched_lane_inserts_total", ""); uint64(g.Value()) != qs.LaneInserts {
+		t.Fatalf("lane inserts gauge %v != scheduler %d", g.Value(), qs.LaneInserts)
+	}
+	if g := reg.Gauge("dtp_sched_lane_overflow_total", ""); uint64(g.Value()) != qs.LaneOverflows {
+		t.Fatalf("lane overflow gauge %v != scheduler %d", g.Value(), qs.LaneOverflows)
+	}
+	// Sampled inside the sampler's own event, so its re-arm is not yet
+	// queued: the calendar's share can only be at or below all pending.
+	if c, p := reg.Gauge("dtp_sched_calendar_pending", ""), reg.Gauge("dtp_sched_events_pending", ""); c.Value() > p.Value() {
+		t.Fatalf("calendar pending gauge %v above events pending %v", c.Value(), p.Value())
+	}
+
 	var b strings.Builder
 	if err := WritePrometheus(&b, reg); err != nil {
 		t.Fatal(err)
@@ -47,6 +73,9 @@ func TestInstrumentScheduler(t *testing.T) {
 		"dtp_sched_events_pending",
 		"dtp_sched_events_pending_high_water",
 		"dtp_sched_queue_depth",
+		"dtp_sched_lane_inserts_total",
+		"dtp_sched_lane_overflow_total",
+		"dtp_sched_calendar_pending",
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, b.String())
