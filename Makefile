@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test test-short test-race benchmark benchmark-trace benchmark-compare bench bench-save bench-engine experiments examples audit chaos campaign byzantine disciplines serve-bench flight attr-bench
+.PHONY: all build vet test test-short test-race benchmark benchmark-trace benchmark-compare bench experiments examples audit chaos campaign byzantine disciplines flight
 
 all: build vet test
 
@@ -22,10 +22,11 @@ test-short:
 test-race:
 	go test -race -short ./...
 
-# The repo's benchmark (BENCHMARK.json, benchmark/README.md): all five
-# workloads, correctness-gated, end-to-end metrics with tracing off
-# (~70 s) into benchmark/out/results.json; exits non-zero, naming the
-# workload, when a correctness check fails.
+# The repo's benchmark and its only source of speed figures
+# (BENCHMARK.json, benchmark/README.md): all five workloads,
+# correctness-gated, end-to-end metrics with tracing off (~70 s) into
+# benchmark/out/results.json; exits non-zero, naming the workload, when
+# a correctness check fails.
 benchmark:
 	go run ./benchmark
 
@@ -40,31 +41,11 @@ benchmark-trace:
 benchmark-compare:
 	go run ./benchmark -compare $(A) $(B)
 
-# One iteration of every paper table/figure benchmark with its metrics.
+# The paper's tables and figures as Go benchmarks (bench_test.go), one
+# iteration each: what they report is protocol precision (offsets in
+# ticks and ns), not simulator speed — that is `make benchmark`.
 bench:
 	go test -bench . -benchtime 1x -benchmem -run '^$$' .
-
-# Engine throughput gate: refresh BENCH_8.json (events/sec on
-# fattree:8, calendar vs heap-reference vs recorded seed baseline) and
-# fail if throughput regressed more than 15% below the committed
-# record, or fell under 5x the seed. Both gates arm only on hosts with
-# >= 8 CPUs (the BENCH_5/BENCH_6 policy); smaller hosts still refresh
-# the record. The baseline is read before the record is rewritten.
-bench-engine:
-	BENCH8_OUT=$$(pwd)/BENCH_8.json BENCH8_BASELINE=$$(pwd)/BENCH_8.json \
-		go test -bench 'BenchmarkEngineFattree8|BenchmarkCampaignJobsScaling' -benchtime 1x -run '^$$' .
-
-# Snapshot benchmark output to a dated file for benchstat against
-# future PRs, refresh BENCH_5.json with the campaign runner's
-# parallel-vs-serial numbers, and refresh BENCH_8.json in full (the
-# fattree:16 capacity run and the campaign -jobs scaling sweep ride
-# along under BENCH8_FULL=1) with the regression gate armed.
-bench-save:
-	mkdir -p bench
-	go test -bench . -benchtime 1x -benchmem -run '^$$' . | tee bench/$$(date +%Y%m%d)-$$(git rev-parse --short HEAD).txt
-	CAMPAIGN_BENCH_OUT=$$(pwd)/BENCH_5.json go test -bench BenchmarkCampaign$$ -benchtime 1x -run '^$$' ./internal/campaign
-	BENCH8_FULL=1 BENCH8_OUT=$$(pwd)/BENCH_8.json BENCH8_BASELINE=$$(pwd)/BENCH_8.json \
-		go test -bench 'BenchmarkEngineFattree8|BenchmarkCampaignJobsScaling' -benchtime 1x -timeout 30m -run '^$$' .
 
 # Run the online 4TD-bound auditor over the quickstart topology under
 # MTU load; dtpsim exits nonzero on any bound violation.
@@ -107,28 +88,14 @@ disciplines:
 	go test -race -count=1 -run 'Discipline' ./internal/campaign ./internal/cliutil .
 	go run ./cmd/dtpexp -sweep disciplines -duration 1500ms
 
-# Time-service fast path: the seqlock/clock tests under the race
-# detector, then cmd/dtpload calibrates a serving plane in-sim and
-# hammers the lock-free read path from every core, refreshing
-# BENCH_6.json. The 1M reads/sec floor is only asserted on hosts with
-# >= 8 CPUs (the BENCH_5 policy), so laptops and small CI runners
-# still produce records without failing.
-serve-bench:
-	go test -race -count=1 ./internal/timesvc
-	go run ./cmd/dtpload -duration 300ms -hammer 2s -assert -out BENCH_6.json
-
-# Attribution instrumentation cost: A/B hammer (bare vs striped width
-# histogram on the hot path) refreshing BENCH_7.json. The <5% overhead
-# budget is asserted only on hosts with >= 8 CPUs, like the qps floor.
-attr-bench:
-	go run ./cmd/dtpload -duration 300ms -hammer 2s -attr-bench -assert -out BENCH_7.json
-
-# Flight-recorder smoke: the telemetry tests under the race detector,
-# then a chaos run that silences one peer (grey_loss p=1) so the beacon
-# watchdog demotes the port and trips a bundle, which dtptrace -bundle
-# must validate and summarize. Fails if no bundle appears.
+# Flight-recorder smoke: the telemetry and time-service tests under the
+# race detector at full length (the seqlock torn-read hammer included),
+# then a -time-service chaos run that silences one peer (grey_loss p=1)
+# so the beacon watchdog demotes the port and trips a bundle, which
+# dtptrace -bundle must validate and summarize. Fails if no bundle
+# appears.
 flight:
-	go test -race -count=1 ./internal/telemetry
+	go test -race -count=1 ./internal/telemetry ./internal/timesvc
 	rm -rf flight-smoke
 	go run ./cmd/dtpsim -topo pair -duration 200ms -time-service \
 		-chaos examples/chaos/breaker.json -flight-dir flight-smoke \

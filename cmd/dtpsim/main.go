@@ -54,13 +54,19 @@ var (
 	pprofPrefix   = flag.String("pprof", "", "write <prefix>.cpu and <prefix>.allocs pprof profiles covering the whole run")
 )
 
-// stopProfiles flushes the -pprof profiles; exit routes every normal
-// termination through it so profiles survive nonzero exits.
+// stopProfiles flushes the -pprof profiles; exit and fatal route every
+// termination after startProfiles through it, so profiles survive
+// nonzero exits — a failed run is the one most worth profiling.
 var stopProfiles = func() {}
 
 func exit(code int) {
 	stopProfiles()
 	os.Exit(code)
+}
+
+func fatal(code int, err error) {
+	stopProfiles()
+	cliutil.Fatal("dtpsim", code, err)
 }
 
 // startProfiles arms CPU and allocation profiling for the whole run
@@ -96,7 +102,7 @@ func main() {
 			cliutil.FlagHardened|cliutil.FlagDiscipline)
 	flag.Parse()
 	if err := shared.Validate(); err != nil {
-		cliutil.Fatal("dtpsim", 2, err)
+		fatal(2, err)
 	}
 	if *pprofPrefix != "" {
 		stopProfiles = startProfiles(*pprofPrefix)
@@ -119,7 +125,7 @@ func runCampaign() {
 	if *gridFlag != "" {
 		loaded, err := campaign.LoadGrid(*gridFlag)
 		if err != nil {
-			cliutil.Fatal("dtpsim", 2, err)
+			fatal(2, err)
 		}
 		g = *loaded
 	} else {
@@ -149,7 +155,7 @@ func runCampaign() {
 		g.FlightDir = *flightDir
 	}
 	if err := g.Validate(); err != nil {
-		cliutil.Fatal("dtpsim", 2, err)
+		fatal(2, err)
 	}
 	points := g.Expand()
 	fmt.Fprintf(os.Stderr, "dtpsim: campaign %q: %d runs on %s workers\n",
@@ -158,15 +164,15 @@ func runCampaign() {
 		Jobs: shared.Jobs,
 		OnResult: func(r *campaign.Result) {
 			if err := campaign.WriteResultJSON(os.Stdout, r); err != nil {
-				cliutil.Fatal("dtpsim", 1, err)
+				fatal(1, err)
 			}
 		},
 	})
 	if err != nil {
-		cliutil.Fatal("dtpsim", 1, err)
+		fatal(1, err)
 	}
 	if err := campaign.WriteAggregateJSON(os.Stdout, rep.Aggregate); err != nil {
-		cliutil.Fatal("dtpsim", 1, err)
+		fatal(1, err)
 	}
 	fmt.Fprintln(os.Stderr, rep.Summary())
 	if !rep.OK() {
@@ -184,7 +190,7 @@ func jobsLabel(jobs int) string {
 func runSingle() {
 	g, err := shared.Topology()
 	if err != nil {
-		cliutil.Fatal("dtpsim", 2, err)
+		fatal(2, err)
 	}
 	opts := []dtp.Option{
 		dtp.WithSeed(shared.Seed),
@@ -192,7 +198,7 @@ func runSingle() {
 	}
 	scenario, err := shared.LoadChaos()
 	if err != nil {
-		cliutil.Fatal("dtpsim", 2, err)
+		fatal(2, err)
 	}
 	if scenario != nil {
 		*auditFlag = true // the campaign's zero-unexpected-violations claim needs the auditor
@@ -220,13 +226,13 @@ func runSingle() {
 	if shared.Discipline != "" {
 		dc, err := shared.ParseDiscipline()
 		if err != nil {
-			cliutil.Fatal("dtpsim", 2, err)
+			fatal(2, err)
 		}
 		opts = append(opts, dtp.WithDiscipline(dc))
 	}
 	sys, err := dtp.New(g, opts...)
 	if err != nil {
-		cliutil.Fatal("dtpsim", 1, err)
+		fatal(1, err)
 	}
 	defer sys.Close()
 	fmt.Printf("topology %s: %d devices, %d links, diameter %d, bound 4TD = %.1f ns\n",
@@ -243,7 +249,7 @@ func runSingle() {
 	var eng *dtp.ChaosEngine
 	if scenario != nil {
 		if eng, err = sys.Chaos(dtp.ChaosOptions{Scenario: scenario, Auditor: aud}); err != nil {
-			cliutil.Fatal("dtpsim", 2, err)
+			fatal(2, err)
 		}
 		fmt.Printf("chaos: scenario %q armed: %d faults, verification deadline %v\n",
 			scenario.Name, len(scenario.Faults), eng.Deadline().Std())
@@ -252,7 +258,7 @@ func runSingle() {
 	sys.Start()
 	wallStart := time.Now()
 	if err := sys.RunUntilSynced(time.Second); err != nil {
-		cliutil.Fatal("dtpsim", 1, err)
+		fatal(1, err)
 	}
 	fmt.Printf("all %d links measured their one-way delays at t=%v\n", len(g.Links), sys.Now())
 
@@ -284,7 +290,7 @@ func runSingle() {
 			Auditor:     aud,
 			LoadQPS:     5000, // in-sim readers exercising the seqlock fast path
 		}); err != nil {
-			cliutil.Fatal("dtpsim", 2, err)
+			fatal(2, err)
 		}
 		fmt.Printf("time service: %s broadcasting UTC, serving %v\n", tp.Broadcaster(), tp.Hosts())
 	}
@@ -295,7 +301,7 @@ func runSingle() {
 	var rec *dtp.FlightRecorder
 	if *flightDir != "" {
 		if rec, err = sys.FlightRecorder(dtp.FlightOptions{Dir: *flightDir}); err != nil {
-			cliutil.Fatal("dtpsim", 2, err)
+			fatal(2, err)
 		}
 		// A served read that fails closed on a *stale* snapshot is a
 		// black-box trigger: the publish loop stopped while readers
@@ -329,7 +335,8 @@ func runSingle() {
 		worst, float64(worst)*sys.TickNanos(), sys.BoundNanos())
 
 	// Engine throughput: the whole run (sync + steady state) against
-	// wall time, in the two figures BENCH_8.json tracks.
+	// wall time — a live readout; the recorded figure is the benchmark's
+	// sim.events_per_s (make benchmark-trace).
 	wall := time.Since(wallStart).Seconds()
 	events := sys.EventsProcessed()
 	eventsSec := float64(events) / wall
@@ -386,7 +393,7 @@ func runSingle() {
 		if err := cliutil.WriteFile(shared.MetricsOut, func(w io.Writer) error {
 			return dtp.WriteMetrics(w, reg)
 		}); err != nil {
-			cliutil.Fatal("dtpsim", 1, err)
+			fatal(1, err)
 		}
 		fmt.Printf("metrics written to %s\n", shared.MetricsOut)
 	}
@@ -408,20 +415,20 @@ func runSingle() {
 			}
 			return telemetry.WriteEvents(w, events)
 		}); err != nil {
-			cliutil.Fatal("dtpsim", 1, err)
+			fatal(1, err)
 		}
 		fmt.Printf("trace written to %s (%d events, %d dropped)\n",
 			shared.TraceOut, len(events), total-uint64(len(events)))
 	}
 	if *timelineOut != "" {
 		if err := cliutil.WriteFile(*timelineOut, tl.WriteJSONL); err != nil {
-			cliutil.Fatal("dtpsim", 1, err)
+			fatal(1, err)
 		}
 		fmt.Printf("timeline written to %s (%d samples)\n", *timelineOut, tl.Total())
 	}
 	if rec != nil {
 		if err := rec.Err(); err != nil {
-			cliutil.Fatal("dtpsim", 1, err)
+			fatal(1, err)
 		}
 		for _, b := range rec.Bundles() {
 			fmt.Printf("flight bundle: %s\n", b)

@@ -131,21 +131,11 @@ type config struct {
 	mixed      []LinkSpeed
 	reg        *telemetry.Registry
 	tracer     *telemetry.Tracer
-	heapSched  bool
 }
 
 // WithSeed sets the deterministic run seed (default 1).
 func WithSeed(seed uint64) Option {
 	return func(c *config) { c.seed = seed }
-}
-
-// WithHeapScheduler selects the binary-heap reference discipline (the
-// seed engine's data structure: O(log n) index sifts per operation)
-// instead of the calendar queue. The dispatch order is identical — the
-// reference exists for the equivalence property tests and the BENCH_8
-// speedup trajectory, not for production runs.
-func WithHeapScheduler() Option {
-	return func(c *config) { c.heapSched = true }
 }
 
 // WithBeaconInterval sets the resynchronization period in ticks
@@ -305,9 +295,6 @@ func New(t Topology, opts ...Option) (*System, error) {
 		o(&c)
 	}
 	sch := sim.NewScheduler()
-	if c.heapSched {
-		sch = sim.NewHeapScheduler()
-	}
 	var coreOpts []core.Option
 	if c.ppm != nil {
 		coreOpts = append(coreOpts, core.WithPPM(c.ppm))
@@ -429,8 +416,8 @@ func (s *System) BoundNanos() float64 {
 }
 
 // EventsProcessed returns the number of scheduler events dispatched
-// since construction — the numerator of the engine's events/sec figure
-// (see ThroughputSummary and BENCH_8.json).
+// since construction — the numerator of dtpsim's `engine:` line and of
+// the benchmark's sim.events_per_s.
 func (s *System) EventsProcessed() uint64 { return s.sch.Processed() }
 
 // QueueStats returns the scheduler's report on how it filed those
@@ -536,15 +523,6 @@ func (s *System) Audit(o AuditOptions) *Auditor {
 	return a
 }
 
-// EnableAudit attaches an online auditor checking every `every` of
-// simulated time (0 selects the 100 µs default).
-//
-// Deprecated: use Audit(AuditOptions{Interval: every}); this wrapper
-// remains so existing callers compile unchanged.
-func (s *System) EnableAudit(every time.Duration) *Auditor {
-	return s.Audit(AuditOptions{Interval: every})
-}
-
 // EnableSchedulerMetrics exports the event loop's own throughput
 // (events processed, queue depth and high water, a depth histogram)
 // through the WithTelemetry registry. wallRate additionally exports
@@ -601,16 +579,6 @@ func (s *System) Daemon(o DaemonOptions) (*Daemon, error) {
 	wrapped := &Daemon{d: d}
 	s.daemons = append(s.daemons, wrapped)
 	return wrapped, nil
-}
-
-// AttachDaemon starts a DTP daemon on the named host with the given
-// calibration cadence.
-//
-// Deprecated: use Daemon(DaemonOptions{Host: host, CalInterval:
-// calEvery}); this wrapper remains so existing callers compile
-// unchanged.
-func (s *System) AttachDaemon(host string, calEvery time.Duration) (*Daemon, error) {
-	return s.Daemon(DaemonOptions{Host: host, CalInterval: calEvery})
 }
 
 // Counter returns the daemon's current get_DTP_counter() estimate in
@@ -712,14 +680,6 @@ func (s *System) Chaos(o ChaosOptions) (*ChaosEngine, error) {
 		return nil, err
 	}
 	return eng, nil
-}
-
-// AttachChaos binds a fault-injection scenario to the system.
-//
-// Deprecated: use Chaos(ChaosOptions{Scenario: sc, Auditor: aud}); this
-// wrapper remains so existing callers compile unchanged.
-func (s *System) AttachChaos(sc *ChaosScenario, aud *Auditor) (*ChaosEngine, error) {
-	return s.Chaos(ChaosOptions{Scenario: sc, Auditor: aud})
 }
 
 // Close stops everything the System started on top of the simulation —

@@ -165,7 +165,7 @@ func TestMeasuredOWD(t *testing.T) {
 
 func TestDaemonOnFacade(t *testing.T) {
 	sys := newSynced(t, Pair(), WithSeed(17))
-	d, err := sys.AttachDaemon("h0", 10*time.Millisecond)
+	d, err := sys.Daemon(DaemonOptions{Host: "h0", CalInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestDaemonOnFacade(t *testing.T) {
 	if off < -20 || off > 20 {
 		t.Fatalf("daemon offset %.1f ticks", off)
 	}
-	if _, err := sys.AttachDaemon("zz", 0); err == nil {
+	if _, err := sys.Daemon(DaemonOptions{Host: "zz"}); err == nil {
 		t.Fatal("phantom daemon host accepted")
 	}
 }
@@ -401,7 +401,7 @@ func TestOptionStructLifecycle(t *testing.T) {
 }
 
 // TestChaosOnFacade: the storm campaign runs through the public API —
-// scenario from JSON, AttachChaos with an auditor, Verify past the
+// scenario from JSON, Chaos bound to an auditor, Verify past the
 // deadline — and the chaos metrics appear in the registry export.
 func TestChaosOnFacade(t *testing.T) {
 	sc, err := LoadChaosScenario("examples/chaos/storm.json")
@@ -418,8 +418,8 @@ func TestChaosOnFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aud := sys.EnableAudit(0)
-	eng, err := sys.AttachChaos(sc, aud)
+	aud := sys.Audit(AuditOptions{})
+	eng, err := sys.Chaos(ChaosOptions{Scenario: sc, Auditor: aud})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,11 +443,11 @@ func TestChaosOnFacade(t *testing.T) {
 		}
 	}
 
-	// A scenario naming a device outside this topology fails AttachChaos.
+	// A scenario naming a device outside this topology fails Chaos.
 	badSc := &ChaosScenario{Name: "bad", Faults: []ChaosFault{
 		{Kind: "crash", Device: "nosuch", Duration: ChaosD(time.Millisecond)},
 	}}
-	if _, err := sys.AttachChaos(badSc, nil); err == nil {
-		t.Fatal("AttachChaos accepted an unknown device")
+	if _, err := sys.Chaos(ChaosOptions{Scenario: badSc}); err == nil {
+		t.Fatal("Chaos accepted an unknown device")
 	}
 }

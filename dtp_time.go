@@ -22,11 +22,6 @@ type TimeClock = timesvc.Clock
 // TimeInterval is a TrueTime-style uncertainty interval in UTC ps.
 type TimeInterval = timesvc.Interval
 
-// TimeStore is the seqlock snapshot store a TimeService publishes
-// through; readers on other timebases (cmd/dtpload's wall clock) build
-// their own TimeClock over it.
-type TimeStore = timesvc.Store
-
 // Read-path sentinel errors, re-exported for errors.Is checks.
 var (
 	ErrTimeNoSnapshot = timesvc.ErrNoSnapshot

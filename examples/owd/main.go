@@ -31,11 +31,11 @@ func main() {
 	}
 
 	// Application daemons on two hosts four hops apart.
-	sender, err := sys.AttachDaemon("s4", 10*time.Millisecond)
+	sender, err := sys.Daemon(dtp.DaemonOptions{Host: "s4", CalInterval: 10 * time.Millisecond})
 	if err != nil {
 		log.Fatal(err)
 	}
-	receiver, err := sys.AttachDaemon("s11", 10*time.Millisecond)
+	receiver, err := sys.Daemon(dtp.DaemonOptions{Host: "s11", CalInterval: 10 * time.Millisecond})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,8 +37,8 @@ func epsDTP() (measuredNs, boundNs float64) {
 	if err := sys.RunUntilSynced(time.Second); err != nil {
 		log.Fatal(err)
 	}
-	a, _ := sys.AttachDaemon("s4", 10*time.Millisecond)
-	b, _ := sys.AttachDaemon("s11", 10*time.Millisecond)
+	a, _ := sys.Daemon(dtp.DaemonOptions{Host: "s4", CalInterval: 10 * time.Millisecond})
+	b, _ := sys.Daemon(dtp.DaemonOptions{Host: "s11", CalInterval: 10 * time.Millisecond})
 	sys.Run(500 * time.Millisecond)
 	worst := 0.0
 	for i := 0; i < 300; i++ {

@@ -39,14 +39,6 @@ type Config struct {
 	// TSCPPM is the half-range of the CPU TSC frequency error relative
 	// to nominal; invariant TSCs are stable but not perfectly accurate.
 	TSCPPM float64
-	// RatioGain is the EWMA gain for the DTP-per-TSC frequency ratio
-	// estimate.
-	//
-	// Deprecated: RatioGain parameterizes only the moving-average
-	// discipline; set Options.Discipline.Gain instead. It is honored
-	// when Options.Discipline leaves the gain unset, so existing
-	// callers keep their exact behavior.
-	RatioGain float64
 }
 
 // DefaultConfig matches the paper's setup.
@@ -58,7 +50,6 @@ func DefaultConfig() Config {
 		PCIeSpikeP:  0.005,
 		PCIeSpike:   1500 * sim.Nanosecond,
 		TSCPPM:      20,
-		RatioGain:   0.2,
 	}
 }
 
@@ -132,14 +123,8 @@ func Attach(dev *core.Device, o Options, seed uint64) (*Daemon, error) {
 	if cfg == (Config{}) {
 		cfg = DefaultConfig()
 	}
-	dc := o.Discipline
-	if dc.Gain == 0 && (dc.Kind == "" || dc.Kind == "ma") {
-		// Deprecated Config.RatioGain still parameterizes the default
-		// moving-average discipline.
-		dc.Gain = cfg.RatioGain
-	}
 	nominal := 1e3 / float64(dev.Clock().NominalPeriodFs())
-	disc, err := dc.New(nominal)
+	disc, err := o.Discipline.New(nominal)
 	if err != nil {
 		return nil, fmt.Errorf("daemon: %w", err)
 	}
@@ -154,19 +139,6 @@ func Attach(dev *core.Device, o Options, seed uint64) (*Daemon, error) {
 	}
 	d.model = disc.Model()
 	return d, nil
-}
-
-// New attaches a daemon with the default moving-average discipline.
-//
-// Deprecated: use Attach, which takes an Options struct and can select
-// a discipline. New panics on an invalid Config (Attach returns the
-// error instead).
-func New(dev *core.Device, cfg Config, seed uint64) *Daemon {
-	d, err := Attach(dev, Options{Config: cfg}, seed)
-	if err != nil {
-		panic(err)
-	}
-	return d
 }
 
 // Instrument attaches telemetry: a calibration counter, a software-

@@ -27,12 +27,23 @@ func syncedPair(t *testing.T, seed uint64) (*sim.Scheduler, *core.Network) {
 	return sch, n
 }
 
+// attach connects a default (moving-average) daemon; cfg is valid in
+// every test here, so an error is a test bug.
+func attach(t *testing.T, dev *core.Device, cfg Config, seed uint64) *Daemon {
+	t.Helper()
+	d, err := Attach(dev, Options{Config: cfg}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestDaemonRawOffsetWithinPaperBound(t *testing.T) {
 	// Figure 7a: offset_sw usually within ±16 ticks (~102.4 ns) before
 	// smoothing.
 	sch, n := syncedPair(t, 1)
 	cfg := DefaultConfig().Compressed(100) // calibrate every 10 ms
-	d := New(n.Devices[0], cfg, 7)
+	d := attach(t, n.Devices[0], cfg, 7)
 	raw := stats.NewSummary(0)
 	d.OnSample = func(off float64) { raw.Add(off) }
 	d.Start()
@@ -56,7 +67,7 @@ func TestDaemonSmoothedOffsetWithin4Ticks(t *testing.T) {
 	// usually within ±4 ticks (~25.6 ns).
 	sch, n := syncedPair(t, 3)
 	cfg := DefaultConfig().Compressed(100)
-	d := New(n.Devices[0], cfg, 9)
+	d := attach(t, n.Devices[0], cfg, 9)
 	var rawSeq []float64
 	d.OnSample = func(off float64) { rawSeq = append(rawSeq, off) }
 	d.Start()
@@ -74,7 +85,7 @@ func TestDaemonSmoothedOffsetWithin4Ticks(t *testing.T) {
 
 func TestDaemonEstimateTracksCounter(t *testing.T) {
 	sch, n := syncedPair(t, 5)
-	d := New(n.Devices[1], DefaultConfig().Compressed(100), 11)
+	d := attach(t, n.Devices[1], DefaultConfig().Compressed(100), 11)
 	d.Start()
 	sch.RunFor(2 * sim.Second)
 	est := d.Estimate()
@@ -89,7 +100,7 @@ func TestDaemonEstimateTracksCounter(t *testing.T) {
 
 func TestDaemonStop(t *testing.T) {
 	sch, n := syncedPair(t, 7)
-	d := New(n.Devices[0], DefaultConfig().Compressed(100), 13)
+	d := attach(t, n.Devices[0], DefaultConfig().Compressed(100), 13)
 	d.Start()
 	sch.RunFor(sim.Second)
 	c := d.Calibrations()
@@ -102,7 +113,7 @@ func TestDaemonStop(t *testing.T) {
 
 func TestDaemonBeforeFirstCalibration(t *testing.T) {
 	_, n := syncedPair(t, 9)
-	d := New(n.Devices[0], DefaultConfig(), 15)
+	d := attach(t, n.Devices[0], DefaultConfig(), 15)
 	if d.Estimate() != 0 {
 		t.Fatal("estimate before calibration should be 0")
 	}
@@ -114,8 +125,8 @@ func TestDaemonBeforeFirstCalibration(t *testing.T) {
 func TestEndToEndSoftwarePrecision(t *testing.T) {
 	sch, n := syncedPair(t, 11)
 	cfg := DefaultConfig().Compressed(100)
-	d0 := New(n.Devices[0], cfg, 17)
-	d1 := New(n.Devices[1], cfg, 19)
+	d0 := attach(t, n.Devices[0], cfg, 17)
+	d1 := attach(t, n.Devices[1], cfg, 19)
 	d0.Start()
 	d1.Start()
 	sch.RunFor(sim.Second) // calibrations under way
@@ -136,8 +147,8 @@ func TestExternalSyncUTC(t *testing.T) {
 	// estimation error — microsecond-class at worst, typically ~100ns.
 	sch, n := syncedPair(t, 13)
 	cfg := DefaultConfig().Compressed(100)
-	d0 := New(n.Devices[0], cfg, 21)
-	d1 := New(n.Devices[1], cfg, 23)
+	d0 := attach(t, n.Devices[0], cfg, 21)
+	d1 := attach(t, n.Devices[1], cfg, 23)
 	d0.Start()
 	d1.Start()
 	b := NewUTCBroadcaster(d0, TrueUTC{Sch: sch}, 50*sim.Millisecond)
@@ -172,8 +183,8 @@ func TestExternalSyncUTC(t *testing.T) {
 func TestUTCErrorPsIsMagnitude(t *testing.T) {
 	sch, n := syncedPair(t, 17)
 	cfg := DefaultConfig().Compressed(100)
-	d0 := New(n.Devices[0], cfg, 25)
-	d1 := New(n.Devices[1], cfg, 27)
+	d0 := attach(t, n.Devices[0], cfg, 25)
+	d1 := attach(t, n.Devices[1], cfg, 27)
 	d0.Start()
 	d1.Start()
 	b := NewUTCBroadcaster(d0, TrueUTC{Sch: sch}, 20*sim.Millisecond)
@@ -211,7 +222,7 @@ func TestUTCErrorPsIsMagnitude(t *testing.T) {
 // non-positive span.
 func TestFollowerDropsStalePairs(t *testing.T) {
 	sch, n := syncedPair(t, 19)
-	d := New(n.Devices[1], DefaultConfig().Compressed(100), 29)
+	d := attach(t, n.Devices[1], DefaultConfig().Compressed(100), 29)
 	d.Start()
 	sch.RunFor(sim.Second)
 	f := NewUTCFollower(d)
@@ -249,7 +260,7 @@ func TestFollowerDropsStalePairs(t *testing.T) {
 // prediction error.
 func TestFollowerResidualTracksPredictionError(t *testing.T) {
 	sch, n := syncedPair(t, 23)
-	d := New(n.Devices[1], DefaultConfig().Compressed(100), 31)
+	d := attach(t, n.Devices[1], DefaultConfig().Compressed(100), 31)
 	d.Start()
 	sch.RunFor(sim.Second)
 	f := NewUTCFollower(d)

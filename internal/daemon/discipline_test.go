@@ -179,33 +179,36 @@ func TestAttachRejectsBadDiscipline(t *testing.T) {
 	}
 }
 
-// TestRatioGainShimMapsToMovingAverage: the deprecated Config.RatioGain
-// knob still parameterizes the default discipline, so legacy callers
-// get bit-identical behavior through the new constructor.
-func TestRatioGainShimMapsToMovingAverage(t *testing.T) {
+// TestDisciplineGainMapsToMovingAverage: Options.Discipline.Gain alone,
+// with the kind left unset, parameterizes the default moving-average
+// discipline.
+func TestDisciplineGainMapsToMovingAverage(t *testing.T) {
 	sch, n := syncedPair(t, 33)
-	cfg := DefaultConfig().Compressed(100)
-	cfg.RatioGain = 0.35
-
-	legacy := New(n.Devices[0], cfg, 35)
-	opt, err := Attach(n.Devices[1], Options{Config: cfg}, 35)
-	if err != nil {
-		t.Fatal(err)
+	o := Options{
+		Config:     DefaultConfig().Compressed(100),
+		Discipline: discipline.Config{Gain: 0.35},
 	}
-	if legacy.Discipline() != "ma" || opt.Discipline() != "ma" {
-		t.Fatalf("disciplines %q/%q, want ma", legacy.Discipline(), opt.Discipline())
+	var ds []*Daemon
+	for _, dev := range n.Devices[:2] {
+		d, err := Attach(dev, o, 35)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Discipline() != "ma" {
+			t.Fatalf("discipline %q, want ma", d.Discipline())
+		}
+		d.Start()
+		ds = append(ds, d)
 	}
-	legacy.Start()
-	opt.Start()
 	sch.RunFor(2 * sim.Second)
 	// Different devices and RNG streams, so values differ — but both
 	// must have calibrated and track their counters to Figure 7a noise.
-	for _, d := range []*Daemon{legacy, opt} {
+	for _, d := range ds {
 		if !d.Calibrated() {
 			t.Fatal("daemon never calibrated")
 		}
 		if off := math.Abs(d.OffsetUnits()); off > 40 {
-			t.Fatalf("offset %.1f units with gain shim", off)
+			t.Fatalf("offset %.1f units at gain 0.35", off)
 		}
 	}
 }

@@ -2,10 +2,11 @@ package sim
 
 // Binary-heap reference discipline over pooled slot indices: the seed
 // engine's data structure (O(log n) sift per operation, index swaps on
-// every level) kept behind NewHeapScheduler for the dispatch-order
-// equivalence property test and the BENCH_8 speedup trajectory. Slot
-// .prev (unused otherwise: the heap has no lanes) tracks each pending
-// event's heap position so Cancel can remove from the middle.
+// every level) kept behind NewHeapScheduler as a test oracle — for the
+// dispatch-order equivalence tests here and in internal/core, and for
+// the benchmark's sim.heap_ns_per_event probe. Slot .prev (unused
+// otherwise: the heap has no lanes) tracks each pending event's heap
+// position so Cancel can remove from the middle.
 
 func (s *Scheduler) heapPush(idx uint32) {
 	s.heap = append(s.heap, idx)

@@ -27,7 +27,8 @@ type TimeResponse struct {
 // MaxAge) return 503 so clients distinguish "service degraded" from
 // transport errors. The handler is an observability/demo surface on
 // dtpd's existing listener, NOT the fast path — in-process readers use
-// the Clock directly; cmd/dtpload measures that path.
+// the Clock directly; the benchmark's serve_reads workload measures
+// that path.
 func Handler(host string, c *Clock) http.Handler {
 	mux := http.NewServeMux()
 	serve := func(w http.ResponseWriter, r *http.Request) {

@@ -10,7 +10,7 @@ type LoadConfig struct {
 	// QPS is the mean Poisson arrival rate of time-service reads against
 	// this host (default 1000). In-sim load models the request *pattern*
 	// (inter-arrival mixing with calibration ticks, width as seen by
-	// clients); raw throughput is the load generator's job (cmd/dtpload).
+	// clients); raw throughput is the benchmark's serve_reads workload.
 	QPS float64
 }
 

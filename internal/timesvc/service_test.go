@@ -23,6 +23,18 @@ type servedPair struct {
 	ld  *Load
 }
 
+// startDaemon attaches and starts a default (moving-average) daemon on
+// dev, calibrating 100x faster than the paper's once a second.
+func startDaemon(t *testing.T, dev *core.Device, seed uint64) *daemon.Daemon {
+	t.Helper()
+	d, err := daemon.Attach(dev, daemon.Options{Config: daemon.DefaultConfig().Compressed(100)}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Start()
+	return d
+}
+
 func newServedPair(t *testing.T, seed uint64, scfg ServiceConfig, qps float64) *servedPair {
 	t.Helper()
 	sch := sim.NewScheduler()
@@ -40,11 +52,8 @@ func newServedPair(t *testing.T, seed uint64, scfg ServiceConfig, qps float64) *
 	reg := telemetry.New()
 	tr := telemetry.NewTracer(0)
 
-	dcfg := daemon.DefaultConfig().Compressed(100)
-	d0 := daemon.New(n.Devices[0], dcfg, seed+100)
-	d1 := daemon.New(n.Devices[1], dcfg, seed+101)
-	d0.Start()
-	d1.Start()
+	d0 := startDaemon(t, n.Devices[0], seed+100)
+	d1 := startDaemon(t, n.Devices[1], seed+101)
 
 	b := daemon.NewUTCBroadcaster(d0, daemon.TrueUTC{Sch: sch}, 10*sim.Millisecond)
 	f := daemon.NewUTCFollower(d1)
@@ -71,8 +80,8 @@ func newServedPair(t *testing.T, seed uint64, scfg ServiceConfig, qps float64) *
 }
 
 // simScale shortens the simulated soak windows under -short (the
-// CI-wide race job): the full windows stay on plain `go test` and the
-// dedicated serve-bench job, where the longer exposure matters.
+// CI-wide race job): the full windows stay on plain `go test` and on
+// `make flight`, which runs this package under -race at full length.
 func simScale(d sim.Time) sim.Time {
 	if testing.Short() {
 		return d / 4
@@ -173,8 +182,7 @@ func TestServiceDegradedBeforeBroadcast(t *testing.T) {
 	n.Start()
 	sch.Run(5 * sim.Millisecond)
 
-	d := daemon.New(n.Devices[1], daemon.DefaultConfig().Compressed(100), 41)
-	d.Start()
+	d := startDaemon(t, n.Devices[1], 41)
 	f := daemon.NewUTCFollower(d)
 	// Margin 0: the audit bound stays pure hardware 4TD; the service
 	// composes the software-side error terms itself.

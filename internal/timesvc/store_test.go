@@ -67,8 +67,8 @@ func TestStoreNoTornReads(t *testing.T) {
 	}()
 
 	// The full soak is minutes under -race on small machines; -short
-	// (the CI-wide race job) keeps a real-but-quick hammer, and the
-	// dedicated serve-bench job runs the long one.
+	// (the CI-wide race job) keeps a real-but-quick hammer, and
+	// `make flight` runs the long one.
 	iters := 200_000
 	if testing.Short() {
 		iters = 20_000

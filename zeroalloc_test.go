@@ -12,8 +12,8 @@ import (
 // insertion, wire transit, RX pipeline, CDC alignment, message
 // processing, counter jumps, watchdog churn — runs without a single
 // heap allocation. Wander is disabled (its resampling closure is an
-// intentional cold-path allocation) and telemetry is unattached, as in
-// the BENCH_8 engine configuration.
+// intentional cold-path allocation), telemetry is unattached, and the
+// beacon cadence is a sparse 60000 ticks.
 func TestSteadyStateBeaconLoopZeroAlloc(t *testing.T) {
 	requireZeroAllocRun(t, 60000, false)
 }
@@ -21,8 +21,8 @@ func TestSteadyStateBeaconLoopZeroAlloc(t *testing.T) {
 // The same loop with System.Audit attached: the auditor reschedules
 // itself as a sim.Actor and sweeps over preallocated per-pair slices,
 // so a clean audited run (a sweep every 100 µs) allocates nothing
-// either. Beacon 1200 rather than BENCH_8's 60000: at 60000 the bound
-// does not hold, and a violation's trace event allocates by design.
+// either. Beacon 1200 rather than 60000: at 60000 the bound does not
+// hold, and a violation's trace event allocates by design.
 func TestAuditedSteadyStateZeroAlloc(t *testing.T) {
 	requireZeroAllocRun(t, 1200, true)
 }
