@@ -3,17 +3,20 @@
 // synchronization where one host broadcasts (counter, UTC) pairs and
 // every other host serves UTC by interpolation.
 //
-// All measurement flows through the internal/telemetry Registry; with
-// -listen the live metrics and the protocol event trace are served over
-// HTTP for the life of the process:
+// It is a client of the dtp façade: dtp.New, System.TimePlane (a daemon
+// on every host node of the -topo graph — default the paper's tree,
+// eight hosts s4–s11 — the first broadcasting, the rest serving
+// TrueTime-style intervals) and System.Timeline. All measurement flows
+// through the telemetry registry; with -listen the live metrics and the
+// protocol event trace are served over HTTP for the life of the
+// process:
 //
 //	dtpd -duration 2s -cal 10ms -listen :9090 &
 //	curl localhost:9090/metrics   # Prometheus text exposition
 //	curl localhost:9090/trace     # JSONL protocol events
 //
-// Daemons attach to every host node of the -topo graph (default: the
-// paper's tree, eight hosts s4–s11); -metrics-out and -trace-out dump
-// the registry and the protocol trace to files at exit.
+// -metrics-out and -trace-out dump the registry and the protocol trace
+// to files at exit.
 package main
 
 import (
@@ -29,11 +32,8 @@ import (
 	"sort"
 	"time"
 
-	"github.com/dtplab/dtp/internal/audit"
+	"github.com/dtplab/dtp"
 	"github.com/dtplab/dtp/internal/cliutil"
-	"github.com/dtplab/dtp/internal/core"
-	"github.com/dtplab/dtp/internal/daemon"
-	"github.com/dtplab/dtp/internal/sim"
 	"github.com/dtplab/dtp/internal/telemetry"
 	"github.com/dtplab/dtp/internal/timesvc"
 )
@@ -43,14 +43,12 @@ var (
 	shared = cliutil.Flags{Topo: "tree", Duration: 2 * time.Second}
 
 	calFlag    = flag.Duration("cal", 10*time.Millisecond, "daemon calibration interval")
-	listenFlag = flag.String("listen", "", "serve /metrics and /trace on this address (e.g. :9090) and keep running")
+	listenFlag = flag.String("listen", "", "serve /metrics, /trace, /timeline, /healthz and (once the run ends) /time/<host>/now on this address (e.g. :9090) and keep running")
 	traceFlag  = flag.Int("trace-cap", 16384, "protocol trace ring capacity (events)")
 	pprofFlag  = flag.Bool("pprof", false, "with -listen, also expose /debug/pprof/* and /debug/vars")
 
-	serveTimeFlag = flag.Bool("serve-time", false,
-		"attach the internal/timesvc serving plane: TrueTime-style interval clocks on every host, served at /time/<host>/now with -listen")
 	loadQPSFlag = flag.Float64("load-qps", 0,
-		"with -serve-time, drive Poisson read load at this mean rate per host from inside the simulation")
+		"drive Poisson read load at this mean rate per served host from inside the simulation")
 	timelineEvery = flag.Duration("timeline-every", time.Millisecond,
 		"windowed-timeline sampling cadence (simulated time); served at /timeline with -listen")
 )
@@ -72,24 +70,15 @@ func main() {
 	if err != nil {
 		cliutil.Fatal("dtpd", 2, err)
 	}
-	// Daemons attach to host NICs; a topology without hosts (e.g. a pure
-	// switch chain) still syncs but has nothing to demonstrate here.
-	var hosts []string
-	for _, id := range g.HostIDs() {
-		hosts = append(hosts, g.Nodes[id].Name)
-	}
-	if len(hosts) == 0 {
-		cliutil.Fatal("dtpd", 2, fmt.Errorf("topology %q has no host nodes to run daemons on", shared.Topo))
-	}
 
-	reg := telemetry.New()
-	tracer := telemetry.NewTracer(*traceFlag)
+	reg := dtp.NewMetricsRegistry()
+	tracer := dtp.NewTracer(*traceFlag)
 	tracer.SetKinds() // demo binary: include per-beacon firehose kinds in /trace
 
 	// Bind the listener before simulating so a bad -listen fails fast.
-	// The mux outlives this block: -serve-time registers /time/<host>/
-	// handlers after the simulation finishes (ServeMux is safe for
-	// concurrent Handle/ServeHTTP).
+	// The mux outlives this block: /time/<host>/ handlers register after
+	// the simulation finishes (ServeMux is safe for concurrent
+	// Handle/ServeHTTP).
 	var ln net.Listener
 	var mux *http.ServeMux
 	if *listenFlag != "" {
@@ -98,7 +87,7 @@ func main() {
 			cliutil.Fatal("dtpd", 1, err)
 		}
 		mux = http.NewServeMux()
-		mux.Handle("/", telemetry.Handler(reg, tracer))
+		mux.Handle("/", dtp.TelemetryHandler(reg, tracer))
 		if *pprofFlag {
 			mux.HandleFunc("/debug/pprof/", pprof.Index)
 			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -118,135 +107,82 @@ func main() {
 		}
 	}
 
-	sch := sim.NewScheduler()
-	// A long-lived daemon may report wall-clock throughput: these metrics
-	// are intentionally nondeterministic and never appear in dtpsim dumps.
-	telemetry.InstrumentScheduler(reg, sch, telemetry.SchedOptions{WallRate: true})
-	cfg := core.DefaultConfig()
-	cfg.Hardened = shared.Hardened
-	n, err := core.NewNetwork(sch, shared.Seed, g, cfg)
+	opts := []dtp.Option{dtp.WithSeed(shared.Seed), dtp.WithTelemetry(reg, tracer), dtp.WithDiscipline(disc)}
+	if shared.Hardened {
+		opts = append(opts, dtp.WithHardened())
+	}
+	sys, err := dtp.New(g, opts...)
 	if err != nil {
 		cliutil.Fatal("dtpd", 1, err)
 	}
-	n.Instrument(reg, tracer)
-	n.Start()
-	sch.Run(10 * sim.Millisecond)
-	if !n.AllSynced() {
-		cliutil.Fatal("dtpd", 1, fmt.Errorf("network failed to synchronize"))
+	// A long-lived daemon may report wall-clock throughput: these metrics
+	// are intentionally nondeterministic and never appear in dtpsim dumps.
+	sys.EnableSchedulerMetrics(true)
+	sys.Start()
+	if err := sys.RunUntilSynced(10 * time.Millisecond); err != nil {
+		cliutil.Fatal("dtpd", 1, err)
 	}
 
-	dcfg := daemon.DefaultConfig()
-	dcfg.CalInterval = sim.FromStd(*calFlag)
-	daemons := map[string]*daemon.Daemon{}
+	// The serving plane (§5 + TrueTime-style intervals): a daemon on
+	// every host, the first host broadcasting UTC (from a perfect source
+	// standing in for GPS/PTP at the timeserver), a TimeService backed by
+	// a live 4TD auditor on every other. Attach order as campaign.Arm:
+	// plane, then the timeline that enumerates it.
+	tp, err := sys.TimePlane(dtp.TimePlaneOptions{
+		CalInterval: *calFlag, BroadcastInterval: 50 * time.Millisecond, LoadQPS: *loadQPSFlag,
+	})
+	if err != nil {
+		cliutil.Fatal("dtpd", 2, err)
+	}
+	// Handles for the report. The plane itself named every host, so the
+	// accessors cannot fail.
+	served := tp.Hosts()
+	hosts := append([]string{tp.Broadcaster()}, served...)
+	sort.Strings(hosts)
+	daemons := make([]*dtp.Daemon, len(hosts))
 	for i, h := range hosts {
-		dev, err := n.DeviceByName(h)
-		if err != nil {
-			cliutil.Fatal("dtpd", 1, err)
-		}
-		d, err := daemon.Attach(dev, daemon.Options{Config: dcfg, Discipline: disc},
-			shared.Seed+uint64(i)+100)
-		if err != nil {
-			cliutil.Fatal("dtpd", 1, err)
-		}
-		d.Instrument(reg, tracer)
-		d.Start()
-		daemons[h] = d
+		daemons[i], _ = tp.Daemon(h)
 	}
-
-	// External synchronization: the first host's daemon broadcasts UTC
-	// (from a perfect source standing in for GPS/PTP at the timeserver).
-	b := daemon.NewUTCBroadcaster(daemons[hosts[0]], daemon.TrueUTC{Sch: sch}, 50*sim.Millisecond)
-	followers := map[string]*daemon.UTCFollower{}
-	for _, h := range hosts[1:] {
-		f := daemon.NewUTCFollower(daemons[h])
-		b.Subscribe(f)
-		followers[h] = f
+	services := make([]*dtp.TimeService, len(served))
+	for i, h := range served {
+		services[i], _ = tp.Service(h)
 	}
-	b.Start()
-
-	// -serve-time: the serving plane (§5 + TrueTime-style intervals) on
-	// every follower host, backed by a live 4TD auditor, optionally with
-	// an in-sim Poisson read load per host.
-	services := map[string]*timesvc.Service{}
-	loads := map[string]*timesvc.Load{}
-	// hosts gets sorted for display later; keep the served set stable.
-	served := append([]string{}, hosts[1:]...)
-	sort.Strings(served)
-	if *serveTimeFlag {
-		aud := audit.New(n, audit.Config{})
-		aud.Instrument(reg, tracer)
-		aud.Start()
-		for _, h := range served {
-			svc := timesvc.NewService(daemons[h], followers[h], aud, timesvc.ServiceConfig{})
-			svc.Instrument(reg, tracer)
-			svc.Start()
-			services[h] = svc
-			if *loadQPSFlag > 0 {
-				ld := timesvc.NewLoad(svc, sim.NewRNG(shared.Seed, "timesvc-load/"+h),
-					timesvc.LoadConfig{QPS: *loadQPSFlag})
-				ld.Instrument(reg)
-				ld.Start()
-				loads[h] = ld
-			}
-		}
-	}
-
-	// Windowed timeline: the black-box view of the run, sampled on the
-	// simulation clock — per-host daemon offsets, trace-ring drop
-	// accounting, and (with -serve-time) each served interval's
-	// interpolated half-width. Served at /timeline as JSONL.
-	tl := telemetry.NewTimeline(sim.FromStd(*timelineEvery), 0)
-	tl.Gauge("trace_dropped", func() float64 { return float64(tracer.Dropped()) })
-	for _, h := range hosts {
-		d := daemons[h]
-		tl.Gauge("daemon_offset_ticks_"+h, func() float64 { return d.OffsetUnits() })
-	}
-	for _, h := range served {
-		svc, ok := services[h]
-		if !ok {
-			continue
-		}
-		c := svc.Clock()
-		tl.Gauge("eps_ps_"+h, func() float64 {
-			iv, err := c.NowInterval()
-			if err != nil {
-				return math.NaN()
-			}
-			return iv.HalfWidthPs()
-		})
-	}
-	tl.Start(sch)
+	tl := sys.Timeline(dtp.TimelineOptions{Interval: *timelineEvery})
 	if mux != nil {
 		mux.Handle("/timeline", tl)
-		mux.Handle("/healthz", timesvc.HealthHandler(services))
+		mux.Handle("/healthz", tp.HealthHandler())
 		fmt.Printf("dtpd: timeline on http://%s/timeline, serving-plane health on /healthz\n", ln.Addr())
 	}
 
-	sch.RunFor(sim.FromStd(shared.Duration))
+	sys.Run(shared.Duration)
 
 	fmt.Printf("== DTP daemon offsets (estimate - hardware counter), ticks — discipline %q\n",
-		daemons[hosts[0]].Discipline())
+		daemons[0].Discipline())
 	fmt.Printf("%-5s %8s %8s %8s %8s\n", "host", "samples", "min", "max", "p99|.|")
-	sort.Strings(hosts)
-	for _, h := range hosts {
-		hist := daemons[h].OffsetHistogram()
+	for i, h := range hosts {
+		hist := daemons[i].OffsetHistogram()
 		fmt.Printf("%-5s %8d %8.1f %8.1f %8.1f\n",
 			h, hist.Count(), hist.Min(), hist.Max(), hist.QuantileAbs(0.99))
 	}
 
-	if len(followers) > 0 {
-		fmt.Println("\n== UTC via external synchronization (§5.2), error vs true time")
-		utc := reg.Histogram("dtp_utc_error_ns",
-			"UTC-follower error versus true time, in nanoseconds (§5.2).",
-			telemetry.LinearBuckets(-200, 20, 21))
-		for i := 0; i < 200; i++ {
-			sch.RunFor(sim.Millisecond)
-			for _, f := range followers {
-				utc.Observe(f.UTCErrorPs() / 1000)
+	fmt.Println("\n== UTC via external synchronization (§5.2), error vs true time")
+	utc := reg.Histogram("dtp_utc_error_ns",
+		"UTC-follower error versus true time, in nanoseconds (§5.2).",
+		telemetry.LinearBuckets(-200, 20, 21))
+	for i := 0; i < 200; i++ {
+		sys.Run(time.Millisecond)
+		for _, h := range served {
+			// A follower has no estimate before its first pair.
+			if e, err := tp.UTCErrorPs(h); err == nil {
+				utc.Observe(e / 1000)
 			}
 		}
+	}
+	if utc.Count() == 0 {
+		fmt.Printf("followers: %d, no UTC pair received yet\n", len(served))
+	} else {
 		fmt.Printf("followers: %d, |error| max %.0f ns, p99 %.0f ns\n",
-			len(followers), math.Max(math.Abs(utc.Min()), math.Abs(utc.Max())),
+			len(served), math.Max(math.Abs(utc.Min()), math.Abs(utc.Max())),
 			utc.QuantileAbs(0.99))
 	}
 
@@ -255,92 +191,83 @@ func main() {
 	worst := reg.Gauge("dtp_daemon_pairwise_worst_ticks",
 		"Worst daemon-vs-daemon estimate difference observed, in ticks.")
 	for i := 0; i < 200; i++ {
-		sch.RunFor(sim.Millisecond)
-		for _, a := range hosts {
-			for _, b := range hosts {
-				if a >= b {
-					continue
-				}
-				e := daemons[a].OffsetUnits() - daemons[b].OffsetUnits()
-				worst.SetMax(math.Abs(e))
+		sys.Run(time.Millisecond)
+		for a := range daemons {
+			for b := a + 1; b < len(daemons); b++ {
+				worst.SetMax(math.Abs(daemons[a].OffsetTicks() - daemons[b].OffsetTicks()))
 			}
 		}
 	}
 	fmt.Printf("\n== End-to-end software precision: worst daemon-vs-daemon error %.1f ticks (= %.1f ns; paper bound 4TD+8T)\n",
-		worst.Value(), worst.Value()*6.4)
+		worst.Value(), worst.Value()*sys.TickNanos())
 
-	if *serveTimeFlag {
-		fmt.Println("\n== Time service (internal/timesvc): TrueTime-style intervals per host")
-		fmt.Printf("%-5s %9s %8s %12s %10s %8s\n", "host", "publishes", "degraded", "width(ns)", "reads", "errors")
-		for _, h := range served {
-			svc := services[h]
-			w, covered, rerr := svc.ReadCheck()
-			width := fmt.Sprintf("%.1f", w/1000)
-			if rerr != nil {
-				width = "stale"
-			} else if !covered {
-				width += "!"
-			}
-			var reads, rerrs uint64
-			if ld := loads[h]; ld != nil {
-				reads, rerrs = ld.Reads(), ld.Errors()
-			}
-			fmt.Printf("%-5s %9d %8d %12s %10d %8d\n",
-				h, svc.Publishes(), svc.DegradedTicks(), width, reads, rerrs)
+	fmt.Println("\n== Time service (internal/timesvc): TrueTime-style intervals per host")
+	fmt.Printf("%-5s %9s %8s %12s %10s %8s\n", "host", "publishes", "degraded", "width(ns)", "reads", "errors")
+	for i, h := range served {
+		svc := services[i]
+		w, covered, rerr := svc.ReadCheck()
+		width := fmt.Sprintf("%.1f", w/1000)
+		if rerr != nil {
+			width = "stale"
+		} else if !covered {
+			width += "!"
 		}
+		var reads, rerrs uint64
+		if ld := tp.Load(h); ld != nil {
+			reads, rerrs = ld.Reads(), ld.Errors()
+		}
+		fmt.Printf("%-5s %9d %8d %12s %10d %8d\n",
+			h, svc.Publishes(), svc.DegradedTicks(), width, reads, rerrs)
+	}
 
-		// ε-budget attribution: which error source pays for each served
-		// interval's width (same split as /healthz and the
-		// dtp_timesvc_eps_* metrics).
-		fmt.Println("\n== ε-budget attribution per host (share of cumulative served width)")
-		fmt.Printf("%-5s %12s %8s %8s %8s %8s  %s\n",
-			"host", "eps(ns)", "audit", "daemon", "bcast", "resid", "dominant")
-		for _, h := range served {
-			a := services[h].Attribution()
-			fmt.Printf("%-5s %12.1f", h, a.TotalLastPs/1000)
-			for _, c := range a.Components {
-				fmt.Printf(" %7.1f%%", c.Share*100)
-			}
-			fmt.Printf("  %s\n", a.Dominant)
+	// ε-budget attribution: which error source pays for each served
+	// interval's width (same split as /healthz and the
+	// dtp_timesvc_eps_* metrics).
+	fmt.Println("\n== ε-budget attribution per host (share of cumulative served width)")
+	fmt.Printf("%-5s %12s %8s %8s %8s %8s  %s\n",
+		"host", "eps(ns)", "audit", "daemon", "bcast", "resid", "dominant")
+	for i, h := range served {
+		a := services[i].Attribution()
+		fmt.Printf("%-5s %12.1f", h, a.TotalLastPs/1000)
+		for _, c := range a.Components {
+			fmt.Printf(" %7.1f%%", c.Share*100)
 		}
+		fmt.Printf("  %s\n", a.Dominant)
+	}
 
-		// With -listen, keep serving /time/<host>/now past the simulated
-		// run: the final snapshot is re-anchored on the host's wall clock
-		// (ratio 1, generous drift, no age cutoff) so intervals keep
-		// advancing — and honestly widening — with no live calibration
-		// behind them.
-		if mux != nil {
-			for _, h := range served {
-				svc := services[h]
-				sn, ok := svc.Store().Read()
-				if !ok {
-					continue
-				}
-				utc, iv, rerr := svc.Clock().At(int64(daemons[h].TSC().Now()))
-				if rerr != nil {
-					continue
-				}
-				wallStore := &timesvc.Store{}
-				wallTb := timesvc.NewWallTimebase(0)
-				wallStore.Publish(timesvc.Snapshot{
-					Epoch:     sn.Epoch + 1,
-					AnchorRaw: wallTb.Raw(),
-					AnchorUTC: utc,
-					Ratio:     1,
-					BoundPs:   iv.HalfWidthPs(),
-					DriftPPM:  50, // undisciplined wall clock
-					MaxAgePs:  0,  // serve indefinitely, ever wider
-				})
-				mux.Handle("/time/"+h+"/", http.StripPrefix("/time/"+h,
-					timesvc.Handler(h, timesvc.NewClock(wallStore, wallTb))))
+	// With -listen, keep serving /time/<host>/now past the simulated
+	// run: the final snapshot is re-anchored on the host's wall clock
+	// (ratio 1, generous drift, no age cutoff) so intervals keep
+	// advancing — and honestly widening — with no live calibration
+	// behind them.
+	if mux != nil {
+		for i, h := range served {
+			svc := services[i]
+			utc, uerr := svc.Clock().Now()
+			iv, ierr := svc.Clock().NowInterval()
+			if uerr != nil || ierr != nil {
+				continue // nothing published yet, or the last snapshot went stale
 			}
-			fmt.Printf("time service continues on http://%s/time/<host>/now (wall-extrapolated)\n", ln.Addr())
+			wallStore := &timesvc.Store{}
+			wallTb := timesvc.NewWallTimebase(0)
+			wallStore.Publish(timesvc.Snapshot{
+				Epoch:     svc.Store().Epoch() + 1,
+				AnchorRaw: wallTb.Raw(),
+				AnchorUTC: utc,
+				Ratio:     1,
+				BoundPs:   iv.HalfWidthPs(),
+				DriftPPM:  50, // undisciplined wall clock
+				MaxAgePs:  0,  // serve indefinitely, ever wider
+			})
+			mux.Handle("/time/"+h+"/", http.StripPrefix("/time/"+h,
+				timesvc.Handler(h, timesvc.NewClock(wallStore, wallTb))))
 		}
+		fmt.Printf("time service continues on http://%s/time/<host>/now (wall-extrapolated)\n", ln.Addr())
 	}
 
 	if shared.MetricsOut != "" {
 		if err := cliutil.WriteFile(shared.MetricsOut, func(w io.Writer) error {
-			return telemetry.WritePrometheus(w, reg)
+			return dtp.WriteMetrics(w, reg)
 		}); err != nil {
 			cliutil.Fatal("dtpd", 1, err)
 		}
@@ -348,7 +275,7 @@ func main() {
 	}
 	if shared.TraceOut != "" {
 		if err := cliutil.WriteFile(shared.TraceOut, func(w io.Writer) error {
-			return telemetry.WriteJSONL(w, tracer)
+			return dtp.WriteTrace(w, tracer)
 		}); err != nil {
 			cliutil.Fatal("dtpd", 1, err)
 		}

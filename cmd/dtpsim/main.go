@@ -104,6 +104,9 @@ func main() {
 	if err := shared.Validate(); err != nil {
 		fatal(2, err)
 	}
+	if *watchFlag <= 0 {
+		fatal(2, fmt.Errorf("-watch must be positive, got %v", *watchFlag))
+	}
 	if *pprofPrefix != "" {
 		stopProfiles = startProfiles(*pprofPrefix)
 	}
@@ -192,75 +195,61 @@ func runSingle() {
 	if err != nil {
 		fatal(2, err)
 	}
-	opts := []dtp.Option{
-		dtp.WithSeed(shared.Seed),
-		dtp.WithBeaconInterval(*beaconFlag),
-	}
 	scenario, err := shared.LoadChaos()
 	if err != nil {
 		fatal(2, err)
 	}
-	if scenario != nil {
-		*auditFlag = true // the campaign's zero-unexpected-violations claim needs the auditor
+	spec := campaign.Spec{
+		Topology: g, Seed: shared.Seed, Beacon: *beaconFlag, Hardened: shared.Hardened,
+		Wander: *wanderFlag, BER: *berFlag, Load: *loadFlag,
+		// A scenario's zero-unexpected-violations claim needs the auditor.
+		Audit: *auditFlag || scenario != nil, AuditEvery: *auditEvery,
+		Scenario: scenario, SyncTimeout: time.Second,
+		TimeService: *timeSvc, LoadQPS: 5000, // in-sim readers exercising the seqlock fast path
+		Discipline: shared.Discipline,
+		Timeline:   *timelineOut != "", TimelineEvery: *timelineEvery, FlightDir: *flightDir,
 	}
 	var reg *dtp.MetricsRegistry
 	var tracer *dtp.Tracer
-	if shared.MetricsOut != "" || shared.TraceOut != "" || *auditFlag ||
+	if shared.MetricsOut != "" || shared.TraceOut != "" || spec.Audit ||
 		*timelineOut != "" || *flightDir != "" {
 		reg = dtp.NewMetricsRegistry()
 		tracer = dtp.NewTracer(*traceCap)
 		if shared.TraceOut != "" {
 			tracer.SetKinds() // dump requested: include per-beacon firehose kinds
 		}
-		opts = append(opts, dtp.WithTelemetry(reg, tracer))
+		// The wall-clock rate stays off: -metrics-out must be deterministic.
+		spec.Registry, spec.Tracer, spec.SchedMetrics = reg, tracer, true
 	}
-	if *wanderFlag {
-		opts = append(opts, dtp.WithWander(10*time.Millisecond, 100))
-	}
-	if *berFlag > 0 {
-		opts = append(opts, dtp.WithBER(*berFlag), dtp.WithParity())
-	}
-	if shared.Hardened {
-		opts = append(opts, dtp.WithHardened())
-	}
-	if shared.Discipline != "" {
-		dc, err := shared.ParseDiscipline()
-		if err != nil {
-			fatal(2, err)
-		}
-		opts = append(opts, dtp.WithDiscipline(dc))
-	}
-	sys, err := dtp.New(g, opts...)
-	if err != nil {
+	wallStart := time.Now()
+	rig, err := campaign.Arm(spec)
+	if errors.Is(err, campaign.ErrNotSynced) {
 		fatal(1, err)
+	} else if err != nil {
+		fatal(2, err)
 	}
+	sys, aud, eng, tp, rec := rig.Sys, rig.Auditor, rig.Chaos, rig.Plane, rig.Recorder
 	defer sys.Close()
+
 	fmt.Printf("topology %s: %d devices, %d links, diameter %d, bound 4TD = %.1f ns\n",
 		shared.Topo, len(g.Nodes), len(g.Links), g.Diameter(), sys.BoundNanos())
-
-	if reg != nil {
-		sys.EnableSchedulerMetrics(false) // wall-clock rate stays off: -metrics-out must be deterministic
-	}
-	var aud *dtp.Auditor
-	if *auditFlag {
-		aud = sys.Audit(dtp.AuditOptions{Interval: *auditEvery})
+	if aud != nil {
 		fmt.Printf("auditor: checking every simulated %v against per-pair 4TD (+8T software margin)\n", *auditEvery)
 	}
-	var eng *dtp.ChaosEngine
-	if scenario != nil {
-		if eng, err = sys.Chaos(dtp.ChaosOptions{Scenario: scenario, Auditor: aud}); err != nil {
-			fatal(2, err)
-		}
+	if eng != nil {
 		fmt.Printf("chaos: scenario %q armed: %d faults, verification deadline %v\n",
 			scenario.Name, len(scenario.Faults), eng.Deadline().Std())
 	}
-
-	sys.Start()
-	wallStart := time.Now()
-	if err := sys.RunUntilSynced(time.Second); err != nil {
-		fatal(1, err)
-	}
 	fmt.Printf("all %d links measured their one-way delays at t=%v\n", len(g.Links), sys.Now())
+	switch *loadFlag {
+	case "mtu":
+		fmt.Println("links saturated with MTU frames (beacons confined to interpacket gaps)")
+	case "jumbo":
+		fmt.Println("links saturated with jumbo frames")
+	}
+	if tp != nil {
+		fmt.Printf("time service: %s broadcasting UTC, serving %v\n", tp.Broadcaster(), tp.Hosts())
+	}
 
 	// Snapshot the trace now, while the one-shot INIT/synced events are
 	// still in the ring: on long runs the beacon firehose evicts them
@@ -269,55 +258,6 @@ func runSingle() {
 	var earlyTrace []telemetry.Event
 	if shared.TraceOut != "" {
 		earlyTrace = tracer.Events()
-	}
-
-	switch *loadFlag {
-	case "mtu":
-		sys.SetUniformLoad(1522)
-		fmt.Println("links saturated with MTU frames (beacons confined to interpacket gaps)")
-	case "jumbo":
-		sys.SetUniformLoad(9022)
-		fmt.Println("links saturated with jumbo frames")
-	}
-
-	// Serving plane, timeline, and flight recorder attach after
-	// Audit/Chaos so every column and state provider binds to what this
-	// run actually carries.
-	var tp *dtp.TimePlane
-	if *timeSvc {
-		if tp, err = sys.TimePlane(dtp.TimePlaneOptions{
-			CalInterval: 10 * time.Millisecond,
-			Auditor:     aud,
-			LoadQPS:     5000, // in-sim readers exercising the seqlock fast path
-		}); err != nil {
-			fatal(2, err)
-		}
-		fmt.Printf("time service: %s broadcasting UTC, serving %v\n", tp.Broadcaster(), tp.Hosts())
-	}
-	var tl *dtp.Timeline
-	if *timelineOut != "" || *flightDir != "" {
-		tl = sys.Timeline(dtp.TimelineOptions{Interval: *timelineEvery})
-	}
-	var rec *dtp.FlightRecorder
-	if *flightDir != "" {
-		if rec, err = sys.FlightRecorder(dtp.FlightOptions{Dir: *flightDir}); err != nil {
-			fatal(2, err)
-		}
-		// A served read that fails closed on a *stale* snapshot is a
-		// black-box trigger: the publish loop stopped while readers
-		// still asked for time.
-		if tp != nil {
-			for _, h := range tp.Hosts() {
-				if ld := tp.Load(h); ld != nil {
-					host := h
-					ld.OnError = func(err error) {
-						if errors.Is(err, dtp.ErrTimeStale) {
-							rec.Trigger("read_stale", host)
-						}
-					}
-				}
-			}
-		}
 	}
 
 	fmt.Printf("%12s %14s %14s %10s\n", "t", "max offset", "bound", "ok")
@@ -334,7 +274,7 @@ func runSingle() {
 	fmt.Printf("worst offset over run: %d ticks = %.1f ns (bound %.1f ns)\n",
 		worst, float64(worst)*sys.TickNanos(), sys.BoundNanos())
 
-	// Engine throughput: the whole run (sync + steady state) against
+	// Engine throughput: the whole run (build + sync + steady state) against
 	// wall time — a live readout; the recorded figure is the benchmark's
 	// sim.events_per_s (make benchmark-trace).
 	wall := time.Since(wallStart).Seconds()
@@ -358,17 +298,10 @@ func runSingle() {
 			rate.Set(eventsSec)
 		}
 	}
-	chaosOK := true
+	chaosErr := rig.VerifyChaos()
 	if eng != nil {
-		// The watch loop may end before the last fault clears; the
-		// campaign verdict is only valid past the scenario deadline.
-		sys.RunUntil(eng.Deadline())
-		if err := eng.Verify(); err != nil {
-			fmt.Fprintln(os.Stderr, "dtpsim:", err)
-			chaosOK = false
-			if rec != nil {
-				rec.Trigger("chaos_verify_failed", err.Error())
-			}
+		if chaosErr != nil {
+			fmt.Fprintln(os.Stderr, "dtpsim:", chaosErr)
 		}
 		fmt.Println(eng.Summary())
 	}
@@ -421,10 +354,10 @@ func runSingle() {
 			shared.TraceOut, len(events), total-uint64(len(events)))
 	}
 	if *timelineOut != "" {
-		if err := cliutil.WriteFile(*timelineOut, tl.WriteJSONL); err != nil {
+		if err := cliutil.WriteFile(*timelineOut, rig.Timeline.WriteJSONL); err != nil {
 			fatal(1, err)
 		}
-		fmt.Printf("timeline written to %s (%d samples)\n", *timelineOut, tl.Total())
+		fmt.Printf("timeline written to %s (%d samples)\n", *timelineOut, rig.Timeline.Total())
 	}
 	if rec != nil {
 		if err := rec.Err(); err != nil {
@@ -437,7 +370,7 @@ func runSingle() {
 			fmt.Printf("flight recorder armed, no triggers tripped\n")
 		}
 	}
-	if !chaosOK {
+	if chaosErr != nil {
 		exit(1)
 	}
 	// Under chaos the instantaneous worst legitimately exceeds the bound

@@ -32,26 +32,49 @@ func TestCommandExitCodes(t *testing.T) {
 		argv   []string
 		code   int
 		stderr string // substring required on stderr
+		stdout func(t *testing.T, out string)
 	}{
-		{"clean run", []string{"dtpsim", "-topo", "pair", "-duration", "1ms"}, 0, ""},
-		{"unknown topology", []string{"dtpsim", "-topo", "nope"}, 2, "unknown topology"},
-		{"liar, plain mode", append([]string{"dtpsim"}, liar...), 1, ""},
-		{"liar, hardened", append([]string{"dtpsim", "-hardened"}, liar...), 0, ""},
-		{"trace out", []string{"dtpsim", "-topo", "pair", "-duration", "1ms", "-trace-out", trace}, 0, ""},
-		{"trace in", []string{"dtptrace", "-trace", trace, "-topo", "pair"}, 0, ""},
-		{"dtptrace without input", []string{"dtptrace"}, 2, "-trace or -bundle is required"},
-		{"dtptrace missing file", []string{"dtptrace", "-trace", filepath.Join(dir, "absent")}, 1, ""},
-		{"dtpd run", []string{"dtpd", "-topo", "pair", "-duration", "20ms", "-cal", "5ms"}, 0, ""},
-		{"dtpd unknown topology", []string{"dtpd", "-topo", "nope"}, 2, "unknown topology"},
-		{"dtpexp nothing selected", []string{"dtpexp"}, 2, ""},
+		{"clean run", []string{"dtpsim", "-topo", "pair", "-duration", "1ms"}, 0, "", nil},
+		{"unknown topology", []string{"dtpsim", "-topo", "nope"}, 2, "unknown topology", nil},
+		// -watch 0 used to spin forever; an unknown load used to run an
+		// idle network and exit 0 in single mode.
+		{"zero watch interval", []string{"dtpsim", "-watch", "0"}, 2, "-watch must be positive", nil},
+		{"unknown load", []string{"dtpsim", "-load", "bogus"}, 2, "unknown load", nil},
+		{"liar, plain mode", append([]string{"dtpsim"}, liar...), 1, "", nil},
+		{"liar, hardened", append([]string{"dtpsim", "-hardened"}, liar...), 0, "", nil},
+		{"trace out", []string{"dtpsim", "-topo", "pair", "-duration", "1ms", "-trace-out", trace}, 0, "", nil},
+		{"trace in", []string{"dtptrace", "-trace", trace, "-topo", "pair"}, 0, "", nil},
+		{"dtptrace without input", []string{"dtptrace"}, 2, "-trace or -bundle is required", nil},
+		{"dtptrace missing file", []string{"dtptrace", "-trace", filepath.Join(dir, "absent")}, 1, "", nil},
+		{"dtpd run", []string{"dtpd", "-topo", "pair", "-duration", "20ms", "-cal", "5ms"}, 0, "",
+			func(t *testing.T, out string) {
+				if strings.Contains(out, "Inf") {
+					t.Errorf("dtpd report prints an infinity:\n%s", out)
+				}
+			}},
+		{"dtpd unknown topology", []string{"dtpd", "-topo", "nope"}, 2, "unknown topology", nil},
+		// The serving plane is always attached: the flag that used to
+		// gate it is gone, and -load-qps works on its own.
+		{"dtpd removed flag", []string{"dtpd", "-serve-time"}, 2, "flag provided but not defined", nil},
+		{"dtpd read load", []string{"dtpd", "-load-qps", "1000", "-duration", "30ms", "-topo", "tree"}, 0, "",
+			func(t *testing.T, out string) {
+				// Rows of the time-service table: host publishes degraded width reads errors.
+				for _, line := range strings.Split(out, "\n") {
+					if f := strings.Fields(line); len(f) == 6 && f[0] == "s5" && f[4] != "0" {
+						return
+					}
+				}
+				t.Errorf("no served host reports reads under -load-qps:\n%s", out)
+			}},
+		{"dtpexp nothing selected", []string{"dtpexp"}, 2, "", nil},
 		// The scenario names tree devices, so arming it on a pair fails
 		// after profiling has started.
 		{"error exit under -pprof", []string{"dtpsim", "-topo", "pair", "-pprof", prof,
-			"-chaos", "../examples/chaos/liar.json"}, 2, "no node named"},
+			"-chaos", "../examples/chaos/liar.json"}, 2, "no node named", nil},
 	} {
 		cmd := exec.Command(filepath.Join(dir, tc.argv[0]), tc.argv[1:]...)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		if cmd.ProcessState == nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -59,6 +82,9 @@ func TestCommandExitCodes(t *testing.T) {
 		if code := cmd.ProcessState.ExitCode(); code != tc.code || !strings.Contains(stderr.String(), tc.stderr) {
 			t.Errorf("%s: %v exited %d, want %d with %q on stderr; stderr:\n%s",
 				tc.name, tc.argv, code, tc.code, tc.stderr, &stderr)
+		}
+		if tc.stdout != nil {
+			tc.stdout(t, stdout.String())
 		}
 	}
 	// The error exit above must still have flushed both profiles.

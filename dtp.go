@@ -589,6 +589,11 @@ func (d *Daemon) Counter() float64 { return d.d.Estimate() }
 // counter, in units.
 func (d *Daemon) OffsetTicks() float64 { return d.d.OffsetUnits() }
 
+// OffsetHistogram returns the distribution of OffsetTicks sampled at
+// every calibration (nil unless the System was built WithTelemetry
+// with a registry).
+func (d *Daemon) OffsetHistogram() *telemetry.Histogram { return d.d.OffsetHistogram() }
+
 // Discipline returns the active estimator's kind ("ma", "pll",
 // "theilsen" or "lad").
 func (d *Daemon) Discipline() string { return d.d.Discipline() }

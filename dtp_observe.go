@@ -31,7 +31,8 @@ type TimelineOptions struct {
 // worst-offset/min-slack and violation rate, and — per TimePlane host —
 // the served interval half-width in ps (NaN while that host is not
 // serving). Call it AFTER Audit and TimePlane so their columns
-// register; a timeline wants exactly the signals whose trend explains a
+// register (campaign.Arm is the reference caller for the whole attach
+// order); a timeline wants exactly the signals whose trend explains a
 // later breach.
 //
 // The returned Timeline is also remembered as the default for
@@ -129,7 +130,8 @@ type FlightOptions struct {
 // trigger model rides trace events.
 //
 // Call it AFTER Audit/TimePlane/Timeline so the state providers and the
-// bundled timeline cover everything attached.
+// bundled timeline cover everything attached (campaign.Arm is the
+// reference caller).
 func (s *System) FlightRecorder(o FlightOptions) (*FlightRecorder, error) {
 	if s.cfg.tracer == nil {
 		return nil, fmt.Errorf("dtp: FlightRecorder needs WithTelemetry with a tracer (triggers ride trace events)")

@@ -72,6 +72,7 @@ type TimePlane struct {
 	broadcaster string
 	hosts       []string // served hosts, sorted
 	b           *daemon.UTCBroadcaster
+	daemons     map[string]*Daemon // broadcaster and served hosts
 	services    map[string]*timesvc.Service
 	followers   map[string]*daemon.UTCFollower
 	loads       map[string]*timesvc.Load
@@ -126,6 +127,7 @@ func (s *System) TimePlane(o TimePlaneOptions) (*TimePlane, error) {
 		aud = s.Audit(AuditOptions{})
 	}
 
+	daemons := map[string]*Daemon{}
 	newDaemon := func(host string) (*daemon.Daemon, error) {
 		w, err := s.Daemon(DaemonOptions{
 			Host: host, CalInterval: o.CalInterval, Discipline: o.Discipline,
@@ -133,6 +135,7 @@ func (s *System) TimePlane(o TimePlaneOptions) (*TimePlane, error) {
 		if err != nil {
 			return nil, err
 		}
+		daemons[host] = w
 		return w.d, nil
 	}
 
@@ -155,6 +158,7 @@ func (s *System) TimePlane(o TimePlaneOptions) (*TimePlane, error) {
 		broadcaster: bc,
 		hosts:       served,
 		b:           b,
+		daemons:     daemons,
 		services:    map[string]*timesvc.Service{},
 		followers:   map[string]*daemon.UTCFollower{},
 		loads:       map[string]*timesvc.Load{},
@@ -201,6 +205,31 @@ func (tp *TimePlane) Service(host string) (*TimeService, error) {
 		return nil, fmt.Errorf("dtp: no time service on %q", host)
 	}
 	return svc, nil
+}
+
+// Daemon returns the plane's daemon on the named host — the broadcaster
+// or a served host.
+func (tp *TimePlane) Daemon(host string) (*Daemon, error) {
+	d, ok := tp.daemons[host]
+	if !ok {
+		return nil, fmt.Errorf("dtp: no time-plane daemon on %q", host)
+	}
+	return d, nil
+}
+
+// UTCErrorPs returns the named served host's ground-truth |UTC estimate
+// - true time| in ps (§5.2). The broadcaster follows nobody, and a
+// follower has no estimate before its first (counter, UTC) pair: both
+// are errors.
+func (tp *TimePlane) UTCErrorPs(host string) (float64, error) {
+	f, ok := tp.followers[host]
+	if !ok {
+		return 0, fmt.Errorf("dtp: %q follows no UTC broadcast", host)
+	}
+	if _, have := f.Anchor(); !have {
+		return 0, fmt.Errorf("dtp: no UTC pair received on %q yet", host)
+	}
+	return f.UTCErrorPs(), nil
 }
 
 // Clock returns the named host's in-sim TimeClock (TSC timebase; only

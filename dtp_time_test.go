@@ -320,3 +320,48 @@ func TestTimePlaneIntervalInvariantHardenedLiar(t *testing.T) {
 		}
 	}
 }
+
+// TestTimePlaneReportAccessors covers what dtpd's report reads through
+// the façade: every plane host has a daemon (with an offset histogram
+// when instrumented), only followers have a UTC error, and only once a
+// pair has arrived.
+func TestTimePlaneReportAccessors(t *testing.T) {
+	sys := newSynced(t, PaperTree(), WithSeed(5), WithTelemetry(NewMetricsRegistry(), nil))
+	defer sys.Close()
+	tp, err := sys.TimePlane(TimePlaneOptions{
+		CalInterval: 5 * time.Millisecond, BroadcastInterval: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tp.Daemon("s0"); err == nil {
+		t.Error("Daemon(switch s0) succeeded")
+	}
+	if _, err := tp.UTCErrorPs("nope"); err == nil {
+		t.Error("UTCErrorPs(unknown host) succeeded")
+	}
+	if _, err := tp.UTCErrorPs(tp.Hosts()[0]); err == nil {
+		t.Error("UTCErrorPs succeeded before any broadcast")
+	}
+
+	sys.Run(100 * time.Millisecond)
+	bd, err := tp.Daemon(tp.Broadcaster())
+	if err != nil {
+		t.Fatalf("the broadcaster has a daemon: %v", err)
+	}
+	if bd.OffsetHistogram().Count() == 0 {
+		t.Error("broadcaster daemon calibrated for 100 ms but its histogram is empty")
+	}
+	if _, err := tp.UTCErrorPs(tp.Broadcaster()); err == nil {
+		t.Error("UTCErrorPs(broadcaster) succeeded; it follows nobody")
+	}
+	for _, h := range tp.Hosts() {
+		if _, err := tp.Daemon(h); err != nil {
+			t.Errorf("Daemon(%s): %v", h, err)
+		}
+		// §5.2 puts UTC error in the tens of ns; 1 µs is the sanity ceiling.
+		if e, err := tp.UTCErrorPs(h); err != nil || e < 0 || e > 1e6 {
+			t.Errorf("UTCErrorPs(%s) = %.0f ps, %v", h, e, err)
+		}
+	}
+}

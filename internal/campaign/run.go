@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -98,145 +97,63 @@ func orderedEmitter(results []Result, fn func(*Result)) func(i int) {
 }
 
 // RunPoint executes one grid point to completion and returns its
-// Result. Exported so tests and benchmarks can run single points; the
-// campaign's determinism rests on this function depending only on
-// (g, p), never on shared state.
+// Result: spec from the point, Arm, one sample loop, fill. Exported so
+// tests and benchmarks can run single points; the campaign's
+// determinism rests on this function depending only on (g, p), never
+// on shared state.
 func RunPoint(g Grid, p Point) (res Result) {
 	res = Result{Point: p, ChaosOK: true}
 	wallStart := time.Now()
 	defer func() { res.Wall = time.Since(wallStart) }()
+	fail := func(err error) Result {
+		res.Err = err.Error()
+		return res
+	}
 
 	topo, err := dtp.ParseTopology(p.Topo)
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return fail(err)
 	}
-	opts := []dtp.Option{
-		dtp.WithSeed(p.Seed),
-		dtp.WithBeaconInterval(p.Beacon),
-	}
-	if p.Hardened {
-		opts = append(opts, dtp.WithHardened())
-	}
-	if g.Wander {
-		opts = append(opts, dtp.WithWander(10*time.Millisecond, 100))
-	}
-	if g.BER > 0 {
-		opts = append(opts, dtp.WithBER(g.BER), dtp.WithParity())
+	spec := Spec{
+		Topology: topo, Seed: p.Seed, Beacon: p.Beacon, Hardened: p.Hardened,
+		Wander: g.Wander, BER: g.BER, Load: p.Load,
+		Audit: true, AuditEvery: g.AuditEvery.Std(), SyncTimeout: g.SyncTimeout.Std(),
+		TimeService: g.TimeService, Probe: p.Discipline,
 	}
 	// FlightDir arms the observability plane: every run gets its own
-	// registry + tracer (runs stay independent), a timeline, and a
-	// flight recorder dumping into the run's directory.
-	flightRun := ""
+	// registry + tracer (runs stay independent), a timeline at the
+	// sampling cadence, and a flight recorder dumping into the run's
+	// directory.
 	if g.FlightDir != "" {
-		flightRun = filepath.Join(g.FlightDir, fmt.Sprintf("run-%03d", p.Index))
-		opts = append(opts, dtp.WithTelemetry(dtp.NewMetricsRegistry(), dtp.NewTracer(0)))
+		spec.FlightDir = filepath.Join(g.FlightDir, fmt.Sprintf("run-%03d", p.Index))
+		spec.Registry, spec.Tracer = dtp.NewMetricsRegistry(), dtp.NewTracer(0)
+		spec.TimelineEvery = g.SamplePeriod.Std()
 	}
-	var scenario *dtp.ChaosScenario
 	if p.Chaos != "" {
-		if scenario, err = dtp.LoadChaosScenario(p.Chaos); err != nil {
-			res.Err = err.Error()
-			return res
+		if spec.Scenario, err = dtp.LoadChaosScenario(p.Chaos); err != nil {
+			return fail(err)
 		}
 	}
 	if p.Liars > 0 {
-		scenario, err = withLiars(scenario, topo, p)
-		if err != nil {
-			res.Err = err.Error()
-			return res
+		if spec.Scenario, err = withLiars(spec.Scenario, topo, p); err != nil {
+			return fail(err)
 		}
 	}
-	sys, err := dtp.New(topo, opts...)
+	rig, err := Arm(spec)
 	if err != nil {
-		res.Err = err.Error()
-		return res
+		return fail(err)
 	}
+	sys, tp := rig.Sys, rig.Plane
 	defer sys.Close()
-
-	aud := sys.Audit(dtp.AuditOptions{Interval: g.AuditEvery.Std()})
-	var eng *dtp.ChaosEngine
-	if scenario != nil {
-		if eng, err = sys.Chaos(dtp.ChaosOptions{Scenario: scenario, Auditor: aud}); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-	}
-
-	sys.Start()
-	if err := sys.RunUntilSynced(g.SyncTimeout.Std()); err != nil {
-		res.Err = err.Error()
-		return res
-	}
 	res.Synced = true
 	res.TimeToSyncUs = sys.Now().Seconds() * 1e6
 
 	// OWD range across every link direction, measured during INIT.
 	res.OWDMinTicks, res.OWDMaxTicks = owdRange(sys)
 
-	// Serving plane: broadcast UTC from the first host, serve intervals
-	// on every other host, probe them at the sampling cadence below. The
-	// compressed calibration cadence matches what the plane's own tests
-	// use; the shared auditor feeds the live bound into every interval.
-	var tp *dtp.TimePlane
-	if g.TimeService {
-		if tp, err = sys.TimePlane(dtp.TimePlaneOptions{
-			CalInterval: 10 * time.Millisecond,
-			Auditor:     aud,
-		}); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-	}
-
-	// Discipline probe: a daemon on the first host running the point's
-	// estimator, sampled alongside the offset envelope below. The 5 ms
-	// calibration cadence compresses the paper's ~1 s the same way the
-	// serving plane's 10 ms does, but gives the estimator enough samples
-	// to converge within even the shortest campaign windows.
-	var probe *dtp.Daemon
-	if p.Discipline != "" {
-		dc, derr := dtp.ParseDiscipline(p.Discipline)
-		if derr != nil {
-			res.Err = derr.Error()
-			return res
-		}
-		host := firstHost(sys)
-		if host == "" {
-			res.Err = fmt.Sprintf("campaign: topology %q has no host for the discipline probe", p.Topo)
-			return res
-		}
-		if probe, err = sys.Daemon(dtp.DaemonOptions{
-			Host: host, CalInterval: 5 * time.Millisecond, Discipline: dc,
-		}); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-	}
-
-	switch p.Load {
-	case "mtu":
-		sys.SetUniformLoad(1522)
-	case "jumbo":
-		sys.SetUniformLoad(9022)
-	}
-
-	// Timeline + flight recorder attach after Audit/TimePlane so every
-	// column and state provider binds; the recorder arms on unexcused
-	// bound violations and watchdog demotions, and the probe loop below
-	// adds the serving-plane trigger (a read failing closed on
-	// staleness).
-	var tl *dtp.Timeline
-	var rec *dtp.FlightRecorder
-	if flightRun != "" {
-		tl = sys.Timeline(dtp.TimelineOptions{Interval: g.SamplePeriod.Std()})
-		if rec, err = sys.FlightRecorder(dtp.FlightOptions{Dir: flightRun}); err != nil {
-			res.Err = err.Error()
-			return res
-		}
-	}
-
 	// Sample the worst pairwise offset at a fixed simulated cadence;
-	// the percentiles summarize the sampled envelope.
+	// the percentiles summarize the sampled envelope. The probe daemon
+	// and every served clock are read at the same instants.
 	sample := g.SamplePeriod.Std()
 	summary := stats.NewSummary(0)
 	widths := stats.NewSummary(0)
@@ -248,20 +165,15 @@ func RunPoint(g Grid, p Point) (res Result) {
 			res.MaxOffsetTicks = off
 		}
 		summary.Add(float64(off))
-		if probe != nil {
-			probeOffs = append(probeOffs, probe.OffsetTicks())
+		if rig.Probe != nil {
+			probeOffs = append(probeOffs, rig.Probe.OffsetTicks())
 		}
 		if tp != nil {
 			for _, h := range tp.Hosts() {
 				w, covered, err := tp.ReadCheck(h)
 				if err != nil {
 					res.TimeFailedClosed++
-					// No-snapshot reads are honest warmup; a *stale*
-					// snapshot means the publish loop died mid-run —
-					// exactly what the black box exists to explain.
-					if rec != nil && errors.Is(err, dtp.ErrTimeStale) {
-						rec.Trigger("read_stale", h)
-					}
+					rig.ReadStale(h, err)
 					continue
 				}
 				res.TimeReads++
@@ -274,7 +186,7 @@ func RunPoint(g Grid, p Point) (res Result) {
 	}
 	res.P50OffsetTicks = summary.Quantile(0.5)
 	res.P99OffsetTicks = summary.Quantile(0.99)
-	if probe != nil {
+	if probe := rig.Probe; probe != nil {
 		res.DaemonSamples = uint64(len(probeOffs))
 		res.DaemonDropped = probe.DroppedSamples()
 		res.DaemonErrTicks = probe.ErrorBoundTicks()
@@ -299,29 +211,21 @@ func RunPoint(g Grid, p Point) (res Result) {
 	res.MaxOffsetNs = float64(res.MaxOffsetTicks) * sys.TickNanos()
 	res.BoundNs = sys.BoundNanos()
 
-	if eng != nil {
-		// The sampling window may end before the last fault clears; the
-		// campaign verdict is only valid past the scenario deadline.
-		sys.RunUntil(eng.Deadline())
-		if err := eng.Verify(); err != nil {
-			res.ChaosOK = false
-			res.ChaosErr = err.Error()
-			if rec != nil {
-				rec.Trigger("chaos_verify_failed", err.Error())
-			}
-		}
+	if err := rig.VerifyChaos(); err != nil {
+		res.ChaosOK = false
+		res.ChaosErr = err.Error()
 	}
+	aud := rig.Auditor
 	res.AuditChecks = aud.Checks()
 	res.AuditViolations = aud.Violations()
 	res.AuditExcused = aud.ExcusedViolations()
 	res.CounterRejections, res.PortQuarantines = sys.ByzantineStats()
 
-	if rec != nil {
-		if err := writeTimeline(tl, flightRun); err != nil {
-			res.Err = err.Error()
-			return res
+	if rec := rig.Recorder; rec != nil {
+		if err := writeTimeline(rig.Timeline, spec.FlightDir); err != nil {
+			return fail(err)
 		}
-		res.TimelinePath = filepath.Join(flightRun, "timeline.jsonl")
+		res.TimelinePath = filepath.Join(spec.FlightDir, "timeline.jsonl")
 		res.FlightBundles = rec.Bundles()
 		if err := rec.Err(); err != nil {
 			// A bundle that failed to land is a run-level failure: the
@@ -330,16 +234,6 @@ func RunPoint(g Grid, p Point) (res Result) {
 		}
 	}
 	return res
-}
-
-// firstHost returns the topology's first host name ("" when none).
-func firstHost(sys *dtp.System) string {
-	g := sys.Graph()
-	ids := g.HostIDs()
-	if len(ids) == 0 {
-		return ""
-	}
-	return g.Nodes[ids[0]].Name
 }
 
 // daemonStats folds the probe's sampled offsets into the Result: p99

@@ -83,9 +83,6 @@ func (e *Engine) BindAuditor(a *audit.Auditor) { e.aud = a }
 // deadline. Valid after Schedule.
 func (e *Engine) Deadline() sim.Time { return e.deadline }
 
-// LastClearAt returns when the most recent fault cleared (0 before).
-func (e *Engine) LastClearAt() sim.Time { return e.lastClear }
-
 // Schedule resolves every fault target against the topology and plants
 // the injection events. Call once; returns an error (scheduling
 // nothing) if any fault names an unknown device or cable.

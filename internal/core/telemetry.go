@@ -147,9 +147,6 @@ func (n *Network) telemetryFlush() {
 	n.Sch.AfterActor(telemetryFlushInterval, n, 0, 0, 0)
 }
 
-// Tracer returns the attached tracer (nil when uninstrumented).
-func (n *Network) Tracer() *telemetry.Tracer { return n.tel.tr }
-
 // setState moves the port's Algorithm 1 state machine, counting and
 // tracing the transition.
 func (p *Port) setState(s portState) {

@@ -183,14 +183,6 @@ func (d *Daemon) Start() {
 // Stop halts calibration (estimates keep extrapolating).
 func (d *Daemon) Stop() { d.stopped = true }
 
-// Close stops the daemon, completing the option-struct + Close()
-// lifecycle convention. It never fails; the error return matches the
-// io.Closer shape used across the facade.
-func (d *Daemon) Close() error {
-	d.Stop()
-	return nil
-}
-
 // Calibrations returns how many PCIe reads have completed.
 func (d *Daemon) Calibrations() uint64 { return d.calCount }
 
@@ -310,9 +302,6 @@ func (d *Daemon) Calibrated() bool { return d.model.Valid }
 // Discipline returns the active discipline's kind ("ma", "pll",
 // "theilsen" or "lad").
 func (d *Daemon) Discipline() string { return d.disc.Name() }
-
-// Model returns a copy of the active discipline's current model.
-func (d *Daemon) Model() discipline.Model { return d.model }
 
 // DroppedSamples returns how many calibration samples the discipline's
 // outlier logic has rejected.

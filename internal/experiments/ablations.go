@@ -40,17 +40,9 @@ func AblationAlpha(o Options, alphas []int64) ([]AlphaRow, error) {
 		start := n.Devices[0].GlobalCounter()
 		t0 := sch.Now()
 		var worst int64
-		end := sch.Now() + o.Duration
-		for sch.Now() < end {
-			sch.RunFor(o.SamplePeriod)
-			v := n.TrueOffsetUnits(0, 1)
-			if v < 0 {
-				v = -v
-			}
-			if v > worst {
-				worst = v
-			}
-		}
+		sampleFor(sch, o, func() {
+			worst = absMax(worst, n.TrueOffsetUnits(0, 1))
+		})
 		gained := float64(n.Devices[0].GlobalCounter() - start)
 		elapsed := (sch.Now() - t0).Seconds()
 		fastest := 156.25e6 * (1 + 100e-6) // +100 ppm oscillator
@@ -86,17 +78,9 @@ func AblationBeaconInterval(o Options, intervals []uint64) ([]BeaconIntervalRow,
 		n.Start()
 		sch.Run(10 * sim.Millisecond)
 		var worst int64
-		end := sch.Now() + o.Duration
-		for sch.Now() < end {
-			sch.RunFor(o.SamplePeriod)
-			v := n.TrueOffsetUnits(0, 1)
-			if v < 0 {
-				v = -v
-			}
-			if v > worst {
-				worst = v
-			}
-		}
+		sampleFor(sch, o, func() {
+			worst = absMax(worst, n.TrueOffsetUnits(0, 1))
+		})
 		return BeaconIntervalRow{IntervalTicks: iv, MaxOffsetTicks: worst}, nil
 	})
 }
@@ -141,9 +125,7 @@ func AblationSyncE(o Options) (*SyncEResult, error) {
 		sch.Run(10 * sim.Millisecond)
 		var min, max int64
 		first := true
-		end := sch.Now() + o.Duration
-		for sch.Now() < end {
-			sch.RunFor(o.SamplePeriod)
+		sampleFor(sch, o, func() {
 			v := n.TrueOffsetUnits(4, 11) // two leaves, 4 hops apart
 			if first || v < min {
 				min = v
@@ -152,14 +134,8 @@ func AblationSyncE(o Options) (*SyncEResult, error) {
 				max = v
 			}
 			first = false
-			a := v
-			if a < 0 {
-				a = -a
-			}
-			if a > worst {
-				worst = a
-			}
-		}
+			worst = absMax(worst, v)
+		})
 		return max - min, worst, nil
 	}
 	var res SyncEResult
@@ -204,17 +180,9 @@ func MixedSpeedSweep(o Options) ([]MixedSpeedRow, error) {
 		sch.Run(10 * sim.Millisecond)
 		last := len(n.Devices) - 1
 		var worst int64
-		end := sch.Now() + o.Duration
-		for sch.Now() < end {
-			sch.RunFor(o.SamplePeriod)
-			v := n.TrueOffsetUnits(0, last)
-			if v < 0 {
-				v = -v
-			}
-			if v > worst {
-				worst = v
-			}
-		}
+		sampleFor(sch, o, func() {
+			worst = absMax(worst, n.TrueOffsetUnits(0, last))
+		})
 		bound := int64(0)
 		for j := 0; j < 3; j++ {
 			bound += 4 * phy.ProfileFor(speeds[j]).Delta
@@ -263,13 +231,11 @@ func AblationMasterMode(o Options) (*MasterModeResult, error) {
 		start := n.Devices[last].GlobalCounter()
 		t0 := sch.Now()
 		var worst int64
-		end := sch.Now() + o.Duration
-		for sch.Now() < end {
-			sch.RunFor(o.SamplePeriod)
+		sampleFor(sch, o, func() {
 			if v := n.MaxAdjacentOffset(); v > worst {
 				worst = v
 			}
-		}
+		})
 		gained := float64(n.Devices[last].GlobalCounter() - start)
 		elapsed := (sch.Now() - t0).Seconds()
 		ratePPM := (gained/elapsed/156.25e6 - 1) * 1e6
@@ -323,17 +289,9 @@ func AblationCDC(o Options, depths []int) ([]CDCRow, error) {
 			owdMax = d
 		}
 		var worst int64
-		end := sch.Now() + o.Duration
-		for sch.Now() < end {
-			sch.RunFor(o.SamplePeriod)
-			v := n.TrueOffsetUnits(0, 1)
-			if v < 0 {
-				v = -v
-			}
-			if v > worst {
-				worst = v
-			}
-		}
+		sampleFor(sch, o, func() {
+			worst = absMax(worst, n.TrueOffsetUnits(0, 1))
+		})
 		return CDCRow{
 			ExtraTicks: depth, MaxOffsetTicks: worst,
 			MeasuredOWDMin: owdMin, MeasuredOWDMax: owdMax,

@@ -78,15 +78,13 @@ func AblationBCCascade(o Options, maxLevels int) ([]BCCascadeRow, error) {
 		sch.Run(sim.Time(2+levels) * sim.Second)
 		worst := 0.0
 		sum := statsAbs{}
-		end := sch.Now() + o.Duration
-		for sch.Now() < end {
-			sch.RunFor(o.SamplePeriod)
+		sampleFor(sch, o, func() {
 			off := math.Abs(leaf.OffsetToMasterPs()) / 1000
 			if off > worst {
 				worst = off
 			}
 			sum.add(off)
-		}
+		})
 		rows = append(rows, BCCascadeRow{Levels: levels, WorstNs: worst, P99Ns: sum.p99()})
 	}
 	return rows, nil

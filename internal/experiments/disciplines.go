@@ -147,12 +147,7 @@ func DisciplineSweep(o Options) ([]DisciplineRow, error) {
 		half := stats.NewSummary(0)
 		for _, v := range offs[len(offs)/2:] {
 			half.Add(v)
-			if v < 0 {
-				v = -v
-			}
-			if v > row.WorstTicks {
-				row.WorstTicks = v
-			}
+			row.WorstTicks = absMax(row.WorstTicks, v)
 		}
 		row.P99Ticks = quantileAbs(half, 0.99)
 		// Convergence: the window-7 rolling median (spike-immune) must

@@ -47,6 +47,28 @@ func (o Options) withDefaults(dur, sample sim.Time) Options {
 	return o
 }
 
+// sampleFor advances the scheduler through o.Duration in o.SamplePeriod
+// steps and calls sample after each: the loop every table and figure
+// measures with.
+func sampleFor(sch *sim.Scheduler, o Options, sample func()) {
+	end := sch.Now() + o.Duration
+	for sch.Now() < end {
+		sch.RunFor(o.SamplePeriod)
+		sample()
+	}
+}
+
+// absMax returns the larger of worst and |v|.
+func absMax[T int64 | float64](worst, v T) T {
+	if v < 0 {
+		v = -v
+	}
+	if v > worst {
+		return v
+	}
+	return worst
+}
+
 // DTPFigResult is the output of the DTP precision experiments
 // (Figures 6a–c).
 type DTPFigResult struct {
@@ -122,13 +144,11 @@ func runDTPFig(o Options, frameOctets int, beaconInterval uint64) (*DTPFigResult
 	n.SetGateAll(func(p *core.Port) core.TxGate {
 		return core.NewSaturatedGate(frameOctets, 0)
 	})
-	end := sch.Now() + o.Duration
-	for sch.Now() < end {
-		sch.RunFor(o.SamplePeriod)
+	sampleFor(sch, o, func() {
 		if t := n.MaxAdjacentOffset(); t > res.MaxTrueTicks {
 			res.MaxTrueTicks = t
 		}
-	}
+	})
 	for _, s := range res.PairSummaries {
 		if s.MaxAbs() > res.MaxAbsTicks {
 			res.MaxAbsTicks = s.MaxAbs()

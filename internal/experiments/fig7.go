@@ -69,12 +69,7 @@ func Fig7(o Options) (*DaemonFigResult, error) {
 		rawSum := stats.NewSummary(0)
 		for _, v := range raw {
 			rawSum.Add(v)
-			if v < 0 {
-				v = -v
-			}
-			if v > res.RawMax {
-				res.RawMax = v
-			}
+			res.RawMax = absMax(res.RawMax, v)
 		}
 		smSum := stats.NewSummary(0)
 		for _, v := range sm[min(10, len(sm)):] {

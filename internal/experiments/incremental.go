@@ -114,9 +114,7 @@ func IncrementalDeployment(o Options) (*IncrementalResult, error) {
 		masterErrNs := masters[r].OffsetToMasterPs() / 1000
 		return masterErrNs + float64(deltaTicks)*tickNs
 	}
-	end := sch.Now() + o.Duration
-	for sch.Now() < end {
-		sch.RunFor(o.SamplePeriod)
+	sampleFor(sch, o, func() {
 		for r := 0; r < 2; r++ {
 			for i := 0; i < hostsPerRack; i++ {
 				for j := i + 1; j < hostsPerRack; j++ {
@@ -135,7 +133,7 @@ func IncrementalDeployment(o Options) (*IncrementalResult, error) {
 				}
 			}
 		}
-	}
+	})
 
 	// ---- Phase 2: DTP-enable the aggregation layer. ------------------
 	sch2 := sim.NewScheduler()

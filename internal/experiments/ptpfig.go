@@ -101,15 +101,13 @@ func RunPTP(o Options, load PTPLoad) (*PTPFigResult, error) {
 		res.ClientSummaries[name] = stats.NewSummary(0)
 		res.ClientSeries[name] = stats.NewSeries(20_000)
 	}
-	end := sch.Now() + o.Duration
-	for sch.Now() < end {
-		sch.RunFor(o.SamplePeriod)
+	sampleFor(sch, o, func() {
 		for name, c := range clients {
 			offNs := c.OffsetToMasterPs() / 1000
 			res.ClientSummaries[name].Add(offNs)
 			res.ClientSeries[name].Add(sch.Now().Seconds(), offNs)
 		}
-	}
+	})
 	for _, s := range res.ClientSummaries {
 		if s.MaxAbs() > res.WorstNs {
 			res.WorstNs = s.MaxAbs()

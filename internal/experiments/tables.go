@@ -74,19 +74,11 @@ func runNTPWorst(o Options) (float64, error) {
 	}
 	sch.Run(20 * sim.Second) // converge
 	worst := 0.0
-	end := sch.Now() + o.Duration
-	for sch.Now() < end {
-		sch.RunFor(o.SamplePeriod)
+	sampleFor(sch, o, func() {
 		for _, c := range clients {
-			o := c.OffsetToServerPs() / 1000
-			if o < 0 {
-				o = -o
-			}
-			if o > worst {
-				worst = o
-			}
+			worst = absMax(worst, c.OffsetToServerPs()/1000)
 		}
-	}
+	})
 	return worst, nil
 }
 
@@ -102,13 +94,7 @@ func runGPSWorst(o Options) float64 {
 		sch.RunFor(sim.Millisecond)
 		for i := 0; i < len(rx); i++ {
 			for j := i + 1; j < len(rx); j++ {
-				d := (rx[i].Read() - rx[j].Read()) / 1000
-				if d < 0 {
-					d = -d
-				}
-				if d > worst {
-					worst = d
-				}
+				worst = absMax(worst, (rx[i].Read()-rx[j].Read())/1000)
 			}
 		}
 	}
@@ -164,17 +150,9 @@ func runSpeedPair(o Options, p phy.Profile) (float64, error) {
 		return 0, fmt.Errorf("experiments: %v pair failed to sync", p.Speed)
 	}
 	var worst int64
-	end := sch.Now() + o.Duration
-	for sch.Now() < end {
-		sch.RunFor(o.SamplePeriod)
-		v := n.TrueOffsetUnits(0, 1)
-		if v < 0 {
-			v = -v
-		}
-		if v > worst {
-			worst = v
-		}
-	}
+	sampleFor(sch, o, func() {
+		worst = absMax(worst, n.TrueOffsetUnits(0, 1))
+	})
 	// units -> ns: each unit is BaseTick (0.32 ns).
 	return float64(worst) * float64(phy.BaseTickFs) / 1e6, nil
 }
@@ -208,17 +186,9 @@ func BoundSweep(o Options, maxHops int) ([]BoundSweepRow, error) {
 		sch.Run(10 * sim.Millisecond)
 		last := len(n.Devices) - 1
 		var worst int64
-		end := sch.Now() + o.Duration
-		for sch.Now() < end {
-			sch.RunFor(o.SamplePeriod)
-			v := n.TrueOffsetUnits(0, last)
-			if v < 0 {
-				v = -v
-			}
-			if v > worst {
-				worst = v
-			}
-		}
+		sampleFor(sch, o, func() {
+			worst = absMax(worst, n.TrueOffsetUnits(0, last))
+		})
 		bound := int64(4 * hops)
 		return BoundSweepRow{
 			Hops: hops, MaxTicks: worst, BoundTicks: bound,
@@ -277,13 +247,11 @@ func AblationTCModes(o Options) (*PTPAblationResult, error) {
 			fabric.NewSprayGen(net, src, nodes, 9.0, 32, o.Seed+200+uint64(i)).Start()
 		}
 		worst := stats.NewSummary(0)
-		end := sch.Now() + o.Duration
-		for sch.Now() < end {
-			sch.RunFor(o.SamplePeriod)
+		sampleFor(sch, o, func() {
 			for _, c := range clients {
 				worst.Add(c.OffsetToMasterPs() / 1000)
 			}
-		}
+		})
 		return worst.MaxAbs(), nil
 	}
 	// The four TC configurations are independent deployments; fan them

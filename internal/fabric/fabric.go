@@ -13,7 +13,6 @@ import (
 	"github.com/dtplab/dtp/internal/link"
 	"github.com/dtplab/dtp/internal/phy"
 	"github.com/dtplab/dtp/internal/sim"
-	"github.com/dtplab/dtp/internal/telemetry"
 	"github.com/dtplab/dtp/internal/topo"
 )
 
@@ -97,35 +96,6 @@ type Network struct {
 	nextHop [][]int
 
 	elements []*element
-
-	// tel holds telemetry handles; the zero value (uninstrumented) is a
-	// set of nil handles whose updates are no-ops. See Instrument.
-	tel fabricMetrics
-}
-
-// fabricMetrics aggregates packet-path telemetry across all ports.
-type fabricMetrics struct {
-	tr        *telemetry.Tracer
-	enqueued  *telemetry.Counter
-	dropped   *telemetry.Counter
-	delivered *telemetry.Counter
-	queuePeak *telemetry.Gauge
-}
-
-// Instrument attaches a metrics registry and/or event tracer to the
-// fabric. Either argument may be nil.
-func (n *Network) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	n.tel = fabricMetrics{
-		tr: tr,
-		enqueued: reg.Counter("fabric_frames_enqueued_total",
-			"Frames accepted into an egress queue."),
-		dropped: reg.Counter("fabric_frames_dropped_total",
-			"Frames tail-dropped at a full egress queue."),
-		delivered: reg.Counter("fabric_frames_delivered_total",
-			"Frames delivered to host protocol handlers."),
-		queuePeak: reg.Gauge("fabric_queue_bytes_peak",
-			"High-water mark of any single egress queue, in bytes."),
-	}
 }
 
 // element is a host or switch with its egress ports.
@@ -200,9 +170,6 @@ func New(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config) (*Networ
 	return n, nil
 }
 
-// Config returns the fabric configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // Handle registers a protocol handler on a host node.
 func (n *Network) Handle(node int, proto eth.Proto, h Handler) {
 	n.elements[node].handlers[proto] = h
@@ -269,22 +236,15 @@ func (p *egressPort) enqueue(f *eth.Frame) bool {
 	net := p.owner.net
 	if p.queueBytes+f.Size > net.cfg.QueueCapBytes {
 		p.dropped++
-		net.tel.dropped.Inc()
-		if net.tel.tr.Enabled(telemetry.KindFrameDrop) {
-			net.tel.tr.Record(net.Sch.Now(), telemetry.KindFrameDrop,
-				p.owner.node.Name, int64(f.Size), int64(p.linkIdx), "")
-		}
 		return false
 	}
 	p.enqueued++
-	net.tel.enqueued.Inc()
 	if p.owner.net.cfg.PTPPriority && f.Proto == eth.ProtoPTPEvent {
 		p.prio = append(p.prio, f)
 	} else {
 		p.queue = append(p.queue, f)
 	}
 	p.queueBytes += f.Size
-	net.tel.queuePeak.SetMax(float64(p.queueBytes))
 	if !p.busy {
 		p.startTx()
 	}
@@ -393,7 +353,6 @@ func (el *element) applyTransparentClock(f *eth.Frame, ingress sim.Time) {
 
 func (el *element) deliver(f *eth.Frame) {
 	el.delivered++
-	el.net.tel.delivered.Inc()
 	if h := el.handlers[f.Proto]; h != nil {
 		h(f, el.net.Sch.Now())
 	}

@@ -69,14 +69,6 @@ func (g *TrafficGen) emit() {
 	g.net.Sch.After(next, g.emit)
 }
 
-// SaturateLink drives src->dst at ~line rate with MTU frames — the
-// paper's heavy-load condition (9 Gbps of goodput on a 10 Gbps link).
-func SaturateLink(n *Network, src, dst int, seed uint64) *TrafficGen {
-	g := NewTrafficGen(n, src, dst, eth.MTUFrame, 9.0, 32, seed)
-	g.Start()
-	return g
-}
-
 // SprayGen reproduces the paper's load pattern (§6.1): "each server
 // occasionally generated MTU-sized UDP packets destined for other
 // servers". Each burst goes to a random destination, so several sources

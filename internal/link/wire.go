@@ -100,9 +100,6 @@ func (w *Wire) Delay() sim.Time { return w.cfg.Delay }
 // BER returns the current per-bit error probability.
 func (w *Wire) BER() float64 { return w.cfg.BER }
 
-// LossP returns the current whole-block loss probability.
-func (w *Wire) LossP() float64 { return w.lossP }
-
 // SetDelay changes the propagation delay for subsequently sent blocks
 // (a grey failure: the cable's electrical length drifting, or a rogue
 // component adding latency in one direction). Negative delays are

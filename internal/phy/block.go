@@ -23,28 +23,21 @@ const (
 // Block type fields for control blocks (IEEE 802.3 figure 49-7, subset
 // sufficient for full-duplex point-to-point Ethernet).
 const (
-	BTIdle   = 0x1e // C0..C7: eight 7-bit control codes (idles)
-	BTStart  = 0x78 // S0 D1..D7: start of packet, seven data octets
-	BTOrdSet = 0x4b // O0 D1..D3: ordered set (e.g. local/remote fault)
-	BTTerm0  = 0x87 // T0: terminate immediately, seven idles follow
-	BTTerm1  = 0x99
-	BTTerm2  = 0xaa
-	BTTerm3  = 0xb4
-	BTTerm4  = 0xcc
-	BTTerm5  = 0xd2
-	BTTerm6  = 0xe1
-	BTTerm7  = 0xff // D0..D6 T7: seven data octets then terminate
+	BTIdle  = 0x1e // C0..C7: eight 7-bit control codes (idles)
+	BTStart = 0x78 // S0 D1..D7: start of packet, seven data octets
+	BTTerm0 = 0x87 // T0: terminate immediately, seven idles follow
+	BTTerm1 = 0x99
+	BTTerm2 = 0xaa
+	BTTerm3 = 0xb4
+	BTTerm4 = 0xcc
+	BTTerm5 = 0xd2
+	BTTerm6 = 0xe1
+	BTTerm7 = 0xff // D0..D6 T7: seven data octets then terminate
 )
 
 // termTypes[k] is the block type terminating a frame with k trailing data
 // octets in the final block.
 var termTypes = [8]byte{BTTerm0, BTTerm1, BTTerm2, BTTerm3, BTTerm4, BTTerm5, BTTerm6, BTTerm7}
-
-// IdleChar is the 7-bit idle control character /I/. The standard requires
-// at least twelve of these between any two Ethernet frames, guaranteeing
-// at least one /E/ (all-idle) block per interpacket gap — the insertion
-// point for DTP messages.
-const IdleChar = 0x00
 
 // Block is a 66-bit PCS block.
 type Block struct {

@@ -6,7 +6,6 @@ import (
 	"github.com/dtplab/dtp/internal/eth"
 	"github.com/dtplab/dtp/internal/fabric"
 	"github.com/dtplab/dtp/internal/sim"
-	"github.com/dtplab/dtp/internal/telemetry"
 )
 
 // BoundaryClock is a PTP boundary clock (§2.4.2): a slave to its
@@ -44,12 +43,6 @@ func NewBoundaryClock(n *fabric.Network, node, upstream int, downstream []int, c
 		bc.Client.onEvent(f, rx)
 	})
 	return bc
-}
-
-// Instrument attaches telemetry to both halves of the boundary clock.
-func (bc *BoundaryClock) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	bc.Client.Instrument(reg, tr)
-	bc.master.Instrument(reg)
 }
 
 // Start begins both halves: the upstream slave and the downstream Sync

@@ -2,12 +2,10 @@ package ptp
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/dtplab/dtp/internal/eth"
 	"github.com/dtplab/dtp/internal/fabric"
 	"github.com/dtplab/dtp/internal/sim"
-	"github.com/dtplab/dtp/internal/telemetry"
 )
 
 // Client is a PTP slave: a host whose PHC is disciplined to the
@@ -57,12 +55,6 @@ type Client struct {
 
 	// OnSample, if set, receives each filtered offset estimate (ps).
 	OnSample func(offsetPs float64)
-
-	// Telemetry handles (nil when uninstrumented; see Instrument).
-	telSyncs, telResps, telSteps, telSwitches *telemetry.Counter
-	telOffset                                 *telemetry.Histogram
-	tr                                        *telemetry.Tracer
-	tname                                     string
 }
 
 // NewClient installs a PTP client at the host node, its PHC initialized
@@ -124,11 +116,8 @@ func (c *Client) selectMaster() {
 		return
 	}
 	// Fail over: drop all state tied to the old master.
-	old := c.gm
 	c.gm = best
 	c.switches++
-	c.telSwitches.Inc()
-	c.tr.Record(now, telemetry.KindMasterSwitch, c.tname, int64(old), int64(best), "")
 	c.haveSync = false
 	c.haveDelay = false
 	c.delayWin = c.delayWin[:0]
@@ -137,27 +126,6 @@ func (c *Client) selectMaster() {
 	c.pendingReq = map[uint64]float64{}
 	c.servo.reset()
 	c.synced = false // first measurement against the new master steps
-}
-
-// Instrument attaches telemetry to the client: protocol counters and an
-// |offset| histogram labeled with the node ID, plus servo_update,
-// clock_step, and master_switch trace events. Either argument may be
-// nil.
-func (c *Client) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	node := fmt.Sprintf("%d", c.node)
-	c.tname = "ptp/" + node
-	c.telSyncs = reg.Counter("ptp_syncs_received_total",
-		"Sync messages received from the selected master.", "node", node)
-	c.telResps = reg.Counter("ptp_delay_resps_total",
-		"Delay_Resp messages consumed into the path-delay filter.", "node", node)
-	c.telSteps = reg.Counter("ptp_clock_steps_total",
-		"Unconditional PHC steps (first sync or beyond the step threshold).", "node", node)
-	c.telSwitches = reg.Counter("ptp_master_switches_total",
-		"Best-master-clock failovers.", "node", node)
-	c.telOffset = reg.Histogram("ptp_abs_offset_ns",
-		"Magnitude of filtered offset-to-master estimates in nanoseconds.",
-		telemetry.ExponentialBuckets(1, 4, 12), "node", node)
-	c.tr = tr
 }
 
 // MasterSwitches reports how many BMCA failovers occurred.
@@ -174,9 +142,6 @@ func (c *Client) Start() {
 
 // Stop halts the client's transmissions (received messages are ignored).
 func (c *Client) Stop() { c.stopped = true }
-
-// Node returns the client's topology node ID.
-func (c *Client) Node() int { return c.node }
 
 // OffsetToMasterPs is ground truth: PHC time minus true time at the
 // current instant. This is what Figures 6d–f plot.
@@ -220,7 +185,6 @@ func (c *Client) onEvent(f *eth.Frame, rx sim.Time) {
 		// correction.
 		c.pendingT2[m.Seq] = c.hwStamp(rx) - float64(f.CorrectionPs)
 		c.syncs++
-		c.telSyncs.Inc()
 		// Bound the pending map: drop entries older than a few rounds.
 		if len(c.pendingT2) > 16 {
 			for k := range c.pendingT2 {
@@ -306,7 +270,6 @@ func (c *Client) delayRound() {
 // queued probe only ever measures too much).
 func (c *Client) pushDelay(d float64) {
 	c.resps++
-	c.telResps.Inc()
 	c.delayWin = append(c.delayWin, d)
 	if len(c.delayWin) > c.cfg.FilterWindow {
 		c.delayWin = c.delayWin[1:]
@@ -341,23 +304,15 @@ func (c *Client) onOffsetSample(t2MinusT1 float64) {
 		c.OnSample(median(c.offsetWin))
 	}
 
-	c.telOffset.Observe(math.Abs(offset) / 1000)
 	if !c.synced || offset > c.cfg.StepThresholdNs*1000 || offset < -c.cfg.StepThresholdNs*1000 {
 		c.PHC.Step(-offset)
 		c.synced = true
 		c.steps++
-		c.telSteps.Inc()
-		c.tr.Record(c.net.Sch.Now(), telemetry.KindClockStep, c.tname, int64(-offset), 0, "")
 		c.offsetWin = c.offsetWin[:0]
 		c.servo.reset()
 		return
 	}
-	ppb := c.servo.update(offset, c.cfg.SyncInterval)
-	c.PHC.AdjFreq(ppb)
-	if c.tr.Enabled(telemetry.KindServoUpdate) {
-		c.tr.Record(c.net.Sch.Now(), telemetry.KindServoUpdate, c.tname,
-			int64(offset), int64(ppb), "")
-	}
+	c.PHC.AdjFreq(c.servo.update(offset, c.cfg.SyncInterval))
 }
 
 func median(w []float64) float64 {

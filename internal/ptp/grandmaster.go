@@ -6,7 +6,6 @@ import (
 	"github.com/dtplab/dtp/internal/eth"
 	"github.com/dtplab/dtp/internal/fabric"
 	"github.com/dtplab/dtp/internal/sim"
-	"github.com/dtplab/dtp/internal/telemetry"
 )
 
 // Grandmaster is a PTP master: it periodically sends Sync + Follow_Up
@@ -32,9 +31,6 @@ type Grandmaster struct {
 	Priority int
 
 	stopped bool
-
-	// Telemetry handles (nil when uninstrumented; see Instrument).
-	telSyncs, telAnnounces, telDelayAnswers *telemetry.Counter
 }
 
 // NewGrandmaster installs a true-time grandmaster at the given host node.
@@ -47,18 +43,6 @@ func NewGrandmaster(n *fabric.Network, node int, clients []int, cfg Config, seed
 	}
 	n.Handle(node, eth.ProtoPTPEvent, gm.onEvent)
 	return gm
-}
-
-// Instrument attaches telemetry counters labeled with the master's node
-// ID. The registry may be nil.
-func (gm *Grandmaster) Instrument(reg *telemetry.Registry) {
-	node := fmt.Sprintf("%d", gm.node)
-	gm.telSyncs = reg.Counter("ptp_syncs_sent_total",
-		"Two-step Syncs transmitted by this master.", "node", node)
-	gm.telAnnounces = reg.Counter("ptp_announces_sent_total",
-		"Announce messages transmitted by this master.", "node", node)
-	gm.telDelayAnswers = reg.Counter("ptp_delay_reqs_answered_total",
-		"Delay_Reqs answered with Delay_Resp.", "node", node)
 }
 
 // Time returns this master's PTP time (ps) at real time t.
@@ -91,7 +75,6 @@ func (gm *Grandmaster) syncRound() {
 			Src: gm.node, Dst: c, Size: eth.PTPEventFrame,
 			Proto: eth.ProtoPTPGeneral, Payload: announce{GM: gm.node, Priority: gm.Priority},
 		})
-		gm.telAnnounces.Inc()
 		gm.sendSync(c)
 	}
 	gm.net.Sch.After(gm.cfg.SyncInterval, gm.syncRound)
@@ -114,7 +97,6 @@ func (gm *Grandmaster) sendSync(client int) {
 	if !gm.net.Send(f) {
 		return // dropped at source queue; next round will retry
 	}
-	gm.telSyncs.Inc()
 	// The daemon emits the Follow_Up once the NIC reports the TX
 	// timestamp; 100 us models the completion interrupt plus turnaround.
 	gm.net.Sch.After(100*sim.Microsecond, func() {
@@ -133,7 +115,6 @@ func (gm *Grandmaster) onEvent(f *eth.Frame, rx sim.Time) {
 		return
 	}
 	t4 := gm.hwStamp(rx) - float64(f.CorrectionPs)
-	gm.telDelayAnswers.Inc()
 	gm.net.Send(&eth.Frame{
 		Src: gm.node, Dst: req.Client, Size: eth.PTPEventFrame,
 		Proto: eth.ProtoPTPGeneral, Payload: delayResp{Seq: req.Seq, T4: t4},

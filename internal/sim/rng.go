@@ -74,12 +74,6 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
 
-// Exponential returns an exponentially distributed float with the given
-// mean. Used for Poisson interarrival times.
-func (r *RNG) Exponential(mean float64) float64 {
-	return r.ExpFloat64() * mean
-}
-
 // ExpTime returns an exponentially distributed Time with the given mean,
 // clamped to at least 1 ps so event time strictly advances.
 func (r *RNG) ExpTime(mean Time) Time {

@@ -40,16 +40,6 @@ const (
 	// KindDaemonCal: a daemon calibration completed; V1 is the software
 	// offset in milli-units (offset × 1000), V2 the calibration count.
 	KindDaemonCal
-	// KindServoUpdate: a PTP servo consumed an offset sample; V1 is the
-	// offset in ps, V2 the commanded frequency adjustment in ppb.
-	KindServoUpdate
-	// KindClockStep: a PTP client stepped its PHC; V1 is the step in ps.
-	KindClockStep
-	// KindMasterSwitch: BMCA failed over; V1/V2 are old/new master IDs.
-	KindMasterSwitch
-	// KindFrameDrop: the fabric tail-dropped a frame; V1 is the frame
-	// size in bytes, V2 the topology link index.
-	KindFrameDrop
 	// KindBoundViolation: the online auditor (internal/audit) caught a
 	// device pair outside its 4TD precision bound; Who is "a~b", V1 the
 	// observed offset in units, V2 the violated bound, and Detail carries
@@ -98,8 +88,7 @@ const (
 var kindNames = [numKinds]string{
 	"link_up", "link_down", "state_change", "init_round", "synced",
 	"beacon_tx", "beacon_rx", "beacon_ignored", "counter_jump",
-	"counter_stall", "faulty_peer", "daemon_cal", "servo_update",
-	"clock_step", "master_switch", "frame_drop", "bound_violation",
+	"counter_stall", "faulty_peer", "daemon_cal", "bound_violation",
 	"port_demoted", "chaos_inject", "chaos_clear",
 	"device_crash", "device_restart",
 	"timesvc_publish", "timesvc_degraded",

@@ -36,7 +36,7 @@ func TestTracerDefaultMasksFirehose(t *testing.T) {
 		}
 	}
 	for _, k := range []Kind{KindLinkUp, KindStateChange, KindSynced,
-		KindCounterStall, KindDaemonCal, KindServoUpdate, KindFrameDrop} {
+		KindCounterStall, KindDaemonCal, KindBoundViolation, KindPortDemoted} {
 		if !tr.Enabled(k) {
 			t.Errorf("lifecycle kind %s masked by default", k)
 		}

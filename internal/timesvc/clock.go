@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/dtplab/dtp/internal/sim"
 	"github.com/dtplab/dtp/internal/swclock"
 )
 
@@ -93,9 +92,6 @@ func NewClock(store *Store, tb Timebase) *Clock {
 	return &Clock{store: store, tb: tb}
 }
 
-// Store returns the underlying snapshot store.
-func (c *Clock) Store() *Store { return c.store }
-
 // At evaluates the current snapshot at the raw timebase reading r:
 // the UTC estimate and its uncertainty interval. Exposed separately
 // from Now/NowInterval so callers who already hold a raw reading (load
@@ -179,8 +175,3 @@ func (c *Clock) WaitUntil(t float64) (time.Duration, error) {
 	waitNs := (t - earliest) / ratio / 1000
 	return time.Duration(waitNs), nil
 }
-
-// SimTime converts a simulated instant to the picosecond scale used by
-// UTC values in this package (simulated time zero = UTC zero; the
-// simulation's TrueUTC source broadcasts exactly this).
-func SimTime(t sim.Time) float64 { return float64(t) }
