@@ -155,20 +155,10 @@ type LinkSpeed struct {
 // listed cables run at their assigned speeds, every other cable at
 // 10 GbE, and all counters advance in 0.32 ns base units. One tick then
 // means one base unit; the per-link bound is 4 port cycles (4 × the
-// speed's Delta units).
+// speed's Delta units). The base-unit clocking replaces WithSpeed's,
+// wherever either option stands in the list.
 func WithMixedSpeeds(links ...LinkSpeed) Option {
-	return func(c *config) {
-		base := core.MixedSpeedConfig()
-		// Preserve protocol knobs the caller may have set via other
-		// options; replace only the clocking parameters.
-		base.BeaconIntervalTicks = c.cfg.BeaconIntervalTicks
-		base.BER = c.cfg.BER
-		base.Parity = c.cfg.Parity
-		base.WanderInterval = c.cfg.WanderInterval
-		base.WanderStepPPB = c.cfg.WanderStepPPB
-		c.cfg = base
-		c.mixed = append([]LinkSpeed{}, links...)
-	}
+	return func(c *config) { c.mixed = append([]LinkSpeed{}, links...) }
 }
 
 // WithSpeed selects the Ethernet speed; counters switch to 0.32 ns base
@@ -300,9 +290,14 @@ func New(t Topology, opts ...Option) (*System, error) {
 		coreOpts = append(coreOpts, core.WithPPM(c.ppm))
 	}
 	if c.mixed != nil {
+		// Only the clocking is mixed-speed specific; every other option
+		// keeps what it set, whichever side of WithMixedSpeeds it stood.
+		m := core.MixedSpeedConfig()
+		c.cfg.Profile, c.cfg.UnitsPerTick = m.Profile, m.UnitsPerTick
+		c.cfg.AlphaUnits, c.cfg.GuardUnits = m.AlphaUnits, m.GuardUnits
 		byLink := map[int]phy.Speed{}
 		for _, ls := range c.mixed {
-			idx, err := findLink(t, ls.A, ls.B)
+			idx, err := t.LinkBetween(ls.A, ls.B)
 			if err != nil {
 				return nil, err
 			}
@@ -318,21 +313,6 @@ func New(t Topology, opts ...Option) (*System, error) {
 		net.Instrument(c.reg, c.tracer)
 	}
 	return &System{sch: sch, net: net, cfg: c}, nil
-}
-
-// findLink locates the topology link between two named devices.
-func findLink(t Topology, a, b string) (int, error) {
-	na, ok1 := t.ByName(a)
-	nb, ok2 := t.ByName(b)
-	if !ok1 || !ok2 {
-		return 0, fmt.Errorf("dtp: unknown device in (%s, %s)", a, b)
-	}
-	for i, l := range t.Links {
-		if (l.A == na.ID && l.B == nb.ID) || (l.A == nb.ID && l.B == na.ID) {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("dtp: no cable between %s and %s", a, b)
 }
 
 // Start brings all links up; the INIT handshakes begin.
@@ -452,15 +432,10 @@ func (s *System) ClearLoad() {
 	s.net.SetGateAll(func(p *core.Port) core.TxGate { return core.OpenGate{} })
 }
 
-// linkIndex finds the topology link between two named devices.
-func (s *System) linkIndex(a, b string) (int, error) {
-	return findLink(s.net.Graph, a, b)
-}
-
 // CutLink tears down the cable between two adjacent devices (both
 // directions), e.g. to create a partition.
 func (s *System) CutLink(a, b string) error {
-	i, err := s.linkIndex(a, b)
+	i, err := s.net.Graph.LinkBetween(a, b)
 	if err != nil {
 		return err
 	}
@@ -471,7 +446,7 @@ func (s *System) CutLink(a, b string) error {
 // RestoreLink re-plugs a cut cable; the ports re-run INIT and the
 // subnets re-merge via BEACON-JOIN.
 func (s *System) RestoreLink(a, b string) error {
-	i, err := s.linkIndex(a, b)
+	i, err := s.net.Graph.LinkBetween(a, b)
 	if err != nil {
 		return err
 	}

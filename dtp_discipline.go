@@ -10,10 +10,6 @@ import "github.com/dtplab/dtp/internal/discipline"
 // sample dropping ("lad"). The zero value means "ma" with defaults.
 type DisciplineConfig = discipline.Config
 
-// DisciplineKinds lists the available discipline kinds in canonical
-// order.
-func DisciplineKinds() []string { return discipline.Kinds() }
-
 // ParseDiscipline parses the CLI discipline syntax shared by dtpsim,
 // dtpd and dtpexp: "kind" or "kind:opt=val,opt=val", e.g. "ma",
 // "ma:gain=0.3", "pll:kp=0.7,ki=0.3", "theilsen:window=16",

@@ -15,14 +15,12 @@ import (
 // as an HTTP handler (dtpd's /timeline).
 type Timeline = telemetry.Timeline
 
-// TimelineOptions configures the timeline attached by System.Timeline.
-// The zero value samples every 1 ms of simulated time, keeping the last
-// 1024 rows.
+// TimelineOptions configures the timeline attached by System.Timeline,
+// which keeps the last 1024 rows. The zero value samples every 1 ms of
+// simulated time.
 type TimelineOptions struct {
 	// Interval is the simulated sampling cadence (0 = 1 ms).
 	Interval time.Duration
-	// Capacity is the ring size in rows (0 = 1024).
-	Capacity int
 }
 
 // Timeline attaches and starts a windowed time-series store sampling
@@ -38,11 +36,7 @@ type TimelineOptions struct {
 // The returned Timeline is also remembered as the default for
 // FlightRecorder bundles.
 func (s *System) Timeline(o TimelineOptions) *Timeline {
-	interval := sim.Time(0)
-	if o.Interval > 0 {
-		interval = sim.FromStd(o.Interval)
-	}
-	tl := telemetry.NewTimeline(interval, o.Capacity)
+	tl := telemetry.NewTimeline(sim.FromStd(o.Interval), 0)
 	tl.Gauge("bound_ticks", func() float64 { return float64(s.net.BoundUnits()) })
 	tl.Gauge("max_offset_ticks", func() float64 { return float64(s.net.MaxPairwiseOffset()) })
 	if tr := s.cfg.tracer; tr != nil {
@@ -104,21 +98,12 @@ func (s *System) Timeline(o TimelineOptions) *Timeline {
 type FlightRecorder = telemetry.Recorder
 
 // FlightOptions configures the recorder attached by
-// System.FlightRecorder.
+// System.FlightRecorder. Bundle budget, per-reason cooldown and trace
+// depth are telemetry.FlightConfig's defaults; a bundle carries the
+// System.Timeline ring when there is one.
 type FlightOptions struct {
 	// Dir is where bundles land (created if absent). Required.
 	Dir string
-	// Timeline overrides the bundled timeline (default: the one built
-	// by System.Timeline, when any).
-	Timeline *Timeline
-	// MaxBundles caps bundles per run (0 = 4).
-	MaxBundles int
-	// Cooldown is the minimum simulated time between bundles for the
-	// same trigger reason (0 = 1 ms).
-	Cooldown time.Duration
-	// TraceDepth is how many trailing trace events a bundle embeds
-	// (0 = 256).
-	TraceDepth int
 }
 
 // FlightRecorder attaches a flight recorder armed on the trace kinds
@@ -136,21 +121,8 @@ func (s *System) FlightRecorder(o FlightOptions) (*FlightRecorder, error) {
 	if s.cfg.tracer == nil {
 		return nil, fmt.Errorf("dtp: FlightRecorder needs WithTelemetry with a tracer (triggers ride trace events)")
 	}
-	tl := o.Timeline
-	if tl == nil {
-		tl = s.timeline
-	}
-	cooldown := sim.Time(0)
-	if o.Cooldown > 0 {
-		cooldown = sim.FromStd(o.Cooldown)
-	}
-	rec, err := telemetry.NewRecorder(telemetry.FlightConfig{
-		Dir:        o.Dir,
-		Seed:       int64(s.cfg.seed),
-		MaxBundles: o.MaxBundles,
-		Cooldown:   cooldown,
-		TraceDepth: o.TraceDepth,
-	}, s.cfg.reg, s.cfg.tracer, tl, s.sch.Now)
+	rec, err := telemetry.NewRecorder(telemetry.FlightConfig{Dir: o.Dir, Seed: int64(s.cfg.seed)},
+		s.cfg.reg, s.cfg.tracer, s.timeline, s.sch.Now)
 	if err != nil {
 		return nil, err
 	}

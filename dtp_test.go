@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dtplab/dtp/internal/core"
 	"github.com/dtplab/dtp/internal/phy"
 )
 
@@ -240,6 +241,12 @@ func TestMixedSpeedsOption(t *testing.T) {
 	if sys.TickNanos() != 0.32 {
 		t.Fatalf("mixed tick %.3f ns, want 0.32 (base units)", sys.TickNanos())
 	}
+	// Per-hop bound: 4 cycles of 10G (80) + 4 of 40G (20) + 80 units.
+	bound := sys.BoundTicks()
+	if bound != 180 {
+		t.Fatalf("mixed-speed bound %d base units, want 180", bound)
+	}
+	aud := sys.Audit(AuditOptions{})
 	sys.Start()
 	if err := sys.RunUntilSynced(time.Second); err != nil {
 		t.Fatal(err)
@@ -255,9 +262,35 @@ func TestMixedSpeedsOption(t *testing.T) {
 			worst = off
 		}
 	}
-	// Per-hop bound: 4 cycles of 10G (80) + 4 of 40G (20) + 80 units.
-	if worst > 180 {
-		t.Fatalf("mixed-speed offset %d base units", worst)
+	if worst > bound {
+		t.Fatalf("mixed-speed offset %d base units, bound %d", worst, bound)
+	}
+	if got := aud.LiveBoundUnits("h0"); got != bound {
+		t.Fatalf("auditor charges h0 %d units, System.BoundTicks says %d", got, bound)
+	}
+}
+
+// TestMixedSpeedsOptionOrder: WithMixedSpeeds changes the clocking and
+// nothing else, so the options around it land in the same core.Config
+// whichever side of it they stand.
+func TestMixedSpeedsOptionOrder(t *testing.T) {
+	mixed := WithMixedSpeeds(LinkSpeed{A: "sw1", B: "sw2", Speed: Speed40G})
+	others := []Option{WithHardened(), WithMaster("h0"), WithBER(1e-9)}
+	build := func(opts ...Option) core.Config {
+		t.Helper()
+		sys, err := New(Chain(3), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys.net.Config()
+	}
+	before := build(append(append([]Option{}, others...), mixed)...)
+	after := build(append([]Option{mixed}, others...)...)
+	if before != after {
+		t.Fatalf("option order changed the network:\nothers first: %+v\nmixed first:  %+v", before, after)
+	}
+	if !after.Hardened || !after.FollowMaster || after.Master != "h0" || after.BER != 1e-9 {
+		t.Fatalf("options lost beside WithMixedSpeeds: %+v", after)
 	}
 }
 

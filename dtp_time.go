@@ -44,16 +44,8 @@ type TimePlaneOptions struct {
 	// daemon default; compressed simulations want ~10ms).
 	CalInterval time.Duration
 
-	// Discipline selects the software-clock estimator every plane
-	// daemon runs (broadcaster and served hosts alike). The zero value
-	// inherits the System's WithDiscipline setting.
-	Discipline DisciplineConfig
-
 	// BroadcastInterval is the UTC pair cadence (default 10 ms).
 	BroadcastInterval time.Duration
-
-	// PublishInterval is the per-host snapshot cadence (default 10 ms).
-	PublishInterval time.Duration
 
 	// Auditor supplies the live cross-host 4TD bound folded into every
 	// published interval. Nil attaches a fresh default auditor.
@@ -129,9 +121,7 @@ func (s *System) TimePlane(o TimePlaneOptions) (*TimePlane, error) {
 
 	daemons := map[string]*Daemon{}
 	newDaemon := func(host string) (*daemon.Daemon, error) {
-		w, err := s.Daemon(DaemonOptions{
-			Host: host, CalInterval: o.CalInterval, Discipline: o.Discipline,
-		})
+		w, err := s.Daemon(DaemonOptions{Host: host, CalInterval: o.CalInterval})
 		if err != nil {
 			return nil, err
 		}
@@ -148,11 +138,6 @@ func (s *System) TimePlane(o TimePlaneOptions) (*TimePlane, error) {
 		bcast = sim.FromStd(o.BroadcastInterval)
 	}
 	b := daemon.NewUTCBroadcaster(bd, daemon.TrueUTC{Sch: s.sch}, bcast)
-
-	scfg := timesvc.ServiceConfig{}
-	if o.PublishInterval > 0 {
-		scfg.PublishInterval = sim.FromStd(o.PublishInterval)
-	}
 
 	tp := &TimePlane{
 		broadcaster: bc,
@@ -173,7 +158,7 @@ func (s *System) TimePlane(o TimePlaneOptions) (*TimePlane, error) {
 			f.Instrument(s.cfg.reg)
 		}
 		b.Subscribe(f)
-		svc := timesvc.NewService(d, f, aud, scfg)
+		svc := timesvc.NewService(d, f, aud)
 		svc.Instrument(s.cfg.reg, s.cfg.tracer)
 		svc.Start()
 		tp.services[h] = svc

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/dtplab/dtp/internal/sim"
+	"github.com/dtplab/dtp/internal/timesvc"
 )
 
 func TestTimePlaneServesCoveredIntervals(t *testing.T) {
@@ -138,14 +139,7 @@ func TestTimePlaneIntervalInvariantUnderChaos(t *testing.T) {
 	// the follower's ratio/residual EWMAs need a few broadcast rounds to
 	// re-learn the restored rate. Excuse each fault window plus settle
 	// grace plus that serving tail.
-	var maxAge sim.Time
-	for _, h := range tp.Hosts() {
-		svc, _ := tp.Service(h)
-		if a := svc.Config().MaxAge; a > maxAge {
-			maxAge = a
-		}
-	}
-	extraSettle := maxAge + sim.Time(40*sim.Millisecond)
+	extraSettle := timesvc.MaxAge + sim.Time(40*sim.Millisecond)
 	excused := func(at sim.Time) bool {
 		for _, f := range sc.Faults {
 			if at >= f.At.T && at <= f.At.T+f.Duration.T+sc.SettleGrace.T+extraSettle {
@@ -248,14 +242,7 @@ func TestTimePlaneIntervalInvariantHardenedLiar(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var maxAge sim.Time
-	for _, h := range tp.Hosts() {
-		svc, _ := tp.Service(h)
-		if a := svc.Config().MaxAge; a > maxAge {
-			maxAge = a
-		}
-	}
-	extraSettle := maxAge + sim.Time(40*sim.Millisecond)
+	extraSettle := timesvc.MaxAge + sim.Time(40*sim.Millisecond)
 	excused := func(at sim.Time) bool {
 		f := sc.Faults[0]
 		return at >= f.At.T && at <= f.At.T+f.Duration.T+sc.SettleGrace.T+extraSettle

@@ -16,11 +16,6 @@ import (
 	"github.com/dtplab/dtp"
 )
 
-// perHopCycles is Table 2's Delta: base units per port cycle.
-var perHopCycles = map[dtp.Speed]int64{
-	dtp.Speed1G: 25, dtp.Speed10G: 20, dtp.Speed40G: 5, dtp.Speed100G: 2,
-}
-
 func run(core dtp.Speed) (worstNs, boundNs float64) {
 	sys, err := dtp.New(dtp.Chain(3),
 		dtp.WithSeed(9),
@@ -44,8 +39,7 @@ func run(core dtp.Speed) (worstNs, boundNs float64) {
 			worst = off
 		}
 	}
-	boundUnits := 4 * (perHopCycles[dtp.Speed10G]*2 + perHopCycles[core])
-	return float64(worst) * sys.TickNanos(), float64(boundUnits) * sys.TickNanos()
+	return float64(worst) * sys.TickNanos(), sys.BoundNanos()
 }
 
 func main() {

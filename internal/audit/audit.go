@@ -37,25 +37,9 @@ type Config struct {
 	// paper's 8T software-access margin here (§5.1).
 	SoftwareMarginUnits int64
 
-	// CausalDepth is how many trace events of context a violation
-	// carries (default 8).
-	CausalDepth int
-
-	// GraceChecks is how many checks are skipped after the set of
-	// synchronized links changes (default 2). A freshly (re)joined
-	// subnet announces its counter via BEACON-JOIN only JoinDelayTicks
-	// after INIT completes, so the instant a link reports synced its two
-	// sides may legitimately still be far apart.
-	GraceChecks int
-
 	// HostsOnly restricts auditing to host pairs (the end-to-end
 	// precision that matters to applications). Default: every device.
 	HostsOnly bool
-
-	// MaxPairSeries caps per-pair worst-offset gauges registered with
-	// the telemetry registry (default 256); larger networks keep
-	// per-pair worsts internally but export only aggregates.
-	MaxPairSeries int
 
 	// MaxViolationEvents caps how many violation trace events (each of
 	// which snapshots causal context from the tracer ring) are emitted
@@ -67,9 +51,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Interval:           100 * sim.Microsecond,
-		CausalDepth:        8,
-		GraceChecks:        2,
-		MaxPairSeries:      256,
 		MaxViolationEvents: 4,
 	}
 }
@@ -79,19 +60,28 @@ func (c *Config) fillDefaults() {
 	if c.Interval <= 0 {
 		c.Interval = d.Interval
 	}
-	if c.CausalDepth <= 0 {
-		c.CausalDepth = d.CausalDepth
-	}
-	if c.GraceChecks <= 0 {
-		c.GraceChecks = d.GraceChecks
-	}
-	if c.MaxPairSeries <= 0 {
-		c.MaxPairSeries = d.MaxPairSeries
-	}
 	if c.MaxViolationEvents <= 0 {
 		c.MaxViolationEvents = d.MaxViolationEvents
 	}
 }
+
+const (
+	// causalDepth is how many trace events of context a violation
+	// carries.
+	causalDepth = 8
+
+	// graceChecks is how many checks are skipped after the set of
+	// synchronized links changes. A freshly (re)joined subnet announces
+	// its counter via BEACON-JOIN only core's joinDelayTicks after INIT
+	// completes, so the instant a link reports synced its two sides may
+	// legitimately still be far apart.
+	graceChecks = 2
+
+	// maxPairSeries caps per-pair worst-offset gauges registered with
+	// the telemetry registry; larger networks keep per-pair worsts
+	// internally but export only aggregates.
+	maxPairSeries = 256
+)
 
 // Violation is one observed breach of the precision bound.
 type Violation struct {
@@ -212,7 +202,7 @@ func (a *Auditor) pairIndex(x, y int) int {
 
 // Instrument attaches a metrics registry and/or tracer. Either may be
 // nil; all handles are nil-safe. Per-pair worst-offset gauges are
-// registered only when the pair count fits MaxPairSeries.
+// registered only when the pair count fits maxPairSeries.
 func (a *Auditor) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	a.tr = tr
 	a.mChecks = reg.Counter("dtp_audit_checks_total",
@@ -235,7 +225,7 @@ func (a *Auditor) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 		"Durations from a disruption (link flap, violation) back to a fully in-bound network.",
 		telemetry.ExponentialBuckets(1e-6, 4, 12))
 	a.pairGauges = nil
-	if reg != nil && a.numPairs() <= a.cfg.MaxPairSeries {
+	if reg != nil && a.numPairs() <= maxPairSeries {
 		for x, i := range a.nodes {
 			for _, j := range a.nodes[x+1:] {
 				a.pairGauges = append(a.pairGauges, reg.Gauge("dtp_audit_pair_worst_offset_units",
@@ -325,7 +315,7 @@ func (a *Auditor) check() {
 	if changed {
 		a.hops, a.bounds = a.net.Graph.HopsWith(a.active, a.weights)
 		a.rebuildPairBounds()
-		a.grace = a.cfg.GraceChecks
+		a.grace = graceChecks
 		a.noteDisruption(now)
 	}
 	if a.grace > 0 {
@@ -483,7 +473,7 @@ func (a *Auditor) recordViolation(at sim.Time, i, j, hops int, off, bound int64,
 	}
 }
 
-// causalContext returns the last CausalDepth retained trace events that
+// causalContext returns the last causalDepth retained trace events that
 // touch either device (by device name or any of its ports), oldest
 // first. Violation events themselves are excluded so repeated breaches
 // do not bury the protocol events that caused the first one.
@@ -493,7 +483,7 @@ func (a *Auditor) causalContext(an, bn string) []telemetry.Event {
 	}
 	events := a.tr.Events()
 	var ctx []telemetry.Event
-	for k := len(events) - 1; k >= 0 && len(ctx) < a.cfg.CausalDepth; k-- {
+	for k := len(events) - 1; k >= 0 && len(ctx) < causalDepth; k-- {
 		e := events[k]
 		if e.Kind == telemetry.KindBoundViolation {
 			continue

@@ -83,7 +83,7 @@ func (o *mapAuditor) check() {
 	}
 	if changed {
 		o.hops, o.bounds = o.net.Graph.HopsWith(o.active, o.weights)
-		o.grace = o.cfg.GraceChecks
+		o.grace = graceChecks
 	}
 	if o.grace > 0 {
 		o.grace--

@@ -97,7 +97,7 @@ func (e *Engine) Schedule() error {
 	for i := range e.sc.Faults {
 		f := &e.sc.Faults[i]
 		if len(f.Link) == 2 {
-			li, err := e.linkIndex(f.Link[0], f.Link[1])
+			li, err := e.net.Graph.LinkBetween(f.Link[0], f.Link[1])
 			if err != nil {
 				return fmt.Errorf("chaos: fault %d: %w", i, err)
 			}
@@ -429,23 +429,6 @@ func (e *Engine) Summary() string {
 }
 
 // --- Target resolution -------------------------------------------------
-
-func (e *Engine) linkIndex(a, b string) (int, error) {
-	na, ok1 := e.net.Graph.ByName(a)
-	nb, ok2 := e.net.Graph.ByName(b)
-	if !ok1 {
-		return 0, fmt.Errorf("unknown device %q", a)
-	}
-	if !ok2 {
-		return 0, fmt.Errorf("unknown device %q", b)
-	}
-	for i, l := range e.net.Graph.Links {
-		if (l.A == na.ID && l.B == nb.ID) || (l.A == nb.ID && l.B == na.ID) {
-			return i, nil
-		}
-	}
-	return 0, fmt.Errorf("no cable between %s and %s", a, b)
-}
 
 // wireFor returns the Link[0] -> Link[1] direction of the fault's cable.
 func (e *Engine) wireFor(f *Fault, li int) *link.Wire {

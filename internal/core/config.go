@@ -62,39 +62,11 @@ type Config struct {
 	// whole message, so fragments always travel back to back.
 	FragmentedMessages bool
 
-	// TxPipelineTicks and RxPipelineTicks are the deterministic PCS
-	// pipeline depths (encoder/scrambler/gearbox and their inverses).
-	TxPipelineTicks int
-	RxPipelineTicks int
-
-	// AckTurnaroundTicks is the deterministic delay between processing
-	// an INIT and inserting the INIT-ACK. It is part of the measured
-	// RTT, so together with α it sets where the measured OWD lands
-	// relative to the true transit.
-	AckTurnaroundTicks int
-
 	// CDCMaxExtraTicks bounds the synchronization-FIFO delay when a
 	// message crosses from the recovered (RX) clock domain into the
 	// local domain: 0..CDCMaxExtraTicks whole local ticks are added on
 	// top of edge alignment. The standard two-flop synchronizer gives 1.
 	CDCMaxExtraTicks int
-
-	// CDCSetupFraction models *when* the synchronizer adds its extra
-	// cycle: if the data lands within this fraction of a period before
-	// the capturing edge, the setup time is violated and the FIFO takes
-	// one more cycle. Because the two clock domains beat slowly against
-	// each other, the extra cycle is a quasi-static function of phase —
-	// not an independent coin flip per message — which is what keeps
-	// worst cases from compounding across INIT measurement and beacons.
-	CDCSetupFraction float64
-
-	// CDCJitterFs is the width of the metastability band around the
-	// setup threshold within which the outcome is genuinely random.
-	CDCJitterFs int64
-
-	// MsbEveryBeacons is how many BEACONs pass between BEACON-MSB
-	// transmissions of the counter's upper bits.
-	MsbEveryBeacons int
 
 	// FaultyJumpLimit and FaultyWindowTicks implement faulty-peer
 	// detection: if more than FaultyJumpLimit guard-violating beacons
@@ -103,30 +75,20 @@ type Config struct {
 	FaultyJumpLimit   int
 	FaultyWindowTicks uint64
 
-	// BeaconTimeoutIntervals is the beacon-loss watchdog: a SYNCED port
-	// that hears nothing from its peer for this many beacon intervals
-	// demotes itself back to INIT and re-measures the delay, instead of
-	// free-running forever against a silently dead peer (a grey failure
-	// an explicit link-down never reports). 0 disables the watchdog.
-	BeaconTimeoutIntervals int
-
 	// FaultyCooldownTicks, when nonzero, lets a port that declared its
 	// peer faulty retry after this many local ticks: the port demotes to
 	// INIT, clearing the faulty mark, and re-runs the delay measurement.
 	// The paper leaves faulty ports down for human repair (the default,
-	// 0); chaos campaigns enable the cooldown so a transient BER storm
-	// does not permanently amputate a link. Requires the beacon-loss
-	// watchdog (BeaconTimeoutIntervals > 0) to be active.
+	// 0), and no campaign, scenario, flag or Grid field can change that:
+	// only chaos/engine_test.go enables the cooldown, to show a transient
+	// BER storm need not permanently amputate a link. The retry rides the
+	// beacon-loss watchdog's sweep.
 	FaultyCooldownTicks uint64
 
 	// MaxTreeLatencyTicks models the depth of the max-computation tree
 	// inside a multi-port device (§4.3): a port's received counter takes
 	// this many ticks to reach the global counter. 0 = instantaneous.
 	MaxTreeLatencyTicks int
-
-	// PPMRange is the half-width of the uniform distribution oscillator
-	// offsets are drawn from, in ppm. Must be <= 100 (the 802.3 bound).
-	PPMRange float64
 
 	// WanderInterval and WanderStepPPB configure slow oscillator drift.
 	// Zero disables wander.
@@ -135,11 +97,6 @@ type Config struct {
 
 	// BER is the per-bit error rate on every wire.
 	BER float64
-
-	// JoinDelayTicks is how long after INIT-ACK a port waits before
-	// sending BEACON-JOIN, leaving time for the peer to finish its own
-	// delay measurement.
-	JoinDelayTicks uint64
 
 	// Hardened enables the Byzantine-hardened protocol mode. Plain DTP
 	// adopts max(local, remote) unconditionally, so one device reporting
@@ -153,43 +110,8 @@ type Config struct {
 	// network the admission never fires, so hardened and plain runs are
 	// tick-identical; the price is that two long-diverged live
 	// partitions no longer auto-merge (see DESIGN.md "Threat model").
+	// The mode's parameters are the constants at the top of harden.go.
 	Hardened bool
-
-	// AdmitSlackUnits is the constant slack of the admission pull
-	// budget: it absorbs the measurement noise (CDC dither, guard-band
-	// offsets) riding on honest forward adoptions. Each message may
-	// pull the local counter at most AdmitSlackUnits forward, and the
-	// total pull a peer is granted within a FaultyWindowTicks window is
-	// AdmitSlackUnits + elapsed>>12, where elapsed is measured on the
-	// device's free-running tick clock (the shift is a ~244 ppm budget
-	// covering the 802.3 ±100 ppm oscillators on both ends plus
-	// wander). Budgeting the pull against the unjumpable oscillator —
-	// never the global counter — is what catches ratchets whose every
-	// step stays under naive per-message thresholds. Like the bit-error
-	// guard, the slack scales with the port's cycle.
-	AdmitSlackUnits int64
-
-	// QuarantineRejectLimit is how many admission rejections within
-	// FaultyWindowTicks a synced port tolerates before quarantining its
-	// peer. QuarantineCooldownTicks is how long the quarantine lasts
-	// before the port demotes itself to INIT and retries — the escape
-	// hatch through which an honestly restarted peer rejoins. Size the
-	// cooldown so a peer that was honest all along rejoins cleanly: the
-	// quarantined peer free-runs, so its counter diverges from the
-	// fabric at up to 2*PPMRange; keep
-	// QuarantineCooldownTicks * 2*PPMRange*1e-6 <= AdmitSlackUnits
-	// and the post-cooldown session's first message is always within the
-	// admission slack, whichever side drifted ahead.
-	QuarantineRejectLimit   int
-	QuarantineCooldownTicks uint64
-
-	// QuorumPorts is the number of synced ports (proposer included) that
-	// must agree before a device adopts a session-initial advance larger
-	// than AdmitSlackUnits. Devices with fewer synced witness ports than
-	// the quorum — freshly restarted devices, single-port hosts — admit
-	// unchecked: they have no better information than their peer. <= 1
-	// disables the combiner.
-	QuorumPorts int
 
 	// FollowMaster enables the §5.4 extension ("following the fastest
 	// clock"): instead of max-coupling, devices form a spanning tree
@@ -206,38 +128,14 @@ type Config struct {
 // 10 GbE, beacon every 200 ticks, α = 3, eight-tick guard.
 func DefaultConfig() Config {
 	return Config{
-		Profile:                phy.ProfileFor(phy.Speed10G),
-		UnitsPerTick:           1,
-		BeaconIntervalTicks:    200,
-		AlphaUnits:             3,
-		GuardUnits:             8,
-		Parity:                 false,
-		TxPipelineTicks:        phy.DefaultTxPipelineTicks,
-		RxPipelineTicks:        phy.DefaultRxPipelineTicks,
-		AckTurnaroundTicks:     3,
-		CDCMaxExtraTicks:       1,
-		CDCSetupFraction:       0.15,
-		CDCJitterFs:            200_000, // 200 ps metastability band
-		MsbEveryBeacons:        100_000,
-		FaultyJumpLimit:        16,
-		FaultyWindowTicks:      1_000_000,
-		BeaconTimeoutIntervals: 50,
-		PPMRange:               100,
-		JoinDelayTicks:         2_000,
-		// Hardened-mode parameters are always populated so enabling the
-		// mode is a single knob. Slack 16 units ≈ 103 ns at 10 GbE: twice
-		// the bit-error guard of headroom over the per-beacon noise
-		// floor, while keeping any single admitted step under the 4TD
-		// bound of tree-scale topologies. Rejections quarantine fast (the
-		// fabric is exposed while a liar keeps probing), and the cooldown
-		// is sized so an honest peer's free-run drift across one
-		// quarantine (60k ticks * 200 ppm = 12 units) stays inside the
-		// admission slack — a wrongly quarantined peer always rejoins on
-		// the first retry.
-		AdmitSlackUnits:         16,
-		QuarantineRejectLimit:   4,
-		QuarantineCooldownTicks: 60_000,
-		QuorumPorts:             2,
+		Profile:             phy.ProfileFor(phy.Speed10G),
+		UnitsPerTick:        1,
+		BeaconIntervalTicks: 200,
+		AlphaUnits:          3,
+		GuardUnits:          8,
+		CDCMaxExtraTicks:    1,
+		FaultyJumpLimit:     16,
+		FaultyWindowTicks:   1_000_000,
 	}
 }
 
@@ -251,14 +149,8 @@ func (c *Config) validate() error {
 	if c.BeaconIntervalTicks == 0 {
 		return fmt.Errorf("core: beacon interval must be >= 1 tick")
 	}
-	if c.PPMRange < 0 || c.PPMRange > 100 {
-		return fmt.Errorf("core: PPMRange %v outside [0, 100]", c.PPMRange)
-	}
 	if c.CDCMaxExtraTicks < 0 {
 		return fmt.Errorf("core: negative CDC bound")
-	}
-	if c.BeaconTimeoutIntervals < 0 {
-		return fmt.Errorf("core: negative beacon timeout")
 	}
 	if c.BER < 0 || c.BER >= 1 {
 		return fmt.Errorf("core: BER %v outside [0, 1)", c.BER)
@@ -266,26 +158,10 @@ func (c *Config) validate() error {
 	if c.FollowMaster && c.Master == "" {
 		return fmt.Errorf("core: FollowMaster requires a Master name")
 	}
-	if c.Hardened {
-		if c.AdmitSlackUnits <= 0 {
-			return fmt.Errorf("core: Hardened requires AdmitSlackUnits >= 1")
-		}
-		if c.QuarantineRejectLimit <= 0 {
-			return fmt.Errorf("core: Hardened requires QuarantineRejectLimit >= 1")
-		}
-		if c.QuarantineCooldownTicks == 0 {
-			return fmt.Errorf("core: Hardened requires a quarantine cooldown (the re-INIT escape hatch)")
-		}
-	}
 	return nil
 }
 
 // UnitFs returns the duration of one counter unit in femtoseconds.
 func (c *Config) UnitFs() int64 {
 	return c.Profile.PeriodFs / int64(c.UnitsPerTick)
-}
-
-// UnitsToNs converts counter units to nanoseconds for reporting.
-func (c *Config) UnitsToNs(units int64) float64 {
-	return float64(units) * float64(c.UnitFs()) / 1e6
 }

@@ -33,6 +33,50 @@ import (
 //     second witness; a restarted device has no synced witnesses and
 //     is admitted unchecked — it knows its own counter is stale.
 
+// Hardened mode has one knob, Config.Hardened; its parameters are fixed.
+// Slack 16 units ≈ 103 ns at 10 GbE: twice the bit-error guard of
+// headroom over the per-beacon noise floor, while keeping any single
+// admitted step under the 4TD bound of tree-scale topologies. Rejections
+// quarantine fast (the fabric is exposed while a liar keeps probing),
+// and the cooldown is short enough that a wrongly quarantined peer
+// always rejoins on the first retry.
+const (
+	// admitSlackUnits is the constant slack of the admission pull
+	// budget: it absorbs the measurement noise (CDC dither, guard-band
+	// offsets) riding on honest forward adoptions. Each message may
+	// pull the local counter at most admitSlackUnits forward, and the
+	// total pull a peer is granted within a FaultyWindowTicks window is
+	// admitSlackUnits + elapsed>>12, where elapsed is measured on the
+	// device's free-running tick clock (the shift is a ~244 ppm budget
+	// covering the 802.3 ±100 ppm oscillators on both ends plus
+	// wander). Budgeting the pull against the unjumpable oscillator —
+	// never the global counter — is what catches ratchets whose every
+	// step stays under naive per-message thresholds. Like the bit-error
+	// guard, the slack scales with the port's cycle.
+	admitSlackUnits = 16
+
+	// quarantineRejectLimit is how many admission rejections within
+	// FaultyWindowTicks a synced port tolerates before quarantining its
+	// peer. quarantineCooldownTicks is how long the quarantine lasts
+	// before the port demotes itself to INIT and retries — the escape
+	// hatch through which an honestly restarted peer rejoins. The
+	// quarantined peer free-runs, so its counter diverges from the
+	// fabric at up to 2*ppmRange; because
+	// quarantineCooldownTicks * 2*ppmRange*1e-6 <= admitSlackUnits
+	// (60k ticks * 200 ppm = 12 units; TestQuarantineCooldownInsideSlack),
+	// the post-cooldown session's first message is always within the
+	// admission slack, whichever side drifted ahead.
+	quarantineRejectLimit   = 4
+	quarantineCooldownTicks = 60_000
+
+	// quorumPorts is the number of synced ports (proposer included) that
+	// must agree before a device adopts a session-initial advance larger
+	// than admitSlackUnits. Devices with fewer synced witness ports than
+	// the quorum — freshly restarted devices, single-port hosts — admit
+	// unchecked: they have no better information than their peer.
+	quorumPorts = 2
+)
+
 // admitBudget is the pull-budget inequality: the units a peer has
 // pulled this port's counter forward within the current window
 // (candidate lead included) are admissible while they do not exceed the
@@ -52,7 +96,7 @@ func admitBudget(pulled, elapsed, slack int64) (ok bool, allowance int64) {
 // admitSlack is the constant admission slack scaled to this port's
 // cycle, like the bit-error guard.
 func (p *Port) admitSlack() int64 {
-	return p.cfg().AdmitSlackUnits * int64(p.pd)
+	return admitSlackUnits * int64(p.pd)
 }
 
 // admitTarget gates a remote-implied counter value (target, at local
@@ -118,7 +162,7 @@ func (p *Port) noteTarget(target, local uint64) {
 
 // quorumAgrees is the Marzullo-style multi-port combiner: before the
 // device adopts a session-initial advance beyond the admission slack
-// proposed on port from, at least QuorumPorts synced ports (the
+// proposed on port from, at least quorumPorts synced ports (the
 // proposer included) must place the fabric counter near the proposed
 // target. Each witness port's latest admitted target, extrapolated at
 // the local rate, is its estimate; it agrees when the estimate reaches
@@ -126,10 +170,6 @@ func (p *Port) noteTarget(target, local uint64) {
 // (restarted devices, single-port hosts) the advance is admitted
 // unchecked — the device has no better information than its peer.
 func (d *Device) quorumAgrees(from *Port, target, local uint64) bool {
-	need := d.net.cfg.QuorumPorts
-	if need <= 1 {
-		return true
-	}
 	band := from.admitSlack()
 	agree, voters := 1, 1 // the proposer votes for its own value
 	for _, p := range d.ports {
@@ -142,14 +182,14 @@ func (d *Device) quorumAgrees(from *Port, target, local uint64) bool {
 			agree++
 		}
 	}
-	if voters < need {
+	if voters < quorumPorts {
 		return true
 	}
-	return agree >= need
+	return agree >= quorumPorts
 }
 
 // rejectTarget records a bounded-jump admission failure and, past
-// QuarantineRejectLimit rejections within the FaultyWindowTicks sliding
+// quarantineRejectLimit rejections within the FaultyWindowTicks sliding
 // window, quarantines the port.
 func (p *Port) rejectTarget(advance, allowance int64, join bool) {
 	tel := &p.dev.net.tel
@@ -161,14 +201,13 @@ func (p *Port) rejectTarget(advance, allowance int64, join bool) {
 	}
 	tel.tr.Record(p.sch().Now(), telemetry.KindCounterRejected, p.tname,
 		advance, allowance, detail)
-	cfg := p.cfg()
 	tick := p.dev.clock.Counter()
-	if tick-p.rejectWindow > cfg.FaultyWindowTicks {
+	if tick-p.rejectWindow > p.cfg().FaultyWindowTicks {
 		p.rejectWindow = tick
 		p.rejectCount = 0
 	}
 	p.rejectCount++
-	if p.rejectCount >= cfg.QuarantineRejectLimit {
+	if p.rejectCount >= quarantineRejectLimit {
 		p.quarantine()
 	}
 }
@@ -199,7 +238,7 @@ func (p *Port) quarantine() {
 	p.beaconEvent.Cancel()
 	p.watchEvent.Cancel()
 	p.initEvent.Cancel()
-	cool := p.dev.tickDur(int(p.cfg().QuarantineCooldownTicks))
+	cool := p.dev.tickDur(quarantineCooldownTicks)
 	p.quarEvent = p.sch().After(cool, p.releaseQuarantine)
 }
 

@@ -170,7 +170,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 	}
 
 	liar.SetLieUnits(50_000)
-	limit := n.cfg.QuarantineRejectLimit
+	limit := quarantineRejectLimit
 	for i := 0; i < limit; i++ {
 		liar.BroadcastJoin()
 		sch.RunFor(10 * sim.Microsecond)
@@ -204,5 +204,16 @@ func TestQuarantineLifecycle(t *testing.T) {
 	}
 	if _, quarAfter := n.ByzantineStats(); quarAfter != 1 {
 		t.Fatalf("quarantine count changed to %d after honest rejoin", quarAfter)
+	}
+}
+
+// TestQuarantineCooldownInsideSlack pins the sizing rule between the
+// hardened-mode constants (DESIGN.md "Model constants"): a quarantined
+// honest peer free-runs at up to 2·ppmRange against the fabric, and that
+// drift across one cooldown must fit the admission slack or the peer
+// would fail its first post-cooldown admission.
+func TestQuarantineCooldownInsideSlack(t *testing.T) {
+	if drift := quarantineCooldownTicks * 2 * ppmRange * 1e-6; drift > admitSlackUnits {
+		t.Fatalf("free-run drift over one quarantine %.1f units > admission slack %d", drift, admitSlackUnits)
 	}
 }

@@ -124,3 +124,47 @@ func TestMixedSpeedRequiresBaseConfig(t *testing.T) {
 		t.Fatal("mixed speeds accepted without the base-clock config")
 	}
 }
+
+// TestBoundUnitsIsWeightedDiameter: BoundUnits has one definition, the
+// auditor's — LinkBoundUnits summed along each pair's shortest path,
+// maximised over pairs — and on a homogeneous network that is the
+// paper's 4·D.
+func TestBoundUnitsIsWeightedDiameter(t *testing.T) {
+	mixedSpeeds := map[int]phy.Speed{0: phy.Speed10G, 1: phy.Speed40G, 2: phy.Speed10G}
+	homogeneous := func(g topo.Graph) int64 {
+		return 4 * int64(DefaultConfig().UnitsPerTick) * int64(g.Diameter())
+	}
+	for _, tc := range []struct {
+		name  string
+		graph topo.Graph
+		cfg   Config
+		opts  []Option
+		want  int64
+	}{
+		{"tree", topo.PaperTree(), DefaultConfig(), nil, homogeneous(topo.PaperTree())},
+		{"fattree:4", topo.FatTree(4), DefaultConfig(), nil, homogeneous(topo.FatTree(4))},
+		{"mixed chain:3", topo.Chain(3), MixedSpeedConfig(),
+			[]Option{WithLinkSpeeds(mixedSpeeds)}, mixedBound(mixedSpeeds, 3)},
+	} {
+		n, err := NewNetwork(sim.NewScheduler(), 1, tc.graph, tc.cfg, tc.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		weights := make([]int64, len(tc.graph.Links))
+		for i := range weights {
+			weights[i] = n.LinkBoundUnits(i)
+		}
+		_, wsum := tc.graph.HopsWith(nil, weights)
+		var max int64
+		for _, row := range wsum {
+			for _, w := range row {
+				if w > max {
+					max = w
+				}
+			}
+		}
+		if got := n.BoundUnits(); got != max || got != tc.want {
+			t.Errorf("%s: BoundUnits() = %d, weighted diameter %d, want %d", tc.name, got, max, tc.want)
+		}
+	}
+}

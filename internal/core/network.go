@@ -23,6 +23,8 @@ type Network struct {
 	// linkPorts[i] holds the two ports of Graph.Links[i], in (A, B)
 	// node order.
 	linkPorts [][2]*Port
+	// boundUnits is BoundUnits(), fixed by the graph and the link speeds.
+	boundUnits int64
 
 	// OnOffset, if set, is invoked for every processed beacon with the
 	// receiving port and the hardware offset sample
@@ -83,8 +85,12 @@ func MixedSpeedConfig() Config {
 	return c
 }
 
+// ppmRange is the half-width of the uniform distribution oscillator
+// offsets are drawn from, in ppm: the 802.3 bound.
+const ppmRange = 100
+
 // NewNetwork builds a DTP network over the graph. Oscillator offsets are
-// drawn uniformly from ±cfg.PPMRange unless pinned via WithPPM.
+// drawn uniformly from ±ppmRange unless pinned via WithPPM.
 func NewNetwork(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config, opts ...Option) (*Network, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -107,7 +113,7 @@ func NewNetwork(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config, o
 		drng := n.rng.Fork("dev/" + node.Name)
 		ppm, pinned := o.ppmByName[node.Name]
 		if !pinned {
-			ppm = drng.Uniform(-cfg.PPMRange, cfg.PPMRange)
+			ppm = drng.Uniform(-ppmRange, ppmRange)
 		}
 		n.Devices = append(n.Devices, newDevice(n, node, ppm, drng))
 	}
@@ -169,6 +175,18 @@ func NewNetwork(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config, o
 		a.ports = append(a.ports, pa)
 		b.ports = append(b.ports, pb)
 		n.linkPorts = append(n.linkPorts, [2]*Port{pa, pb})
+	}
+	weights := make([]int64, len(graph.Links))
+	for i := range weights {
+		weights[i] = n.LinkBoundUnits(i)
+	}
+	_, wsum := graph.HopsWith(nil, weights)
+	for _, row := range wsum {
+		for _, w := range row {
+			if w > n.boundUnits {
+				n.boundUnits = w
+			}
+		}
 	}
 	return n, nil
 }
@@ -321,9 +339,9 @@ func (n *Network) AllSynced() bool {
 	return true
 }
 
-// BoundUnits returns the paper's precision bound 4TD expressed in
-// counter units for this network: 4 units of error per hop times the
-// host-relevant diameter.
-func (n *Network) BoundUnits() int64 {
-	return 4 * int64(n.cfg.UnitsPerTick) * int64(n.Graph.Diameter())
-}
+// BoundUnits returns the paper's precision bound 4TD in counter units
+// for this network: the largest, over device pairs, of LinkBoundUnits
+// summed along the pair's shortest path — the weighted diameter, the
+// same per-pair sum the auditor charges (topo.Graph.HopsWith). On a
+// homogeneous network that is 4 · UnitsPerTick · Graph.Diameter().
+func (n *Network) BoundUnits() int64 { return n.boundUnits }

@@ -126,7 +126,7 @@ type portCold struct {
 
 	// watchEvent fires periodically while SYNCED and demotes the port
 	// back to INIT when the peer has been silent (lastRx) for
-	// BeaconTimeoutIntervals beacon intervals, or when a faulty mark has
+	// beaconTimeoutIntervals beacon intervals, or when a faulty mark has
 	// outlived FaultyCooldownTicks.
 	watchEvent sim.Event
 
@@ -289,6 +289,17 @@ func (p *Port) OnEvent(code uint8, a, b uint64) {
 // transit the §3.3 analysis calls d.
 const initSamples = 8
 
+// ackTurnaroundTicks is the deterministic delay between processing an
+// INIT and inserting the INIT-ACK. It is part of the measured RTT, so
+// together with α it sets where the measured OWD lands relative to the
+// true transit.
+const ackTurnaroundTicks = 3
+
+// joinDelayTicks is how long after INIT-ACK a port waits before sending
+// BEACON-JOIN, leaving time for the peer to finish its own delay
+// measurement.
+const joinDelayTicks = 2_000
+
 func (p *Port) sendInit() {
 	tel := &p.dev.net.tel
 	tel.initRounds.Inc()
@@ -365,7 +376,7 @@ func (p *Port) insert(t phy.MsgType, payload uint64) {
 	}
 	codec := p.codec()
 	m := phy.Message{Type: t, Payload: payload & codec.CounterMask()}
-	txDelay := p.cycleDur(p.cfg().TxPipelineTicks)
+	txDelay := p.cycleDur(phy.DefaultTxPipelineTicks)
 	if !p.fragmented {
 		b := codec.EmbedMessage(m)
 		p.sch().AfterActor(txDelay, p, evTxBlock, b.Payload, uint64(b.Sync))
@@ -378,8 +389,12 @@ func (p *Port) insert(t phy.MsgType, payload uint64) {
 	}
 }
 
+// msbEveryBeacons is how many BEACONs pass between BEACON-MSB
+// transmissions of the counter's upper bits.
+const msbEveryBeacons = 100_000
+
 // sendBeacon implements T3: transmit (BEACON, gc). Every
-// MsbEveryBeacons-th message instead carries the counter's upper bits.
+// msbEveryBeacons-th message instead carries the counter's upper bits.
 func (p *Port) sendBeacon() {
 	now := p.sch().Now()
 	gc := p.dev.gc.at(now) + p.dev.lieUnits
@@ -389,8 +404,7 @@ func (p *Port) sendBeacon() {
 	if tel.tr.Enabled(telemetry.KindBeaconTx) {
 		tel.tr.Record(now, telemetry.KindBeaconTx, p.tname, int64(gc), 0, "")
 	}
-	cfg := p.cfg()
-	if cfg.MsbEveryBeacons > 0 && p.beaconsSent%uint64(cfg.MsbEveryBeacons) == 0 {
+	if p.beaconsSent%msbEveryBeacons == 0 {
 		p.insert(phy.MsgBeaconMSB, gc>>p.counterBits())
 		return
 	}
@@ -440,7 +454,7 @@ func (p *Port) onWireArrival(b phy.Block) {
 	}
 	// The RX pipeline runs in the recovered clock domain: the sender's
 	// port-cycle rate.
-	rxDelay := p.peer.cycleDur(p.cfg().RxPipelineTicks)
+	rxDelay := p.peer.cycleDur(phy.DefaultRxPipelineTicks)
 	p.sch().AfterActor(rxDelay, p, evCdc, b.Payload, uint64(b.Sync))
 }
 
@@ -476,6 +490,25 @@ func (p *Port) cdcCross(b phy.Block) {
 	p.sch().AtActor(p.dev.clock.TimeOfCount(tick), p, evProcess, m.Payload, uint64(m.Type))
 }
 
+// The synchronizer's timing, fixed by the modelled hardware rather than
+// by any experiment.
+const (
+	// cdcSetupFraction models *when* the synchronizer adds its extra
+	// cycle: if the data lands within this fraction of a period before
+	// the capturing edge, the setup time is violated and the FIFO takes
+	// one more cycle. Because the two clock domains beat slowly against
+	// each other, the extra cycle is a quasi-static function of phase —
+	// not an independent coin flip per message — which is what keeps
+	// worst cases from compounding across INIT measurement and beacons.
+	// Typed, so the setup window is float64 arithmetic throughout.
+	cdcSetupFraction float64 = 0.15
+
+	// cdcJitterFs is the width of the metastability band around the
+	// setup threshold within which the outcome is genuinely random
+	// (200 ps).
+	cdcJitterFs int64 = 200_000
+)
+
 // cdcExtraTicks models the synchronization FIFO between the recovered
 // and local clock domains. Its base delay is the fill level latched at
 // link-up (constant for the session, like a PCS elastic buffer — this
@@ -484,19 +517,18 @@ func (p *Port) cdcCross(b phy.Block) {
 // window just before the capturing edge takes one extra cycle, with
 // true randomness only inside a narrow metastability band.
 func (p *Port) cdcExtraCycles(now simTime) int {
-	cfg := p.cfg()
-	if cfg.CDCMaxExtraTicks <= 0 {
+	if p.cfg().CDCMaxExtraTicks <= 0 {
 		return 0
 	}
 	clk := p.dev.clock
 	nextEdge := clk.TimeOfCount(p.nextCycleTick(clk.CounterAt(now) + 1))
 	residFs := (nextEdge - now).Fs()
-	setupFs := int64(cfg.CDCSetupFraction * float64(clk.PeriodFs()) * float64(p.pd))
+	setupFs := int64(cdcSetupFraction * float64(clk.PeriodFs()) * float64(p.pd))
 	extra := 0
 	switch {
-	case residFs < setupFs-cfg.CDCJitterFs:
+	case residFs < setupFs-cdcJitterFs:
 		extra = 1
-	case residFs < setupFs+cfg.CDCJitterFs:
+	case residFs < setupFs+cdcJitterFs:
 		extra = p.rng.IntN(2) // metastable: either outcome
 	}
 	return p.cdcFill + extra
@@ -523,7 +555,7 @@ func (p *Port) process(m phy.Message) {
 		// processed. Together with α = 3 this biases the measured OWD
 		// to transit-1..transit, the regime the §3.3 analysis assumes.
 		echo := m.Payload
-		p.transmitNow(p.cfg().AckTurnaroundTicks, phy.MsgInitAck, func() uint64 { return echo })
+		p.transmitNow(ackTurnaroundTicks, phy.MsgInitAck, func() uint64 { return echo })
 		// A peer that probes us while we are backed off has just come
 		// back: drop the backoff and start a fresh full-rate round now
 		// instead of waiting out an inflated retry timer. Loop-safe —
@@ -622,7 +654,7 @@ func (p *Port) finishInit() {
 	}
 	// Announce our counter for max-agreement, then start beacons and
 	// the beacon-loss watchdog.
-	p.sch().After(p.cycleDur(int(cfg.JoinDelayTicks)), p.sendJoinPair)
+	p.sch().After(p.cycleDur(joinDelayTicks), p.sendJoinPair)
 	p.scheduleBeacons(p.dev.clock.Counter() / p.pd)
 	p.lastRx = p.sch().Now()
 	p.scheduleWatchdog()
@@ -755,24 +787,27 @@ func (p *Port) recordViolation() {
 
 // Demotion reasons carried in KindPortDemoted trace events.
 const (
-	demoteBeaconLoss     = 0 // peer silent for BeaconTimeoutIntervals
+	demoteBeaconLoss     = 0 // peer silent for beaconTimeoutIntervals
 	demoteFaultyCooldown = 1 // faulty mark outlived FaultyCooldownTicks
 	demoteQuarantine     = 2 // quarantine cooldown expired: re-INIT escape hatch
 )
 
+// beaconTimeoutIntervals is the beacon-loss watchdog: a SYNCED port that
+// hears nothing from its peer for this many beacon intervals demotes
+// itself back to INIT and re-measures the delay, instead of free-running
+// forever against a silently dead peer (a grey failure an explicit
+// link-down never reports).
+const beaconTimeoutIntervals = 50
+
 // scheduleWatchdog arms the beacon-loss watchdog: while SYNCED, the port
-// checks every BeaconTimeoutIntervals beacon intervals that the peer has
+// checks every beaconTimeoutIntervals beacon intervals that the peer has
 // said *something*. A peer that is nominally up but silent — a grey
 // failure the link layer never reports — would otherwise leave this port
 // free-running in SYNCED forever, consuming drift with no resync. The
 // same sweep retires stale faulty marks when FaultyCooldownTicks is set.
 func (p *Port) scheduleWatchdog() {
-	cfg := p.cfg()
-	if cfg.BeaconTimeoutIntervals <= 0 {
-		return
-	}
 	p.watchEvent.Cancel()
-	period := p.cycleDur(int(cfg.BeaconIntervalTicks) * cfg.BeaconTimeoutIntervals)
+	period := p.cycleDur(int(p.cfg().BeaconIntervalTicks) * beaconTimeoutIntervals)
 	// The silence threshold rides in the event payload: it must be the
 	// period as computed when the sweep was armed, not re-derived at
 	// fire time from a possibly-wandered oscillator rate.

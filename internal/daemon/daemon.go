@@ -28,28 +28,31 @@ type Config struct {
 	// CalInterval is how often the daemon reads the NIC counter over
 	// PCIe to recalibrate (paper: about once per second).
 	CalInterval sim.Time
-	// PCIeMedian / PCIeSigma parameterize the lognormal MMIO read
-	// round-trip latency.
-	PCIeMedian sim.Time
-	PCIeSigma  float64
+	// PCIeSigma is the shape of the lognormal MMIO read round-trip
+	// latency around pcieMedian.
+	PCIeSigma float64
 	// PCIeSpikeP is the probability a read hits bus contention and
-	// takes PCIeSpike extra — the spikes visible in Figure 7a.
+	// takes up to pcieSpike extra — the spikes visible in Figure 7a.
 	PCIeSpikeP float64
-	PCIeSpike  sim.Time
-	// TSCPPM is the half-range of the CPU TSC frequency error relative
-	// to nominal; invariant TSCs are stable but not perfectly accurate.
-	TSCPPM float64
 }
+
+// The host hardware no experiment varies.
+const (
+	// pcieMedian is the median of the lognormal MMIO read round-trip
+	// latency; pcieSpike is the most a contended read adds.
+	pcieMedian = 450 * sim.Nanosecond
+	pcieSpike  = 1500 * sim.Nanosecond
+	// tscPPM is the half-range of the CPU TSC frequency error relative
+	// to nominal; invariant TSCs are stable but not perfectly accurate.
+	tscPPM = 20
+)
 
 // DefaultConfig matches the paper's setup.
 func DefaultConfig() Config {
 	return Config{
 		CalInterval: sim.Second,
-		PCIeMedian:  450 * sim.Nanosecond,
 		PCIeSigma:   0.15,
 		PCIeSpikeP:  0.005,
-		PCIeSpike:   1500 * sim.Nanosecond,
-		TSCPPM:      20,
 	}
 }
 
@@ -132,7 +135,7 @@ func Attach(dev *core.Device, o Options, seed uint64) (*Daemon, error) {
 	rng := sim.NewRNG(seed, fmt.Sprintf("daemon/%s", dev.Name()))
 	d := &Daemon{
 		dev: dev, sch: sch, rng: rng, cfg: cfg,
-		tsc:          swclock.New(sch, rng.Uniform(-cfg.TSCPPM, cfg.TSCPPM)),
+		tsc:          swclock.New(sch, rng.Uniform(-tscPPM, tscPPM)),
 		disc:         disc,
 		nominal:      nominal,
 		lastRestarts: dev.Restarts(),
@@ -188,10 +191,10 @@ func (d *Daemon) Calibrations() uint64 { return d.calCount }
 
 // readLatency draws one PCIe MMIO round-trip.
 func (d *Daemon) readLatency() sim.Time {
-	ns := d.rng.LogNormal(math.Log(float64(d.cfg.PCIeMedian)), d.cfg.PCIeSigma)
+	ns := d.rng.LogNormal(math.Log(float64(pcieMedian)), d.cfg.PCIeSigma)
 	lat := sim.Time(ns)
 	if d.rng.Bool(d.cfg.PCIeSpikeP) {
-		lat += d.rng.UniformTime(0, d.cfg.PCIeSpike)
+		lat += d.rng.UniformTime(0, pcieSpike)
 	}
 	return lat
 }

@@ -24,7 +24,7 @@ type AlphaRow struct {
 // which drives the global counter faster than any oscillator. Points
 // fan out across o.Jobs workers and merge in input order.
 func AblationAlpha(o Options, alphas []int64) ([]AlphaRow, error) {
-	o = o.withDefaults(sim.Second, 100*sim.Microsecond)
+	o = o.withDefaults(sim.Second)
 	return par.Map(o.Jobs, len(alphas), func(i int) (AlphaRow, error) {
 		a := alphas[i]
 		sch := sim.NewScheduler()
@@ -40,7 +40,7 @@ func AblationAlpha(o Options, alphas []int64) ([]AlphaRow, error) {
 		start := n.Devices[0].GlobalCounter()
 		t0 := sch.Now()
 		var worst int64
-		sampleFor(sch, o, func() {
+		sampleFor(sch, o, 100*sim.Microsecond, func() {
 			worst = absMax(worst, n.TrueOffsetUnits(0, 1))
 		})
 		gained := float64(n.Devices[0].GlobalCounter() - start)
@@ -63,7 +63,7 @@ type BeaconIntervalRow struct {
 // operating points and beyond the 5000-tick analysis limit. Points fan
 // out across o.Jobs workers and merge in input order.
 func AblationBeaconInterval(o Options, intervals []uint64) ([]BeaconIntervalRow, error) {
-	o = o.withDefaults(sim.Second, 100*sim.Microsecond)
+	o = o.withDefaults(sim.Second)
 	return par.Map(o.Jobs, len(intervals), func(i int) (BeaconIntervalRow, error) {
 		iv := intervals[i]
 		sch := sim.NewScheduler()
@@ -78,7 +78,7 @@ func AblationBeaconInterval(o Options, intervals []uint64) ([]BeaconIntervalRow,
 		n.Start()
 		sch.Run(10 * sim.Millisecond)
 		var worst int64
-		sampleFor(sch, o, func() {
+		sampleFor(sch, o, 100*sim.Microsecond, func() {
 			worst = absMax(worst, n.TrueOffsetUnits(0, 1))
 		})
 		return BeaconIntervalRow{IntervalTicks: iv, MaxOffsetTicks: worst}, nil
@@ -104,7 +104,7 @@ type SyncEResult struct {
 
 // AblationSyncE measures the §8 prediction on the paper tree.
 func AblationSyncE(o Options) (*SyncEResult, error) {
-	o = o.withDefaults(sim.Second, 200*sim.Microsecond)
+	o = o.withDefaults(sim.Second)
 	run := func(syntonized bool) (spread, worst int64, err error) {
 		sch := sim.NewScheduler()
 		cfg := core.DefaultConfig()
@@ -125,7 +125,7 @@ func AblationSyncE(o Options) (*SyncEResult, error) {
 		sch.Run(10 * sim.Millisecond)
 		var min, max int64
 		first := true
-		sampleFor(sch, o, func() {
+		sampleFor(sch, o, 200*sim.Microsecond, func() {
 			v := n.TrueOffsetUnits(4, 11) // two leaves, 4 hops apart
 			if first || v < min {
 				min = v
@@ -165,7 +165,7 @@ type MixedSpeedRow struct {
 // GbE, counters in common base units (§7, Table 2's Delta column).
 // Points fan out across o.Jobs workers and merge in speed order.
 func MixedSpeedSweep(o Options) ([]MixedSpeedRow, error) {
-	o = o.withDefaults(500*sim.Millisecond, 50*sim.Microsecond)
+	o = o.withDefaults(500 * sim.Millisecond)
 	coreSpeeds := []phy.Speed{phy.Speed1G, phy.Speed10G, phy.Speed40G, phy.Speed100G}
 	return par.Map(o.Jobs, len(coreSpeeds), func(i int) (MixedSpeedRow, error) {
 		coreSpeed := coreSpeeds[i]
@@ -180,13 +180,10 @@ func MixedSpeedSweep(o Options) ([]MixedSpeedRow, error) {
 		sch.Run(10 * sim.Millisecond)
 		last := len(n.Devices) - 1
 		var worst int64
-		sampleFor(sch, o, func() {
+		sampleFor(sch, o, 50*sim.Microsecond, func() {
 			worst = absMax(worst, n.TrueOffsetUnits(0, last))
 		})
-		bound := int64(0)
-		for j := 0; j < 3; j++ {
-			bound += 4 * phy.ProfileFor(speeds[j]).Delta
-		}
+		bound := n.BoundUnits()
 		return MixedSpeedRow{
 			Core: coreSpeed, MaxUnits: worst, BoundUnits: bound,
 			MaxNs:   float64(worst) * float64(phy.BaseTickFs) / 1e6,
@@ -212,7 +209,7 @@ type MasterModeResult struct {
 // AblationMasterMode runs a 4-hop chain with a deliberately slow master
 // (h0 at -100 ppm) and fast followers, in both coupling modes.
 func AblationMasterMode(o Options) (*MasterModeResult, error) {
-	o = o.withDefaults(sim.Second, 100*sim.Microsecond)
+	o = o.withDefaults(sim.Second)
 	ppm := map[string]float64{"h0": -100, "sw1": 60, "sw2": 100, "sw3": -20, "h1": 80}
 	run := func(master bool) (int64, float64, error) {
 		sch := sim.NewScheduler()
@@ -231,7 +228,7 @@ func AblationMasterMode(o Options) (*MasterModeResult, error) {
 		start := n.Devices[last].GlobalCounter()
 		t0 := sch.Now()
 		var worst int64
-		sampleFor(sch, o, func() {
+		sampleFor(sch, o, 100*sim.Microsecond, func() {
 			if v := n.MaxAdjacentOffset(); v > worst {
 				worst = v
 			}
@@ -268,7 +265,7 @@ type CDCRow struct {
 // measurement and the offset envelope. Points fan out across o.Jobs
 // workers and merge in input order.
 func AblationCDC(o Options, depths []int) ([]CDCRow, error) {
-	o = o.withDefaults(sim.Second, 100*sim.Microsecond)
+	o = o.withDefaults(sim.Second)
 	return par.Map(o.Jobs, len(depths), func(i int) (CDCRow, error) {
 		depth := depths[i]
 		sch := sim.NewScheduler()
@@ -289,7 +286,7 @@ func AblationCDC(o Options, depths []int) ([]CDCRow, error) {
 			owdMax = d
 		}
 		var worst int64
-		sampleFor(sch, o, func() {
+		sampleFor(sch, o, 100*sim.Microsecond, func() {
 			worst = absMax(worst, n.TrueOffsetUnits(0, 1))
 		})
 		return CDCRow{

@@ -45,7 +45,7 @@ func bcChain(levels int) topo.Graph {
 // of boundary clocks (§2.4.2: "precision errors from Boundary clocks
 // can be cascaded to low-level components of the timing hierarchy").
 func AblationBCCascade(o Options, maxLevels int) ([]BCCascadeRow, error) {
-	o = o.withDefaults(2*sim.Second, 10*sim.Millisecond)
+	o = o.withDefaults(2 * sim.Second)
 	var rows []BCCascadeRow
 	for levels := 0; levels <= maxLevels; levels++ {
 		sch := sim.NewScheduler()
@@ -78,7 +78,7 @@ func AblationBCCascade(o Options, maxLevels int) ([]BCCascadeRow, error) {
 		sch.Run(sim.Time(2+levels) * sim.Second)
 		worst := 0.0
 		sum := statsAbs{}
-		sampleFor(sch, o, func() {
+		sampleFor(sch, o, 10*sim.Millisecond, func() {
 			off := math.Abs(leaf.OffsetToMasterPs()) / 1000
 			if off > worst {
 				worst = off

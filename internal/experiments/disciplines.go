@@ -88,7 +88,7 @@ func disciplineScenarios() []disciplineScenario {
 // convergence and steady-state precision. It is the experiment behind
 // `dtpexp -sweep disciplines` and the DESIGN.md comparison table.
 func DisciplineSweep(o Options) ([]DisciplineRow, error) {
-	o = o.withDefaults(3*sim.Second, 0)
+	o = o.withDefaults(3 * sim.Second)
 	kinds := discipline.Kinds()
 	scenarios := disciplineScenarios()
 	type combo struct {

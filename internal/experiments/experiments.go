@@ -22,8 +22,6 @@ type Options struct {
 	// Duration is the measurement window in simulated time (after
 	// settling). Zero selects a per-experiment default.
 	Duration sim.Time
-	// SamplePeriod is the offset sampling cadence. Zero = default.
-	SamplePeriod sim.Time
 	// Jobs is the worker-pool width for sweeps whose points are
 	// independent simulations (<= 0 selects GOMAXPROCS). Results are
 	// merged in point order, so the output is identical for any value.
@@ -34,26 +32,23 @@ type Options struct {
 	Discipline discipline.Config
 }
 
-func (o Options) withDefaults(dur, sample sim.Time) Options {
+func (o Options) withDefaults(dur sim.Time) Options {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 	if o.Duration == 0 {
 		o.Duration = dur
 	}
-	if o.SamplePeriod == 0 {
-		o.SamplePeriod = sample
-	}
 	return o
 }
 
-// sampleFor advances the scheduler through o.Duration in o.SamplePeriod
-// steps and calls sample after each: the loop every table and figure
-// measures with.
-func sampleFor(sch *sim.Scheduler, o Options, sample func()) {
+// sampleFor advances the scheduler through o.Duration in steps of
+// period, the experiment's offset sampling cadence, and calls sample
+// after each: the loop every table and figure measures with.
+func sampleFor(sch *sim.Scheduler, o Options, period sim.Time, sample func()) {
 	end := sch.Now() + o.Duration
 	for sch.Now() < end {
-		sch.RunFor(o.SamplePeriod)
+		sch.RunFor(period)
 		sample()
 	}
 }
@@ -97,7 +92,7 @@ var figPairs = []string{
 // runDTPFig is the shared engine of Figures 6a–c: the paper tree under
 // saturating load, beacons confined to interpacket gaps.
 func runDTPFig(o Options, frameOctets int, beaconInterval uint64) (*DTPFigResult, error) {
-	o = o.withDefaults(2*sim.Second, 250*sim.Microsecond)
+	o = o.withDefaults(2 * sim.Second)
 	sch := sim.NewScheduler()
 	cfg := core.DefaultConfig()
 	cfg.BeaconIntervalTicks = beaconInterval
@@ -144,7 +139,7 @@ func runDTPFig(o Options, frameOctets int, beaconInterval uint64) (*DTPFigResult
 	n.SetGateAll(func(p *core.Port) core.TxGate {
 		return core.NewSaturatedGate(frameOctets, 0)
 	})
-	sampleFor(sch, o, func() {
+	sampleFor(sch, o, 250*sim.Microsecond, func() {
 		if t := n.MaxAdjacentOffset(); t > res.MaxTrueTicks {
 			res.MaxTrueTicks = t
 		}
@@ -173,6 +168,6 @@ func Fig6b(o Options) (*DTPFigResult, error) {
 // (pairs s3-s9, s3-s10, s3-s11, s3-s0) over a long heavily loaded run
 // with beacon interval 1200.
 func Fig6c(o Options) (*DTPFigResult, error) {
-	o = o.withDefaults(4*sim.Second, 250*sim.Microsecond)
+	o = o.withDefaults(4 * sim.Second)
 	return runDTPFig(o, 9022, 1200)
 }

@@ -33,7 +33,7 @@ const daemonCompression = 100
 // within ±16 ticks with occasional spikes (7a); within ±4 ticks after a
 // 10-sample moving average (7b).
 func Fig7(o Options) (*DaemonFigResult, error) {
-	o = o.withDefaults(5*sim.Second, 0)
+	o = o.withDefaults(5 * sim.Second)
 	sch := sim.NewScheduler()
 	n, err := core.NewNetwork(sch, o.Seed, topo.PaperTree(), core.DefaultConfig())
 	if err != nil {

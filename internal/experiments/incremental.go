@@ -65,8 +65,9 @@ func mergedGraph(hostsPerRack int) topo.Graph {
 // DTP racks + PTP between rack masters) and the full deployment (one
 // DTP network), reporting the three precision regimes.
 func IncrementalDeployment(o Options) (*IncrementalResult, error) {
-	o = o.withDefaults(2*sim.Second, 10*sim.Millisecond)
+	o = o.withDefaults(2 * sim.Second)
 	const hostsPerRack = 4
+	const period = 10 * sim.Millisecond
 	res := &IncrementalResult{}
 
 	// ---- Phase 1: per-rack DTP, PTP across racks. -------------------
@@ -114,7 +115,7 @@ func IncrementalDeployment(o Options) (*IncrementalResult, error) {
 		masterErrNs := masters[r].OffsetToMasterPs() / 1000
 		return masterErrNs + float64(deltaTicks)*tickNs
 	}
-	sampleFor(sch, o, func() {
+	sampleFor(sch, o, period, func() {
 		for r := 0; r < 2; r++ {
 			for i := 0; i < hostsPerRack; i++ {
 				for j := i + 1; j < hostsPerRack; j++ {
@@ -146,12 +147,10 @@ func IncrementalDeployment(o Options) (*IncrementalResult, error) {
 	if !merged.AllSynced() {
 		return nil, fmt.Errorf("experiments: merged network failed to sync")
 	}
-	end2 := sch2.Now() + o.Duration
-	for sch2.Now() < end2 {
-		sch2.RunFor(o.SamplePeriod)
+	sampleFor(sch2, o, period, func() {
 		if d := float64(merged.MaxPairwiseOffset()) * tickNs; d > res.MergedWorstNs {
 			res.MergedWorstNs = d
 		}
-	}
+	})
 	return res, nil
 }

@@ -51,7 +51,7 @@ const ptpCompression = 50
 // style grandmaster and eight clients behind one cut-through switch
 // with realistic transparent clocks.
 func RunPTP(o Options, load PTPLoad) (*PTPFigResult, error) {
-	o = o.withDefaults(3*sim.Second, 10*sim.Millisecond)
+	o = o.withDefaults(3 * sim.Second)
 	sch := sim.NewScheduler()
 	g := topo.Star(8)
 	fcfg := fabric.DefaultConfig()
@@ -101,7 +101,7 @@ func RunPTP(o Options, load PTPLoad) (*PTPFigResult, error) {
 		res.ClientSummaries[name] = stats.NewSummary(0)
 		res.ClientSeries[name] = stats.NewSeries(20_000)
 	}
-	sampleFor(sch, o, func() {
+	sampleFor(sch, o, 10*sim.Millisecond, func() {
 		for name, c := range clients {
 			offNs := c.OffsetToMasterPs() / 1000
 			res.ClientSummaries[name].Add(offNs)

@@ -30,7 +30,7 @@ type Table1Row struct {
 // Table1 runs all four protocols and reports their measured worst-case
 // precision alongside the paper's qualitative entries.
 func Table1(o Options) ([]Table1Row, error) {
-	o = o.withDefaults(2*sim.Second, 10*sim.Millisecond)
+	o = o.withDefaults(2 * sim.Second)
 
 	// --- NTP: star LAN, software timestamps. ---
 	ntpWorst, err := runNTPWorst(o)
@@ -74,7 +74,7 @@ func runNTPWorst(o Options) (float64, error) {
 	}
 	sch.Run(20 * sim.Second) // converge
 	worst := 0.0
-	sampleFor(sch, o, func() {
+	sampleFor(sch, o, 10*sim.Millisecond, func() {
 		for _, c := range clients {
 			worst = absMax(worst, c.OffsetToServerPs()/1000)
 		}
@@ -118,7 +118,7 @@ type Table2Row struct {
 // The per-speed runs are independent simulations and fan out across
 // o.Jobs workers; rows merge in profile order.
 func Table2(o Options) ([]Table2Row, error) {
-	o = o.withDefaults(500*sim.Millisecond, 20*sim.Microsecond)
+	o = o.withDefaults(500 * sim.Millisecond)
 	return par.Map(o.Jobs, len(phy.Profiles), func(i int) (Table2Row, error) {
 		p := phy.Profiles[i]
 		row := Table2Row{Profile: p, BoundNs: 4 * float64(p.PeriodFs) / 1e6}
@@ -150,7 +150,7 @@ func runSpeedPair(o Options, p phy.Profile) (float64, error) {
 		return 0, fmt.Errorf("experiments: %v pair failed to sync", p.Speed)
 	}
 	var worst int64
-	sampleFor(sch, o, func() {
+	sampleFor(sch, o, 20*sim.Microsecond, func() {
 		worst = absMax(worst, n.TrueOffsetUnits(0, 1))
 	})
 	// units -> ns: each unit is BaseTick (0.32 ns).
@@ -174,7 +174,7 @@ type BoundSweepRow struct {
 // simulation; the sweep fans out across o.Jobs workers and merges rows
 // in hop order.
 func BoundSweep(o Options, maxHops int) ([]BoundSweepRow, error) {
-	o = o.withDefaults(500*sim.Millisecond, 100*sim.Microsecond)
+	o = o.withDefaults(500 * sim.Millisecond)
 	return par.Map(o.Jobs, maxHops, func(i int) (BoundSweepRow, error) {
 		hops := i + 1
 		sch := sim.NewScheduler()
@@ -186,10 +186,10 @@ func BoundSweep(o Options, maxHops int) ([]BoundSweepRow, error) {
 		sch.Run(10 * sim.Millisecond)
 		last := len(n.Devices) - 1
 		var worst int64
-		sampleFor(sch, o, func() {
+		sampleFor(sch, o, 100*sim.Microsecond, func() {
 			worst = absMax(worst, n.TrueOffsetUnits(0, last))
 		})
-		bound := int64(4 * hops)
+		bound := n.BoundUnits()
 		return BoundSweepRow{
 			Hops: hops, MaxTicks: worst, BoundTicks: bound,
 			WithinBound: worst <= bound,
@@ -215,7 +215,7 @@ type PTPAblationResult struct {
 // is attributable to imperfect transparent clocks, and how much strict
 // priority queueing recovers.
 func AblationTCModes(o Options) (*PTPAblationResult, error) {
-	o = o.withDefaults(2*sim.Second, 10*sim.Millisecond)
+	o = o.withDefaults(2 * sim.Second)
 	run := func(mode fabric.TCMode, priority bool) (float64, error) {
 		sch := sim.NewScheduler()
 		g := topo.Star(8)
@@ -247,7 +247,7 @@ func AblationTCModes(o Options) (*PTPAblationResult, error) {
 			fabric.NewSprayGen(net, src, nodes, 9.0, 32, o.Seed+200+uint64(i)).Start()
 		}
 		worst := stats.NewSummary(0)
-		sampleFor(sch, o, func() {
+		sampleFor(sch, o, 10*sim.Millisecond, func() {
 			for _, c := range clients {
 				worst.Add(c.OffsetToMasterPs() / 1000)
 			}

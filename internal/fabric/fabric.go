@@ -38,20 +38,12 @@ const (
 
 // Config describes the fabric hardware.
 type Config struct {
-	// Profile sets the line rate of every link (default 10 GbE).
-	Profile phy.Profile
 	// QueueCapBytes is the egress queue capacity per port.
 	QueueCapBytes int
 	// CutThrough selects cut-through switching (the paper's IBM G8264
 	// is cut-through, which is known to behave well for PTP) instead of
 	// store-and-forward.
 	CutThrough bool
-	// ProcDelay is the switch pipeline latency from ingress decision to
-	// egress enqueue.
-	ProcDelay sim.Time
-	// HeaderBytes is how much of a frame a cut-through switch must
-	// receive before forwarding begins.
-	HeaderBytes int
 	// TC selects the transparent-clock model for PTP event frames.
 	TC TCMode
 	// TCQuantNs is the transparent clock's timestamp resolution in
@@ -67,16 +59,25 @@ type Config struct {
 	PTPPriority bool
 }
 
-// DefaultConfig returns a 10 GbE fabric with a 1 MiB egress queue and
-// cut-through switching with a ~500 ns pipeline, transparent clocks in
-// the realistic mode.
+// The switch hardware no experiment varies.
+const (
+	// procDelay is the switch pipeline latency from ingress decision to
+	// egress enqueue.
+	procDelay = 500 * sim.Nanosecond
+	// headerBytes is how much of a frame a cut-through switch must
+	// receive before forwarding begins.
+	headerBytes = 64
+)
+
+// profile sets the line rate of every link: 10 GbE.
+var profile = phy.ProfileFor(phy.Speed10G)
+
+// DefaultConfig returns a fabric with a 1 MiB egress queue, cut-through
+// switching and transparent clocks in the realistic mode.
 func DefaultConfig() Config {
 	return Config{
-		Profile:       phy.ProfileFor(phy.Speed10G),
 		QueueCapBytes: 1 << 20,
 		CutThrough:    true,
-		ProcDelay:     500 * sim.Nanosecond,
-		HeaderBytes:   64,
 		TC:            TCRealistic,
 		TCQuantNs:     8,
 	}
@@ -128,9 +129,6 @@ type egressPort struct {
 func New(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config) (*Network, error) {
 	if err := graph.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Profile.PeriodFs == 0 {
-		return nil, fmt.Errorf("fabric: config has no PHY profile")
 	}
 	if cfg.QueueCapBytes <= 0 {
 		return nil, fmt.Errorf("fabric: queue capacity must be positive")
@@ -278,13 +276,13 @@ func (p *egressPort) startTx() {
 		f.CorrectionPs += int64(now - f.TCIngress)
 		f.TCPending = false
 	}
-	ser := n.cfg.Profile.ByteTime(f.Size)
+	ser := profile.ByteTime(f.Size)
 	// First bit hits the wire now; the receiver sees it after the
 	// propagation delay and decides when the frame is usable.
 	p.wire.Send(func() { n.elements[p.peerNode].firstBitArrival(f, ser) })
 	// Serialization complete: the port may start the next frame after
 	// the minimum interpacket gap.
-	ipg := n.cfg.Profile.ByteTime(phy.MinInterpacketIdles)
+	ipg := profile.ByteTime(phy.MinInterpacketIdles)
 	n.Sch.After(ser+ipg, func() {
 		p.busy = false
 		if len(p.queue) > 0 || len(p.prio) > 0 {
@@ -306,13 +304,13 @@ func (el *element) firstBitArrival(f *eth.Frame, ser sim.Time) {
 	// (store-and-forward), plus pipeline delay.
 	wait := ser
 	if n.cfg.CutThrough {
-		wait = n.cfg.Profile.ByteTime(n.cfg.HeaderBytes)
+		wait = profile.ByteTime(headerBytes)
 		if wait > ser {
 			wait = ser
 		}
 	}
 	ingress := n.Sch.Now()
-	n.Sch.After(wait+n.cfg.ProcDelay, func() {
+	n.Sch.After(wait+procDelay, func() {
 		f.Hops++
 		egress := el.portToward(f.Dst)
 		if egress == nil {

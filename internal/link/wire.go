@@ -136,27 +136,11 @@ func (w *Wire) SetLossP(p float64) {
 	w.lossP = p
 }
 
-// SendBlock transmits a 66-bit PCS block: the receiver callback fires
-// after the propagation delay with the (possibly corrupted) block, or
-// never if the block was lost to an injected grey failure.
-func (w *Wire) SendBlock(b phy.Block, deliver func(phy.Block)) {
-	w.sent++
-	if w.lossP > 0 && w.rng.Bool(w.lossP) {
-		w.dropped++
-		return
-	}
-	if w.blockErrP > 0 && w.rng.Bool(w.blockErrP) {
-		b = w.flipRandomBit(b)
-		w.corrupted++
-	}
-	w.sch.After(w.cfg.Delay, func() { deliver(b) })
-}
-
-// SendBlockActor is SendBlock for the zero-alloc beacon hot path: the
-// block rides in the event payload (a = 64 payload bits, b = sync
-// byte) and the receiver is an actor, so no closure is captured. RNG
-// draws are gated on the same probabilities as SendBlock, keeping the
-// per-wire draw sequence byte-identical between the two entry points.
+// SendBlockActor transmits a 66-bit PCS block: the receiving actor's
+// event fires after the propagation delay with the (possibly corrupted)
+// block, or never if the block was lost to an injected grey failure.
+// The block rides in the event payload (a = 64 payload bits, b = sync
+// byte), so the beacon hot path captures no closure.
 func (w *Wire) SendBlockActor(b phy.Block, act sim.Actor, code uint8) {
 	w.sent++
 	if w.lossP > 0 && w.rng.Bool(w.lossP) {

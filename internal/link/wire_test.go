@@ -21,12 +21,12 @@ func TestSendBlockDelay(t *testing.T) {
 	w := mustNew(t, sch, sim.NewRNG(1, "wire"), Config{Delay: 50 * sim.Nanosecond})
 	var arrived sim.Time
 	b := phy.IdleBlock()
-	w.SendBlock(b, func(got phy.Block) {
+	w.SendBlockActor(b, blockSink(func(got phy.Block) {
 		arrived = sch.Now()
 		if got != b {
 			t.Error("block corrupted on error-free wire")
 		}
-	})
+	}), 0)
 	sch.Run(sim.Microsecond)
 	if arrived != 50*sim.Nanosecond {
 		t.Fatalf("arrival at %v, want 50ns", arrived)
@@ -49,11 +49,11 @@ func TestZeroBERNeverCorrupts(t *testing.T) {
 	w := mustNew(t, sch, sim.NewRNG(1, "wire"), Config{Delay: 1})
 	for i := 0; i < 1000; i++ {
 		b := phy.Codec{}.EmbedMessage(phy.Message{Type: phy.MsgBeacon, Payload: uint64(i)})
-		w.SendBlock(b, func(got phy.Block) {
+		w.SendBlockActor(b, blockSink(func(got phy.Block) {
 			if got != b {
 				t.Error("corruption at BER 0")
 			}
-		})
+		}), 0)
 		sch.RunFor(sim.Nanosecond)
 	}
 	if _, c := w.Stats(); c != 0 {
@@ -69,11 +69,11 @@ func TestHighBERCorruptsAboutExpectedRate(t *testing.T) {
 	diffs := 0
 	for i := 0; i < n; i++ {
 		b := phy.IdleBlock()
-		w.SendBlock(b, func(got phy.Block) {
+		w.SendBlockActor(b, blockSink(func(got phy.Block) {
 			if got != b {
 				diffs++
 			}
-		})
+		}), 0)
 		sch.RunFor(sim.Nanosecond)
 	}
 	frac := float64(diffs) / float64(n)
@@ -92,7 +92,7 @@ func TestCorruptionFlipsExactlyOneBit(t *testing.T) {
 	sawSyncFlip := false
 	for i := 0; i < 5000; i++ {
 		b := phy.IdleBlock()
-		w.SendBlock(b, func(got phy.Block) {
+		w.SendBlockActor(b, blockSink(func(got phy.Block) {
 			if got == b {
 				return
 			}
@@ -104,7 +104,7 @@ func TestCorruptionFlipsExactlyOneBit(t *testing.T) {
 			if syncDiff == 1 {
 				sawSyncFlip = true
 			}
-		})
+		}), 0)
 		sch.RunFor(sim.Nanosecond)
 	}
 	if !sawSyncFlip {
@@ -127,6 +127,13 @@ func popcount64(v uint64) int {
 	}
 	return n
 }
+
+// blockSink is a recording sim.Actor: it rebuilds the block from the
+// event payload, as core.Port does, and hands it to the test. The tests
+// drive SendBlockActor because that is the path production takes.
+type blockSink func(phy.Block)
+
+func (f blockSink) OnEvent(_ uint8, a, b uint64) { f(phy.Block{Sync: byte(b), Payload: a}) }
 
 func mustNew(t *testing.T, sch *sim.Scheduler, rng *sim.RNG, cfg Config) *Wire {
 	t.Helper()
@@ -153,11 +160,11 @@ func TestSetBERRuntimeMutation(t *testing.T) {
 	send := func(n int, dirtyCount *int) {
 		for i := 0; i < n; i++ {
 			b := phy.IdleBlock()
-			w.SendBlock(b, func(got phy.Block) {
+			w.SendBlockActor(b, blockSink(func(got phy.Block) {
 				if got != b {
 					*dirtyCount++
 				}
-			})
+			}), 0)
 			sch.RunFor(sim.Nanosecond)
 		}
 	}
@@ -184,11 +191,11 @@ func TestSetDelayRuntimeMutation(t *testing.T) {
 	// A block already in flight keeps its launch delay.
 	var first, second sim.Time
 	start := sch.Now()
-	w.SendBlock(phy.IdleBlock(), func(phy.Block) { first = sch.Now() - start })
+	w.SendBlockActor(phy.IdleBlock(), blockSink(func(phy.Block) { first = sch.Now() - start }), 0)
 	if err := w.SetDelay(200 * sim.Nanosecond); err != nil {
 		t.Fatal(err)
 	}
-	w.SendBlock(phy.IdleBlock(), func(phy.Block) { second = sch.Now() - start })
+	w.SendBlockActor(phy.IdleBlock(), blockSink(func(phy.Block) { second = sch.Now() - start }), 0)
 	sch.Run(sim.Microsecond)
 	if first != 50*sim.Nanosecond {
 		t.Fatalf("in-flight block arrived after %v, want 50ns", first)
@@ -207,7 +214,7 @@ func TestSetLossDropsBlocks(t *testing.T) {
 	w.SetLossP(1)
 	delivered := 0
 	for i := 0; i < 100; i++ {
-		w.SendBlock(phy.IdleBlock(), func(phy.Block) { delivered++ })
+		w.SendBlockActor(phy.IdleBlock(), blockSink(func(phy.Block) { delivered++ }), 0)
 		w.Send(func() { delivered++ })
 	}
 	sch.Run(sim.Microsecond)
@@ -218,7 +225,7 @@ func TestSetLossDropsBlocks(t *testing.T) {
 		t.Fatalf("dropped = %d, want 200", w.Dropped())
 	}
 	w.SetLossP(0)
-	w.SendBlock(phy.IdleBlock(), func(phy.Block) { delivered++ })
+	w.SendBlockActor(phy.IdleBlock(), blockSink(func(phy.Block) { delivered++ }), 0)
 	sch.Run(2 * sim.Microsecond)
 	if delivered != 1 {
 		t.Fatal("block lost after loss cleared")

@@ -23,32 +23,35 @@ type Config struct {
 	// PollInterval is the client's request cadence (LAN deployments
 	// poll every 16–64 s; compress for simulation).
 	PollInterval sim.Time
-	// StackMedianUs / StackSigma parameterize the lognormal software
-	// timestamping latency at each of the four timestamp points:
-	// syscall, kernel buffering, DMA and interrupt scheduling (§2.3.2).
+	// StackMedianUs is the median of the lognormal software
+	// timestamping latency (shape stackSigma) at each of the four
+	// timestamp points: syscall, kernel buffering, DMA and interrupt
+	// scheduling (§2.3.2).
 	StackMedianUs float64
-	StackSigma    float64
-	// FilterWindow is the clock-filter depth (RFC 5905 uses 8).
-	FilterWindow int
-	// StepThresholdUs: offsets beyond this step the clock.
-	StepThresholdUs float64
-	// ServoGain is the fraction of the filtered offset slewed out per
-	// poll.
-	ServoGain float64
-	// PPMRange bounds the client system-clock oscillator error.
-	PPMRange float64
 }
+
+// A tuned LAN ntpd, as far as no experiment varies it. The floats are
+// typed so every product with one is float64 arithmetic.
+const (
+	// stackSigma is the shape of the lognormal stack latency.
+	stackSigma float64 = 0.7
+	// filterWindow is the clock-filter depth (RFC 5905 uses 8).
+	filterWindow = 8
+	// stepThresholdUs: offsets beyond this step the clock (128 ms,
+	// ntpd's step threshold).
+	stepThresholdUs float64 = 128_000
+	// servoGain is the fraction of the filtered offset slewed out per
+	// poll.
+	servoGain float64 = 0.5
+	// ppmRange bounds the client system-clock oscillator error.
+	ppmRange = 50
+)
 
 // DefaultConfig matches a tuned LAN ntpd.
 func DefaultConfig() Config {
 	return Config{
-		PollInterval:    16 * sim.Second,
-		StackMedianUs:   15,
-		StackSigma:      0.7,
-		FilterWindow:    8,
-		StepThresholdUs: 128_000, // 128 ms, ntpd's step threshold
-		ServoGain:       0.5,
-		PPMRange:        50,
+		PollInterval:  16 * sim.Second,
+		StackMedianUs: 15,
 	}
 }
 
@@ -91,7 +94,7 @@ func NewServer(n *fabric.Network, node int, cfg Config, seed uint64) *Server {
 
 // stackDelay models one software timestamping point.
 func stackDelay(rng *sim.RNG, cfg Config) sim.Time {
-	us := rng.LogNormal(math.Log(cfg.StackMedianUs), cfg.StackSigma)
+	us := rng.LogNormal(math.Log(cfg.StackMedianUs), stackSigma)
 	return sim.Time(us * float64(sim.Microsecond))
 }
 
@@ -146,7 +149,7 @@ func NewClient(n *fabric.Network, node, server int, cfg Config, seed uint64) *Cl
 	rng := sim.NewRNG(seed, fmt.Sprintf("ntp/client/%d", node))
 	c := &Client{
 		net: n, cfg: cfg, node: node, srv: server, rng: rng,
-		Clock: swclock.New(n.Sch, rng.Uniform(-cfg.PPMRange, cfg.PPMRange)),
+		Clock: swclock.New(n.Sch, rng.Uniform(-ppmRange, ppmRange)),
 	}
 	c.Clock.Step(rng.Uniform(-1e10, 1e10)) // ±10 ms initial error
 	n.Handle(node, eth.ProtoNTP, c.onResponse)
@@ -211,7 +214,7 @@ func (c *Client) onResponse(f *eth.Frame, rx sim.Time) {
 // apply runs the clock filter and adjusts the clock.
 func (c *Client) apply(offset, delay float64) {
 	c.filter = append(c.filter, sample{offset, delay})
-	if len(c.filter) > c.cfg.FilterWindow {
+	if len(c.filter) > filterWindow {
 		c.filter = c.filter[1:]
 	}
 	// Clock filter: the sample with minimum delay has the least
@@ -225,7 +228,7 @@ func (c *Client) apply(offset, delay float64) {
 	if c.OnSample != nil {
 		c.OnSample(best.offset)
 	}
-	if !c.synced || math.Abs(best.offset) > c.cfg.StepThresholdUs*1e6 {
+	if !c.synced || math.Abs(best.offset) > stepThresholdUs*1e6 {
 		c.Clock.Step(best.offset)
 		c.synced = true
 		c.steps++
@@ -237,7 +240,7 @@ func (c *Client) apply(offset, delay float64) {
 	// interval; at our timescales the end state is the same), and
 	// integrate a persistent frequency estimate. The direct phase term
 	// damps the otherwise oscillatory double-integrator.
-	corr := c.cfg.ServoGain * best.offset
+	corr := servoGain * best.offset
 	c.Clock.Step(corr)
 	// Samples still in the filter were measured against the
 	// pre-correction clock; re-reference them so the min-delay pick is
@@ -246,7 +249,7 @@ func (c *Client) apply(offset, delay float64) {
 		c.filter[i].offset -= corr
 	}
 	sec := c.cfg.PollInterval.Seconds()
-	ppb := c.Clock.AdjPPB() + 0.25*c.cfg.ServoGain*best.offset/1000/sec
+	ppb := c.Clock.AdjPPB() + 0.25*servoGain*best.offset/1000/sec
 	c.Clock.AdjFreq(clampF(ppb, -500_000, 500_000))
 }
 

@@ -57,8 +57,3 @@ func (bc *BoundaryClock) Stop() {
 	bc.Client.Stop()
 	bc.master.Stop()
 }
-
-// OffsetToTruePs is ground truth: the BC's PHC versus true time.
-func (bc *BoundaryClock) OffsetToTruePs() float64 {
-	return bc.Client.OffsetToMasterPs()
-}

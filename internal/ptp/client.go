@@ -59,15 +59,14 @@ type Client struct {
 
 // NewClient installs a PTP client at the host node, its PHC initialized
 // with a random phase error (up to ±1 ms) and an oscillator error drawn
-// from ±cfg.PPMRange.
+// from ±ppmRange.
 func NewClient(n *fabric.Network, node, gm int, cfg Config, seed uint64) *Client {
 	rng := sim.NewRNG(seed, fmt.Sprintf("ptp/client/%d", node))
 	c := &Client{
 		net: n, cfg: cfg, node: node, gm: gm, rng: rng,
-		PHC:        NewPHC(n.Sch, rng.Uniform(-cfg.PPMRange, cfg.PPMRange)),
+		PHC:        NewPHC(n.Sch, rng.Uniform(-ppmRange, ppmRange)),
 		pendingT2:  map[uint64]float64{},
 		pendingReq: map[uint64]float64{},
-		servo:      newServo(cfg),
 	}
 	c.masters = map[int]masterInfo{}
 	c.PHC.Step(rng.Uniform(-1e9, 1e9)) // ±1 ms initial phase error
@@ -157,11 +156,11 @@ func (c *Client) Stats() (syncs, delayResps, steps uint64) {
 
 func (c *Client) wander() {
 	ppm := c.PHC.HwPPM() + c.rng.Normal(0, c.cfg.WanderStepPPB/1000)
-	if ppm > c.cfg.PPMRange {
-		ppm = c.cfg.PPMRange
+	if ppm > ppmRange {
+		ppm = ppmRange
 	}
-	if ppm < -c.cfg.PPMRange {
-		ppm = -c.cfg.PPMRange
+	if ppm < -ppmRange {
+		ppm = -ppmRange
 	}
 	c.PHC.SetHwPPM(ppm)
 	c.net.Sch.After(c.cfg.WanderInterval, c.wander)
@@ -170,7 +169,7 @@ func (c *Client) wander() {
 // hwStamp reads the NIC's hardware timestamp for an event at real time
 // t: the PHC value plus latching jitter.
 func (c *Client) hwStamp(t sim.Time) float64 {
-	j := c.cfg.TimestampJitterNs * 1000
+	j := timestampJitterNs * 1000
 	return c.PHC.At(t) + c.rng.Uniform(-j, j)
 }
 
@@ -271,7 +270,7 @@ func (c *Client) delayRound() {
 func (c *Client) pushDelay(d float64) {
 	c.resps++
 	c.delayWin = append(c.delayWin, d)
-	if len(c.delayWin) > c.cfg.FilterWindow {
+	if len(c.delayWin) > filterWindow {
 		c.delayWin = c.delayWin[1:]
 	}
 	min := c.delayWin[0]
@@ -297,14 +296,14 @@ func (c *Client) onOffsetSample(t2MinusT1 float64) {
 	// samples — a median's group delay in the control loop would
 	// destabilize it.
 	c.offsetWin = append(c.offsetWin, offset)
-	if len(c.offsetWin) > c.cfg.FilterWindow {
+	if len(c.offsetWin) > filterWindow {
 		c.offsetWin = c.offsetWin[1:]
 	}
 	if c.OnSample != nil {
 		c.OnSample(median(c.offsetWin))
 	}
 
-	if !c.synced || offset > c.cfg.StepThresholdNs*1000 || offset < -c.cfg.StepThresholdNs*1000 {
+	if !c.synced || offset > stepThresholdNs*1000 || offset < -stepThresholdNs*1000 {
 		c.PHC.Step(-offset)
 		c.synced = true
 		c.steps++

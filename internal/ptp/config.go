@@ -16,48 +16,46 @@ type Config struct {
 	// per 1.5 s).
 	DelayReqInterval sim.Time
 
-	// TimestampJitterNs is the half-width of uniform hardware timestamp
-	// error at NICs: quantization, PHY latching point and PLL jitter.
-	// Tens of nanoseconds matches the hundreds-of-ns idle precision
-	// reported for ConnectX-3 + Timekeeper.
-	TimestampJitterNs float64
-
-	// FilterWindow is the size of the sample window from which the
-	// minimum-delay sample is selected (delay-based filtering, as
-	// production daemons do).
-	FilterWindow int
-
-	// ServoKp and ServoKi are the PI servo gains applied to the
-	// filtered offset (in ppb per ns of offset).
-	ServoKp float64
-	ServoKi float64
-
-	// StepThresholdNs: offsets beyond this are corrected by stepping
-	// the clock instead of slewing (startup).
-	StepThresholdNs float64
-
-	// PPMRange is the half-width of client PHC oscillator error.
-	PPMRange float64
-
 	// WanderInterval / WanderStepPPB model slow oscillator drift of
 	// client PHCs. Zero disables.
 	WanderInterval sim.Time
 	WanderStepPPB  float64
 }
 
+// The NIC and daemon model no experiment varies. The floats are typed so
+// every product with one is float64 arithmetic.
+const (
+	// timestampJitterNs is the half-width of uniform hardware timestamp
+	// error at NICs: quantization, PHY latching point and PLL jitter.
+	// Tens of nanoseconds matches the hundreds-of-ns idle precision
+	// reported for ConnectX-3 + Timekeeper.
+	timestampJitterNs float64 = 40
+
+	// filterWindow is the size of the sample window from which the
+	// minimum-delay sample is selected (delay-based filtering, as
+	// production daemons do).
+	filterWindow = 8
+
+	// servoKp and servoKi are the PI servo gains applied to the
+	// filtered offset (in ppb per ns of offset).
+	servoKp float64 = 0.7
+	servoKi float64 = 0.3
+
+	// stepThresholdNs: offsets beyond this (1 ms) are corrected by
+	// stepping the clock instead of slewing (startup).
+	stepThresholdNs float64 = 1e6
+
+	// ppmRange is the half-width of client PHC oscillator error.
+	ppmRange float64 = 50
+)
+
 // DefaultConfig returns the paper-matching configuration.
 func DefaultConfig() Config {
 	return Config{
-		SyncInterval:      sim.Second,
-		DelayReqInterval:  750 * sim.Millisecond,
-		TimestampJitterNs: 40,
-		FilterWindow:      8,
-		ServoKp:           0.7,
-		ServoKi:           0.3,
-		StepThresholdNs:   1e6, // 1 ms
-		PPMRange:          50,
-		WanderInterval:    100 * sim.Millisecond,
-		WanderStepPPB:     30,
+		SyncInterval:     sim.Second,
+		DelayReqInterval: 750 * sim.Millisecond,
+		WanderInterval:   100 * sim.Millisecond,
+		WanderStepPPB:    30,
 	}
 }
 

@@ -51,7 +51,7 @@ func (gm *Grandmaster) Time(t sim.Time) float64 { return gm.source(t) }
 // hwStamp models reading a hardware timestamp: true time plus uniform
 // latching jitter.
 func (gm *Grandmaster) hwStamp(t sim.Time) float64 {
-	j := gm.cfg.TimestampJitterNs * 1000
+	j := timestampJitterNs * 1000
 	return gm.Time(t) + gm.rng.Uniform(-j, j)
 }
 

@@ -61,7 +61,7 @@ func TestServoConvergesConstantDrift(t *testing.T) {
 	// integral must converge near -30000 ppb.
 	sch := sim.NewScheduler()
 	phc := NewPHC(sch, 30)
-	s := newServo(DefaultConfig())
+	var s servo
 	interval := sim.Second
 	for i := 0; i < 60; i++ {
 		start := phc.Now()

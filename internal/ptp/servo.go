@@ -6,14 +6,11 @@ import "github.com/dtplab/dtp/internal/sim"
 // samples, the structure used by ptp4l. Offsets are in picoseconds;
 // output is a frequency correction in ppb.
 type servo struct {
-	kp, ki   float64
 	integral float64 // ppb
-	maxPPB   float64
 }
 
-func newServo(cfg Config) servo {
-	return servo{kp: cfg.ServoKp, ki: cfg.ServoKi, maxPPB: 500_000}
-}
+// servoMaxPPB clamps both the integral and the output.
+const servoMaxPPB float64 = 500_000
 
 func (s *servo) reset() { s.integral = 0 }
 
@@ -30,9 +27,9 @@ func (s *servo) update(offsetPs float64, interval sim.Time) float64 {
 		sec = 1
 	}
 	offNsPerSec := offsetPs / 1000 / sec
-	s.integral += s.ki * offNsPerSec
-	s.integral = clamp(s.integral, -s.maxPPB, s.maxPPB)
-	return clamp(-(s.kp*offNsPerSec + s.integral), -s.maxPPB, s.maxPPB)
+	s.integral += servoKi * offNsPerSec
+	s.integral = clamp(s.integral, -servoMaxPPB, servoMaxPPB)
+	return clamp(-(servoKp*offNsPerSec + s.integral), -servoMaxPPB, servoMaxPPB)
 }
 
 func clamp(v, lo, hi float64) float64 {

@@ -31,10 +31,10 @@ type FlightConfig struct {
 	// same reason (default 1 ms). A bound violation that fires on every
 	// audit tick produces one bundle per cooldown window, not hundreds.
 	Cooldown sim.Time
-	// TraceDepth is how many trailing trace events a bundle embeds
-	// (default 256).
-	TraceDepth int
 }
+
+// traceDepth is how many trailing trace events a bundle embeds.
+const traceDepth = 256
 
 func (c FlightConfig) withDefaults() FlightConfig {
 	if c.MaxBundles <= 0 {
@@ -42,9 +42,6 @@ func (c FlightConfig) withDefaults() FlightConfig {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = sim.Millisecond
-	}
-	if c.TraceDepth <= 0 {
-		c.TraceDepth = 256
 	}
 	return c
 }
@@ -174,8 +171,8 @@ func (r *Recorder) dump(at sim.Time, reason, detail string) error {
 	if r.tr != nil {
 		events := r.tr.Events()
 		total := r.tr.Total()
-		if len(events) > r.cfg.TraceDepth {
-			events = events[len(events)-r.cfg.TraceDepth:]
+		if len(events) > traceDepth {
+			events = events[len(events)-traceDepth:]
 		}
 		bt := &BundleTrace{Total: total, Dropped: total - uint64(len(events))}
 		bt.Events = make([]BundleEvent, len(events))

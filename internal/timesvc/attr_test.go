@@ -13,7 +13,7 @@ import (
 )
 
 func TestAttributionSumsToPublishedBound(t *testing.T) {
-	p := newServedPair(t, 31, ServiceConfig{}, 0)
+	p := newServedPair(t, 31, 0)
 	p.sch.RunFor(simScale(1 * sim.Second))
 
 	a := p.svc.Attribution()
@@ -51,7 +51,7 @@ func TestAttributionSumsToPublishedBound(t *testing.T) {
 }
 
 func TestAttributionMetricsExposed(t *testing.T) {
-	p := newServedPair(t, 33, ServiceConfig{}, 0)
+	p := newServedPair(t, 33, 0)
 	p.sch.RunFor(simScale(1 * sim.Second))
 
 	var b strings.Builder
@@ -77,7 +77,7 @@ func TestAttributionMetricsExposed(t *testing.T) {
 }
 
 func TestHealthHandler(t *testing.T) {
-	p := newServedPair(t, 35, ServiceConfig{}, 0)
+	p := newServedPair(t, 35, 0)
 	p.sch.RunFor(simScale(1 * sim.Second))
 
 	h := HealthHandler(map[string]*Service{"h1": p.svc})
@@ -106,7 +106,7 @@ func TestHealthHandler(t *testing.T) {
 func TestHealthHandlerBeforeFirstPublish(t *testing.T) {
 	// A service that never published must still serve valid JSON (no
 	// NaN shares) and report serving=false.
-	p := newServedPair(t, 37, ServiceConfig{}, 0)
+	p := newServedPair(t, 37, 0)
 	p.svc.Stop()
 	h := HealthHandler(map[string]*Service{"h1": p.svc})
 	rec := httptest.NewRecorder()

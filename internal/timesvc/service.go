@@ -9,80 +9,42 @@ import (
 	"github.com/dtplab/dtp/internal/telemetry"
 )
 
-// ServiceConfig tunes the calibration/publish side. The zero value
-// selects every default.
-type ServiceConfig struct {
-	// PublishInterval is the snapshot cadence in simulated time
-	// (default 10 ms). Each tick folds the daemon, follower, and audit
-	// state into one immutable snapshot.
-	PublishInterval sim.Time
+// The calibration/publish side has nothing to tune. The floats are typed
+// so every product with one is float64 arithmetic.
+const (
+	// publishInterval is the snapshot cadence in simulated time. Each
+	// tick folds the daemon, follower, and audit state into one
+	// immutable snapshot.
+	publishInterval = 10 * sim.Millisecond
 
-	// SoftwareMarginUnits is the §5.1 daemon software-access margin
-	// added to the audit bound, in counter units (default 8: the paper's
-	// ±4 smoothed ticks on each of the two daemons involved).
-	SoftwareMarginUnits int64
+	// softwareMarginUnits is the §5.1 daemon software-access margin
+	// added to the audit bound, in counter units: the paper's ±4
+	// smoothed ticks on each of the two daemons involved.
+	softwareMarginUnits = 8
 
-	// ResidualFactor and ResidualFloorPs turn the follower's smoothed
+	// residualFactor and residualFloorPs turn the follower's smoothed
 	// |prediction residual| into the broadcast-error component of the
-	// bound: max(ResidualFloorPs, ResidualFactor × residual). The factor
-	// covers residual tails above the EWMA (default 4); the floor covers
-	// the cold start before the EWMA has seen enough broadcasts
-	// (default 25 ns).
-	ResidualFactor  float64
-	ResidualFloorPs float64
+	// bound: max(residualFloorPs, residualFactor × residual). The factor
+	// covers residual tails above the EWMA; the floor (25 ns) covers the
+	// cold start before the EWMA has seen enough broadcasts.
+	residualFactor  float64 = 4
+	residualFloorPs float64 = 25_000
 
-	// DriftPPM widens published intervals as they age, covering ratio
-	// estimation error between publishes (default 5 ppm: the daemon's
-	// ratio slack plus the follower's, see daemon.ratioSlackPPM).
-	DriftPPM float64
+	// driftPPM widens published intervals as they age, covering ratio
+	// estimation error between publishes: the daemon's ratio slack plus
+	// the follower's, see discipline's maSlackPPM.
+	driftPPM float64 = 5
 
 	// MaxAge is how stale a snapshot may be served before reads fail
-	// closed (default 8 × PublishInterval).
-	MaxAge sim.Time
+	// closed.
+	MaxAge = 8 * publishInterval
 
-	// WarmupPairs is how many ratio measurements the UTC follower must
-	// have folded in before the service publishes at all (default 5):
-	// before that, the frequency-ratio and residual estimates are too
-	// raw to stand behind an error bound.
-	WarmupPairs uint64
-}
-
-// DefaultServiceConfig returns the default serving-plane configuration.
-func DefaultServiceConfig() ServiceConfig {
-	return ServiceConfig{
-		PublishInterval:     10 * sim.Millisecond,
-		SoftwareMarginUnits: 8,
-		ResidualFactor:      4,
-		ResidualFloorPs:     25_000,
-		DriftPPM:            5,
-		WarmupPairs:         5,
-	}
-}
-
-func (c *ServiceConfig) fillDefaults() {
-	d := DefaultServiceConfig()
-	if c.PublishInterval <= 0 {
-		c.PublishInterval = d.PublishInterval
-	}
-	if c.SoftwareMarginUnits <= 0 {
-		c.SoftwareMarginUnits = d.SoftwareMarginUnits
-	}
-	if c.ResidualFactor <= 0 {
-		c.ResidualFactor = d.ResidualFactor
-	}
-	if c.ResidualFloorPs <= 0 {
-		c.ResidualFloorPs = d.ResidualFloorPs
-	}
-	if c.DriftPPM <= 0 {
-		c.DriftPPM = d.DriftPPM
-	}
-	if c.MaxAge <= 0 {
-		c.MaxAge = 8 * c.PublishInterval
-	}
-	if c.WarmupPairs == 0 {
-		c.WarmupPairs = d.WarmupPairs
-	}
-}
+	// warmupPairs is how many ratio measurements the UTC follower must
+	// have folded in before the service publishes at all: before that,
+	// the frequency-ratio and residual estimates are too raw to stand
+	// behind an error bound.
+	warmupPairs = 5
+)
 
 // Degradation reason codes (V1 of timesvc_degraded trace events).
 const (
@@ -94,7 +56,7 @@ const (
 	// DegradedNoBound: the auditor has no live all-pairs bound for this
 	// host (not converged, or the host is partitioned).
 	DegradedNoBound
-	// DegradedWarmup: the UTC follower has fewer than WarmupPairs ratio
+	// DegradedWarmup: the UTC follower has fewer than warmupPairs ratio
 	// measurements; estimates are too raw to bound honestly.
 	DegradedWarmup
 )
@@ -119,7 +81,6 @@ type Service struct {
 	f   *daemon.UTCFollower
 	aud *audit.Auditor
 	sch *sim.Scheduler
-	cfg ServiceConfig
 
 	host  string
 	store Store
@@ -151,12 +112,10 @@ type Service struct {
 // NewService wires a host's daemon, UTC follower, and the network
 // auditor into a time service. The auditor supplies the live cross-host
 // bound; it must audit this host (HostsOnly auditors audit every host).
-func NewService(d *daemon.Daemon, f *daemon.UTCFollower, aud *audit.Auditor, cfg ServiceConfig) *Service {
-	cfg.fillDefaults()
+func NewService(d *daemon.Daemon, f *daemon.UTCFollower, aud *audit.Auditor) *Service {
 	s := &Service{
 		d: d, f: f, aud: aud,
 		sch:  d.Device().Clock().Scheduler(),
-		cfg:  cfg,
 		host: d.Device().Name(),
 	}
 	s.clock = NewClock(&s.store, TSCTimebase{C: d.TSC()})
@@ -192,7 +151,7 @@ func (s *Service) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 // Start schedules the periodic publish tick.
 func (s *Service) Start() {
 	s.stopped = false
-	s.event = s.sch.After(s.cfg.PublishInterval, s.tick)
+	s.event = s.sch.After(publishInterval, s.tick)
 }
 
 // Stop cancels publishing; the last snapshot keeps serving until it
@@ -221,15 +180,12 @@ func (s *Service) Publishes() uint64 { return s.publishes.Load() }
 // Safe from any goroutine.
 func (s *Service) DegradedTicks() uint64 { return s.degraded.Load() }
 
-// Config returns the effective configuration (defaults filled).
-func (s *Service) Config() ServiceConfig { return s.cfg }
-
 func (s *Service) tick() {
 	if s.stopped {
 		return
 	}
 	s.publish()
-	s.event = s.sch.After(s.cfg.PublishInterval, s.tick)
+	s.event = s.sch.After(publishInterval, s.tick)
 }
 
 // publish composes and publishes one snapshot, or counts why it could
@@ -244,7 +200,7 @@ func (s *Service) publish() {
 		s.degrade(DegradedNoBroadcast)
 		return
 	}
-	if s.f.RatioUpdates() < s.cfg.WarmupPairs {
+	if s.f.RatioUpdates() < warmupPairs {
 		s.degrade(DegradedWarmup)
 		return
 	}
@@ -264,11 +220,11 @@ func (s *Service) publish() {
 	// prediction residual with tail factor and cold-start floor.
 	ratio := s.f.Ratio()
 	var comps [numAttrComponents]float64
-	comps[attrAudit] = float64(boundUnits+s.cfg.SoftwareMarginUnits) * ratio
+	comps[attrAudit] = float64(boundUnits+softwareMarginUnits) * ratio
 	comps[attrDaemon] = s.d.EstimateErrorUnits() * ratio
 	comps[attrBcast] = s.f.AnchorErrUnits() * ratio
-	comps[attrResid] = s.cfg.ResidualFloorPs
-	if r := s.cfg.ResidualFactor * s.f.ResidualPs(); r > comps[attrResid] {
+	comps[attrResid] = residualFloorPs
+	if r := residualFactor * s.f.ResidualPs(); r > comps[attrResid] {
 		comps[attrResid] = r
 	}
 	eps := comps[attrAudit] + comps[attrDaemon] + comps[attrBcast] + comps[attrResid]
@@ -283,8 +239,8 @@ func (s *Service) publish() {
 		// UTC-ps-per-unit.
 		Ratio:    s.d.Ratio() * s.f.Ratio(),
 		BoundPs:  eps,
-		DriftPPM: s.cfg.DriftPPM,
-		MaxAgePs: int64(s.cfg.MaxAge),
+		DriftPPM: driftPPM,
+		MaxAgePs: int64(MaxAge),
 	})
 	s.publishes.Add(1)
 	s.mPublishes.Inc()

@@ -35,7 +35,7 @@ func startDaemon(t *testing.T, dev *core.Device, seed uint64) *daemon.Daemon {
 	return d
 }
 
-func newServedPair(t *testing.T, seed uint64, scfg ServiceConfig, qps float64) *servedPair {
+func newServedPair(t *testing.T, seed uint64, qps float64) *servedPair {
 	t.Helper()
 	sch := sim.NewScheduler()
 	n, err := core.NewNetwork(sch, seed, topo.Pair(), core.DefaultConfig(),
@@ -66,7 +66,7 @@ func newServedPair(t *testing.T, seed uint64, scfg ServiceConfig, qps float64) *
 	aud.Instrument(reg, tr)
 	aud.Start()
 
-	svc := NewService(d1, f, aud, scfg)
+	svc := NewService(d1, f, aud)
 	svc.Instrument(reg, tr)
 	svc.Start()
 
@@ -97,7 +97,7 @@ func scaleN(n int) int {
 }
 
 func TestServicePublishesAndServesBoundedUTC(t *testing.T) {
-	p := newServedPair(t, 21, ServiceConfig{}, 0)
+	p := newServedPair(t, 21, 0)
 	p.sch.RunFor(simScale(2 * sim.Second))
 
 	if min := uint64(scaleN(100)); p.svc.Publishes() < min {
@@ -134,7 +134,7 @@ func TestServicePublishesAndServesBoundedUTC(t *testing.T) {
 }
 
 func TestServiceEpochAdvancesPerPublish(t *testing.T) {
-	p := newServedPair(t, 23, ServiceConfig{}, 0)
+	p := newServedPair(t, 23, 0)
 	p.sch.RunFor(simScale(500 * sim.Millisecond))
 	e1 := p.svc.Store().Epoch()
 	if e1 == 0 {
@@ -151,7 +151,7 @@ func TestServiceEpochAdvancesPerPublish(t *testing.T) {
 }
 
 func TestServiceFailsClosedWhenStopped(t *testing.T) {
-	p := newServedPair(t, 25, ServiceConfig{}, 0)
+	p := newServedPair(t, 25, 0)
 	p.sch.RunFor(simScale(1 * sim.Second))
 	if _, _, err := p.svc.ReadCheck(); err != nil {
 		t.Fatalf("healthy read failed: %v", err)
@@ -189,7 +189,7 @@ func TestServiceDegradedBeforeBroadcast(t *testing.T) {
 	aud := audit.New(n, audit.Config{})
 	aud.Start()
 
-	svc := NewService(d, f, aud, ServiceConfig{})
+	svc := NewService(d, f, aud)
 	svc.Instrument(telemetry.New(), nil)
 	svc.Start()
 	sch.RunFor(simScale(500 * sim.Millisecond))
@@ -206,7 +206,7 @@ func TestServiceDegradedBeforeBroadcast(t *testing.T) {
 }
 
 func TestLoadObservesCoverageAndWidth(t *testing.T) {
-	p := newServedPair(t, 29, ServiceConfig{}, 5000)
+	p := newServedPair(t, 29, 5000)
 	// Warm up until the first snapshot exists, then measure. The warmup
 	// window is NOT scaled down: the follower needs its WarmupPairs
 	// broadcasts regardless of how long the measurement runs.

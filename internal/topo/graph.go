@@ -274,6 +274,25 @@ func (g *Graph) SwitchIDs() []int {
 	return out
 }
 
+// LinkBetween returns the index into Links of the cable between two
+// named adjacent devices, in either order.
+func (g *Graph) LinkBetween(a, b string) (int, error) {
+	na, ok := g.ByName(a)
+	if !ok {
+		return 0, fmt.Errorf("topo: unknown device %q", a)
+	}
+	nb, ok := g.ByName(b)
+	if !ok {
+		return 0, fmt.Errorf("topo: unknown device %q", b)
+	}
+	for i, l := range g.Links {
+		if (l.A == na.ID && l.B == nb.ID) || (l.A == nb.ID && l.B == na.ID) {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("topo: no cable between %s and %s", a, b)
+}
+
 // ByName returns the node with the given name.
 func (g *Graph) ByName(name string) (Node, bool) {
 	for _, n := range g.Nodes {

@@ -75,6 +75,21 @@ func TestChainDiameter(t *testing.T) {
 	}
 }
 
+func TestLinkBetween(t *testing.T) {
+	g := Chain(3) // h0 - sw1 - sw2 - h1
+	for _, ends := range [][2]string{{"sw1", "sw2"}, {"sw2", "sw1"}} {
+		if i, err := g.LinkBetween(ends[0], ends[1]); err != nil || i != 1 {
+			t.Fatalf("LinkBetween(%s, %s) = %d, %v; want link 1", ends[0], ends[1], i, err)
+		}
+	}
+	if _, err := g.LinkBetween("h0", "nope"); err == nil {
+		t.Fatal("unknown device accepted")
+	}
+	if _, err := g.LinkBetween("h0", "h1"); err == nil {
+		t.Fatal("non-adjacent pair accepted")
+	}
+}
+
 func TestPairShape(t *testing.T) {
 	g := Pair()
 	if err := g.Validate(); err != nil {
