@@ -370,16 +370,27 @@ func runSingle() {
 			fmt.Printf("flight recorder armed, no triggers tripped\n")
 		}
 	}
-	if chaosErr != nil {
-		exit(1)
+	// The verdict is the campaign's, from the same fields: Result.OK()
+	// knows that the windowed chaos verification replaces the
+	// instantaneous bound check while faults are declared, and that a
+	// served interval missing true time fails a fault-free run.
+	res := campaign.Result{
+		Point:  campaign.Point{Chaos: shared.Chaos},
+		Synced: true, ChaosOK: chaosErr == nil, WithinBound: worst <= sys.BoundTicks(),
 	}
-	// Under chaos the instantaneous worst legitimately exceeds the bound
-	// while faults are active; the engine's windowed verification above
-	// is the authoritative check then.
-	if eng == nil && worst > sys.BoundTicks() {
-		exit(1)
+	if aud != nil {
+		res.AuditViolations = aud.Violations()
 	}
-	if aud != nil && aud.Violations() > 0 {
+	if tp != nil {
+		for _, h := range tp.Hosts() {
+			ld := tp.Load(h)
+			res.TimeUncovered += ld.Reads() - ld.Errors() - ld.Covered()
+		}
+		if res.TimeUncovered > 0 {
+			fmt.Fprintf(os.Stderr, "dtpsim: time service: %d served intervals missed true time\n", res.TimeUncovered)
+		}
+	}
+	if !res.OK() {
 		exit(1)
 	}
 }

@@ -171,11 +171,7 @@ func summarizeBundle(w io.Writer, path string) ([]telemetry.Event, error) {
 		}
 		events = make([]telemetry.Event, len(b.Trace.Events))
 		for i, e := range b.Trace.Events {
-			k, _ := telemetry.KindFromString(e.Kind) // kinds validated by LoadBundle
-			events[i] = telemetry.Event{
-				Seq: e.Seq, At: sim.Time(e.TPs), Kind: k,
-				Who: e.Who, V1: e.V1, V2: e.V2, Detail: e.Detail,
-			}
+			events[i], _ = e.Event() // kinds validated by LoadBundle
 		}
 	}
 	if b.Timeline != nil {

@@ -164,13 +164,7 @@ func WithMixedSpeeds(links ...LinkSpeed) Option {
 // WithSpeed selects the Ethernet speed; counters switch to 0.32 ns base
 // units so mixed reporting stays consistent (Table 2 of the paper).
 func WithSpeed(s Speed) Option {
-	return func(c *config) {
-		p := phy.ProfileFor(s)
-		c.cfg.Profile = p
-		c.cfg.UnitsPerTick = uint64(p.Delta)
-		c.cfg.AlphaUnits = 3 * p.Delta
-		c.cfg.GuardUnits = 8 * p.Delta
-	}
+	return func(c *config) { c.cfg.SetSpeed(phy.ProfileFor(s)) }
 }
 
 // WithWander enables oscillator temperature wander: a random-walk step
@@ -295,6 +289,7 @@ func New(t Topology, opts ...Option) (*System, error) {
 		m := core.MixedSpeedConfig()
 		c.cfg.Profile, c.cfg.UnitsPerTick = m.Profile, m.UnitsPerTick
 		c.cfg.AlphaUnits, c.cfg.GuardUnits = m.AlphaUnits, m.GuardUnits
+		c.cfg.FragmentedMessages = m.FragmentedMessages
 		byLink := map[int]phy.Speed{}
 		for _, ls := range c.mixed {
 			idx, err := t.LinkBetween(ls.A, ls.B)

@@ -7,6 +7,7 @@ import (
 
 	"github.com/dtplab/dtp/internal/core"
 	"github.com/dtplab/dtp/internal/phy"
+	"github.com/dtplab/dtp/internal/sim"
 )
 
 func newSynced(t *testing.T, topo Topology, opts ...Option) *System {
@@ -193,6 +194,29 @@ func TestSpeedOption(t *testing.T) {
 	// Bound: 4 periods of 0.64 ns = 2.56 ns = 8 base units per hop.
 	if got := sys.MaxOffsetNanos(); got > 2.56 {
 		t.Fatalf("100G pair offset %.2f ns, bound 2.56", got)
+	}
+
+	// 1 GbE's 8b/10b line code has no 56-bit idle block (§7), so the
+	// option must turn the fragment encoding on: four blocks per message,
+	// event for event what the same core.Config with FragmentedMessages
+	// dispatches.
+	oneG, err := New(Pair(), WithSeed(19), WithSpeed(Speed1G))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneG.Start()
+	oneG.Run(10 * time.Millisecond)
+	cfg := oneG.net.Config()
+	cfg.FragmentedMessages = true
+	sch := sim.NewScheduler()
+	n, err := core.NewNetwork(sch, 19, Pair(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start()
+	sch.Run(10 * sim.Millisecond)
+	if got, want := oneG.EventsProcessed(), sch.Processed(); got != want {
+		t.Fatalf("WithSpeed(Speed1G) dispatched %d events in 10 sim-ms, the fragment encoding dispatches %d", got, want)
 	}
 }
 

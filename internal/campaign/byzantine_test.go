@@ -117,6 +117,27 @@ func TestByzantineTolerance(t *testing.T) {
 		summaryLine(rep))
 }
 
+// TestHardenedLiarRejoinsListening is the benchmark's hardened liar grid
+// point (the shipped scenario, 160 ms, lad probe, time service) on seed
+// 64, where the liar s8 holds the clock the fabric must follow once the
+// fault clears: s2 marks s8 faulty moments before it quarantines it, and
+// a quarantine that kept that verdict left s2 deaf to s8 after the
+// rejoin — SYNCED, and drifting out of bound.
+func TestHardenedLiarRejoinsListening(t *testing.T) {
+	rep, err := Run(Grid{
+		Name: "liar", Topos: []string{"tree"}, Chaos: []string{"../../examples/chaos/liar.json"},
+		Durations: []Duration{msec(160)}, Hardened: []bool{true}, Disciplines: []string{"lad"},
+		TimeService: true, Seeds: []uint64{64}, Wander: true,
+	}, Options{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := rep.Results[0]; !r.OK() {
+		t.Fatalf("hardened liar point, seed 64: %d unexcused violations, chaos ok %v: %s%s",
+			r.AuditViolations, r.ChaosOK, r.Err, r.ChaosErr)
+	}
+}
+
 func summaryLine(rep *Report) string {
 	var rej, quar uint64
 	for _, r := range rep.Results {

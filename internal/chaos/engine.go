@@ -250,8 +250,8 @@ func (e *Engine) scheduleGreyDelay(f *Fault, idx, li int) {
 func (e *Engine) scheduleFreqStep(f *Fault, idx int, dev *core.Device) {
 	e.sch.At(f.At.T, func() {
 		clk := dev.Clock()
-		orig := clk.PPM()
-		target := clampPPM(orig+f.PPMStep, clk.MaxPPM())
+		orig, lim := clk.PPM(), clk.MaxPPM()
+		target := min(max(orig+f.PPMStep, -lim), lim)
 		e.inject(f, idx, fmt.Sprintf("ppm %+.2f -> %+.2f", orig, target))
 		clk.AdjustPPM(target)
 		if f.Duration.T > 0 {
@@ -270,13 +270,13 @@ func (e *Engine) scheduleTempRamp(f *Fault, idx int, dev *core.Device) {
 	}
 	e.sch.At(f.At.T, func() {
 		clk := dev.Clock()
-		orig := clk.PPM()
+		orig, lim := clk.PPM(), clk.MaxPPM()
 		e.inject(f, idx, fmt.Sprintf("ramp %+.2f ppm over %v", f.PPMStep, f.Duration.T))
 		interval := f.Duration.T / sim.Time(steps)
 		for k := 1; k <= steps; k++ {
 			k := k
 			e.sch.After(interval*sim.Time(k), func() {
-				clk.AdjustPPM(clampPPM(orig+f.PPMStep*float64(k)/float64(steps), clk.MaxPPM()))
+				clk.AdjustPPM(min(max(orig+f.PPMStep*float64(k)/float64(steps), -lim), lim))
 			})
 		}
 		e.sch.At(f.At.T+f.Duration.T, func() {
@@ -447,14 +447,4 @@ func (e *Engine) spoofTargetPort(f *Fault, li int) *core.Port {
 		return pa
 	}
 	return pb
-}
-
-func clampPPM(ppm, max float64) float64 {
-	if ppm > max {
-		return max
-	}
-	if ppm < -max {
-		return -max
-	}
-	return ppm
 }

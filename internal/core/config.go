@@ -139,6 +139,19 @@ func DefaultConfig() Config {
 	}
 }
 
+// SetSpeed clocks the whole network at one Ethernet speed (Table 2):
+// the device clock is that speed's port clock, counters advance Delta
+// 0.32 ns base units per tick, α and the guard keep their 3- and 8-tick
+// meaning, and 1 GbE — whose 8b/10b line code has no 56-bit idle block
+// — sends messages as ordered-set fragments (§7).
+func (c *Config) SetSpeed(p phy.Profile) {
+	c.Profile = p
+	c.UnitsPerTick = uint64(p.Delta)
+	c.AlphaUnits = 3 * p.Delta
+	c.GuardUnits = 8 * p.Delta
+	c.FragmentedMessages = p.Speed == phy.Speed1G
+}
+
 func (c *Config) validate() error {
 	if c.Profile.PeriodFs <= 0 {
 		return fmt.Errorf("core: config has no PHY profile")

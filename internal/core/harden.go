@@ -141,8 +141,7 @@ func (p *Port) admitTarget(target, local uint64, join bool) bool {
 	cfg := p.cfg()
 	tick := p.dev.clock.Counter()
 	if tick-p.pullWindow > cfg.FaultyWindowTicks {
-		p.pullWindow = tick
-		p.pulledUnits = 0
+		p.pullWindow, p.pulledUnits = tick, 0
 	}
 	elapsed := int64(tick-p.pullWindow) * int64(cfg.UnitsPerTick)
 	ok, allowance := admitBudget(p.pulledUnits+lead, elapsed, slack)
@@ -152,6 +151,21 @@ func (p *Port) admitTarget(target, local uint64, join bool) bool {
 	}
 	p.pulledUnits += lead
 	return true
+}
+
+// admit is the one gate in front of every counter adoption — beacon,
+// JOIN, or a JOIN that waited for the delay measurement: plain mode
+// admits everything; hardened mode runs bounded-jump admission and
+// records what it admits as this port's quorum vote.
+func (p *Port) admit(target, local uint64, join bool) bool {
+	if !p.cfg().Hardened {
+		return true
+	}
+	ok := p.admitTarget(target, local, join)
+	if ok {
+		p.noteTarget(target, local)
+	}
+	return ok
 }
 
 // noteTarget records an admitted remote counter observation; it is this
@@ -203,8 +217,7 @@ func (p *Port) rejectTarget(advance, allowance int64, join bool) {
 		advance, allowance, detail)
 	tick := p.dev.clock.Counter()
 	if tick-p.rejectWindow > p.cfg().FaultyWindowTicks {
-		p.rejectWindow = tick
-		p.rejectCount = 0
+		p.rejectWindow, p.rejectCount = tick, 0
 	}
 	p.rejectCount++
 	if p.rejectCount >= quarantineRejectLimit {
@@ -228,16 +241,8 @@ func (p *Port) quarantine() {
 	p.dev.net.quarantineTotal++
 	tel.tr.Record(p.sch().Now(), telemetry.KindPortQuarantined, p.tname,
 		int64(p.rejectCount), p.owdUnits, "")
-	p.setState(portQuarantined)
-	p.owdUnits = -1
-	p.havePeerMsb = false
-	p.pendingJoin = nil
-	p.asm = nil
-	p.resetAdmission()
-	p.rejectCount = 0
-	p.beaconEvent.Cancel()
-	p.watchEvent.Cancel()
-	p.initEvent.Cancel()
+	p.endSession(portQuarantined)
+	p.rejectCount = 0 // spent: the next session earns its own quarantine
 	cool := p.dev.tickDur(quarantineCooldownTicks)
 	p.quarEvent = p.sch().After(cool, p.releaseQuarantine)
 }
@@ -248,26 +253,9 @@ func (p *Port) quarantine() {
 // still-lying peer earns the next quarantine within a handful of
 // rejected messages.
 func (p *Port) releaseQuarantine() {
-	if p.state != portQuarantined {
-		return
+	if p.state == portQuarantined {
+		p.demote(demoteQuarantine, "quarantine_cooldown")
 	}
-	tel := &p.dev.net.tel
-	tel.demotions.Inc()
-	tel.tr.Record(p.sch().Now(), telemetry.KindPortDemoted, p.tname,
-		demoteQuarantine, -1, "quarantine_cooldown")
-	p.setState(portInit)
-	p.initBackoff = 0
-	p.sendInit()
-}
-
-// resetAdmission clears the per-session pull budget and witness state
-// whenever a link session ends or begins. The rejection count is
-// deliberately kept: it decays with its sliding window, so a peer that
-// alternates lies with re-INITs still accumulates toward quarantine.
-func (p *Port) resetAdmission() {
-	p.admitValid = false
-	p.pulledUnits = 0
-	p.haveTarget = false
 }
 
 // --- Adversarial hooks (chaos use only) --------------------------------

@@ -205,6 +205,22 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if _, quarAfter := n.ByzantineStats(); quarAfter != 1 {
 		t.Fatalf("quarantine count changed to %d after honest rejoin", quarAfter)
 	}
+
+	// The quarantine ended the session, so the faulty verdict the lying
+	// beacons earned just before it must not outlive it: a port that
+	// rejoins still deaf reports SYNCED and follows nothing.
+	ignored := func(p *Port) uint64 { _, _, ign, _ := p.Stats(); return ign }
+	a, b := n.LinkPorts(0)
+	before := [2]uint64{ignored(a), ignored(b)}
+	sch.RunFor(sim.Millisecond)
+	for i, p := range []*Port{a, b} {
+		if p.Faulty() {
+			t.Errorf("%s still holds its peer faulty after the honest rejoin", p.Name())
+		}
+		if got := ignored(p) - before[i]; got != 0 {
+			t.Errorf("%s ignored %d beacons of its honest peer in 1 ms after rejoining", p.Name(), got)
+		}
+	}
 }
 
 // TestQuarantineCooldownInsideSlack pins the sizing rule between the

@@ -201,11 +201,13 @@ func (p *Port) Stats() (sent, received, ignored, jumps uint64) {
 // SetGate replaces the port's transmit gate (traffic model).
 func (p *Port) SetGate(g TxGate) { p.gate = g }
 
-// --- Link bring-up ---------------------------------------------------
+// --- Link-session lifecycle --------------------------------------------
 
 // Up starts Algorithm 1 on this port: transition T0, "after the link is
 // established with p". Both ends must be brought up for the handshake to
-// complete; each direction measures its own delay.
+// complete; each direction measures its own delay. A link-up owns the
+// link-up scope and nothing else: the session scope of a down port is
+// already void.
 func (p *Port) Up() {
 	if p.state != portDown {
 		return
@@ -214,16 +216,45 @@ func (p *Port) Up() {
 	tel.portsUp.Add(1)
 	tel.tr.Record(p.sch().Now(), telemetry.KindLinkUp, p.tname, 0, 0, "")
 	p.setState(portInit)
-	p.faulty = false
-	p.violationCount = 0
 	p.initBackoff = 0
 	p.sessionMinOwd = -1
-	p.resetAdmission()
 	p.rejectCount = 0
 	if max := p.cfg().CDCMaxExtraTicks; max > 0 {
 		p.cdcFill = p.rng.IntN(max + 1)
 	}
 	p.sendInit()
+}
+
+// endSession ends the link session and leaves the port in state next. It
+// is the only code that voids the session scope — everything the port
+// measured or concluded about its peer: the one-way delay, the MSB cache,
+// a JOIN waiting for the delay, the fragment assembler, the faulty
+// verdict with its violation count, the admission baseline and quorum
+// vote, and the beacon / INIT / watchdog / cooldown timers. Every exit
+// from a session (Down, demote, quarantine) is this call plus the one
+// thing that exit adds.
+//
+// Two other scopes survive a session end. The link-up scope (cdcFill,
+// sessionMinOwd) lasts until the next Up: a demotion re-measures on the
+// same elastic-buffer fill. The sliding windows (violationWindow,
+// rejectWindow and rejectCount) decay on the free-running tick clock
+// alone, so a peer that alternates lies with re-INITs still accumulates
+// toward quarantine.
+func (p *Port) endSession(next portState) {
+	p.setState(next)
+	p.owdUnits = -1
+	p.havePeerMsb = false
+	p.pendingJoin = nil
+	p.asm = nil
+	p.faulty = false
+	p.violationCount = 0
+	p.admitValid = false
+	p.pulledUnits = 0
+	p.haveTarget = false
+	p.beaconEvent.Cancel()
+	p.initEvent.Cancel()
+	p.watchEvent.Cancel()
+	p.quarEvent.Cancel()
 }
 
 // Down tears the port down (cable pull, peer power-off). Pending beacons
@@ -234,16 +265,7 @@ func (p *Port) Down() {
 		tel.portsUp.Add(-1)
 		tel.tr.Record(p.sch().Now(), telemetry.KindLinkDown, p.tname, 0, 0, "")
 	}
-	p.setState(portDown)
-	p.owdUnits = -1
-	p.havePeerMsb = false
-	p.pendingJoin = nil
-	p.asm = nil
-	p.beaconEvent.Cancel()
-	p.initEvent.Cancel()
-	p.watchEvent.Cancel()
-	p.quarEvent.Cancel()
-	p.resetAdmission()
+	p.endSession(portDown)
 }
 
 // --- Pooled event dispatch --------------------------------------------
@@ -448,8 +470,7 @@ func (p *Port) scheduleBeacons(fromCycle uint64) {
 // tick plus 0..CDCMaxExtraTicks random whole ticks — the only
 // nondeterminism on an otherwise idle link (§2.5).
 func (p *Port) onWireArrival(b phy.Block) {
-	if p.state == portDown {
-		p.dropDown()
+	if p.arrivedDown() {
 		return
 	}
 	// The RX pipeline runs in the recovered clock domain: the sender's
@@ -459,8 +480,7 @@ func (p *Port) onWireArrival(b phy.Block) {
 }
 
 func (p *Port) cdcCross(b phy.Block) {
-	if p.state == portDown {
-		p.dropDown()
+	if p.arrivedDown() {
 		return
 	}
 	if !b.Valid() {
@@ -536,8 +556,7 @@ func (p *Port) cdcExtraCycles(now simTime) int {
 
 // process handles a message in the local clock domain.
 func (p *Port) process(m phy.Message) {
-	if p.state == portDown {
-		p.dropDown()
+	if p.arrivedDown() {
 		return
 	}
 	if p.state == portQuarantined {
@@ -630,22 +649,17 @@ func (p *Port) finishInit() {
 	p.owdUnits = d
 	p.setState(portSynced)
 	p.initBackoff = 0
-	p.resetAdmission() // fresh session, fresh baseline
 	tel := &p.dev.net.tel
 	tel.owd.Observe(float64(d))
 	tel.tr.Record(p.sch().Now(), telemetry.KindSynced, p.tname, d, int64(len(p.initRTTs)), "")
 	p.initEvent.Cancel()
 	// A JOIN that raced ahead of our delay measurement can now apply —
-	// in hardened mode through the same session-initial admission as
-	// any other JOIN, or the race would be a bypass.
+	// through the same session-initial admission as any other JOIN, or
+	// the race would be a bypass. It stays cached until the session ends;
+	// nothing reads it once the delay is known.
 	if p.pendingJoin != nil {
 		target := *p.pendingJoin + uint64(d)
-		p.pendingJoin = nil
-		local := p.dev.GlobalCounter()
-		if !cfg.Hardened || p.admitTarget(target, local, true) {
-			if cfg.Hardened {
-				p.noteTarget(target, local)
-			}
+		if p.admit(target, p.dev.GlobalCounter(), true) {
 			p.dev.jump(target, p, true)
 		}
 		if p.state != portSynced {
@@ -692,16 +706,13 @@ func (p *Port) handleBeacon(lsb uint64) {
 		p.recordViolation()
 		return
 	}
-	if cfg.Hardened {
-		// Bounded-jump admission: a beacon that passes the guard can
-		// still ratchet the fabric a few units at a time; the windowed
-		// pull budget caps what this peer may drag the counter forward.
-		if !p.admitTarget(target, local, false) {
-			p.beaconsIgnored++
-			tel.ignoredN++
-			return
-		}
-		p.noteTarget(target, local)
+	// Bounded-jump admission: a beacon that passes the guard can still
+	// ratchet the fabric a few units at a time; the windowed pull budget
+	// caps what this peer may drag the counter forward.
+	if !p.admit(target, local, false) {
+		p.beaconsIgnored++
+		tel.ignoredN++
+		return
 	}
 	tel.offBatch.Observe(float64(offset))
 	if tel.tr.Enabled(telemetry.KindBeaconRx) {
@@ -748,13 +759,7 @@ func (p *Port) handleJoin(lsb uint64) {
 	}
 	target := full + uint64(p.owdUnits)
 	local := p.dev.GlobalCounter()
-	if p.cfg().Hardened {
-		if !p.admitTarget(target, local, true) {
-			return
-		}
-		p.noteTarget(target, local)
-	}
-	if target > local {
+	if p.admit(target, local, true) && target > local {
 		p.jumps++
 		p.dev.jump(target, p, true)
 	}
@@ -766,8 +771,7 @@ func (p *Port) recordViolation() {
 	cfg := p.cfg()
 	tick := p.dev.clock.Counter()
 	if tick-p.violationWindow > cfg.FaultyWindowTicks {
-		p.violationWindow = tick
-		p.violationCount = 0
+		p.violationWindow, p.violationCount = tick, 0
 	}
 	p.violationCount++
 	tel := &p.dev.net.tel
@@ -823,51 +827,42 @@ func (p *Port) watchdogSweep(period simTime) {
 	cfg := p.cfg()
 	now := p.sch().Now()
 	if now-p.lastRx >= period {
-		p.demote(demoteBeaconLoss)
+		p.demote(demoteBeaconLoss, "")
 		return
 	}
 	if p.faulty && cfg.FaultyCooldownTicks > 0 &&
 		now-p.faultyAt >= p.dev.tickDur(int(cfg.FaultyCooldownTicks)) {
-		p.demote(demoteFaultyCooldown)
+		p.demote(demoteFaultyCooldown, "")
 		return
 	}
 	p.scheduleWatchdog()
 }
 
-// demote drops a SYNCED port back to INIT and re-runs the delay
-// measurement, clearing all per-session protocol state (the measured OWD
-// is stale by definition — the peer went away or was declared faulty).
-// Unlike Down, the port stays administratively up, so the re-INIT starts
+// demote ends the session of a SYNCED or quarantined port and re-runs
+// the delay measurement (the measured OWD is stale by definition — the
+// peer went away, was declared faulty, or sat out a quarantine). Unlike
+// Down, the port stays administratively up, so the re-INIT starts
 // immediately.
-func (p *Port) demote(reason int64) {
-	if p.state != portSynced {
-		return
-	}
+func (p *Port) demote(reason int64, detail string) {
 	tel := &p.dev.net.tel
 	tel.demotions.Inc()
-	tel.tr.Record(p.sch().Now(), telemetry.KindPortDemoted, p.tname, reason, p.owdUnits, "")
-	p.setState(portInit)
-	p.owdUnits = -1
-	p.havePeerMsb = false
-	p.pendingJoin = nil
-	p.asm = nil
-	p.faulty = false
-	p.violationCount = 0
-	p.initBackoff = 0
-	p.resetAdmission()
-	p.beaconEvent.Cancel()
-	p.watchEvent.Cancel()
-	p.initEvent.Cancel()
+	tel.tr.Record(p.sch().Now(), telemetry.KindPortDemoted, p.tname, reason, p.owdUnits, detail)
+	p.endSession(portInit)
 	p.sendInit()
 }
 
-// dropDown accounts for a block that reached a down port: the peer is
-// still transmitting into a dead interface, a mismatch worth surfacing
+// arrivedDown reports whether the port is down, accounting for the block
+// or message that just reached it: the peer is still transmitting into a
+// dead interface, a mismatch worth surfacing
 // (dtp_port_dropped_down_total) because it distinguishes one-sided
 // teardown from clean link death.
-func (p *Port) dropDown() {
+func (p *Port) arrivedDown() bool {
+	if p.state != portDown {
+		return false
+	}
 	p.droppedDown++
 	p.dev.net.tel.droppedDownN++
+	return true
 }
 
 // DroppedDown returns how many blocks arrived while the port was down.

@@ -27,16 +27,13 @@ func AblationAlpha(o Options, alphas []int64) ([]AlphaRow, error) {
 	o = o.withDefaults(sim.Second)
 	return par.Map(o.Jobs, len(alphas), func(i int) (AlphaRow, error) {
 		a := alphas[i]
-		sch := sim.NewScheduler()
 		cfg := core.DefaultConfig()
 		cfg.AlphaUnits = a
-		n, err := core.NewNetwork(sch, o.Seed, topo.Pair(), cfg,
+		sch, n, err := settled(o.Seed, topo.Pair(), cfg, 10*sim.Millisecond,
 			core.WithPPM(map[string]float64{"h0": 100, "h1": -100}))
 		if err != nil {
 			return AlphaRow{}, err
 		}
-		n.Start()
-		sch.Run(10 * sim.Millisecond)
 		start := n.Devices[0].GlobalCounter()
 		t0 := sch.Now()
 		var worst int64
@@ -66,17 +63,14 @@ func AblationBeaconInterval(o Options, intervals []uint64) ([]BeaconIntervalRow,
 	o = o.withDefaults(sim.Second)
 	return par.Map(o.Jobs, len(intervals), func(i int) (BeaconIntervalRow, error) {
 		iv := intervals[i]
-		sch := sim.NewScheduler()
 		cfg := core.DefaultConfig()
 		cfg.BeaconIntervalTicks = iv
 		cfg.GuardUnits = 1 << 20 // observe pure drift, no guard effects
-		n, err := core.NewNetwork(sch, o.Seed, topo.Pair(), cfg,
+		sch, n, err := settled(o.Seed, topo.Pair(), cfg, 10*sim.Millisecond,
 			core.WithPPM(map[string]float64{"h0": 100, "h1": -100}))
 		if err != nil {
 			return BeaconIntervalRow{}, err
 		}
-		n.Start()
-		sch.Run(10 * sim.Millisecond)
 		var worst int64
 		sampleFor(sch, o, 100*sim.Microsecond, func() {
 			worst = absMax(worst, n.TrueOffsetUnits(0, 1))
@@ -106,8 +100,6 @@ type SyncEResult struct {
 func AblationSyncE(o Options) (*SyncEResult, error) {
 	o = o.withDefaults(sim.Second)
 	run := func(syntonized bool) (spread, worst int64, err error) {
-		sch := sim.NewScheduler()
-		cfg := core.DefaultConfig()
 		var opts []core.Option
 		if syntonized {
 			// All oscillators locked to one reference frequency.
@@ -117,12 +109,10 @@ func AblationSyncE(o Options) (*SyncEResult, error) {
 			}
 			opts = append(opts, core.WithPPM(ppm))
 		}
-		n, err := core.NewNetwork(sch, o.Seed, topo.PaperTree(), cfg, opts...)
+		sch, n, err := settled(o.Seed, topo.PaperTree(), core.DefaultConfig(), 10*sim.Millisecond, opts...)
 		if err != nil {
 			return 0, 0, err
 		}
-		n.Start()
-		sch.Run(10 * sim.Millisecond)
 		var min, max int64
 		first := true
 		sampleFor(sch, o, 200*sim.Microsecond, func() {
@@ -169,15 +159,12 @@ func MixedSpeedSweep(o Options) ([]MixedSpeedRow, error) {
 	coreSpeeds := []phy.Speed{phy.Speed1G, phy.Speed10G, phy.Speed40G, phy.Speed100G}
 	return par.Map(o.Jobs, len(coreSpeeds), func(i int) (MixedSpeedRow, error) {
 		coreSpeed := coreSpeeds[i]
-		sch := sim.NewScheduler()
 		speeds := map[int]phy.Speed{0: phy.Speed10G, 1: coreSpeed, 2: phy.Speed10G}
-		n, err := core.NewNetwork(sch, o.Seed, topo.Chain(3), core.MixedSpeedConfig(),
+		sch, n, err := settled(o.Seed, topo.Chain(3), core.MixedSpeedConfig(), 10*sim.Millisecond,
 			core.WithLinkSpeeds(speeds))
 		if err != nil {
 			return MixedSpeedRow{}, err
 		}
-		n.Start()
-		sch.Run(10 * sim.Millisecond)
 		last := len(n.Devices) - 1
 		var worst int64
 		sampleFor(sch, o, 50*sim.Microsecond, func() {
@@ -212,18 +199,15 @@ func AblationMasterMode(o Options) (*MasterModeResult, error) {
 	o = o.withDefaults(sim.Second)
 	ppm := map[string]float64{"h0": -100, "sw1": 60, "sw2": 100, "sw3": -20, "h1": 80}
 	run := func(master bool) (int64, float64, error) {
-		sch := sim.NewScheduler()
-		cfg := DefaultCoreConfig()
+		cfg := core.DefaultConfig()
 		if master {
 			cfg.FollowMaster = true
 			cfg.Master = "h0"
 		}
-		n, err := core.NewNetwork(sch, o.Seed, topo.Chain(4), cfg, core.WithPPM(ppm))
+		sch, n, err := settled(o.Seed, topo.Chain(4), cfg, 10*sim.Millisecond, core.WithPPM(ppm))
 		if err != nil {
 			return 0, 0, err
 		}
-		n.Start()
-		sch.Run(10 * sim.Millisecond)
 		last := len(n.Devices) - 1
 		start := n.Devices[last].GlobalCounter()
 		t0 := sch.Now()
@@ -249,9 +233,6 @@ func AblationMasterMode(o Options) (*MasterModeResult, error) {
 	return &res, nil
 }
 
-// DefaultCoreConfig exposes the protocol defaults to experiment callers.
-func DefaultCoreConfig() core.Config { return core.DefaultConfig() }
-
 // CDCRow is one point of the clock-domain-crossing ablation.
 type CDCRow struct {
 	ExtraTicks     int
@@ -268,16 +249,13 @@ func AblationCDC(o Options, depths []int) ([]CDCRow, error) {
 	o = o.withDefaults(sim.Second)
 	return par.Map(o.Jobs, len(depths), func(i int) (CDCRow, error) {
 		depth := depths[i]
-		sch := sim.NewScheduler()
 		cfg := core.DefaultConfig()
 		cfg.CDCMaxExtraTicks = depth
-		n, err := core.NewNetwork(sch, o.Seed, topo.Pair(), cfg,
+		sch, n, err := settled(o.Seed, topo.Pair(), cfg, 10*sim.Millisecond,
 			core.WithPPM(map[string]float64{"h0": 100, "h1": -100}))
 		if err != nil {
 			return CDCRow{}, err
 		}
-		n.Start()
-		sch.Run(10 * sim.Millisecond)
 		pa, pb := n.LinkPorts(0)
 		owdMin, owdMax := pa.OWDUnits(), pa.OWDUnits()
 		if d := pb.OWDUnits(); d < owdMin {

@@ -7,6 +7,7 @@ import (
 	"github.com/dtplab/dtp/internal/fabric"
 	"github.com/dtplab/dtp/internal/ptp"
 	"github.com/dtplab/dtp/internal/sim"
+	"github.com/dtplab/dtp/internal/stats"
 	"github.com/dtplab/dtp/internal/topo"
 )
 
@@ -48,63 +49,44 @@ func AblationBCCascade(o Options, maxLevels int) ([]BCCascadeRow, error) {
 	o = o.withDefaults(2 * sim.Second)
 	var rows []BCCascadeRow
 	for levels := 0; levels <= maxLevels; levels++ {
-		sch := sim.NewScheduler()
-		g := bcChain(levels)
-		net, err := fabric.New(sch, o.Seed, g, fabric.DefaultConfig())
+		leaf, err := bcCascadeLeaf(o, levels)
 		if err != nil {
 			return nil, err
 		}
-		cfg := ptp.DefaultConfig().Compressed(ptpCompression)
-		leafID := len(g.Nodes) - 1
-		gmClients := []int{1} // the first hop below the timeserver
-		if levels == 0 {
-			gmClients = []int{leafID}
-		}
-		gm := ptp.NewGrandmaster(net, 0, gmClients, cfg, o.Seed+1)
-		var bcs []*ptp.BoundaryClock
-		for i := 1; i <= levels; i++ {
-			down := i + 1 // next BC or the leaf
-			bc := ptp.NewBoundaryClock(net, i, i-1, []int{down}, cfg, o.Seed+10+uint64(i))
-			bcs = append(bcs, bc)
-		}
-		leaf := ptp.NewClient(net, leafID, leafID-1, cfg, o.Seed+100)
-		gm.Start()
-		for _, bc := range bcs {
-			bc.Start()
-		}
-		leaf.Start()
-
-		// Convergence must propagate level by level.
-		sch.Run(sim.Time(2+levels) * sim.Second)
-		worst := 0.0
-		sum := statsAbs{}
-		sampleFor(sch, o, 10*sim.Millisecond, func() {
-			off := math.Abs(leaf.OffsetToMasterPs()) / 1000
-			if off > worst {
-				worst = off
-			}
-			sum.add(off)
-		})
-		rows = append(rows, BCCascadeRow{Levels: levels, WorstNs: worst, P99Ns: sum.p99()})
+		rows = append(rows, BCCascadeRow{Levels: levels, WorstNs: leaf.Max(), P99Ns: leaf.Quantile(0.99)})
 	}
 	return rows, nil
 }
 
-// statsAbs is a tiny quantile helper for this experiment.
-type statsAbs struct{ v []float64 }
-
-func (s *statsAbs) add(x float64) { s.v = append(s.v, x) }
-
-func (s *statsAbs) p99() float64 {
-	if len(s.v) == 0 {
-		return 0
+// bcCascadeLeaf runs one cascade of the given depth and returns the
+// leaf client's |offset| to true time in ns, sampled every 10 ms over
+// o.Duration after convergence.
+func bcCascadeLeaf(o Options, levels int) (*stats.Summary, error) {
+	sch := sim.NewScheduler()
+	g := bcChain(levels)
+	net, err := fabric.New(sch, o.Seed, g, fabric.DefaultConfig())
+	if err != nil {
+		return nil, err
 	}
-	tmp := make([]float64, len(s.v))
-	copy(tmp, s.v)
-	for i := 1; i < len(tmp); i++ {
-		for j := i; j > 0 && tmp[j] < tmp[j-1]; j-- {
-			tmp[j], tmp[j-1] = tmp[j-1], tmp[j]
-		}
+	cfg := ptp.DefaultConfig().Compressed(ptpCompression)
+	leafID := len(g.Nodes) - 1
+	gmClients := []int{1} // the first hop below the timeserver
+	if levels == 0 {
+		gmClients = []int{leafID}
 	}
-	return tmp[int(0.99*float64(len(tmp)-1))]
+	ptp.NewGrandmaster(net, 0, gmClients, cfg, o.Seed+1).Start()
+	for i := 1; i <= levels; i++ {
+		down := i + 1 // next BC or the leaf
+		ptp.NewBoundaryClock(net, i, i-1, []int{down}, cfg, o.Seed+10+uint64(i)).Start()
+	}
+	leaf := ptp.NewClient(net, leafID, leafID-1, cfg, o.Seed+100)
+	leaf.Start()
+
+	// Convergence must propagate level by level.
+	sch.Run(sim.Time(2+levels) * sim.Second)
+	sum := stats.NewSummary(0)
+	sampleFor(sch, o, 10*sim.Millisecond, func() {
+		sum.Add(math.Abs(leaf.OffsetToMasterPs()) / 1000)
+	})
+	return sum, nil
 }

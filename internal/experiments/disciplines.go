@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -107,15 +106,9 @@ func DisciplineSweep(o Options) ([]DisciplineRow, error) {
 		if err != nil {
 			return DisciplineRow{}, err
 		}
-		sch := sim.NewScheduler()
-		n, err := core.NewNetwork(sch, o.Seed, topo.PaperTree(), c.sc.network(core.DefaultConfig()))
+		sch, n, err := settled(o.Seed, topo.PaperTree(), c.sc.network(core.DefaultConfig()), 10*sim.Millisecond)
 		if err != nil {
 			return DisciplineRow{}, err
-		}
-		n.Start()
-		sch.Run(10 * sim.Millisecond)
-		if !n.AllSynced() {
-			return DisciplineRow{}, fmt.Errorf("experiments: network failed to synchronize")
 		}
 		dev, err := n.DeviceByName("s4")
 		if err != nil {

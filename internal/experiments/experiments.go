@@ -53,6 +53,23 @@ func sampleFor(sch *sim.Scheduler, o Options, period sim.Time, sample func()) {
 	}
 }
 
+// settled builds a DTP network on a scheduler of its own, brings every
+// link up and runs the warm-up: experiments measure a synchronized
+// network, so one that is not by then is an error, not a data point.
+func settled(seed uint64, g topo.Graph, cfg core.Config, warm sim.Time, opts ...core.Option) (*sim.Scheduler, *core.Network, error) {
+	sch := sim.NewScheduler()
+	n, err := core.NewNetwork(sch, seed, g, cfg, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	n.Start()
+	sch.Run(warm)
+	if !n.AllSynced() {
+		return nil, nil, fmt.Errorf("experiments: %d-device network failed to synchronize in %v", len(g.Nodes), warm)
+	}
+	return sch, n, nil
+}
+
 // absMax returns the larger of worst and |v|.
 func absMax[T int64 | float64](worst, v T) T {
 	if v < 0 {

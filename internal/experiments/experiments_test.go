@@ -237,6 +237,26 @@ func TestBCCascadeDegrades(t *testing.T) {
 		t.Fatalf("3-level cascade p99 %.0f ns not clearly worse than direct %.0f ns",
 			rows[3].P99Ns, rows[0].P99Ns)
 	}
+
+	// The p99 is stats.Summary's nearest-rank quantile. On a 150-sample
+	// window 0.99·(n−1) = 147.51: a private flooring rank (the bug PR 2
+	// fixed in Summary, kept alive here until PR 19) reads one sample low.
+	o := Options{Seed: 3, Duration: 1500 * sim.Millisecond}
+	short, err := AblationBCCascade(o, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := bcCascadeLeaf(o, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leaf.N() != 150 {
+		t.Fatalf("%d samples in a 1.5 s window, want 150", leaf.N())
+	}
+	if short[0].P99Ns != leaf.Quantile(0.99) || short[0].WorstNs != leaf.Max() {
+		t.Fatalf("row reports p99 %.1f worst %.1f ns, stats.Summary %.1f / %.1f",
+			short[0].P99Ns, short[0].WorstNs, leaf.Quantile(0.99), leaf.Max())
+	}
 }
 
 func TestMixedSpeedSweep(t *testing.T) {

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"github.com/dtplab/dtp/internal/core"
 	"github.com/dtplab/dtp/internal/daemon"
 	"github.com/dtplab/dtp/internal/sim"
@@ -34,15 +32,9 @@ const daemonCompression = 100
 // 10-sample moving average (7b).
 func Fig7(o Options) (*DaemonFigResult, error) {
 	o = o.withDefaults(5 * sim.Second)
-	sch := sim.NewScheduler()
-	n, err := core.NewNetwork(sch, o.Seed, topo.PaperTree(), core.DefaultConfig())
+	sch, n, err := settled(o.Seed, topo.PaperTree(), core.DefaultConfig(), 10*sim.Millisecond)
 	if err != nil {
 		return nil, err
-	}
-	n.Start()
-	sch.Run(10 * sim.Millisecond)
-	if !n.AllSynced() {
-		return nil, fmt.Errorf("experiments: network failed to synchronize")
 	}
 	res := &DaemonFigResult{Raw: map[string][]float64{}, Smoothed: map[string][]float64{}}
 	// The figure plots s4, s5, s7, s8, s9, s11.
@@ -98,11 +90,4 @@ func quantileAbs(s *stats.Summary, q float64) float64 {
 		return lo
 	}
 	return hi
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -137,15 +137,9 @@ func IncrementalDeployment(o Options) (*IncrementalResult, error) {
 	})
 
 	// ---- Phase 2: DTP-enable the aggregation layer. ------------------
-	sch2 := sim.NewScheduler()
-	merged, err := core.NewNetwork(sch2, o.Seed+20, mergedGraph(hostsPerRack), core.DefaultConfig())
+	sch2, merged, err := settled(o.Seed+20, mergedGraph(hostsPerRack), core.DefaultConfig(), 10*sim.Millisecond)
 	if err != nil {
 		return nil, err
-	}
-	merged.Start()
-	sch2.Run(10 * sim.Millisecond)
-	if !merged.AllSynced() {
-		return nil, fmt.Errorf("experiments: merged network failed to sync")
 	}
 	sampleFor(sch2, o, period, func() {
 		if d := float64(merged.MaxPairwiseOffset()) * tickNs; d > res.MergedWorstNs {

@@ -47,49 +47,70 @@ type PTPFigResult struct {
 // becomes simulated seconds at 50 Hz. Documented in EXPERIMENTS.md.
 const ptpCompression = 50
 
-// RunPTP reproduces Figures 6d–f on the paper's PTP network: a VelaSync-
-// style grandmaster and eight clients behind one cut-through switch
-// with realistic transparent clocks.
-func RunPTP(o Options, load PTPLoad) (*PTPFigResult, error) {
-	o = o.withDefaults(3 * sim.Second)
-	sch := sim.NewScheduler()
+// ptpStar is the paper's PTP deployment: a VelaSync-style grandmaster
+// on node 1 and a client on every other host of an eight-host star
+// behind one cut-through switch.
+type ptpStar struct {
+	sch     *sim.Scheduler
+	net     *fabric.Network
+	nodes   []int // client node IDs
+	names   []string
+	clients []*ptp.Client
+}
+
+// newPTPStar builds the star on switches configured by fcfg and
+// converges it for 2 s on the idle network, as the deployment would.
+func newPTPStar(seed uint64, fcfg fabric.Config) (*ptpStar, error) {
+	s := &ptpStar{sch: sim.NewScheduler()}
 	g := topo.Star(8)
-	fcfg := fabric.DefaultConfig()
-	net, err := fabric.New(sch, o.Seed, g, fcfg)
-	if err != nil {
+	var err error
+	if s.net, err = fabric.New(s.sch, seed, g, fcfg); err != nil {
 		return nil, err
 	}
 	cfg := ptp.DefaultConfig().Compressed(ptpCompression)
-	var clientNodes []int
 	for _, h := range g.HostIDs() {
 		if h != 1 {
-			clientNodes = append(clientNodes, h)
+			s.nodes = append(s.nodes, h)
+			s.names = append(s.names, g.Nodes[h].Name)
 		}
 	}
-	gm := ptp.NewGrandmaster(net, 1, clientNodes, cfg, o.Seed+1)
-	clients := map[string]*ptp.Client{}
-	for i, cn := range clientNodes {
-		c := ptp.NewClient(net, cn, 1, cfg, o.Seed+10+uint64(i))
+	gm := ptp.NewGrandmaster(s.net, 1, s.nodes, cfg, seed+1)
+	for i, cn := range s.nodes {
+		c := ptp.NewClient(s.net, cn, 1, cfg, seed+10+uint64(i))
 		c.Start()
-		clients[g.Nodes[cn].Name] = c
+		s.clients = append(s.clients, c)
 	}
 	gm.Start()
+	s.sch.Run(2 * sim.Second)
+	return s, nil
+}
 
-	// Converge on the idle network first, as the deployment would.
-	sch.Run(2 * sim.Second)
+// spray starts background traffic: each of the first n clients sprays
+// the others of that group at gbps.
+func (s *ptpStar) spray(n int, gbps float64, seed uint64) {
+	nodes := s.nodes[:n]
+	for i, src := range nodes {
+		fabric.NewSprayGen(s.net, src, nodes, gbps, 32, seed+uint64(i)).Start()
+	}
+}
 
+// sprayHeavy saturates every client link except the last (s11 in the
+// paper) at 9 Gbps: the load of Figure 6f.
+func (s *ptpStar) sprayHeavy(seed uint64) { s.spray(len(s.nodes)-1, 9.0, seed+200) }
+
+// RunPTP reproduces Figures 6d–f on the paper's PTP network with
+// realistic transparent clocks.
+func RunPTP(o Options, load PTPLoad) (*PTPFigResult, error) {
+	o = o.withDefaults(3 * sim.Second)
+	star, err := newPTPStar(o.Seed, fabric.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
 	switch load {
 	case LoadMedium:
-		nodes := clientNodes[:5]
-		for i, src := range nodes {
-			fabric.NewSprayGen(net, src, nodes, 4.0, 32, o.Seed+100+uint64(i)).Start()
-		}
+		star.spray(5, 4.0, o.Seed+100)
 	case LoadHeavy:
-		// All clients except the last (s11 in the paper) saturate.
-		nodes := clientNodes[:len(clientNodes)-1]
-		for i, src := range nodes {
-			fabric.NewSprayGen(net, src, nodes, 9.0, 32, o.Seed+200+uint64(i)).Start()
-		}
+		star.sprayHeavy(o.Seed)
 	}
 
 	res := &PTPFigResult{
@@ -97,15 +118,15 @@ func RunPTP(o Options, load PTPLoad) (*PTPFigResult, error) {
 		ClientSummaries: map[string]*stats.Summary{},
 		ClientSeries:    map[string]*stats.Series{},
 	}
-	for name := range clients {
+	for _, name := range star.names {
 		res.ClientSummaries[name] = stats.NewSummary(0)
 		res.ClientSeries[name] = stats.NewSeries(20_000)
 	}
-	sampleFor(sch, o, 10*sim.Millisecond, func() {
-		for name, c := range clients {
+	sampleFor(star.sch, o, 10*sim.Millisecond, func() {
+		for i, c := range star.clients {
 			offNs := c.OffsetToMasterPs() / 1000
-			res.ClientSummaries[name].Add(offNs)
-			res.ClientSeries[name].Add(sch.Now().Seconds(), offNs)
+			res.ClientSummaries[star.names[i]].Add(offNs)
+			res.ClientSeries[star.names[i]].Add(star.sch.Now().Seconds(), offNs)
 		}
 	})
 	for _, s := range res.ClientSummaries {

@@ -9,7 +9,6 @@ import (
 	"github.com/dtplab/dtp/internal/ntp"
 	"github.com/dtplab/dtp/internal/par"
 	"github.com/dtplab/dtp/internal/phy"
-	"github.com/dtplab/dtp/internal/ptp"
 	"github.com/dtplab/dtp/internal/sim"
 	"github.com/dtplab/dtp/internal/stats"
 	"github.com/dtplab/dtp/internal/topo"
@@ -132,22 +131,12 @@ func Table2(o Options) ([]Table2Row, error) {
 }
 
 func runSpeedPair(o Options, p phy.Profile) (float64, error) {
-	sch := sim.NewScheduler()
 	cfg := core.DefaultConfig()
-	cfg.Profile = p
-	cfg.UnitsPerTick = uint64(p.Delta)
-	cfg.AlphaUnits = 3 * p.Delta
-	cfg.GuardUnits = 8 * p.Delta
-	cfg.FragmentedMessages = p.Speed == phy.Speed1G
-	n, err := core.NewNetwork(sch, o.Seed, topo.Pair(), cfg,
+	cfg.SetSpeed(p)
+	sch, n, err := settled(o.Seed, topo.Pair(), cfg, 5*sim.Millisecond,
 		core.WithPPM(map[string]float64{"h0": 100, "h1": -100}))
 	if err != nil {
 		return 0, err
-	}
-	n.Start()
-	sch.Run(5 * sim.Millisecond)
-	if !n.AllSynced() {
-		return 0, fmt.Errorf("experiments: %v pair failed to sync", p.Speed)
 	}
 	var worst int64
 	sampleFor(sch, o, 20*sim.Microsecond, func() {
@@ -177,13 +166,10 @@ func BoundSweep(o Options, maxHops int) ([]BoundSweepRow, error) {
 	o = o.withDefaults(500 * sim.Millisecond)
 	return par.Map(o.Jobs, maxHops, func(i int) (BoundSweepRow, error) {
 		hops := i + 1
-		sch := sim.NewScheduler()
-		n, err := core.NewNetwork(sch, o.Seed+uint64(hops), topo.Chain(hops), core.DefaultConfig())
+		sch, n, err := settled(o.Seed+uint64(hops), topo.Chain(hops), core.DefaultConfig(), 10*sim.Millisecond)
 		if err != nil {
 			return BoundSweepRow{}, err
 		}
-		n.Start()
-		sch.Run(10 * sim.Millisecond)
 		last := len(n.Devices) - 1
 		var worst int64
 		sampleFor(sch, o, 100*sim.Microsecond, func() {
@@ -217,38 +203,17 @@ type PTPAblationResult struct {
 func AblationTCModes(o Options) (*PTPAblationResult, error) {
 	o = o.withDefaults(2 * sim.Second)
 	run := func(mode fabric.TCMode, priority bool) (float64, error) {
-		sch := sim.NewScheduler()
-		g := topo.Star(8)
 		fcfg := fabric.DefaultConfig()
 		fcfg.TC = mode
 		fcfg.PTPPriority = priority
-		net, err := fabric.New(sch, o.Seed, g, fcfg)
+		star, err := newPTPStar(o.Seed, fcfg)
 		if err != nil {
 			return 0, err
 		}
-		cfg := ptp.DefaultConfig().Compressed(ptpCompression)
-		var clientNodes []int
-		for _, h := range g.HostIDs() {
-			if h != 1 {
-				clientNodes = append(clientNodes, h)
-			}
-		}
-		gm := ptp.NewGrandmaster(net, 1, clientNodes, cfg, o.Seed+1)
-		var clients []*ptp.Client
-		for i, cn := range clientNodes {
-			c := ptp.NewClient(net, cn, 1, cfg, o.Seed+10+uint64(i))
-			c.Start()
-			clients = append(clients, c)
-		}
-		gm.Start()
-		sch.Run(2 * sim.Second)
-		nodes := clientNodes[:len(clientNodes)-1]
-		for i, src := range nodes {
-			fabric.NewSprayGen(net, src, nodes, 9.0, 32, o.Seed+200+uint64(i)).Start()
-		}
+		star.sprayHeavy(o.Seed)
 		worst := stats.NewSummary(0)
-		sampleFor(sch, o, 10*sim.Millisecond, func() {
-			for _, c := range clients {
+		sampleFor(star.sch, o, 10*sim.Millisecond, func() {
+			for _, c := range star.clients {
 				worst.Add(c.OffsetToMasterPs() / 1000)
 			}
 		})

@@ -250,15 +250,5 @@ func (c *Client) apply(offset, delay float64) {
 	}
 	sec := c.cfg.PollInterval.Seconds()
 	ppb := c.Clock.AdjPPB() + 0.25*servoGain*best.offset/1000/sec
-	c.Clock.AdjFreq(clampF(ppb, -500_000, 500_000))
-}
-
-func clampF(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	c.Clock.AdjFreq(min(max(ppb, -500_000), 500_000))
 }

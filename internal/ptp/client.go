@@ -2,6 +2,7 @@ package ptp
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/dtplab/dtp/internal/eth"
 	"github.com/dtplab/dtp/internal/fabric"
@@ -318,14 +319,8 @@ func median(w []float64) float64 {
 	if len(w) == 0 {
 		return 0
 	}
-	tmp := make([]float64, len(w))
-	copy(tmp, w)
-	// Insertion sort: windows are tiny.
-	for i := 1; i < len(tmp); i++ {
-		for j := i; j > 0 && tmp[j] < tmp[j-1]; j-- {
-			tmp[j], tmp[j-1] = tmp[j-1], tmp[j]
-		}
-	}
+	tmp := slices.Clone(w)
+	slices.Sort(tmp)
 	n := len(tmp)
 	if n%2 == 1 {
 		return tmp[n/2]

@@ -28,16 +28,6 @@ func (s *servo) update(offsetPs float64, interval sim.Time) float64 {
 	}
 	offNsPerSec := offsetPs / 1000 / sec
 	s.integral += servoKi * offNsPerSec
-	s.integral = clamp(s.integral, -servoMaxPPB, servoMaxPPB)
-	return clamp(-(servoKp*offNsPerSec + s.integral), -servoMaxPPB, servoMaxPPB)
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
+	s.integral = min(max(s.integral, -servoMaxPPB), servoMaxPPB)
+	return min(max(-(servoKp*offNsPerSec+s.integral), -servoMaxPPB), servoMaxPPB)
 }

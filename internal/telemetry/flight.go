@@ -177,10 +177,7 @@ func (r *Recorder) dump(at sim.Time, reason, detail string) error {
 		bt := &BundleTrace{Total: total, Dropped: total - uint64(len(events))}
 		bt.Events = make([]BundleEvent, len(events))
 		for i, e := range events {
-			bt.Events[i] = BundleEvent{
-				Seq: e.Seq, TPs: int64(e.At), Kind: e.Kind.String(),
-				Who: e.Who, V1: e.V1, V2: e.V2, Detail: e.Detail,
-			}
+			bt.Events[i] = wireEvent(e)
 		}
 		b.Trace = bt
 	}
@@ -282,7 +279,8 @@ type BundleTrace struct {
 	Events  []BundleEvent `json:"events"`
 }
 
-// BundleEvent mirrors the JSONL trace schema inside a bundle.
+// BundleEvent is the wire form of a trace Event: one line of a JSONL
+// dump (WriteEvents) and one element of a bundle's trace window.
 type BundleEvent struct {
 	Seq    uint64 `json:"seq"`
 	TPs    int64  `json:"t_ps"`
@@ -291,6 +289,24 @@ type BundleEvent struct {
 	V1     int64  `json:"v1"`
 	V2     int64  `json:"v2"`
 	Detail string `json:"detail,omitempty"`
+}
+
+// wireEvent is the wire form of e.
+func wireEvent(e Event) BundleEvent {
+	return BundleEvent{
+		Seq: e.Seq, TPs: int64(e.At), Kind: e.Kind.String(),
+		Who: e.Who, V1: e.V1, V2: e.V2, Detail: e.Detail,
+	}
+}
+
+// Event converts the wire form back; ok is false when the kind is one
+// this build does not know.
+func (w BundleEvent) Event() (_ Event, ok bool) {
+	k, ok := KindFromString(w.Kind)
+	return Event{
+		Seq: w.Seq, At: sim.Time(w.TPs), Kind: k,
+		Who: w.Who, V1: w.V1, V2: w.V2, Detail: w.Detail,
+	}, ok
 }
 
 // BundleTimeline is the bundle's embedded timeline window.
@@ -349,7 +365,7 @@ func LoadBundle(path string) (*Bundle, error) {
 	}
 	if b.Trace != nil {
 		for i, e := range b.Trace.Events {
-			if _, ok := KindFromString(e.Kind); !ok {
+			if _, ok := e.Event(); !ok {
 				return nil, fmt.Errorf("telemetry: bundle %s: event %d: unknown kind %q", filepath.Base(path), i, e.Kind)
 			}
 		}

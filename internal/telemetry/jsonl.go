@@ -7,8 +7,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-
-	"github.com/dtplab/dtp/internal/sim"
 )
 
 // TraceSchema is the header line's schema identifier for JSONL trace
@@ -97,17 +95,6 @@ func WriteEvents(w io.Writer, events []Event) error {
 	return nil
 }
 
-// jsonlEvent mirrors the WriteJSONL schema for decoding.
-type jsonlEvent struct {
-	Seq    uint64 `json:"seq"`
-	TPs    int64  `json:"t_ps"`
-	Kind   string `json:"kind"`
-	Who    string `json:"who"`
-	V1     int64  `json:"v1"`
-	V2     int64  `json:"v2"`
-	Detail string `json:"detail"`
-}
-
 // ReadJSONL parses a JSONL trace dump (the output of WriteJSONL or the
 // /trace endpoint) back into events. The events are returned along with
 // the header when one is present (nil header for headerless dumps from
@@ -144,18 +131,15 @@ func ReadJSONLHeader(r io.Reader) ([]Event, *TraceHeader, error) {
 			hdr = &h
 			continue
 		}
-		var je jsonlEvent
-		if err := json.Unmarshal([]byte(text), &je); err != nil {
+		var we BundleEvent
+		if err := json.Unmarshal([]byte(text), &we); err != nil {
 			return nil, nil, fmt.Errorf("telemetry: trace line %d: %w", line, err)
 		}
-		k, ok := KindFromString(je.Kind)
+		e, ok := we.Event()
 		if !ok {
-			return nil, nil, fmt.Errorf("telemetry: trace line %d: unknown kind %q", line, je.Kind)
+			return nil, nil, fmt.Errorf("telemetry: trace line %d: unknown kind %q", line, we.Kind)
 		}
-		out = append(out, Event{
-			Seq: je.Seq, At: sim.Time(je.TPs), Kind: k,
-			Who: je.Who, V1: je.V1, V2: je.V2, Detail: je.Detail,
-		})
+		out = append(out, e)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, fmt.Errorf("telemetry: trace read: %w", err)
