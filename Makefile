@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test test-short test-race benchmark benchmark-trace benchmark-compare bench experiments examples audit chaos campaign byzantine disciplines flight
+.PHONY: all build vet test test-race benchmark benchmark-trace benchmark-compare experiments examples audit chaos campaign byzantine disciplines flight
 
 all: build vet test
 
@@ -12,10 +12,6 @@ vet:
 
 test:
 	go test ./...
-
-# Skips the heaviest PTP packet-level load experiments.
-test-short:
-	go test -short ./...
 
 # The telemetry registry and tracer are scraped concurrently with the
 # simulation; the race detector proves that sound.
@@ -40,12 +36,6 @@ benchmark-trace:
 # identical. make benchmark-compare A=parent.json B=change.json
 benchmark-compare:
 	go run ./benchmark -compare $(A) $(B)
-
-# The paper's tables and figures as Go benchmarks (bench_test.go), one
-# iteration each: what they report is protocol precision (offsets in
-# ticks and ns), not simulator speed — that is `make benchmark`.
-bench:
-	go test -bench . -benchtime 1x -benchmem -run '^$$' .
 
 # Run the online 4TD-bound auditor over the quickstart topology under
 # MTU load; dtpsim exits nonzero on any bound violation.

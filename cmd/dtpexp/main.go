@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -263,16 +264,8 @@ func printDaemonFig(w io.Writer, data map[string][]float64, p95 float64, bound f
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		min, max := 0.0, 0.0
-		for _, v := range data[n] {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-		fmt.Fprintf(w, "%-6s samples %6d  range [%.1f, %.1f] ticks\n", n, len(data[n]), min, max)
+		fmt.Fprintf(w, "%-6s samples %6d  range [%.1f, %.1f] ticks\n",
+			n, len(data[n]), slices.Min(data[n]), slices.Max(data[n]))
 	}
 	status := "WITHIN"
 	if p95 > bound {

@@ -245,7 +245,7 @@ func daemonStats(res *Result, offs []float64, sample time.Duration) {
 	for _, o := range offs[len(offs)/2:] {
 		s.Add(o)
 	}
-	res.DaemonP99OffsetTicks = math.Max(math.Abs(s.Quantile(0.99)), math.Abs(s.Quantile(0.01)))
+	res.DaemonP99OffsetTicks = s.QuantileAbs(0.99)
 	const band, hold = 4.0, 10
 	res.DaemonConvergeUs = -1
 	run := 0

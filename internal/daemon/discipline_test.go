@@ -13,10 +13,14 @@ import (
 // TestGoldenDisciplineConvergence runs every discipline against the
 // same DefaultConfig PCIe noise on the synced pair and holds each to a
 // golden bound: time to enter (and stay inside) its steady-state band,
-// and steady-state p99. The ma row reproduces Figure 7a; the robust
+// and steady-state p99. The ma row is Figure 7a's raw daemon; the robust
 // disciplines must reach the paper's *smoothed* band (±4 ticks) on the
 // raw serve path, because their anchors are regression-filtered rather
 // than single raw samples.
+//
+// The four daemons share one pair: each reads the same device with its
+// own seed-23 stream, and reading a counter does not move it, so every
+// row sees exactly what it would see alone.
 func TestGoldenDisciplineConvergence(t *testing.T) {
 	cases := []struct {
 		kind         string
@@ -29,27 +33,32 @@ func TestGoldenDisciplineConvergence(t *testing.T) {
 		{"theilsen", 4, 1000, 7},
 		{"lad", 4, 1000, 6},
 	}
-	for _, c := range cases {
+	type pt struct {
+		ms  float64
+		off float64
+	}
+	sch, n := syncedPair(t, 21)
+	start := sch.Now()
+	seqs := make([][]pt, len(cases))
+	daemons := make([]*Daemon, len(cases))
+	for i, c := range cases {
+		d, err := Attach(n.Devices[0], Options{
+			Config:     DefaultConfig().Compressed(100), // calibrate every 10 ms
+			Discipline: discipline.Config{Kind: c.kind},
+		}, 23)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.OnSample = func(off float64) {
+			seqs[i] = append(seqs[i], pt{float64(sch.Now()-start) / float64(sim.Millisecond), off})
+		}
+		d.Start()
+		daemons[i] = d
+	}
+	sch.RunFor(5 * sim.Second) // ~500 calibrations
+	for i, c := range cases {
+		seq, d := seqs[i], daemons[i]
 		t.Run(c.kind, func(t *testing.T) {
-			sch, n := syncedPair(t, 21)
-			d, err := Attach(n.Devices[0], Options{
-				Config:     DefaultConfig().Compressed(100), // calibrate every 10 ms
-				Discipline: discipline.Config{Kind: c.kind},
-			}, 23)
-			if err != nil {
-				t.Fatal(err)
-			}
-			start := sch.Now()
-			type pt struct {
-				ms  float64
-				off float64
-			}
-			var seq []pt
-			d.OnSample = func(off float64) {
-				seq = append(seq, pt{float64(sch.Now()-start) / float64(sim.Millisecond), off})
-			}
-			d.Start()
-			sch.RunFor(5 * sim.Second) // ~500 calibrations
 			if len(seq) < 300 {
 				t.Fatalf("only %d calibrations", len(seq))
 			}
@@ -85,7 +94,7 @@ func TestGoldenDisciplineConvergence(t *testing.T) {
 			for _, p := range seq[len(seq)/2:] {
 				s.Add(p.off)
 			}
-			p99 := math.Max(math.Abs(s.Quantile(0.99)), math.Abs(s.Quantile(0.01)))
+			p99 := s.QuantileAbs(0.99)
 			t.Logf("%s: converge-to-±%.0f %.0f ms, steady p99 %.2f ticks, dropped %d",
 				c.kind, c.bandTicks, converge, p99, d.DroppedSamples())
 			if converge > c.convergeByMs {
@@ -95,6 +104,24 @@ func TestGoldenDisciplineConvergence(t *testing.T) {
 			if p99 > c.p99Ticks {
 				t.Fatalf("steady-state p99 %.2f ticks > golden %.2f", p99, c.p99Ticks)
 			}
+			if c.kind != "ma" {
+				return
+			}
+			// Figure 7a over the whole run, warm-up included: the raw
+			// offset is "usually no more than 16 clock ticks" (p99 within
+			// 16, spikes allowed beyond), and the PCIe noise is there.
+			t.Run("raw", func(t *testing.T) {
+				raw := stats.NewSummary(0)
+				for _, p := range seq {
+					raw.Add(p.off)
+				}
+				if p := raw.QuantileAbs(0.99); p > 16 {
+					t.Fatalf("daemon raw offset p99 = %.1f ticks, paper says usually <= 16", p)
+				}
+				if raw.MaxAbs() < 0.5 {
+					t.Fatalf("raw offsets implausibly tight (%.3f); PCIe noise missing", raw.MaxAbs())
+				}
+			})
 		})
 	}
 }
@@ -161,7 +188,7 @@ func TestDaemonDisciplineResetOnRestart(t *testing.T) {
 	for _, p := range after[len(after)/2:] {
 		s.Add(p.off)
 	}
-	p99 := math.Max(math.Abs(s.Quantile(0.99)), math.Abs(s.Quantile(0.01)))
+	p99 := s.QuantileAbs(0.99)
 	if p99 > 16 {
 		t.Fatalf("post-restart steady p99 = %.1f ticks, want <= 16", p99)
 	}

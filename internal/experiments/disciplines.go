@@ -142,7 +142,7 @@ func DisciplineSweep(o Options) ([]DisciplineRow, error) {
 			half.Add(v)
 			row.WorstTicks = absMax(row.WorstTicks, v)
 		}
-		row.P99Ticks = quantileAbs(half, 0.99)
+		row.P99Ticks = half.QuantileAbs(0.99)
 		// Convergence: the window-7 rolling median (spike-immune) must
 		// enter the paper's ±16-tick raw band and hold for 10
 		// consecutive calibrations.

@@ -1,8 +1,9 @@
 // Package experiments contains one entry point per table and figure of
-// the paper's evaluation (§6), shared by cmd/dtpexp and the benchmark
-// harness. Each experiment builds the corresponding deployment,
-// runs it for a (time-compressed) measurement window, and returns
-// structured results; EXPERIMENTS.md records paper-vs-measured values.
+// the paper's evaluation (§6), run by cmd/dtpexp. Each experiment builds
+// the corresponding deployment, runs it for a (time-compressed)
+// measurement window, and returns structured results; EXPERIMENTS.md
+// records paper-vs-measured values. One test in this package asserts
+// each claim, over the shortest window that decides it.
 package experiments
 
 import (

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"math"
 	"testing"
 
 	"github.com/dtplab/dtp/internal/sim"
 )
 
-// Short-window options keep the test suite fast; benches run longer.
+// Each test in this file owns one dtpexp figure, table or sweep. short
+// is the window of the Figure 6a and 6b tests.
 func short() Options {
 	return Options{Seed: 42, Duration: 300 * sim.Millisecond}
 }
@@ -74,60 +76,101 @@ func TestFig6cDistributionShape(t *testing.T) {
 	}
 }
 
-func TestFig6dIdlePTP(t *testing.T) {
-	res, err := Fig6d(Options{Seed: 3, Duration: sim.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.WorstNs > 1000 {
-		t.Fatalf("idle PTP %.0f ns, want hundreds", res.WorstNs)
-	}
-	if res.WorstNs < 5 {
-		t.Fatalf("idle PTP %.1f ns implausibly tight", res.WorstNs)
-	}
-	if len(res.ClientSummaries) != 8 {
-		t.Fatalf("%d clients", len(res.ClientSummaries))
-	}
-}
-
+// TestPTPLoadOrdering owns Figures 6d–f and the transparent-clock
+// ablation (dtpexp -fig 6d|6e|6f, -sweep tc). AblationTCModes' realistic
+// row is Figure 6f's run by construction, so one set of runs decides the
+// load ordering and the ablation. A 200 ms window after the 2 s idle
+// convergence decides every assertion below with at least 3× margin on
+// seeds 1, 2 and 5: idle 111–167 ns, medium 10.8–18.1 µs, heavy 62–80 µs,
+// perfect TC 120–168 ns, no TC within 1 % of realistic, strict priority
+// 1.47–1.57 µs.
 func TestPTPLoadOrdering(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy packet simulation")
-	}
-	idle, err := Fig6d(Options{Seed: 5, Duration: sim.Second})
+	o := Options{Seed: 5, Duration: 200 * sim.Millisecond}
+	idle, err := Fig6d(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	med, err := Fig6e(Options{Seed: 5, Duration: sim.Second})
+	med, err := Fig6e(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy, err := Fig6f(Options{Seed: 5, Duration: sim.Second})
+	tc, err := AblationTCModes(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("idle %.0f ns, medium %.0f ns, heavy %.0f ns", idle.WorstNs, med.WorstNs, heavy.WorstNs)
-	if !(idle.WorstNs < med.WorstNs && med.WorstNs < heavy.WorstNs) {
-		t.Fatal("load ordering violated")
+	heavy := tc.RealisticWorstNs
+	t.Logf("idle %.0f ns, medium %.0f ns, heavy %.0f ns; perfect TC %.0f, no TC %.0f, priority %.0f ns",
+		idle.WorstNs, med.WorstNs, heavy, tc.PerfectWorstNs, tc.OffWorstNs, tc.PriorityWorstNs)
+	// Figure 6d: idle PTP holds hundreds of nanoseconds.
+	t.Run("idle", func(t *testing.T) {
+		if idle.WorstNs > 1000 || idle.WorstNs < 5 || len(idle.ClientSummaries) != 8 {
+			t.Fatalf("idle PTP %.1f ns over %d clients, want hundreds over 8", idle.WorstNs, len(idle.ClientSummaries))
+		}
+	})
+	// Figures 6e and 6f: idle « medium « heavy.
+	t.Run("load", func(t *testing.T) {
+		if !(idle.WorstNs < med.WorstNs && med.WorstNs < heavy) {
+			t.Fatal("load ordering violated")
+		}
+		if med.WorstNs < 2_000 || heavy < 20_000 {
+			t.Fatal("degradation magnitudes below paper's regime")
+		}
+	})
+	// With textbook transparent clocks the queue wait is corrected and
+	// heavy load behaves near-idle: the degradation comes from the
+	// realistic TC model, not from a baked-in load→error constant. A TC
+	// that corrects nothing of the queue wait is no worse than one that
+	// corrects only the pipeline.
+	t.Run("tc", func(t *testing.T) {
+		if tc.PerfectWorstNs*5 > heavy {
+			t.Fatalf("perfect TC (%.0f ns) should be far better than realistic (%.0f ns)", tc.PerfectWorstNs, heavy)
+		}
+		if math.Abs(tc.OffWorstNs-heavy) > heavy/10 {
+			t.Fatalf("no TC %.0f ns, realistic %.0f ns: should agree within 10 %%", tc.OffWorstNs, heavy)
+		}
+		// Strict priority for event frames is two orders better than
+		// FIFO and still several times worse than idle: transmission is
+		// not preemptive.
+		if !(2*idle.WorstNs < tc.PriorityWorstNs && tc.PriorityWorstNs < heavy/10) {
+			t.Fatalf("priority %.0f ns, want between 2× idle (%.0f) and realistic/10 (%.0f)",
+				tc.PriorityWorstNs, 2*idle.WorstNs, heavy/10)
+		}
+	})
+}
+
+// TestTable1Ordering owns Table 1 (dtpexp -table 1): DTP ns, PTP
+// sub-µs, GPS ns, NTP µs. A 200 ms window decides it on seeds 1, 2 and 5:
+// DTP 12.8–25.6 ns, PTP 111–168 ns, GPS 178–192 ns, NTP 12.4–23.0 µs.
+func TestTable1Ordering(t *testing.T) {
+	rows, err := Table1(Options{Seed: 1, Duration: 200 * sim.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if med.WorstNs < 2_000 || heavy.WorstNs < 20_000 {
-		t.Fatal("degradation magnitudes below paper's regime")
+	ntpNs, ptpNs, gpsNs, dtpNs := rows[0].MeasuredWorstNs, rows[1].MeasuredWorstNs,
+		rows[2].MeasuredWorstNs, rows[3].MeasuredWorstNs
+	if !(dtpNs <= 4*6.4 && dtpNs < ptpNs && ptpNs < 1000 && 1000 < ntpNs && dtpNs < gpsNs && gpsNs < 1000) {
+		t.Fatalf("DTP %.1f, PTP %.1f, GPS %.1f, NTP %.1f ns: want DTP <= 25.6 < PTP < 1000 < NTP and DTP < GPS < 1000",
+			dtpNs, ptpNs, gpsNs, ntpNs)
 	}
 }
 
+// TestFig7DaemonPrecision owns Figure 7 (dtpexp -fig 7a|7b). A 1 s
+// window decides it on seeds 1, 2 and 11: raw p95 6.9–7.7 ticks,
+// smoothed p95 2.4–3.5. At 500 ms the smoothed p95 reaches 3.91, too
+// close to 4 to decide anything.
 func TestFig7DaemonPrecision(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation; run without -short")
 	}
-	res, err := Fig7(Options{Seed: 11, Duration: 2 * sim.Second})
+	res, err := Fig7(Options{Seed: 11, Duration: sim.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.RawP95 > 16 {
-		t.Fatalf("raw daemon offset p99 %.1f ticks, paper: usually <= 16", res.RawP95)
+		t.Fatalf("raw daemon offset p95 %.1f ticks, paper: usually <= 16", res.RawP95)
 	}
 	if res.SmoothedP95 > 4 {
-		t.Fatalf("smoothed daemon offset p99 %.1f ticks, paper: usually <= 4", res.SmoothedP95)
+		t.Fatalf("smoothed daemon offset p95 %.1f ticks, paper: usually <= 4", res.SmoothedP95)
 	}
 	if len(res.Raw) != 6 {
 		t.Fatalf("%d servers sampled", len(res.Raw))
@@ -284,7 +327,10 @@ func TestIncrementalDeployment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy simulation; run without -short")
 	}
-	res, err := IncrementalDeployment(Options{Seed: 31, Duration: sim.Second})
+	// 100 ms decides it on seeds 1 and 31: intra-rack 25.6 / 19.2 ns,
+	// inter-rack 104.9 / 83.7 ns, merged <= 25.6 ns. Most of the run is
+	// the experiment's fixed 2 s PTP warm-up, which the claim needs.
+	res, err := IncrementalDeployment(Options{Seed: 31, Duration: 100 * sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,27 +67,12 @@ func Fig7(o Options) (*DaemonFigResult, error) {
 		for _, v := range sm[min(10, len(sm)):] {
 			smSum.Add(v)
 		}
-		if p := quantileAbs(rawSum, 0.95); p > res.RawP95 {
+		if p := rawSum.QuantileAbs(0.95); p > res.RawP95 {
 			res.RawP95 = p
 		}
-		if p := quantileAbs(smSum, 0.95); p > res.SmoothedP95 {
+		if p := smSum.QuantileAbs(0.95); p > res.SmoothedP95 {
 			res.SmoothedP95 = p
 		}
 	}
 	return res, nil
-}
-
-func quantileAbs(s *stats.Summary, q float64) float64 {
-	hi := s.Quantile(q)
-	lo := s.Quantile(1 - q)
-	if lo < 0 {
-		lo = -lo
-	}
-	if hi < 0 {
-		hi = -hi
-	}
-	if lo > hi {
-		return lo
-	}
-	return hi
 }

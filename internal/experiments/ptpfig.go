@@ -47,70 +47,57 @@ type PTPFigResult struct {
 // becomes simulated seconds at 50 Hz. Documented in EXPERIMENTS.md.
 const ptpCompression = 50
 
-// ptpStar is the paper's PTP deployment: a VelaSync-style grandmaster
-// on node 1 and a client on every other host of an eight-host star
-// behind one cut-through switch.
-type ptpStar struct {
-	sch     *sim.Scheduler
-	net     *fabric.Network
-	nodes   []int // client node IDs
-	names   []string
-	clients []*ptp.Client
-}
-
-// newPTPStar builds the star on switches configured by fcfg and
-// converges it for 2 s on the idle network, as the deployment would.
-func newPTPStar(seed uint64, fcfg fabric.Config) (*ptpStar, error) {
-	s := &ptpStar{sch: sim.NewScheduler()}
-	g := topo.Star(8)
-	var err error
-	if s.net, err = fabric.New(s.sch, seed, g, fcfg); err != nil {
-		return nil, err
-	}
-	cfg := ptp.DefaultConfig().Compressed(ptpCompression)
-	for _, h := range g.HostIDs() {
-		if h != 1 {
-			s.nodes = append(s.nodes, h)
-			s.names = append(s.names, g.Nodes[h].Name)
-		}
-	}
-	gm := ptp.NewGrandmaster(s.net, 1, s.nodes, cfg, seed+1)
-	for i, cn := range s.nodes {
-		c := ptp.NewClient(s.net, cn, 1, cfg, seed+10+uint64(i))
-		c.Start()
-		s.clients = append(s.clients, c)
-	}
-	gm.Start()
-	s.sch.Run(2 * sim.Second)
-	return s, nil
-}
-
-// spray starts background traffic: each of the first n clients sprays
-// the others of that group at gbps.
-func (s *ptpStar) spray(n int, gbps float64, seed uint64) {
-	nodes := s.nodes[:n]
-	for i, src := range nodes {
-		fabric.NewSprayGen(s.net, src, nodes, gbps, 32, seed+uint64(i)).Start()
-	}
-}
-
-// sprayHeavy saturates every client link except the last (s11 in the
-// paper) at 9 Gbps: the load of Figure 6f.
-func (s *ptpStar) sprayHeavy(seed uint64) { s.spray(len(s.nodes)-1, 9.0, seed+200) }
-
 // RunPTP reproduces Figures 6d–f on the paper's PTP network with
 // realistic transparent clocks.
 func RunPTP(o Options, load PTPLoad) (*PTPFigResult, error) {
-	o = o.withDefaults(3 * sim.Second)
-	star, err := newPTPStar(o.Seed, fabric.DefaultConfig())
+	return runPTP(o.withDefaults(3*sim.Second), fabric.DefaultConfig(), load)
+}
+
+// runPTP is the one body of Figures 6d–f and of every row of
+// AblationTCModes. It builds the paper's PTP deployment on switches
+// configured by fcfg — a VelaSync-style grandmaster on node 1 and a
+// client on every other host of an eight-host star behind one
+// cut-through switch — converges it for 2 s on the idle network, as the
+// deployment would, then starts the load and samples every client's
+// offset over o.Duration.
+func runPTP(o Options, fcfg fabric.Config, load PTPLoad) (*PTPFigResult, error) {
+	sch := sim.NewScheduler()
+	g := topo.Star(8)
+	net, err := fabric.New(sch, o.Seed, g, fcfg)
 	if err != nil {
 		return nil, err
 	}
+	cfg := ptp.DefaultConfig().Compressed(ptpCompression)
+	var nodes []int // client node IDs
+	var names []string
+	for _, h := range g.HostIDs() {
+		if h != 1 {
+			nodes = append(nodes, h)
+			names = append(names, g.Nodes[h].Name)
+		}
+	}
+	gm := ptp.NewGrandmaster(net, 1, nodes, cfg, o.Seed+1)
+	var clients []*ptp.Client
+	for i, cn := range nodes {
+		c := ptp.NewClient(net, cn, 1, cfg, o.Seed+10+uint64(i))
+		c.Start()
+		clients = append(clients, c)
+	}
+	gm.Start()
+	sch.Run(2 * sim.Second)
+
+	// Each of the first n clients sprays the others of that group.
+	spray := func(n int, gbps float64, seed uint64) {
+		for i, src := range nodes[:n] {
+			fabric.NewSprayGen(net, src, nodes[:n], gbps, 32, seed+uint64(i)).Start()
+		}
+	}
 	switch load {
 	case LoadMedium:
-		star.spray(5, 4.0, o.Seed+100)
+		spray(5, 4.0, o.Seed+100)
 	case LoadHeavy:
-		star.sprayHeavy(o.Seed)
+		// Every client link except the last (s11 in the paper).
+		spray(len(nodes)-1, 9.0, o.Seed+200)
 	}
 
 	res := &PTPFigResult{
@@ -118,15 +105,15 @@ func RunPTP(o Options, load PTPLoad) (*PTPFigResult, error) {
 		ClientSummaries: map[string]*stats.Summary{},
 		ClientSeries:    map[string]*stats.Series{},
 	}
-	for _, name := range star.names {
+	for _, name := range names {
 		res.ClientSummaries[name] = stats.NewSummary(0)
 		res.ClientSeries[name] = stats.NewSeries(20_000)
 	}
-	sampleFor(star.sch, o, 10*sim.Millisecond, func() {
-		for i, c := range star.clients {
+	sampleFor(sch, o, 10*sim.Millisecond, func() {
+		for i, c := range clients {
 			offNs := c.OffsetToMasterPs() / 1000
-			res.ClientSummaries[star.names[i]].Add(offNs)
-			res.ClientSeries[star.names[i]].Add(star.sch.Now().Seconds(), offNs)
+			res.ClientSummaries[names[i]].Add(offNs)
+			res.ClientSeries[names[i]].Add(sch.Now().Seconds(), offNs)
 		}
 	})
 	for _, s := range res.ClientSummaries {

@@ -10,7 +10,6 @@ import (
 	"github.com/dtplab/dtp/internal/par"
 	"github.com/dtplab/dtp/internal/phy"
 	"github.com/dtplab/dtp/internal/sim"
-	"github.com/dtplab/dtp/internal/stats"
 	"github.com/dtplab/dtp/internal/topo"
 )
 
@@ -199,26 +198,10 @@ type PTPAblationResult struct {
 
 // AblationTCModes quantifies how much of PTP's heavy-load degradation
 // is attributable to imperfect transparent clocks, and how much strict
-// priority queueing recovers.
+// priority queueing recovers. Each row is Figure 6f's run on differently
+// configured switches, so the realistic row is Figure 6f itself.
 func AblationTCModes(o Options) (*PTPAblationResult, error) {
 	o = o.withDefaults(2 * sim.Second)
-	run := func(mode fabric.TCMode, priority bool) (float64, error) {
-		fcfg := fabric.DefaultConfig()
-		fcfg.TC = mode
-		fcfg.PTPPriority = priority
-		star, err := newPTPStar(o.Seed, fcfg)
-		if err != nil {
-			return 0, err
-		}
-		star.sprayHeavy(o.Seed)
-		worst := stats.NewSummary(0)
-		sampleFor(star.sch, o, 10*sim.Millisecond, func() {
-			for _, c := range star.clients {
-				worst.Add(c.OffsetToMasterPs() / 1000)
-			}
-		})
-		return worst.MaxAbs(), nil
-	}
 	// The four TC configurations are independent deployments; fan them
 	// out and merge by position.
 	modes := []struct {
@@ -231,7 +214,14 @@ func AblationTCModes(o Options) (*PTPAblationResult, error) {
 		{fabric.TCRealistic, true},
 	}
 	worst, err := par.Map(o.Jobs, len(modes), func(i int) (float64, error) {
-		return run(modes[i].tc, modes[i].priority)
+		fcfg := fabric.DefaultConfig()
+		fcfg.TC = modes[i].tc
+		fcfg.PTPPriority = modes[i].priority
+		res, err := runPTP(o, fcfg, LoadHeavy)
+		if err != nil {
+			return 0, err
+		}
+		return res.WorstNs, nil
 	})
 	if err != nil {
 		return nil, err

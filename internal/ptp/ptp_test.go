@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"github.com/dtplab/dtp/internal/eth"
 	"github.com/dtplab/dtp/internal/fabric"
 	"github.com/dtplab/dtp/internal/sim"
 	"github.com/dtplab/dtp/internal/topo"
@@ -94,12 +93,13 @@ func TestMedianSmallWindows(t *testing.T) {
 }
 
 // deploy builds the paper's PTP network: star through one cut-through
-// switch, timeserver at node 1, 8 clients.
-func deploy(t *testing.T, seed uint64, cfg Config, fcfg fabric.Config) (*sim.Scheduler, *fabric.Network, *Grandmaster, []*Client) {
+// switch, timeserver at node 1, 8 clients syncing every 100 ms.
+func deploy(t *testing.T, seed uint64) (*sim.Scheduler, []*Client) {
 	t.Helper()
+	cfg := DefaultConfig().Compressed(10)
 	sch := sim.NewScheduler()
 	g := topo.Star(8)
-	net, err := fabric.New(sch, seed, g, fcfg)
+	net, err := fabric.New(sch, seed, g, fabric.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,28 +118,17 @@ func deploy(t *testing.T, seed uint64, cfg Config, fcfg fabric.Config) (*sim.Sch
 	for _, c := range clients {
 		c.Start()
 	}
-	return sch, net, gm, clients
-}
-
-func maxAbsOffsetNs(clients []*Client) float64 {
-	worst := 0.0
-	for _, c := range clients {
-		if o := math.Abs(c.OffsetToMasterPs()) / 1000; o > worst {
-			worst = o
-		}
-	}
-	return worst
+	return sch, clients
 }
 
 func TestPTPConvergesOnIdleNetwork(t *testing.T) {
-	cfg := DefaultConfig().Compressed(10) // sync every 100 ms
-	sch, _, _, clients := deploy(t, 5, cfg, fabric.DefaultConfig())
+	sch, clients := deploy(t, 5)
 	sch.Run(10 * sim.Second) // ~100 sync rounds
 	worst := 0.0
 	for i := 0; i < 200; i++ {
 		sch.RunFor(10 * sim.Millisecond)
-		if o := maxAbsOffsetNs(clients); o > worst {
-			worst = o
+		for _, c := range clients {
+			worst = math.Max(worst, math.Abs(c.OffsetToMasterPs())/1000)
 		}
 	}
 	// Paper (Fig. 6d): idle PTP holds hundreds of nanoseconds.
@@ -158,8 +147,7 @@ func TestPTPConvergesOnIdleNetwork(t *testing.T) {
 }
 
 func TestPTPInitialStepHappens(t *testing.T) {
-	cfg := DefaultConfig().Compressed(10)
-	sch, _, _, clients := deploy(t, 7, cfg, fabric.DefaultConfig())
+	sch, clients := deploy(t, 7)
 	sch.Run(5 * sim.Second)
 	for _, c := range clients {
 		if _, _, steps := c.Stats(); steps == 0 {
@@ -168,97 +156,9 @@ func TestPTPInitialStepHappens(t *testing.T) {
 	}
 }
 
-func TestPTPDegradesUnderLoad(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy simulation; run without -short")
-	}
-	// The paper's central PTP result: idle « medium « heavy. Run the
-	// same deployment under three loads and compare the post-
-	// convergence worst offsets.
-	run := func(load string) float64 {
-		cfg := DefaultConfig().Compressed(50) // sync every 20 ms
-		fcfg := fabric.DefaultConfig()
-		sch, net, _, clients := deploy(t, 11, cfg, fcfg)
-		sch.Run(2 * sim.Second) // converge while idle
-		switch load {
-		case "medium":
-			// Five nodes at 4 Gbps spraying to each other (Fig. 6e).
-			nodes := []int{2, 3, 4, 5, 6}
-			for i, src := range nodes {
-				fabric.NewSprayGen(net, src, nodes, 4.0, 32, uint64(100+i)).Start()
-			}
-		case "heavy":
-			// Every host but one sprays at 9 Gbps (Fig. 6f): receive
-			// and transmit paths of all their links saturate, and
-			// bursts converge on shared egresses.
-			nodes := []int{2, 3, 4, 5, 6, 7, 8}
-			for i, src := range nodes {
-				fabric.NewSprayGen(net, src, nodes, 9.0, 32, uint64(200+i)).Start()
-			}
-		}
-		worst := 0.0
-		for i := 0; i < 300; i++ {
-			sch.RunFor(10 * sim.Millisecond)
-			if o := maxAbsOffsetNs(clients); o > worst {
-				worst = o
-			}
-		}
-		return worst
-	}
-	idle := run("idle")
-	medium := run("medium")
-	heavy := run("heavy")
-	t.Logf("worst offsets: idle %.0f ns, medium %.0f ns, heavy %.0f ns", idle, medium, heavy)
-	if !(idle < medium && medium < heavy) {
-		t.Fatalf("degradation order violated: idle %.0f, medium %.0f, heavy %.0f ns", idle, medium, heavy)
-	}
-	if medium < 2000 {
-		t.Fatalf("medium load offset %.0f ns; paper reports tens of microseconds", medium)
-	}
-	if heavy < 20000 {
-		t.Fatalf("heavy load offset %.0f ns; paper reports hundreds of microseconds", heavy)
-	}
-}
-
-func TestPerfectTCRescuesHeavyLoad(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy simulation; run without -short")
-	}
-	// Ablation: with textbook transparent clocks the queue wait is
-	// corrected and heavy load behaves near-idle — evidence that our
-	// PTP degradation is caused by the realistic TC model, not by a
-	// baked-in load->error constant.
-	run := func(mode fabric.TCMode) float64 {
-		cfg := DefaultConfig().Compressed(50)
-		fcfg := fabric.DefaultConfig()
-		fcfg.TC = mode
-		sch, net, _, clients := deploy(t, 13, cfg, fcfg)
-		sch.Run(2 * sim.Second)
-		nodes := []int{2, 3, 4, 5, 6, 7, 8}
-		for i, src := range nodes {
-			fabric.NewSprayGen(net, src, nodes, 9.0, 32, uint64(300+i)).Start()
-		}
-		worst := 0.0
-		for i := 0; i < 200; i++ {
-			sch.RunFor(10 * sim.Millisecond)
-			if o := maxAbsOffsetNs(clients); o > worst {
-				worst = o
-			}
-		}
-		return worst
-	}
-	realistic := run(fabric.TCRealistic)
-	perfect := run(fabric.TCPerfect)
-	t.Logf("heavy load: realistic TC %.0f ns, perfect TC %.0f ns", realistic, perfect)
-	if perfect*5 > realistic {
-		t.Fatalf("perfect TC (%.0f ns) should be far better than realistic (%.0f ns)", perfect, realistic)
-	}
-}
-
 func TestPTPDeterminism(t *testing.T) {
 	run := func() float64 {
-		cfg := DefaultConfig().Compressed(10)
-		sch, _, _, clients := deploy(t, 99, cfg, fabric.DefaultConfig())
+		sch, clients := deploy(t, 99)
 		sch.Run(3 * sim.Second)
 		return clients[0].OffsetToMasterPs()
 	}
@@ -278,12 +178,4 @@ func TestCompressedScalesIntervals(t *testing.T) {
 	if got := DefaultConfig().Compressed(1); got.SyncInterval != sim.Second {
 		t.Fatal("Compressed(1) should be identity")
 	}
-}
-
-// NewTraffic is a small helper used by tests and experiments: one
-// iperf-style flow at the given rate.
-func NewTraffic(net *fabric.Network, src, dst int, gbps float64, seed uint64) *fabric.TrafficGen {
-	g := fabric.NewTrafficGen(net, src, dst, eth.MTUFrame, gbps, 16, seed)
-	g.Start()
-	return g
 }

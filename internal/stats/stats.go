@@ -10,8 +10,10 @@ import (
 	"strings"
 )
 
-// Summary accumulates streaming min/max/mean/variance plus reservoir
-// quantiles.
+// Summary accumulates streaming min/max/mean/variance over every value
+// added, plus quantiles over a window of the most recent values: N, Min,
+// Max, MaxAbs, Mean and Stddev describe the whole stream, Quantile and
+// QuantileAbs only the window.
 type Summary struct {
 	n          uint64
 	min, max   float64
@@ -21,8 +23,8 @@ type Summary struct {
 	seen       uint64
 }
 
-// NewSummary creates a summary keeping up to maxSamples values for
-// quantiles (0 means 4096).
+// NewSummary creates a summary whose quantiles cover the last
+// maxSamples values added (0 means 4096).
 func NewSummary(maxSamples int) *Summary {
 	if maxSamples <= 0 {
 		maxSamples = 4096
@@ -43,14 +45,14 @@ func (s *Summary) Add(v float64) {
 	s.mean += d / float64(s.n)
 	s.m2 += d * (v - s.mean)
 
-	// Reservoir sampling keeps quantiles unbiased with bounded memory.
+	// A ring, not a random sample: once full, each value overwrites slot
+	// (seen mod cap), so the window holds the last maxSamples values.
+	// (Until 2·maxSamples values have been added, slot 0 still holds the
+	// first value in place of the oldest of them.)
 	s.seen++
 	if len(s.reservoir) < s.maxSamples {
 		s.reservoir = append(s.reservoir, v)
 	} else {
-		// Deterministic stride-based replacement (no RNG dependency):
-		// replace slot (seen mod cap). Slightly biased toward recent
-		// values, acceptable for reporting.
 		s.reservoir[s.seen%uint64(s.maxSamples)] = v
 	}
 }
@@ -83,7 +85,7 @@ func (s *Summary) Stddev() float64 {
 	return math.Sqrt(s.m2 / float64(s.n-1))
 }
 
-// Quantile returns the q-th quantile (0..1) from the reservoir, using
+// Quantile returns the q-th quantile (0..1) of the window, using
 // nearest-rank rounding. (Flooring the fractional rank — the previous
 // behavior — systematically underestimates upper quantiles on small
 // reservoirs: p99 of ten samples floored to the 9th value, never the
@@ -103,6 +105,13 @@ func (s *Summary) Quantile(q float64) float64 {
 		idx = len(tmp) - 1
 	}
 	return tmp[idx]
+}
+
+// QuantileAbs returns the quantile of |sample| magnitude assuming a
+// roughly symmetric distribution: max(Q(q), -Q(1-q)). Convenient for
+// "p99 of |offset|" reporting.
+func (s *Summary) QuantileAbs(q float64) float64 {
+	return math.Max(math.Abs(s.Quantile(q)), math.Abs(s.Quantile(1-q)))
 }
 
 // String renders a one-line report.

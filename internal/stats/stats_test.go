@@ -82,6 +82,24 @@ func TestSummaryReservoirBounded(t *testing.T) {
 	if s.N() != 10000 {
 		t.Fatal("count wrong")
 	}
+	// A window, not a sample: the 64 values kept are the last 64 added.
+	if lo, hi := s.Quantile(0), s.Quantile(1); lo != 10000-64 || hi != 9999 {
+		t.Fatalf("window spans [%v, %v], want the last 64 values [9936, 9999]", lo, hi)
+	}
+}
+
+// QuantileAbs is max(|Q(q)|, |Q(1-q)|), which for q >= 1/2 is
+// max(Q(q), -Q(1-q)) whatever the signs.
+func TestSummaryQuantileAbs(t *testing.T) {
+	for _, vs := range [][]float64{{-9, -1, 0, 1, 2}, {3, 4, 5, 6, 9}, {-9, -6, -5, -4, -3}} {
+		s := NewSummary(0)
+		for _, v := range vs {
+			s.Add(v)
+		}
+		if got := s.QuantileAbs(0.99); got != 9 {
+			t.Fatalf("QuantileAbs(0.99) of %v = %v, want 9", vs, got)
+		}
+	}
 }
 
 // Property: mean and min/max match a direct computation.
