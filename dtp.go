@@ -86,9 +86,13 @@ func ParseTopology(spec string) (Topology, error) {
 	// Size checks happen here, not in the builders, so a bad CLI spec
 	// becomes an error message instead of a panic stack.
 	switch name {
-	case "pair":
-		return Pair(), nil
-	case "tree":
+	case "pair", "tree":
+		if arg != "" {
+			return Topology{}, fmt.Errorf("dtp: topology %q takes no argument, got %q", name, arg)
+		}
+		if name == "pair" {
+			return Pair(), nil
+		}
 		return PaperTree(), nil
 	case "star":
 		if arg == "" {
@@ -119,7 +123,8 @@ func ParseTopology(spec string) (Topology, error) {
 	}
 }
 
-// Option configures a System.
+// Option configures a System. The With* options are the public API, so
+// each stays even where every caller in this module passes one value.
 type Option func(*config)
 
 type config struct {
@@ -482,11 +487,7 @@ type AuditOptions struct {
 // time-to-sync, and reconvergence metrics land in the registry, and
 // violations emit tracer events. The auditor is stopped by Close.
 func (s *System) Audit(o AuditOptions) *Auditor {
-	cfg := audit.DefaultConfig()
-	if o.Interval > 0 {
-		cfg.Interval = sim.FromStd(o.Interval)
-	}
-	a := audit.New(s.net, cfg)
+	a := audit.New(s.net, audit.Config{Interval: sim.FromStd(o.Interval)})
 	a.Instrument(s.cfg.reg, s.cfg.tracer)
 	a.Start()
 	s.auditors = append(s.auditors, a)
@@ -499,7 +500,7 @@ func (s *System) Audit(o AuditOptions) *Auditor {
 // events per wall-clock second — useful live, but host-dependent, so
 // leave it off when the metric export must be byte-deterministic.
 func (s *System) EnableSchedulerMetrics(wallRate bool) {
-	telemetry.InstrumentScheduler(s.cfg.reg, s.sch, telemetry.SchedOptions{WallRate: wallRate})
+	telemetry.InstrumentScheduler(s.cfg.reg, s.sch, wallRate)
 }
 
 // Daemon is a software clock served by the DTP daemon on one host

@@ -10,9 +10,9 @@ import (
 )
 
 // Timeline is the windowed time-series store from internal/telemetry: a
-// fixed ring of periodic snapshot rows giving rates and
-// quantiles-over-time, exportable as deterministic JSONL and mountable
-// as an HTTP handler (dtpd's /timeline).
+// fixed ring of periodic snapshot rows giving gauges and rates over
+// time, exportable as deterministic JSONL and mountable as an HTTP
+// handler (dtpd's /timeline).
 type Timeline = telemetry.Timeline
 
 // TimelineOptions configures the timeline attached by System.Timeline,
@@ -36,7 +36,7 @@ type TimelineOptions struct {
 // The returned Timeline is also remembered as the default for
 // FlightRecorder bundles.
 func (s *System) Timeline(o TimelineOptions) *Timeline {
-	tl := telemetry.NewTimeline(sim.FromStd(o.Interval), 0)
+	tl := telemetry.NewTimeline(sim.FromStd(o.Interval))
 	tl.Gauge("bound_ticks", func() float64 { return float64(s.net.BoundUnits()) })
 	tl.Gauge("max_offset_ticks", func() float64 { return float64(s.net.MaxPairwiseOffset()) })
 	if tr := s.cfg.tracer; tr != nil {
@@ -98,8 +98,8 @@ func (s *System) Timeline(o TimelineOptions) *Timeline {
 type FlightRecorder = telemetry.Recorder
 
 // FlightOptions configures the recorder attached by
-// System.FlightRecorder. Bundle budget, per-reason cooldown and trace
-// depth are telemetry.FlightConfig's defaults; a bundle carries the
+// System.FlightRecorder. Bundle budget (4 per run), per-reason cooldown
+// (1 ms) and trace depth (256 events) are fixed; a bundle carries the
 // System.Timeline ring when there is one.
 type FlightOptions struct {
 	// Dir is where bundles land (created if absent). Required.

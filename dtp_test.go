@@ -377,7 +377,7 @@ func TestParseTopologyValidation(t *testing.T) {
 		}
 	}
 	bad := []string{"chain:0", "chain:-1", "star:0", "star:-2", "fattree:3",
-		"fattree:0", "fattree:-4", "ring", "chain:x"}
+		"fattree:0", "fattree:-4", "ring", "chain:x", "pair:3", "tree:7", "tree:x"}
 	for _, spec := range bad {
 		if _, err := ParseTopology(spec); err == nil {
 			t.Errorf("%s: accepted, want error", spec)

@@ -29,22 +29,16 @@ var (
 )
 
 // TimePlaneOptions configures the serving plane attached by TimePlane.
-// The zero value serves every host from the topology's first host.
+// The topology's first host broadcasts (counter, UTC) pairs (§5.2),
+// standing in for the GPS/PTP-disciplined timeserver, and every other
+// host is served.
 type TimePlaneOptions struct {
-	// Broadcaster names the host whose daemon broadcasts (counter, UTC)
-	// pairs (§5.2); it stands in for the GPS/PTP-disciplined timeserver.
-	// Default: the topology's first host.
-	Broadcaster string
-
-	// Hosts lists the served hosts. Default: every host except the
-	// broadcaster.
-	Hosts []string
-
 	// CalInterval is the daemons' PCIe calibration cadence (0 = the
 	// daemon default; compressed simulations want ~10ms).
 	CalInterval time.Duration
 
-	// BroadcastInterval is the UTC pair cadence (default 10 ms).
+	// BroadcastInterval is the UTC pair cadence (default 10 ms). It stays
+	// an option because dtpd broadcasts every 50 ms.
 	BroadcastInterval time.Duration
 
 	// Auditor supplies the live cross-host 4TD bound folded into every
@@ -84,34 +78,7 @@ func (s *System) TimePlane(o TimePlaneOptions) (*TimePlane, error) {
 	if len(hostNames) < 2 {
 		return nil, fmt.Errorf("dtp: TimePlane needs at least 2 hosts (broadcaster + served), topology has %d", len(hostNames))
 	}
-	isHost := map[string]bool{}
-	for _, h := range hostNames {
-		isHost[h] = true
-	}
-
-	bc := o.Broadcaster
-	if bc == "" {
-		bc = hostNames[0]
-	}
-	if !isHost[bc] {
-		return nil, fmt.Errorf("dtp: TimePlane broadcaster %q is not a host", bc)
-	}
-	served := o.Hosts
-	if len(served) == 0 {
-		for _, h := range hostNames {
-			if h != bc {
-				served = append(served, h)
-			}
-		}
-	}
-	for _, h := range served {
-		if !isHost[h] {
-			return nil, fmt.Errorf("dtp: TimePlane host %q is not a host", h)
-		}
-		if h == bc {
-			return nil, fmt.Errorf("dtp: TimePlane host %q is the broadcaster", h)
-		}
-	}
+	bc, served := hostNames[0], hostNames[1:]
 	sort.Strings(served)
 
 	aud := o.Auditor

@@ -28,44 +28,24 @@ import (
 )
 
 // Config tunes the online auditor. The zero value selects defaults.
+// Every device pair is audited against its hardware bound: the serving
+// plane adds its software margin itself (timesvc), so the auditor needs
+// none.
 type Config struct {
 	// Interval is the snapshot cadence in simulated time (default 100 µs).
 	Interval sim.Time
-
-	// SoftwareMarginUnits is extra slack added to every pair's bound.
-	// Hardware counters need none; audits of daemon-read clocks add the
-	// paper's 8T software-access margin here (§5.1).
-	SoftwareMarginUnits int64
-
-	// HostsOnly restricts auditing to host pairs (the end-to-end
-	// precision that matters to applications). Default: every device.
-	HostsOnly bool
-
-	// MaxViolationEvents caps how many violation trace events (each of
-	// which snapshots causal context from the tracer ring) are emitted
-	// per check; counters still count every violation (default 4).
-	MaxViolationEvents int
-}
-
-// DefaultConfig returns the default auditor configuration.
-func DefaultConfig() Config {
-	return Config{
-		Interval:           100 * sim.Microsecond,
-		MaxViolationEvents: 4,
-	}
-}
-
-func (c *Config) fillDefaults() {
-	d := DefaultConfig()
-	if c.Interval <= 0 {
-		c.Interval = d.Interval
-	}
-	if c.MaxViolationEvents <= 0 {
-		c.MaxViolationEvents = d.MaxViolationEvents
-	}
 }
 
 const (
+	// defaultInterval is the snapshot cadence a zero Config.Interval
+	// selects.
+	defaultInterval = 100 * sim.Microsecond
+
+	// maxViolationEvents caps how many violation trace events (each of
+	// which snapshots causal context from the tracer ring) are emitted
+	// per check; counters still count every violation.
+	maxViolationEvents = 4
+
 	// causalDepth is how many trace events of context a violation
 	// carries.
 	causalDepth = 8
@@ -102,18 +82,16 @@ type Auditor struct {
 	sch *sim.Scheduler
 	cfg Config
 
-	nodes   []int   // audited node IDs
-	nodePos []int   // node ID -> position in nodes, -1 if unaudited
 	weights []int64 // per-link bound contribution, units
 	active  []bool  // link-synced bitmap as of the last check
 	hops    [][]int
 	bounds  [][]int64
 
-	// Per-pair state, dense: the pair of positions x < y in nodes lives
-	// at pairIndex(x, y), so one sweep walks each slice front to back.
+	// Per-pair state, dense: the pair of node IDs i < j lives at
+	// pairIndex(i, j), so one sweep walks each slice front to back.
 	// pairBound is rebuilt when the synced link set changes; pairWorst
 	// and pairGauges (nil unless Instrument registered them) persist.
-	pairBound  []int64 // bound + software margin, or unreachable
+	pairBound  []int64 // bound, or unreachable
 	pairWorst  []int64
 	pairGauges []*telemetry.Gauge
 
@@ -147,7 +125,7 @@ type Auditor struct {
 	mTTS     *telemetry.Gauge
 	mReconv  *telemetry.Histogram
 
-	counters []uint64 // snapshot scratch by position in nodes, reused across checks
+	counters []uint64 // snapshot scratch by node ID, reused across checks
 	event    sim.Event
 	stopped  bool
 }
@@ -155,49 +133,37 @@ type Auditor struct {
 // New builds an auditor over the network. Call Instrument to attach
 // telemetry (optional), then Start.
 func New(n *core.Network, cfg Config) *Auditor {
-	cfg.fillDefaults()
+	if cfg.Interval <= 0 {
+		cfg.Interval = defaultInterval
+	}
 	a := &Auditor{
 		net:        n,
 		sch:        n.Sch,
 		cfg:        cfg,
 		active:     make([]bool, len(n.Graph.Links)),
 		weights:    make([]int64, len(n.Graph.Links)),
-		nodePos:    make([]int, len(n.Graph.Nodes)),
+		counters:   make([]uint64, len(n.Graph.Nodes)),
 		timeToSync: -1,
 		minSlack:   math.MaxInt64,
 	}
 	for i := range n.Graph.Links {
 		a.weights[i] = n.LinkBoundUnits(i)
 	}
-	if cfg.HostsOnly {
-		a.nodes = n.Graph.HostIDs()
-	} else {
-		for i := range n.Graph.Nodes {
-			a.nodes = append(a.nodes, i)
-		}
-	}
-	for i := range a.nodePos {
-		a.nodePos[i] = -1
-	}
-	for x, i := range a.nodes {
-		a.nodePos[i] = x
-	}
 	np := a.numPairs()
 	a.pairBound = make([]int64, np)
 	a.pairWorst = make([]int64, np)
-	a.counters = make([]uint64, len(a.nodes))
 	return a
 }
 
 // unreachable marks a pair with no synced path in pairBound.
 const unreachable = math.MinInt64
 
-func (a *Auditor) numPairs() int { return len(a.nodes) * (len(a.nodes) - 1) / 2 }
+func (a *Auditor) numPairs() int { return len(a.counters) * (len(a.counters) - 1) / 2 }
 
-// pairIndex returns where the pair of positions x < y sits in the
-// per-pair slices: row x of the strict upper triangle, row-major.
-func (a *Auditor) pairIndex(x, y int) int {
-	return x*(2*len(a.nodes)-x-1)/2 + y - x - 1
+// pairIndex returns where the pair of node IDs i < j sits in the
+// per-pair slices: row i of the strict upper triangle, row-major.
+func (a *Auditor) pairIndex(i, j int) int {
+	return i*(2*len(a.counters)-i-1)/2 + j - i - 1
 }
 
 // Instrument attaches a metrics registry and/or tracer. Either may be
@@ -226,8 +192,9 @@ func (a *Auditor) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 		telemetry.ExponentialBuckets(1e-6, 4, 12))
 	a.pairGauges = nil
 	if reg != nil && a.numPairs() <= maxPairSeries {
-		for x, i := range a.nodes {
-			for _, j := range a.nodes[x+1:] {
+		n := len(a.counters)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
 				a.pairGauges = append(a.pairGauges, reg.Gauge("dtp_audit_pair_worst_offset_units",
 					"Largest |offset| observed for this device pair, in counter units.",
 					"pair", a.pairName(i, j)))
@@ -324,8 +291,8 @@ func (a *Auditor) check() {
 		return
 	}
 
-	for x, i := range a.nodes {
-		a.counters[x] = a.net.Devices[i].GlobalCounterAt(now)
+	for i, d := range a.net.Devices {
+		a.counters[i] = d.GlobalCounterAt(now)
 	}
 	clean, connected, pairs := a.sweep(now, a.excusedAt(now))
 	a.pairChecks += pairs
@@ -354,13 +321,12 @@ func (a *Auditor) check() {
 // only when the synced link set changed.
 func (a *Auditor) rebuildPairBounds() {
 	k := 0
-	for x, i := range a.nodes {
-		hops, bounds := a.hops[i], a.bounds[i]
-		for _, j := range a.nodes[x+1:] {
+	for i, hops := range a.hops {
+		for j := i + 1; j < len(hops); j++ {
 			if hops[j] < 0 {
 				a.pairBound[k] = unreachable
 			} else {
-				a.pairBound[k] = bounds[j] + a.cfg.SoftwareMarginUnits
+				a.pairBound[k] = a.bounds[i][j]
 			}
 			k++
 		}
@@ -377,12 +343,12 @@ func (a *Auditor) rebuildPairBounds() {
 func (a *Auditor) sweep(now sim.Time, excused bool) (clean, connected bool, pairs uint64) {
 	clean, connected = true, true
 	worst, minSlack := a.worst, a.minSlack
-	eventsLeft := a.cfg.MaxViolationEvents
-	n := len(a.nodes)
+	eventsLeft := maxViolationEvents
+	n := len(a.counters)
 	k := 0
-	for x := 0; x < n-1; x++ {
-		ci := int64(a.counters[x])
-		peers := a.counters[x+1:]
+	for i := 0; i < n-1; i++ {
+		ci := int64(a.counters[i])
+		peers := a.counters[i+1:]
 		bounds := a.pairBound[k : k+len(peers)]
 		worsts := a.pairWorst[k : k+len(peers)]
 		for y, bound := range bounds {
@@ -415,7 +381,7 @@ func (a *Auditor) sweep(now sim.Time, excused bool) (clean, connected bool, pair
 					a.mExcused.Inc()
 				} else {
 					a.publish(worst, minSlack)
-					i, j := a.nodes[x], a.nodes[x+1+y]
+					j := i + 1 + y
 					a.recordViolation(now, i, j, a.hops[i][j], off, bound, eventsLeft > 0)
 					if eventsLeft > 0 {
 						eventsLeft--
@@ -562,13 +528,13 @@ func (a *Auditor) Converged() bool { return a.converged }
 func (a *Auditor) LastViolation() *Violation { return a.lastViol }
 
 // LiveBoundUnits returns the current worst-case 4TD precision bound
-// between the named device and any other audited device, in counter
-// units and including the configured software margin — the half-width a
-// time-serving API must cover for cross-host counter disagreement. It
-// reflects the link-synced set as of the auditor's last check, so it
-// tightens and relaxes as links flap. Returns -1 when the device is not
-// audited, no check has run yet, or the device cannot currently reach
-// every audited peer (a partitioned host has no honest bound to serve).
+// between the named device and any other device, in counter units — the
+// half-width a time-serving API must cover for cross-host counter
+// disagreement. It reflects the link-synced set as of the auditor's last
+// check, so it tightens and relaxes as links flap. Returns -1 when the
+// device is unknown, no check has run yet, or the device cannot
+// currently reach every peer (a partitioned host has no honest bound to
+// serve).
 func (a *Auditor) LiveBoundUnits(device string) int64 {
 	if a.hops == nil {
 		return -1
@@ -578,22 +544,17 @@ func (a *Auditor) LiveBoundUnits(device string) int64 {
 		return -1
 	}
 	id := node.ID
-	audited := false
 	worst := int64(-1)
-	for _, j := range a.nodes {
+	for j, hops := range a.hops[id] {
 		if j == id {
-			audited = true
 			continue
 		}
-		if a.hops[id][j] < 0 {
+		if hops < 0 {
 			return -1
 		}
-		if b := a.bounds[id][j] + a.cfg.SoftwareMarginUnits; b > worst {
+		if b := a.bounds[id][j]; b > worst {
 			worst = b
 		}
-	}
-	if !audited {
-		return -1
 	}
 	return worst
 }
@@ -601,17 +562,13 @@ func (a *Auditor) LiveBoundUnits(device string) int64 {
 // WorstPairOffsetUnits returns the worst |offset| seen for a device
 // pair, by topology node IDs in either order (0 if never checked).
 func (a *Auditor) WorstPairOffsetUnits(i, j int) int64 {
-	if i < 0 || j < 0 || i >= len(a.nodePos) || j >= len(a.nodePos) {
+	if i > j {
+		i, j = j, i
+	}
+	if i < 0 || j >= len(a.counters) || i == j {
 		return 0
 	}
-	x, y := a.nodePos[i], a.nodePos[j]
-	if x > y {
-		x, y = y, x
-	}
-	if x < 0 || x == y {
-		return 0
-	}
-	return a.pairWorst[a.pairIndex(x, y)]
+	return a.pairWorst[a.pairIndex(i, j)]
 }
 
 // Summary renders a one-line report.

@@ -30,7 +30,7 @@ func newAudited(t *testing.T, g topo.Graph, seed uint64, cfg Config, ccfg core.C
 }
 
 func TestAuditorPairStaysInBound(t *testing.T) {
-	n, a, reg, _ := newAudited(t, topo.Pair(), 1, DefaultConfig(), core.DefaultConfig())
+	n, a, reg, _ := newAudited(t, topo.Pair(), 1, Config{}, core.DefaultConfig())
 	n.Sch.Run(200 * sim.Millisecond)
 
 	if v := a.Violations(); v != 0 {
@@ -64,7 +64,7 @@ func TestAuditorPairStaysInBound(t *testing.T) {
 }
 
 func TestAuditorFatTreeStaysInBound(t *testing.T) {
-	n, a, _, _ := newAudited(t, topo.FatTree(4), 7, DefaultConfig(), core.DefaultConfig())
+	n, a, _, _ := newAudited(t, topo.FatTree(4), 7, Config{}, core.DefaultConfig())
 	n.Sch.Run(100 * sim.Millisecond)
 	if v := a.Violations(); v != 0 {
 		t.Fatalf("fattree: %d violations, want 0 (%s)", v, a.Summary())
@@ -74,28 +74,13 @@ func TestAuditorFatTreeStaysInBound(t *testing.T) {
 	}
 }
 
-func TestAuditorHostsOnly(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HostsOnly = true
-	n, a, _, _ := newAudited(t, topo.PaperTree(), 3, cfg, core.DefaultConfig())
-	n.Sch.Run(50 * sim.Millisecond)
-	if v := a.Violations(); v != 0 {
-		t.Fatalf("hosts-only: %d violations (%s)", v, a.Summary())
-	}
-	// 8 hosts -> 28 pairs per clean check; a switch-inclusive audit
-	// would do 66. Infer the restriction from the per-check ratio.
-	if a.Checks() == 0 || a.PairChecks()%28 != 0 {
-		t.Fatalf("pair checks %d not a multiple of C(8,2)=28 (%s)", a.PairChecks(), a.Summary())
-	}
-}
-
 // TestAuditorPartitionReconverge is the seed "partition-reconverge"
 // scenario: cut the s0-s1 uplink of the paper tree, watch the auditor
 // split the network into two audited components without false
 // violations, then restore the link and require a recorded
 // reconvergence.
 func TestAuditorPartitionReconverge(t *testing.T) {
-	n, a, _, _ := newAudited(t, topo.PaperTree(), 5, DefaultConfig(), core.DefaultConfig())
+	n, a, _, _ := newAudited(t, topo.PaperTree(), 5, Config{}, core.DefaultConfig())
 	n.Sch.Run(50 * sim.Millisecond)
 	if !a.Converged() {
 		t.Fatalf("tree never converged before partition: %s", a.Summary())
@@ -126,9 +111,7 @@ func TestAuditorPartitionReconverge(t *testing.T) {
 // LiveBoundUnits is the serving plane's error-bound source: worst 4TD
 // bound from one host to any audited peer, tracking the live link set.
 func TestAuditorLiveBoundUnits(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SoftwareMarginUnits = 8
-	n, a, _, _ := newAudited(t, topo.PaperTree(), 9, cfg, core.DefaultConfig())
+	n, a, _, _ := newAudited(t, topo.PaperTree(), 9, Config{}, core.DefaultConfig())
 
 	if b := a.LiveBoundUnits("s4"); b != -1 {
 		t.Fatalf("bound %d before any check, want -1", b)
@@ -139,10 +122,10 @@ func TestAuditorLiveBoundUnits(t *testing.T) {
 	}
 
 	// A leaf host's worst peer is a leaf under another aggregation
-	// switch: 4 hops, 4 units each, plus the 8-unit software margin.
+	// switch: 4 hops, 4 units each.
 	leaf := a.LiveBoundUnits("s4")
-	if leaf != 4*4+8 {
-		t.Fatalf("s4 live bound %d units, want %d", leaf, 4*4+8)
+	if leaf != 4*4 {
+		t.Fatalf("s4 live bound %d units, want %d", leaf, 4*4)
 	}
 	// The root sits 2 hops from every host: strictly tighter.
 	if root := a.LiveBoundUnits("s0"); root >= leaf {
@@ -166,20 +149,6 @@ func TestAuditorLiveBoundUnits(t *testing.T) {
 	}
 }
 
-// HostsOnly auditors have no bound for switches — they are not audited.
-func TestAuditorLiveBoundHostsOnly(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.HostsOnly = true
-	n, a, _, _ := newAudited(t, topo.PaperTree(), 11, cfg, core.DefaultConfig())
-	n.Sch.Run(50 * sim.Millisecond)
-	if b := a.LiveBoundUnits("s0"); b != -1 {
-		t.Fatalf("unaudited switch reports bound %d, want -1", b)
-	}
-	if b := a.LiveBoundUnits("s4"); b <= 0 {
-		t.Fatalf("host bound %d, want positive", b)
-	}
-}
-
 // brokenConfig deliberately breaks the resynchronization frequency
 // invariant of §3.2: with worst-case ±100 ppm skew and a beacon interval
 // stretched to 100000 ticks, counters drift ~20 units between beacons —
@@ -192,8 +161,7 @@ func brokenConfig() core.Config {
 }
 
 func TestAuditorDetectsBrokenBound(t *testing.T) {
-	cfg := DefaultConfig()
-	n, a, _, tr := newAudited(t, topo.Pair(), 2, cfg, brokenConfig(),
+	n, a, _, tr := newAudited(t, topo.Pair(), 2, Config{}, brokenConfig(),
 		core.WithPPM(map[string]float64{"h0": 100, "h1": -100}))
 	tr.SetKinds() // firehose on: causal context needs beacon-level events
 	n.Sch.Run(20 * sim.Millisecond)
@@ -240,12 +208,10 @@ func TestAuditorDetectsBrokenBound(t *testing.T) {
 }
 
 // TestAuditorViolationEventCap checks that a persistently broken network
-// emits at most MaxViolationEvents trace events per check while the
+// emits at most maxViolationEvents trace events per check while the
 // counter keeps counting every breach.
 func TestAuditorViolationEventCap(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxViolationEvents = 1
-	n, a, _, tr := newAudited(t, topo.Star(4), 2, cfg, brokenConfig(),
+	n, a, _, tr := newAudited(t, topo.Star(4), 2, Config{}, brokenConfig(),
 		core.WithPPM(map[string]float64{"sw": 100, "timeserver": -100,
 			"s4": -100, "s5": -100, "s6": -100, "s7": -100}))
 	n.Sch.Run(20 * sim.Millisecond)
@@ -281,7 +247,7 @@ func abs(v int64) int64 {
 // expected-degradation window count as excused, breaches outside it
 // still count as violations, and both surface in metrics and Summary.
 func TestExpectDegradationExcusesWindows(t *testing.T) {
-	n, a, reg, _ := newAudited(t, topo.Pair(), 2, DefaultConfig(), brokenConfig(),
+	n, a, reg, _ := newAudited(t, topo.Pair(), 2, Config{}, brokenConfig(),
 		core.WithPPM(map[string]float64{"h0": 100, "h1": -100}))
 	// The broken cadence desynchronizes the pair permanently; excuse
 	// only the first stretch of the run.
@@ -309,7 +275,7 @@ func TestExpectDegradationExcusesWindows(t *testing.T) {
 // TestExpectDegradationFullCover: a window covering the whole run means
 // zero unexcused violations — the invariant chaos campaigns assert.
 func TestExpectDegradationFullCover(t *testing.T) {
-	n, a, _, _ := newAudited(t, topo.Pair(), 2, DefaultConfig(), brokenConfig(),
+	n, a, _, _ := newAudited(t, topo.Pair(), 2, Config{}, brokenConfig(),
 		core.WithPPM(map[string]float64{"h0": 100, "h1": -100}))
 	a.ExpectDegradation(0, sim.Time(1)*sim.Second, "covers everything")
 	n.Sch.Run(20 * sim.Millisecond)

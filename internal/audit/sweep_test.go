@@ -17,9 +17,7 @@ import (
 // events are left out; everything that decides a counter is kept.
 type mapAuditor struct {
 	net *core.Network
-	cfg Config
 
-	nodes   []int
 	weights []int64
 	active  []bool
 	hops    [][]int
@@ -40,8 +38,6 @@ type mapAuditor struct {
 func shadow(a *Auditor) *mapAuditor {
 	o := &mapAuditor{
 		net:       a.net,
-		cfg:       a.cfg,
-		nodes:     a.nodes,
 		weights:   a.weights,
 		active:    make([]bool, len(a.active)),
 		minSlack:  math.MaxInt64,
@@ -90,12 +86,12 @@ func (o *mapAuditor) check() {
 		return
 	}
 
-	for _, i := range o.nodes {
-		o.counters[i] = o.net.Devices[i].GlobalCounterAt(now)
+	for i, d := range o.net.Devices {
+		o.counters[i] = d.GlobalCounterAt(now)
 	}
 	excused := o.excusedAt(now)
-	for x, i := range o.nodes {
-		for _, j := range o.nodes[x+1:] {
+	for i := range o.counters {
+		for j := i + 1; j < len(o.counters); j++ {
 			if o.hops[i][j] < 0 {
 				continue
 			}
@@ -104,7 +100,7 @@ func (o *mapAuditor) check() {
 			if abs < 0 {
 				abs = -abs
 			}
-			bound := o.bounds[i][j] + o.cfg.SoftwareMarginUnits
+			bound := o.bounds[i][j]
 			if abs > o.worst {
 				o.worst = abs
 			}
@@ -134,8 +130,8 @@ func (o *mapAuditor) worstPair(i, j int) int64 {
 }
 
 // requireSame compares every number the sweep produces, including the
-// per-pair worst for every ID pair in either order and for IDs that are
-// unaudited or outside the topology.
+// per-pair worst for every ID pair in either order and for IDs outside
+// the topology.
 func requireSame(t *testing.T, at string, a *Auditor, o *mapAuditor) {
 	t.Helper()
 	type totals struct {
@@ -165,14 +161,9 @@ func TestDenseSweepMatchesMapSweep(t *testing.T) {
 		}
 		return core.WithPPM(ppm)
 	}
-	hostsOnly := DefaultConfig()
-	hostsOnly.HostsOnly = true
-	hostsOnly.SoftwareMarginUnits = 8
-
 	cases := []struct {
 		name   string
 		g      topo.Graph
-		cfg    Config
 		broken bool // run brokenConfig with worst-case skews so the bound breaks
 		// windows are the expected-degradation intervals declared up front.
 		windows [][2]sim.Time
@@ -185,16 +176,13 @@ func TestDenseSweepMatchesMapSweep(t *testing.T) {
 		wantUnreach  bool
 		total, probe sim.Time
 	}{
-		{name: "clean fat-tree", g: topo.FatTree(4), cfg: DefaultConfig(),
+		{name: "clean fat-tree", g: topo.FatTree(4),
 			total: 20 * sim.Millisecond, probe: 5 * sim.Millisecond},
-		{name: "flaps, partition and excused windows", g: topo.PaperTree(), cfg: DefaultConfig(), broken: true,
+		{name: "flaps, partition and excused windows", g: topo.PaperTree(), broken: true,
 			windows: [][2]sim.Time{{4 * sim.Millisecond, 9 * sim.Millisecond}, {15 * sim.Millisecond, 16 * sim.Millisecond}},
 			cuts:    [][2]int64{{6, 0}, {7, 3}, {12, 5}, {13, 0}, {14, 5}},
 			total:   24 * sim.Millisecond, probe: 2 * sim.Millisecond,
 			wantViol: true, wantExcused: true, wantUnreach: true},
-		{name: "hosts only", g: topo.PaperTree(), cfg: hostsOnly,
-			cuts:  [][2]int64{{30, 0}},
-			total: 60 * sim.Millisecond, probe: 10 * sim.Millisecond, wantUnreach: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -204,7 +192,7 @@ func TestDenseSweepMatchesMapSweep(t *testing.T) {
 				ccfg = brokenConfig()
 				opts = append(opts, alternatingPPM(tc.g))
 			}
-			n, a, _, _ := newAudited(t, tc.g, 4, tc.cfg, ccfg, opts...)
+			n, a, _, _ := newAudited(t, tc.g, 4, Config{}, ccfg, opts...)
 			o := shadow(a)
 			for _, w := range tc.windows {
 				a.ExpectDegradation(w[0], w[1], "test fault")
@@ -249,7 +237,7 @@ func BenchmarkAuditSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := New(n, DefaultConfig())
+	a := New(n, Config{})
 	a.Start()
 	n.Start()
 	sch.Run(5 * sim.Millisecond)

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -47,6 +48,30 @@ func TestGridValidate(t *testing.T) {
 	}
 	if err := (Grid{}).Validate(); err != nil {
 		t.Fatalf("empty grid should validate with defaults: %v", err)
+	}
+}
+
+// TestGridCadenceSigns: a negative cadence in grid JSON is an error, not
+// a silent default; zero still selects the default.
+func TestGridCadenceSigns(t *testing.T) {
+	for _, tc := range []struct {
+		json string
+		ok   bool
+	}{
+		{`{"sample_period": "-5ms"}`, false},
+		{`{"audit_every": "-5ms"}`, false},
+		{`{"sync_timeout": "-1s"}`, false},
+		{`{"audit_every": -1}`, false},
+		{`{"sample_period": "0s", "audit_every": 0, "sync_timeout": "0s"}`, true},
+		{`{"sample_period": "50us", "audit_every": "1ms", "sync_timeout": "2s"}`, true},
+	} {
+		var g Grid
+		if err := json.Unmarshal([]byte(tc.json), &g); err != nil {
+			t.Fatalf("%s: %v", tc.json, err)
+		}
+		if err := g.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.json, err, tc.ok)
+		}
 	}
 }
 

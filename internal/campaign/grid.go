@@ -203,8 +203,17 @@ func (g Grid) withDefaults() Grid {
 	return g
 }
 
-// Validate rejects malformed dimensions before any run starts.
+// Validate rejects malformed dimensions before any run starts. A zero
+// cadence means the default; a negative one is an error, not a default.
 func (g Grid) Validate() error {
+	for _, c := range []struct {
+		name string
+		d    Duration
+	}{{"sample_period", g.SamplePeriod}, {"audit_every", g.AuditEvery}, {"sync_timeout", g.SyncTimeout}} {
+		if c.d < 0 {
+			return fmt.Errorf("campaign: %s must be >= 0 (0 = default), got %v", c.name, c.d.Std())
+		}
+	}
 	g = g.withDefaults()
 	for _, l := range g.Loads {
 		switch l {

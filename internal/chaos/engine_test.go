@@ -52,7 +52,7 @@ func newCampaign(t *testing.T, g topo.Graph, cfg core.Config, seed uint64, sc *S
 	reg := telemetry.New()
 	tr := telemetry.NewTracer(1 << 16)
 	net.Instrument(reg, tr)
-	aud := audit.New(net, audit.DefaultConfig())
+	aud := audit.New(net, audit.Config{})
 	aud.Instrument(reg, tr)
 	aud.Start()
 	eng, err := NewEngine(net, sc, seed)
@@ -136,12 +136,16 @@ func TestCampaignDeterminism(t *testing.T) {
 
 // TestKitchenSinkFaults drives every remaining fault kind — grey loss,
 // grey delay ramp, frequency step, temperature ramp, permanent BER
-// degradation — on a short chain with the faulty-peer cooldown enabled,
-// and requires full recovery.
+// degradation — on a short chain and requires full recovery. A port
+// marked faulty stays so until its session ends (§3.2 leaves it for
+// human repair). Over seeds 1..40 of this scenario 11 mark a peer
+// faulty, and in 10 of them the grey loss's beacon-loss demotion voids
+// the mark; seed 30's mark outlives the faults (170 unexcused
+// violations), the symptom of storm seed 1147 (ROADMAP item 1).
 func TestKitchenSinkFaults(t *testing.T) {
 	sc := &Scenario{
 		Name:               "kitchen-sink",
-		SettleGrace:        D(1500 * sim.Microsecond), // covers the faulty-peer cooldown + re-INIT
+		SettleGrace:        D(1500 * sim.Microsecond), // covers a demotion + re-INIT
 		ReconvergeDeadline: D(8 * sim.Millisecond),
 		Faults: []Fault{
 			{Kind: KindGreyLoss, Link: []string{"h0", "sw1"}, At: D(2 * sim.Millisecond),
@@ -155,9 +159,7 @@ func TestKitchenSinkFaults(t *testing.T) {
 			{Kind: KindBERDegrade, Link: []string{"h0", "sw1"}, At: D(5 * sim.Millisecond), BER: 1e-9},
 		},
 	}
-	cfg := core.DefaultConfig()
-	cfg.FaultyCooldownTicks = 100_000 // ≈640 µs: let ports marked faulty under grey delay recover
-	c := newCampaign(t, topo.Chain(2), cfg, 11, sc)
+	c := newCampaign(t, topo.Chain(2), core.DefaultConfig(), 11, sc)
 	c.run()
 	if err := c.eng.Verify(); err != nil {
 		t.Fatalf("%v\n  %s\n  %s", err, c.eng.Summary(), c.aud.Summary())

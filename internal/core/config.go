@@ -66,29 +66,10 @@ type Config struct {
 	// message crosses from the recovered (RX) clock domain into the
 	// local domain: 0..CDCMaxExtraTicks whole local ticks are added on
 	// top of edge alignment. The standard two-flop synchronizer gives 1.
+	// AlphaUnits, GuardUnits and CDCMaxExtraTicks stay fields although
+	// the protocol runs one value of each (per speed): dtpexp's α, guard
+	// and CDC ablations vary them.
 	CDCMaxExtraTicks int
-
-	// FaultyJumpLimit and FaultyWindowTicks implement faulty-peer
-	// detection: if more than FaultyJumpLimit guard-violating beacons
-	// arrive within FaultyWindowTicks, the port stops synchronizing to
-	// its peer.
-	FaultyJumpLimit   int
-	FaultyWindowTicks uint64
-
-	// FaultyCooldownTicks, when nonzero, lets a port that declared its
-	// peer faulty retry after this many local ticks: the port demotes to
-	// INIT, clearing the faulty mark, and re-runs the delay measurement.
-	// The paper leaves faulty ports down for human repair (the default,
-	// 0), and no campaign, scenario, flag or Grid field can change that:
-	// only chaos/engine_test.go enables the cooldown, to show a transient
-	// BER storm need not permanently amputate a link. The retry rides the
-	// beacon-loss watchdog's sweep.
-	FaultyCooldownTicks uint64
-
-	// MaxTreeLatencyTicks models the depth of the max-computation tree
-	// inside a multi-port device (§4.3): a port's received counter takes
-	// this many ticks to reach the global counter. 0 = instantaneous.
-	MaxTreeLatencyTicks int
 
 	// WanderInterval and WanderStepPPB configure slow oscillator drift.
 	// Zero disables wander.
@@ -134,8 +115,6 @@ func DefaultConfig() Config {
 		AlphaUnits:          3,
 		GuardUnits:          8,
 		CDCMaxExtraTicks:    1,
-		FaultyJumpLimit:     16,
-		FaultyWindowTicks:   1_000_000,
 	}
 }
 

@@ -18,9 +18,7 @@ import (
 // Because a counter adjustment is always max(...), and every port of the
 // device shares the oscillator, the per-port local counters and the
 // global counter collapse into a single monotone counter that any port
-// may push forward; an optional max-tree latency models the cycles a
-// hardware max circuit takes to propagate a port's value to the global
-// counter.
+// may push forward.
 type Device struct {
 	net   *Network
 	node  topo.Node
@@ -84,18 +82,10 @@ func (d *Device) PPM() float64 { return d.clock.PPM() }
 // (Algorithm 1 T4 / Algorithm 2 T5). If join is set, the adjustment came
 // from a BEACON-JOIN and is propagated to every other active port so the
 // whole subnet converges to the new maximum (§3.2 "Network dynamics").
+// The adjustment lands at once: the 4TD accounting (BoundUnits, the
+// auditor) charges the §4.3 max circuit no latency, so neither does the
+// model.
 func (d *Device) jump(target uint64, from *Port, join bool) {
-	if lat := d.net.cfg.MaxTreeLatencyTicks; lat > 0 {
-		d.net.Sch.After(d.tickDur(lat), func() { d.applyJump(target, from, join) })
-	} else {
-		d.applyJump(target, from, join)
-	}
-}
-
-// applyJump performs the counter adjustment. It is a named method (not
-// a closure inside jump) so the common MaxTreeLatencyTicks == 0 path —
-// every beacon that moves the counter — runs without allocating.
-func (d *Device) applyJump(target uint64, from *Port, join bool) {
 	now := d.net.Sch.Now()
 	cur := d.gc.at(now)
 	if target <= cur {

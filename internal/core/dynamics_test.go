@@ -108,7 +108,6 @@ func TestBitErrorsAreRejectedByGuard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BER = 1e-5 // ~1 corrupted block per 1500; astronomically worse than the 1e-12 objective
 	cfg.Parity = true
-	cfg.FaultyJumpLimit = 0 // disable: corruption here is line noise, not a faulty peer
 	sch := sim.NewScheduler()
 	n, err := NewNetwork(sch, 61, topo.Pair(), cfg,
 		WithPPM(map[string]float64{"h0": 100, "h1": -100}))
@@ -156,13 +155,10 @@ func TestParityCatchesLSBErrors(t *testing.T) {
 
 // TestFaultyPeerDetection: a peer whose counter is wildly inconsistent
 // (simulated via a byzantine counter injection) must be cut off after
-// FaultyJumpLimit guard violations.
+// faultyJumpLimit guard violations.
 func TestFaultyPeerDetection(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.FaultyJumpLimit = 8
-	cfg.FaultyWindowTicks = 10_000_000
 	sch := sim.NewScheduler()
-	n, err := NewNetwork(sch, 67, topo.Pair(), cfg,
+	n, err := NewNetwork(sch, 67, topo.Pair(), DefaultConfig(),
 		WithPPM(map[string]float64{"h0": 0, "h1": 0}))
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +322,6 @@ func Test1GFragmentsSurviveBitErrors(t *testing.T) {
 	cfg.FragmentedMessages = true
 	cfg.Parity = true
 	cfg.BER = 1e-5
-	cfg.FaultyJumpLimit = 0
 	sch := sim.NewScheduler()
 	n, err := NewNetwork(sch, 113, topo.Pair(), cfg,
 		WithPPM(map[string]float64{"h0": 100, "h1": -100}))
@@ -376,32 +371,6 @@ func TestWanderingOscillatorsStayBounded(t *testing.T) {
 	}
 	if worst > 4 {
 		t.Fatalf("adjacent offset reached %d ticks under wander", worst)
-	}
-}
-
-// TestMaxTreeLatency: the global-counter max circuit latency (§4.3)
-// shifts when adjustments land but must not break the bound for small
-// depths.
-func TestMaxTreeLatency(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxTreeLatencyTicks = 2
-	sch := sim.NewScheduler()
-	n, err := NewNetwork(sch, 83, topo.Chain(2), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.Start()
-	sch.Run(10 * sim.Millisecond)
-	var worst int64
-	for i := 0; i < 500; i++ {
-		sch.RunFor(100 * sim.Microsecond)
-		if o := n.MaxAdjacentOffset(); o > worst {
-			worst = o
-		}
-	}
-	// Two extra ticks of staleness are possible on top of 4T.
-	if worst > 6 {
-		t.Fatalf("offset reached %d ticks with max-tree latency 2", worst)
 	}
 }
 

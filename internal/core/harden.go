@@ -45,7 +45,7 @@ const (
 	// budget: it absorbs the measurement noise (CDC dither, guard-band
 	// offsets) riding on honest forward adoptions. Each message may
 	// pull the local counter at most admitSlackUnits forward, and the
-	// total pull a peer is granted within a FaultyWindowTicks window is
+	// total pull a peer is granted within a faultyWindowTicks window is
 	// admitSlackUnits + elapsed>>12, where elapsed is measured on the
 	// device's free-running tick clock (the shift is a ~244 ppm budget
 	// covering the 802.3 ±100 ppm oscillators on both ends plus
@@ -56,7 +56,7 @@ const (
 	admitSlackUnits = 16
 
 	// quarantineRejectLimit is how many admission rejections within
-	// FaultyWindowTicks a synced port tolerates before quarantining its
+	// faultyWindowTicks a synced port tolerates before quarantining its
 	// peer. quarantineCooldownTicks is how long the quarantine lasts
 	// before the port demotes itself to INIT and retries — the escape
 	// hatch through which an honestly restarted peer rejoins. The
@@ -140,7 +140,7 @@ func (p *Port) admitTarget(target, local uint64, join bool) bool {
 	}
 	cfg := p.cfg()
 	tick := p.dev.clock.Counter()
-	if tick-p.pullWindow > cfg.FaultyWindowTicks {
+	if tick-p.pullWindow > faultyWindowTicks {
 		p.pullWindow, p.pulledUnits = tick, 0
 	}
 	elapsed := int64(tick-p.pullWindow) * int64(cfg.UnitsPerTick)
@@ -203,7 +203,7 @@ func (d *Device) quorumAgrees(from *Port, target, local uint64) bool {
 }
 
 // rejectTarget records a bounded-jump admission failure and, past
-// quarantineRejectLimit rejections within the FaultyWindowTicks sliding
+// quarantineRejectLimit rejections within the faultyWindowTicks sliding
 // window, quarantines the port.
 func (p *Port) rejectTarget(advance, allowance int64, join bool) {
 	tel := &p.dev.net.tel
@@ -216,7 +216,7 @@ func (p *Port) rejectTarget(advance, allowance int64, join bool) {
 	tel.tr.Record(p.sch().Now(), telemetry.KindCounterRejected, p.tname,
 		advance, allowance, detail)
 	tick := p.dev.clock.Counter()
-	if tick-p.rejectWindow > p.cfg().FaultyWindowTicks {
+	if tick-p.rejectWindow > faultyWindowTicks {
 		p.rejectWindow, p.rejectCount = tick, 0
 	}
 	p.rejectCount++

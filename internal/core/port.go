@@ -126,8 +126,7 @@ type portCold struct {
 
 	// watchEvent fires periodically while SYNCED and demotes the port
 	// back to INIT when the peer has been silent (lastRx) for
-	// beaconTimeoutIntervals beacon intervals, or when a faulty mark has
-	// outlived FaultyCooldownTicks.
+	// beaconTimeoutIntervals beacon intervals.
 	watchEvent sim.Event
 
 	// Received-MSB state for reconstructing full 106-bit counters.
@@ -140,7 +139,6 @@ type portCold struct {
 
 	// Failure handling (§3.2): guard violations within a sliding window
 	// mark the peer faulty (the faulty flag itself is hot state).
-	faultyAt        simTime // when the faulty mark was set
 	violationCount  int
 	violationWindow uint64 // tick at which the current window started
 
@@ -765,23 +763,32 @@ func (p *Port) handleJoin(lsb uint64) {
 	}
 }
 
+// Faulty-peer detection (§3.2 "Handling failures"): more than
+// faultyJumpLimit guard-violating beacons within faultyWindowTicks of
+// the free-running tick clock (≈ 6.4 ms at 10 GbE) mark the peer faulty,
+// and the port ignores it until the link session ends — the paper
+// leaves a faulty port down for human repair. The same window paces
+// hardened mode's pull budget and quarantine count (harden.go).
+const (
+	faultyJumpLimit   = 16
+	faultyWindowTicks = 1_000_000
+)
+
 // recordViolation counts guard violations in a sliding window; too many
-// mark the peer faulty (§3.2 "Handling failures").
+// mark the peer faulty.
 func (p *Port) recordViolation() {
-	cfg := p.cfg()
 	tick := p.dev.clock.Counter()
-	if tick-p.violationWindow > cfg.FaultyWindowTicks {
+	if tick-p.violationWindow > faultyWindowTicks {
 		p.violationWindow, p.violationCount = tick, 0
 	}
 	p.violationCount++
 	tel := &p.dev.net.tel
 	tel.violations.Inc()
-	if cfg.FaultyJumpLimit > 0 && p.violationCount > cfg.FaultyJumpLimit {
+	if p.violationCount > faultyJumpLimit {
 		if !p.faulty {
 			tel.faultyPorts.Inc()
 			tel.tr.Record(p.sch().Now(), telemetry.KindFaultyPeer, p.tname,
 				int64(p.violationCount), 0, "")
-			p.faultyAt = p.sch().Now()
 		}
 		p.faulty = true
 	}
@@ -789,11 +796,12 @@ func (p *Port) recordViolation() {
 
 // --- Beacon-loss watchdog (hardening beyond the paper) ----------------
 
-// Demotion reasons carried in KindPortDemoted trace events.
+// Demotion reasons carried in KindPortDemoted trace events. Code 1 was
+// a retired faulty-mark cooldown; the codes keep their values so traces
+// read the same.
 const (
-	demoteBeaconLoss     = 0 // peer silent for beaconTimeoutIntervals
-	demoteFaultyCooldown = 1 // faulty mark outlived FaultyCooldownTicks
-	demoteQuarantine     = 2 // quarantine cooldown expired: re-INIT escape hatch
+	demoteBeaconLoss = 0 // peer silent for beaconTimeoutIntervals
+	demoteQuarantine = 2 // quarantine cooldown expired: re-INIT escape hatch
 )
 
 // beaconTimeoutIntervals is the beacon-loss watchdog: a SYNCED port that
@@ -807,8 +815,7 @@ const beaconTimeoutIntervals = 50
 // checks every beaconTimeoutIntervals beacon intervals that the peer has
 // said *something*. A peer that is nominally up but silent — a grey
 // failure the link layer never reports — would otherwise leave this port
-// free-running in SYNCED forever, consuming drift with no resync. The
-// same sweep retires stale faulty marks when FaultyCooldownTicks is set.
+// free-running in SYNCED forever, consuming drift with no resync.
 func (p *Port) scheduleWatchdog() {
 	p.watchEvent.Cancel()
 	period := p.cycleDur(int(p.cfg().BeaconIntervalTicks) * beaconTimeoutIntervals)
@@ -818,21 +825,14 @@ func (p *Port) scheduleWatchdog() {
 	p.watchEvent = p.sch().AfterActor(period, p, evWatchdog, uint64(period), 0)
 }
 
-// watchdogSweep is the evWatchdog body: demote on peer silence or a
-// stale faulty mark, otherwise re-arm.
+// watchdogSweep is the evWatchdog body: demote on peer silence,
+// otherwise re-arm.
 func (p *Port) watchdogSweep(period simTime) {
 	if p.state != portSynced {
 		return
 	}
-	cfg := p.cfg()
-	now := p.sch().Now()
-	if now-p.lastRx >= period {
+	if p.sch().Now()-p.lastRx >= period {
 		p.demote(demoteBeaconLoss, "")
-		return
-	}
-	if p.faulty && cfg.FaultyCooldownTicks > 0 &&
-		now-p.faultyAt >= p.dev.tickDur(int(cfg.FaultyCooldownTicks)) {
-		p.demote(demoteFaultyCooldown, "")
 		return
 	}
 	p.scheduleWatchdog()

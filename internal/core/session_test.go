@@ -31,7 +31,7 @@ func TestHardenedSessionExits(t *testing.T) {
 		_, p := n.LinkPorts(0)
 		tick := p.dev.clock.Counter()
 		join := uint64(1)
-		p.faulty, p.faultyAt, p.violationCount = true, sch.Now(), 5
+		p.faulty, p.violationCount = true, 5
 		p.peerMsb, p.havePeerMsb = 7, true
 		p.pendingJoin = &join
 		p.asm = phy.NewAssembler(p.codec())

@@ -34,6 +34,9 @@ type Config struct {
 	// PCIeSpikeP is the probability a read hits bus contention and
 	// takes up to pcieSpike extra — the spikes visible in Figure 7a.
 	PCIeSpikeP float64
+	// All three stay fields: the façade's DaemonOptions and its callers
+	// set other calibration cadences, and DisciplineSweep's pcie-jitter
+	// scenario raises the PCIe noise.
 }
 
 // The host hardware no experiment varies.

@@ -82,10 +82,9 @@ func runNTPWorst(o Options) (float64, error) {
 
 func runGPSWorst(o Options) float64 {
 	sch := sim.NewScheduler()
-	cfg := gps.DefaultConfig()
 	var rx []*gps.Receiver
 	for i := 0; i < 8; i++ {
-		rx = append(rx, gps.NewReceiver(sch, cfg, o.Seed, fmt.Sprintf("r%d", i)))
+		rx = append(rx, gps.NewReceiver(sch, o.Seed, fmt.Sprintf("r%d", i)))
 	}
 	worst := 0.0
 	for s := 0; s < 500; s++ {

@@ -1,9 +1,9 @@
 // Package fabric is a packet-level network simulator: hosts with NICs,
-// output-queued switches (store-and-forward or cut-through), byte-
-// accurate serialization, FIFO egress queues with tail drop, and static
-// shortest-path routing. The PTP and NTP baselines run on this fabric,
-// so their precision degradation under load is an emergent property of
-// real queueing rather than a tuned constant.
+// output-queued cut-through switches, byte-accurate serialization, FIFO
+// egress queues with tail drop, and static shortest-path routing. The
+// PTP and NTP baselines run on this fabric, so their precision
+// degradation under load is an emergent property of real queueing
+// rather than a tuned constant.
 package fabric
 
 import (
@@ -36,20 +36,10 @@ const (
 	TCPerfect
 )
 
-// Config describes the fabric hardware.
+// Config describes the fabric features an experiment varies.
 type Config struct {
-	// QueueCapBytes is the egress queue capacity per port.
-	QueueCapBytes int
-	// CutThrough selects cut-through switching (the paper's IBM G8264
-	// is cut-through, which is known to behave well for PTP) instead of
-	// store-and-forward.
-	CutThrough bool
 	// TC selects the transparent-clock model for PTP event frames.
 	TC TCMode
-	// TCQuantNs is the transparent clock's timestamp resolution in
-	// nanoseconds (correction error is uniform within ±TCQuantNs per
-	// hop even when perfect).
-	TCQuantNs int64
 	// PTPPriority puts PTP event frames in a strict-priority queue at
 	// every egress (the PFC/QoS configuration the paper's citations
 	// examine). Transmission is non-preemptive: a priority frame still
@@ -59,7 +49,8 @@ type Config struct {
 	PTPPriority bool
 }
 
-// The switch hardware no experiment varies.
+// The switch hardware no experiment varies. Switches are cut-through,
+// like the paper's IBM G8264, which is known to behave well for PTP.
 const (
 	// procDelay is the switch pipeline latency from ingress decision to
 	// egress enqueue.
@@ -67,20 +58,21 @@ const (
 	// headerBytes is how much of a frame a cut-through switch must
 	// receive before forwarding begins.
 	headerBytes = 64
+	// queueCapBytes is the egress queue capacity per port.
+	queueCapBytes = 1 << 20
+	// tcQuantPs is the transparent clock's timestamp resolution, 8 ns:
+	// its correction error is uniform within ±tcQuantPs per hop even
+	// when the TC is perfect.
+	tcQuantPs = 8000
 )
 
 // profile sets the line rate of every link: 10 GbE.
 var profile = phy.ProfileFor(phy.Speed10G)
 
-// DefaultConfig returns a fabric with a 1 MiB egress queue, cut-through
-// switching and transparent clocks in the realistic mode.
+// DefaultConfig returns a fabric whose transparent clocks run in the
+// realistic mode.
 func DefaultConfig() Config {
-	return Config{
-		QueueCapBytes: 1 << 20,
-		CutThrough:    true,
-		TC:            TCRealistic,
-		TCQuantNs:     8,
-	}
+	return Config{TC: TCRealistic}
 }
 
 // Handler consumes frames delivered to a host. rx is the arrival time of
@@ -129,9 +121,6 @@ type egressPort struct {
 func New(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config) (*Network, error) {
 	if err := graph.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.QueueCapBytes <= 0 {
-		return nil, fmt.Errorf("fabric: queue capacity must be positive")
 	}
 	n := &Network{
 		Sch:     sch,
@@ -231,8 +220,7 @@ func (el *element) portToward(dst int) *egressPort {
 // --- Egress queue -----------------------------------------------------
 
 func (p *egressPort) enqueue(f *eth.Frame) bool {
-	net := p.owner.net
-	if p.queueBytes+f.Size > net.cfg.QueueCapBytes {
+	if p.queueBytes+f.Size > queueCapBytes {
 		p.dropped++
 		return false
 	}
@@ -300,15 +288,9 @@ func (el *element) firstBitArrival(f *eth.Frame, ser sim.Time) {
 		n.Sch.After(ser, func() { el.deliver(f) })
 		return
 	}
-	// Switch: forward after the header (cut-through) or the whole frame
-	// (store-and-forward), plus pipeline delay.
-	wait := ser
-	if n.cfg.CutThrough {
-		wait = profile.ByteTime(headerBytes)
-		if wait > ser {
-			wait = ser
-		}
-	}
+	// Switch: forward after the header (cut-through; a frame shorter
+	// than the header once it is whole), plus pipeline delay.
+	wait := min(profile.ByteTime(headerBytes), ser)
 	ingress := n.Sch.Now()
 	n.Sch.After(wait+procDelay, func() {
 		f.Hops++
@@ -344,9 +326,7 @@ func (el *element) applyTransparentClock(f *eth.Frame, ingress sim.Time) {
 		f.TCPending = true
 	}
 	// Timestamp quantization, both modes.
-	if q := n.cfg.TCQuantNs; q > 0 {
-		f.CorrectionPs += n.rng.Int64N(2*q*1000+1) - q*1000
-	}
+	f.CorrectionPs += n.rng.Int64N(2*tcQuantPs+1) - tcQuantPs
 }
 
 func (el *element) deliver(f *eth.Frame) {

@@ -13,43 +13,36 @@ import (
 	"github.com/dtplab/dtp/internal/sim"
 )
 
-// Config describes receiver quality.
-type Config struct {
-	// BiasMaxNs bounds the fixed per-receiver bias, uniform ±.
-	BiasMaxNs float64
-	// NoiseNs is the standard deviation of white phase noise per read.
-	NoiseNs float64
-}
-
-// DefaultConfig models a good timing receiver: ±50 ns calibration bias,
-// 20 ns read noise — about 100 ns pairwise, matching the paper.
-func DefaultConfig() Config {
-	return Config{BiasMaxNs: 50, NoiseNs: 20}
-}
+// Receiver quality: a good timing receiver has a ±50 ns calibration
+// bias and 20 ns read noise — about 100 ns pairwise, matching the paper.
+const (
+	// biasMaxPs bounds the fixed per-receiver bias, uniform ±.
+	biasMaxPs = 50_000
+	// noisePs is the standard deviation of white phase noise per read.
+	noisePs = 20_000
+)
 
 // Receiver is one GPS-disciplined clock.
 type Receiver struct {
 	sch  *sim.Scheduler
 	rng  *sim.RNG
 	bias float64 // ps
-	cfg  Config
 }
 
 // NewReceiver creates a receiver with a random fixed bias.
-func NewReceiver(sch *sim.Scheduler, cfg Config, seed uint64, name string) *Receiver {
+func NewReceiver(sch *sim.Scheduler, seed uint64, name string) *Receiver {
 	rng := sim.NewRNG(seed, fmt.Sprintf("gps/%s", name))
 	return &Receiver{
 		sch:  sch,
 		rng:  rng,
-		bias: rng.Uniform(-cfg.BiasMaxNs*1000, cfg.BiasMaxNs*1000),
-		cfg:  cfg,
+		bias: rng.Uniform(-biasMaxPs, biasMaxPs),
 	}
 }
 
 // Read returns the receiver's view of true time (ps) at the current
 // instant.
 func (r *Receiver) Read() float64 {
-	return float64(r.sch.Now()) + r.bias + r.rng.Normal(0, r.cfg.NoiseNs*1000)
+	return float64(r.sch.Now()) + r.bias + r.rng.Normal(0, noisePs)
 }
 
 // OffsetPs returns this receiver's instantaneous error versus true time.

@@ -26,7 +26,10 @@ type Config struct {
 	// StackMedianUs is the median of the lognormal software
 	// timestamping latency (shape stackSigma) at each of the four
 	// timestamp points: syscall, kernel buffering, DMA and interrupt
-	// scheduling (§2.3.2).
+	// scheduling (§2.3.2). It stays a field although production uses one
+	// value: TestNTPWorseThanHardwareTimestamping ablates it to show that
+	// stack jitter dominates NTP's error, the claim behind Table 1's NTP
+	// row.
 	StackMedianUs float64
 }
 

@@ -24,7 +24,10 @@ type Summary struct {
 }
 
 // NewSummary creates a summary whose quantiles cover the last
-// maxSamples values added (0 means 4096).
+// maxSamples values added (0 means 4096). Every non-test caller takes
+// the default; the parameter stays until the window-or-sample decision
+// (whole-run quantiles against a documented window) is made, since
+// either answer moves campaign output.
 func NewSummary(maxSamples int) *Summary {
 	if maxSamples <= 0 {
 		maxSamples = 4096

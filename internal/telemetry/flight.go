@@ -23,28 +23,22 @@ type FlightConfig struct {
 	// Seed stamps every bundle and its filename, tying a bundle back to
 	// the deterministic run that produced it.
 	Seed int64
-	// MaxBundles caps how many bundles one run may write (default 4);
-	// further triggers are counted as suppressed instead of flooding the
-	// disk when a run melts down completely.
-	MaxBundles int
-	// Cooldown is the minimum simulated time between two bundles for the
-	// same reason (default 1 ms). A bound violation that fires on every
-	// audit tick produces one bundle per cooldown window, not hundreds.
-	Cooldown sim.Time
 }
 
-// traceDepth is how many trailing trace events a bundle embeds.
-const traceDepth = 256
+const (
+	// traceDepth is how many trailing trace events a bundle embeds.
+	traceDepth = 256
 
-func (c FlightConfig) withDefaults() FlightConfig {
-	if c.MaxBundles <= 0 {
-		c.MaxBundles = 4
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = sim.Millisecond
-	}
-	return c
-}
+	// maxBundles caps how many bundles one run may write; further
+	// triggers are counted as suppressed instead of flooding the disk
+	// when a run melts down completely.
+	maxBundles = 4
+
+	// flightCooldown is the minimum simulated time between two bundles
+	// for the same reason. A bound violation that fires on every audit
+	// tick produces one bundle per cooldown window, not hundreds.
+	flightCooldown = sim.Millisecond
+)
 
 // Recorder is the flight recorder: an always-on black box that, when a
 // trigger fires (an armed trace kind, or an explicit Trigger call from
@@ -95,7 +89,7 @@ func NewRecorder(cfg FlightConfig, reg *Registry, tr *Tracer, tl *Timeline, now 
 		now = func() sim.Time { return 0 }
 	}
 	return &Recorder{
-		cfg: cfg.withDefaults(), reg: reg, tr: tr, tl: tl, now: now,
+		cfg: cfg, reg: reg, tr: tr, tl: tl, now: now,
 		lastByWhy:  make(map[string]sim.Time),
 		firedByWhy: make(map[string]bool),
 	}, nil
@@ -143,11 +137,11 @@ func (r *Recorder) Trigger(reason, detail string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	at := r.now()
-	if len(r.bundles) >= r.cfg.MaxBundles {
+	if len(r.bundles) >= maxBundles {
 		r.suppressed++
 		return
 	}
-	if r.firedByWhy[reason] && at-r.lastByWhy[reason] < r.cfg.Cooldown {
+	if r.firedByWhy[reason] && at-r.lastByWhy[reason] < flightCooldown {
 		r.suppressed++
 		return
 	}
@@ -193,11 +187,7 @@ func (r *Recorder) dump(at sim.Time, reason, detail string) error {
 			Columns:    r.tl.Columns(),
 		}
 		for _, row := range r.tl.Rows() {
-			br := BundleRow{TPs: int64(row.At), V: make([]jsonNum, len(row.V))}
-			for i, v := range row.V {
-				br.V[i] = jsonNum(v)
-			}
-			bt.Rows = append(bt.Rows, br)
+			bt.Rows = append(bt.Rows, wireRow(row))
 		}
 		b.Timeline = bt
 	}
@@ -316,10 +306,20 @@ type BundleTimeline struct {
 	Rows       []BundleRow `json:"rows"`
 }
 
-// BundleRow is one timeline row inside a bundle.
+// BundleRow is the wire form of a TimelineRow: one line of a timeline
+// JSONL dump and one row of a bundle's timeline window.
 type BundleRow struct {
 	TPs int64     `json:"t_ps"`
 	V   []jsonNum `json:"v"`
+}
+
+// wireRow is the wire form of r.
+func wireRow(r TimelineRow) BundleRow {
+	br := BundleRow{TPs: int64(r.At), V: make([]jsonNum, len(r.V))}
+	for i, v := range r.V {
+		br.V[i] = jsonNum(v)
+	}
+	return br
 }
 
 // jsonNum is a float64 that marshals NaN/±Inf as null (encoding/json

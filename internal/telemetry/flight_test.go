@@ -18,7 +18,7 @@ func flightFixture(t *testing.T, dir string, cfg FlightConfig) (*Recorder, *Trac
 	reg := New()
 	reg.Counter("dtp_test_total", "help").Add(42)
 	tr := NewTracer(16)
-	tl := NewTimeline(sim.Millisecond, 8)
+	tl := NewTimeline(sim.Millisecond)
 	tl.Gauge("bound", func() float64 { return float64(sch.Now() / sim.Millisecond) })
 	tl.Start(sch)
 	cfg.Dir = dir
@@ -88,19 +88,21 @@ func TestFlightArmedObserver(t *testing.T) {
 
 func TestFlightCooldownAndBudget(t *testing.T) {
 	dir := t.TempDir()
-	rec, _, sch := flightFixture(t, dir, FlightConfig{Seed: 3, MaxBundles: 2, Cooldown: sim.Millisecond})
+	rec, _, sch := flightFixture(t, dir, FlightConfig{Seed: 3})
 	rec.Trigger("read_stale", "s4")
 	rec.Trigger("read_stale", "s4") // same reason, same instant: cooldown
 	if got := rec.Suppressed(); got != 1 {
 		t.Fatalf("suppressed = %d, want 1", got)
 	}
-	rec.Trigger("chaos_verify_failed", "x") // different reason: dumps
-	if len(rec.Bundles()) != 2 {
-		t.Fatalf("bundles = %v, want 2", rec.Bundles())
+	for _, why := range []string{"chaos_verify_failed", "bound_violation", "port_demoted"} {
+		rec.Trigger(why, "x") // different reasons: each dumps
 	}
-	sch.RunFor(2 * sim.Millisecond)
+	if len(rec.Bundles()) != maxBundles {
+		t.Fatalf("bundles = %v, want %d", rec.Bundles(), maxBundles)
+	}
+	sch.RunFor(2 * flightCooldown)
 	rec.Trigger("read_stale", "s4") // cooldown elapsed but budget spent
-	if len(rec.Bundles()) != 2 || rec.Suppressed() != 2 {
+	if len(rec.Bundles()) != maxBundles || rec.Suppressed() != 2 {
 		t.Fatalf("budget not enforced: %v suppressed=%d", rec.Bundles(), rec.Suppressed())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 )
 
@@ -23,20 +22,19 @@ type TraceHeader struct {
 	Dropped uint64 `json:"dropped"`
 }
 
+// newJSONLEncoder returns the encoder every JSONL writer in this package
+// shares: one value per line, '<', '>' and '&' left as they are.
+func newJSONLEncoder(w io.Writer) *json.Encoder {
+	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
+	return enc
+}
+
 // WriteTraceHeader writes the header line. Field order is fixed for
 // byte-determinism.
 func WriteTraceHeader(w io.Writer, events int, total, dropped uint64) error {
-	var b strings.Builder
-	b.WriteString(`{"schema":"`)
-	b.WriteString(TraceSchema)
-	b.WriteString(`","events":`)
-	b.WriteString(strconv.Itoa(events))
-	b.WriteString(`,"total":`)
-	b.WriteString(strconv.FormatUint(total, 10))
-	b.WriteString(`,"dropped":`)
-	b.WriteString(strconv.FormatUint(dropped, 10))
-	b.WriteString("}\n")
-	if _, err := io.WriteString(w, b.String()); err != nil {
+	h := TraceHeader{Schema: TraceSchema, Events: events, Total: total, Dropped: dropped}
+	if err := newJSONLEncoder(w).Encode(h); err != nil {
 		return fmt.Errorf("telemetry: trace header: %w", err)
 	}
 	return nil
@@ -65,30 +63,13 @@ func WriteJSONL(w io.Writer, t *Tracer) error {
 	return WriteEvents(w, events)
 }
 
-// WriteEvents serializes an event slice in the WriteJSONL schema. It is
-// the shared backend of the full dump and the filtered /trace endpoint.
+// WriteEvents serializes an event slice in the WriteJSONL schema, one
+// BundleEvent per line. It is the shared backend of the full dump and
+// the filtered /trace endpoint.
 func WriteEvents(w io.Writer, events []Event) error {
-	var b strings.Builder
+	enc := newJSONLEncoder(w)
 	for _, e := range events {
-		b.Reset()
-		b.WriteString(`{"seq":`)
-		b.WriteString(strconv.FormatUint(e.Seq, 10))
-		b.WriteString(`,"t_ps":`)
-		b.WriteString(strconv.FormatInt(int64(e.At), 10))
-		b.WriteString(`,"kind":"`)
-		b.WriteString(e.Kind.String())
-		b.WriteString(`","who":`)
-		b.WriteString(strconv.Quote(e.Who))
-		b.WriteString(`,"v1":`)
-		b.WriteString(strconv.FormatInt(e.V1, 10))
-		b.WriteString(`,"v2":`)
-		b.WriteString(strconv.FormatInt(e.V2, 10))
-		if e.Detail != "" {
-			b.WriteString(`,"detail":`)
-			b.WriteString(strconv.Quote(e.Detail))
-		}
-		b.WriteString("}\n")
-		if _, err := io.WriteString(w, b.String()); err != nil {
+		if err := enc.Encode(wireEvent(e)); err != nil {
 			return fmt.Errorf("telemetry: trace dump: %w", err)
 		}
 	}

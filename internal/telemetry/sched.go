@@ -6,32 +6,24 @@ import (
 	"github.com/dtplab/dtp/internal/sim"
 )
 
-// SchedOptions configures InstrumentScheduler.
-type SchedOptions struct {
-	// Interval is the simulated sampling cadence (default 1 ms).
-	Interval sim.Time
-	// WallRate additionally exports events per wall-clock second. The
-	// rate depends on host speed, so leave it off for runs whose metric
-	// export must be byte-deterministic per seed (dtpsim -metrics-out);
-	// long-lived serving processes (dtpd -listen) turn it on.
-	WallRate bool
-}
+// schedSampleInterval is the simulated cadence of InstrumentScheduler's
+// sampler.
+const schedSampleInterval = sim.Millisecond
 
 // InstrumentScheduler exports the event loop's own throughput through
 // the registry: events processed, current and high-water queue depth, a
-// queue-depth histogram sampled every Interval of simulated time, the
-// queue's own geometry (sim.QueueStats: FIFO-lane inserts, overflows to
-// the calendar, calendar population — all deterministic per seed), and
-// (optionally) wall-clock events/sec. The sampler runs as a scheduler
-// event, so all reads happen on the simulation goroutine; concurrent
-// HTTP scrapes only touch the atomic metric values.
-func InstrumentScheduler(reg *Registry, sch *sim.Scheduler, o SchedOptions) {
+// queue-depth histogram sampled every schedSampleInterval of simulated
+// time, the queue's own geometry (sim.QueueStats: FIFO-lane inserts,
+// overflows to the calendar, calendar population — all deterministic per
+// seed), and, when wallRate is set, events per wall-clock second. That
+// rate depends on host speed, so leave it off for runs whose metric
+// export must be byte-deterministic per seed (dtpsim -metrics-out);
+// long-lived serving processes (dtpd -listen) turn it on. The sampler
+// runs as a scheduler event, so all reads happen on the simulation
+// goroutine; concurrent HTTP scrapes only touch the atomic metric values.
+func InstrumentScheduler(reg *Registry, sch *sim.Scheduler, wallRate bool) {
 	if reg == nil || sch == nil {
 		return
-	}
-	interval := o.Interval
-	if interval <= 0 {
-		interval = sim.Millisecond
 	}
 	processed := reg.Gauge("dtp_sched_events_processed_total",
 		"Scheduler events dispatched since construction.")
@@ -49,7 +41,7 @@ func InstrumentScheduler(reg *Registry, sch *sim.Scheduler, o SchedOptions) {
 	calPending := reg.Gauge("dtp_sched_calendar_pending",
 		"Scheduler events currently resident in the calendar queue (closures and lane overflows).")
 	var rate *Gauge
-	if o.WallRate {
+	if wallRate {
 		rate = reg.Gauge("dtp_sched_events_per_wall_second",
 			"Scheduler events dispatched per wall-clock second (host-dependent).")
 	}
@@ -74,7 +66,7 @@ func InstrumentScheduler(reg *Registry, sch *sim.Scheduler, o SchedOptions) {
 			}
 			lastProcessed, lastWall = p, now
 		}
-		sch.After(interval, sample)
+		sch.After(schedSampleInterval, sample)
 	}
-	sch.After(interval, sample)
+	sch.After(schedSampleInterval, sample)
 }

@@ -14,7 +14,7 @@ func (nopActor) OnEvent(uint8, uint64, uint64) {}
 func TestInstrumentScheduler(t *testing.T) {
 	sch := sim.NewScheduler()
 	reg := New()
-	InstrumentScheduler(reg, sch, SchedOptions{Interval: sim.Millisecond})
+	InstrumentScheduler(reg, sch, false)
 
 	// A self-rescheduling workload plus a burst of queued events, so both
 	// processed and queue-depth metrics have something to show.
@@ -83,27 +83,27 @@ func TestInstrumentScheduler(t *testing.T) {
 	}
 	// Wall-clock rate is opt-in: it must NOT leak into deterministic dumps.
 	if strings.Contains(b.String(), "dtp_sched_events_per_wall_second") {
-		t.Fatal("wall rate exported without WallRate")
+		t.Fatal("wall rate exported without being asked for")
 	}
 }
 
 func TestInstrumentSchedulerWallRate(t *testing.T) {
 	sch := sim.NewScheduler()
 	reg := New()
-	InstrumentScheduler(reg, sch, SchedOptions{Interval: sim.Millisecond, WallRate: true})
+	InstrumentScheduler(reg, sch, true)
 	sch.Run(5 * sim.Millisecond)
 	var b strings.Builder
 	if err := WritePrometheus(&b, reg); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "dtp_sched_events_per_wall_second") {
-		t.Fatal("WallRate requested but gauge missing")
+		t.Fatal("wall rate requested but gauge missing")
 	}
 }
 
 func TestInstrumentSchedulerNilSafe(t *testing.T) {
-	InstrumentScheduler(nil, sim.NewScheduler(), SchedOptions{})
-	InstrumentScheduler(New(), nil, SchedOptions{})
+	InstrumentScheduler(nil, sim.NewScheduler(), false)
+	InstrumentScheduler(New(), nil, false)
 }
 
 func TestGaugeSetMin(t *testing.T) {

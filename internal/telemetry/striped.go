@@ -61,7 +61,8 @@ type hstripe struct {
 
 // NewStripedHistogram builds a histogram with `buckets` finite
 // power-of-two buckets starting at upper bound `unit` (unit, 2·unit,
-// 4·unit, …) and `stripes` writer shards. Out-of-range arguments are
+// 4·unit, …) and `stripes` writer shards. The arguments stay parameters:
+// the benchmark's telemetry probe builds its own. Out-of-range arguments are
 // clamped to sane values rather than rejected, matching the
 // never-panic-in-instrumentation policy of the rest of the package.
 func NewStripedHistogram(unit float64, buckets, stripes int) *StripedHistogram {

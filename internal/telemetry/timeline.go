@@ -3,10 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/dtplab/dtp/internal/sim"
@@ -33,7 +30,6 @@ import (
 // of simulated time. A nil Timeline is a valid no-op.
 type Timeline struct {
 	interval sim.Time
-	capacity int
 
 	mu      sync.Mutex
 	cols    []*timelineColumn
@@ -58,16 +54,16 @@ type TimelineRow struct {
 	V  []float64
 }
 
+// timelineCapacity is how many rows a Timeline retains.
+const timelineCapacity = 1024
+
 // NewTimeline builds a timeline sampling every interval of simulated
-// time, retaining the last capacity rows (defaults: 1 ms, 1024 rows).
-func NewTimeline(interval sim.Time, capacity int) *Timeline {
+// time (default 1 ms), retaining the last timelineCapacity rows.
+func NewTimeline(interval sim.Time) *Timeline {
 	if interval <= 0 {
 		interval = sim.Millisecond
 	}
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &Timeline{interval: interval, capacity: capacity}
+	return &Timeline{interval: interval}
 }
 
 // Interval returns the sampling cadence.
@@ -116,7 +112,7 @@ func (t *Timeline) Start(sch *sim.Scheduler) {
 		return
 	}
 	t.started = true
-	t.rows = make([]TimelineRow, t.capacity)
+	t.rows = make([]TimelineRow, timelineCapacity)
 	for _, c := range t.cols {
 		if c.rate {
 			c.prev = c.probe()
@@ -197,54 +193,19 @@ func (t *Timeline) Total() uint64 {
 	return t.total
 }
 
-// ColumnQuantile returns the q-th quantile of the named column over the
-// retained window (NaN when the column is unknown or empty). This is
-// the "quantiles-over-time" read: a p99 over the last N samples rather
-// than over the whole run.
-func (t *Timeline) ColumnQuantile(name string, q float64) float64 {
-	if t == nil {
-		return math.NaN()
-	}
-	idx := -1
-	for i, c := range t.Columns() {
-		if c == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return math.NaN()
-	}
-	var vals []float64
-	for _, r := range t.Rows() {
-		if v := r.V[idx]; !math.IsNaN(v) {
-			vals = append(vals, v)
-		}
-	}
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	sortFloats(vals)
-	i := int(q * float64(len(vals)-1))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(vals) {
-		i = len(vals) - 1
-	}
-	return vals[i]
-}
-
-func sortFloats(v []float64) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
 // TimelineSchema is the header line's schema identifier.
 const TimelineSchema = "dtp-timeline/1"
+
+// TimelineHeader is the first line of a timeline JSONL dump; every
+// following line is a BundleRow.
+type TimelineHeader struct {
+	Schema     string   `json:"schema"`
+	IntervalPs int64    `json:"interval_ps"`
+	Columns    []string `json:"columns"`
+	Rows       int      `json:"rows"`
+	Total      uint64   `json:"total"`
+	Dropped    uint64   `json:"dropped"`
+}
 
 // WriteJSONL writes the timeline as JSON Lines: one header line
 // declaring the schema, cadence, columns, and drop accounting, then one
@@ -261,61 +222,22 @@ func (t *Timeline) WriteJSONL(w io.Writer) error {
 		return nil
 	}
 	t.mu.Lock()
-	cols := make([]string, len(t.cols))
-	for i, c := range t.cols {
-		cols[i] = c.name
-	}
-	interval := t.interval
 	total := t.total
 	t.mu.Unlock()
 	rows := t.Rows()
-
-	var b strings.Builder
-	b.WriteString(`{"schema":"`)
-	b.WriteString(TimelineSchema)
-	b.WriteString(`","interval_ps":`)
-	b.WriteString(strconv.FormatInt(int64(interval), 10))
-	b.WriteString(`,"columns":[`)
-	for i, c := range cols {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Quote(c))
-	}
-	b.WriteString(`],"rows":`)
-	b.WriteString(strconv.Itoa(len(rows)))
-	b.WriteString(`,"total":`)
-	b.WriteString(strconv.FormatUint(total, 10))
-	b.WriteString(`,"dropped":`)
-	b.WriteString(strconv.FormatUint(total-uint64(len(rows)), 10))
-	b.WriteString("}\n")
-	for _, r := range rows {
-		b.WriteString(`{"t_ps":`)
-		b.WriteString(strconv.FormatInt(int64(r.At), 10))
-		b.WriteString(`,"v":[`)
-		for i, v := range r.V {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			writeJSONFloat(&b, v)
-		}
-		b.WriteString("]}\n")
-	}
-	_, err := io.WriteString(w, b.String())
-	if err != nil {
+	enc := newJSONLEncoder(w)
+	if err := enc.Encode(TimelineHeader{
+		Schema: TimelineSchema, IntervalPs: int64(t.interval), Columns: t.Columns(),
+		Rows: len(rows), Total: total, Dropped: total - uint64(len(rows)),
+	}); err != nil {
 		return fmt.Errorf("telemetry: timeline dump: %w", err)
 	}
-	return nil
-}
-
-// writeJSONFloat renders a float as a JSON value: formatFloat's
-// deterministic spelling, with NaN/±Inf as null.
-func writeJSONFloat(b *strings.Builder, v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		b.WriteString("null")
-		return
+	for _, r := range rows {
+		if err := enc.Encode(wireRow(r)); err != nil {
+			return fmt.Errorf("telemetry: timeline dump: %w", err)
+		}
 	}
-	b.WriteString(formatFloat(v))
+	return nil
 }
 
 // ServeHTTP serves the JSONL dump, so a Timeline mounts directly on an

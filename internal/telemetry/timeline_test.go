@@ -10,7 +10,7 @@ import (
 
 func TestTimelineSampling(t *testing.T) {
 	sch := sim.NewScheduler()
-	tl := NewTimeline(sim.Millisecond, 8)
+	tl := NewTimeline(sim.Millisecond)
 	var g float64
 	var cum float64
 	tl.Gauge("g", func() float64 { return g })
@@ -43,28 +43,30 @@ func TestTimelineSampling(t *testing.T) {
 
 func TestTimelineRingEviction(t *testing.T) {
 	sch := sim.NewScheduler()
-	tl := NewTimeline(sim.Millisecond, 4)
+	tl := NewTimeline(sim.Millisecond)
 	n := 0.0
 	tl.Gauge("n", func() float64 { n++; return n })
 	tl.Start(sch)
-	sch.RunFor(10 * sim.Millisecond)
+	const total = timelineCapacity + 6
+	sch.RunFor(total * sim.Millisecond)
 	rows := tl.Rows()
-	if len(rows) != 4 {
-		t.Fatalf("rows = %d, want 4 (ring cap)", len(rows))
+	if len(rows) != timelineCapacity {
+		t.Fatalf("rows = %d, want %d (ring cap)", len(rows), timelineCapacity)
 	}
-	if tl.Total() != 10 {
-		t.Fatalf("total = %d, want 10", tl.Total())
+	if tl.Total() != total {
+		t.Fatalf("total = %d, want %d", tl.Total(), total)
 	}
-	// The retained window is the most recent 4 samples, in order.
-	if rows[0].V[0] != 7 || rows[3].V[0] != 10 {
-		t.Fatalf("window = [%g..%g], want [7..10]", rows[0].V[0], rows[3].V[0])
+	// The retained window is the most recent timelineCapacity samples, in
+	// order.
+	if rows[0].V[0] != 7 || rows[len(rows)-1].V[0] != total {
+		t.Fatalf("window = [%g..%g], want [7..%d]", rows[0].V[0], rows[len(rows)-1].V[0], total)
 	}
 }
 
 func TestTimelineJSONLDeterminism(t *testing.T) {
 	run := func() string {
 		sch := sim.NewScheduler()
-		tl := NewTimeline(100*sim.Microsecond, 16)
+		tl := NewTimeline(100 * sim.Microsecond)
 		i := 0.0
 		tl.Gauge("v", func() float64 { i++; return i * 1.5 })
 		tl.Gauge("nan", func() float64 { return math.NaN() })
@@ -85,21 +87,6 @@ func TestTimelineJSONLDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(a, `,null]`) {
 		t.Fatalf("NaN column should render null:\n%s", a)
-	}
-}
-
-func TestTimelineColumnQuantile(t *testing.T) {
-	sch := sim.NewScheduler()
-	tl := NewTimeline(sim.Millisecond, 128)
-	i := 0.0
-	tl.Gauge("v", func() float64 { i++; return i })
-	tl.Start(sch)
-	sch.RunFor(100 * sim.Millisecond)
-	if q := tl.ColumnQuantile("v", 0.5); q < 49 || q > 52 {
-		t.Fatalf("p50 = %g, want ~50", q)
-	}
-	if q := tl.ColumnQuantile("absent", 0.5); !math.IsNaN(q) {
-		t.Fatalf("unknown column quantile = %g, want NaN", q)
 	}
 }
 

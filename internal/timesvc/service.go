@@ -111,7 +111,7 @@ type Service struct {
 
 // NewService wires a host's daemon, UTC follower, and the network
 // auditor into a time service. The auditor supplies the live cross-host
-// bound; it must audit this host (HostsOnly auditors audit every host).
+// bound (every auditor audits every device).
 func NewService(d *daemon.Daemon, f *daemon.UTCFollower, aud *audit.Auditor) *Service {
 	s := &Service{
 		d: d, f: f, aud: aud,
