@@ -83,7 +83,7 @@ disciplines:
 	go run ./cmd/dtpexp -sweep disciplines -duration 1500ms
 
 # Flight-recorder smoke: the telemetry and time-service tests under the
-# race detector at full length (the seqlock torn-read hammer included),
+# race detector at full length (the snapshot-store torn-read hammer included),
 # then a -time-service chaos run that silences one peer (grey_loss p=1)
 # so the beacon watchdog demotes the port and trips a bundle, which
 # dtptrace -bundle must validate and summarize. Fails if no bundle

@@ -205,7 +205,7 @@ func runSingle() {
 		// A scenario's zero-unexpected-violations claim needs the auditor.
 		Audit: *auditFlag || scenario != nil, AuditEvery: *auditEvery,
 		Scenario: scenario, SyncTimeout: time.Second,
-		TimeService: *timeSvc, LoadQPS: 5000, // in-sim readers exercising the seqlock fast path
+		TimeService: *timeSvc, LoadQPS: 5000, // in-sim readers exercising the snapshot fast path
 		Discipline: shared.Discipline,
 		Timeline:   *timelineOut != "", TimelineEvery: *timelineEvery, FlightDir: *flightDir,
 	}

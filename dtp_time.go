@@ -12,8 +12,9 @@ import (
 )
 
 // TimeService is one host's serving-plane instance (internal/timesvc):
-// a calibration loop publishing seqlock snapshots that lock-free
-// readers interpolate TrueTime-style [earliest, latest] intervals from.
+// a calibration loop publishing immutable snapshots by atomic pointer,
+// which lock-free readers interpolate TrueTime-style [earliest, latest]
+// intervals from.
 type TimeService = timesvc.Service
 
 // TimeClock is the lock-free, allocation-free reader of a TimeService.

@@ -9,7 +9,8 @@ import (
 
 // StripedHistogram is a lock-free histogram built for writer rates where
 // even an uncontended atomic add per observation is too expensive — the
-// 17M reads/sec seqlock fast path in internal/timesvc. Three ideas keep
+// tens of millions of reads/sec the snapshot fast path in
+// internal/timesvc serves on one core. Three ideas keep
 // the record path near-free:
 //
 //   - Power-of-two exponential buckets: the bucket index is one

@@ -2,7 +2,6 @@ package timesvc
 
 import (
 	"errors"
-	"math"
 	"time"
 
 	"github.com/dtplab/dtp/internal/swclock"
@@ -98,17 +97,7 @@ func NewClock(store *Store, tb Timebase) *Clock {
 // generators checking the invariant against ground truth derived from
 // the very same reading) can evaluate both from one instant.
 func (c *Clock) At(raw int64) (utcPs float64, iv Interval, err error) {
-	sn, ok := c.store.Read()
-	if !ok {
-		return 0, Interval{}, ErrNoSnapshot
-	}
-	age := raw - sn.AnchorRaw
-	if sn.MaxAgePs > 0 && age > sn.MaxAgePs {
-		return 0, Interval{}, ErrStale
-	}
-	utcPs = sn.AnchorUTC + float64(age)*sn.Ratio
-	eps := sn.BoundPs + sn.DriftPPM*1e-6*math.Abs(float64(age))
-	return utcPs, Interval{EarliestPs: utcPs - eps, LatestPs: utcPs + eps}, nil
+	return c.store.cur.Load().at(raw)
 }
 
 // Now returns the current UTC estimate in picoseconds.
@@ -153,25 +142,18 @@ func (c *Clock) Before(t float64) (bool, error) {
 // itself is second-order (DriftPPM × wait) and deliberately ignored —
 // callers polling After(t) after the wait get the exact answer.
 func (c *Clock) WaitUntil(t float64) (time.Duration, error) {
-	sn, ok := c.store.Read()
-	if !ok {
-		return 0, ErrNoSnapshot
+	sn := c.store.cur.Load()
+	_, iv, err := sn.at(c.tb.Raw())
+	if err != nil {
+		return 0, err
 	}
-	raw := c.tb.Raw()
-	age := raw - sn.AnchorRaw
-	if sn.MaxAgePs > 0 && age > sn.MaxAgePs {
-		return 0, ErrStale
-	}
-	utc := sn.AnchorUTC + float64(age)*sn.Ratio
-	eps := sn.BoundPs + sn.DriftPPM*1e-6*math.Abs(float64(age))
-	earliest := utc - eps
-	if earliest > t {
+	if iv.EarliestPs > t {
 		return 0, nil
 	}
 	ratio := sn.Ratio
 	if ratio <= 0 {
 		ratio = 1
 	}
-	waitNs := (t - earliest) / ratio / 1000
+	waitNs := (t - iv.EarliestPs) / ratio / 1000
 	return time.Duration(waitNs), nil
 }

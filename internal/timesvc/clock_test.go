@@ -145,6 +145,29 @@ func TestClockReadZeroAlloc(t *testing.T) {
 	}
 }
 
+// clockSink keeps benchmarked intervals from being optimised away.
+var clockSink Interval
+
+// BenchmarkClockAt is the store load plus the interval arithmetic, on a
+// fixed timebase so no clock read is in the loop.
+func BenchmarkClockAt(b *testing.B) {
+	c := publishedClock(&fakeTimebase{}, Snapshot{Epoch: 1, Ratio: 1, BoundPs: 50e3, DriftPPM: 1})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, clockSink, _ = c.At(int64(i))
+	}
+}
+
+// BenchmarkClockNowInterval is the whole read an application makes: the
+// wall clock (time.Since) plus BenchmarkClockAt's work.
+func BenchmarkClockNowInterval(b *testing.B) {
+	c := publishedClock(NewWallTimebase(0), Snapshot{Epoch: 1, Ratio: 1, BoundPs: 50e3, DriftPPM: 1})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clockSink, _ = c.NowInterval()
+	}
+}
+
 func TestWallTimebaseAdvances(t *testing.T) {
 	tb := NewWallTimebase(42)
 	a := tb.Raw()

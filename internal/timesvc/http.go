@@ -32,7 +32,9 @@ type TimeResponse struct {
 func Handler(host string, c *Clock) http.Handler {
 	mux := http.NewServeMux()
 	serve := func(w http.ResponseWriter, r *http.Request) {
-		utc, iv, err := c.At(c.tb.Raw())
+		// One load: the interval and the epoch come from the same snapshot.
+		sn := c.store.cur.Load()
+		utc, iv, err := sn.at(c.tb.Raw())
 		if err != nil {
 			status := http.StatusServiceUnavailable
 			if !errors.Is(err, ErrNoSnapshot) && !errors.Is(err, ErrStale) {
@@ -48,7 +50,7 @@ func Handler(host string, c *Clock) http.Handler {
 			EarliestPs: iv.EarliestPs,
 			LatestPs:   iv.LatestPs,
 			WidthPs:    iv.WidthPs(),
-			Epoch:      c.store.Epoch(),
+			Epoch:      sn.Epoch,
 		})
 	}
 	mux.HandleFunc("/now", serve)
@@ -77,7 +79,7 @@ type HostHealth struct {
 // publish/degraded counters, whether reads currently succeed, the live
 // bound, and the ε-budget attribution. Hosts are sorted, so the body is
 // deterministic for a deterministic run. Reads only atomics and the
-// seqlock store — safe to serve while the simulation runs.
+// snapshot store — safe to serve while the simulation runs.
 func HealthHandler(services map[string]*Service) http.Handler {
 	hosts := make([]string, 0, len(services))
 	for h := range services {

@@ -8,16 +8,16 @@
 // The design splits reads from calibration the way production time
 // services do (scion-time's timeservice/driver-shm split, Spanner's
 // TrueTime): the calibration side periodically publishes an immutable
-// Snapshot (epoch, UTC anchor, frequency ratio, error bound) through a
-// seqlock Store, and readers interpolate UTC from the snapshot plus a
-// raw timebase reading without ever touching the daemon — the read
-// path is lock-free and allocation-free, so millions of concurrent
-// queries per second never contend with calibration or each other.
+// Snapshot (epoch, UTC anchor, frequency ratio, error bound) by swapping
+// one pointer in a Store, and readers interpolate UTC from the snapshot
+// plus a raw timebase reading without ever touching the daemon — the
+// read path is one atomic load and allocation-free, so millions of
+// concurrent queries per second never contend with calibration or each
+// other.
 package timesvc
 
 import (
 	"math"
-	"runtime"
 	"sync/atomic"
 )
 
@@ -53,95 +53,58 @@ type Snapshot struct {
 	MaxAgePs int64
 }
 
-// snapWords is the number of 64-bit words a Snapshot packs into.
-const snapWords = 7
-
-// pack flattens the snapshot into atomic-storable words.
-func (sn *Snapshot) pack(w *[snapWords]uint64) {
-	w[0] = sn.Epoch
-	w[1] = uint64(sn.AnchorRaw)
-	w[2] = math.Float64bits(sn.AnchorUTC)
-	w[3] = math.Float64bits(sn.Ratio)
-	w[4] = math.Float64bits(sn.BoundPs)
-	w[5] = math.Float64bits(sn.DriftPPM)
-	w[6] = uint64(sn.MaxAgePs)
+// at evaluates the snapshot at the raw timebase reading raw: the UTC
+// estimate and its uncertainty interval. It is the one place the
+// interval formula is written; a nil snapshot (nothing published) fails
+// closed with ErrNoSnapshot.
+func (sn *Snapshot) at(raw int64) (utcPs float64, iv Interval, err error) {
+	if sn == nil {
+		return 0, Interval{}, ErrNoSnapshot
+	}
+	age := raw - sn.AnchorRaw
+	if sn.MaxAgePs > 0 && age > sn.MaxAgePs {
+		return 0, Interval{}, ErrStale
+	}
+	utcPs = sn.AnchorUTC + float64(age)*sn.Ratio
+	eps := sn.BoundPs + sn.DriftPPM*1e-6*math.Abs(float64(age))
+	return utcPs, Interval{EarliestPs: utcPs - eps, LatestPs: utcPs + eps}, nil
 }
 
-// unpack rebuilds the snapshot from words.
-func (sn *Snapshot) unpack(w *[snapWords]uint64) {
-	sn.Epoch = w[0]
-	sn.AnchorRaw = int64(w[1])
-	sn.AnchorUTC = math.Float64frombits(w[2])
-	sn.Ratio = math.Float64frombits(w[3])
-	sn.BoundPs = math.Float64frombits(w[4])
-	sn.DriftPPM = math.Float64frombits(w[5])
-	sn.MaxAgePs = int64(w[6])
-}
-
-// Store publishes Snapshots through a seqlock: a sequence counter that
-// is odd while a write is in flight, plus the snapshot fields as
-// individual atomic words. Writers bump the sequence to odd, store the
-// words, and bump it to even; readers load the sequence, the words, and
-// the sequence again, retrying on any mismatch. Every access is a plain
-// atomic load or store — no mutex anywhere, so the read path cannot be
-// blocked by a stalled writer holding a lock, reads never allocate, and
-// the race detector proves the whole dance sound.
+// Store publishes Snapshots by pointer: Publish stores a pointer to a
+// fresh copy, and a read is one atomic load of that pointer. A published
+// snapshot is never written again, so a reader holding an old pointer
+// sees a whole snapshot however many publishes pass, and the garbage
+// collector is the grace period that keeps it alive until the reader
+// lets go. Nothing retries and nothing blocks; the cost is one small
+// allocation per Publish (the calibration cadence). The zero Store is
+// empty and ready to use.
 //
 // Publish is single-writer (the calibration tick); Read is safe from
 // any number of goroutines.
 type Store struct {
-	seq   atomic.Uint64
-	words [snapWords]atomic.Uint64
+	cur atomic.Pointer[Snapshot]
 }
 
 // Publish makes sn the current snapshot. Only one goroutine may call
-// Publish; concurrent writers would interleave their words.
+// Publish, so epochs reach readers in order.
 func (s *Store) Publish(sn Snapshot) {
-	var w [snapWords]uint64
-	sn.pack(&w)
-	s.seq.Add(1) // odd: write in flight
-	for i := range w {
-		s.words[i].Store(w[i])
-	}
-	s.seq.Add(1) // even: consistent again
+	s.cur.Store(&sn)
 }
 
 // Read returns the current snapshot. ok is false before the first
-// Publish. The retry loop completes in one pass unless a publish
-// overlaps the read, and publishes are rare (the calibration cadence),
-// so the expected cost is seven atomic loads and two of the sequence.
+// Publish.
 func (s *Store) Read() (sn Snapshot, ok bool) {
-	for {
-		s1 := s.seq.Load()
-		if s1&1 == 0 {
-			var w [snapWords]uint64
-			for i := range w {
-				w[i] = s.words[i].Load()
-			}
-			if s.seq.Load() == s1 {
-				if s1 == 0 {
-					return Snapshot{}, false
-				}
-				sn.unpack(&w)
-				return sn, true
-			}
-		}
-		// A writer is mid-publish; yield rather than burn the core.
-		runtime.Gosched()
+	p := s.cur.Load()
+	if p == nil {
+		return Snapshot{}, false
 	}
+	return *p, true
 }
 
-// Epoch returns the current snapshot's epoch (0 before any publish)
-// without unpacking the rest — one or two atomic loads.
+// Epoch returns the current snapshot's epoch (0 before any publish).
 func (s *Store) Epoch() uint64 {
-	for {
-		s1 := s.seq.Load()
-		if s1&1 == 0 {
-			e := s.words[0].Load()
-			if s.seq.Load() == s1 {
-				return e
-			}
-		}
-		runtime.Gosched()
+	if p := s.cur.Load(); p != nil {
+		return p.Epoch
 	}
+	return 0
 }

@@ -43,7 +43,8 @@ func TestStoreRoundTrip(t *testing.T) {
 // TestStoreNoTornReads hammers Read from many goroutines while a writer
 // republishes continuously. Every published snapshot derives all fields
 // from its epoch, so any torn read — a mix of two snapshots — breaks
-// the relation. Under -race this also proves the seqlock data-race-free.
+// the relation. Under -race this also proves the pointer publication
+// data-race-free.
 func TestStoreNoTornReads(t *testing.T) {
 	var s Store
 	var stop atomic.Bool
@@ -124,5 +125,29 @@ func TestStoreReadZeroAlloc(t *testing.T) {
 		_ = s.Epoch()
 	}); n != 0 {
 		t.Fatalf("Store.Epoch allocates %.1f times per call, want 0", n)
+	}
+}
+
+// storeSink keeps benchmarked reads from being optimised away.
+var storeSink Snapshot
+
+func BenchmarkStoreRead(b *testing.B) {
+	var s Store
+	s.Publish(Snapshot{Epoch: 1, Ratio: 1, BoundPs: 50e3, DriftPPM: 1})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		storeSink, _ = s.Read()
+	}
+}
+
+// BenchmarkStorePublish reports the publish's allocation: one Snapshot.
+func BenchmarkStorePublish(b *testing.B) {
+	var s Store
+	sn := Snapshot{Ratio: 1, BoundPs: 50e3, DriftPPM: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sn.Epoch = uint64(i + 1)
+		s.Publish(sn)
 	}
 }

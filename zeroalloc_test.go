@@ -27,6 +27,39 @@ func TestAuditedSteadyStateZeroAlloc(t *testing.T) {
 	requireZeroAllocRun(t, 1200, true)
 }
 
+// The serving plane's in-sim readers ride pooled actor events, so on the
+// paper tree a steady 10 ms window at LoadQPS 100 000 (7 000 checked
+// reads) allocates no more than the same window with no readers. The
+// plane itself allocates a little by design, e.g. one Snapshot per host
+// per publish.
+func TestTimePlaneLoadAddsNoAllocs(t *testing.T) {
+	allocs := func(qps float64) float64 {
+		sys := newSynced(t, PaperTree(), WithSeed(1))
+		defer sys.Close()
+		tp, err := sys.TimePlane(TimePlaneOptions{CalInterval: 10 * time.Millisecond, LoadQPS: qps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Past the follower warm-up: every host serves before the window.
+		sys.Run(100 * time.Millisecond)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		avg := testing.AllocsPerRun(5, func() {
+			sys.Run(10 * time.Millisecond)
+		})
+		for _, h := range tp.Hosts() {
+			// Reads before the first publish fail closed; none may miss truth.
+			if ld := tp.Load(h); ld != nil && (ld.Covered() == 0 || ld.Covered()+ld.Errors() != ld.Reads()) {
+				t.Fatalf("LoadQPS %v on %s: %d reads, %d covered, %d failed closed",
+					qps, h, ld.Reads(), ld.Covered(), ld.Errors())
+			}
+		}
+		return avg
+	}
+	if idle, loaded := allocs(0), allocs(100_000); loaded > idle {
+		t.Fatalf("a 10 ms plane window allocates %.0f times at LoadQPS 100000 against %.0f at 0", loaded, idle)
+	}
+}
+
 func requireZeroAllocRun(t *testing.T, beaconTicks uint64, audited bool) {
 	g, err := ParseTopology("fattree:4")
 	if err != nil {
