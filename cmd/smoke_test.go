@@ -25,6 +25,18 @@ func TestCommandExitCodes(t *testing.T) {
 	trace := filepath.Join(dir, "trace.jsonl")
 	prof := filepath.Join(dir, "prof")
 	liar := []string{"-topo", "tree", "-duration", "160ms", "-chaos", "../examples/chaos/liar.json"}
+	// Durations past sim.Time's ~106 days used to wrap negative and panic
+	// the run: a fault's start, its end, and a grid's sampling cadence.
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	farAt := write("far-at.json", `{"name": "far", "faults": [{"kind": "crash", "device": "h1", "at": "3000h", "duration": "1ms"}]}`)
+	farEnd := write("far-end.json", `{"name": "far", "faults": [{"kind": "crash", "device": "h1", "at": "2000h", "duration": "2000h"}]}`)
+	farGrid := write("far-grid.json", `{"sample_period": "3000h", "durations": ["1ms"]}`)
 
 	// In order: the dtptrace step reads what the -trace-out step wrote.
 	for _, tc := range []struct {
@@ -71,6 +83,9 @@ func TestCommandExitCodes(t *testing.T) {
 		// after profiling has started.
 		{"error exit under -pprof", []string{"dtpsim", "-topo", "pair", "-pprof", prof,
 			"-chaos", "../examples/chaos/liar.json"}, 2, "no node named", nil},
+		{"fault start past the clock", []string{"dtpsim", "-topo", "pair", "-chaos", farAt}, 2, "does not fit the simulated clock", nil},
+		{"fault end past the clock", []string{"dtpsim", "-topo", "pair", "-chaos", farEnd}, 2, "overflows the simulated clock", nil},
+		{"grid cadence past the clock", []string{"dtpsim", "-campaign", farGrid}, 2, "does not fit the simulated clock", nil},
 	} {
 		cmd := exec.Command(filepath.Join(dir, tc.argv[0]), tc.argv[1:]...)
 		var stdout, stderr bytes.Buffer
@@ -82,6 +97,11 @@ func TestCommandExitCodes(t *testing.T) {
 		if code := cmd.ProcessState.ExitCode(); code != tc.code || !strings.Contains(stderr.String(), tc.stderr) {
 			t.Errorf("%s: %v exited %d, want %d with %q on stderr; stderr:\n%s",
 				tc.name, tc.argv, code, tc.code, tc.stderr, &stderr)
+		}
+		// A panic exits 2 as well: a bad invocation must say what is
+		// wrong, not print a goroutine trace.
+		if tc.code == 2 && (strings.Contains(stderr.String(), "panic:") || strings.Contains(stderr.String(), "goroutine ")) {
+			t.Errorf("%s: %v panicked:\n%s", tc.name, tc.argv, &stderr)
 		}
 		if tc.stdout != nil {
 			tc.stdout(t, stdout.String())

@@ -132,8 +132,7 @@ func (s *System) TimePlane(o TimePlaneOptions) (*TimePlane, error) {
 		tp.services[h] = svc
 		tp.followers[h] = f
 		if o.LoadQPS > 0 {
-			ld := timesvc.NewLoad(svc, sim.NewRNG(s.cfg.seed, "timesvc-load/"+h),
-				timesvc.LoadConfig{QPS: o.LoadQPS})
+			ld := timesvc.NewLoad(svc, sim.NewRNG(s.cfg.seed, "timesvc-load/"+h), o.LoadQPS)
 			ld.Instrument(s.cfg.reg)
 			ld.Start()
 			tp.loads[h] = ld

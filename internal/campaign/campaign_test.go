@@ -52,7 +52,9 @@ func TestGridValidate(t *testing.T) {
 }
 
 // TestGridCadenceSigns: a negative cadence in grid JSON is an error, not
-// a silent default; zero still selects the default.
+// a silent default; zero still selects the default. The JSON decoder
+// rejects a negative duration, and Validate rejects one in a grid built
+// in Go.
 func TestGridCadenceSigns(t *testing.T) {
 	for _, tc := range []struct {
 		json string
@@ -66,12 +68,16 @@ func TestGridCadenceSigns(t *testing.T) {
 		{`{"sample_period": "50us", "audit_every": "1ms", "sync_timeout": "2s"}`, true},
 	} {
 		var g Grid
-		if err := json.Unmarshal([]byte(tc.json), &g); err != nil {
-			t.Fatalf("%s: %v", tc.json, err)
+		err := json.Unmarshal([]byte(tc.json), &g)
+		if err == nil {
+			err = g.Validate()
 		}
-		if err := g.Validate(); (err == nil) != tc.ok {
-			t.Errorf("%s: Validate() = %v, want ok=%v", tc.json, err, tc.ok)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: decode and Validate = %v, want ok=%v", tc.json, err, tc.ok)
 		}
+	}
+	if err := (Grid{SamplePeriod: -1}).Validate(); err == nil {
+		t.Error("Validate accepts a negative sample_period")
 	}
 }
 

@@ -27,22 +27,15 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 	return json.Marshal(time.Duration(d).String())
 }
 
-// UnmarshalJSON accepts either a duration string or nanoseconds.
+// UnmarshalJSON decodes through the chaos scenario decoder: a duration
+// string or nanoseconds, neither negative nor past the simulated
+// clock's range.
 func (d *Duration) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		v, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("campaign: bad duration %q: %w", s, err)
-		}
-		*d = Duration(v)
-		return nil
+	var cd dtp.ChaosDuration
+	if err := cd.UnmarshalJSON(b); err != nil {
+		return err
 	}
-	var n int64
-	if err := json.Unmarshal(b, &n); err != nil {
-		return fmt.Errorf("campaign: bad duration %s", b)
-	}
-	*d = Duration(n)
+	*d = Duration(cd.T.Std())
 	return nil
 }
 

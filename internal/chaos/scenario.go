@@ -22,6 +22,7 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -42,27 +43,31 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 	return json.Marshal(d.T.Std().String())
 }
 
+// maxDurationNs is the longest duration, in nanoseconds, that sim.Time
+// holds (about 106 days).
+const maxDurationNs = math.MaxInt64 / int64(sim.Nanosecond)
+
 // UnmarshalJSON accepts a Go duration string or a bare number of
-// nanoseconds.
+// nanoseconds, and rejects one that is negative or does not fit
+// sim.Time. It is the one duration decoder of the JSON inputs: campaign
+// grids decode through it too.
 func (d *Duration) UnmarshalJSON(b []byte) error {
+	var ns int64
 	var s string
 	if err := json.Unmarshal(b, &s); err == nil {
 		sd, err := time.ParseDuration(s)
 		if err != nil {
-			return fmt.Errorf("chaos: bad duration %q: %w", s, err)
+			return fmt.Errorf("bad duration %q: %w", s, err)
 		}
-		if sd < 0 {
-			return fmt.Errorf("chaos: negative duration %q", s)
-		}
-		d.T = sim.FromStd(sd)
-		return nil
-	}
-	var ns int64
-	if err := json.Unmarshal(b, &ns); err != nil {
-		return fmt.Errorf("chaos: duration must be a string like \"150us\" or nanoseconds: %s", b)
+		ns = sd.Nanoseconds()
+	} else if err := json.Unmarshal(b, &ns); err != nil {
+		return fmt.Errorf("duration must be a string like \"150us\" or nanoseconds: %s", b)
 	}
 	if ns < 0 {
-		return fmt.Errorf("chaos: negative duration %d", ns)
+		return fmt.Errorf("negative duration %s", b)
+	}
+	if ns > maxDurationNs {
+		return fmt.Errorf("duration %s does not fit the simulated clock (max %v)", b, time.Duration(maxDurationNs))
 	}
 	d.T = sim.Time(ns) * sim.Nanosecond
 	return nil
@@ -238,15 +243,28 @@ func (sc *Scenario) fillDefaults() {
 }
 
 // Validate checks every fault for structural errors (unknown kinds,
-// missing targets, out-of-range probabilities) without touching a
-// network; target names are resolved later by Engine.Schedule.
+// missing targets, out-of-range probabilities, a window that ends past
+// the simulated clock's range) without touching a network; target names
+// are resolved later by Engine.Schedule.
 func (sc *Scenario) Validate() error {
 	if len(sc.Faults) == 0 {
 		return fmt.Errorf("scenario %q has no faults", sc.Name)
 	}
+	// The engine's reconvergence deadline is the last fault's end plus
+	// the settle grace and the deadline, so every such sum must fit.
+	d := *sc
+	d.fillDefaults()
 	for i := range sc.Faults {
-		if err := sc.Faults[i].validate(); err != nil {
+		f := &sc.Faults[i]
+		if err := f.validate(); err != nil {
 			return fmt.Errorf("fault %d: %w", i, err)
+		}
+		end := f.At.T
+		for _, t := range []sim.Time{f.Duration.T, d.SettleGrace.T, d.ReconvergeDeadline.T} {
+			if t > 0 && end > math.MaxInt64-t {
+				return fmt.Errorf("fault %d: at + duration + settle_grace + reconverge_deadline overflows the simulated clock", i)
+			}
+			end += t
 		}
 	}
 	return nil

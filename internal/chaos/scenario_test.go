@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -64,7 +65,8 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 }
 
 // TestDurationUnmarshal: both duration strings and bare nanosecond
-// numbers parse; garbage and negatives are rejected.
+// numbers parse; garbage, negatives and values past sim.Time's range
+// (about 106 days) are rejected.
 func TestDurationUnmarshal(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -78,6 +80,9 @@ func TestDurationUnmarshal(t *testing.T) {
 		{`-5`, 0, false},
 		{`"xyz"`, 0, false},
 		{`{}`, 0, false},
+		{`"2562h"`, 2562 * 3600 * sim.Second, true},
+		{`"3000h"`, 0, false},
+		{`9300000000000000`, 0, false},
 	}
 	for _, c := range cases {
 		var d Duration
@@ -136,6 +141,10 @@ func TestScenarioValidation(t *testing.T) {
 			{Kind: KindSpoof, Duration: D(1), JumpUnits: 4, Cadence: D(1)}}}, "requires \"link\""},
 		{"spoof missing jump_units", Scenario{Faults: []Fault{
 			{Kind: KindSpoof, Link: link, Duration: D(1), Cadence: D(1)}}}, "positive \"jump_units\""},
+		{"window past the clock", Scenario{Faults: []Fault{
+			{Kind: KindCrash, Device: "d", At: D(2000 * 3600 * sim.Second), Duration: D(2000 * 3600 * sim.Second)}}}, "overflows"},
+		{"deadline past the clock", Scenario{ReconvergeDeadline: D(1 << 62), Faults: []Fault{
+			{Kind: KindCrash, Device: "d", At: D(1 << 62), Duration: D(1)}}}, "overflows"},
 		{"valid", Scenario{Faults: []Fault{
 			{Kind: KindCrash, Device: "d", At: D(1), Duration: D(1)}}}, ""},
 		{"valid liar", Scenario{Faults: []Fault{
@@ -202,4 +211,51 @@ func TestLoad(t *testing.T) {
 	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
 		t.Fatal("missing file loaded")
 	}
+}
+
+// FuzzScenarioJSON: decoding and validating any input never panics, and
+// an accepted scenario re-encodes to bytes that decode, validate and
+// re-encode unchanged, with every fault ending at or after its start.
+// The corpus is the shipped scenarios plus the overflowing durations
+// that once crashed dtpsim -chaos.
+func FuzzScenarioJSON(f *testing.F) {
+	paths, err := filepath.Glob("../../examples/chaos/*.json")
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no example scenarios: %v", err)
+	}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte(`{"faults":[{"kind":"crash","device":"d","at":"3000h","duration":"1ms"}]}`))
+	f.Add([]byte(`{"faults":[{"kind":"crash","device":"d","at":9300000000000000,"duration":"1ms"}]}`))
+	f.Add([]byte(`{"faults":[{"kind":"crash","device":"d","at":"2000h","duration":"2000h"}]}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var sc Scenario
+		if json.Unmarshal(b, &sc) != nil || sc.Validate() != nil {
+			return
+		}
+		for i, fl := range sc.Faults {
+			if fl.At.T+fl.Duration.T < fl.At.T {
+				t.Fatalf("fault %d ends at %v, before its start %v", i, fl.At.T+fl.Duration.T, fl.At.T)
+			}
+		}
+		out, err := json.Marshal(&sc)
+		if err != nil {
+			t.Fatalf("accepted scenario does not encode: %v", err)
+		}
+		var back Scenario
+		if err := json.Unmarshal(out, &back); err != nil {
+			t.Fatalf("re-encoded scenario does not decode: %v\n%s", err, out)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("re-encoded scenario does not validate: %v\n%s", err, out)
+		}
+		if again, _ := json.Marshal(&back); !bytes.Equal(again, out) {
+			t.Fatalf("round trip changed the scenario:\n%s\n%s", out, again)
+		}
+	})
 }

@@ -87,15 +87,6 @@ func (u *unitCounter) resetAt(t simTime) {
 	u.capVal = 0
 }
 
-// timeOfValue returns the earliest time the counter reaches at least v.
-func (u *unitCounter) timeOfValue(v uint64) simTime {
-	if v <= u.base {
-		return u.clk.TimeOfCount(u.refTick)
-	}
-	ticks := (v - u.base + u.delta - 1) / u.delta
-	return u.clk.TimeOfCount(u.refTick + ticks)
-}
-
 // reconstructNear returns the value congruent to lsb modulo 2^bits that
 // is closest to local. This is how a receiver recovers a full counter
 // from the 53 (or 52, with parity) transmitted least significant bits:

@@ -50,16 +50,6 @@ func TestUnitCounterSetAtBackwardPanics(t *testing.T) {
 	u.setAt(u.at(sch.Now())-1, sch.Now())
 }
 
-func TestUnitCounterTimeOfValue(t *testing.T) {
-	sch, u := newCounterFixture(20)
-	sch.Run(sim.Microsecond)
-	target := u.at(sch.Now()) + 1000
-	at := u.timeOfValue(target)
-	if got := u.at(at); got < target {
-		t.Fatalf("at(timeOfValue(%d)) = %d", target, got)
-	}
-}
-
 func TestReconstructNearExact(t *testing.T) {
 	cases := []struct {
 		local, lsb uint64
@@ -202,12 +192,10 @@ func TestSaturatedGateFromFrameSize(t *testing.T) {
 // and deterministic gates are monotone when driven past the last slot
 // (the way the beacon scheduler drives them).
 func TestGateSlotProperty(t *testing.T) {
-	rng := sim.NewRNG(3, "gate")
 	f := func(deltas []uint8) bool {
 		gates := []TxGate{
 			OpenGate{},
 			SaturatedGate{FrameBlocks: 200, Phase: 7},
-			NewRandomLoadGate(1522, 0.5, rng),
 		}
 		for _, g := range gates {
 			want := uint64(0)
@@ -224,23 +212,5 @@ func TestGateSlotProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRandomLoadGateExtremes(t *testing.T) {
-	rng := sim.NewRNG(4, "gate2")
-	free := NewRandomLoadGate(1522, 0, rng)
-	if free.NextSlot(77) != 77 {
-		t.Fatal("zero-load gate delayed a slot")
-	}
-	busy := NewRandomLoadGate(1522, 0.9, rng)
-	delayed := 0
-	for i := 0; i < 100; i++ {
-		if busy.NextSlot(1000) > 1000 {
-			delayed++
-		}
-	}
-	if delayed < 70 {
-		t.Fatalf("0.9-load gate delayed only %d/100 slots", delayed)
 	}
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"github.com/dtplab/dtp/internal/phy"
-	"github.com/dtplab/dtp/internal/sim"
-)
+import "github.com/dtplab/dtp/internal/phy"
 
 // TxGate models when the transmit path has an idle /E/ block available
 // for a DTP message. The standard guarantees at least one /E/ block per
@@ -49,32 +46,4 @@ func (g SaturatedGate) NextSlot(want uint64) uint64 {
 	}
 	k := (want - g.Phase + g.FrameBlocks - 1) / g.FrameBlocks
 	return g.Phase + k*g.FrameBlocks
-}
-
-// RandomLoadGate models partial load: each frame-sized slot is occupied
-// with probability Load; a message waits for the first free slot. At
-// Load 0 it behaves like OpenGate quantized to frame slots; at Load 1 it
-// degenerates to SaturatedGate.
-type RandomLoadGate struct {
-	FrameBlocks uint64
-	Load        float64
-	rng         *sim.RNG
-}
-
-// NewRandomLoadGate builds a partial-load gate.
-func NewRandomLoadGate(frameOctets int, load float64, rng *sim.RNG) *RandomLoadGate {
-	return &RandomLoadGate{
-		FrameBlocks: uint64(phy.BlocksPerFrame(frameOctets)),
-		Load:        load,
-		rng:         rng,
-	}
-}
-
-// NextSlot walks frame slots from want until one is free.
-func (g *RandomLoadGate) NextSlot(want uint64) uint64 {
-	slot := want
-	for g.rng.Bool(g.Load) {
-		slot += g.FrameBlocks
-	}
-	return slot
 }

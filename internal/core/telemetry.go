@@ -68,7 +68,7 @@ func (n *Network) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 		initRounds: reg.Counter("dtp_init_rounds_total",
 			"INIT delay-measurement rounds started (Algorithm 1 T0/retry)."),
 		transitions: reg.Counter("dtp_port_state_transitions_total",
-			"Algorithm 1 port state transitions (down/init/synced)."),
+			"Port state transitions (down/init/synced, and quarantined in hardened mode)."),
 		jumps: reg.Counter("dtp_counter_jumps_total",
 			"Forward global-counter adjustments (T4 max rule and JOINs)."),
 		stalls: reg.Counter("dtp_counter_stalls_total",
@@ -78,7 +78,7 @@ func (n *Network) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 		faultyPorts: reg.Counter("dtp_faulty_ports_total",
 			"Ports that declared their peer faulty and stopped synchronizing."),
 		demotions: reg.Counter("dtp_port_demotions_total",
-			"SYNCED ports demoted back to INIT by the beacon-loss watchdog or faulty cooldown."),
+			"Ports demoted back to INIT by the beacon-loss watchdog or an expired quarantine cooldown."),
 		droppedDown: reg.Counter("dtp_port_dropped_down",
 			"Blocks that arrived on a down port and were discarded."),
 		crashes: reg.Counter("dtp_device_crashes_total",

@@ -272,12 +272,7 @@ func (d *Daemon) calibrate() {
 
 // EstimateAt returns the daemon's get_DTP_counter() estimate (in counter
 // units, fractional) at time t, interpolated from the TSC.
-func (d *Daemon) EstimateAt(t sim.Time) float64 {
-	if !d.model.Valid {
-		return 0
-	}
-	return d.model.DTP + (d.tsc.At(t)-d.model.TSC)*d.model.Ratio
-}
+func (d *Daemon) EstimateAt(t sim.Time) float64 { return d.model.EstimateAt(d.tsc.At(t)) }
 
 // Estimate returns the current get_DTP_counter() value.
 func (d *Daemon) Estimate() float64 { return d.EstimateAt(d.sch.Now()) }

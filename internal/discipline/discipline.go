@@ -184,6 +184,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("discipline: unknown kind %q (want one of %s)",
 			c.Kind, strings.Join(Kinds(), "|"))
 	}
+	// NaN compares false against every range bound below, and +Inf
+	// passes dropk's, so non-finite gains are rejected first.
+	for _, g := range []struct {
+		name string
+		v    float64
+	}{{"gain", c.Gain}, {"kp", c.KP}, {"ki", c.KI}, {"dropk", c.DropK}} {
+		if math.IsNaN(g.v) || math.IsInf(g.v, 0) {
+			return fmt.Errorf("discipline: %s %g is not finite", g.name, g.v)
+		}
+	}
 	if c.Gain < 0 || c.Gain > 1 {
 		return fmt.Errorf("discipline: gain %g out of (0,1]", c.Gain)
 	}

@@ -103,7 +103,8 @@ func TestParseRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	for _, bad := range []string{"kalman", "ma:gain", "ma:gain=x", "lad:window=1", "pll:kp=7", "ma:foo=1"} {
+	for _, bad := range []string{"kalman", "ma:gain", "ma:gain=x", "lad:window=1", "pll:kp=7", "ma:foo=1",
+		"ma:gain=NaN", "pll:kp=nan", "pll:ki=-Inf", "lad:dropk=+Inf", "lad:dropk=NaN"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q): want error, got nil", bad)
 		}
@@ -268,4 +269,40 @@ func TestNonAdvancingTSCSampleRejected(t *testing.T) {
 	if math.IsNaN(m.Ratio) || math.IsInf(m.Ratio, 0) {
 		t.Fatal("ma ratio not finite after duplicate sample")
 	}
+}
+
+// FuzzParseDiscipline: Parse never panics; an accepted spec round-trips
+// through String, and the discipline it builds stays finite over ten
+// noisy calibrations. The corpus holds every kind, each option, and the
+// NaN and Inf gains that once passed Validate and served NaN-wide
+// intervals.
+func FuzzParseDiscipline(f *testing.F) {
+	for _, spec := range []string{"", "ma", "ma:gain=0.3", "pll:kp=0.5,ki=0.2", "theilsen:window=32",
+		"lad:window=24,dropk=3", "ma:gain=NaN", "pll:ki=Inf", "lad:dropk=+Inf", "lad:window=1"} {
+		f.Add(spec)
+	}
+	samples := stream(10, testNominal, func(i int) float64 { return triWave(i, 3) })
+	f.Fuzz(func(t *testing.T, spec string) {
+		c, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		// String names the default kind, so compare with defaults filled.
+		if back, err := Parse(c.String()); err != nil || back.WithDefaults() != c.WithDefaults() {
+			t.Fatalf("Parse(%q) = %+v; its String %q parses to %+v (%v)", spec, c, c.String(), back, err)
+		}
+		d, err := c.New(testNominal)
+		if err != nil {
+			t.Fatalf("accepted spec %q does not build: %v", spec, err)
+		}
+		var m Model
+		for _, s := range samples {
+			m = d.Feed(s)
+		}
+		for _, v := range []float64{m.DTP, m.TSC, m.Ratio, m.ErrUnits, m.SlackPPM} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%q: model not finite after ten samples: %+v", spec, m)
+			}
+		}
+	})
 }

@@ -89,12 +89,6 @@ type Frame struct {
 	TCPending bool
 }
 
-// Clone returns a shallow copy (payloads are immutable by convention).
-func (f *Frame) Clone() *Frame {
-	c := *f
-	return &c
-}
-
 func (f *Frame) String() string {
 	return fmt.Sprintf("%v %d->%d (%dB)", f.Proto, f.Src, f.Dst, f.Size)
 }

@@ -10,18 +10,6 @@ func TestProtoStrings(t *testing.T) {
 	}
 }
 
-func TestFrameClone(t *testing.T) {
-	f := &Frame{Src: 1, Dst: 2, Size: MTUFrame, Proto: ProtoBulk, CorrectionPs: 42}
-	c := f.Clone()
-	c.CorrectionPs = 7
-	if f.CorrectionPs != 42 {
-		t.Fatal("clone aliases original")
-	}
-	if c.Src != 1 || c.Dst != 2 || c.Size != MTUFrame {
-		t.Fatal("clone lost fields")
-	}
-}
-
 func TestFrameString(t *testing.T) {
 	f := &Frame{Src: 1, Dst: 2, Size: 64, Proto: ProtoNTP}
 	if f.String() == "" {

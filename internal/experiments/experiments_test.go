@@ -86,11 +86,11 @@ func TestFig6cDistributionShape(t *testing.T) {
 // 1.47–1.57 µs.
 func TestPTPLoadOrdering(t *testing.T) {
 	o := Options{Seed: 5, Duration: 200 * sim.Millisecond}
-	idle, err := Fig6d(o)
+	idle, err := RunPTP(o, LoadIdle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	med, err := Fig6e(o)
+	med, err := RunPTP(o, LoadMedium)
 	if err != nil {
 		t.Fatal(err)
 	}

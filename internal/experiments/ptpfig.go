@@ -12,12 +12,13 @@ import (
 type PTPLoad int
 
 const (
-	// LoadIdle: no background traffic (Fig. 6d).
+	// LoadIdle: no background traffic (Fig. 6d; paper: hundreds of ns).
 	LoadIdle PTPLoad = iota
-	// LoadMedium: five nodes spraying at 4 Gbps (Fig. 6e).
+	// LoadMedium: five nodes spraying at 4 Gbps (Fig. 6e; paper: up to
+	// ~50 us).
 	LoadMedium
 	// LoadHeavy: all client links (except s11's) saturated at 9 Gbps
-	// (Fig. 6f).
+	// (Fig. 6f; paper: hundreds of us).
 	LoadHeavy
 )
 
@@ -123,12 +124,3 @@ func runPTP(o Options, fcfg fabric.Config, load PTPLoad) (*PTPFigResult, error) 
 	}
 	return res, nil
 }
-
-// Fig6d reproduces Figure 6d (idle network). Paper: hundreds of ns.
-func Fig6d(o Options) (*PTPFigResult, error) { return RunPTP(o, LoadIdle) }
-
-// Fig6e reproduces Figure 6e (medium load). Paper: up to ~50 us.
-func Fig6e(o Options) (*PTPFigResult, error) { return RunPTP(o, LoadMedium) }
-
-// Fig6f reproduces Figure 6f (heavy load). Paper: hundreds of us.
-func Fig6f(o Options) (*PTPFigResult, error) { return RunPTP(o, LoadHeavy) }

@@ -105,8 +105,8 @@ func TestQueueingDelayGrowsWithContention(t *testing.T) {
 			worst = d
 		}
 	})
-	g1 := NewTrafficGen(n, 3, 2, eth.MTUFrame, 9, 16, 11)
-	g2 := NewTrafficGen(n, 4, 2, eth.MTUFrame, 9, 16, 12)
+	g1 := NewSprayGen(n, 3, []int{2}, 9, 16, 11)
+	g2 := NewSprayGen(n, 4, []int{2}, 9, 16, 12)
 	g1.Start()
 	g2.Start()
 	// Periodic probes measure path latency under congestion.
@@ -244,7 +244,7 @@ func TestBulkTrafficRate(t *testing.T) {
 	sch, n := newStar(t, DefaultConfig())
 	received := 0
 	n.Handle(2, eth.ProtoBulk, func(f *eth.Frame, rx sim.Time) { received++ })
-	g := NewTrafficGen(n, 1, 2, eth.MTUFrame, 4.0, 8, 21)
+	g := NewSprayGen(n, 1, []int{2}, 4.0, 8, 21)
 	g.Start()
 	sch.Run(50 * sim.Millisecond)
 	g.Stop()

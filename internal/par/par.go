@@ -71,15 +71,6 @@ func Map[T any](jobs, n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, firstError(errs)
 }
 
-// ForEach is Map without results: run fn over 0..n-1 on up to jobs
-// workers and return the first error by job index.
-func ForEach(jobs, n int, fn func(i int) error) error {
-	_, err := Map(jobs, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
 func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {

@@ -80,16 +80,3 @@ func TestMapEmpty(t *testing.T) {
 		t.Fatalf("got %v, %v; want nil, nil", got, err)
 	}
 }
-
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(4, 10, func(i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Fatalf("sum = %d, want 45", sum.Load())
-	}
-}

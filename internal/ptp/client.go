@@ -2,7 +2,6 @@ package ptp
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/dtplab/dtp/internal/eth"
 	"github.com/dtplab/dtp/internal/fabric"
@@ -35,10 +34,9 @@ type Client struct {
 	pathDelay  float64            // filtered (min of window)
 	haveDelay  bool
 
-	// Offset filtering + servo.
-	offsetWin []float64
-	servo     servo
-	stopped   bool
+	// Servo.
+	servo   servo
+	stopped bool
 	// synced flips after the first clock correction: like production
 	// daemons, the very first measurement steps the clock uncondition-
 	// ally, and the servo slews from there.
@@ -53,9 +51,6 @@ type Client struct {
 	syncs, resps uint64
 	steps        uint64
 	switches     uint64
-
-	// OnSample, if set, receives each filtered offset estimate (ps).
-	OnSample func(offsetPs float64)
 }
 
 // NewClient installs a PTP client at the host node, its PHC initialized
@@ -121,7 +116,6 @@ func (c *Client) selectMaster() {
 	c.haveSync = false
 	c.haveDelay = false
 	c.delayWin = c.delayWin[:0]
-	c.offsetWin = c.offsetWin[:0]
 	c.pendingT2 = map[uint64]float64{}
 	c.pendingReq = map[uint64]float64{}
 	c.servo.reset()
@@ -285,45 +279,20 @@ func (c *Client) pushDelay(d float64) {
 }
 
 // onOffsetSample processes a Sync-derived offset measurement
-// (t2 - t1 = offset + delay) through the filter and servo.
+// (t2 - t1 = offset + delay) through the servo. The servo consumes raw
+// samples: a median filter's group delay in the control loop would
+// destabilize it.
 func (c *Client) onOffsetSample(t2MinusT1 float64) {
 	if !c.haveDelay {
 		return // need a path delay estimate first
 	}
 	offset := t2MinusT1 - c.pathDelay
-
-	// The reported (smoothed) offset keeps a median window, as the
-	// paper notes commercial deployments do; the servo consumes raw
-	// samples — a median's group delay in the control loop would
-	// destabilize it.
-	c.offsetWin = append(c.offsetWin, offset)
-	if len(c.offsetWin) > filterWindow {
-		c.offsetWin = c.offsetWin[1:]
-	}
-	if c.OnSample != nil {
-		c.OnSample(median(c.offsetWin))
-	}
-
 	if !c.synced || offset > stepThresholdNs*1000 || offset < -stepThresholdNs*1000 {
 		c.PHC.Step(-offset)
 		c.synced = true
 		c.steps++
-		c.offsetWin = c.offsetWin[:0]
 		c.servo.reset()
 		return
 	}
 	c.PHC.AdjFreq(c.servo.update(offset, c.cfg.SyncInterval))
-}
-
-func median(w []float64) float64 {
-	if len(w) == 0 {
-		return 0
-	}
-	tmp := slices.Clone(w)
-	slices.Sort(tmp)
-	n := len(tmp)
-	if n%2 == 1 {
-		return tmp[n/2]
-	}
-	return (tmp[n/2-1] + tmp[n/2]) / 2
 }

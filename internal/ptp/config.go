@@ -36,8 +36,8 @@ const (
 	// production daemons do).
 	filterWindow = 8
 
-	// servoKp and servoKi are the PI servo gains applied to the
-	// filtered offset (in ppb per ns of offset).
+	// servoKp and servoKi are the PI servo gains applied to the raw
+	// offset (in ppb per ns of offset).
 	servoKp float64 = 0.7
 	servoKi float64 = 0.3
 

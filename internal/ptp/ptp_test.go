@@ -74,24 +74,6 @@ func TestServoConvergesConstantDrift(t *testing.T) {
 	}
 }
 
-func TestMedianSmallWindows(t *testing.T) {
-	cases := []struct {
-		in   []float64
-		want float64
-	}{
-		{nil, 0},
-		{[]float64{5}, 5},
-		{[]float64{5, 1}, 3},
-		{[]float64{9, 1, 5}, 5},
-		{[]float64{4, 1, 9, 100}, 6.5},
-	}
-	for _, c := range cases {
-		if got := median(c.in); got != c.want {
-			t.Fatalf("median(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 // deploy builds the paper's PTP network: star through one cut-through
 // switch, timeserver at node 1, 8 clients syncing every 100 ms.
 func deploy(t *testing.T, seed uint64) (*sim.Scheduler, []*Client) {

@@ -191,18 +191,12 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add increases the gauge by d (CAS loop).
+// Add increases the gauge by d.
 func (g *Gauge) Add(d float64) {
 	if g == nil {
 		return
 	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + d)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
+	atomicAddFloat(&g.bits, d)
 }
 
 // SetMax raises the gauge to v if v is larger (high-water mark).
@@ -210,31 +204,7 @@ func (g *Gauge) SetMax(v float64) {
 	if g == nil {
 		return
 	}
-	for {
-		old := g.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// SetMin lowers the gauge to v if v is smaller (low-water mark).
-func (g *Gauge) SetMin(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if math.Float64frombits(old) <= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
+	atomicFoldMax(&g.bits, v)
 }
 
 // Value returns the current value (0 on nil).

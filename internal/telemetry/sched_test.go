@@ -105,19 +105,3 @@ func TestInstrumentSchedulerNilSafe(t *testing.T) {
 	InstrumentScheduler(nil, sim.NewScheduler(), false)
 	InstrumentScheduler(New(), nil, false)
 }
-
-func TestGaugeSetMin(t *testing.T) {
-	reg := New()
-	g := reg.Gauge("dtp_test_min", "help")
-	g.Set(10)
-	g.SetMin(3)
-	if g.Value() != 3 {
-		t.Fatalf("SetMin(3) left %v", g.Value())
-	}
-	g.SetMin(7) // larger: no-op
-	if g.Value() != 3 {
-		t.Fatalf("SetMin(7) overwrote smaller value: %v", g.Value())
-	}
-	var nilGauge *Gauge
-	nilGauge.SetMin(1) // must not panic
-}

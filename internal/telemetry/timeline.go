@@ -171,6 +171,11 @@ func (t *Timeline) Rows() []TimelineRow {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.rowsLocked()
+}
+
+// rowsLocked is Rows with t.mu held.
+func (t *Timeline) rowsLocked() []TimelineRow {
 	out := make([]TimelineRow, 0, t.count)
 	start := t.next - t.count
 	if start < 0 {
@@ -221,10 +226,11 @@ func (t *Timeline) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
+	// Rows and total come from one critical section: a sample landing
+	// between two would make the header count more rows than total.
 	t.mu.Lock()
-	total := t.total
+	rows, total := t.rowsLocked(), t.total
 	t.mu.Unlock()
-	rows := t.Rows()
 	enc := newJSONLEncoder(w)
 	if err := enc.Encode(TimelineHeader{
 		Schema: TimelineSchema, IntervalPs: int64(t.interval), Columns: t.Columns(),

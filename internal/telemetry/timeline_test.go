@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -87,6 +88,51 @@ func TestTimelineJSONLDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(a, `,null]`) {
 		t.Fatalf("NaN column should render null:\n%s", a)
+	}
+}
+
+// TestTimelineJSONLUnderSampling: dtpd serves /timeline while the
+// simulation samples, so a dump races the sampler. Every header must
+// describe exactly the rows that follow it: sample i lands at i µs, so
+// the last row of a dump is sample number total. One dump tears only
+// now and then, hence the loop.
+func TestTimelineJSONLUnderSampling(t *testing.T) {
+	tl := NewTimeline(sim.Microsecond)
+	tl.Gauge("v", func() float64 { return 1 })
+	tl.Start(sim.NewScheduler())
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 1; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tl.sample(sim.Time(i) * sim.Microsecond)
+		}
+	}()
+	defer func() { close(stop); <-done }()
+	for w := 0; w < 200; w++ {
+		var b strings.Builder
+		if err := tl.WriteJSONL(&b); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+		var h TimelineHeader
+		var last struct {
+			T int64 `json:"t_ps"`
+		}
+		if err := json.Unmarshal([]byte(lines[0]), &h); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+			t.Fatal(err)
+		}
+		if uint64(h.Rows) > h.Total || h.Dropped != h.Total-uint64(h.Rows) || h.Rows != len(lines)-1 ||
+			(h.Rows > 0 && last.T != int64(h.Total)*int64(sim.Microsecond)) {
+			t.Fatalf("dump %d: header %s over %d rows, the last at %d ps", w, lines[0], len(lines)-1, last.T)
+		}
 	}
 }
 

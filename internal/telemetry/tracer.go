@@ -46,9 +46,10 @@ const (
 	// the hop distance plus the last trace events touching either device
 	// (the causal context).
 	KindBoundViolation
-	// KindPortDemoted: a SYNCED port demoted itself back to INIT; V1 is
-	// the demotion reason code (0 = beacon-loss timeout, 1 = faulty-peer
-	// cooldown expired), Detail the reason name.
+	// KindPortDemoted: a SYNCED or quarantined port demoted itself back
+	// to INIT; V1 is the demotion reason code (0 = beacon-loss timeout,
+	// 2 = quarantine cooldown expired; 1 is retired), Detail the reason
+	// name.
 	KindPortDemoted
 	// KindChaosInject / KindChaosClear: the fault-injection engine
 	// (internal/chaos) started or cleared a fault; Who is the target
@@ -156,8 +157,8 @@ const firehoseKinds = 1<<KindBeaconTx | 1<<KindBeaconRx | 1<<KindBeaconIgnored |
 
 // NewTracer returns a tracer keeping the last capacity events
 // (default 8192 when capacity <= 0). Every kind starts enabled except
-// the per-beacon firehose kinds (beacon_tx, beacon_rx, beacon_ignored);
-// call SetKinds() with no arguments to record those too.
+// the per-beacon firehose kinds (beacon_tx, beacon_rx, beacon_ignored,
+// counter_jump); call SetKinds() with no arguments to record those too.
 func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 8192

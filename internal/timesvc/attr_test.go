@@ -67,12 +67,11 @@ func TestAttributionMetricsExposed(t *testing.T) {
 			t.Errorf("exposition missing eps histogram for %s", comp)
 		}
 	}
-	// Per-publish flush keeps the striped histogram exact: its count
-	// equals the publish count for every component.
-	h := p.reg.StripedHistogram("dtp_timesvc_eps_ps", "", 1000, 30, 1,
+	// One observation per publish.
+	h := p.reg.Histogram("dtp_timesvc_eps_ps", "", telemetry.ExponentialBuckets(1000, 2, 30),
 		"host", "h1", "component", "audit")
 	if h.Count() != p.svc.Publishes() {
-		t.Fatalf("striped count = %d, publishes = %d", h.Count(), p.svc.Publishes())
+		t.Fatalf("histogram count = %d, publishes = %d", h.Count(), p.svc.Publishes())
 	}
 }
 

@@ -5,15 +5,6 @@ import (
 	"github.com/dtplab/dtp/internal/telemetry"
 )
 
-// LoadConfig shapes the in-sim request model.
-type LoadConfig struct {
-	// QPS is the mean Poisson arrival rate of time-service reads against
-	// this host (default 1000). In-sim load models the request *pattern*
-	// (inter-arrival mixing with calibration ticks, width as seen by
-	// clients); raw throughput is the benchmark's serve_reads workload.
-	QPS float64
-}
-
 // Load drives Poisson read traffic against one host's Service from
 // inside the simulation: each arrival performs a full interval read and
 // checks it against ground truth, so a run reports the width and
@@ -23,7 +14,7 @@ type Load struct {
 	svc *Service
 	sch *sim.Scheduler
 	rng *sim.RNG
-	cfg LoadConfig
+	qps float64 // mean Poisson arrival rate of reads against this host
 
 	// OnError, when set, is invoked (on the simulation goroutine) for
 	// every read that fails closed. The flight recorder hooks it to
@@ -43,14 +34,14 @@ type Load struct {
 	hWidthNs *telemetry.Histogram
 }
 
-// NewLoad attaches a request-load model to a service. The RNG should be
-// forked per host (e.g. NewRNG(seed, "timesvc-load/"+host)) so runs stay
-// deterministic under topology changes.
-func NewLoad(svc *Service, rng *sim.RNG, cfg LoadConfig) *Load {
-	if cfg.QPS <= 0 {
-		cfg.QPS = 1000
-	}
-	return &Load{svc: svc, sch: svc.sch, rng: rng, cfg: cfg}
+// NewLoad attaches a request-load model of qps > 0 mean Poisson reads
+// per second to a service. In-sim load models the request *pattern*
+// (inter-arrival mixing with calibration ticks, width as seen by
+// clients); raw throughput is the benchmark's serve_reads workload. The
+// RNG should be forked per host (e.g. NewRNG(seed, "timesvc-load/"+host))
+// so runs stay deterministic under topology changes.
+func NewLoad(svc *Service, rng *sim.RNG, qps float64) *Load {
+	return &Load{svc: svc, sch: svc.sch, rng: rng, qps: qps}
 }
 
 // Instrument attaches telemetry (nil-safe).
@@ -84,7 +75,7 @@ func (l *Load) Stop() { l.stopped = true }
 const evArrive uint8 = 6
 
 func (l *Load) next() {
-	mean := sim.Time(1e12 / l.cfg.QPS) // ps between arrivals
+	mean := sim.Time(1e12 / l.qps) // ps between arrivals
 	l.sch.AfterActor(l.rng.ExpTime(mean), l, evArrive, 0, 0)
 }
 

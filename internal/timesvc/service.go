@@ -105,8 +105,7 @@ type Service struct {
 	mDegraded  [len(degradedReasons)]*telemetry.Counter
 	mBound     *telemetry.Gauge
 	mEpsLast   [numAttrComponents]*telemetry.Gauge
-	hEps       [numAttrComponents]*telemetry.StripedHistogram
-	wEps       [numAttrComponents]*telemetry.StripeWriter
+	hEps       [numAttrComponents]*telemetry.Histogram
 }
 
 // NewService wires a host's daemon, UTC follower, and the network
@@ -139,12 +138,10 @@ func (s *Service) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 		s.mEpsLast[i] = reg.Gauge("dtp_timesvc_eps_last_ps",
 			"Last published half-width component, in picoseconds.",
 			"host", s.host, "component", comp)
-		// One stripe per component: the publish tick is the only writer.
-		// Unit 1 ns with 30 power-of-two buckets spans 1 ns .. ~0.5 ms.
-		s.hEps[i] = reg.StripedHistogram("dtp_timesvc_eps_ps",
+		// 30 power-of-two buckets from 1 ns span 1 ns .. ~0.5 ms.
+		s.hEps[i] = reg.Histogram("dtp_timesvc_eps_ps",
 			"Published half-width components, in picoseconds.",
-			1000, 30, 1, "host", s.host, "component", comp)
-		s.wEps[i] = s.hEps[i].Writer()
+			telemetry.ExponentialBuckets(1000, 2, 30), "host", s.host, "component", comp)
 	}
 }
 
@@ -247,10 +244,7 @@ func (s *Service) publish() {
 	s.mBound.Set(eps)
 	for i, v := range comps {
 		s.mEpsLast[i].Set(v)
-		// Flush per publish: one atomic fold per 10 ms keeps the
-		// registry scrape (and every deterministic export) exact.
-		s.wEps[i].Observe(v)
-		s.wEps[i].Flush()
+		s.hEps[i].Observe(v)
 	}
 	if s.tr.Enabled(telemetry.KindTimesvcPublish) {
 		s.tr.Record(s.sch.Now(), telemetry.KindTimesvcPublish, s.host,

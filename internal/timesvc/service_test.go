@@ -72,7 +72,7 @@ func newServedPair(t *testing.T, seed uint64, qps float64) *servedPair {
 
 	p := &servedPair{sch: sch, net: n, reg: reg, svc: svc}
 	if qps > 0 {
-		p.ld = NewLoad(svc, sim.NewRNG(seed, "timesvc-load/h1"), LoadConfig{QPS: qps})
+		p.ld = NewLoad(svc, sim.NewRNG(seed, "timesvc-load/h1"), qps)
 		p.ld.Instrument(reg)
 		p.ld.Start()
 	}
