@@ -79,6 +79,11 @@ func TestCommandExitCodes(t *testing.T) {
 				t.Errorf("no served host reports reads under -load-qps:\n%s", out)
 			}},
 		{"dtpexp nothing selected", []string{"dtpexp"}, 2, "", nil},
+		// An unknown name used to exit 1, and only after the experiments
+		// named before it had run.
+		{"dtpexp unknown name", []string{"dtpexp", "-fig", "6a", "-sweep", "nosuch"}, 2, "dtpexp: unknown -sweep", nil},
+		// A topology past the device cap used to die out of memory.
+		{"topology over the device cap", []string{"dtpsim", "-topo", "fattree:512"}, 2, "dtpsim: dtp: topology", nil},
 		// The scenario names tree devices, so arming it on a pair fails
 		// after profiling has started.
 		{"error exit under -pprof", []string{"dtpsim", "-topo", "pair", "-pprof", prof,
@@ -102,6 +107,11 @@ func TestCommandExitCodes(t *testing.T) {
 		// wrong, not print a goroutine trace.
 		if tc.code == 2 && (strings.Contains(stderr.String(), "panic:") || strings.Contains(stderr.String(), "goroutine ")) {
 			t.Errorf("%s: %v panicked:\n%s", tc.name, tc.argv, &stderr)
+		}
+		// A row expecting "cmd: …" expects that one line and nothing else.
+		if prefix := tc.argv[0] + ": "; strings.HasPrefix(tc.stderr, prefix) &&
+			(!strings.HasPrefix(stderr.String(), prefix) || strings.Count(stderr.String(), "\n") != 1) {
+			t.Errorf("%s: want one %q line on stderr, got:\n%s", tc.name, prefix, &stderr)
 		}
 		if tc.stdout != nil {
 			tc.stdout(t, stdout.String())

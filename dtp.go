@@ -72,8 +72,16 @@ func FatTree(k int) Topology { return topo.FatTree(k) }
 // Star returns a single switch with n hosts plus a timeserver.
 func Star(n int) Topology { return topo.Star(n) }
 
+// maxDevices caps the device count of a topology ParseTopology
+// builds. Every device carries ports, an oscillator and its share of
+// pending events, so a spec far past this (fattree:512 is 33.9 M
+// devices) exhausts memory before the first event instead of failing
+// with a message. The cap still admits fattree:64 (70 656 devices).
+const maxDevices = 100_000
+
 // ParseTopology parses the CLI topology syntax shared by cmd/dtpsim and
-// cmd/dtptrace: "pair | tree | star:N | chain:N | fattree:K".
+// cmd/dtptrace: "pair | tree | star:N | chain:N | fattree:K", with at
+// most maxDevices devices.
 func ParseTopology(spec string) (Topology, error) {
 	name, arg, _ := strings.Cut(spec, ":")
 	n := 0
@@ -84,7 +92,10 @@ func ParseTopology(spec string) (Topology, error) {
 		}
 	}
 	// Size checks happen here, not in the builders, so a bad CLI spec
-	// becomes an error message instead of a panic stack.
+	// becomes an error message instead of a panic stack. The device
+	// count is a float64 so that no argument overflows it.
+	var devices float64
+	var build func() Topology
 	switch name {
 	case "pair", "tree":
 		if arg != "" {
@@ -101,7 +112,7 @@ func ParseTopology(spec string) (Topology, error) {
 		if n < 1 {
 			return Topology{}, fmt.Errorf("dtp: star needs at least 1 client, got %d", n)
 		}
-		return Star(n), nil
+		devices, build = float64(n)+2, func() Topology { return Star(n) }
 	case "chain":
 		if arg == "" {
 			n = 4
@@ -109,7 +120,7 @@ func ParseTopology(spec string) (Topology, error) {
 		if n < 1 {
 			return Topology{}, fmt.Errorf("dtp: chain needs at least 1 hop, got %d", n)
 		}
-		return Chain(n), nil
+		devices, build = float64(n)+1, func() Topology { return Chain(n) }
 	case "fattree":
 		if arg == "" {
 			n = 4
@@ -117,10 +128,16 @@ func ParseTopology(spec string) (Topology, error) {
 		if n < 2 || n%2 != 0 {
 			return Topology{}, fmt.Errorf("dtp: fat-tree arity must be even and >= 2, got %d", n)
 		}
-		return FatTree(n), nil
+		k := float64(n) // k³/4 hosts plus 5k²/4 switches
+		devices, build = k*k*k/4+5*k*k/4, func() Topology { return FatTree(n) }
 	default:
 		return Topology{}, fmt.Errorf("dtp: unknown topology %q", name)
 	}
+	if devices > maxDevices {
+		return Topology{}, fmt.Errorf("dtp: topology %q has %.0f devices, more than the %d this simulator builds",
+			spec, devices, maxDevices)
+	}
+	return build(), nil
 }
 
 // Option configures a System. The With* options are the public API, so
@@ -644,18 +661,7 @@ func (s *System) Chaos(o ChaosOptions) (*ChaosEngine, error) {
 	if o.Scenario == nil {
 		return nil, fmt.Errorf("dtp: ChaosOptions.Scenario is required")
 	}
-	eng, err := chaos.NewEngine(s.net, o.Scenario, s.cfg.seed)
-	if err != nil {
-		return nil, err
-	}
-	eng.Instrument(s.cfg.reg, s.cfg.tracer)
-	if o.Auditor != nil {
-		eng.BindAuditor(o.Auditor)
-	}
-	if err := eng.Schedule(); err != nil {
-		return nil, err
-	}
-	return eng, nil
+	return chaos.NewEngine(s.net, o.Scenario, s.cfg.seed, s.cfg.reg, s.cfg.tracer, o.Auditor)
 }
 
 // Close stops everything the System started on top of the simulation —

@@ -377,12 +377,38 @@ func TestParseTopologyValidation(t *testing.T) {
 		}
 	}
 	bad := []string{"chain:0", "chain:-1", "star:0", "star:-2", "fattree:3",
-		"fattree:0", "fattree:-4", "ring", "chain:x", "pair:3", "tree:7", "tree:x"}
+		"fattree:0", "fattree:-4", "ring", "chain:x", "pair:3", "tree:7", "tree:x",
+		// Past the device cap: these once ran out of memory building.
+		"fattree:512", "fattree:74", "chain:50000000", "chain:100000", "star:99999",
+		"fattree:9223372036854775806", "chain:9223372036854775807"}
 	for _, spec := range bad {
 		if _, err := ParseTopology(spec); err == nil {
 			t.Errorf("%s: accepted, want error", spec)
 		}
 	}
+}
+
+// FuzzParseTopology: ParseTopology never panics, and an accepted spec
+// builds a valid graph within the device cap. The corpus holds the specs
+// the Makefile, the examples and the campaign grids use, the largest
+// accepted sizes, and the sizes that once exhausted memory.
+func FuzzParseTopology(f *testing.F) {
+	for _, spec := range []string{"pair", "tree", "chain:5", "chain:3", "chain:2", "fattree:4", "fattree:8",
+		"star:8", "chain:99999", "star:99998", "fattree:72", "fattree:512", "chain:50000000", "fattree:-2"} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		g, err := ParseTopology(spec)
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%q builds an invalid graph: %v", spec, err)
+		}
+		if len(g.Nodes) > maxDevices {
+			t.Fatalf("%q builds %d devices, over the %d cap", spec, len(g.Nodes), maxDevices)
+		}
+	})
 }
 
 // TestRunUntilSyncedClamp: the sync wait never steps past its deadline

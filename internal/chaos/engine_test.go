@@ -2,6 +2,9 @@ package chaos
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -55,13 +58,8 @@ func newCampaign(t *testing.T, g topo.Graph, cfg core.Config, seed uint64, sc *S
 	aud := audit.New(net, audit.Config{})
 	aud.Instrument(reg, tr)
 	aud.Start()
-	eng, err := NewEngine(net, sc, seed)
+	eng, err := NewEngine(net, sc, seed, reg, tr, aud)
 	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Instrument(reg, tr)
-	eng.BindAuditor(aud)
-	if err := eng.Schedule(); err != nil {
 		t.Fatal(err)
 	}
 	return &campaign{sch: sch, net: net, aud: aud, eng: eng, reg: reg, tr: tr}
@@ -239,8 +237,104 @@ func TestLiarCampaignPlainVsHardened(t *testing.T) {
 	}
 }
 
+// kindCases holds one minimal valid fault per kind on chain:2
+// (h0 - sw1 - h1), plus a permanent freq_step. TestEveryKind fails for
+// a kinds row with no case here, so a new kind cannot ship untested.
+func kindCases() []Fault {
+	ms, us := sim.Millisecond, sim.Microsecond
+	h0sw1 := []string{"h0", "sw1"}
+	return []Fault{
+		// Long downs: the link is down when the flap clears.
+		{Kind: KindFlap, Link: h0sw1, Duration: D(ms), MeanUp: D(100 * us), MeanDown: D(10 * ms)},
+		{Kind: KindBERBurst, Link: h0sw1, Duration: D(ms), BER: 1e-4},
+		{Kind: KindBERDegrade, Link: h0sw1, BER: 1e-9},
+		{Kind: KindGreyLoss, Link: h0sw1, Duration: D(500 * us), LossP: 0.5},
+		{Kind: KindGreyDelay, Link: []string{"h1", "sw1"}, Duration: D(ms), ExtraDelay: D(50 * sim.Nanosecond), Steps: 3},
+		{Kind: KindFreqStep, Device: "h0", Duration: D(ms), PPMStep: 30},
+		{Kind: KindFreqStep, Device: "h0", PPMStep: 30},
+		{Kind: KindTempRamp, Device: "sw1", Duration: D(ms), PPMStep: -30},
+		{Kind: KindCrash, Device: "sw1", Duration: D(500 * us)},
+		{Kind: KindLiar, Device: "h0", Duration: D(500 * us), JumpUnits: 5000, Cadence: D(2 * us)},
+		{Kind: KindOverclaim, Device: "h1", Duration: D(500 * us), JumpUnits: 6, Cadence: D(10 * us)},
+		{Kind: KindSpoof, Link: h0sw1, Duration: D(500 * us), JumpUnits: 6, Cadence: D(2 * us)},
+	}
+}
+
+// TestEveryKind walks the kinds table. Each kind's minimal fault
+// validates, survives a JSON round trip and, on chain:2, injects once
+// and clears once (never, if permanent); after the clear every wire's
+// BER, loss and delay, every oscillator's ppm and counter lie, and
+// every link's up/down state equal their values before the fault.
+func TestEveryKind(t *testing.T) {
+	tested := map[string]bool{}
+	for _, f := range kindCases() {
+		tested[f.Kind] = true
+		f.At = D(2 * sim.Millisecond)
+		name := f.Kind
+		if f.permanent() {
+			name += "/permanent"
+		}
+		t.Run(name, func(t *testing.T) {
+			sc := Scenario{Name: name, Faults: []Fault{f}}
+			b, err := json.Marshal(&sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back Scenario
+			if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(sc, back) {
+				t.Fatalf("JSON round trip: %v\n%s", err, b)
+			}
+			if err := back.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			c := newCampaign(t, topo.Chain(2), core.DefaultConfig(), 1, &back)
+			c.net.Start()
+			c.sch.Run(f.At.T - 1)
+			before := netState(c.net)
+			c.sch.Run(c.eng.Deadline())
+			wantClears := 1
+			if f.permanent() {
+				wantClears = 0
+			}
+			inj, clr := c.tr.CountKind(telemetry.KindChaosInject), c.tr.CountKind(telemetry.KindChaosClear)
+			if inj != 1 || clr != wantClears {
+				t.Errorf("%d injections and %d clears, want 1 and %d", inj, clr, wantClears)
+			}
+			if after := netState(c.net); wantClears == 1 && after != before {
+				t.Errorf("the clear did not restore the network:\nbefore:\n%safter:\n%s", before, after)
+			}
+		})
+	}
+	for k := range kinds {
+		if !tested[k] {
+			t.Errorf("kind %q has no case in kindCases", k)
+		}
+	}
+}
+
+// netState renders everything a fault may change and its clear must
+// restore.
+func netState(n *core.Network) string {
+	var b strings.Builder
+	for i := range n.Graph.Links {
+		ab, ba := n.LinkWires(i)
+		pa, pb := n.LinkPorts(i)
+		fmt.Fprintf(&b, "link %d: ber %g/%g loss %g/%g delay %v/%v down %v/%v\n", i,
+			ab.BER(), ba.BER(), ab.LossP(), ba.LossP(), ab.Delay(), ba.Delay(),
+			pa.State() == "down", pb.State() == "down")
+	}
+	for _, node := range n.Graph.Nodes {
+		d, err := n.DeviceByName(node.Name)
+		if err != nil {
+			panic(err)
+		}
+		fmt.Fprintf(&b, "%s: ppm %g lie %d\n", node.Name, d.Clock().PPM(), d.LieUnits())
+	}
+	return b.String()
+}
+
 // TestScheduleRejectsUnknownTargets: bad device or cable names fail
-// atomically at Schedule, before any event is planted.
+// atomically in NewEngine, before any event is planted.
 func TestScheduleRejectsUnknownTargets(t *testing.T) {
 	cases := []Fault{
 		{Kind: KindCrash, Device: "nosuch", At: D(1), Duration: D(1)},
@@ -254,12 +348,12 @@ func TestScheduleRejectsUnknownTargets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewEngine(net, &Scenario{Name: "bad", Faults: []Fault{f}}, 1)
-		if err != nil {
-			t.Fatal(err)
+		pending := sch.Pending()
+		if _, err := NewEngine(net, &Scenario{Name: "bad", Faults: []Fault{f}}, 1, nil, nil, nil); err == nil {
+			t.Errorf("case %d: NewEngine accepted unknown target", i)
 		}
-		if err := eng.Schedule(); err == nil {
-			t.Errorf("case %d: Schedule accepted unknown target", i)
+		if sch.Pending() != pending {
+			t.Errorf("case %d: a failed NewEngine planted %d events", i, sch.Pending()-pending)
 		}
 	}
 }

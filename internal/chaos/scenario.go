@@ -73,65 +73,6 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Fault kinds.
-const (
-	// KindFlap bounces a link up and down with exponentially
-	// distributed holding times (MeanUp / MeanDown) for Duration, then
-	// leaves it up.
-	KindFlap = "flap"
-	// KindBERBurst raises both directions of a link to BER for
-	// Duration, then restores the original rates.
-	KindBERBurst = "ber_burst"
-	// KindBERDegrade permanently degrades both directions to BER
-	// (Duration is ignored; the fault never clears).
-	KindBERDegrade = "ber_degrade"
-	// KindGreyLoss silently drops LossP of blocks in one direction
-	// (Link[0] -> Link[1]) for Duration — the link stays "up".
-	KindGreyLoss = "grey_loss"
-	// KindGreyDelay linearly grows one direction's propagation delay by
-	// ExtraDelay over Duration (in Steps increments), then restores it:
-	// a growing delay asymmetry the INIT measurement never sees.
-	KindGreyDelay = "grey_delay"
-	// KindFreqStep steps a device oscillator by PPMStep (clamped to the
-	// clock's ±MaxPPM) for Duration, then restores the original offset.
-	// Duration 0 makes the step permanent.
-	KindFreqStep = "freq_step"
-	// KindTempRamp ramps a device oscillator by PPMStep over Duration
-	// in Steps increments (temperature drift), then snaps back.
-	KindTempRamp = "temp_ramp"
-	// KindCrash power-cycles a device: at At every port (and its peer
-	// port — the PHY loses signal) goes down and all protocol state and
-	// counter content is lost; after Duration the device restarts from
-	// counter zero and rejoins through INIT and BEACON-JOIN.
-	KindCrash = "crash"
-
-	// Adversarial kinds (Byzantine faults). Unlike the accidental faults
-	// above they register no expected-degradation window with the
-	// auditor: a hardened fabric is supposed to withstand them, so every
-	// bound violation they cause counts as unexcused.
-
-	// KindLiar makes a device lie: every Cadence (jittered by the
-	// fault's RNG stream) it inflates its outgoing counter by a further
-	// JumpUnits and pushes the lie through the otherwise unguarded
-	// BEACON-JOIN path on all synced ports, for Duration. Plain DTP
-	// adopts each JOIN fabric-wide; hardened admission rejects them and
-	// quarantines the liar's links. The device's real counter stays
-	// honest — the lie exists only on the wire.
-	KindLiar = "liar"
-	// KindOverclaim is the liar's stealthy sibling: the device ratchets
-	// its outgoing counter by JumpUnits per Cadence through ordinary
-	// BEACONs only, sized to stay just under the naive bit-error guard,
-	// so each message looks plausible while the cumulative rate is far
-	// beyond any honest oscillator. Bounded-jump admission catches the
-	// cumulative drift the per-message guard cannot.
-	KindOverclaim = "overclaim"
-	// KindSpoof models an on-path attacker forging BEACONs on a cable:
-	// every Cadence for Duration a counterfeit beacon claiming the
-	// receiver's counter plus JumpUnits is injected toward Link[1] (the
-	// attacker impersonates Link[0]).
-	KindSpoof = "beacon_spoof"
-)
-
 // Fault is one declarative fault. Link faults name the two adjacent
 // devices of the cable; device faults name the device.
 type Fault struct {
@@ -141,11 +82,13 @@ type Fault struct {
 	// directional faults (grey_loss, grey_delay) the impaired direction
 	// is Link[0] -> Link[1].
 	Link []string `json:"link,omitempty"`
-	// Device identifies a device (freq_step, temp_ramp, crash).
+	// Device identifies a device (freq_step, temp_ramp, crash, liar,
+	// overclaim).
 	Device string `json:"device,omitempty"`
 
-	// At is when the fault starts; Duration how long it lasts (0 =
-	// permanent, where the kind allows it).
+	// At is when the fault starts; Duration how long it lasts. The
+	// kind's duration rule says whether Duration is required, optional
+	// (0 = permanent) or forbidden (the fault never clears).
 	At       Duration `json:"at"`
 	Duration Duration `json:"duration,omitempty"`
 
@@ -162,7 +105,7 @@ type Fault struct {
 	// PPMStep is the frequency change in ppm (freq_step, temp_ramp).
 	PPMStep float64 `json:"ppm_step,omitempty"`
 	// Steps is the ramp granularity for grey_delay / temp_ramp
-	// (default 10).
+	// (0 = 10).
 	Steps int `json:"steps,omitempty"`
 
 	// JumpUnits is the counter inflation per firing, in counter units
@@ -174,28 +117,27 @@ type Fault struct {
 	Cadence Duration `json:"cadence,omitempty"`
 }
 
-// permanent reports whether the fault never clears.
-func (f *Fault) permanent() bool {
-	return f.Kind == KindBERDegrade || (f.Kind == KindFreqStep && f.Duration.T == 0)
-}
-
-// adversarial reports whether the fault models an attacker rather than
-// an accident. Adversarial faults register no expected-degradation
-// window with the auditor — see the kind constants above.
-func (f *Fault) adversarial() bool {
-	switch f.Kind {
-	case KindLiar, KindOverclaim, KindSpoof:
-		return true
-	}
-	return false
-}
+// permanent reports whether the fault never clears. Validate admits a
+// zero Duration only where the kind's duration rule allows it.
+func (f *Fault) permanent() bool { return f.Duration.T == 0 }
 
 // target names what the fault hits, for traces and error messages.
 func (f *Fault) target() string {
-	if len(f.Link) == 2 {
+	if kinds[f.Kind].link {
 		return f.Link[0] + "-" + f.Link[1]
 	}
 	return f.Device
+}
+
+// dir names a directional fault's impaired direction.
+func (f *Fault) dir() string { return f.Link[0] + ">" + f.Link[1] }
+
+// steps is the ramp granularity of grey_delay and temp_ramp.
+func (f *Fault) steps() int {
+	if f.Steps > 0 {
+		return f.Steps
+	}
+	return 10
 }
 
 // Scenario is a full fault-injection campaign.
@@ -245,7 +187,7 @@ func (sc *Scenario) fillDefaults() {
 // Validate checks every fault for structural errors (unknown kinds,
 // missing targets, out-of-range probabilities, a window that ends past
 // the simulated clock's range) without touching a network; target names
-// are resolved later by Engine.Schedule.
+// are resolved later by NewEngine.
 func (sc *Scenario) Validate() error {
 	if len(sc.Faults) == 0 {
 		return fmt.Errorf("scenario %q has no faults", sc.Name)
@@ -270,122 +212,30 @@ func (sc *Scenario) Validate() error {
 	return nil
 }
 
+// validate checks the fault against its kind's row: the target, the
+// duration rule, then the kind's own fields.
 func (f *Fault) validate() error {
-	needLink := func() error {
-		if len(f.Link) != 2 || f.Link[0] == "" || f.Link[1] == "" {
-			return fmt.Errorf("%s requires \"link\": [a, b]", f.Kind)
-		}
-		return nil
-	}
-	needDevice := func() error {
-		if f.Device == "" {
-			return fmt.Errorf("%s requires \"device\"", f.Kind)
-		}
-		return nil
-	}
-	needDuration := func() error {
-		if f.Duration.T <= 0 {
-			return fmt.Errorf("%s requires a positive \"duration\"", f.Kind)
-		}
-		return nil
-	}
-	switch f.Kind {
-	case KindFlap:
-		if err := needLink(); err != nil {
-			return err
-		}
-		if err := needDuration(); err != nil {
-			return err
-		}
-		if f.MeanUp.T <= 0 || f.MeanDown.T <= 0 {
-			return fmt.Errorf("flap requires positive mean_up and mean_down")
-		}
-	case KindBERBurst, KindBERDegrade:
-		if err := needLink(); err != nil {
-			return err
-		}
-		if f.BER <= 0 || f.BER >= 1 {
-			return fmt.Errorf("%s requires \"ber\" in (0, 1)", f.Kind)
-		}
-		if f.Kind == KindBERBurst {
-			if err := needDuration(); err != nil {
-				return err
-			}
-		}
-	case KindGreyLoss:
-		if err := needLink(); err != nil {
-			return err
-		}
-		if err := needDuration(); err != nil {
-			return err
-		}
-		if f.LossP <= 0 || f.LossP > 1 {
-			return fmt.Errorf("grey_loss requires \"loss_p\" in (0, 1]")
-		}
-	case KindGreyDelay:
-		if err := needLink(); err != nil {
-			return err
-		}
-		if err := needDuration(); err != nil {
-			return err
-		}
-		if f.ExtraDelay.T <= 0 {
-			return fmt.Errorf("grey_delay requires a positive \"extra_delay\"")
-		}
-	case KindFreqStep:
-		if err := needDevice(); err != nil {
-			return err
-		}
-		if f.PPMStep == 0 {
-			return fmt.Errorf("freq_step requires a nonzero \"ppm_step\"")
-		}
-	case KindTempRamp:
-		if err := needDevice(); err != nil {
-			return err
-		}
-		if err := needDuration(); err != nil {
-			return err
-		}
-		if f.PPMStep == 0 {
-			return fmt.Errorf("temp_ramp requires a nonzero \"ppm_step\"")
-		}
-	case KindCrash:
-		if err := needDevice(); err != nil {
-			return err
-		}
-		if err := needDuration(); err != nil {
-			return err
-		}
-	case KindLiar, KindOverclaim:
-		if err := needDevice(); err != nil {
-			return err
-		}
-		if err := needDuration(); err != nil {
-			return err
-		}
-		if f.JumpUnits <= 0 {
-			return fmt.Errorf("%s requires a positive \"jump_units\"", f.Kind)
-		}
-		if f.Cadence.T <= 0 {
-			return fmt.Errorf("%s requires a positive \"cadence\"", f.Kind)
-		}
-	case KindSpoof:
-		if err := needLink(); err != nil {
-			return err
-		}
-		if err := needDuration(); err != nil {
-			return err
-		}
-		if f.JumpUnits <= 0 {
-			return fmt.Errorf("%s requires a positive \"jump_units\"", f.Kind)
-		}
-		if f.Cadence.T <= 0 {
-			return fmt.Errorf("%s requires a positive \"cadence\"", f.Kind)
-		}
-	default:
+	k, ok := kinds[f.Kind]
+	if !ok {
 		return fmt.Errorf("unknown fault kind %q", f.Kind)
 	}
-	if f.Steps < 0 {
+	var need string
+	switch {
+	case k.link && (len(f.Link) != 2 || f.Link[0] == "" || f.Link[1] == ""):
+		need = `"link": [a, b]`
+	case !k.link && f.Device == "":
+		need = `"device"`
+	case k.duration == durRequired && f.Duration.T <= 0:
+		need = `a positive "duration"`
+	case k.check != nil:
+		need = k.check(f)
+	}
+	switch {
+	case need != "":
+		return fmt.Errorf("%s requires %s", f.Kind, need)
+	case k.duration == durNone && f.Duration.T != 0:
+		return fmt.Errorf("%s takes no \"duration\": it never clears", f.Kind)
+	case f.Steps < 0:
 		return fmt.Errorf("%s: negative steps", f.Kind)
 	}
 	return nil

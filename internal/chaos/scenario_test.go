@@ -115,6 +115,9 @@ func TestScenarioValidation(t *testing.T) {
 			{Kind: KindBERBurst, Link: link, Duration: D(1), BER: 1.5}}}, "\"ber\" in (0, 1)"},
 		{"ber burst no duration", Scenario{Faults: []Fault{
 			{Kind: KindBERBurst, Link: link, BER: 1e-4}}}, "positive \"duration\""},
+		// A permanent fault's duration used to move the Verify deadline.
+		{"ber degrade with duration", Scenario{Faults: []Fault{
+			{Kind: KindBERDegrade, Link: link, Duration: D(sim.Second), BER: 1e-12}}}, "ber_degrade takes no \"duration\""},
 		{"grey loss bad p", Scenario{Faults: []Fault{
 			{Kind: KindGreyLoss, Link: link, Duration: D(1), LossP: 0}}}, "loss_p"},
 		{"grey delay no extra", Scenario{Faults: []Fault{
@@ -217,7 +220,8 @@ func TestLoad(t *testing.T) {
 // an accepted scenario re-encodes to bytes that decode, validate and
 // re-encode unchanged, with every fault ending at or after its start.
 // The corpus is the shipped scenarios plus the overflowing durations
-// that once crashed dtpsim -chaos.
+// that once crashed dtpsim -chaos and the permanent fault whose
+// duration once stretched the Verify deadline.
 func FuzzScenarioJSON(f *testing.F) {
 	paths, err := filepath.Glob("../../examples/chaos/*.json")
 	if err != nil || len(paths) == 0 {
@@ -233,6 +237,7 @@ func FuzzScenarioJSON(f *testing.F) {
 	f.Add([]byte(`{"faults":[{"kind":"crash","device":"d","at":"3000h","duration":"1ms"}]}`))
 	f.Add([]byte(`{"faults":[{"kind":"crash","device":"d","at":9300000000000000,"duration":"1ms"}]}`))
 	f.Add([]byte(`{"faults":[{"kind":"crash","device":"d","at":"2000h","duration":"2000h"}]}`))
+	f.Add([]byte(`{"faults":[{"kind":"ber_degrade","link":["h0","h1"],"at":"1ms","duration":"1s","ber":1e-12}]}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		var sc Scenario
 		if json.Unmarshal(b, &sc) != nil || sc.Validate() != nil {

@@ -22,6 +22,7 @@ package discipline
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -106,8 +107,28 @@ type Discipline interface {
 	Dropped() uint64
 }
 
+// kinds lists each discipline kind, in canonical order, with the
+// options it reads.
+var kinds = []kindOptions{
+	{"ma", []string{"gain", "window"}},
+	{"pll", []string{"kp", "ki"}},
+	{"theilsen", []string{"window"}},
+	{"lad", []string{"window", "dropk"}},
+}
+
+type kindOptions struct {
+	name    string
+	options []string
+}
+
 // Kinds lists the available discipline kinds in canonical order.
-func Kinds() []string { return []string{"ma", "pll", "theilsen", "lad"} }
+func Kinds() []string {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = k.name
+	}
+	return names
+}
 
 // Config selects and parameterizes a discipline. The zero value means
 // the default moving-average discipline with paper parameters.
@@ -176,11 +197,11 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Validate checks the configuration without filling defaults.
+// Validate checks the configuration without filling defaults. It
+// rejects an option the kind does not read, naming the ones it does.
 func (c Config) Validate() error {
-	switch c.Kind {
-	case "", "ma", "pll", "theilsen", "lad":
-	default:
+	i := slices.IndexFunc(kinds, func(k kindOptions) bool { return k.name == c.kind() })
+	if i < 0 {
 		return fmt.Errorf("discipline: unknown kind %q (want one of %s)",
 			c.Kind, strings.Join(Kinds(), "|"))
 	}
@@ -192,6 +213,12 @@ func (c Config) Validate() error {
 	}{{"gain", c.Gain}, {"kp", c.KP}, {"ki", c.KI}, {"dropk", c.DropK}} {
 		if math.IsNaN(g.v) || math.IsInf(g.v, 0) {
 			return fmt.Errorf("discipline: %s %g is not finite", g.name, g.v)
+		}
+	}
+	for _, opt := range c.options() {
+		if name, _, _ := strings.Cut(opt, "="); !slices.Contains(kinds[i].options, name) {
+			return fmt.Errorf("discipline: %s does not read %s (its options: %s)",
+				c.kind(), name, strings.Join(kinds[i].options, ", "))
 		}
 	}
 	if c.Gain < 0 || c.Gain > 1 {
@@ -239,33 +266,37 @@ func (c Config) New(nominalRatio float64) (Discipline, error) {
 // String renders the canonical spec ("lad:window=24,dropk=3"); the
 // result round-trips through Parse. Default-valued options are elided.
 func (c Config) String() string {
-	kind := c.Kind
-	if kind == "" {
-		kind = "ma"
+	opts := c.options()
+	if len(opts) == 0 {
+		return c.kind()
 	}
+	return c.kind() + ":" + strings.Join(opts, ",")
+}
+
+// kind is the configured kind, the default named.
+func (c Config) kind() string {
+	if c.Kind == "" {
+		return "ma"
+	}
+	return c.Kind
+}
+
+// options renders the options c sets as "opt=val", in canonical order.
+func (c Config) options() []string {
 	var opts []string
 	add := func(k string, v float64) {
-		opts = append(opts, k+"="+strconv.FormatFloat(v, 'g', -1, 64))
+		if v != 0 {
+			opts = append(opts, k+"="+strconv.FormatFloat(v, 'g', -1, 64))
+		}
 	}
-	if c.Gain != 0 {
-		add("gain", c.Gain)
-	}
+	add("gain", c.Gain)
 	if c.Window != 0 {
 		opts = append(opts, "window="+strconv.Itoa(c.Window))
 	}
-	if c.KP != 0 {
-		add("kp", c.KP)
-	}
-	if c.KI != 0 {
-		add("ki", c.KI)
-	}
-	if c.DropK != 0 {
-		add("dropk", c.DropK)
-	}
-	if len(opts) == 0 {
-		return kind
-	}
-	return kind + ":" + strings.Join(opts, ",")
+	add("kp", c.KP)
+	add("ki", c.KI)
+	add("dropk", c.DropK)
+	return opts
 }
 
 // Parse reads a discipline spec of the form

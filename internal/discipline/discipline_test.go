@@ -2,6 +2,7 @@ package discipline
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -104,10 +105,16 @@ func TestParseRoundTrip(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"kalman", "ma:gain", "ma:gain=x", "lad:window=1", "pll:kp=7", "ma:foo=1",
-		"ma:gain=NaN", "pll:kp=nan", "pll:ki=-Inf", "lad:dropk=+Inf", "lad:dropk=NaN"} {
+		"ma:gain=NaN", "pll:kp=nan", "pll:ki=-Inf", "lad:dropk=+Inf", "lad:dropk=NaN",
+		"pll:gain=0.3", "theilsen:dropk=3,kp=1.5", "ma:dropk=2", "lad:ki=0.1"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q): want error, got nil", bad)
 		}
+	}
+	// An option the kind does not read used to be accepted and dropped;
+	// the error names the options the kind does read.
+	if _, err := Parse("pll:gain=0.3"); err == nil || !strings.Contains(err.Error(), "kp, ki") {
+		t.Errorf("Parse(pll:gain=0.3): %v, want an error listing kp, ki", err)
 	}
 }
 
@@ -275,10 +282,11 @@ func TestNonAdvancingTSCSampleRejected(t *testing.T) {
 // through String, and the discipline it builds stays finite over ten
 // noisy calibrations. The corpus holds every kind, each option, and the
 // NaN and Inf gains that once passed Validate and served NaN-wide
-// intervals.
+// intervals, and options a kind does not read, once silently dropped.
 func FuzzParseDiscipline(f *testing.F) {
 	for _, spec := range []string{"", "ma", "ma:gain=0.3", "pll:kp=0.5,ki=0.2", "theilsen:window=32",
-		"lad:window=24,dropk=3", "ma:gain=NaN", "pll:ki=Inf", "lad:dropk=+Inf", "lad:window=1"} {
+		"lad:window=24,dropk=3", "ma:gain=NaN", "pll:ki=Inf", "lad:dropk=+Inf", "lad:window=1",
+		"pll:gain=0.3", "theilsen:dropk=3,kp=1.5"} {
 		f.Add(spec)
 	}
 	samples := stream(10, testNominal, func(i int) float64 { return triWave(i, 3) })

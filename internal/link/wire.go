@@ -124,6 +124,9 @@ func (w *Wire) SetBER(ber float64) {
 	w.setBER(ber)
 }
 
+// LossP returns the current whole-block loss probability.
+func (w *Wire) LossP() float64 { return w.lossP }
+
 // SetLossP changes the whole-block loss probability for subsequently
 // sent blocks (one-direction grey failure). Clamped to [0, 1].
 func (w *Wire) SetLossP(p float64) {
