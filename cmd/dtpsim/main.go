@@ -15,6 +15,11 @@
 //
 //	dtpsim -topo chain:5 -chaos examples/chaos/storm.json -duration 5ms -sweep-seeds 3 -jobs 4
 //	dtpsim -campaign examples/campaign/smoke.json -jobs 8
+//
+// Both modes build one campaign grid from the flags; single mode runs its
+// only point. Each mode reads its own set of flags (dtpsim -h lists
+// them), and a flag set on the command line that the mode does not read
+// is a bad invocation (exit 2), not a silent no-op.
 package main
 
 import (
@@ -24,6 +29,8 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/dtplab/dtp"
@@ -95,36 +102,64 @@ func startProfiles(prefix string) func() {
 	}
 }
 
+// modes lists the flags each mode reads besides -pprof and -flight-dir;
+// any other flag set on the command line exits 2.
+var modes = [...]struct{ name, reads string }{
+	{"single mode", runFlags + " watch audit trace-cap metrics-out trace-out timeline-out timeline-every"},
+	{"seed-sweep mode (-sweep-seeds N > 1)", runFlags + " jobs"},
+	{"grid mode (-campaign)", "campaign jobs"},
+}
+
+const runFlags = "topo seed duration chaos hardened discipline beacon load wander ber audit-every time-service sweep-seeds"
+
 func main() {
 	shared.Register(flag.CommandLine,
 		cliutil.FlagTopo|cliutil.FlagSeed|cliutil.FlagDuration|cliutil.FlagJobs|
 			cliutil.FlagMetricsOut|cliutil.FlagTraceOut|cliutil.FlagChaos|
 			cliutil.FlagHardened|cliutil.FlagDiscipline)
+	flag.Usage = func() {
+		fmt.Fprintln(flag.CommandLine.Output(), "Usage of dtpsim; each mode reads only its flags, and -pprof and -flight-dir:")
+		for _, m := range modes {
+			fmt.Fprintf(flag.CommandLine.Output(), "  %s: -%s\n", m.name, strings.ReplaceAll(m.reads, " ", " -"))
+		}
+		flag.PrintDefaults()
+	}
 	flag.Parse()
+	g, single := gridFromFlags()
+	if *pprofPrefix != "" {
+		stopProfiles = startProfiles(*pprofPrefix)
+	}
+	if single {
+		runSingle(g)
+	} else {
+		runCampaign(g)
+	}
+	stopProfiles()
+}
+
+// gridFromFlags is the one translation of dtpsim's flags, for every
+// mode: the grid from -campaign, or else the one the run flags declare,
+// a single point unless -sweep-seeds asks for more. A set flag the mode
+// does not read is rejected first.
+func gridFromFlags() (g campaign.Grid, single bool) {
+	mode := 0
+	if *gridFlag != "" {
+		mode = 2
+	} else if *sweepSeeds > 1 {
+		mode = 1
+	}
+	reads := strings.Fields(modes[mode].reads + " pprof flight-dir")
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(reads, f.Name) {
+			fatal(2, fmt.Errorf("-%s is not read in %s", f.Name, modes[mode].name))
+		}
+	})
 	if err := shared.Validate(); err != nil {
 		fatal(2, err)
 	}
 	if *watchFlag <= 0 {
 		fatal(2, fmt.Errorf("-watch must be positive, got %v", *watchFlag))
 	}
-	if *pprofPrefix != "" {
-		stopProfiles = startProfiles(*pprofPrefix)
-	}
-	if *sweepSeeds > 1 || *gridFlag != "" {
-		runCampaign()
-		stopProfiles()
-		return
-	}
-	runSingle()
-	stopProfiles()
-}
-
-// runCampaign expands the grid (from -campaign JSON, or from the
-// regular flags with -sweep-seeds consecutive seeds), fans it out
-// across -jobs workers, and streams deterministic JSONL per run
-// followed by the aggregate JSON and a human-readable summary.
-func runCampaign() {
-	var g campaign.Grid
 	if *gridFlag != "" {
 		loaded, err := campaign.LoadGrid(*gridFlag)
 		if err != nil {
@@ -144,6 +179,9 @@ func runCampaign() {
 			TimeService: *timeSvc,
 			AuditEvery:  campaign.Duration(*auditEvery),
 		}
+		// Only single mode reads -timeline-every; its default is the
+		// grid's, so a seed sweep samples as before.
+		g.SamplePeriod = campaign.Duration(*timelineEvery)
 		if shared.Chaos != "" {
 			g.Chaos = []string{shared.Chaos}
 		}
@@ -160,9 +198,15 @@ func runCampaign() {
 	if err := g.Validate(); err != nil {
 		fatal(2, err)
 	}
-	points := g.Expand()
+	return g, mode == 0
+}
+
+// runCampaign fans the grid out across -jobs workers, and streams
+// deterministic JSONL per run followed by the aggregate JSON and a
+// human-readable summary.
+func runCampaign(g campaign.Grid) {
 	fmt.Fprintf(os.Stderr, "dtpsim: campaign %q: %d runs on %s workers\n",
-		g.Name, len(points), jobsLabel(shared.Jobs))
+		g.Name, len(g.Expand()), jobsLabel(shared.Jobs))
 	rep, err := campaign.Run(g, campaign.Options{
 		Jobs: shared.Jobs,
 		OnResult: func(r *campaign.Result) {
@@ -190,25 +234,19 @@ func jobsLabel(jobs int) string {
 	return fmt.Sprint(jobs)
 }
 
-func runSingle() {
-	g, err := shared.Topology()
-	if err != nil {
-		fatal(2, err)
-	}
-	scenario, err := shared.LoadChaos()
-	if err != nil {
-		fatal(2, err)
-	}
+// runSingle arms the grid's one point and reports it as it runs. Here
+// -discipline is the estimator every daemon runs, not a campaign's probe.
+func runSingle(grid campaign.Grid) {
+	p := grid.Expand()[0]
 	spec := campaign.Spec{
-		Topology: g, Seed: shared.Seed, Beacon: *beaconFlag, Hardened: shared.Hardened,
-		Wander: *wanderFlag, BER: *berFlag, Load: *loadFlag,
+		Point: p,
 		// A scenario's zero-unexpected-violations claim needs the auditor.
-		Audit: *auditFlag || scenario != nil, AuditEvery: *auditEvery,
-		Scenario: scenario, SyncTimeout: time.Second,
-		TimeService: *timeSvc, LoadQPS: 5000, // in-sim readers exercising the snapshot fast path
-		Discipline: shared.Discipline,
-		Timeline:   *timelineOut != "", TimelineEvery: *timelineEvery, FlightDir: *flightDir,
+		Audit:    *auditFlag || p.Chaos != "",
+		LoadQPS:  5000, // in-sim readers exercising the snapshot fast path
+		Timeline: *timelineOut != "", FlightDir: *flightDir,
+		Estimator: p.Discipline,
 	}
+	spec.Discipline = ""
 	var reg *dtp.MetricsRegistry
 	var tracer *dtp.Tracer
 	if shared.MetricsOut != "" || shared.TraceOut != "" || spec.Audit ||
@@ -230,18 +268,19 @@ func runSingle() {
 	}
 	sys, aud, eng, tp, rec := rig.Sys, rig.Auditor, rig.Chaos, rig.Plane, rig.Recorder
 	defer sys.Close()
+	g := sys.Graph()
 
 	fmt.Printf("topology %s: %d devices, %d links, diameter %d, bound 4TD = %.1f ns\n",
-		shared.Topo, len(g.Nodes), len(g.Links), g.Diameter(), sys.BoundNanos())
+		p.Topo, len(g.Nodes), len(g.Links), g.Diameter(), sys.BoundNanos())
 	if aud != nil {
-		fmt.Printf("auditor: checking every simulated %v against per-pair 4TD (+8T software margin)\n", *auditEvery)
+		fmt.Printf("auditor: checking every simulated %v against per-pair 4TD (+8T software margin)\n", p.AuditEvery.Std())
 	}
 	if eng != nil {
 		fmt.Printf("chaos: scenario %q armed: %d faults, verification deadline %v\n",
-			scenario.Name, len(scenario.Faults), eng.Deadline().Std())
+			rig.Scenario.Name, len(rig.Scenario.Faults), eng.Deadline().Std())
 	}
 	fmt.Printf("all %d links measured their one-way delays at t=%v\n", len(g.Links), sys.Now())
-	switch *loadFlag {
+	switch p.Load {
 	case "mtu":
 		fmt.Println("links saturated with MTU frames (beacons confined to interpacket gaps)")
 	case "jumbo":
@@ -262,7 +301,7 @@ func runSingle() {
 
 	fmt.Printf("%12s %14s %14s %10s\n", "t", "max offset", "bound", "ok")
 	var worst int64
-	for elapsed := time.Duration(0); elapsed < shared.Duration; elapsed += *watchFlag {
+	for elapsed := time.Duration(0); elapsed < p.Duration.Std(); elapsed += *watchFlag {
 		sys.Run(*watchFlag)
 		off := sys.MaxOffsetTicks()
 		if off > worst {
@@ -375,7 +414,7 @@ func runSingle() {
 	// instantaneous bound check while faults are declared, and that a
 	// served interval missing true time fails a fault-free run.
 	res := campaign.Result{
-		Point:  campaign.Point{Chaos: shared.Chaos},
+		Point:  p,
 		Synced: true, ChaosOK: chaosErr == nil, WithinBound: worst <= sys.BoundTicks(),
 	}
 	if aud != nil {

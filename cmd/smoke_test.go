@@ -37,6 +37,15 @@ func TestCommandExitCodes(t *testing.T) {
 	farAt := write("far-at.json", `{"name": "far", "faults": [{"kind": "crash", "device": "h1", "at": "3000h", "duration": "1ms"}]}`)
 	farEnd := write("far-end.json", `{"name": "far", "faults": [{"kind": "crash", "device": "h1", "at": "2000h", "duration": "2000h"}]}`)
 	farGrid := write("far-grid.json", `{"sample_period": "3000h", "durations": ["1ms"]}`)
+	// Typos and run-level errors in grids and scenarios used to run
+	// (defaults, a permanent fault, an error row per point).
+	typoGrid := write("typo-grid.json", `{"topo": ["chain:3"], "seed": [5, 6], "durations": ["2ms"]}`)
+	typoFault := write("typo-fault.json", `{"name": "typo", "faults": [{"kind": "freq_step", "device": "h0",
+		"at": "1ms", "ppm_step": 20, "durration": "2ms"}]}`)
+	moebius := write("moebius.json", `{"topos": ["moebius:4"]}`)
+	noScenario := write("no-scenario.json", `{"chaos": ["/nonexistent.json"]}`)
+	liars := write("liars.json", `{"topos": ["pair"], "liars": [3]}`)
+	smoke := "../examples/campaign/smoke.json"
 
 	// In order: the dtptrace step reads what the -trace-out step wrote.
 	for _, tc := range []struct {
@@ -91,6 +100,23 @@ func TestCommandExitCodes(t *testing.T) {
 		{"fault start past the clock", []string{"dtpsim", "-topo", "pair", "-chaos", farAt}, 2, "does not fit the simulated clock", nil},
 		{"fault end past the clock", []string{"dtpsim", "-topo", "pair", "-chaos", farEnd}, 2, "overflows the simulated clock", nil},
 		{"grid cadence past the clock", []string{"dtpsim", "-campaign", farGrid}, 2, "does not fit the simulated clock", nil},
+		{"unknown grid key", []string{"dtpsim", "-campaign", typoGrid}, 2,
+			"dtpsim: campaign: parsing " + typoGrid + `: json: unknown field "topo"`, nil},
+		{"unknown fault key", []string{"dtpsim", "-topo", "pair", "-chaos", typoFault}, 2,
+			"dtpsim: chaos: " + typoFault + `: json: unknown field "durration"`, nil},
+		{"grid topology", []string{"dtpsim", "-campaign", moebius}, 2,
+			"dtpsim: campaign: " + moebius + `: campaign: dtp: unknown topology "moebius"`, nil},
+		{"grid scenario", []string{"dtpsim", "-campaign", noScenario}, 2,
+			"dtpsim: campaign: " + noScenario + ": campaign: chaos: open /nonexistent.json", nil},
+		{"grid liars", []string{"dtpsim", "-campaign", liars}, 2,
+			"dtpsim: campaign: " + liars + `: campaign: 3 liars but topology "pair" has only 2 host devices`, nil},
+		// Flags the mode does not read used to be ignored: a sweep wrote
+		// none of its three files, a grid ran at seed 1 on pair.
+		{"sweep with single-mode outputs", []string{"dtpsim", "-sweep-seeds", "2", "-metrics-out", "m",
+			"-trace-out", "t", "-timeline-out", "tl"}, 2, "dtpsim: -metrics-out is not read in seed-sweep mode", nil},
+		{"grid with run flags", []string{"dtpsim", "-campaign", smoke, "-seed", "9", "-topo", "tree"}, 2,
+			"dtpsim: -seed is not read in grid mode", nil},
+		{"single with -jobs", []string{"dtpsim", "-jobs", "3"}, 2, "dtpsim: -jobs is not read in single mode", nil},
 	} {
 		cmd := exec.Command(filepath.Join(dir, tc.argv[0]), tc.argv[1:]...)
 		var stdout, stderr bytes.Buffer

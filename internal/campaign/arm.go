@@ -8,18 +8,11 @@ import (
 	"github.com/dtplab/dtp"
 )
 
-// Spec describes one armed run: the network, what is attached to it and
-// where its black box lands. RunPoint fills one from a grid point,
-// dtpsim's single mode from its flags; every field is one of those
-// flags or Grid fields.
+// Spec is one run to arm: its record, the Point, plus what cannot go in
+// a file. RunPoint fills one per grid point, dtpsim's single mode one
+// for the point its flags make.
 type Spec struct {
-	Topology dtp.Topology
-	Seed     uint64
-	Beacon   uint64 // BEACON interval in ticks
-	Hardened bool
-	Wander   bool    // 10 ms / 100 ppb oscillator random walk
-	BER      float64 // > 0 also enables the parity bit
-	Load     string  // "none" (or "") | "mtu" | "jumbo"
+	Point
 
 	// Registry and Tracer instrument this run alone (nil = none).
 	// SchedMetrics also exports the event loop's own counters — the
@@ -28,38 +21,28 @@ type Spec struct {
 	Tracer       *dtp.Tracer
 	SchedMetrics bool
 
-	Audit       bool
-	AuditEvery  time.Duration
-	Scenario    *dtp.ChaosScenario // nil = no fault injection
-	SyncTimeout time.Duration
-
-	// TimeService attaches the serving plane: a UTC broadcaster on the
-	// first host, a TimeService on every other. LoadQPS > 0 adds in-sim
-	// Poisson readers per served host; at 0 the caller probes with
+	// Audit attaches the online auditor at Point.AuditEvery.
+	Audit bool
+	// LoadQPS > 0 adds in-sim Poisson readers per served host when
+	// Point.TimeService attaches the plane; at 0 the caller probes with
 	// ReadCheck.
-	TimeService bool
-	LoadQPS     float64
-	// Discipline is the estimator every daemon of the run defaults to —
-	// the plane's in particular. Probe, when set, attaches one more
-	// daemon on the first host running that estimator. They stay two
-	// fields: dtpsim -discipline means the first in single mode and the
-	// second in a campaign, and a grid may ask for the plane and a probe
-	// at once.
-	Discipline string
-	Probe      string
-
+	LoadQPS float64
 	// Timeline attaches the windowed timeline sampling every
-	// TimelineEvery; FlightDir arms the flight recorder (and a timeline
-	// for its bundles) and needs a Tracer.
-	Timeline      bool
-	TimelineEvery time.Duration
-	FlightDir     string
+	// Point.SamplePeriod; FlightDir arms the flight recorder (and a
+	// timeline for its bundles) and needs a Tracer.
+	Timeline  bool
+	FlightDir string
+	// Estimator is the estimator every daemon of the run defaults to —
+	// the plane's in particular; Point.Discipline is one more daemon, the
+	// probe. A grid may ask for the plane and a probe at once.
+	Estimator string
 }
 
 // Rig is an armed, synchronized run: the System plus whatever the Spec
 // attached (nil where it asked for nothing).
 type Rig struct {
 	Sys      *dtp.System
+	Scenario *dtp.ChaosScenario // what Chaos injects: the file plus synthesized liars
 	Auditor  *dtp.Auditor
 	Chaos    *dtp.ChaosEngine
 	Plane    *dtp.TimePlane
@@ -77,24 +60,38 @@ type notSynced struct{ error }
 
 func (notSynced) Is(target error) bool { return target == ErrNotSynced }
 
-// Arm builds the Spec's System, attaches everything it asks for and
-// runs it to synchronization. It is the one place that knows the attach
-// order, which is load-bearing: chaos and the serving plane bind to the
+// frameOctets maps each link-load preset to the frame size every link
+// carries back to back (0 = idle links).
+var frameOctets = map[string]int{"none": 0, "mtu": 1522, "jumbo": 9022}
+
+// Arm is the one translation of a run record's strings into a System
+// (topology, scenario plus liars, load, disciplines); it attaches
+// everything the Spec asks for and runs it to synchronization. It is the
+// one place that knows the attach order, which is load-bearing: chaos and the serving plane bind to the
 // auditor, so it comes first; the timeline and the flight recorder
 // enumerate the auditors, daemons and planes that exist when they are
 // built, so they come last; scheduler metrics must be on before Start
 // or the depth sampler begins one event late. On error the System is
 // closed and nothing is returned.
 func Arm(s Spec) (_ *Rig, err error) {
-	frameOctets := 0
-	switch s.Load {
-	case "", "none":
-	case "mtu":
-		frameOctets = 1522
-	case "jumbo":
-		frameOctets = 9022
-	default:
+	g, err := dtp.ParseTopology(s.Topo)
+	if err != nil {
+		return nil, err
+	}
+	frame, ok := frameOctets[s.Load]
+	if !ok {
 		return nil, fmt.Errorf("campaign: unknown load %q (want none|mtu|jumbo)", s.Load)
+	}
+	r := &Rig{}
+	if s.Chaos != "" {
+		if r.Scenario, err = dtp.LoadChaosScenario(s.Chaos); err != nil {
+			return nil, err
+		}
+	}
+	if s.Liars > 0 {
+		if r.Scenario, err = withLiars(r.Scenario, g, s.Point); err != nil {
+			return nil, err
+		}
 	}
 	opts := []dtp.Option{dtp.WithSeed(s.Seed), dtp.WithBeaconInterval(s.Beacon)}
 	if s.Hardened {
@@ -109,14 +106,14 @@ func Arm(s Spec) (_ *Rig, err error) {
 	if s.Registry != nil || s.Tracer != nil {
 		opts = append(opts, dtp.WithTelemetry(s.Registry, s.Tracer))
 	}
-	if s.Discipline != "" {
-		dc, err := dtp.ParseDiscipline(s.Discipline)
+	if s.Estimator != "" {
+		dc, err := dtp.ParseDiscipline(s.Estimator)
 		if err != nil {
 			return nil, err
 		}
 		opts = append(opts, dtp.WithDiscipline(dc))
 	}
-	sys, err := dtp.New(s.Topology, opts...)
+	sys, err := dtp.New(g, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -125,21 +122,21 @@ func Arm(s Spec) (_ *Rig, err error) {
 			sys.Close()
 		}
 	}()
-	r := &Rig{Sys: sys}
+	r.Sys = sys
 	if s.SchedMetrics {
 		sys.EnableSchedulerMetrics(false)
 	}
 	if s.Audit {
-		r.Auditor = sys.Audit(dtp.AuditOptions{Interval: s.AuditEvery})
+		r.Auditor = sys.Audit(dtp.AuditOptions{Interval: s.AuditEvery.Std()})
 	}
-	if s.Scenario != nil {
-		if r.Chaos, err = sys.Chaos(dtp.ChaosOptions{Scenario: s.Scenario, Auditor: r.Auditor}); err != nil {
+	if r.Scenario != nil {
+		if r.Chaos, err = sys.Chaos(dtp.ChaosOptions{Scenario: r.Scenario, Auditor: r.Auditor}); err != nil {
 			return nil, err
 		}
 	}
 
 	sys.Start()
-	if err := sys.RunUntilSynced(s.SyncTimeout); err != nil {
+	if err := sys.RunUntilSynced(s.SyncTimeout.Std()); err != nil {
 		return nil, notSynced{err}
 	}
 
@@ -157,29 +154,24 @@ func Arm(s Spec) (_ *Rig, err error) {
 	}
 	// The probe's 5 ms cadence compresses the paper's ~1 s the same way
 	// but gives the estimator enough samples to converge within even
-	// the shortest campaign windows.
-	if s.Probe != "" {
-		dc, err := dtp.ParseDiscipline(s.Probe)
+	// the shortest campaign windows. Every stock topology has hosts.
+	if s.Discipline != "" {
+		dc, err := dtp.ParseDiscipline(s.Discipline)
 		if err != nil {
 			return nil, err
 		}
-		g := sys.Graph()
-		hosts := g.HostIDs()
-		if len(hosts) == 0 {
-			return nil, fmt.Errorf("campaign: topology has no host for the discipline probe")
-		}
 		if r.Probe, err = sys.Daemon(dtp.DaemonOptions{
-			Host: g.Nodes[hosts[0]].Name, CalInterval: 5 * time.Millisecond, Discipline: dc,
+			Host: g.Nodes[g.HostIDs()[0]].Name, CalInterval: 5 * time.Millisecond, Discipline: dc,
 		}); err != nil {
 			return nil, err
 		}
 	}
-	if frameOctets > 0 {
-		sys.SetUniformLoad(frameOctets)
+	if frame > 0 {
+		sys.SetUniformLoad(frame)
 	}
 
 	if s.Timeline || s.FlightDir != "" {
-		r.Timeline = sys.Timeline(dtp.TimelineOptions{Interval: s.TimelineEvery})
+		r.Timeline = sys.Timeline(dtp.TimelineOptions{Interval: s.SamplePeriod.Std()})
 	}
 	if s.FlightDir != "" {
 		if r.Recorder, err = sys.FlightRecorder(dtp.FlightOptions{Dir: s.FlightDir}); err != nil {
@@ -224,4 +216,47 @@ func (r *Rig) VerifyChaos() error {
 		r.Recorder.Trigger("chaos_verify_failed", err.Error())
 	}
 	return err
+}
+
+// withLiars appends p.Liars synthesized simultaneous Byzantine liar
+// faults to the scenario (creating one when the point has no Chaos
+// file). Liar devices are picked by a deterministic stride across the
+// topology's hosts — a pure function of (topo, liar count), so the same
+// grid point always attacks the same devices and campaign output stays
+// byte-identical at any -jobs width. Hosts, not switches: a compromised
+// server is the threat model, and quarantining every link of a lying
+// switch would partition honest devices — a different failure mode than
+// the tolerance curve measures. Fault shape follows
+// examples/chaos/liar.json with timings compressed to campaign scale:
+// all liars start together at 400 µs (comfortably past INIT on every
+// stock topology) and lie for half the measurement window, leaving the
+// other half (plus the scenario grace) for reconvergence.
+func withLiars(sc *dtp.ChaosScenario, g dtp.Topology, p Point) (*dtp.ChaosScenario, error) {
+	hosts := g.HostIDs()
+	if p.Liars >= len(hosts) {
+		return nil, fmt.Errorf("campaign: %d liars but topology %q has only %d host devices (at least one honest host required)",
+			p.Liars, p.Topo, len(hosts))
+	}
+	if sc == nil {
+		sc = &dtp.ChaosScenario{
+			Name:        fmt.Sprintf("liars-%d", p.Liars),
+			SettleGrace: dtp.ChaosD(100 * time.Microsecond),
+			// Reconvergence after a quarantine cooldown and re-INIT
+			// round; generous enough for every liar count the curve
+			// sweeps, short enough for CI.
+			ReconvergeDeadline: dtp.ChaosD(3 * time.Millisecond),
+		}
+	}
+	for i := 0; i < p.Liars; i++ {
+		dev := g.Nodes[hosts[i*len(hosts)/p.Liars]]
+		sc.Faults = append(sc.Faults, dtp.ChaosFault{
+			Kind:      "liar",
+			Device:    dev.Name,
+			At:        dtp.ChaosD(400 * time.Microsecond),
+			Duration:  dtp.ChaosD(p.Duration.Std() / 2),
+			JumpUnits: 5000,
+			Cadence:   dtp.ChaosD(2 * time.Microsecond),
+		})
+	}
+	return sc, nil
 }

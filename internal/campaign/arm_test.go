@@ -2,28 +2,30 @@ package campaign
 
 import (
 	"errors"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/dtplab/dtp"
-	"github.com/dtplab/dtp/internal/topo"
 )
 
 // fullSpec asks for everything Arm can attach, on the paper tree: the
 // auditor, a (mild) fault, the serving plane, a probe daemon, and the
 // black box.
-func fullSpec(dir string) Spec {
+func fullSpec(t *testing.T) Spec {
+	dir := t.TempDir()
+	nudge := filepath.Join(dir, "nudge.json")
+	if err := writeFile(nudge, `{"name": "nudge", "faults": [
+		{"kind": "freq_step", "device": "s5", "ppm_step": 5, "at": "500us", "duration": "100us"}]}`); err != nil {
+		t.Fatal(err)
+	}
+	p := Grid{Topos: []string{"tree"}, Chaos: []string{nudge}, Disciplines: []string{"pll"},
+		Wander: true, TimeService: true}.Expand()[0]
 	return Spec{
-		Topology: dtp.PaperTree(), Seed: 1, Beacon: 200, Wander: true,
+		Point:    p,
 		Registry: dtp.NewMetricsRegistry(), Tracer: dtp.NewTracer(0),
-		Audit: true, AuditEvery: 100 * time.Microsecond, SyncTimeout: time.Second,
-		Scenario: &dtp.ChaosScenario{Name: "nudge", Faults: []dtp.ChaosFault{{
-			Kind: "freq_step", Device: "s5", PPMStep: 5,
-			At: dtp.ChaosD(500 * time.Microsecond), Duration: dtp.ChaosD(100 * time.Microsecond),
-		}}},
-		TimeService: true, Probe: "pll",
-		TimelineEvery: 100 * time.Microsecond, FlightDir: dir,
+		Audit: true, FlightDir: filepath.Join(dir, "flight"),
 	}
 }
 
@@ -31,7 +33,7 @@ func fullSpec(dir string) Spec {
 // and the flight recorder only see the auditor, daemons and plane that
 // exist when they are built.
 func TestArmAttachOrder(t *testing.T) {
-	rig, err := Arm(fullSpec(t.TempDir()))
+	rig, err := Arm(fullSpec(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,23 +81,20 @@ func TestArmAttachOrder(t *testing.T) {
 }
 
 func TestArmRejectsBadSpec(t *testing.T) {
-	hostless := dtp.Pair()
-	for i := range hostless.Nodes {
-		hostless.Nodes[i].Kind = topo.Switch
-	}
 	for _, tc := range []struct {
 		name string
 		edit func(*Spec)
 		want string
 	}{
+		{"unknown topology", func(s *Spec) { s.Topo = "moebius:4" }, "unknown topology"},
 		{"unknown load", func(s *Spec) { s.Load = "bogus" }, "unknown load"},
-		{"scenario names a missing device", func(s *Spec) { s.Topology = dtp.Pair() }, "no node named"},
-		{"probe without a host", func(s *Spec) {
-			s.Topology, s.Scenario, s.TimeService = hostless, nil, false
-		}, "no host for the discipline probe"},
+		{"missing scenario", func(s *Spec) { s.Chaos = "/nonexistent.json" }, "no such file"},
+		{"scenario names a missing device", func(s *Spec) { s.Topo = "pair" }, "no node named"},
+		{"no honest host left", func(s *Spec) { s.Liars = 100 }, "at least one honest host"},
+		{"unknown probe", func(s *Spec) { s.Discipline = "kalman" }, "kalman"},
 		{"flight recorder without a tracer", func(s *Spec) { s.Tracer = nil }, "tracer"},
 	} {
-		s := fullSpec(t.TempDir())
+		s := fullSpec(t)
 		tc.edit(&s)
 		rig, err := Arm(s)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -111,8 +110,8 @@ func TestArmRejectsBadSpec(t *testing.T) {
 }
 
 func TestArmSyncTimeoutIsTheRunsFailure(t *testing.T) {
-	s := fullSpec(t.TempDir())
-	s.SyncTimeout = time.Microsecond
+	s := fullSpec(t)
+	s.SyncTimeout = Duration(time.Microsecond)
 	if _, err := Arm(s); !errors.Is(err, ErrNotSynced) {
 		t.Fatalf("err = %v, want ErrNotSynced", err)
 	}

@@ -16,11 +16,11 @@ func BenchmarkCampaignPoint(b *testing.B) {
 		Seeds:     []uint64{1},
 		Durations: []Duration{Duration(20 * time.Millisecond)},
 		Wander:    true,
-	}.withDefaults()
+	}
 	p := g.Expand()[0]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := RunPoint(g, p)
+		res := RunPoint(p, "")
 		if res.Err != "" {
 			b.Fatal(res.Err)
 		}

@@ -3,6 +3,8 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -29,7 +31,8 @@ func TestGridDefaultsAndExpansionOrder(t *testing.T) {
 		if p.Index != i || p.Topo != w.topo || p.Seed != w.seed {
 			t.Fatalf("point %d = %+v, want topo=%s seed=%d index=%d", i, p, w.topo, w.seed, i)
 		}
-		if p.Load != "none" || p.Beacon != 200 {
+		if p.Load != "none" || p.Beacon != 200 || p.SamplePeriod != Duration(100*time.Microsecond) ||
+			p.SyncTimeout != Duration(time.Second) {
 			t.Fatalf("point %d missing defaults: %+v", i, p)
 		}
 	}
@@ -41,6 +44,12 @@ func TestGridValidate(t *testing.T) {
 		{Beacons: []uint64{0}},
 		{Durations: []Duration{-msec(1)}},
 		{BER: -1},
+		// Run-level errors, caught before any run starts rather than
+		// reported by every point in its row.
+		{Topos: []string{"moebius:4"}},
+		{Chaos: []string{"/nonexistent.json"}},
+		{Liars: []int{3}},
+		{Liars: []int{-1}},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Fatalf("grid %+v validated, want error", bad)
@@ -82,8 +91,7 @@ func TestGridCadenceSigns(t *testing.T) {
 }
 
 func TestRunPointBadTopology(t *testing.T) {
-	g := Grid{}.withDefaults()
-	res := RunPoint(g, Point{Topo: "moebius:4", Seed: 1, Load: "none", Beacon: 200, Duration: msec(1)})
+	res := RunPoint(Point{Topo: "moebius:4", Seed: 1, Load: "none", Beacon: 200, Duration: msec(1)}, "")
 	if res.Err == "" || res.Synced {
 		t.Fatalf("bad topology should produce an errored result, got %+v", res)
 	}
@@ -243,22 +251,88 @@ func TestLoadGridJSON(t *testing.T) {
 	if _, err := LoadGrid(dir + "/missing.json"); err == nil {
 		t.Fatal("missing grid file should error")
 	}
-	if err := writeFile(path, `{"loads": ["heavy"]}`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadGrid(path); err == nil {
-		t.Fatal("invalid grid should fail validation on load")
+	for _, bad := range []string{
+		`{"loads": ["heavy"]}`,
+		// Typos used to run the defaults: pair at seed 1, exit 0.
+		`{"topo": ["chain:3"], "seed": [5, 6], "durations": ["2ms"]}`,
+		`{"topos": ["pair"]} {"topos": ["tree"]}`,
+		`{"topos": ["moebius:4"]}`,
+	} {
+		if err := writeFile(path, bad); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadGrid(path); err == nil {
+			t.Errorf("LoadGrid accepted %s", bad)
+		}
 	}
 }
 
+// FuzzGridJSON: strict decoding and validating any grid never panics;
+// an accepted grid expands to the product of its defaulted dimensions,
+// in index order, and re-encodes to bytes that decode and validate
+// unchanged. Grids naming scenario files are skipped: Validate would
+// read them, and the scenario decoder has its own target.
+func FuzzGridJSON(f *testing.F) {
+	smoke, err := os.ReadFile("../../examples/campaign/smoke.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(smoke)
+	f.Add([]byte(`{"topo": ["chain:3"], "seed": [5, 6], "durations": ["2ms"]}`))
+	f.Add([]byte(`{"topos": ["moebius:4"]}`))
+	f.Add([]byte(`{"topos": ["pair"], "liars": [3]}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		g, err := decodeGrid(b)
+		if err != nil || slices.ContainsFunc(g.Chaos, func(c string) bool { return c != "" }) {
+			return
+		}
+		d := g.withDefaults()
+		n := len(d.Topos) * len(d.Seeds) * len(d.Loads) * len(d.Beacons) * len(d.Durations) *
+			len(d.Chaos) * len(d.Hardened) * len(d.Liars) * len(d.Disciplines)
+		if n > 10_000 {
+			return // a grid this size is valid but too slow to expand per input
+		}
+		if g.Validate() != nil {
+			return
+		}
+		pts := g.Expand()
+		if len(pts) != n {
+			t.Fatalf("expanded %d points, want %d", len(pts), n)
+		}
+		for i, p := range pts {
+			if p.Index != i {
+				t.Fatalf("point %d has index %d", i, p.Index)
+			}
+		}
+		out, err := json.Marshal(g)
+		if err != nil {
+			t.Fatalf("accepted grid does not encode: %v", err)
+		}
+		back, err := decodeGrid(out)
+		if err != nil {
+			t.Fatalf("re-encoded grid does not decode: %v\n%s", err, out)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("re-encoded grid does not validate: %v\n%s", err, out)
+		}
+		if again, _ := json.Marshal(back); !bytes.Equal(again, out) {
+			t.Fatalf("round trip changed the grid:\n%s\n%s", out, again)
+		}
+	})
+}
+
 func TestResultJSONExcludesWall(t *testing.T) {
-	r := Result{Point: Point{Topo: "pair", Seed: 1}, Wall: 123 * time.Second}
+	r := Result{Point: Point{Topo: "pair", Seed: 1, Wander: true, SamplePeriod: msec(7)}, Wall: 123 * time.Second}
 	var b bytes.Buffer
 	if err := WriteResultJSON(&b, &r); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(b.String(), "123") || strings.Contains(strings.ToLower(b.String()), "wall") {
 		t.Fatalf("wall time leaked into deterministic JSON: %s", b.String())
+	}
+	// The grid-wide settings a Point carries stay out of result rows.
+	if strings.Contains(b.String(), "wander") || strings.Contains(b.String(), "7ms") {
+		t.Fatalf("run settings leaked into the result row: %s", b.String())
 	}
 }
 

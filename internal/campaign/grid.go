@@ -10,8 +10,10 @@
 package campaign
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -115,7 +117,10 @@ type Grid struct {
 	FlightDir string `json:"flight_dir,omitempty"`
 }
 
-// Point is one fully resolved run of a campaign grid.
+// Point is one fully resolved run: the grid's axes at one coordinate
+// plus the grid-wide settings, so it alone says what to arm (Arm) and
+// how to sample it (RunPoint). Only the flight directory, a deployment
+// path, stays outside. The settings are kept out of result rows.
 type Point struct {
 	// Index is the run's position in grid order; results are always
 	// merged by Index, never by completion order.
@@ -135,6 +140,14 @@ type Point struct {
 	Liars int `json:"liars,omitempty"`
 	// Discipline is the daemon-probe estimator spec ("" = no probe).
 	Discipline string `json:"discipline,omitempty"`
+
+	// The grid-wide settings, as Grid documents them.
+	Wander       bool     `json:"-"`
+	BER          float64  `json:"-"`
+	TimeService  bool     `json:"-"`
+	SamplePeriod Duration `json:"-"`
+	AuditEvery   Duration `json:"-"`
+	SyncTimeout  Duration `json:"-"`
 }
 
 func (p Point) String() string {
@@ -196,8 +209,11 @@ func (g Grid) withDefaults() Grid {
 	return g
 }
 
-// Validate rejects malformed dimensions before any run starts. A zero
-// cadence means the default; a negative one is an error, not a default.
+// Validate rejects a grid before any run starts: malformed dimensions,
+// and the run-level errors a point would otherwise only report in its
+// row — a topology that does not parse, a scenario that does not load,
+// more liars than a topology has hosts to spare. A zero cadence means
+// the default; a negative one is an error, not a default.
 func (g Grid) Validate() error {
 	for _, c := range []struct {
 		name string
@@ -208,10 +224,19 @@ func (g Grid) Validate() error {
 		}
 	}
 	g = g.withDefaults()
+	for _, spec := range g.Topos {
+		t, err := dtp.ParseTopology(spec)
+		if err != nil {
+			return fmt.Errorf("campaign: %w", err)
+		}
+		for _, n := range g.Liars {
+			if _, err := withLiars(nil, t, Point{Topo: spec, Liars: n}); err != nil {
+				return err
+			}
+		}
+	}
 	for _, l := range g.Loads {
-		switch l {
-		case "none", "mtu", "jumbo":
-		default:
+		if _, ok := frameOctets[l]; !ok {
 			return fmt.Errorf("campaign: unknown load %q (want none|mtu|jumbo)", l)
 		}
 	}
@@ -223,6 +248,14 @@ func (g Grid) Validate() error {
 	for _, d := range g.Durations {
 		if d <= 0 {
 			return fmt.Errorf("campaign: duration must be positive, got %v", d.Std())
+		}
+	}
+	for _, path := range g.Chaos {
+		if path == "" {
+			continue
+		}
+		if _, err := dtp.LoadChaosScenario(path); err != nil {
+			return fmt.Errorf("campaign: %w", err)
 		}
 	}
 	if g.BER < 0 {
@@ -247,7 +280,7 @@ func (g Grid) Validate() error {
 // Expand resolves the grid into its runs, in grid order: topology
 // outermost, then load, beacon, duration, chaos, hardened, liars,
 // discipline, and seed innermost — so seed sweeps of one configuration
-// are contiguous.
+// are contiguous. Every point carries the grid-wide settings too.
 func (g Grid) Expand() []Point {
 	g = g.withDefaults()
 	var pts []Point
@@ -266,6 +299,9 @@ func (g Grid) Expand() []Point {
 											Duration: dur, Chaos: chaos,
 											Hardened: hardened, Liars: liars,
 											Discipline: disc,
+											Wander:     g.Wander, BER: g.BER, TimeService: g.TimeService,
+											SamplePeriod: g.SamplePeriod, AuditEvery: g.AuditEvery,
+											SyncTimeout: g.SyncTimeout,
 										})
 									}
 								}
@@ -285,14 +321,29 @@ func LoadGrid(path string) (*Grid, error) {
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	var g Grid
-	if err := json.Unmarshal(b, &g); err != nil {
+	g, err := decodeGrid(b)
+	if err != nil {
 		return nil, fmt.Errorf("campaign: parsing %s: %w", path, err)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("campaign: %s: %w", path, err)
 	}
 	return &g, nil
+}
+
+// decodeGrid decodes grid JSON strictly: a key Grid does not declare
+// is a typo to report, not a dimension to leave at its default.
+func decodeGrid(b []byte) (Grid, error) {
+	var g Grid
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&g); err != nil {
+		return Grid{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Grid{}, fmt.Errorf("data after the grid object")
+	}
+	return g, nil
 }
 
 // SeedSweep builds the grid behind `dtpsim -sweep-seeds N`: n

@@ -9,8 +9,8 @@ import (
 )
 
 // Result is the per-run record a campaign collects. Every field that
-// lands in JSON is a pure function of the run's Point (plus the grid's
-// scalar knobs), so JSONL and aggregate output is byte-identical across
+// lands in JSON is a pure function of the run's Point (the whole run
+// record, grid-wide settings included), so JSONL and aggregate output is byte-identical across
 // worker counts and re-runs. Wall time is the one host-dependent
 // measurement; it is deliberately excluded from JSON and only surfaced
 // in the human-readable summary.

@@ -11,7 +11,6 @@ import (
 	"github.com/dtplab/dtp"
 	"github.com/dtplab/dtp/internal/par"
 	"github.com/dtplab/dtp/internal/stats"
-	"github.com/dtplab/dtp/internal/topo"
 )
 
 // Options control campaign execution. They affect scheduling only —
@@ -64,7 +63,7 @@ func Run(g Grid, opts Options) (*Report, error) {
 	// Map's worker indices arrive in any order; results land by index,
 	// so the merge is in grid order no matter how execution interleaves.
 	_, _ = par.Map(jobs, len(points), func(i int) (struct{}, error) {
-		results[i] = RunPoint(g, points[i])
+		results[i] = RunPoint(points[i], g.FlightDir)
 		if emit != nil {
 			emit(i)
 		}
@@ -96,12 +95,14 @@ func orderedEmitter(results []Result, fn func(*Result)) func(i int) {
 	}
 }
 
-// RunPoint executes one grid point to completion and returns its
-// Result: spec from the point, Arm, one sample loop, fill. Exported so
-// tests and benchmarks can run single points; the campaign's
-// determinism rests on this function depending only on (g, p), never
-// on shared state.
-func RunPoint(g Grid, p Point) (res Result) {
+// RunPoint executes one point to completion and returns its Result:
+// Arm the point, one sample loop, fill. flightDir, when set, arms the
+// black box: every run gets its own registry + tracer (runs stay
+// independent), a timeline at the sampling cadence, and a flight
+// recorder dumping into <flightDir>/run-NNN/. Exported so tests and
+// benchmarks can run single points; the campaign's determinism rests on
+// this function depending only on its arguments, never on shared state.
+func RunPoint(p Point, flightDir string) (res Result) {
 	res = Result{Point: p, ChaosOK: true}
 	wallStart := time.Now()
 	defer func() { res.Wall = time.Since(wallStart) }()
@@ -110,34 +111,10 @@ func RunPoint(g Grid, p Point) (res Result) {
 		return res
 	}
 
-	topo, err := dtp.ParseTopology(p.Topo)
-	if err != nil {
-		return fail(err)
-	}
-	spec := Spec{
-		Topology: topo, Seed: p.Seed, Beacon: p.Beacon, Hardened: p.Hardened,
-		Wander: g.Wander, BER: g.BER, Load: p.Load,
-		Audit: true, AuditEvery: g.AuditEvery.Std(), SyncTimeout: g.SyncTimeout.Std(),
-		TimeService: g.TimeService, Probe: p.Discipline,
-	}
-	// FlightDir arms the observability plane: every run gets its own
-	// registry + tracer (runs stay independent), a timeline at the
-	// sampling cadence, and a flight recorder dumping into the run's
-	// directory.
-	if g.FlightDir != "" {
-		spec.FlightDir = filepath.Join(g.FlightDir, fmt.Sprintf("run-%03d", p.Index))
+	spec := Spec{Point: p, Audit: true}
+	if flightDir != "" {
+		spec.FlightDir = filepath.Join(flightDir, fmt.Sprintf("run-%03d", p.Index))
 		spec.Registry, spec.Tracer = dtp.NewMetricsRegistry(), dtp.NewTracer(0)
-		spec.TimelineEvery = g.SamplePeriod.Std()
-	}
-	if p.Chaos != "" {
-		if spec.Scenario, err = dtp.LoadChaosScenario(p.Chaos); err != nil {
-			return fail(err)
-		}
-	}
-	if p.Liars > 0 {
-		if spec.Scenario, err = withLiars(spec.Scenario, topo, p); err != nil {
-			return fail(err)
-		}
 	}
 	rig, err := Arm(spec)
 	if err != nil {
@@ -154,7 +131,7 @@ func RunPoint(g Grid, p Point) (res Result) {
 	// Sample the worst pairwise offset at a fixed simulated cadence;
 	// the percentiles summarize the sampled envelope. The probe daemon
 	// and every served clock are read at the same instants.
-	sample := g.SamplePeriod.Std()
+	sample := p.SamplePeriod.Std()
 	summary := stats.NewSummary(0)
 	widths := stats.NewSummary(0)
 	var probeOffs []float64
@@ -259,58 +236,6 @@ func daemonStats(res *Result, offs []float64, sample time.Duration) {
 			break
 		}
 	}
-}
-
-// withLiars appends p.Liars synthesized simultaneous Byzantine liar
-// faults to the scenario (creating one when the point has no Chaos
-// file). Liar devices are picked by a deterministic stride across the
-// topology's host nodes (falling back to all nodes when the builder
-// marked none) — a pure function of (topo, liar count), so the same
-// grid point always attacks the same devices and campaign output stays
-// byte-identical at any -jobs width. Hosts, not switches: a compromised
-// server is the threat model, and quarantining every link of a lying
-// switch would partition honest devices — a different failure mode than
-// the tolerance curve measures. Fault shape follows
-// examples/chaos/liar.json with timings compressed to campaign scale:
-// all liars start together at 400 µs (comfortably past INIT on every
-// stock topology) and lie for half the measurement window, leaving the
-// other half (plus the scenario grace) for reconvergence.
-func withLiars(sc *dtp.ChaosScenario, g dtp.Topology, p Point) (*dtp.ChaosScenario, error) {
-	var hosts []topo.Node
-	for _, n := range g.Nodes {
-		if n.Kind == topo.Host {
-			hosts = append(hosts, n)
-		}
-	}
-	if len(hosts) == 0 {
-		hosts = g.Nodes
-	}
-	if p.Liars >= len(hosts) {
-		return nil, fmt.Errorf("campaign: %d liars but topology %q has only %d host devices (at least one honest host required)",
-			p.Liars, p.Topo, len(hosts))
-	}
-	if sc == nil {
-		sc = &dtp.ChaosScenario{
-			Name:        fmt.Sprintf("liars-%d", p.Liars),
-			SettleGrace: dtp.ChaosD(100 * time.Microsecond),
-			// Reconvergence after a quarantine cooldown and re-INIT
-			// round; generous enough for every liar count the curve
-			// sweeps, short enough for CI.
-			ReconvergeDeadline: dtp.ChaosD(3 * time.Millisecond),
-		}
-	}
-	for i := 0; i < p.Liars; i++ {
-		dev := hosts[i*len(hosts)/p.Liars]
-		sc.Faults = append(sc.Faults, dtp.ChaosFault{
-			Kind:      "liar",
-			Device:    dev.Name,
-			At:        dtp.ChaosD(400 * time.Microsecond),
-			Duration:  dtp.ChaosD(p.Duration.Std() / 2),
-			JumpUnits: 5000,
-			Cadence:   dtp.ChaosD(2 * time.Microsecond),
-		})
-	}
-	return sc, nil
 }
 
 // writeTimeline exports a run's timeline window as JSONL into its

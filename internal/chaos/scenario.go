@@ -20,8 +20,10 @@
 package chaos
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"time"
@@ -164,14 +166,30 @@ func Load(path string) (*Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	var sc Scenario
-	if err := json.Unmarshal(b, &sc); err != nil {
+	sc, err := decode(b)
+	if err != nil {
 		return nil, fmt.Errorf("chaos: %s: %w", path, err)
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, fmt.Errorf("chaos: %s: %w", path, err)
 	}
 	return &sc, nil
+}
+
+// decode decodes scenario JSON strictly: a key Scenario or Fault does
+// not declare is a typo to report — a misspelled "duration" would
+// otherwise make a fault permanent.
+func decode(b []byte) (Scenario, error) {
+	var sc Scenario
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
+		return Scenario{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Scenario{}, fmt.Errorf("data after the scenario object")
+	}
+	return sc, nil
 }
 
 // fillDefaults applies scenario-level defaults.

@@ -216,6 +216,29 @@ func TestLoad(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsUnknownKeys: a misspelled key is an error, not a
+// default. "durration" once made a fault permanent and "settle_grac"
+// fell back to the default grace, both silently.
+func TestLoadRejectsUnknownKeys(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct{ name, json, want string }{
+		{"fault key", `{"name": "x", "faults": [{"kind": "freq_step", "device": "h0", "at": "1ms",
+			"ppm_step": 20, "durration": "2ms"}]}`, `unknown field "durration"`},
+		{"scenario key", `{"name": "x", "settle_grac": "1ms", "faults": [{"kind": "crash", "device": "h0",
+			"at": "1ms", "duration": "1ms"}]}`, `unknown field "settle_grac"`},
+		{"trailing data", `{"name": "x", "faults": [{"kind": "crash", "device": "h0", "at": "1ms",
+			"duration": "1ms"}]} {}`, "data after the scenario"},
+	} {
+		path := filepath.Join(dir, "sc.json")
+		if err := os.WriteFile(path, []byte(tc.json), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Load = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // FuzzScenarioJSON: decoding and validating any input never panics, and
 // an accepted scenario re-encodes to bytes that decode, validate and
 // re-encode unchanged, with every fault ending at or after its start.
@@ -239,8 +262,8 @@ func FuzzScenarioJSON(f *testing.F) {
 	f.Add([]byte(`{"faults":[{"kind":"crash","device":"d","at":"2000h","duration":"2000h"}]}`))
 	f.Add([]byte(`{"faults":[{"kind":"ber_degrade","link":["h0","h1"],"at":"1ms","duration":"1s","ber":1e-12}]}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		var sc Scenario
-		if json.Unmarshal(b, &sc) != nil || sc.Validate() != nil {
+		sc, err := decode(b)
+		if err != nil || sc.Validate() != nil {
 			return
 		}
 		for i, fl := range sc.Faults {
@@ -252,8 +275,8 @@ func FuzzScenarioJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted scenario does not encode: %v", err)
 		}
-		var back Scenario
-		if err := json.Unmarshal(out, &back); err != nil {
+		back, err := decode(out)
+		if err != nil {
 			t.Fatalf("re-encoded scenario does not decode: %v\n%s", err, out)
 		}
 		if err := back.Validate(); err != nil {

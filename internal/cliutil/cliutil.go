@@ -141,15 +141,6 @@ func (f *Flags) Topology() (dtp.Topology, error) {
 	return dtp.ParseTopology(f.Topo)
 }
 
-// LoadChaos loads the -chaos scenario, or returns (nil, nil) when the
-// flag is unset.
-func (f *Flags) LoadChaos() (*dtp.ChaosScenario, error) {
-	if f.Chaos == "" {
-		return nil, nil
-	}
-	return dtp.LoadChaosScenario(f.Chaos)
-}
-
 // ParseDiscipline parses the -discipline spec; the zero config (the
 // paper's moving average) is returned when the flag is unset.
 func (f *Flags) ParseDiscipline() (dtp.DisciplineConfig, error) {

@@ -92,14 +92,6 @@ func TestValidateOnlyChecksRegistered(t *testing.T) {
 	}
 }
 
-func TestLoadChaosUnsetIsNil(t *testing.T) {
-	var f Flags
-	sc, err := f.LoadChaos()
-	if sc != nil || err != nil {
-		t.Fatalf("got %v, %v; want nil, nil", sc, err)
-	}
-}
-
 func TestWriteFile(t *testing.T) {
 	path := t.TempDir() + "/out.txt"
 	if err := WriteFile(path, func(w io.Writer) error {
