@@ -327,16 +327,6 @@ func runSingle(grid campaign.Grid) {
 	}
 	fmt.Printf("engine: %d events in %.2f s wall = %.0f events/sec (%.1f device-sim-seconds/wall-second); %.2f%% of actor events in FIFO lanes, %d overflowed, %d calendar rebuilds\n",
 		events, wall, eventsSec, devSimPerWall, laneShare, qs.LaneOverflows, qs.CalendarRebuilds)
-	if reg != nil {
-		rate := reg.Gauge("dtp_sim_events_per_sec",
-			"Simulation events dispatched per wall-clock second over the whole run (host-dependent).")
-		// Host-dependent values stay out of deterministic artifacts, the
-		// EnableSchedulerMetrics(false) policy: when -metrics-out or
-		// -flight-dir is armed the gauge is exported at its zero value.
-		if shared.MetricsOut == "" && *flightDir == "" {
-			rate.Set(eventsSec)
-		}
-	}
 	chaosErr := rig.VerifyChaos()
 	if eng != nil {
 		if chaosErr != nil {

@@ -232,7 +232,6 @@ func WithHardened() Option {
 // that should set the network's rate.
 func WithMaster(root string) Option {
 	return func(c *config) {
-		c.cfg.FollowMaster = true
 		c.cfg.Master = root
 	}
 }
@@ -301,7 +300,7 @@ func New(t Topology, opts ...Option) (*System, error) {
 		o(&c)
 	}
 	sch := sim.NewScheduler()
-	var coreOpts []core.Option
+	coreOpts := []core.Option{core.WithTelemetry(c.reg, c.tracer)}
 	if c.ppm != nil {
 		coreOpts = append(coreOpts, core.WithPPM(c.ppm))
 	}
@@ -325,9 +324,6 @@ func New(t Topology, opts ...Option) (*System, error) {
 	net, err := core.NewNetwork(sch, c.seed, t, c.cfg, coreOpts...)
 	if err != nil {
 		return nil, err
-	}
-	if c.reg != nil || c.tracer != nil {
-		net.Instrument(c.reg, c.tracer)
 	}
 	return &System{sch: sch, net: net, cfg: c}, nil
 }
@@ -504,9 +500,7 @@ type AuditOptions struct {
 // time-to-sync, and reconvergence metrics land in the registry, and
 // violations emit tracer events. The auditor is stopped by Close.
 func (s *System) Audit(o AuditOptions) *Auditor {
-	a := audit.New(s.net, audit.Config{Interval: sim.FromStd(o.Interval)})
-	a.Instrument(s.cfg.reg, s.cfg.tracer)
-	a.Start()
+	a := audit.New(s.net, audit.Config{Interval: sim.FromStd(o.Interval)}, s.cfg.reg, s.cfg.tracer)
 	s.auditors = append(s.auditors, a)
 	return a
 }
@@ -556,14 +550,10 @@ func (s *System) Daemon(o DaemonOptions) (*Daemon, error) {
 		dc = s.cfg.discipline
 	}
 	d, err := daemon.Attach(dev, daemon.Options{Config: cfg, Discipline: dc},
-		s.cfg.seed+uint64(dev.ID())+1000)
+		s.cfg.seed+uint64(dev.ID())+1000, s.cfg.reg, s.cfg.tracer)
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.reg != nil || s.cfg.tracer != nil {
-		d.Instrument(s.cfg.reg, s.cfg.tracer)
-	}
-	d.Start()
 	wrapped := &Daemon{d: d}
 	s.daemons = append(s.daemons, wrapped)
 	return wrapped, nil

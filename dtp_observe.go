@@ -76,7 +76,7 @@ func (s *System) Timeline(o TimelineOptions) *Timeline {
 			// one: between publishes it grows with snapshot age, so the
 			// timeline shows the served interval *widening* toward a
 			// breach (then null once reads fail closed).
-			c := tp.services[h].Clock()
+			c := tp.byHost[h].svc.Clock()
 			tl.Gauge("eps_ps_"+h, func() float64 {
 				iv, err := c.NowInterval()
 				if err != nil {
@@ -200,7 +200,7 @@ func (s *System) FlightRecorder(o FlightOptions) (*FlightRecorder, error) {
 			out := map[string]any{}
 			for _, tp := range tps {
 				for _, h := range tp.Hosts() {
-					svc := tp.services[h]
+					svc := tp.byHost[h].svc
 					out[h] = map[string]any{
 						"publishes":   svc.Publishes(),
 						"degraded":    svc.DegradedTicks(),

@@ -313,7 +313,7 @@ func TestMixedSpeedsOptionOrder(t *testing.T) {
 	if before != after {
 		t.Fatalf("option order changed the network:\nothers first: %+v\nmixed first:  %+v", before, after)
 	}
-	if !after.Hardened || !after.FollowMaster || after.Master != "h0" || after.BER != 1e-9 {
+	if !after.Hardened || after.Master != "h0" || after.BER != 1e-9 {
 		t.Fatalf("options lost beside WithMixedSpeeds: %+v", after)
 	}
 }

@@ -59,10 +59,16 @@ type TimePlane struct {
 	broadcaster string
 	hosts       []string // served hosts, sorted
 	b           *daemon.UTCBroadcaster
-	daemons     map[string]*Daemon // broadcaster and served hosts
-	services    map[string]*timesvc.Service
-	followers   map[string]*daemon.UTCFollower
-	loads       map[string]*timesvc.Load
+	byHost      map[string]*planeHost // broadcaster and served hosts
+}
+
+// planeHost is one host's part of the plane: its daemon and, on a
+// served host, the UTC follower, time service and optional read load.
+type planeHost struct {
+	d   *Daemon
+	f   *daemon.UTCFollower
+	svc *timesvc.Service
+	ld  *timesvc.Load
 }
 
 // TimePlane attaches the serving plane: a daemon on every involved
@@ -87,58 +93,40 @@ func (s *System) TimePlane(o TimePlaneOptions) (*TimePlane, error) {
 		aud = s.Audit(AuditOptions{})
 	}
 
-	daemons := map[string]*Daemon{}
-	newDaemon := func(host string) (*daemon.Daemon, error) {
-		w, err := s.Daemon(DaemonOptions{Host: host, CalInterval: o.CalInterval})
+	tp := &TimePlane{broadcaster: bc, hosts: served, byHost: map[string]*planeHost{}}
+	attach := func(host string) (*planeHost, error) {
+		d, err := s.Daemon(DaemonOptions{Host: host, CalInterval: o.CalInterval})
 		if err != nil {
 			return nil, err
 		}
-		daemons[host] = w
-		return w.d, nil
+		ph := &planeHost{d: d}
+		tp.byHost[host] = ph
+		return ph, nil
 	}
-
-	bd, err := newDaemon(bc)
+	bh, err := attach(bc)
 	if err != nil {
 		return nil, err
+	}
+	var followers []*daemon.UTCFollower
+	for _, h := range served {
+		ph, err := attach(h)
+		if err != nil {
+			return nil, err
+		}
+		ph.f = daemon.NewUTCFollower(ph.d.d, s.cfg.reg)
+		followers = append(followers, ph.f)
+		ph.svc = timesvc.NewService(ph.d.d, ph.f, aud, s.cfg.reg, s.cfg.tracer)
+		if o.LoadQPS > 0 {
+			ph.ld = timesvc.NewLoad(ph.svc, sim.NewRNG(s.cfg.seed, "timesvc-load/"+h), o.LoadQPS, s.cfg.reg)
+		}
 	}
 	bcast := sim.Time(10 * sim.Millisecond)
 	if o.BroadcastInterval > 0 {
 		bcast = sim.FromStd(o.BroadcastInterval)
 	}
-	b := daemon.NewUTCBroadcaster(bd, daemon.TrueUTC{Sch: s.sch}, bcast)
-
-	tp := &TimePlane{
-		broadcaster: bc,
-		hosts:       served,
-		b:           b,
-		daemons:     daemons,
-		services:    map[string]*timesvc.Service{},
-		followers:   map[string]*daemon.UTCFollower{},
-		loads:       map[string]*timesvc.Load{},
-	}
-	for _, h := range served {
-		d, err := newDaemon(h)
-		if err != nil {
-			return nil, err
-		}
-		f := daemon.NewUTCFollower(d)
-		if s.cfg.reg != nil {
-			f.Instrument(s.cfg.reg)
-		}
-		b.Subscribe(f)
-		svc := timesvc.NewService(d, f, aud)
-		svc.Instrument(s.cfg.reg, s.cfg.tracer)
-		svc.Start()
-		tp.services[h] = svc
-		tp.followers[h] = f
-		if o.LoadQPS > 0 {
-			ld := timesvc.NewLoad(svc, sim.NewRNG(s.cfg.seed, "timesvc-load/"+h), o.LoadQPS)
-			ld.Instrument(s.cfg.reg)
-			ld.Start()
-			tp.loads[h] = ld
-		}
-	}
-	b.Start()
+	// Built last, so its first tick queues after every service's: the
+	// plane's event order, which every artifact depends on.
+	tp.b = daemon.NewUTCBroadcaster(bh.d.d, daemon.TrueUTC{Sch: s.sch}, bcast, followers)
 	s.timeplanes = append(s.timeplanes, tp)
 	return tp, nil
 }
@@ -152,21 +140,21 @@ func (tp *TimePlane) Hosts() []string { return append([]string(nil), tp.hosts...
 // Service returns the named host's TimeService, or an error for hosts
 // the plane does not serve.
 func (tp *TimePlane) Service(host string) (*TimeService, error) {
-	svc, ok := tp.services[host]
-	if !ok {
+	ph := tp.byHost[host]
+	if ph == nil || ph.svc == nil {
 		return nil, fmt.Errorf("dtp: no time service on %q", host)
 	}
-	return svc, nil
+	return ph.svc, nil
 }
 
 // Daemon returns the plane's daemon on the named host — the broadcaster
 // or a served host.
 func (tp *TimePlane) Daemon(host string) (*Daemon, error) {
-	d, ok := tp.daemons[host]
-	if !ok {
+	ph := tp.byHost[host]
+	if ph == nil {
 		return nil, fmt.Errorf("dtp: no time-plane daemon on %q", host)
 	}
-	return d, nil
+	return ph.d, nil
 }
 
 // UTCErrorPs returns the named served host's ground-truth |UTC estimate
@@ -174,10 +162,11 @@ func (tp *TimePlane) Daemon(host string) (*Daemon, error) {
 // follower has no estimate before its first (counter, UTC) pair: both
 // are errors.
 func (tp *TimePlane) UTCErrorPs(host string) (float64, error) {
-	f, ok := tp.followers[host]
-	if !ok {
+	ph := tp.byHost[host]
+	if ph == nil || ph.f == nil {
 		return 0, fmt.Errorf("dtp: %q follows no UTC broadcast", host)
 	}
+	f := ph.f
 	if _, have := f.Anchor(); !have {
 		return 0, fmt.Errorf("dtp: no UTC pair received on %q yet", host)
 	}
@@ -209,7 +198,12 @@ func (tp *TimePlane) ReadCheck(host string) (widthPs float64, covered bool, err 
 
 // Load returns the named host's in-sim request-load model (nil when the
 // plane was built without LoadQPS).
-func (tp *TimePlane) Load(host string) *timesvc.Load { return tp.loads[host] }
+func (tp *TimePlane) Load(host string) *timesvc.Load {
+	if ph := tp.byHost[host]; ph != nil {
+		return ph.ld
+	}
+	return nil
+}
 
 // TimeHandler serves the named host's clock over HTTP (GET now /
 // interval as JSON) — mountable on the same mux as TelemetryHandler.
@@ -226,7 +220,11 @@ func (tp *TimePlane) TimeHandler(host string) (http.Handler, error) {
 // attribution identifying which error source dominates the served
 // interval width.
 func (tp *TimePlane) HealthHandler() http.Handler {
-	return timesvc.HealthHandler(tp.services)
+	services := make(map[string]*timesvc.Service, len(tp.hosts))
+	for _, h := range tp.hosts {
+		services[h] = tp.byHost[h].svc
+	}
+	return timesvc.HealthHandler(services)
 }
 
 // Attribution returns the named host's ε-budget split.
@@ -242,10 +240,11 @@ func (tp *TimePlane) Attribution(host string) (timesvc.Attribution, error) {
 // tracked and stopped by the System itself).
 func (tp *TimePlane) stop() {
 	tp.b.Stop()
-	for _, svc := range tp.services {
-		svc.Stop()
-	}
-	for _, ld := range tp.loads {
-		ld.Stop()
+	for _, h := range tp.hosts {
+		ph := tp.byHost[h]
+		ph.svc.Stop()
+		if ph.ld != nil {
+			ph.ld.Stop()
+		}
 	}
 }

@@ -16,16 +16,15 @@ import (
 func recordTrace(t *testing.T, seed uint64) []byte {
 	t.Helper()
 	sch := sim.NewScheduler()
-	n, err := core.NewNetwork(sch, seed, topo.PaperTree(), core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Firehose tracing on the paper tree emits ~34 events/µs; size the
 	// ring so the one-time INIT/synced events are still present at the
 	// end of the window instead of evicted by beacon traffic.
 	tr := telemetry.NewTracer(1 << 20)
 	tr.SetKinds() // firehose: the analyzer wants beacon_rx and counter_jump
-	n.Instrument(telemetry.New(), tr)
+	n, err := core.NewNetwork(sch, seed, topo.PaperTree(), core.DefaultConfig(), core.WithTelemetry(telemetry.New(), tr))
+	if err != nil {
+		t.Fatal(err)
+	}
 	n.Start()
 	sch.Run(2 * sim.Millisecond)
 	var b bytes.Buffer

@@ -90,7 +90,7 @@ type Auditor struct {
 	// Per-pair state, dense: the pair of node IDs i < j lives at
 	// pairIndex(i, j), so one sweep walks each slice front to back.
 	// pairBound is rebuilt when the synced link set changes; pairWorst
-	// and pairGauges (nil unless Instrument registered them) persist.
+	// and pairGauges (nil without a registry) persist.
 	pairBound  []int64 // bound, or unreachable
 	pairWorst  []int64
 	pairGauges []*telemetry.Gauge
@@ -130,9 +130,11 @@ type Auditor struct {
 	stopped  bool
 }
 
-// New builds an auditor over the network. Call Instrument to attach
-// telemetry (optional), then Start.
-func New(n *core.Network, cfg Config) *Auditor {
+// New builds an auditor over the network and schedules its periodic
+// check; it is quiet until the first link synchronizes. reg and tr may
+// be nil; all handles are nil-safe. Per-pair worst-offset gauges are
+// registered only when the pair count fits maxPairSeries.
+func New(n *core.Network, cfg Config, reg *telemetry.Registry, tr *telemetry.Tracer) *Auditor {
 	if cfg.Interval <= 0 {
 		cfg.Interval = defaultInterval
 	}
@@ -152,6 +154,8 @@ func New(n *core.Network, cfg Config) *Auditor {
 	np := a.numPairs()
 	a.pairBound = make([]int64, np)
 	a.pairWorst = make([]int64, np)
+	a.instrument(reg, tr)
+	a.reschedule()
 	return a
 }
 
@@ -166,10 +170,7 @@ func (a *Auditor) pairIndex(i, j int) int {
 	return i*(2*len(a.counters)-i-1)/2 + j - i - 1
 }
 
-// Instrument attaches a metrics registry and/or tracer. Either may be
-// nil; all handles are nil-safe. Per-pair worst-offset gauges are
-// registered only when the pair count fits maxPairSeries.
-func (a *Auditor) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
+func (a *Auditor) instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	a.tr = tr
 	a.mChecks = reg.Counter("dtp_audit_checks_total",
 		"Auditor snapshot rounds performed.")
@@ -190,7 +191,6 @@ func (a *Auditor) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	a.mReconv = reg.Histogram("dtp_audit_reconvergence_seconds",
 		"Durations from a disruption (link flap, violation) back to a fully in-bound network.",
 		telemetry.ExponentialBuckets(1e-6, 4, 12))
-	a.pairGauges = nil
 	if reg != nil && a.numPairs() <= maxPairSeries {
 		n := len(a.counters)
 		for i := 0; i < n; i++ {
@@ -205,13 +205,6 @@ func (a *Auditor) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 
 func (a *Auditor) pairName(i, j int) string {
 	return a.net.Graph.Nodes[i].Name + "-" + a.net.Graph.Nodes[j].Name
-}
-
-// Start schedules the periodic check. The auditor is quiet until the
-// first link synchronizes.
-func (a *Auditor) Start() {
-	a.stopped = false
-	a.reschedule()
 }
 
 // Stop cancels the periodic check.

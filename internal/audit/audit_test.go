@@ -15,16 +15,13 @@ import (
 func newAudited(t *testing.T, g topo.Graph, seed uint64, cfg Config, ccfg core.Config, opts ...core.Option) (*core.Network, *Auditor, *telemetry.Registry, *telemetry.Tracer) {
 	t.Helper()
 	sch := sim.NewScheduler()
-	n, err := core.NewNetwork(sch, seed, g, ccfg, opts...)
+	reg := telemetry.New()
+	tr := telemetry.NewTracer(4096)
+	n, err := core.NewNetwork(sch, seed, g, ccfg, append(opts, core.WithTelemetry(reg, tr))...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.New()
-	tr := telemetry.NewTracer(4096)
-	n.Instrument(reg, tr)
-	a := New(n, cfg)
-	a.Instrument(reg, tr)
-	a.Start()
+	a := New(n, cfg, reg, tr)
 	n.Start()
 	return n, a, reg, tr
 }

@@ -237,8 +237,7 @@ func BenchmarkAuditSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := New(n, Config{})
-	a.Start()
+	a := New(n, Config{}, nil, nil)
 	n.Start()
 	sch.Run(5 * sim.Millisecond)
 	if !a.Converged() {

@@ -48,16 +48,13 @@ type campaign struct {
 func newCampaign(t *testing.T, g topo.Graph, cfg core.Config, seed uint64, sc *Scenario) *campaign {
 	t.Helper()
 	sch := sim.NewScheduler()
-	net, err := core.NewNetwork(sch, seed, g, cfg)
+	reg := telemetry.New()
+	tr := telemetry.NewTracer(1 << 16)
+	net, err := core.NewNetwork(sch, seed, g, cfg, core.WithTelemetry(reg, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.New()
-	tr := telemetry.NewTracer(1 << 16)
-	net.Instrument(reg, tr)
-	aud := audit.New(net, audit.Config{})
-	aud.Instrument(reg, tr)
-	aud.Start()
+	aud := audit.New(net, audit.Config{}, reg, tr)
 	eng, err := NewEngine(net, sc, seed, reg, tr, aud)
 	if err != nil {
 		t.Fatal(err)

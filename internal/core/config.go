@@ -94,14 +94,12 @@ type Config struct {
 	// The mode's parameters are the constants at the top of harden.go.
 	Hardened bool
 
-	// FollowMaster enables the §5.4 extension ("following the fastest
-	// clock"): instead of max-coupling, devices form a spanning tree
-	// rooted at Master and each follows the remote counter of its
-	// parent — jumping forward when behind, stalling when ahead. The
-	// network then tracks the master's oscillator rather than the
-	// fastest oscillator, at the cost of a single point of reference.
-	FollowMaster bool
-	// Master names the root device (required when FollowMaster).
+	// Master, when it names a device, enables the §5.4 extension
+	// ("following the fastest clock"): instead of max-coupling, devices
+	// form a spanning tree rooted at Master and each follows the remote
+	// counter of its parent — jumping forward when behind, stalling when
+	// ahead. The network then tracks the master's oscillator rather than
+	// the fastest oscillator, at the cost of a single point of reference.
 	Master string
 }
 
@@ -146,9 +144,6 @@ func (c *Config) validate() error {
 	}
 	if c.BER < 0 || c.BER >= 1 {
 		return fmt.Errorf("core: BER %v outside [0, 1)", c.BER)
-	}
-	if c.FollowMaster && c.Master == "" {
-		return fmt.Errorf("core: FollowMaster requires a Master name")
 	}
 	return nil
 }

@@ -16,16 +16,15 @@ import (
 func TestLinkFlapResyncWithinBound(t *testing.T) {
 	sch := sim.NewScheduler()
 	g := topo.PaperTree()
-	n, err := NewNetwork(sch, 77, g, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := telemetry.New()
 	tr := telemetry.NewTracer(1 << 16)
 	// Lifecycle kinds only: beacons would wash the flap out of the ring.
 	tr.SetKinds(telemetry.KindLinkUp, telemetry.KindLinkDown,
 		telemetry.KindSynced, telemetry.KindStateChange)
-	n.Instrument(reg, tr)
+	n, err := NewNetwork(sch, 77, g, DefaultConfig(), WithTelemetry(reg, tr))
+	if err != nil {
+		t.Fatal(err)
+	}
 	n.Start()
 	sch.Run(10 * sim.Millisecond)
 	if !n.AllSynced() {

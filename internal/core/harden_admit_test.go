@@ -14,13 +14,12 @@ func instrumentedHardenedPair(t *testing.T, seed uint64) (*sim.Scheduler, *Netwo
 	sch := sim.NewScheduler()
 	cfg := DefaultConfig()
 	cfg.Hardened = true
-	n, err := NewNetwork(sch, seed, topo.Pair(), cfg)
+	reg := telemetry.New()
+	tr := telemetry.NewTracer(1 << 14)
+	n, err := NewNetwork(sch, seed, topo.Pair(), cfg, WithTelemetry(reg, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.New()
-	tr := telemetry.NewTracer(1 << 14)
-	n.Instrument(reg, tr)
 	return sch, n, reg, tr
 }
 

@@ -12,13 +12,12 @@ import (
 func instrumentedPair(t *testing.T, seed uint64) (*sim.Scheduler, *Network, *telemetry.Registry, *telemetry.Tracer) {
 	t.Helper()
 	sch := sim.NewScheduler()
-	n, err := NewNetwork(sch, seed, topo.Pair(), DefaultConfig())
+	reg := telemetry.New()
+	tr := telemetry.NewTracer(1 << 14)
+	n, err := NewNetwork(sch, seed, topo.Pair(), DefaultConfig(), WithTelemetry(reg, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.New()
-	tr := telemetry.NewTracer(1 << 14)
-	n.Instrument(reg, tr)
 	return sch, n, reg, tr
 }
 
@@ -124,13 +123,12 @@ func TestDroppedDownCounting(t *testing.T) {
 // back to the network maximum.
 func TestCrashRestartRejoins(t *testing.T) {
 	sch := sim.NewScheduler()
-	n, err := NewNetwork(sch, 27, topo.Chain(2), DefaultConfig())
+	reg := telemetry.New()
+	tr := telemetry.NewTracer(1 << 14)
+	n, err := NewNetwork(sch, 27, topo.Chain(2), DefaultConfig(), WithTelemetry(reg, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.New()
-	tr := telemetry.NewTracer(1 << 14)
-	n.Instrument(reg, tr)
 	n.Start()
 	sch.Run(5 * sim.Millisecond)
 	if !n.AllSynced() {

@@ -12,7 +12,6 @@ func masterNet(t *testing.T, seed uint64, hops int, ppm map[string]float64) (*si
 	t.Helper()
 	sch := sim.NewScheduler()
 	cfg := DefaultConfig()
-	cfg.FollowMaster = true
 	cfg.Master = "h0"
 	n, err := NewNetwork(sch, seed, topo.Chain(hops), cfg, WithPPM(ppm))
 	if err != nil {
@@ -28,10 +27,6 @@ func masterNet(t *testing.T, seed uint64, hops int, ppm map[string]float64) (*si
 
 func TestMasterModeRequiresRoot(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.FollowMaster = true
-	if _, err := NewNetwork(sim.NewScheduler(), 1, topo.Pair(), cfg); err == nil {
-		t.Fatal("FollowMaster without Master accepted")
-	}
 	cfg.Master = "nonexistent"
 	if _, err := NewNetwork(sim.NewScheduler(), 1, topo.Pair(), cfg); err == nil {
 		t.Fatal("unknown master accepted")

@@ -6,6 +6,7 @@ import (
 	"github.com/dtplab/dtp/internal/link"
 	"github.com/dtplab/dtp/internal/phy"
 	"github.com/dtplab/dtp/internal/sim"
+	"github.com/dtplab/dtp/internal/telemetry"
 	"github.com/dtplab/dtp/internal/topo"
 )
 
@@ -32,7 +33,7 @@ type Network struct {
 	OnOffset func(rx *Port, offsetUnits int64)
 
 	// tel holds telemetry handles; the zero value (uninstrumented) is a
-	// set of nil handles whose updates are no-ops. See Instrument.
+	// set of nil handles whose updates are no-ops. See WithTelemetry.
 	tel coreMetrics
 
 	// Hardened-mode totals, owned by the scheduler goroutine and read
@@ -47,6 +48,8 @@ type Option func(*networkOptions)
 type networkOptions struct {
 	ppmByName  map[string]float64
 	linkSpeeds map[int]phy.Speed
+	reg        *telemetry.Registry
+	tr         *telemetry.Tracer
 }
 
 // WithPPM pins specific devices' oscillator offsets (by topology name)
@@ -120,10 +123,10 @@ func NewNetwork(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config, o
 	// In master mode, compute each node's parent hop toward the root so
 	// ports can be marked as uplinks.
 	var parentLink []int
-	if cfg.FollowMaster {
+	if cfg.Master != "" {
 		root, ok := graph.ByName(cfg.Master)
 		if !ok {
-			return nil, fmt.Errorf("core: FollowMaster root %q not in topology", cfg.Master)
+			return nil, fmt.Errorf("core: master %q not in topology", cfg.Master)
 		}
 		next := graph.NextHop()
 		parentLink = make([]int, len(graph.Nodes))
@@ -187,6 +190,9 @@ func NewNetwork(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config, o
 				n.boundUnits = w
 			}
 		}
+	}
+	if o.reg != nil || o.tr != nil {
+		n.instrument(o.reg, o.tr)
 	}
 	return n, nil
 }

@@ -162,7 +162,7 @@ type portCold struct {
 	droppedDown uint64 // blocks that arrived while the port was down
 
 	// tname is the precomputed Name() used in trace events, set by
-	// Network.Instrument so the hot path never formats strings.
+	// WithTelemetry so the hot path never formats strings.
 	tname string
 }
 
@@ -716,7 +716,7 @@ func (p *Port) handleBeacon(lsb uint64) {
 	if tel.tr.Enabled(telemetry.KindBeaconRx) {
 		tel.tr.Record(now, telemetry.KindBeaconRx, p.tname, offset, 0, "")
 	}
-	if cfg.FollowMaster {
+	if cfg.Master != "" {
 		// §5.4: only the uplink disciplines the counter; it follows the
 		// parent in both directions — forward by jumping, backward (a
 		// faster local oscillator) by stalling until the parent catches

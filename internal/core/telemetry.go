@@ -50,13 +50,17 @@ type coreMetrics struct {
 	offBatch                     *telemetry.HistogramBatch
 }
 
-// Instrument attaches a metrics registry and/or event tracer to the
-// network. Either argument may be nil. Call it before Start (calling
-// later works but misses earlier events). Metric handles are registered
-// once here; beacon-rate paths then increment plain shadow counters
-// that a periodic event flushes into the registry, which the overhead
-// benchmark in internal/telemetry holds to < 5%.
-func (n *Network) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
+// WithTelemetry instruments the network with a metrics registry and/or
+// event tracer; either may be nil. Metric handles are registered once
+// at construction; beacon-rate paths then increment plain shadow
+// counters that a periodic event flushes into the registry, which the
+// overhead benchmark in internal/telemetry holds to < 5%.
+func WithTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) Option {
+	return func(o *networkOptions) { o.reg, o.tr = reg, tr }
+}
+
+// instrument registers the telemetry handles and arms the flush.
+func (n *Network) instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	n.tel = coreMetrics{
 		tr: tr,
 		beaconsSent: reg.Counter("dtp_beacons_sent_total",

@@ -112,7 +112,7 @@ type Daemon struct {
 	// counter, in units, at each calibration (the §6.2 measurement).
 	OnSample func(offsetUnits float64)
 
-	// Telemetry handles (nil when uninstrumented; see Instrument).
+	// Telemetry handles (nil without a registry; see Attach).
 	cals     *telemetry.Counter
 	offHist  *telemetry.Histogram
 	gErr     *telemetry.Gauge
@@ -122,9 +122,14 @@ type Daemon struct {
 	tr       *telemetry.Tracer
 }
 
-// Attach connects a daemon to a DTP device. The returned daemon is not
-// yet calibrating; call Start. Close (or Stop) detaches it.
-func Attach(dev *core.Device, o Options, seed uint64) (*Daemon, error) {
+// Attach connects a daemon to a DTP device and schedules its first
+// calibration at a random phase within one CalInterval; Stop halts it.
+// Telemetry (either argument may be nil): a calibration counter, a
+// software-offset histogram, per-discipline gauges (anchor error bound,
+// ratio deviation from nominal) and counters (outlier drops, restart
+// resets), all labeled with the host name, plus daemon_cal trace events
+// (V1 = offset in milli-units, V2 = calibration count).
+func Attach(dev *core.Device, o Options, seed uint64, reg *telemetry.Registry, tr *telemetry.Tracer) (*Daemon, error) {
 	cfg := o.Config
 	if cfg == (Config{}) {
 		cfg = DefaultConfig()
@@ -144,17 +149,7 @@ func Attach(dev *core.Device, o Options, seed uint64) (*Daemon, error) {
 		lastRestarts: dev.Restarts(),
 	}
 	d.model = disc.Model()
-	return d, nil
-}
-
-// Instrument attaches telemetry: a calibration counter, a software-
-// offset histogram, per-discipline gauges (anchor error bound, ratio
-// deviation from nominal) and counters (outlier drops, restart resets),
-// all labeled with the host name, plus daemon_cal trace events
-// (V1 = offset in milli-units, V2 = calibration count). Either
-// argument may be nil.
-func (d *Daemon) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	host := d.dev.Name()
+	host := dev.Name()
 	d.cals = reg.Counter("dtp_daemon_calibrations_total",
 		"PCIe calibration reads completed by the DTP daemon.", "host", host)
 	d.offHist = reg.Histogram("dtp_daemon_offset_units",
@@ -173,18 +168,14 @@ func (d *Daemon) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 		"Discipline state resets triggered by device restarts.",
 		"host", host, "discipline", d.disc.Name())
 	d.tr = tr
-}
-
-// OffsetHistogram returns the instrumented software-offset histogram
-// (nil until Instrument is called). Callers use it to report quantiles
-// without wiring their own OnSample accumulators.
-func (d *Daemon) OffsetHistogram() *telemetry.Histogram { return d.offHist }
-
-// Start begins periodic calibration.
-func (d *Daemon) Start() {
-	d.stopped = false
 	d.sch.After(d.rng.UniformTime(0, d.cfg.CalInterval), d.calibrate)
+	return d, nil
 }
+
+// OffsetHistogram returns the software-offset histogram (nil without a
+// registry). Callers use it to report quantiles without wiring their
+// own OnSample accumulators.
+func (d *Daemon) OffsetHistogram() *telemetry.Histogram { return d.offHist }
 
 // Stop halts calibration (estimates keep extrapolating).
 func (d *Daemon) Stop() { d.stopped = true }

@@ -31,7 +31,7 @@ func syncedPair(t *testing.T, seed uint64) (*sim.Scheduler, *core.Network) {
 // every test here, so an error is a test bug.
 func attach(t *testing.T, dev *core.Device, cfg Config, seed uint64) *Daemon {
 	t.Helper()
-	d, err := Attach(dev, Options{Config: cfg}, seed)
+	d, err := Attach(dev, Options{Config: cfg}, seed, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,6 @@ func TestDaemonSmoothedOffsetWithin4Ticks(t *testing.T) {
 	d := attach(t, n.Devices[0], cfg, 9)
 	var rawSeq []float64
 	d.OnSample = func(off float64) { rawSeq = append(rawSeq, off) }
-	d.Start()
 	sch.RunFor(5 * sim.Second)
 	sm := stats.MovingAverage(rawSeq, 10)
 	s := stats.NewSummary(0)
@@ -65,7 +64,6 @@ func TestDaemonSmoothedOffsetWithin4Ticks(t *testing.T) {
 func TestDaemonEstimateTracksCounter(t *testing.T) {
 	sch, n := syncedPair(t, 5)
 	d := attach(t, n.Devices[1], DefaultConfig().Compressed(100), 11)
-	d.Start()
 	sch.RunFor(2 * sim.Second)
 	est := d.Estimate()
 	truth := float64(n.Devices[1].GlobalCounter())
@@ -80,7 +78,6 @@ func TestDaemonEstimateTracksCounter(t *testing.T) {
 func TestDaemonStop(t *testing.T) {
 	sch, n := syncedPair(t, 7)
 	d := attach(t, n.Devices[0], DefaultConfig().Compressed(100), 13)
-	d.Start()
 	sch.RunFor(sim.Second)
 	c := d.Calibrations()
 	d.Stop()
@@ -106,8 +103,6 @@ func TestEndToEndSoftwarePrecision(t *testing.T) {
 	cfg := DefaultConfig().Compressed(100)
 	d0 := attach(t, n.Devices[0], cfg, 17)
 	d1 := attach(t, n.Devices[1], cfg, 19)
-	d0.Start()
-	d1.Start()
 	sch.RunFor(sim.Second) // calibrations under way
 	s := stats.NewSummary(0)
 	for i := 0; i < 3000; i++ {
@@ -128,12 +123,8 @@ func TestExternalSyncUTC(t *testing.T) {
 	cfg := DefaultConfig().Compressed(100)
 	d0 := attach(t, n.Devices[0], cfg, 21)
 	d1 := attach(t, n.Devices[1], cfg, 23)
-	d0.Start()
-	d1.Start()
-	b := NewUTCBroadcaster(d0, TrueUTC{Sch: sch}, 50*sim.Millisecond)
-	f := NewUTCFollower(d1)
-	b.Subscribe(f)
-	b.Start()
+	f := NewUTCFollower(d1, nil)
+	b := NewUTCBroadcaster(d0, TrueUTC{Sch: sch}, 50*sim.Millisecond, []*UTCFollower{f})
 	if _, err := f.UTC(); err == nil {
 		t.Fatal("UTC available before any broadcast")
 	}
@@ -164,12 +155,8 @@ func TestUTCErrorPsIsMagnitude(t *testing.T) {
 	cfg := DefaultConfig().Compressed(100)
 	d0 := attach(t, n.Devices[0], cfg, 25)
 	d1 := attach(t, n.Devices[1], cfg, 27)
-	d0.Start()
-	d1.Start()
-	b := NewUTCBroadcaster(d0, TrueUTC{Sch: sch}, 20*sim.Millisecond)
-	f := NewUTCFollower(d1)
-	b.Subscribe(f)
-	b.Start()
+	f := NewUTCFollower(d1, nil)
+	NewUTCBroadcaster(d0, TrueUTC{Sch: sch}, 20*sim.Millisecond, []*UTCFollower{f})
 	if !math.IsInf(f.UTCErrorPs(), 1) {
 		t.Fatal("error before first broadcast should be +Inf")
 	}
@@ -202,9 +189,8 @@ func TestUTCErrorPsIsMagnitude(t *testing.T) {
 func TestFollowerDropsStalePairs(t *testing.T) {
 	sch, n := syncedPair(t, 19)
 	d := attach(t, n.Devices[1], DefaultConfig().Compressed(100), 29)
-	d.Start()
 	sch.RunFor(sim.Second)
-	f := NewUTCFollower(d)
+	f := NewUTCFollower(d, nil)
 
 	f.deliver(UTCBroadcast{Counter: 1000, UTC: 1e9})
 	f.deliver(UTCBroadcast{Counter: 2000, UTC: 2e9})
@@ -240,9 +226,8 @@ func TestFollowerDropsStalePairs(t *testing.T) {
 func TestFollowerResidualTracksPredictionError(t *testing.T) {
 	sch, n := syncedPair(t, 23)
 	d := attach(t, n.Devices[1], DefaultConfig().Compressed(100), 31)
-	d.Start()
 	sch.RunFor(sim.Second)
-	f := NewUTCFollower(d)
+	f := NewUTCFollower(d, nil)
 	if f.ResidualPs() != 0 {
 		t.Fatal("residual nonzero before broadcasts")
 	}

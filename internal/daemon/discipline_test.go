@@ -45,14 +45,13 @@ func TestGoldenDisciplineConvergence(t *testing.T) {
 		d, err := Attach(n.Devices[0], Options{
 			Config:     DefaultConfig().Compressed(100), // calibrate every 10 ms
 			Discipline: discipline.Config{Kind: c.kind},
-		}, 23)
+		}, 23, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		d.OnSample = func(off float64) {
 			seqs[i] = append(seqs[i], pt{float64(sch.Now()-start) / float64(sim.Millisecond), off})
 		}
-		d.Start()
 		daemons[i] = d
 	}
 	sch.RunFor(5 * sim.Second) // ~500 calibrations
@@ -135,7 +134,7 @@ func TestGoldenDisciplineConvergence(t *testing.T) {
 func TestDaemonDisciplineResetOnRestart(t *testing.T) {
 	sch, n := syncedPair(t, 25)
 	dev := n.Devices[0]
-	d, err := Attach(dev, Options{Config: DefaultConfig().Compressed(100)}, 27)
+	d, err := Attach(dev, Options{Config: DefaultConfig().Compressed(100)}, 27, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +151,6 @@ func TestDaemonDisciplineResetOnRestart(t *testing.T) {
 			after = append(after, pt{ms, off})
 		}
 	}
-	d.Start()
 	sch.RunFor(1500 * sim.Millisecond)
 	if !d.Calibrated() {
 		t.Fatal("daemon never calibrated")
@@ -201,7 +199,7 @@ func TestAttachRejectsBadDiscipline(t *testing.T) {
 	_, n := syncedPair(t, 29)
 	if _, err := Attach(n.Devices[0], Options{
 		Discipline: discipline.Config{Kind: "kalman"},
-	}, 31); err == nil {
+	}, 31, nil, nil); err == nil {
 		t.Fatal("Attach accepted an unknown discipline kind")
 	}
 }
@@ -217,14 +215,13 @@ func TestDisciplineGainMapsToMovingAverage(t *testing.T) {
 	}
 	var ds []*Daemon
 	for _, dev := range n.Devices[:2] {
-		d, err := Attach(dev, o, 35)
+		d, err := Attach(dev, o, 35, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d.Discipline() != "ma" {
 			t.Fatalf("discipline %q, want ma", d.Discipline())
 		}
-		d.Start()
 		ds = append(ds, d)
 	}
 	sch.RunFor(2 * sim.Second)

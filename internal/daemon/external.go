@@ -40,7 +40,7 @@ type UTCBroadcast struct {
 	ErrUnits float64
 }
 
-// UTCBroadcaster periodically publishes pairs to registered followers.
+// UTCBroadcaster periodically publishes pairs to its followers.
 // Delivery uses the DTP daemon's own counter estimate, so broadcaster-
 // side software error is included, as it would be in deployment.
 type UTCBroadcaster struct {
@@ -51,18 +51,12 @@ type UTCBroadcaster struct {
 	stopped  bool
 }
 
-// NewUTCBroadcaster wraps a daemon and a UTC source.
-func NewUTCBroadcaster(d *Daemon, src UTCSource, interval sim.Time) *UTCBroadcaster {
-	return &UTCBroadcaster{d: d, src: src, interval: interval}
-}
-
-// Subscribe registers a follower.
-func (b *UTCBroadcaster) Subscribe(f *UTCFollower) { b.subs = append(b.subs, f) }
-
-// Start begins broadcasting.
-func (b *UTCBroadcaster) Start() {
-	b.stopped = false
-	b.d.sch.After(b.interval, b.tick)
+// NewUTCBroadcaster wraps a daemon and a UTC source and starts
+// broadcasting to the followers, in order, every interval.
+func NewUTCBroadcaster(d *Daemon, src UTCSource, interval sim.Time, followers []*UTCFollower) *UTCBroadcaster {
+	b := &UTCBroadcaster{d: d, src: src, interval: interval, subs: followers}
+	d.sch.After(interval, b.tick)
+	return b
 }
 
 // Stop halts broadcasting.
@@ -105,17 +99,17 @@ type UTCFollower struct {
 // needs to cover between anchors.
 const residualGain = 0.2
 
-// NewUTCFollower attaches a follower to a local daemon.
-func NewUTCFollower(d *Daemon) *UTCFollower {
-	return &UTCFollower{d: d, ratio: float64(d.dev.Clock().NominalPeriodFs()) / 1e3}
-}
-
-// Instrument attaches telemetry: a counter of stale/duplicate broadcast
-// pairs dropped without anchoring, labeled with the host name.
-func (f *UTCFollower) Instrument(reg *telemetry.Registry) {
-	f.mStale = reg.Counter("dtp_utc_stale_pairs_total",
-		"UTC broadcast pairs with a non-advancing counter, dropped without anchoring.",
-		"host", f.d.dev.Name())
+// NewUTCFollower attaches a follower to a local daemon. reg (nil-safe)
+// gets a counter of stale/duplicate broadcast pairs dropped without
+// anchoring, labeled with the host name.
+func NewUTCFollower(d *Daemon, reg *telemetry.Registry) *UTCFollower {
+	return &UTCFollower{
+		d:     d,
+		ratio: float64(d.dev.Clock().NominalPeriodFs()) / 1e3,
+		mStale: reg.Counter("dtp_utc_stale_pairs_total",
+			"UTC broadcast pairs with a non-advancing counter, dropped without anchoring.",
+			"host", d.dev.Name()),
+	}
 }
 
 func (f *UTCFollower) deliver(pair UTCBroadcast) {

@@ -201,7 +201,6 @@ func AblationMasterMode(o Options) (*MasterModeResult, error) {
 	run := func(master bool) (int64, float64, error) {
 		cfg := core.DefaultConfig()
 		if master {
-			cfg.FollowMaster = true
 			cfg.Master = "h0"
 		}
 		sch, n, err := settled(o.Seed, topo.Chain(4), cfg, 10*sim.Millisecond, core.WithPPM(ppm))

@@ -117,7 +117,7 @@ func DisciplineSweep(o Options) ([]DisciplineRow, error) {
 		d, err := daemon.Attach(dev, daemon.Options{
 			Config:     c.sc.daemon(daemon.DefaultConfig().Compressed(daemonCompression)),
 			Discipline: dc,
-		}, o.Seed+20)
+		}, o.Seed+20, nil, nil)
 		if err != nil {
 			return DisciplineRow{}, err
 		}
@@ -128,7 +128,6 @@ func DisciplineSweep(o Options) ([]DisciplineRow, error) {
 			offs = append(offs, off)
 			when = append(when, sch.Now()-start)
 		}
-		d.Start()
 		sch.RunFor(o.Duration)
 		row := DisciplineRow{Kind: c.kind, Scenario: c.sc.name, ConvergeMs: -1}
 		row.Dropped = d.DroppedSamples()

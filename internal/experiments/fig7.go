@@ -46,13 +46,12 @@ func Fig7(o Options) (*DaemonFigResult, error) {
 		d, err := daemon.Attach(dev, daemon.Options{
 			Config:     daemon.DefaultConfig().Compressed(daemonCompression),
 			Discipline: o.Discipline,
-		}, o.Seed+20+uint64(i))
+		}, o.Seed+20+uint64(i), nil, nil)
 		if err != nil {
 			return nil, err
 		}
 		name := name
 		d.OnSample = func(off float64) { res.Raw[name] = append(res.Raw[name], off) }
-		d.Start()
 	}
 	sch.RunFor(o.Duration)
 	for name, raw := range res.Raw {

@@ -101,3 +101,40 @@ func TestBMCAIgnoresForeignSyncs(t *testing.T) {
 		}
 	}
 }
+
+// TestGrandmasterRestartRunsOneSyncLoop: a Stop and Start within one
+// sync interval must leave one Sync loop running, not the stopped
+// loop's pending round plus a fresh one at twice the rate.
+func TestGrandmasterRestartRunsOneSyncLoop(t *testing.T) {
+	sch, primary, _, cs := failoverRig(t, 7)
+	sch.Run(sim.Second)
+	primary.Stop()
+	primary.Start()
+	before, _, _ := cs[0].Stats()
+	sch.RunFor(10 * primary.cfg.SyncInterval)
+	syncs, _, _ := cs[0].Stats()
+	if n := syncs - before; n < 9 || n > 11 {
+		t.Fatalf("%d Syncs over 10 sync intervals after a restart, want about 10", n)
+	}
+}
+
+// TestRestartedClientRunsFreshLoops: a client stopped and started
+// again within one Delay_Req interval sends one Delay_Req per interval,
+// not two, and still fails over when its master dies.
+func TestRestartedClientRunsFreshLoops(t *testing.T) {
+	sch, primary, _, cs := failoverRig(t, 9)
+	sch.Run(sim.Second)
+	c := cs[0]
+	c.Stop()
+	c.Start()
+	_, before, _ := c.Stats()
+	sch.RunFor(10 * c.cfg.DelayReqInterval)
+	if _, resps, _ := c.Stats(); resps-before < 9 || resps-before > 11 {
+		t.Fatalf("%d Delay_Resps over 10 intervals after a restart, want about 10", resps-before)
+	}
+	primary.Stop()
+	sch.RunFor(3 * sim.Second)
+	if c.Master() != 2 {
+		t.Fatalf("restarted client still on node %d after primary death", c.Master())
+	}
+}

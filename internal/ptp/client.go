@@ -37,6 +37,9 @@ type Client struct {
 	// Servo.
 	servo   servo
 	stopped bool
+	// The pending delayRound and bmcaWatchdog, cancelled by Stop so a
+	// restart runs exactly the loops a fresh start does.
+	delayEv, watchdogEv sim.Event
 	// synced flips after the first clock correction: like production
 	// daemons, the very first measurement steps the clock uncondition-
 	// ally, and the servo slews from there.
@@ -72,7 +75,7 @@ func NewClient(n *fabric.Network, node, gm int, cfg Config, seed uint64) *Client
 		n.Sch.After(cfg.WanderInterval, c.wander)
 	}
 	// BMCA watchdog: re-evaluate master liveness every sync interval.
-	n.Sch.After(cfg.SyncInterval, c.bmcaWatchdog)
+	c.watchdogEv = n.Sch.After(cfg.SyncInterval, c.bmcaWatchdog)
 	return c
 }
 
@@ -84,11 +87,8 @@ type masterInfo struct {
 
 // bmcaWatchdog prunes dead masters and re-selects.
 func (c *Client) bmcaWatchdog() {
-	if c.stopped {
-		return
-	}
 	c.selectMaster()
-	c.net.Sch.After(c.cfg.SyncInterval, c.bmcaWatchdog)
+	c.watchdogEv = c.net.Sch.After(c.cfg.SyncInterval, c.bmcaWatchdog)
 }
 
 // selectMaster implements the best-master-clock decision: lowest
@@ -128,14 +128,23 @@ func (c *Client) MasterSwitches() uint64 { return c.switches }
 // Master returns the currently selected master node.
 func (c *Client) Master() int { return c.gm }
 
-// Start begins the Delay_Req cadence.
+// Start begins the Delay_Req cadence and, after a Stop, re-arms the
+// BMCA watchdog (NewClient arms it for a fresh client).
 func (c *Client) Start() {
 	c.stopped = false
-	c.net.Sch.After(c.rng.UniformTime(0, c.cfg.DelayReqInterval), c.delayRound)
+	c.delayEv = c.net.Sch.After(c.rng.UniformTime(0, c.cfg.DelayReqInterval), c.delayRound)
+	if !c.watchdogEv.Pending() {
+		c.watchdogEv = c.net.Sch.After(c.cfg.SyncInterval, c.bmcaWatchdog)
+	}
 }
 
-// Stop halts the client's transmissions (received messages are ignored).
-func (c *Client) Stop() { c.stopped = true }
+// Stop halts the client's transmissions and master selection (received
+// messages are ignored).
+func (c *Client) Stop() {
+	c.stopped = true
+	c.delayEv.Cancel()
+	c.watchdogEv.Cancel()
+}
 
 // OffsetToMasterPs is ground truth: PHC time minus true time at the
 // current instant. This is what Figures 6d–f plot.
@@ -233,9 +242,6 @@ func (c *Client) onGeneral(f *eth.Frame, rx sim.Time) {
 
 // delayRound sends a Delay_Req.
 func (c *Client) delayRound() {
-	if c.stopped {
-		return
-	}
 	c.reqSeq++
 	seq := c.reqSeq
 	f := &eth.Frame{
@@ -256,7 +262,7 @@ func (c *Client) delayRound() {
 			}
 		}
 	}
-	c.net.Sch.After(c.cfg.DelayReqInterval, c.delayRound)
+	c.delayEv = c.net.Sch.After(c.cfg.DelayReqInterval, c.delayRound)
 }
 
 // pushDelay adds a path-delay sample and refreshes the filtered value:

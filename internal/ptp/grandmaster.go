@@ -30,7 +30,7 @@ type Grandmaster struct {
 	// Priority is the best-master-clock rank (lower wins; default 128).
 	Priority int
 
-	stopped bool
+	syncEv sim.Event // the pending syncRound
 }
 
 // NewGrandmaster installs a true-time grandmaster at the given host node.
@@ -57,17 +57,14 @@ func (gm *Grandmaster) hwStamp(t sim.Time) float64 {
 
 // Start begins the Sync cadence.
 func (gm *Grandmaster) Start() {
-	gm.stopped = false
-	gm.net.Sch.After(gm.rng.UniformTime(0, gm.cfg.SyncInterval), gm.syncRound)
+	gm.syncEv = gm.net.Sch.After(gm.rng.UniformTime(0, gm.cfg.SyncInterval), gm.syncRound)
 }
 
-// Stop halts Sync transmission.
-func (gm *Grandmaster) Stop() { gm.stopped = true }
+// Stop halts Sync transmission. It cancels the pending round, so a
+// later Start runs one Sync loop, not two.
+func (gm *Grandmaster) Stop() { gm.syncEv.Cancel() }
 
 func (gm *Grandmaster) syncRound() {
-	if gm.stopped {
-		return
-	}
 	for _, c := range gm.clients {
 		// Announce precedes Sync each round (the paper: "each sync
 		// message was followed by Follow_Up and Announce messages").
@@ -77,7 +74,7 @@ func (gm *Grandmaster) syncRound() {
 		})
 		gm.sendSync(c)
 	}
-	gm.net.Sch.After(gm.cfg.SyncInterval, gm.syncRound)
+	gm.syncEv = gm.net.Sch.After(gm.cfg.SyncInterval, gm.syncRound)
 }
 
 // sendSync transmits a two-step Sync to one client: the event frame now,

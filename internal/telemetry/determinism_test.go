@@ -15,13 +15,12 @@ import (
 func exportRun(t *testing.T, seed uint64) (metrics, trace string) {
 	t.Helper()
 	sch := sim.NewScheduler()
-	n, err := core.NewNetwork(sch, seed, topo.PaperTree(), core.DefaultConfig())
+	reg := telemetry.New()
+	tr := telemetry.NewTracer(4096)
+	n, err := core.NewNetwork(sch, seed, topo.PaperTree(), core.DefaultConfig(), core.WithTelemetry(reg, tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.New()
-	tr := telemetry.NewTracer(4096)
-	n.Instrument(reg, tr)
 	n.Start()
 	sch.Run(20 * sim.Millisecond)
 	if !n.AllSynced() {

@@ -203,11 +203,10 @@ func (r *Recorder) dump(at sim.Time, reason, detail string) error {
 	}
 	name := fmt.Sprintf("flight-%d-%02d-%s.json", r.cfg.Seed, b.Seq, reason)
 	path := filepath.Join(r.cfg.Dir, name)
-	data, err := json.MarshalIndent(&b, "", "  ")
+	data, err := encodeBundle(&b)
 	if err != nil {
 		return fmt.Errorf("telemetry: flight bundle: %w", err)
 	}
-	data = append(data, '\n')
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return fmt.Errorf("telemetry: flight bundle: %w", err)
 	}
@@ -347,6 +346,15 @@ func (n *jsonNum) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
+// encodeBundle is the bundle file's bytes: indented JSON and a newline.
+func encodeBundle(b *Bundle) ([]byte, error) {
+	data, err := json.MarshalIndent(b, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
+
 // LoadBundle reads and validates a flight bundle: schema identifier,
 // trace kinds, and timeline row/column consistency. Analysis tooling
 // (dtptrace -bundle) uses it to reject truncated or foreign files
@@ -356,25 +364,34 @@ func LoadBundle(path string) (*Bundle, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: load bundle: %w", err)
 	}
-	var b Bundle
-	if err := json.Unmarshal(data, &b); err != nil {
+	b, err := decodeBundle(data)
+	if err != nil {
 		return nil, fmt.Errorf("telemetry: bundle %s: %w", filepath.Base(path), err)
 	}
+	return b, nil
+}
+
+// decodeBundle parses and validates bundle bytes for LoadBundle.
+func decodeBundle(data []byte) (*Bundle, error) {
+	var b Bundle
+	if err := json.Unmarshal(data, &b); err != nil {
+		return nil, err
+	}
 	if b.Schema != FlightSchema {
-		return nil, fmt.Errorf("telemetry: bundle %s: unknown schema %q", filepath.Base(path), b.Schema)
+		return nil, fmt.Errorf("unknown schema %q", b.Schema)
 	}
 	if b.Trace != nil {
 		for i, e := range b.Trace.Events {
 			if _, ok := e.Event(); !ok {
-				return nil, fmt.Errorf("telemetry: bundle %s: event %d: unknown kind %q", filepath.Base(path), i, e.Kind)
+				return nil, fmt.Errorf("event %d: unknown kind %q", i, e.Kind)
 			}
 		}
 	}
 	if b.Timeline != nil {
 		for i, row := range b.Timeline.Rows {
 			if len(row.V) != len(b.Timeline.Columns) {
-				return nil, fmt.Errorf("telemetry: bundle %s: timeline row %d has %d values for %d columns",
-					filepath.Base(path), i, len(row.V), len(b.Timeline.Columns))
+				return nil, fmt.Errorf("timeline row %d has %d values for %d columns",
+					i, len(row.V), len(b.Timeline.Columns))
 			}
 		}
 	}

@@ -32,17 +32,17 @@ func benchSync(b *testing.B, mode telemetryMode) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sch := sim.NewScheduler()
-		n, err := core.NewNetwork(sch, uint64(i)+1, topo.PaperTree(), core.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
-		}
+		var opts []core.Option
 		if mode != telemetryOff {
-			reg := telemetry.New()
 			tr := telemetry.NewTracer(8192)
 			if mode == telemetryFullTrace {
 				tr.SetKinds()
 			}
-			n.Instrument(reg, tr)
+			opts = append(opts, core.WithTelemetry(telemetry.New(), tr))
+		}
+		n, err := core.NewNetwork(sch, uint64(i)+1, topo.PaperTree(), core.DefaultConfig(), opts...)
+		if err != nil {
+			b.Fatal(err)
 		}
 		n.Start()
 		sch.Run(20 * sim.Millisecond)

@@ -18,7 +18,7 @@ type Load struct {
 
 	// OnError, when set, is invoked (on the simulation goroutine) for
 	// every read that fails closed. The flight recorder hooks it to
-	// treat a stale read as a dump trigger. Set before Start.
+	// treat a stale read as a dump trigger.
 	OnError func(error)
 
 	reads    uint64
@@ -35,18 +35,15 @@ type Load struct {
 }
 
 // NewLoad attaches a request-load model of qps > 0 mean Poisson reads
-// per second to a service. In-sim load models the request *pattern*
-// (inter-arrival mixing with calibration ticks, width as seen by
-// clients); raw throughput is the benchmark's serve_reads workload. The
-// RNG should be forked per host (e.g. NewRNG(seed, "timesvc-load/"+host))
-// so runs stay deterministic under topology changes.
-func NewLoad(svc *Service, rng *sim.RNG, qps float64) *Load {
-	return &Load{svc: svc, sch: svc.sch, rng: rng, qps: qps}
-}
-
-// Instrument attaches telemetry (nil-safe).
-func (l *Load) Instrument(reg *telemetry.Registry) {
-	host := l.svc.Host()
+// per second to a service and schedules the first arrival. In-sim load
+// models the request *pattern* (inter-arrival mixing with calibration
+// ticks, width as seen by clients); raw throughput is the benchmark's
+// serve_reads workload. The RNG should be forked per host (e.g.
+// NewRNG(seed, "timesvc-load/"+host)) so runs stay deterministic under
+// topology changes. reg may be nil.
+func NewLoad(svc *Service, rng *sim.RNG, qps float64, reg *telemetry.Registry) *Load {
+	l := &Load{svc: svc, sch: svc.sch, rng: rng, qps: qps}
+	host := svc.Host()
 	l.mReads = reg.Counter("dtp_timesvc_reads_total",
 		"Simulated time-service reads served.", "host", host)
 	l.mErrors = reg.Counter("dtp_timesvc_read_errors_total",
@@ -58,12 +55,8 @@ func (l *Load) Instrument(reg *telemetry.Registry) {
 	l.hWidthNs = reg.Histogram("dtp_timesvc_width_ns",
 		"Interval width observed by simulated reads, in nanoseconds.",
 		telemetry.ExponentialBuckets(1, 2, 16), "host", host)
-}
-
-// Start schedules the first arrival.
-func (l *Load) Start() {
-	l.stopped = false
 	l.next()
+	return l
 }
 
 // Stop halts the arrival process.

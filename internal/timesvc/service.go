@@ -109,21 +109,17 @@ type Service struct {
 }
 
 // NewService wires a host's daemon, UTC follower, and the network
-// auditor into a time service. The auditor supplies the live cross-host
-// bound (every auditor audits every device).
-func NewService(d *daemon.Daemon, f *daemon.UTCFollower, aud *audit.Auditor) *Service {
+// auditor into a time service and schedules its periodic publish tick.
+// The auditor supplies the live cross-host bound (every auditor audits
+// every device). reg and tr may be nil.
+func NewService(d *daemon.Daemon, f *daemon.UTCFollower, aud *audit.Auditor, reg *telemetry.Registry, tr *telemetry.Tracer) *Service {
 	s := &Service{
 		d: d, f: f, aud: aud,
 		sch:  d.Device().Clock().Scheduler(),
 		host: d.Device().Name(),
+		tr:   tr,
 	}
 	s.clock = NewClock(&s.store, TSCTimebase{C: d.TSC()})
-	return s
-}
-
-// Instrument attaches telemetry. Either argument may be nil.
-func (s *Service) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	s.tr = tr
 	s.mPublishes = reg.Counter("dtp_timesvc_publishes_total",
 		"Clock snapshots published by the time service.", "host", s.host)
 	for i, reason := range degradedReasons {
@@ -143,12 +139,8 @@ func (s *Service) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 			"Published half-width components, in picoseconds.",
 			telemetry.ExponentialBuckets(1000, 2, 30), "host", s.host, "component", comp)
 	}
-}
-
-// Start schedules the periodic publish tick.
-func (s *Service) Start() {
-	s.stopped = false
 	s.event = s.sch.After(publishInterval, s.tick)
+	return s
 }
 
 // Stop cancels publishing; the last snapshot keeps serving until it

@@ -23,15 +23,14 @@ type servedPair struct {
 	ld  *Load
 }
 
-// startDaemon attaches and starts a default (moving-average) daemon on
-// dev, calibrating 100x faster than the paper's once a second.
+// startDaemon attaches a default (moving-average) daemon on dev,
+// calibrating 100x faster than the paper's once a second.
 func startDaemon(t *testing.T, dev *core.Device, seed uint64) *daemon.Daemon {
 	t.Helper()
-	d, err := daemon.Attach(dev, daemon.Options{Config: daemon.DefaultConfig().Compressed(100)}, seed)
+	d, err := daemon.Attach(dev, daemon.Options{Config: daemon.DefaultConfig().Compressed(100)}, seed, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Start()
 	return d
 }
 
@@ -55,26 +54,17 @@ func newServedPair(t *testing.T, seed uint64, qps float64) *servedPair {
 	d0 := startDaemon(t, n.Devices[0], seed+100)
 	d1 := startDaemon(t, n.Devices[1], seed+101)
 
-	b := daemon.NewUTCBroadcaster(d0, daemon.TrueUTC{Sch: sch}, 10*sim.Millisecond)
-	f := daemon.NewUTCFollower(d1)
-	b.Subscribe(f)
-	b.Start()
+	f := daemon.NewUTCFollower(d1, nil)
+	daemon.NewUTCBroadcaster(d0, daemon.TrueUTC{Sch: sch}, 10*sim.Millisecond, []*daemon.UTCFollower{f})
 
 	// Margin 0: the audit bound stays pure hardware 4TD; the service
 	// composes the software-side error terms itself.
-	aud := audit.New(n, audit.Config{})
-	aud.Instrument(reg, tr)
-	aud.Start()
-
-	svc := NewService(d1, f, aud)
-	svc.Instrument(reg, tr)
-	svc.Start()
+	aud := audit.New(n, audit.Config{}, reg, tr)
+	svc := NewService(d1, f, aud, reg, tr)
 
 	p := &servedPair{sch: sch, net: n, reg: reg, svc: svc}
 	if qps > 0 {
-		p.ld = NewLoad(svc, sim.NewRNG(seed, "timesvc-load/h1"), qps)
-		p.ld.Instrument(reg)
-		p.ld.Start()
+		p.ld = NewLoad(svc, sim.NewRNG(seed, "timesvc-load/h1"), qps, reg)
 	}
 	return p
 }
@@ -183,15 +173,11 @@ func TestServiceDegradedBeforeBroadcast(t *testing.T) {
 	sch.Run(5 * sim.Millisecond)
 
 	d := startDaemon(t, n.Devices[1], 41)
-	f := daemon.NewUTCFollower(d)
+	f := daemon.NewUTCFollower(d, nil)
 	// Margin 0: the audit bound stays pure hardware 4TD; the service
 	// composes the software-side error terms itself.
-	aud := audit.New(n, audit.Config{})
-	aud.Start()
-
-	svc := NewService(d, f, aud)
-	svc.Instrument(telemetry.New(), nil)
-	svc.Start()
+	aud := audit.New(n, audit.Config{}, nil, nil)
+	svc := NewService(d, f, aud, telemetry.New(), nil)
 	sch.RunFor(simScale(500 * sim.Millisecond))
 
 	if svc.Publishes() != 0 {
