@@ -325,8 +325,8 @@ func runSingle(grid campaign.Grid) {
 	if actorEvents := qs.LaneInserts + qs.LaneOverflows; actorEvents > 0 {
 		laneShare = 100 * float64(qs.LaneInserts) / float64(actorEvents)
 	}
-	fmt.Printf("engine: %d events in %.2f s wall = %.0f events/sec (%.1f device-sim-seconds/wall-second); %.2f%% of actor events in FIFO lanes, %d overflowed, %d calendar rebuilds\n",
-		events, wall, eventsSec, devSimPerWall, laneShare, qs.LaneOverflows, qs.CalendarRebuilds)
+	fmt.Printf("engine: %d events in %.2f s wall = %.0f events/sec (%.1f device-sim-seconds/wall-second); %.2f%% of actor events in FIFO lanes, %d overflowed\n",
+		events, wall, eventsSec, devSimPerWall, laneShare, qs.LaneOverflows)
 	chaosErr := rig.VerifyChaos()
 	if eng != nil {
 		if chaosErr != nil {

@@ -414,7 +414,7 @@ func (s *System) BoundNanos() float64 {
 func (s *System) EventsProcessed() uint64 { return s.sch.Processed() }
 
 // QueueStats returns the scheduler's report on how it filed those
-// events (FIFO lanes vs. the calendar queue). Deterministic per seed.
+// events (FIFO lanes vs. the heap). Deterministic per seed.
 func (s *System) QueueStats() sim.QueueStats { return s.sch.QueueStats() }
 
 // ByzantineStats reports the hardened-mode defense activity so far:

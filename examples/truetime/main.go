@@ -93,9 +93,7 @@ func epsNTP() float64 {
 	ntp.NewServer(net, 1, cfg, 12)
 	var cs []*ntp.Client
 	for i, n := range []int{2, 3, 4, 5} {
-		c := ntp.NewClient(net, n, 1, cfg, uint64(13+i))
-		c.Start()
-		cs = append(cs, c)
+		cs = append(cs, ntp.NewClient(net, n, 1, cfg, uint64(13+i)))
 	}
 	sch.Run(20 * sim.Second)
 	worst := 0.0

@@ -7,7 +7,7 @@ import (
 	"github.com/dtplab/dtp/internal/topo"
 )
 
-// internal/sim proves lanes + calendar and the heap reference dispatch
+// internal/sim proves lanes + heap and the heap alone dispatch
 // synthetic event streams in the same order; this runs the whole model
 // on both. Same topology and seed, one network per queue discipline,
 // stepped together from link-up to a few simulated milliseconds past

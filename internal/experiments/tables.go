@@ -66,9 +66,7 @@ func runNTPWorst(o Options) (float64, error) {
 	ntp.NewServer(net, 1, cfg, o.Seed+1)
 	var clients []*ntp.Client
 	for i, node := range []int{2, 3, 4, 5} {
-		c := ntp.NewClient(net, node, 1, cfg, o.Seed+10+uint64(i))
-		c.Start()
-		clients = append(clients, c)
+		clients = append(clients, ntp.NewClient(net, node, 1, cfg, o.Seed+10+uint64(i)))
 	}
 	sch.Run(20 * sim.Second) // converge
 	worst := 0.0

@@ -133,6 +133,7 @@ type Client struct {
 	Clock *swclock.Clock
 
 	seq     uint64
+	pollEv  sim.Event // the pending poll
 	stopped bool
 	synced  bool
 
@@ -147,7 +148,8 @@ type Client struct {
 
 type sample struct{ offset, delay float64 }
 
-// NewClient installs an NTP client at a host node.
+// NewClient installs an NTP client at a host node and starts it
+// polling, at a random phase within the first poll interval.
 func NewClient(n *fabric.Network, node, server int, cfg Config, seed uint64) *Client {
 	rng := sim.NewRNG(seed, fmt.Sprintf("ntp/client/%d", node))
 	c := &Client{
@@ -156,17 +158,16 @@ func NewClient(n *fabric.Network, node, server int, cfg Config, seed uint64) *Cl
 	}
 	c.Clock.Step(rng.Uniform(-1e10, 1e10)) // ±10 ms initial error
 	n.Handle(node, eth.ProtoNTP, c.onResponse)
+	c.pollEv = n.Sch.After(rng.UniformTime(0, cfg.PollInterval), c.poll)
 	return c
 }
 
-// Start begins polling.
-func (c *Client) Start() {
-	c.stopped = false
-	c.net.Sch.After(c.rng.UniformTime(0, c.cfg.PollInterval), c.poll)
+// Stop halts polling: the pending poll is cancelled and replies still
+// in flight are ignored.
+func (c *Client) Stop() {
+	c.pollEv.Cancel()
+	c.stopped = true
 }
-
-// Stop halts polling.
-func (c *Client) Stop() { c.stopped = true }
 
 // OffsetToServerPs is ground truth: client clock minus true time.
 func (c *Client) OffsetToServerPs() float64 {
@@ -180,9 +181,6 @@ func (c *Client) Stats() (polls, replies, steps uint64) {
 }
 
 func (c *Client) poll() {
-	if c.stopped {
-		return
-	}
 	c.polls++
 	c.seq++
 	seq := c.seq
@@ -195,7 +193,7 @@ func (c *Client) poll() {
 			Proto: eth.ProtoNTP, Payload: request{Seq: seq, Client: c.node, T1: t1},
 		})
 	})
-	c.net.Sch.After(c.cfg.PollInterval, c.poll)
+	c.pollEv = c.net.Sch.After(c.cfg.PollInterval, c.poll)
 }
 
 func (c *Client) onResponse(f *eth.Frame, rx sim.Time) {

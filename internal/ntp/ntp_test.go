@@ -19,9 +19,7 @@ func deploy(t *testing.T, seed uint64, cfg Config) (*sim.Scheduler, *fabric.Netw
 	NewServer(net, 1, cfg, seed+1)
 	var clients []*Client
 	for i, node := range []int{2, 3, 4, 5} {
-		c := NewClient(net, node, 1, cfg, seed+10+uint64(i))
-		c.Start()
-		clients = append(clients, c)
+		clients = append(clients, NewClient(net, node, 1, cfg, seed+10+uint64(i)))
 	}
 	return sch, net, clients
 }

@@ -5,15 +5,15 @@ import (
 	"testing"
 )
 
-// The default discipline (FIFO lanes ahead of the calendar queue) and
-// the heap reference must produce identical dispatch orders for any
-// workload: both implement the total order (time, seq). The tests below
-// drive both disciplines with mirrored randomized workloads — closures
-// and actor events over eleven opcodes (so lanes are shared), same-
-// timestamp bursts, cancels, re-schedules, nested scheduling from
-// callbacks — across multiple Run horizons whose spans force bucket-
-// rotation wraparound, and require the (time, id) dispatch logs to match
-// exactly. Directed cases then pin the lane mechanics one by one.
+// NewScheduler (FIFO lanes ahead of the heap) and NewHeapScheduler (the
+// heap alone, the reference) must produce identical dispatch orders for
+// any workload: both implement the total order (time, seq). The tests
+// below drive both with mirrored randomized workloads — closures and
+// actor events over eleven opcodes (so lanes are shared), same-timestamp
+// bursts, cancels, re-schedules, nested scheduling from callbacks —
+// across multiple uneven Run horizons, and require the (time, id)
+// dispatch logs to match exactly and the reference's log to be sorted by
+// (time, seq). Directed cases then pin the lane mechanics one by one.
 
 type eqRecord struct {
 	at Time
@@ -66,7 +66,7 @@ func (w *eqWorker) fire(id int) {
 			w.nextID++
 			w.spawn(t, w.nextID)
 		}
-	case 1: // far child: beyond one bucket rotation (future year)
+	case 1: // far child: many milliseconds ahead
 		w.budget--
 		w.nextID++
 		w.spawn(w.s.Now()+w.rng.UniformTime(10*Millisecond, 80*Millisecond), w.nextID)
@@ -101,29 +101,41 @@ func runEquivalenceSeed(t *testing.T, seed uint64) {
 		}
 		return w
 	}
-	cal := mk(NewScheduler())
+	lanes := mk(NewScheduler())
 	heap := mk(NewHeapScheduler())
 	// Advance both in uneven horizon chunks so events straddle Run
-	// boundaries; the chunk sizes exercise both dense scans and the
-	// sparse year-skip fallback.
+	// boundaries, with dense and sparse stretches between them.
 	for _, h := range []Time{Millisecond, 3 * Millisecond, 40 * Millisecond, 200 * Millisecond, Second} {
-		cal.s.Run(h)
+		lanes.s.Run(h)
 		heap.s.Run(h)
-		if cal.s.Pending() != heap.s.Pending() {
-			t.Fatalf("seed %d: pending diverged at horizon %v: calendar %d, heap %d",
-				seed, h, cal.s.Pending(), heap.s.Pending())
+		if lanes.s.Pending() != heap.s.Pending() {
+			t.Fatalf("seed %d: pending diverged at horizon %v: lanes+heap %d, heap %d",
+				seed, h, lanes.s.Pending(), heap.s.Pending())
 		}
 	}
-	cal.s.Drain()
+	lanes.s.Drain()
 	heap.s.Drain()
-	eqCompare(t, cal.log, heap.log)
-	if cal.s.Processed() != heap.s.Processed() {
+	eqSorted(t, heap.log)
+	eqCompare(t, lanes.log, heap.log)
+	if lanes.s.Processed() != heap.s.Processed() {
 		t.Fatalf("seed %d: processed counts diverged: %d vs %d",
-			seed, cal.s.Processed(), heap.s.Processed())
+			seed, lanes.s.Processed(), heap.s.Processed())
 	}
 }
 
-func TestCalendarHeapEquivalence(t *testing.T) {
+// eqSorted checks a dispatch log against (time, seq) directly. Ids are
+// assigned in schedule order, so (at, id) order is (time, seq) order:
+// the check the heap reference itself answers to.
+func eqSorted(t *testing.T, log []eqRecord) {
+	t.Helper()
+	for i := 1; i < len(log); i++ {
+		if p, c := log[i-1], log[i]; c.at < p.at || c.at == p.at && c.id < p.id {
+			t.Fatalf("dispatch %d out of (time, seq) order: (%v, %d) after (%v, %d)", i, c.at, c.id, p.at, p.id)
+		}
+	}
+}
+
+func TestLaneHeapEquivalence(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -155,10 +167,9 @@ func (tk *eqTick) fire() bool {
 
 // The periodic regime that dominates real runs: many sources on skewed
 // periods — two thirds of them actors spread over the opcodes, the rest
-// closures — repeatedly crossing bucket-rotation boundaries and width
-// recalibrations, each lane holding several interleaved periods. Both
-// disciplines must agree on every dispatch.
-func TestCalendarHeapEquivalencePeriodic(t *testing.T) {
+// closures — each lane holding several interleaved periods. Both
+// schedulers must agree on every dispatch.
+func TestLaneHeapEquivalencePeriodic(t *testing.T) {
 	mkAll := func(s *Scheduler, log *[]eqRecord) {
 		for i := 0; i < 64; i++ {
 			tk := &eqTick{s: s, log: log, id: i, period: Microsecond + Time(i)*137*Nanosecond, left: 300}
@@ -175,27 +186,27 @@ func TestCalendarHeapEquivalencePeriodic(t *testing.T) {
 			}
 		}
 	}
-	var calLog, heapLog []eqRecord
-	cal, heap := NewScheduler(), NewHeapScheduler()
-	mkAll(cal, &calLog)
+	var lanesLog, heapLog []eqRecord
+	lanes, heap := NewScheduler(), NewHeapScheduler()
+	mkAll(lanes, &lanesLog)
 	mkAll(heap, &heapLog)
-	cal.Drain()
+	lanes.Drain()
 	heap.Drain()
-	eqCompare(t, calLog, heapLog)
-	if st := cal.QueueStats(); st.LaneInserts == 0 || st.LaneOverflows == 0 {
+	eqCompare(t, lanesLog, heapLog)
+	if st := lanes.QueueStats(); st.LaneInserts == 0 || st.LaneOverflows == 0 {
 		t.Fatalf("periodic mix should both fill lanes and overflow them: %+v", st)
 	}
 }
 
-func eqCompare(t *testing.T, calLog, heapLog []eqRecord) {
+func eqCompare(t *testing.T, lanesLog, heapLog []eqRecord) {
 	t.Helper()
-	if len(calLog) != len(heapLog) {
-		t.Fatalf("dispatched %d events on lanes+calendar, %d on heap", len(calLog), len(heapLog))
+	if len(lanesLog) != len(heapLog) {
+		t.Fatalf("dispatched %d events on lanes+heap, %d on heap", len(lanesLog), len(heapLog))
 	}
-	for i := range calLog {
-		if calLog[i] != heapLog[i] {
-			t.Fatalf("dispatch %d diverged: lanes+calendar (%v, %d), heap (%v, %d)",
-				i, calLog[i].at, calLog[i].id, heapLog[i].at, heapLog[i].id)
+	for i := range lanesLog {
+		if lanesLog[i] != heapLog[i] {
+			t.Fatalf("dispatch %d diverged: lanes+heap (%v, %d), heap (%v, %d)",
+				i, lanesLog[i].at, lanesLog[i].id, heapLog[i].at, heapLog[i].id)
 		}
 	}
 }
@@ -227,17 +238,17 @@ func (r *eqRig) ids() []int {
 	return out
 }
 
-// eqBoth runs script against both disciplines, drains them, requires
-// identical logs, and returns the default discipline's rig.
+// eqBoth runs script against both schedulers, drains them, requires
+// identical logs, and returns the NewScheduler rig.
 func eqBoth(t *testing.T, script func(r *eqRig)) *eqRig {
 	t.Helper()
-	cal, heap := &eqRig{s: NewScheduler()}, &eqRig{s: NewHeapScheduler()}
-	script(cal)
+	lanes, heap := &eqRig{s: NewScheduler()}, &eqRig{s: NewHeapScheduler()}
+	script(lanes)
 	script(heap)
-	cal.s.Drain()
+	lanes.s.Drain()
 	heap.s.Drain()
-	eqCompare(t, cal.log, heap.log)
-	return cal
+	eqCompare(t, lanes.log, heap.log)
+	return lanes
 }
 
 func eqWantIDs(t *testing.T, r *eqRig, want ...int) {
@@ -254,17 +265,19 @@ func eqWantIDs(t *testing.T, r *eqRig, want ...int) {
 }
 
 // The lane mechanics, one directed case each. Every case also runs on
-// the heap reference and must match it.
+// the heap alone and must match it.
 func TestLaneEquivalence(t *testing.T) {
 	t.Run("PureFIFO", func(t *testing.T) {
 		// Non-decreasing times on one opcode: every insert is a tail
-		// append, the calendar is never touched.
+		// append, the heap is never touched.
+		heapPending := map[*Scheduler]int{}
 		r := eqBoth(t, func(r *eqRig) {
 			for i := 0; i < 1000; i++ {
 				r.actor(Time(i/2)*Nanosecond, 3, i)
 			}
+			heapPending[r.s] = r.s.QueueStats().HeapPending
 		})
-		if st := r.s.QueueStats(); st.LaneInserts != 1000 || st.LaneOverflows != 0 || st.CalendarRebuilds != 0 {
+		if st := r.s.QueueStats(); st.LaneInserts != 1000 || st.LaneOverflows != 0 || heapPending[r.s] != 0 {
 			t.Fatalf("pure FIFO class left its lane: %+v", st)
 		}
 		for i, id := range r.ids() {
@@ -286,7 +299,7 @@ func TestLaneEquivalence(t *testing.T) {
 		})
 		st := r.s.QueueStats()
 		if st.LaneInserts != laneWalkMax+1 || st.LaneOverflows != n-laneWalkMax-1 {
-			t.Fatalf("anti-FIFO class should overflow to the calendar: %+v", st)
+			t.Fatalf("anti-FIFO class should overflow to the heap: %+v", st)
 		}
 		for i, id := range r.ids() {
 			if id != n-1-i {
@@ -317,15 +330,15 @@ func TestLaneEquivalence(t *testing.T) {
 		r.actor(18*Nanosecond+1, 1, 102) // one place out of order: walked in
 		r.actor(18*Nanosecond+1, 2, 103) // same, but lane 2 is backing off
 		r.actor(30*Nanosecond, 2, 104)   // in order: appends regardless
-		if st := s.QueueStats(); st.LaneInserts != 23 || st.LaneOverflows != 2 || st.CalendarPending != 2 {
-			t.Fatalf("want two refusals resident in the calendar: %+v", st)
+		if st := s.QueueStats(); st.LaneInserts != 23 || st.LaneOverflows != 2 || st.HeapPending != 2 {
+			t.Fatalf("want two refusals resident in the heap: %+v", st)
 		}
 		s.Drain()
 		eqWantIDs(t, r, 0, 10, 1, 11, 2, 12, 3, 13, 4, 14, 101, 5, 15, 100, 6, 16, 7, 17, 8, 18, 102, 103, 9, 19, 104)
 	})
 
 	t.Run("SameTimestampSeqDecides", func(t *testing.T) {
-		// A lane head and the calendar minimum at one timestamp, in both
+		// A lane head and the heap's root at one timestamp, in both
 		// schedule orders, plus two lanes tied: seq alone decides.
 		r := eqBoth(t, func(r *eqRig) {
 			r.closure(5*Nanosecond, 0)
@@ -342,17 +355,17 @@ func TestLaneEquivalence(t *testing.T) {
 
 	t.Run("CancelPositions", func(t *testing.T) {
 		// Cancel a lane's head, middle, tail and only element, and the
-		// calendar's cached minimum; the survivors fire in order and the
-		// key caches follow.
+		// heap's root; the survivors fire in order and the key caches
+		// follow.
 		r := eqBoth(t, func(r *eqRig) {
 			var ev []Event
 			for i := 0; i < 6; i++ {
 				ev = append(ev, r.actor(Time(10+i)*Nanosecond, 2, i))
 			}
 			only := r.actor(3*Nanosecond, 5, 6)
-			calMin := r.closure(4*Nanosecond, 7)
+			heapMin := r.closure(4*Nanosecond, 7)
 			r.closure(8*Nanosecond, 8)
-			for _, e := range []Event{ev[0], ev[3], ev[5], only, calMin} {
+			for _, e := range []Event{ev[0], ev[3], ev[5], only, heapMin} {
 				if !e.Cancel() {
 					t.Fatal("Cancel of a pending event returned false")
 				}
@@ -371,7 +384,7 @@ func TestLaneEquivalence(t *testing.T) {
 
 	t.Run("RunUntilOnLaneHead", func(t *testing.T) {
 		// Run(until) with until exactly on a lane head's time fires it,
-		// and nothing later, in lanes or calendar.
+		// and nothing later, in lanes or heap.
 		r := eqBoth(t, func(r *eqRig) {
 			r.actor(10*Nanosecond, 1, 0)
 			r.actor(10*Nanosecond+1, 1, 1)
@@ -388,9 +401,10 @@ func TestLaneEquivalence(t *testing.T) {
 	})
 
 	t.Run("RebuildWhileLanesPopulated", func(t *testing.T) {
-		// Grow the calendar through several rebuilds with every lane
-		// populated, then let dispatch shrink it again: the lanes are
+		// Grow the heap through several reallocations of its array with
+		// every lane populated, then drain it by dispatch: the lanes are
 		// untouched and the merged order holds throughout.
+		heapPending := map[*Scheduler]int{}
 		r := eqBoth(t, func(r *eqRig) {
 			id := 0
 			for i := 0; i < 400; i++ {
@@ -401,9 +415,10 @@ func TestLaneEquivalence(t *testing.T) {
 				r.closure(Time((i*7919)%400000)*Nanosecond, id)
 				id++
 			}
+			heapPending[r.s] = r.s.QueueStats().HeapPending
 		})
-		if st := r.s.QueueStats(); st.CalendarRebuilds < 4 || st.LaneInserts != 400 {
-			t.Fatalf("want growth and shrink rebuilds beside 400 lane residents: %+v", st)
+		if st := r.s.QueueStats(); heapPending[r.s] != 2000 || st.LaneInserts != 400 {
+			t.Fatalf("want 2000 heap residents beside 400 lane residents (had %d): %+v", heapPending[r.s], st)
 		}
 		for i := 1; i < len(r.log); i++ {
 			if r.log[i].at < r.log[i-1].at {
@@ -412,20 +427,20 @@ func TestLaneEquivalence(t *testing.T) {
 		}
 	})
 
-	t.Run("StaleHandleLaneToCalendar", func(t *testing.T) {
-		// A slot that served a lane resident is recycled for a calendar
+	t.Run("StaleHandleLaneToHeap", func(t *testing.T) {
+		// A slot that served a lane resident is recycled for a heap
 		// resident (and back): handles to the earlier tenants stay inert.
 		r := eqBoth(t, func(r *eqRig) {
 			a := r.actor(5*Nanosecond, 1, 0)
 			if !a.Cancel() {
 				t.Fatal("Cancel of a pending lane event returned false")
 			}
-			c := r.closure(6*Nanosecond, 1) // reuses a's slot, in the calendar
+			c := r.closure(6*Nanosecond, 1) // reuses a's slot, in the heap
 			if c.slot != a.slot {
 				t.Fatalf("slot %d not recycled (got %d)", a.slot, c.slot)
 			}
 			if a.Cancel() || a.Pending() {
-				t.Fatal("stale lane handle touched the slot's calendar tenant")
+				t.Fatal("stale lane handle touched the slot's heap tenant")
 			}
 			r.s.Run(6 * Nanosecond)          // c fires; the slot is free again
 			b := r.actor(9*Nanosecond, 1, 2) // third tenant, back in a lane

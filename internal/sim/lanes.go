@@ -1,41 +1,41 @@
 package sim
 
-// FIFO lanes: the fast path in front of the calendar queue.
+// FIFO lanes: the fast path in front of the heap (heap.go).
 //
 // The model schedules almost everything at now + a per-stage constant
 // (TX pipeline, cable, RX pipeline, CDC, beacon period), so the events
 // of one opcode arrive nearly in time order. A lane is a doubly linked
 // list of pooled slots sorted by (time, seq); an actor event is offered
 // to lane code&(numLanes-1) and placed by walking back from the tail —
-// a slot written moments ago — instead of hashing to a cold bucket.
+// a slot written moments ago — instead of sifting through the heap.
 //
 // Lanes are advisory. Dispatch takes the (time, seq) minimum over the
-// lane heads (tracked as minLane) and the calendar's minimum
-// (Scheduler.popLE), and every source is itself sorted by (time, seq),
-// so the event a lane holds would have fired at exactly the same point
-// from the calendar. Lane choice, the walk bound and the back-off below
-// change cost only, never order.
+// lane heads (tracked as minLane) and the heap's root (Scheduler.popLE),
+// and every source is itself sorted by (time, seq), so the event a lane
+// holds would have fired at exactly the same point from the heap. Lane
+// choice, the walk bound and the back-off below change cost only, never
+// order.
 
 const (
 	// numLanes must be a power of two (lane = opcode & (numLanes-1)).
 	numLanes = 8
-	// calLane is the calendar's index in Scheduler.head/headAt/headSeq
-	// and the eventSlot.lane value of a calendar resident.
-	calLane = numLanes
+	// heapSrc is the heap's index in Scheduler.head/headAt/headSeq and
+	// the eventSlot.lane value of a heap resident.
+	heapSrc = numLanes
 	// laneWalkMax bounds the links an out-of-order insert may walk back
 	// from the tail before the lane refuses it: ±100 ppm of skew between
 	// ports reorders a class by a few places, anything further is not
-	// FIFO traffic and belongs in the calendar.
+	// FIFO traffic and belongs in the heap.
 	laneWalkMax = 4
 	// laneBackoff is how many further out-of-order inserts a lane sends
-	// straight to the calendar after refusing one, so a class that is
+	// straight to the heap after refusing one, so a class that is
 	// not FIFO at all (many skewed periods on one opcode) pays the cold
 	// walk once per laneBackoff+1 inserts. In-order inserts still append.
 	laneBackoff = 32
 )
 
 // laneBypass reports whether lane l, backing off after a refusal, sends
-// an insert at time t straight to the calendar: it does so for the next
+// an insert at time t straight to the heap: it does so for the next
 // laneBackoff out-of-order inserts. Small enough to inline, so in the
 // non-FIFO regime a bypassed insert costs no call.
 func (s *Scheduler) laneBypass(l int, t Time) bool {
@@ -50,7 +50,7 @@ func (s *Scheduler) laneBypass(l int, t Time) bool {
 }
 
 // laneInsert links slot idx into lane l, reporting false if the lane
-// refuses it (the caller then files it in the calendar). The new slot
+// refuses it (the caller then files it in the heap). The new slot
 // carries the largest seq so far, so it sorts after every resident with
 // at <= its own time and the walk compares times only.
 func (s *Scheduler) laneInsert(idx uint32, l int) bool {

@@ -13,7 +13,7 @@ type Actor interface {
 	OnEvent(code uint8, a, b uint64)
 }
 
-// nilSlot terminates slot chains (lanes, bucket lists, the free list).
+// nilSlot terminates slot chains (lanes, the free list).
 const nilSlot = ^uint32(0)
 
 // eventSlot is one pooled event. Slots live in Scheduler.slots and are
@@ -27,11 +27,11 @@ type eventSlot struct {
 	a, b    uint64
 	fn      func()
 	actor   Actor
-	next    uint32 // lane / bucket chain successor, free-list link
-	prev    uint32 // lane predecessor; heap position under the heap discipline
+	next    uint32 // lane successor, free-list link
+	prev    uint32 // lane predecessor; heap position for a heap resident
 	gen     uint32
 	code    uint8
-	lane    uint8 // which lane holds the slot; calLane for a calendar resident
+	lane    uint8 // which lane holds the slot; heapSrc for a heap resident
 	pending bool
 }
 
@@ -75,18 +75,9 @@ func (e Event) Cancel() bool {
 	if sl.gen != e.gen || !sl.pending {
 		return false
 	}
-	switch {
-	case s.heapMode:
+	if sl.lane == heapSrc {
 		s.heapRemove(e.slot)
-	case sl.lane == calLane:
-		s.calUnlink(e.slot)
-		s.calSize--
-		if s.shrinkDue() {
-			s.rebuild(len(s.buckets) / 2)
-		} else if e.slot == s.head[calLane] {
-			s.calRefreshMin(s.now)
-		}
-	default:
+	} else {
 		s.laneUnlink(e.slot)
 	}
 	s.size--
@@ -98,20 +89,14 @@ func (e Event) Cancel() bool {
 // for concurrent use; simulations are single-goroutine by design so that
 // a seed fully determines a run.
 //
-// Two queue disciplines share the same pooled-slot machinery and produce
-// byte-identical dispatch orders (total order by (time, seq)):
-//
-//   - NewScheduler: FIFO lanes in front of a calendar queue (Brown
-//     1988). An actor event is offered to the lane its opcode names —
-//     the model's pipeline stages each schedule at now + a constant, so
-//     within an opcode times are nearly monotone and the insert is a
-//     tail append (lanes.go). Closures, and actor events a lane refuses,
-//     hash into power-of-two-width time buckets holding short sorted
-//     chains (calqueue.go), sized and recalibrated deterministically
-//     from the calendar's own traffic. Dispatch pops the (time, seq)
-//     minimum over the lane heads and the calendar's minimum.
-//   - NewHeapScheduler: a binary heap over slot indices — the reference
-//     discipline, kept for equivalence tests and benchmark baselines.
+// Dispatch follows the total order (time, seq). An actor event is
+// offered to the FIFO lane its opcode names — the model's pipeline
+// stages each schedule at now + a constant, so within an opcode times
+// are nearly monotone and the insert is a tail append (lanes.go).
+// Closures, and actor events a lane refuses, go to a binary heap over
+// slot indices (heap.go). Dispatch pops the (time, seq) minimum over the
+// lane heads and the heap's root. NewHeapScheduler turns the lanes off:
+// every event takes the heap, the reference the lanes are tested against.
 type Scheduler struct {
 	now  Time
 	seq  uint64
@@ -126,13 +111,13 @@ type Scheduler struct {
 	slots []eventSlot
 	free  uint32
 
-	// Queue discipline: lanes + calendar buckets by default, binary heap
-	// when heapMode is set.
-	heapMode bool
-	heap     []uint32
+	// lanesOff files every event in the heap (NewHeapScheduler).
+	lanesOff bool
+	// heap is a binary min-heap of slot indices by (time, seq).
+	heap []uint32
 
-	// head[l] is the first slot of lane l and, at index calLane, the
-	// calendar's minimum (nilSlot when the source is empty); headAt and
+	// head[l] is the first slot of lane l and, at index heapSrc, the
+	// heap's root (nilSlot when the source is empty); headAt and
 	// headSeq cache its (time, seq) key — (maxTime, ^0) when empty,
 	// which sorts after any real event — so dispatch picks the next
 	// event from adjacent keys without touching a slot. minLane is the
@@ -145,47 +130,27 @@ type Scheduler struct {
 
 	// FIFO lanes: doubly linked slot lists sorted by (time, seq).
 	// laneSkip[l] > 0 sends that many out-of-order inserts straight to
-	// the calendar after a refused walk (see laneBypass).
+	// the heap after a refused walk (see laneBypass).
 	laneTail [numLanes]uint32
 	laneSkip [numLanes]uint32
 
-	// Calendar queue state: len(buckets) is a power of two, bucket width
-	// is 1<<shift picoseconds, bucket(t) = (t>>shift)&mask. calSize
-	// counts calendar residents.
-	buckets []uint32
-	shift   uint
-	mask    uint64
-	calSize int
-
-	// Deterministic width statistics: the mean gap between calendar pops
-	// over the last recalibration window. Depends only on the event
-	// sequence, so resizes and recalibrations can never perturb
-	// determinism.
-	calPops     uint64
-	windowStart Time
-	calGap      Time
-
 	stats QueueStats
-
-	scratch []uint32 // rebuild buffer
 }
 
-// QueueStats reports how the default discipline filed its events. Every
-// field is a function of the event sequence alone, so the figures are
-// byte-deterministic per seed. All zero under NewHeapScheduler.
+// QueueStats reports how the scheduler filed its events. Every field is
+// a function of the event sequence alone, so the figures are
+// byte-deterministic per seed. The lane counts stay zero under
+// NewHeapScheduler.
 type QueueStats struct {
-	LaneInserts      uint64 // actor events linked into a FIFO lane
-	LaneOverflows    uint64 // actor events a lane refused, filed in the calendar
-	CalendarPending  int    // events resident in the calendar now
-	CalendarRebuilds uint64 // bucket-array resizes and width recalibrations
+	LaneInserts   uint64 // actor events linked into a FIFO lane
+	LaneOverflows uint64 // actor events a lane refused, filed in the heap
+	HeapPending   int    // events resident in the heap now
 }
 
-// NewScheduler returns an empty scheduler at time zero using the default
-// discipline (FIFO lanes ahead of a calendar queue).
+// NewScheduler returns an empty scheduler at time zero: FIFO lanes
+// ahead of the heap.
 func NewScheduler() *Scheduler {
-	s := &Scheduler{free: nilSlot, shift: initialShift}
-	s.buckets = newBuckets(initialBuckets)
-	s.mask = initialBuckets - 1
+	s := &Scheduler{free: nilSlot}
 	for src := range s.head {
 		s.clearHead(src)
 	}
@@ -195,11 +160,13 @@ func NewScheduler() *Scheduler {
 	return s
 }
 
-// NewHeapScheduler returns an empty scheduler using the binary-heap
-// reference discipline. Dispatch order is identical to NewScheduler's;
-// only the per-operation cost differs (O(log n) with index swaps).
+// NewHeapScheduler returns a NewScheduler with the lanes off: every
+// event goes to the heap. Dispatch order is identical; only the
+// per-operation cost differs (O(log n) with index swaps).
 func NewHeapScheduler() *Scheduler {
-	return &Scheduler{free: nilSlot, heapMode: true}
+	s := NewScheduler()
+	s.lanesOff = true
+	return s
 }
 
 // Now returns the current simulated time.
@@ -214,7 +181,7 @@ func (s *Scheduler) Pending() int { return s.size }
 // HighWaterPending returns the largest queue depth ever reached.
 func (s *Scheduler) HighWaterPending() int { return s.highWater }
 
-// clearHead marks source src (a lane, or calLane) empty in the key cache.
+// clearHead marks source src (a lane, or heapSrc) empty in the key cache.
 func (s *Scheduler) clearHead(src int) {
 	s.head[src], s.headAt[src], s.headSeq[src] = nilSlot, maxTime, ^uint64(0)
 }
@@ -222,7 +189,7 @@ func (s *Scheduler) clearHead(src int) {
 // QueueStats returns the queue's self-report. See QueueStats.
 func (s *Scheduler) QueueStats() QueueStats {
 	st := s.stats
-	st.CalendarPending = s.calSize
+	st.HeapPending = len(s.heap)
 	return st
 }
 
@@ -253,7 +220,7 @@ func (s *Scheduler) release(idx uint32) {
 }
 
 // schedule files one event. lane is the FIFO lane to offer it to, or
-// calLane to send it straight to the calendar.
+// heapSrc to send it straight to the heap.
 func (s *Scheduler) schedule(t Time, fn func(), act Actor, lane int, code uint8, a, b uint64) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
@@ -269,15 +236,13 @@ func (s *Scheduler) schedule(t Time, fn func(), act Actor, lane int, code uint8,
 	sl.a, sl.b = a, b
 	sl.pending = true
 	switch {
-	case s.heapMode:
+	case lane == heapSrc || s.lanesOff:
 		s.heapPush(idx)
-	case lane == calLane:
-		s.calInsert(idx)
 	case !s.laneBypass(lane, t) && s.laneInsert(idx, lane):
 		s.stats.LaneInserts++
 	default:
 		s.stats.LaneOverflows++
-		s.calInsert(idx)
+		s.heapPush(idx)
 	}
 	s.size++
 	if s.size > s.highWater {
@@ -293,7 +258,7 @@ func (s *Scheduler) At(t Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	return s.schedule(t, fn, nil, calLane, 0, 0, 0)
+	return s.schedule(t, fn, nil, heapSrc, 0, 0, 0)
 }
 
 // After schedules fn to run d after the current time.
@@ -343,13 +308,10 @@ func (s *Scheduler) dispatch(idx uint32) {
 
 // popLE removes and returns the earliest pending slot if its time is at
 // or before `until`: the (time, seq) minimum of the earliest lane head
-// and the calendar's minimum, both read from the key cache. Which source
-// holds an event never enters the comparison, so filing is free to be a
-// cost decision.
+// and the heap's root, both read from the key cache. Which source holds
+// an event never enters the comparison, so filing is free to be a cost
+// decision.
 func (s *Scheduler) popLE(until Time) (uint32, bool) {
-	if s.heapMode {
-		return s.heapPopLE(until)
-	}
 	if s.size == 0 {
 		return 0, false
 	}
@@ -357,14 +319,14 @@ func (s *Scheduler) popLE(until Time) (uint32, bool) {
 		s.findMinLane()
 	}
 	src := s.minLane
-	if t, c := s.headAt[src], s.headAt[calLane]; c < t || c == t && s.headSeq[calLane] < s.headSeq[src] {
-		src = calLane
+	if t, h := s.headAt[src], s.headAt[heapSrc]; h < t || h == t && s.headSeq[heapSrc] < s.headSeq[src] {
+		src = heapSrc
 	}
 	if s.headAt[src] > until {
 		return 0, false
 	}
-	if src == calLane {
-		return s.calPop(), true
+	if src == heapSrc {
+		return s.heapPop(), true
 	}
 	return s.lanePop(src), true
 }
@@ -409,8 +371,8 @@ func (s *Scheduler) Drain() {
 	}
 }
 
-// slotLess orders slots by (time, seq): the total dispatch order both
-// queue disciplines implement.
+// slotLess orders slots by (time, seq): the total dispatch order the
+// lanes and the heap both keep.
 func (s *Scheduler) slotLess(i, j uint32) bool {
 	a, b := &s.slots[i], &s.slots[j]
 	if a.at != b.at {

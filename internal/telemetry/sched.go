@@ -14,7 +14,7 @@ const schedSampleInterval = sim.Millisecond
 // the registry: events processed, current and high-water queue depth, a
 // queue-depth histogram sampled every schedSampleInterval of simulated
 // time, the queue's own geometry (sim.QueueStats: FIFO-lane inserts,
-// overflows to the calendar, calendar population — all deterministic per
+// overflows to the heap, heap population — all deterministic per
 // seed), and, when wallRate is set, events per wall-clock second. That
 // rate depends on host speed, so leave it off for runs whose metric
 // export must be byte-deterministic per seed (dtpsim -metrics-out);
@@ -37,9 +37,9 @@ func InstrumentScheduler(reg *Registry, sch *sim.Scheduler, wallRate bool) {
 	laneInserts := reg.Gauge("dtp_sched_lane_inserts_total",
 		"Actor events the scheduler filed in a FIFO lane.")
 	laneOverflow := reg.Gauge("dtp_sched_lane_overflow_total",
-		"Actor events a FIFO lane refused, filed in the calendar queue instead.")
-	calPending := reg.Gauge("dtp_sched_calendar_pending",
-		"Scheduler events currently resident in the calendar queue (closures and lane overflows).")
+		"Actor events a FIFO lane refused, filed in the scheduler's heap instead.")
+	heapPending := reg.Gauge("dtp_sched_heap_pending",
+		"Scheduler events currently resident in the heap (closures and lane overflows).")
 	var rate *Gauge
 	if wallRate {
 		rate = reg.Gauge("dtp_sched_events_per_wall_second",
@@ -58,7 +58,7 @@ func InstrumentScheduler(reg *Registry, sch *sim.Scheduler, wallRate bool) {
 		qs := sch.QueueStats()
 		laneInserts.Set(float64(qs.LaneInserts))
 		laneOverflow.Set(float64(qs.LaneOverflows))
-		calPending.Set(float64(qs.CalendarPending))
+		heapPending.Set(float64(qs.HeapPending))
 		if rate != nil {
 			now := time.Now()
 			if el := now.Sub(lastWall).Seconds(); el > 0 {

@@ -59,9 +59,9 @@ func TestInstrumentScheduler(t *testing.T) {
 		t.Fatalf("lane overflow gauge %v != scheduler %d", g.Value(), qs.LaneOverflows)
 	}
 	// Sampled inside the sampler's own event, so its re-arm is not yet
-	// queued: the calendar's share can only be at or below all pending.
-	if c, p := reg.Gauge("dtp_sched_calendar_pending", ""), reg.Gauge("dtp_sched_events_pending", ""); c.Value() > p.Value() {
-		t.Fatalf("calendar pending gauge %v above events pending %v", c.Value(), p.Value())
+	// queued: the heap's share can only be at or below all pending.
+	if h, p := reg.Gauge("dtp_sched_heap_pending", ""), reg.Gauge("dtp_sched_events_pending", ""); h.Value() > p.Value() {
+		t.Fatalf("heap pending gauge %v above events pending %v", h.Value(), p.Value())
 	}
 
 	var b strings.Builder
@@ -75,7 +75,7 @@ func TestInstrumentScheduler(t *testing.T) {
 		"dtp_sched_queue_depth",
 		"dtp_sched_lane_inserts_total",
 		"dtp_sched_lane_overflow_total",
-		"dtp_sched_calendar_pending",
+		"dtp_sched_heap_pending",
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Fatalf("exposition missing %q:\n%s", want, b.String())
