@@ -81,14 +81,14 @@ func TestStormCampaignReconverges(t *testing.T) {
 			t.Errorf("seed %d: %v\n  %s\n  %s", seed, err, c.eng.Summary(), c.aud.Summary())
 			continue
 		}
-		if got := c.tr.CountKind(telemetry.KindChaosInject); got != 3 {
+		if got := countKind(c.tr, telemetry.KindChaosInject); got != 3 {
 			t.Errorf("seed %d: %d chaos_inject events, want 3", seed, got)
 		}
-		if got := c.tr.CountKind(telemetry.KindChaosClear); got != 3 {
+		if got := countKind(c.tr, telemetry.KindChaosClear); got != 3 {
 			t.Errorf("seed %d: %d chaos_clear events, want 3", seed, got)
 		}
-		if c.tr.CountKind(telemetry.KindDeviceCrash) != 1 ||
-			c.tr.CountKind(telemetry.KindDeviceRestart) != 1 {
+		if countKind(c.tr, telemetry.KindDeviceCrash) != 1 ||
+			countKind(c.tr, telemetry.KindDeviceRestart) != 1 {
 			t.Errorf("seed %d: missing crash/restart trace events", seed)
 		}
 		// The crash partitions the chain; the restarted device rejoins
@@ -159,11 +159,11 @@ func TestKitchenSinkFaults(t *testing.T) {
 	if err := c.eng.Verify(); err != nil {
 		t.Fatalf("%v\n  %s\n  %s", err, c.eng.Summary(), c.aud.Summary())
 	}
-	if got := c.tr.CountKind(telemetry.KindChaosInject); got != 5 {
+	if got := countKind(c.tr, telemetry.KindChaosInject); got != 5 {
 		t.Errorf("%d chaos_inject events, want 5", got)
 	}
 	// The BER degradation is permanent: injected, never cleared.
-	if got := c.tr.CountKind(telemetry.KindChaosClear); got != 4 {
+	if got := countKind(c.tr, telemetry.KindChaosClear); got != 4 {
 		t.Errorf("%d chaos_clear events, want 4", got)
 	}
 	ab, ba := c.net.LinkWires(0)
@@ -226,10 +226,10 @@ func TestLiarCampaignPlainVsHardened(t *testing.T) {
 	if quar == 0 {
 		t.Error("lying port was never quarantined")
 	}
-	if hard.tr.CountKind(telemetry.KindCounterRejected) == 0 {
+	if countKind(hard.tr, telemetry.KindCounterRejected) == 0 {
 		t.Error("no counter_rejected trace events")
 	}
-	if hard.tr.CountKind(telemetry.KindPortQuarantined) == 0 {
+	if countKind(hard.tr, telemetry.KindPortQuarantined) == 0 {
 		t.Error("no port_quarantined trace events")
 	}
 }
@@ -293,7 +293,7 @@ func TestEveryKind(t *testing.T) {
 			if f.permanent() {
 				wantClears = 0
 			}
-			inj, clr := c.tr.CountKind(telemetry.KindChaosInject), c.tr.CountKind(telemetry.KindChaosClear)
+			inj, clr := countKind(c.tr, telemetry.KindChaosInject), countKind(c.tr, telemetry.KindChaosClear)
 			if inj != 1 || clr != wantClears {
 				t.Errorf("%d injections and %d clears, want 1 and %d", inj, clr, wantClears)
 			}
@@ -365,4 +365,15 @@ func TestVerifyBeforeDeadline(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "before") {
 		t.Fatalf("Verify at 1ms: %v, want deadline error", err)
 	}
+}
+
+// countKind counts the retained trace events of kind k.
+func countKind(tr *telemetry.Tracer, k telemetry.Kind) int {
+	n := 0
+	for _, e := range tr.Events() {
+		if e.Kind == k {
+			n++
+		}
+	}
+	return n
 }

@@ -46,11 +46,22 @@ func newDevice(n *Network, node topo.Node, offsetPPM float64, rng *sim.RNG) *Dev
 		WanderStepPPB:   n.cfg.WanderStepPPB,
 	}
 	clk := xo.NewClock(n.Sch, rng.Fork("xo"), params)
-	return &Device{
+	d := &Device{
 		net:   n,
 		node:  node,
 		clock: clk,
 		gc:    newUnitCounter(clk, n.cfg.UnitsPerTick),
+	}
+	clk.OnRateChange(d.refileFlights)
+	return d
+}
+
+// refileFlights runs before the oscillator changes rate: a flight's RX
+// pipeline runs at its sender's rate, so every flight this device sent
+// that has not reached its receiver goes back to the five-event chain.
+func (d *Device) refileFlights() {
+	for _, p := range d.ports {
+		p.wire.Refile()
 	}
 }
 

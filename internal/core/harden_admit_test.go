@@ -187,7 +187,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if !n.LinkQuarantined(0) {
 		t.Fatal("LinkQuarantined(0) = false after quarantine")
 	}
-	if got := tr.CountKind(telemetry.KindPortQuarantined); got != 1 {
+	if got := countKind(tr, telemetry.KindPortQuarantined); got != 1 {
 		t.Fatalf("%d KindPortQuarantined events, want 1", got)
 	}
 

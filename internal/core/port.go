@@ -256,8 +256,11 @@ func (p *Port) endSession(next portState) {
 }
 
 // Down tears the port down (cable pull, peer power-off). Pending beacons
-// stop; counters keep running on both sides.
+// stop; counters keep running on both sides. Flights toward the port
+// that have not arrived go back to the five-event chain first, to meet
+// the down port on arrival as they would have.
 func (p *Port) Down() {
+	p.peer.wire.Refile()
 	if p.state != portDown {
 		tel := &p.dev.net.tel
 		tel.portsUp.Add(-1)
@@ -268,10 +271,19 @@ func (p *Port) Down() {
 
 // --- Pooled event dispatch --------------------------------------------
 
-// Port actor opcodes: the steady-state beacon chain (beacon timer → TX
-// pipeline → wire → RX pipeline → CDC crossing → process) runs entirely
-// on pooled scheduler events — no closure allocations — with the block
-// or message carried in the two event arguments.
+// Port actor opcodes. A message costs three scheduler events on a clean
+// wire toward a peer that is up: the beacon timer (or the closure that
+// inserts an INIT, ACK or JOIN), evLand at the receiver's clock-domain
+// crossing, and evProcess one to a few local ticks later. Insert launches
+// the block as a link flight: the TX pipeline, the cable and the RX
+// pipeline are fixed delays, so the crossing instant is known at launch
+// and the two stages between are skipped. A lossy or bit-error wire,
+// 1 GbE fragments, a full flight ring, a peer that is down, and every
+// flight re-filed by a change that a skipped stage reads take the
+// five-event chain instead, evTxBlock → evRxArrive → evCdc → evProcess,
+// which is also the reference the fused chain is tested against. Every
+// stage is a pooled event with the block or message in its two
+// arguments: the chain allocates nothing.
 const (
 	evBeacon   uint8 = iota // a = port-cycle slot the beacon fired at
 	evTxBlock               // a = block payload, b = sync byte: TX pipeline done, launch onto the wire
@@ -279,7 +291,13 @@ const (
 	evCdc                   // a = block payload, b = sync byte: RX pipeline done, cross clock domains
 	evProcess               // a = message payload, b = message type: aligned to a local tick
 	evWatchdog              // a = silence threshold (sim.Time): beacon-loss sweep
+	_                       // lane 6 is timesvc.Load's
+	evLand                  // a = block payload, b = sync byte: a flight's evCdc, in a lane of its own (see insert)
 )
+
+// fuseChain launches blocks as link flights. Only tests turn it off, to
+// run the five-event chain as the reference (export_test.go).
+var fuseChain = true
 
 // OnEvent implements sim.Actor.
 func (p *Port) OnEvent(code uint8, a, b uint64) {
@@ -294,13 +312,24 @@ func (p *Port) OnEvent(code uint8, a, b uint64) {
 		p.wire.SendBlockActor(phy.Block{Sync: byte(b), Payload: a}, p.peer, evRxArrive)
 	case evRxArrive:
 		p.onWireArrival(phy.Block{Sync: byte(b), Payload: a})
-	case evCdc:
+	case evCdc, evLand:
 		p.cdcCross(phy.Block{Sync: byte(b), Payload: a})
 	case evProcess:
 		p.process(phy.Message{Type: phy.MsgType(b), Payload: a})
 	case evWatchdog:
 		p.watchdogSweep(simTime(a))
 	}
+}
+
+// refile is the outbound wire's way back to the five-event chain (see
+// link.Wire.Refile): a flight whose TX pipeline is still ahead resumes
+// at evTxBlock, one already on the cable at the peer's evRxArrive.
+func (p *Port) refile(f link.Flight, txAhead bool) {
+	if txAhead {
+		p.sch().AtActor(f.T1, p, evTxBlock, f.Block.Payload, uint64(f.Block.Sync))
+		return
+	}
+	p.sch().AtActor(f.T2, p.peer, evRxArrive, f.Block.Payload, uint64(f.Block.Sync))
 }
 
 // initSamples is how many INIT/INIT-ACK exchanges one delay measurement
@@ -399,7 +428,14 @@ func (p *Port) insert(t phy.MsgType, payload uint64) {
 	txDelay := p.cycleDur(phy.DefaultTxPipelineTicks)
 	if !p.fragmented {
 		b := codec.EmbedMessage(m)
-		p.sch().AfterActor(txDelay, p, evTxBlock, b.Payload, uint64(b.Sync))
+		// The sums evTxBlock and evRxArrive would make: the RX pipeline
+		// runs at this (the sender's) port-cycle rate.
+		t1 := p.sch().Now() + txDelay
+		if fuseChain && p.peer.state != portDown &&
+			p.wire.LaunchActor(b, t1, p.cycleDur(phy.DefaultRxPipelineTicks), p.peer, evLand) {
+			return
+		}
+		p.sch().AtActor(t1, p, evTxBlock, b.Payload, uint64(b.Sync))
 		return
 	}
 	for i, f := range phy.FragmentMessage(codec, m) {

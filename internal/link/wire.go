@@ -13,6 +13,12 @@
 // loss, growing delay asymmetry). Mutations affect blocks sent after the
 // call; blocks already in flight keep the delay they were launched with,
 // exactly as a physical cable would behave.
+//
+// A clean wire also carries flights (LaunchActor): blocks whose TX
+// pipeline, propagation and RX pipeline are settled at launch, so the
+// receiver's event is scheduled at once and the stages between are never
+// run as events. Anything that could change a settled stage re-files the
+// flights still ahead of it (Refile) onto the per-stage events first.
 package link
 
 import (
@@ -59,6 +65,33 @@ type Wire struct {
 	sent      uint64
 	corrupted uint64
 	dropped   uint64
+
+	// fly is a ring of the flights launched and not yet retired, in
+	// launch order (which is also arrival order: every flight of a wire
+	// takes the same stages while nothing re-files them). refile,
+	// installed by the owner with OnRefile, turns one back into
+	// per-stage events.
+	fly    [flightCap]Flight
+	flyHd  uint8
+	flyN   uint8
+	refile func(f Flight, txAhead bool)
+}
+
+// flightCap bounds the flights one wire carries at once. A launch that
+// finds the ring full of flights still short of the far end takes the
+// per-stage events instead; the beacon cadence, a JOIN pair and an INIT
+// burst need two or three.
+const flightCap = 4
+
+// Flight is a block launched past its TX pipeline, the cable and the RX
+// pipeline in one step: Ev, the receiver's event at the end of all
+// three, is already scheduled. T1 and T2 are the instants the skipped
+// stages would have run at: the TX pipeline done (the block enters the
+// cable) and the leading edge at the receiver.
+type Flight struct {
+	Ev     sim.Event
+	T1, T2 sim.Time
+	Block  phy.Block
 }
 
 // New creates a wire. A negative delay is a configuration error (it
@@ -108,6 +141,7 @@ func (w *Wire) SetDelay(d sim.Time) error {
 	if d < 0 {
 		return fmt.Errorf("link: negative delay %v", d)
 	}
+	w.Refile()
 	w.cfg.Delay = d
 	return nil
 }
@@ -121,6 +155,7 @@ func (w *Wire) SetBER(ber float64) {
 	if ber >= 1 {
 		ber = 1 - 1e-12
 	}
+	w.Refile()
 	w.setBER(ber)
 }
 
@@ -136,6 +171,7 @@ func (w *Wire) SetLossP(p float64) {
 	if p > 1 {
 		p = 1
 	}
+	w.Refile()
 	w.lossP = p
 }
 
@@ -155,6 +191,66 @@ func (w *Wire) SendBlockActor(b phy.Block, act sim.Actor, code uint8) {
 		w.corrupted++
 	}
 	w.sch.AfterActor(w.cfg.Delay, act, code, b.Payload, uint64(b.Sync))
+}
+
+// OnRefile installs the owner's way back to per-stage events. Refile
+// calls fn for each flight still ahead of its skipped stages, oldest
+// first, after cancelling its event: txAhead reports that the TX
+// pipeline had not finished yet (T1 not passed), else the block is on
+// the cable and counted sent. A wire without it launches no flights.
+func (w *Wire) OnRefile(fn func(f Flight, txAhead bool)) { w.refile = fn }
+
+// LaunchActor is SendBlockActor settled at launch: the TX pipeline
+// ends at t1, the block reaches the far end at t2 = t1 + Delay() and
+// act's event fires rx after that, with the block in its arguments.
+// It reports false, launching nothing, when a skipped stage could draw
+// on the wire's random stream (injected loss or bit errors) or the
+// ring is full: the caller then schedules the stages one by one.
+// Flights that have reached the far end leave the ring here, counted
+// sent, so the landing event never touches the sender's wire.
+func (w *Wire) LaunchActor(b phy.Block, t1, rx sim.Time, act sim.Actor, code uint8) bool {
+	if w.lossP != 0 || w.blockErrP != 0 || w.refile == nil {
+		return false
+	}
+	for now := w.sch.Now(); w.flyN > 0 && w.fly[w.flyHd].T2 < now; w.flyN-- {
+		w.flyHd = (w.flyHd + 1) % flightCap
+		w.sent++
+	}
+	if w.flyN == flightCap {
+		return false
+	}
+	t2 := t1 + w.cfg.Delay
+	f := &w.fly[(w.flyHd+w.flyN)%flightCap]
+	f.Ev = w.sch.AtActor(t2+rx, act, code, b.Payload, uint64(b.Sync))
+	f.T1, f.T2, f.Block = t1, t2, b
+	w.flyN++
+	return true
+}
+
+// Refile hands every flight whose arrival at the far end (T2) has not
+// passed back to the owner (see OnRefile); the others only await their
+// landing, which nothing can change any more. Call it before a change
+// that a skipped stage would read takes effect: the wire's own delay,
+// BER or loss (its setters call it), the sender's clock rate (read by
+// the RX pipeline) and the receiver going down (read on arrival). A
+// stage at exactly the current instant counts as ahead, as it is for a
+// change made by an event scheduled before the launch.
+func (w *Wire) Refile() {
+	now := w.sch.Now()
+	keep := w.flyN
+	for keep > 0 && w.fly[(w.flyHd+keep-1)%flightCap].T2 >= now {
+		keep--
+	}
+	for i := keep; i < w.flyN; i++ {
+		f := w.fly[(w.flyHd+i)%flightCap]
+		f.Ev.Cancel()
+		txAhead := f.T1 >= now
+		if !txAhead {
+			w.sent++
+		}
+		w.refile(f, txAhead)
+	}
+	w.flyN = keep
 }
 
 // flipRandomBit flips one uniformly random bit of the 66 on the wire:
@@ -182,7 +278,15 @@ func (w *Wire) Send(deliver func()) {
 }
 
 // Stats returns the number of blocks/payloads sent and blocks corrupted.
-func (w *Wire) Stats() (sent, corrupted uint64) { return w.sent, w.corrupted }
+// A flight counts as sent once its TX pipeline has finished.
+func (w *Wire) Stats() (sent, corrupted uint64) {
+	sent = w.sent
+	now := w.sch.Now()
+	for i := uint8(0); i < w.flyN && w.fly[(w.flyHd+i)%flightCap].T1 <= now; i++ {
+		sent++
+	}
+	return sent, w.corrupted
+}
 
 // Dropped returns how many blocks/payloads were lost to injected loss.
 func (w *Wire) Dropped() uint64 { return w.dropped }

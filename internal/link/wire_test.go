@@ -231,3 +231,67 @@ func TestSetLossDropsBlocks(t *testing.T) {
 		t.Fatal("block lost after loss cleared")
 	}
 }
+
+// A flight lands rx after t1 + Delay(), counts as sent once t1 passes,
+// and a change to the wire hands back the flights that have not reached
+// the far end: TX-ahead before t1, on the cable after it, and a flight
+// whose t2 is the current instant counts as not arrived. Flights past
+// the far end stay counted when the next launch retires them.
+func TestFlightLaunchLandRefile(t *testing.T) {
+	sch := sim.NewScheduler()
+	w := mustNew(t, sch, sim.NewRNG(1, "wire"), Config{Delay: 50 * sim.Nanosecond})
+	b := phy.IdleBlock()
+	var landed []sim.Time
+	sink := blockSink(func(got phy.Block) {
+		landed = append(landed, sch.Now())
+		if got != b {
+			t.Error("flight corrupted its block")
+		}
+	})
+	launch := func(t1 sim.Time) bool { return w.LaunchActor(b, t1, 5*sim.Nanosecond, sink, 0) }
+	if launch(10 * sim.Nanosecond) {
+		t.Fatal("launched without a refile hook")
+	}
+	type refiled struct {
+		f       Flight
+		txAhead bool
+	}
+	var back []refiled
+	w.OnRefile(func(f Flight, txAhead bool) { back = append(back, refiled{f, txAhead}) })
+	for _, t1 := range []sim.Time{10, 20, 30, 100} {
+		if !launch(t1 * sim.Nanosecond) {
+			t.Fatalf("launch at t1=%v ns refused", int64(t1))
+		}
+	}
+	if launch(200 * sim.Nanosecond) {
+		t.Fatalf("launched a flight past the ring's %d", flightCap)
+	}
+	sch.Run(66 * sim.Nanosecond)
+	if sent, _ := w.Stats(); sent != 3 || len(landed) != 1 || landed[0] != 65*sim.Nanosecond {
+		t.Fatalf("at 66 ns: sent %d, landings %v; want 3 sent (t1 = 10, 20, 30) and a landing at 65 ns", sent, landed)
+	}
+	sch.Run(76 * sim.Nanosecond)
+	w.SetLossP(0.5)
+	if len(back) != 2 || back[0].f.T2 != 80*sim.Nanosecond || back[0].txAhead || !back[1].txAhead {
+		t.Fatalf("refiled %+v, want t2 = 80 ns on the cable and t1 = 100 ns ahead of it", back)
+	}
+	if sent, _ := w.Stats(); sent != 3 {
+		t.Fatalf("sent = %d after the refile, want 3: two landed, one on the cable", sent)
+	}
+	if launch(100 * sim.Nanosecond) {
+		t.Fatal("launched on a lossy wire")
+	}
+	w.SetLossP(0)
+	if !launch(100 * sim.Nanosecond) {
+		t.Fatal("launch refused on a clean wire")
+	}
+	sch.Run(150 * sim.Nanosecond) // exactly the flight's t2
+	_ = w.SetDelay(60 * sim.Nanosecond)
+	if len(back) != 3 || back[2].f.T2 != 150*sim.Nanosecond || back[2].txAhead {
+		t.Fatalf("refiled %+v, want the flight arriving now handed back on the cable", back)
+	}
+	sch.Drain()
+	if len(landed) != 2 || landed[1] != 75*sim.Nanosecond {
+		t.Fatalf("landings %v, want only the two flights never refiled (65 ns, 75 ns)", landed)
+	}
+}

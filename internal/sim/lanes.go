@@ -3,8 +3,9 @@ package sim
 // FIFO lanes: the fast path in front of the heap (heap.go).
 //
 // The model schedules almost everything at now + a per-stage constant
-// (TX pipeline, cable, RX pipeline, CDC, beacon period), so the events
-// of one opcode arrive nearly in time order. A lane is a doubly linked
+// (the beacon period; a block's flight through the TX pipeline, the
+// cable and the RX pipeline; the CDC crossing), so the events of one
+// opcode arrive nearly in time order. A lane is a doubly linked
 // list of pooled slots sorted by (time, seq); an actor event is offered
 // to lane code&(numLanes-1) and placed by walking back from the tail —
 // a slot written moments ago — instead of sifting through the heap.

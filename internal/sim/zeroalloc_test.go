@@ -124,22 +124,25 @@ func TestEventSlotSize(t *testing.T) {
 }
 
 // pipelineActor reproduces the shape of a port's per-beacon traffic:
-// five opcodes, each scheduled one per-stage constant ahead of now
-// (beacon period, TX pipeline, cable, RX pipeline, CDC), the constants
-// differing between actors by an oscillator's worth of skew. Within an
-// opcode, schedule times are monotone up to a few places — the class of
-// traffic the FIFO lanes exist for.
+// three opcodes, numbered as the port numbers them — the beacon timer
+// (0), the landing at the peer's clock-domain crossing (7) and the
+// message's processing (4) — each scheduled one per-stage constant ahead
+// of now (beacon period; TX pipeline, cable and RX pipeline; CDC), the
+// constants differing between actors by an oscillator's worth of skew.
+// Within an opcode, schedule times are monotone up to a few places — the
+// class of traffic the FIFO lanes exist for.
 type pipelineActor struct {
-	s     *Scheduler
-	delay [5]Time // indexed by the opcode the delay leads to
+	s                   *Scheduler
+	period, flight, cdc Time
 }
 
 func (a *pipelineActor) OnEvent(code uint8, _, _ uint64) {
-	if code == 0 {
-		a.s.AfterActor(a.delay[0], a, 0, 0, 0)
-	}
-	if code < 4 {
-		a.s.AfterActor(a.delay[code+1], a, code+1, 0, 0)
+	switch code {
+	case 0:
+		a.s.AfterActor(a.period, a, 0, 0, 0)
+		a.s.AfterActor(a.flight, a, 7, 0, 0)
+	case 7:
+		a.s.AfterActor(a.cdc, a, 4, 0, 0)
 	}
 }
 
@@ -147,13 +150,10 @@ func (a *pipelineActor) OnEvent(code uint8, _, _ uint64) {
 // 768 actors (fattree:8's port count) at ≈ 1 800 pending events.
 func BenchmarkPipelineThroughput(b *testing.B) {
 	s := NewScheduler()
-	stage := [5]Time{7680 * Nanosecond, 2 * Microsecond, 2500 * Nanosecond, 3 * Microsecond, 2800 * Nanosecond}
 	for i := 0; i < 768; i++ {
-		a := &pipelineActor{s: s}
 		ppm := Time(i*37%201 - 100) // ±100 ppm, spread over the actors
-		for c, d := range stage {
-			a.delay[c] = d + d*ppm/1000000
-		}
+		skew := func(d Time) Time { return d + d*ppm/1000000 }
+		a := &pipelineActor{s: s, period: skew(7680 * Nanosecond), flight: skew(7500 * Nanosecond), cdc: skew(2800 * Nanosecond)}
 		s.AtActor(Time(i)*10*Nanosecond, a, 0, 0, 0)
 	}
 	benchRun(b, s)

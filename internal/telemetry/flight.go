@@ -30,8 +30,8 @@ const (
 	traceDepth = 256
 
 	// maxBundles caps how many bundles one run may write; further
-	// triggers are counted as suppressed instead of flooding the disk
-	// when a run melts down completely.
+	// triggers are dropped instead of flooding the disk when a run melts
+	// down completely.
 	maxBundles = 4
 
 	// flightCooldown is the minimum simulated time between two bundles
@@ -64,7 +64,6 @@ type Recorder struct {
 	lastByWhy  map[string]sim.Time
 	firedByWhy map[string]bool
 	bundles    []string
-	suppressed uint64
 	err        error
 }
 
@@ -127,7 +126,7 @@ func (r *Recorder) Arm(kinds ...Kind) {
 }
 
 // Trigger requests a bundle dump for the given reason. Dumps are
-// suppressed (and counted) when the per-reason cooldown has not elapsed
+// suppressed when the per-reason cooldown has not elapsed
 // or the run's bundle budget is spent, so callers may invoke it
 // unconditionally on every suspicious event.
 func (r *Recorder) Trigger(reason, detail string) {
@@ -138,11 +137,9 @@ func (r *Recorder) Trigger(reason, detail string) {
 	defer r.mu.Unlock()
 	at := r.now()
 	if len(r.bundles) >= maxBundles {
-		r.suppressed++
 		return
 	}
 	if r.firedByWhy[reason] && at-r.lastByWhy[reason] < flightCooldown {
-		r.suppressed++
 		return
 	}
 	r.firedByWhy[reason] = true
@@ -222,17 +219,6 @@ func (r *Recorder) Bundles() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]string(nil), r.bundles...)
-}
-
-// Suppressed returns how many triggers were swallowed by the cooldown
-// or the bundle budget.
-func (r *Recorder) Suppressed() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.suppressed
 }
 
 // Err returns the first dump error, if any (a trigger never fails the

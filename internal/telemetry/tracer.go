@@ -268,14 +268,3 @@ func (t *Tracer) Dropped() uint64 {
 	defer t.mu.Unlock()
 	return t.total - uint64(t.count)
 }
-
-// CountKind returns how many retained events have the given kind.
-func (t *Tracer) CountKind(k Kind) int {
-	n := 0
-	for _, e := range t.Events() {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
-}

@@ -63,8 +63,8 @@ func NewLoad(svc *Service, rng *sim.RNG, qps float64, reg *telemetry.Registry) *
 func (l *Load) Stop() { l.stopped = true }
 
 // evArrive is Load's actor opcode. The scheduler files actor events in
-// lane opcode&7; core.Port uses 0–5 and the auditor and telemetry flush
-// 0, so Poisson arrivals get a lane of their own.
+// lane opcode&7; core.Port uses 0–5 and 7 and the auditor and telemetry
+// flush 0, so Poisson arrivals get a lane of their own.
 const evArrive uint8 = 6
 
 func (l *Load) next() {

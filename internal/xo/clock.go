@@ -69,6 +69,10 @@ type Clock struct {
 
 	wanderStepPPB float64
 	wanderEvery   sim.Time
+
+	// onRate, when set (OnRateChange), runs just before every change of
+	// the rate.
+	onRate func()
 }
 
 // NewClock creates a clock. The counter starts at zero with its first tick
@@ -116,6 +120,7 @@ func (c *Clock) setPPM(ppm float64) {
 }
 
 func (c *Clock) wanderStep() {
+	c.rateChanging()
 	// Re-base first so the frequency change does not retroactively alter
 	// history.
 	now := c.sch.Now()
@@ -184,8 +189,20 @@ func (c *Clock) SetCounterAt(n uint64, t sim.Time) {
 // clamped to ±maxPPM only if hardware-realistic clamping is enabled via
 // params; servo models clamp themselves.
 func (c *Clock) AdjustPPM(ppm float64) {
+	c.rateChanging()
 	c.rebase(c.sch.Now())
 	c.setPPM(ppm)
+}
+
+// OnRateChange installs fn to run just before every rate change (a
+// wander step or AdjustPPM), while PeriodFs still reads the old rate:
+// the hook for work scheduled ahead at the current rate.
+func (c *Clock) OnRateChange(fn func()) { c.onRate = fn }
+
+func (c *Clock) rateChanging() {
+	if c.onRate != nil {
+		c.onRate()
+	}
 }
 
 // PPM returns the current frequency offset in parts per million.
