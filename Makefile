@@ -76,11 +76,16 @@ byzantine:
 # Clock-discipline lab: the estimator and daemon tests under the race
 # detector (golden convergence, restart-reset regression, campaign
 # discipline-axis determinism), then the dtpexp comparison table — all
-# four estimators under clean / pcie-jitter / osc-wander noise.
+# four estimators under clean / pcie-jitter / osc-wander noise — and a
+# short sweep at one worker and at two, whose outputs must be identical.
 disciplines:
 	go test -race -count=1 ./internal/discipline ./internal/daemon
 	go test -race -count=1 -run 'Discipline' ./internal/campaign ./internal/cliutil .
 	go run ./cmd/dtpexp -sweep disciplines -duration 1500ms
+	go run ./cmd/dtpexp -sweep disciplines -duration 300ms -jobs 1 > disciplines-jobs1.txt
+	go run ./cmd/dtpexp -sweep disciplines -duration 300ms -jobs 2 > disciplines-jobs2.txt
+	cmp disciplines-jobs1.txt disciplines-jobs2.txt
+	rm -f disciplines-jobs1.txt disciplines-jobs2.txt
 
 # Flight-recorder smoke: the telemetry and time-service tests under the
 # race detector at full length (the snapshot-store torn-read hammer included),

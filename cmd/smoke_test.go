@@ -117,6 +117,12 @@ func TestCommandExitCodes(t *testing.T) {
 		{"grid with run flags", []string{"dtpsim", "-campaign", smoke, "-seed", "9", "-topo", "tree"}, 2,
 			"dtpsim: -seed is not read in grid mode", nil},
 		{"single with -jobs", []string{"dtpsim", "-jobs", "3"}, 2, "dtpsim: -jobs is not read in single mode", nil},
+		// A NaN BER passed every range check and ran as BER 0; a sweep
+		// with BER 1.5 failed every run in Arm instead of exiting 2.
+		{"NaN BER", []string{"dtpsim", "-topo", "pair", "-duration", "2ms", "-ber", "NaN"}, 2,
+			"dtpsim: campaign: BER NaN outside [0, 1)", nil},
+		{"sweep BER past 1", []string{"dtpsim", "-sweep-seeds", "2", "-ber", "1.5"}, 2,
+			"dtpsim: campaign: BER 1.5 outside [0, 1)", nil},
 	} {
 		cmd := exec.Command(filepath.Join(dir, tc.argv[0]), tc.argv[1:]...)
 		var stdout, stderr bytes.Buffer

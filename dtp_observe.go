@@ -36,23 +36,27 @@ type TimelineOptions struct {
 // The returned Timeline is also remembered as the default for
 // FlightRecorder bundles.
 func (s *System) Timeline(o TimelineOptions) *Timeline {
-	tl := telemetry.NewTimeline(sim.FromStd(o.Interval))
-	tl.Gauge("bound_ticks", func() float64 { return float64(s.net.BoundUnits()) })
-	tl.Gauge("max_offset_ticks", func() float64 { return float64(s.net.MaxPairwiseOffset()) })
+	var cols []telemetry.TimelineColumn
+	gauge := func(name string, probe func() float64) {
+		cols = append(cols, telemetry.TimelineColumn{Name: name, Probe: probe})
+	}
+	gauge("bound_ticks", func() float64 { return float64(s.net.BoundUnits()) })
+	gauge("max_offset_ticks", func() float64 { return float64(s.net.MaxPairwiseOffset()) })
 	if tr := s.cfg.tracer; tr != nil {
-		tl.Gauge("trace_dropped", func() float64 { return float64(tr.Dropped()) })
+		gauge("trace_dropped", func() float64 { return float64(tr.Dropped()) })
 	}
 	if len(s.auditors) > 0 {
 		a := s.auditors[len(s.auditors)-1]
-		tl.Gauge("audit_worst_offset_ticks", func() float64 { return float64(a.WorstOffsetUnits()) })
-		tl.Gauge("audit_min_slack_ticks", func() float64 {
+		gauge("audit_worst_offset_ticks", func() float64 { return float64(a.WorstOffsetUnits()) })
+		gauge("audit_min_slack_ticks", func() float64 {
 			sl := a.MinSlackUnits()
 			if sl == math.MaxInt64 {
 				return math.NaN()
 			}
 			return float64(sl)
 		})
-		tl.Rate("audit_violations_per_s", func() float64 { return float64(a.Violations()) })
+		cols = append(cols, telemetry.TimelineColumn{Name: "audit_violations_per_s",
+			Probe: func() float64 { return float64(a.Violations()) }, Rate: true})
 	}
 	for _, w := range s.daemons {
 		// Per-daemon discipline health: the live estimate error against
@@ -61,8 +65,8 @@ func (s *System) Timeline(o TimelineOptions) *Timeline {
 		// bound — the exact signal the discipline comparison sweeps on.
 		d := w.d
 		host := d.Device().Name()
-		tl.Gauge("daemon_offset_ticks_"+host, func() float64 { return d.OffsetUnits() })
-		tl.Gauge("daemon_err_ticks_"+host, func() float64 {
+		gauge("daemon_offset_ticks_"+host, func() float64 { return d.OffsetUnits() })
+		gauge("daemon_err_ticks_"+host, func() float64 {
 			e := d.EstimateErrorUnits()
 			if math.IsInf(e, 0) {
 				return math.NaN()
@@ -77,7 +81,7 @@ func (s *System) Timeline(o TimelineOptions) *Timeline {
 			// timeline shows the served interval *widening* toward a
 			// breach (then null once reads fail closed).
 			c := tp.byHost[h].svc.Clock()
-			tl.Gauge("eps_ps_"+h, func() float64 {
+			gauge("eps_ps_"+h, func() float64 {
 				iv, err := c.NowInterval()
 				if err != nil {
 					return math.NaN()
@@ -86,7 +90,7 @@ func (s *System) Timeline(o TimelineOptions) *Timeline {
 			})
 		}
 	}
-	tl.Start(s.sch)
+	tl := telemetry.NewTimeline(s.sch, sim.FromStd(o.Interval), cols)
 	s.timeline = tl
 	return tl
 }

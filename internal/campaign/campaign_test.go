@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -44,6 +45,8 @@ func TestGridValidate(t *testing.T) {
 		{Beacons: []uint64{0}},
 		{Durations: []Duration{-msec(1)}},
 		{BER: -1},
+		{BER: 1.5},
+		{BER: math.NaN()}, // compares false both ways; once ran as BER 0
 		// Run-level errors, caught before any run starts rather than
 		// reported by every point in its row.
 		{Topos: []string{"moebius:4"}},

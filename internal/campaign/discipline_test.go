@@ -31,13 +31,14 @@ func TestDisciplineAxisExpansion(t *testing.T) {
 }
 
 func TestDisciplineAxisValidate(t *testing.T) {
-	ok := Grid{Disciplines: []string{"", "ma", "pll:kp=0.7", "theilsen", "lad:dropk=2"}}
+	ok := Grid{Disciplines: []string{"", "ma", "pll", "theilsen", "lad"}}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid discipline specs rejected: %v", err)
 	}
-	bad := Grid{Disciplines: []string{"kalman"}}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("unknown discipline kind accepted")
+	for _, spec := range []string{"kalman", "lad:dropk=2"} {
+		if err := (Grid{Disciplines: []string{spec}}).Validate(); err == nil {
+			t.Fatalf("discipline spec %q accepted", spec)
+		}
 	}
 }
 

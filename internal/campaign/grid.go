@@ -81,8 +81,7 @@ type Grid struct {
 	// point. Default: [0].
 	Liars []int `json:"liars,omitempty"`
 	// Disciplines sweeps the daemon's software-clock estimator: each
-	// non-empty spec ("ma", "pll:kp=0.7", "theilsen", "lad:dropk=2", …)
-	// attaches a probe daemon to the run's first host and records its
+	// non-empty kind ("ma", "pll", "theilsen" or "lad") attaches a probe daemon to the run's first host and records its
 	// precision/convergence into the Result's Daemon* fields. "" means
 	// no daemon probe. Default: [""].
 	Disciplines []string `json:"disciplines,omitempty"`
@@ -138,7 +137,7 @@ type Point struct {
 	// Liars is how many synthesized simultaneous Byzantine liar devices
 	// this run carries (see Grid.Liars).
 	Liars int `json:"liars,omitempty"`
-	// Discipline is the daemon-probe estimator spec ("" = no probe).
+	// Discipline is the daemon-probe estimator kind ("" = no probe).
 	Discipline string `json:"discipline,omitempty"`
 
 	// The grid-wide settings, as Grid documents them.
@@ -258,8 +257,8 @@ func (g Grid) Validate() error {
 			return fmt.Errorf("campaign: %w", err)
 		}
 	}
-	if g.BER < 0 {
-		return fmt.Errorf("campaign: BER must be >= 0, got %g", g.BER)
+	if !(g.BER >= 0 && g.BER < 1) { // written so that NaN fails too
+		return fmt.Errorf("campaign: BER %g outside [0, 1)", g.BER)
 	}
 	for _, l := range g.Liars {
 		if l < 0 {

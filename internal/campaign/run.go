@@ -276,7 +276,7 @@ func owdRange(sys *dtp.System) (lo, hi int64) {
 	return lo, hi
 }
 
-// String renders a Point's one-line human label, prefixed by the grid
+// Label renders a Point's one-line human label, prefixed by the grid
 // name when set.
 func (g Grid) Label(p Point) string {
 	if g.Name != "" {

@@ -100,7 +100,7 @@ func (f *Flags) Register(fs *flag.FlagSet, which Set) {
 	}
 	if which&FlagDiscipline != 0 {
 		fs.StringVar(&f.Discipline, "discipline", f.Discipline,
-			"daemon software-clock estimator: ma | pll | theilsen | lad, with options as kind:opt=val,... (e.g. pll:kp=0.7 or lad:dropk=2)")
+			"daemon software-clock estimator: ma | pll | theilsen | lad")
 	}
 }
 

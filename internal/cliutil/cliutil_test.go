@@ -108,7 +108,7 @@ func TestWriteFile(t *testing.T) {
 
 func TestDisciplineFlag(t *testing.T) {
 	var f Flags
-	err := parse(t, &f, FlagDiscipline, "-discipline", "pll:kp=0.7")
+	err := parse(t, &f, FlagDiscipline, "-discipline", "pll")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +128,10 @@ func TestDisciplineFlag(t *testing.T) {
 		t.Fatalf("unset -discipline must parse to the zero config, got %+v, %v", dc, err)
 	}
 
-	var bad Flags
-	if err := parse(t, &bad, FlagDiscipline, "-discipline", "kalman"); err == nil {
-		t.Fatal("unknown discipline kind validated")
+	for _, spec := range []string{"kalman", "ma:gain=0.3"} {
+		var bad Flags
+		if err := parse(t, &bad, FlagDiscipline, "-discipline", spec); err == nil {
+			t.Fatalf("-discipline %s validated", spec)
+		}
 	}
 }

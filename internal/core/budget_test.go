@@ -16,10 +16,11 @@ const (
 	budgetLength = sim.Millisecond
 )
 
-// budgetRun counts the scheduler events and the beacons sent in the
-// budget window of g at seed 1, with the default config and wander
-// (1 ms steps of 100 ppb). fused picks the beacon chain.
-func budgetRun(t *testing.T, g topo.Graph, fused bool) (events, beacons uint64) {
+// budgetRun counts the scheduler events, the beacons sent and the actor
+// events the FIFO lanes refused to the heap in the budget window of g at
+// seed 1, with the default config and wander (1 ms steps of 100 ppb).
+// fused picks the beacon chain.
+func budgetRun(t *testing.T, g topo.Graph, fused bool) (events, beacons, overflows uint64) {
 	t.Helper()
 	defer func(was bool) { fuseChain = was }(fuseChain)
 	fuseChain = fused
@@ -43,9 +44,9 @@ func budgetRun(t *testing.T, g topo.Graph, fused bool) (events, beacons uint64) 
 		}
 		return s
 	}
-	e0, b0 := sch.Processed(), sent()
+	e0, b0, o0 := sch.Processed(), sent(), sch.QueueStats().LaneOverflows
 	sch.RunFor(budgetLength)
-	return sch.Processed() - e0, sent() - b0
+	return sch.Processed() - e0, sent() - b0, sch.QueueStats().LaneOverflows - o0
 }
 
 // allocsPerSimMs is the steady-state allocation rate of a synced paper
@@ -63,16 +64,17 @@ func allocsPerSimMs(t *testing.T) float64 {
 
 // TestEngineBudget pins what the engine costs in units that do not
 // depend on the machine: scheduler events per simulated millisecond and
-// per beacon, allocations, and the size of the structures a beacon
-// touches. Every entry is an equality unless marked as a ceiling. A
-// change that moves one edits the table and says why; a one-event
-// change to the beacon path moves every event count.
+// per beacon, actor events the FIFO lanes refuse to the heap,
+// allocations, and the size of the structures a beacon touches. Every
+// entry is an equality unless marked as a ceiling. A change that moves
+// one edits the table and says why; a one-event change to the beacon
+// path moves every event count.
 func TestEngineBudget(t *testing.T) {
-	pairEvents, _ := budgetRun(t, topo.Pair(), true)
-	treeEvents, treeBeacons := budgetRun(t, topo.PaperTree(), true)
-	ft4Events, _ := budgetRun(t, topo.FatTree(4), true)
+	pairEvents, _, pairHeap := budgetRun(t, topo.Pair(), true)
+	treeEvents, treeBeacons, treeHeap := budgetRun(t, topo.PaperTree(), true)
+	ft4Events, _, ft4Heap := budgetRun(t, topo.FatTree(4), true)
 	// The five-event chain, the reference flights are tested against.
-	chainEvents, chainBeacons := budgetRun(t, topo.PaperTree(), false)
+	chainEvents, chainBeacons, _ := budgetRun(t, topo.PaperTree(), false)
 	perBeacon := func(events, beacons uint64) float64 {
 		return float64((events*10_000 + beacons/2) / beacons) // x1e4, rounded
 	}
@@ -85,6 +87,9 @@ func TestEngineBudget(t *testing.T) {
 		{"events per sim-ms, pair", float64(pairEvents), 4722, false},
 		{"events per sim-ms, paper tree", float64(treeEvents), 51931, false},
 		{"events per sim-ms, fattree:4", float64(ft4Events), 226562, false},
+		{"lane overflows to the heap per sim-ms, pair", float64(pairHeap), 0, false},
+		{"lane overflows to the heap per sim-ms, paper tree", float64(treeHeap), 0, false},
+		{"lane overflows to the heap per sim-ms, fattree:4", float64(ft4Heap), 7, false},
 		{"beacons sent per sim-ms, paper tree", float64(treeBeacons), 17189, false},
 		{"events per beacon x1e4, paper tree", perBeacon(treeEvents, treeBeacons), 30212, false},
 		{"events per beacon x1e4, five-event chain", perBeacon(chainEvents, chainBeacons), 50209, false},

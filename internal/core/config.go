@@ -142,7 +142,7 @@ func (c *Config) validate() error {
 	if c.CDCMaxExtraTicks < 0 {
 		return fmt.Errorf("core: negative CDC bound")
 	}
-	if c.BER < 0 || c.BER >= 1 {
+	if !(c.BER >= 0 && c.BER < 1) { // written so that NaN fails too
 		return fmt.Errorf("core: BER %v outside [0, 1)", c.BER)
 	}
 	return nil

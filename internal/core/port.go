@@ -456,7 +456,6 @@ func (p *Port) sendBeacon() {
 	gc := p.dev.gc.at(now) + p.dev.lieUnits
 	p.beaconsSent++
 	tel := &p.dev.net.tel
-	tel.sentN++
 	if tel.tr.Enabled(telemetry.KindBeaconTx) {
 		tel.tr.Record(now, telemetry.KindBeaconTx, p.tname, int64(gc), 0, "")
 	}
@@ -723,17 +722,14 @@ func (p *Port) handleBeacon(lsb uint64) {
 	offset := int64(local) - int64(target) // == t2 - t1 - OWD (§6.2)
 
 	tel := &p.dev.net.tel
-	tel.rxN++
 	if p.faulty {
 		p.beaconsIgnored++
-		tel.ignoredN++
 		return
 	}
 	cfg := p.cfg()
 	if guard := cfg.GuardUnits * int64(p.pd); offset < -guard || offset > guard {
 		// Counter off by more than the guard: treat as bit error.
 		p.beaconsIgnored++
-		tel.ignoredN++
 		if tel.tr.Enabled(telemetry.KindBeaconIgnored) {
 			tel.tr.Record(now, telemetry.KindBeaconIgnored, p.tname, offset, 0, "")
 		}
@@ -745,7 +741,6 @@ func (p *Port) handleBeacon(lsb uint64) {
 	// caps what this peer may drag the counter forward.
 	if !p.admit(target, local, false) {
 		p.beaconsIgnored++
-		tel.ignoredN++
 		return
 	}
 	tel.offBatch.Observe(float64(offset))
@@ -897,7 +892,6 @@ func (p *Port) arrivedDown() bool {
 		return false
 	}
 	p.droppedDown++
-	p.dev.net.tel.droppedDownN++
 	return true
 }
 

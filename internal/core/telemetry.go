@@ -5,9 +5,9 @@ import (
 	"github.com/dtplab/dtp/internal/telemetry"
 )
 
-// telemetryFlushInterval is how often the beacon-rate shadow counters
-// below are folded into the atomic Registry metrics. Readers (HTTP
-// scrapes, exports) lag live by at most this much simulated time.
+// telemetryFlushInterval is how often the beacon-rate counts are folded
+// into the atomic Registry metrics. Readers (HTTP scrapes, exports) lag
+// live by at most this much simulated time.
 const telemetryFlushInterval = sim.Millisecond
 
 // coreMetrics holds the network's telemetry handles. The zero value
@@ -16,12 +16,14 @@ const telemetryFlushInterval = sim.Millisecond
 // is disabled. Counters aggregate across ports — per-port granularity
 // comes from the Tracer, whose events carry port names.
 //
-// Events at beacon frequency (tx, rx, jumps, offset samples) do not
-// touch atomics at all: the whole simulation runs on one scheduler
-// goroutine, so they increment the plain shadow fields below and a
-// periodic flush event folds the deltas into the shared metrics. Rare
-// events (state transitions, INIT rounds, faults) update their atomic
-// counters directly.
+// Events at beacon frequency (tx, rx, ignored, dropped-down, jumps,
+// offset samples) do not touch atomics at all: the whole simulation
+// runs on one scheduler goroutine, so a periodic flush event folds
+// plain counts into the shared metrics. Beacons are counted once, in
+// the Port's own counters, which the flush sums; jumps have no port
+// counter (a JOIN adopted in finishInit jumps with no port's beacon),
+// so they keep a shadow field here. Rare events (state transitions,
+// INIT rounds, faults) update their atomic counters directly.
 type coreMetrics struct {
 	tr *telemetry.Tracer
 
@@ -44,17 +46,18 @@ type coreMetrics struct {
 	offsets        *telemetry.Histogram
 	owd            *telemetry.Histogram
 
-	// Beacon-rate shadows, owned by the scheduler goroutine.
-	sentN, rxN, ignoredN, jumpsN uint64
-	droppedDownN                 uint64
-	offBatch                     *telemetry.HistogramBatch
+	// Owned by the scheduler goroutine: jumps since the last flush, and
+	// the port-counter sums the flush has already added.
+	jumpsN                                              uint64
+	flushedSent, flushedRx, flushedIgnored, flushedDown uint64
+	offBatch                                            *telemetry.HistogramBatch
 }
 
 // WithTelemetry instruments the network with a metrics registry and/or
 // event tracer; either may be nil. Metric handles are registered once
-// at construction; beacon-rate paths then increment plain shadow
-// counters that a periodic event flushes into the registry, which the
-// overhead benchmark in internal/telemetry holds to < 5%.
+// at construction; beacon-rate paths then increment plain counters
+// that a periodic event flushes into the registry, which the overhead
+// benchmark in internal/telemetry holds to < 5%.
 func WithTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) Option {
 	return func(o *networkOptions) { o.reg, o.tr = reg, tr }
 }
@@ -122,33 +125,39 @@ func (n *Network) instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 // flush is the network's only actor event; the opcode is unused.
 func (n *Network) OnEvent(uint8, uint64, uint64) { n.telemetryFlush() }
 
-// telemetryFlush folds the beacon-rate shadow counts into the atomic
-// Registry metrics and reschedules itself. It runs on the scheduler
-// goroutine, the sole writer of the shadow fields.
+// telemetryFlush folds the beacon-rate counts into the atomic Registry
+// metrics and reschedules itself. It runs on the scheduler goroutine,
+// the sole writer of the port counters and the fields it reads.
 func (n *Network) telemetryFlush() {
 	t := &n.tel
-	if t.sentN != 0 {
-		t.beaconsSent.Add(t.sentN)
-		t.sentN = 0
+	var sent, rx, ignored, down uint64
+	for _, lp := range n.linkPorts {
+		for _, p := range lp {
+			sent += p.beaconsSent
+			rx += p.beaconsReceived
+			ignored += p.beaconsIgnored
+			down += p.droppedDown
+		}
 	}
-	if t.rxN != 0 {
-		t.beaconsRx.Add(t.rxN)
-		t.rxN = 0
-	}
-	if t.ignoredN != 0 {
-		t.beaconsIgnored.Add(t.ignoredN)
-		t.ignoredN = 0
-	}
+	addSince(t.beaconsSent, sent, &t.flushedSent)
+	addSince(t.beaconsRx, rx, &t.flushedRx)
+	addSince(t.beaconsIgnored, ignored, &t.flushedIgnored)
+	addSince(t.droppedDown, down, &t.flushedDown)
 	if t.jumpsN != 0 {
 		t.jumps.Add(t.jumpsN)
 		t.jumpsN = 0
 	}
-	if t.droppedDownN != 0 {
-		t.droppedDown.Add(t.droppedDownN)
-		t.droppedDownN = 0
-	}
 	t.offBatch.Flush()
 	n.Sch.AfterActor(telemetryFlushInterval, n, 0, 0, 0)
+}
+
+// addSince adds to c what the running total gained since the last
+// flush recorded in *flushed.
+func addSince(c *telemetry.Counter, total uint64, flushed *uint64) {
+	if total != *flushed {
+		c.Add(total - *flushed)
+		*flushed = total
+	}
 }
 
 // setState moves the port's Algorithm 1 state machine, counting and

@@ -75,9 +75,8 @@ type Options struct {
 	// Config models the host hardware; the zero value means
 	// DefaultConfig().
 	Config Config
-	// Discipline selects and parameterizes the software-clock
-	// estimator; the zero value means the paper's moving-average path
-	// (discipline kind "ma").
+	// Discipline selects the software-clock estimator; the zero value
+	// means the paper's moving-average path (discipline kind "ma").
 	Discipline discipline.Config
 }
 

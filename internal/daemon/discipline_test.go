@@ -203,36 +203,3 @@ func TestAttachRejectsBadDiscipline(t *testing.T) {
 		t.Fatal("Attach accepted an unknown discipline kind")
 	}
 }
-
-// TestDisciplineGainMapsToMovingAverage: Options.Discipline.Gain alone,
-// with the kind left unset, parameterizes the default moving-average
-// discipline.
-func TestDisciplineGainMapsToMovingAverage(t *testing.T) {
-	sch, n := syncedPair(t, 33)
-	o := Options{
-		Config:     DefaultConfig().Compressed(100),
-		Discipline: discipline.Config{Gain: 0.35},
-	}
-	var ds []*Daemon
-	for _, dev := range n.Devices[:2] {
-		d, err := Attach(dev, o, 35, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Discipline() != "ma" {
-			t.Fatalf("discipline %q, want ma", d.Discipline())
-		}
-		ds = append(ds, d)
-	}
-	sch.RunFor(2 * sim.Second)
-	// Different devices and RNG streams, so values differ — but both
-	// must have calibrated and track their counters to Figure 7a noise.
-	for _, d := range ds {
-		if !d.Calibrated() {
-			t.Fatal("daemon never calibrated")
-		}
-		if off := math.Abs(d.OffsetUnits()); off > 40 {
-			t.Fatalf("offset %.1f units at gain 0.35", off)
-		}
-	}
-}

@@ -15,7 +15,7 @@
 //     outlier sample dropping.
 //
 // All disciplines are deterministic pure state machines: the model
-// after N Feed calls depends only on the N samples (and the Config),
+// after N Feed calls depends only on the N samples (and the kind),
 // never on wall time or external randomness.
 package discipline
 
@@ -24,7 +24,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -107,250 +106,69 @@ type Discipline interface {
 	Dropped() uint64
 }
 
-// kinds lists each discipline kind, in canonical order, with the
-// options it reads.
-var kinds = []kindOptions{
-	{"ma", []string{"gain", "window"}},
-	{"pll", []string{"kp", "ki"}},
-	{"theilsen", []string{"window"}},
-	{"lad", []string{"window", "dropk"}},
-}
-
-type kindOptions struct {
-	name    string
-	options []string
-}
+// kinds lists the discipline kinds in canonical order.
+var kinds = []string{"ma", "pll", "theilsen", "lad"}
 
 // Kinds lists the available discipline kinds in canonical order.
-func Kinds() []string {
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = k.name
-	}
-	return names
-}
+func Kinds() []string { return slices.Clone(kinds) }
 
-// Config selects and parameterizes a discipline. The zero value means
-// the default moving-average discipline with paper parameters.
+// Config selects a discipline. The zero value means the paper's moving
+// average.
 type Config struct {
 	// Kind is "ma", "pll", "theilsen" or "lad" ("" = "ma").
 	Kind string `json:"kind,omitempty"`
-	// Gain is the ma EWMA ratio gain (0 = 0.2, the paper value).
-	Gain float64 `json:"gain,omitempty"`
-	// Window is the sample window: ma ratio baseline (0 = 10),
-	// theilsen regression window (0 = 16), lad regression window
-	// (0 = 24).
-	Window int `json:"window,omitempty"`
-	// KP and KI are the pll proportional (phase) and integral
-	// (frequency) gains (0 = 0.7 and 0.3).
-	KP float64 `json:"kp,omitempty"`
-	KI float64 `json:"ki,omitempty"`
-	// DropK is the lad outlier cutoff in robust standard deviations
-	// (scaled MADs) of the fit residuals; samples further out are
-	// dropped from the window (0 = 5; lower is more aggressive).
-	DropK float64 `json:"dropk,omitempty"`
 }
 
-// Defaults per kind.
+// Each kind's fixed parameters.
 const (
-	defaultGain      = 0.2 // ma EWMA gain (paper)
-	defaultMAWindow  = 10  // ma ratio baseline (paper)
-	defaultKP        = 0.7
-	defaultKI        = 0.3
-	defaultTSWindow  = 16
-	defaultLADWindow = 24
-	defaultDropK     = 5.0
+	maGain    = 0.2 // ma EWMA ratio gain (paper)
+	maWindow  = 10  // ma ratio baseline, in calibrations (paper)
+	pllKP     = 0.7 // pll proportional (phase) gain
+	pllKI     = 0.3 // pll integral (frequency) gain
+	tsWindow  = 16  // theilsen regression window
+	ladWindow = 24  // lad regression window
+	// ladDropK is the lad outlier cutoff in robust standard deviations
+	// (scaled MADs) of the fit residuals; lower is more aggressive.
+	ladDropK = 5.0
 )
-
-// WithDefaults fills zero fields with the kind's defaults.
-func (c Config) WithDefaults() Config {
-	if c.Kind == "" {
-		c.Kind = "ma"
-	}
-	switch c.Kind {
-	case "ma":
-		if c.Gain == 0 {
-			c.Gain = defaultGain
-		}
-		if c.Window == 0 {
-			c.Window = defaultMAWindow
-		}
-	case "pll":
-		if c.KP == 0 {
-			c.KP = defaultKP
-		}
-		if c.KI == 0 {
-			c.KI = defaultKI
-		}
-	case "theilsen":
-		if c.Window == 0 {
-			c.Window = defaultTSWindow
-		}
-	case "lad":
-		if c.Window == 0 {
-			c.Window = defaultLADWindow
-		}
-		if c.DropK == 0 {
-			c.DropK = defaultDropK
-		}
-	}
-	return c
-}
-
-// Validate checks the configuration without filling defaults. It
-// rejects an option the kind does not read, naming the ones it does.
-func (c Config) Validate() error {
-	i := slices.IndexFunc(kinds, func(k kindOptions) bool { return k.name == c.kind() })
-	if i < 0 {
-		return fmt.Errorf("discipline: unknown kind %q (want one of %s)",
-			c.Kind, strings.Join(Kinds(), "|"))
-	}
-	// NaN compares false against every range bound below, and +Inf
-	// passes dropk's, so non-finite gains are rejected first.
-	for _, g := range []struct {
-		name string
-		v    float64
-	}{{"gain", c.Gain}, {"kp", c.KP}, {"ki", c.KI}, {"dropk", c.DropK}} {
-		if math.IsNaN(g.v) || math.IsInf(g.v, 0) {
-			return fmt.Errorf("discipline: %s %g is not finite", g.name, g.v)
-		}
-	}
-	for _, opt := range c.options() {
-		if name, _, _ := strings.Cut(opt, "="); !slices.Contains(kinds[i].options, name) {
-			return fmt.Errorf("discipline: %s does not read %s (its options: %s)",
-				c.kind(), name, strings.Join(kinds[i].options, ", "))
-		}
-	}
-	if c.Gain < 0 || c.Gain > 1 {
-		return fmt.Errorf("discipline: gain %g out of (0,1]", c.Gain)
-	}
-	if c.Window < 0 {
-		return fmt.Errorf("discipline: window %d negative", c.Window)
-	}
-	if c.Window > 0 && c.Window < 2 && (c.Kind == "theilsen" || c.Kind == "lad") {
-		return fmt.Errorf("discipline: %s window %d too small (need >= 2)", c.Kind, c.Window)
-	}
-	if c.KP < 0 || c.KP > 2 {
-		return fmt.Errorf("discipline: kp %g out of (0,2]", c.KP)
-	}
-	if c.KI < 0 || c.KI > 2 {
-		return fmt.Errorf("discipline: ki %g out of (0,2]", c.KI)
-	}
-	if c.DropK < 0 {
-		return fmt.Errorf("discipline: dropk %g negative", c.DropK)
-	}
-	return nil
-}
 
 // New builds the configured discipline. nominalRatio seeds the
 // frequency estimate (counter units per TSC picosecond at nominal
 // oscillator rate); the model reports it until enough samples arrive.
 func (c Config) New(nominalRatio float64) (Discipline, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	c = c.WithDefaults()
 	switch c.Kind {
-	case "ma":
-		return newMovingAverage(c, nominalRatio), nil
+	case "", "ma":
+		return newMovingAverage(maGain, maWindow, nominalRatio), nil
 	case "pll":
-		return newPLL(c, nominalRatio), nil
+		return newPLL(pllKP, pllKI, nominalRatio), nil
 	case "theilsen":
-		return newTheilSen(c, nominalRatio), nil
+		return newTheilSen(tsWindow, nominalRatio), nil
 	case "lad":
-		return newLAD(c, nominalRatio), nil
+		return newLAD(ladWindow, ladDropK, nominalRatio), nil
 	}
-	panic("unreachable")
+	return nil, unknownKind(c.Kind)
 }
 
-// String renders the canonical spec ("lad:window=24,dropk=3"); the
-// result round-trips through Parse. Default-valued options are elided.
-func (c Config) String() string {
-	opts := c.options()
-	if len(opts) == 0 {
-		return c.kind()
-	}
-	return c.kind() + ":" + strings.Join(opts, ",")
+func unknownKind(kind string) error {
+	return fmt.Errorf("discipline: unknown kind %q (want one of %s)", kind, strings.Join(kinds, "|"))
 }
 
-// kind is the configured kind, the default named.
-func (c Config) kind() string {
-	if c.Kind == "" {
-		return "ma"
-	}
-	return c.Kind
-}
-
-// options renders the options c sets as "opt=val", in canonical order.
-func (c Config) options() []string {
-	var opts []string
-	add := func(k string, v float64) {
-		if v != 0 {
-			opts = append(opts, k+"="+strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	}
-	add("gain", c.Gain)
-	if c.Window != 0 {
-		opts = append(opts, "window="+strconv.Itoa(c.Window))
-	}
-	add("kp", c.KP)
-	add("ki", c.KI)
-	add("dropk", c.DropK)
-	return opts
-}
-
-// Parse reads a discipline spec of the form
-//
-//	kind[:opt=val[,opt=val...]]
-//
-// e.g. "ma", "ma:gain=0.3", "pll:kp=0.5,ki=0.2", "theilsen:window=32",
-// "lad:window=24,dropk=3". An empty spec yields the default (ma).
+// Parse reads a discipline spec: a kind name ("ma", "pll", "theilsen"
+// or "lad"). An empty spec yields the default (ma). Each kind's
+// parameters are fixed, so an ":opt=val" suffix is an error.
 func Parse(spec string) (Config, error) {
-	var c Config
-	if spec == "" {
-		return c, nil
+	kind, opts, hasOpts := strings.Cut(spec, ":")
+	kind = strings.TrimSpace(kind)
+	if kind != "" && !slices.Contains(kinds, kind) {
+		return Config{}, unknownKind(kind)
 	}
-	kind, rest, hasOpts := strings.Cut(spec, ":")
-	c.Kind = strings.TrimSpace(kind)
 	if hasOpts {
-		for _, kv := range strings.Split(rest, ",") {
-			k, v, ok := strings.Cut(kv, "=")
-			if !ok {
-				return Config{}, fmt.Errorf("discipline: bad option %q in %q (want opt=val)", kv, spec)
-			}
-			k = strings.TrimSpace(k)
-			v = strings.TrimSpace(v)
-			switch k {
-			case "window":
-				n, err := strconv.Atoi(v)
-				if err != nil {
-					return Config{}, fmt.Errorf("discipline: bad window %q: %v", v, err)
-				}
-				c.Window = n
-			case "gain", "kp", "ki", "dropk":
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					return Config{}, fmt.Errorf("discipline: bad %s %q: %v", k, v, err)
-				}
-				switch k {
-				case "gain":
-					c.Gain = f
-				case "kp":
-					c.KP = f
-				case "ki":
-					c.KI = f
-				case "dropk":
-					c.DropK = f
-				}
-			default:
-				return Config{}, fmt.Errorf("discipline: unknown option %q in %q", k, spec)
-			}
+		if kind == "" {
+			kind = "ma"
 		}
+		return Config{}, fmt.Errorf("discipline: %s takes no options, got %q", kind, opts)
 	}
-	if err := c.Validate(); err != nil {
-		return Config{}, err
-	}
-	return c, nil
+	return Config{Kind: kind}, nil
 }
 
 // median returns the median of xs, sorting it in place. Even lengths

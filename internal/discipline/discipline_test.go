@@ -84,10 +84,9 @@ func TestParseRoundTrip(t *testing.T) {
 	}{
 		{"", Config{}},
 		{"ma", Config{Kind: "ma"}},
-		{"ma:gain=0.3", Config{Kind: "ma", Gain: 0.3}},
-		{"pll:kp=0.5,ki=0.2", Config{Kind: "pll", KP: 0.5, KI: 0.2}},
-		{"theilsen:window=32", Config{Kind: "theilsen", Window: 32}},
-		{"lad:window=24,dropk=3", Config{Kind: "lad", Window: 24, DropK: 3}},
+		{"pll", Config{Kind: "pll"}},
+		{"theilsen", Config{Kind: "theilsen"}},
+		{"lad", Config{Kind: "lad"}},
 	}
 	for _, c := range cases {
 		got, err := Parse(c.spec)
@@ -97,24 +96,22 @@ func TestParseRoundTrip(t *testing.T) {
 		if got != c.want {
 			t.Fatalf("Parse(%q) = %+v, want %+v", c.spec, got, c.want)
 		}
-		if c.spec != "" {
-			round, err := Parse(got.String())
-			if err != nil || round != got {
-				t.Fatalf("String round trip of %q: got %+v (%v)", c.spec, round, err)
-			}
+		if round, err := Parse(got.Kind); err != nil || round != got {
+			t.Fatalf("Kind round trip of %q: got %+v (%v)", c.spec, round, err)
 		}
 	}
-	for _, bad := range []string{"kalman", "ma:gain", "ma:gain=x", "lad:window=1", "pll:kp=7", "ma:foo=1",
-		"ma:gain=NaN", "pll:kp=nan", "pll:ki=-Inf", "lad:dropk=+Inf", "lad:dropk=NaN",
-		"pll:gain=0.3", "theilsen:dropk=3,kp=1.5", "ma:dropk=2", "lad:ki=0.1"} {
+	for _, bad := range []string{"kalman", "ma:", "ma:gain", "ma:gain=0.3", "pll:kp=0.5,ki=0.2",
+		"theilsen:window=32", "lad:window=24,dropk=3", "lad:dropk=2", "ma:gain=NaN", ":gain=0.3"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q): want error, got nil", bad)
 		}
 	}
-	// An option the kind does not read used to be accepted and dropped;
-	// the error names the options the kind does read.
-	if _, err := Parse("pll:gain=0.3"); err == nil || !strings.Contains(err.Error(), "kp, ki") {
-		t.Errorf("Parse(pll:gain=0.3): %v, want an error listing kp, ki", err)
+	// Each kind's parameters are fixed: an option suffix is refused, and
+	// the error names the kind.
+	for spec, kind := range map[string]string{"lad:dropk=2": "lad", "pll:kp=0.5,ki=0.2": "pll", ":gain=0.3": "ma"} {
+		if _, err := Parse(spec); err == nil || !strings.Contains(err.Error(), kind+" takes no options") {
+			t.Errorf("Parse(%q): %v, want an error naming %s", spec, err, kind)
+		}
 	}
 }
 
@@ -278,15 +275,15 @@ func TestNonAdvancingTSCSampleRejected(t *testing.T) {
 	}
 }
 
-// FuzzParseDiscipline: Parse never panics; an accepted spec round-trips
-// through String, and the discipline it builds stays finite over ten
-// noisy calibrations. The corpus holds every kind, each option, and the
-// NaN and Inf gains that once passed Validate and served NaN-wide
-// intervals, and options a kind does not read, once silently dropped.
+// FuzzParseDiscipline: Parse never panics; an accepted spec is a bare
+// kind that round-trips through its Kind, and the discipline it builds
+// stays finite over ten noisy calibrations. The corpus holds every
+// kind and the option specs the grammar once accepted (NaN and Inf
+// gains among them), which must now all be refused.
 func FuzzParseDiscipline(f *testing.F) {
 	for _, spec := range []string{"", "ma", "ma:gain=0.3", "pll:kp=0.5,ki=0.2", "theilsen:window=32",
 		"lad:window=24,dropk=3", "ma:gain=NaN", "pll:ki=Inf", "lad:dropk=+Inf", "lad:window=1",
-		"pll:gain=0.3", "theilsen:dropk=3,kp=1.5"} {
+		"pll", "theilsen"} {
 		f.Add(spec)
 	}
 	samples := stream(10, testNominal, func(i int) float64 { return triWave(i, 3) })
@@ -295,9 +292,11 @@ func FuzzParseDiscipline(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// String names the default kind, so compare with defaults filled.
-		if back, err := Parse(c.String()); err != nil || back.WithDefaults() != c.WithDefaults() {
-			t.Fatalf("Parse(%q) = %+v; its String %q parses to %+v (%v)", spec, c, c.String(), back, err)
+		if strings.Contains(spec, ":") {
+			t.Fatalf("Parse(%q) accepted an option suffix: %+v", spec, c)
+		}
+		if back, err := Parse(c.Kind); err != nil || back != c {
+			t.Fatalf("Parse(%q) = %+v; its kind parses to %+v (%v)", spec, c, back, err)
 		}
 		d, err := c.New(testNominal)
 		if err != nil {

@@ -5,14 +5,14 @@ import "math"
 // lad fits the counter/TSC line by least absolute deviations over a
 // sliding window (iteratively reweighted least squares with 1/|r|
 // weights, the standard IRLS reduction of the L1 fit), then applies
-// chrony-style sample dropping: samples whose residual exceeds DropK
+// chrony-style sample dropping: samples whose residual exceeds dropK
 // robust standard deviations of the fit are removed from the window
 // and the survivors refit. The newest two samples are always retained
 // so a genuine regime change (frequency step) can accumulate evidence
 // instead of being vetoed forever by the incumbent fit.
 //
 // Dropping is a double-edged sword — exactly the phenomenon the
-// scion-time LAD notes describe: with an aggressive DropK, heavy-tailed
+// scion-time LAD notes describe: with an aggressive dropK, heavy-tailed
 // PCIe noise keeps the window short, the short-baseline ratio estimate
 // wobbles, the wobble manufactures fresh "outliers", and the loop
 // oscillates without ever settling. TestLADAggressiveDroppingOscillates
@@ -55,8 +55,8 @@ const (
 	ladFloorSlackPPM = 5
 )
 
-func newLAD(c Config, nominalRatio float64) *lad {
-	d := &lad{window: c.Window, dropK: c.DropK, nominal: nominalRatio}
+func newLAD(window int, dropK, nominalRatio float64) *lad {
+	d := &lad{window: window, dropK: dropK, nominal: nominalRatio}
 	d.Reset()
 	return d
 }

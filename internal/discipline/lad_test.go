@@ -28,7 +28,7 @@ func TestLADFrequencyStepMassDrop(t *testing.T) {
 		return dtp0 + r1*(tscAt(stepAt)-tsc0) + r2*(tscAt(i)-tscAt(stepAt))
 	}
 
-	d := mustNew(t, Config{Kind: "lad", Window: 16})
+	d := newLAD(16, ladDropK, testNominal)
 	var maxTransientOff, maxTailOff float64
 	for i := 0; i < 80; i++ {
 		m := d.Feed(Sample{DTP: truthAt(i) + jit(i), TSC: tscAt(i), LatchErrPs: testLatchPs})
@@ -86,7 +86,7 @@ func TestLADAggressiveDroppingOscillates(t *testing.T) {
 		acc += testNominal * (1 + wanderPPM*1e-6*tri64(i)) * testDT
 	}
 	run := func(dropK float64) (lateDrops uint64, maxOff float64, signChanges int) {
-		d := mustNew(t, Config{Kind: "lad", Window: 12, DropK: dropK})
+		d := newLAD(12, dropK, testNominal)
 		var dropsAtTwoThirds uint64
 		prevSign := 0
 		for i := 0; i < n; i++ {
@@ -117,7 +117,7 @@ func TestLADAggressiveDroppingOscillates(t *testing.T) {
 	}
 
 	aggDrops, aggOff, aggSwings := run(1)
-	defDrops, defOff, defSwings := run(0) // 0 -> default DropK
+	defDrops, defOff, defSwings := run(ladDropK)
 	t.Logf("aggressive: lateDrops=%d maxOff=%.2f swings=%d", aggDrops, aggOff, aggSwings)
 	t.Logf("default:    lateDrops=%d maxOff=%.2f swings=%d", defDrops, defOff, defSwings)
 

@@ -3,7 +3,7 @@ package discipline
 // movingAverage is the paper's estimator (Figure 7), extracted from
 // internal/daemon verbatim: the anchor is always the latest sample, and
 // the frequency ratio is an EWMA of instantaneous ratios measured
-// against an anchor Window calibrations old — the long baseline divides
+// against an anchor window calibrations old — the long baseline divides
 // per-read latch noise into the ratio.
 type movingAverage struct {
 	gain    float64
@@ -15,14 +15,14 @@ type movingAverage struct {
 }
 
 // maSlackPPM bounds the moving-average frequency-ratio error: the ratio
-// is an EWMA over a Window-calibration baseline, so per-read latch
+// is an EWMA over a window-calibration baseline, so per-read latch
 // noise divided by the baseline leaves well under a ppm in steady
 // state; PCIe spike samples push it to a few ppm transiently. (This is
 // the daemon's historical ratioSlackPPM constant.)
 const maSlackPPM = 5
 
-func newMovingAverage(c Config, nominalRatio float64) *movingAverage {
-	d := &movingAverage{gain: c.Gain, window: c.Window, nominal: nominalRatio}
+func newMovingAverage(gain float64, window int, nominalRatio float64) *movingAverage {
+	d := &movingAverage{gain: gain, window: window, nominal: nominalRatio}
 	d.Reset()
 	return d
 }

@@ -4,10 +4,10 @@ import "math"
 
 // pll is an Ntimed-style proportional-integral phase-locked loop: each
 // calibration measures the phase error between the predicted and
-// latched counter, corrects the anchor by KP of it, and integrates
-// KI of the implied frequency error into the ratio. With the default
-// gains the closed loop contracts phase error by (1-KP-KI) per sample
-// and pure frequency error by (1-KI), so acquisition from a cold
+// latched counter, corrects the anchor by kp of it, and integrates
+// ki of the implied frequency error into the ratio. With pllKP and
+// pllKI the closed loop contracts phase error by (1-kp-ki) per sample
+// and pure frequency error by (1-ki), so acquisition from a cold
 // nominal ratio takes a few tens of samples.
 type pll struct {
 	kp, ki  float64
@@ -40,8 +40,8 @@ const (
 	pllFloorSlackPPM = 5
 )
 
-func newPLL(c Config, nominalRatio float64) *pll {
-	d := &pll{kp: c.KP, ki: c.KI, nominal: nominalRatio}
+func newPLL(kp, ki, nominalRatio float64) *pll {
+	d := &pll{kp: kp, ki: ki, nominal: nominalRatio}
 	d.Reset()
 	return d
 }

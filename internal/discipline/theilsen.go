@@ -32,8 +32,8 @@ const (
 	tsFloorSlackPPM = 5
 )
 
-func newTheilSen(c Config, nominalRatio float64) *theilSen {
-	d := &theilSen{window: c.Window, nominal: nominalRatio}
+func newTheilSen(window int, nominalRatio float64) *theilSen {
+	d := &theilSen{window: window, nominal: nominalRatio}
 	d.Reset()
 	return d
 }

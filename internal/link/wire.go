@@ -101,7 +101,7 @@ func New(sch *sim.Scheduler, rng *sim.RNG, cfg Config) (*Wire, error) {
 	if cfg.Delay < 0 {
 		return nil, fmt.Errorf("link: negative delay %v", cfg.Delay)
 	}
-	if cfg.BER < 0 || cfg.BER >= 1 {
+	if !(cfg.BER >= 0 && cfg.BER < 1) { // written so that NaN fails too
 		return nil, fmt.Errorf("link: BER %v outside [0, 1)", cfg.BER)
 	}
 	w := &Wire{sch: sch, rng: rng, cfg: cfg}

@@ -1,6 +1,7 @@
 package link
 
 import (
+	"math"
 	"testing"
 
 	"github.com/dtplab/dtp/internal/phy"
@@ -148,8 +149,10 @@ func TestNegativeDelayRejected(t *testing.T) {
 	if _, err := New(sim.NewScheduler(), sim.NewRNG(1, "w"), Config{Delay: -1}); err == nil {
 		t.Fatal("negative delay accepted")
 	}
-	if _, err := New(sim.NewScheduler(), sim.NewRNG(1, "w"), Config{Delay: 1, BER: 1.5}); err == nil {
-		t.Fatal("BER >= 1 accepted")
+	for _, ber := range []float64{1.5, -1, math.NaN()} {
+		if _, err := New(sim.NewScheduler(), sim.NewRNG(1, "w"), Config{Delay: 1, BER: ber}); err == nil {
+			t.Fatalf("BER %g accepted", ber)
+		}
 	}
 }
 

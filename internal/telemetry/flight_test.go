@@ -18,9 +18,9 @@ func flightFixture(t *testing.T, dir string, cfg FlightConfig) (*Recorder, *Trac
 	reg := New()
 	reg.Counter("dtp_test_total", "help").Add(42)
 	tr := NewTracer(16)
-	tl := NewTimeline(sim.Millisecond)
-	tl.Gauge("bound", func() float64 { return float64(sch.Now() / sim.Millisecond) })
-	tl.Start(sch)
+	tl := NewTimeline(sch, sim.Millisecond, []TimelineColumn{
+		{Name: "bound", Probe: func() float64 { return float64(sch.Now() / sim.Millisecond) }},
+	})
 	cfg.Dir = dir
 	rec, err := NewRecorder(cfg, reg, tr, tl, sch.Now)
 	if err != nil {

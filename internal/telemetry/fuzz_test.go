@@ -23,9 +23,9 @@ func pairArtifacts(f *testing.F) (trace, bundle []byte) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	tl := telemetry.NewTimeline(100 * sim.Microsecond)
-	tl.Gauge("max_offset", func() float64 { return float64(n.MaxPairwiseOffset()) })
-	tl.Start(sch)
+	tl := telemetry.NewTimeline(sch, 100*sim.Microsecond, []telemetry.TimelineColumn{
+		{Name: "max_offset", Probe: func() float64 { return float64(n.MaxPairwiseOffset()) }},
+	})
 	rec, err := telemetry.NewRecorder(telemetry.FlightConfig{Dir: f.TempDir(), Seed: 1}, reg, tr, tl, sch.Now)
 	if err != nil {
 		f.Fatal(err)

@@ -17,8 +17,8 @@ import (
 // two milliseconds before a bound breach is invisible in a gauge and
 // obvious in a timeline.
 //
-// Columns are registered before Start; each carries a probe closure
-// that runs on the simulation goroutine (the sampling tick is a
+// The columns are fixed when NewTimeline builds it; each carries a probe
+// closure that runs on the simulation goroutine (the sampling tick is a
 // scheduler event), so probes may touch sim-owned state freely. Two
 // column modes exist: a gauge column stores the probe value as-is; a
 // rate column stores the per-second delta of a cumulative probe.
@@ -31,20 +31,23 @@ import (
 type Timeline struct {
 	interval sim.Time
 
-	mu      sync.Mutex
-	cols    []*timelineColumn
-	rows    []TimelineRow // ring
-	next    int
-	count   int
-	total   uint64 // rows ever sampled (dropped = total - count)
-	started bool
+	cols []TimelineColumn // fixed at construction
+
+	mu    sync.Mutex
+	prev  []float64     // last cumulative value per column, rate columns only
+	rows  []TimelineRow // ring
+	next  int
+	count int
+	total uint64 // rows ever sampled (dropped = total - count)
 }
 
-type timelineColumn struct {
-	name  string
-	probe func() float64
-	rate  bool
-	prev  float64 // last cumulative value, rate columns only
+// TimelineColumn is one timeline column: Probe is sampled at each tick
+// and stored as-is, or, with Rate set, as the per-second increase of
+// its cumulative value since the previous tick.
+type TimelineColumn struct {
+	Name  string
+	Probe func() float64
+	Rate  bool
 }
 
 // TimelineRow is one sampled snapshot: the simulated instant plus one
@@ -57,13 +60,33 @@ type TimelineRow struct {
 // timelineCapacity is how many rows a Timeline retains.
 const timelineCapacity = 1024
 
-// NewTimeline builds a timeline sampling every interval of simulated
-// time (default 1 ms), retaining the last timelineCapacity rows.
-func NewTimeline(interval sim.Time) *Timeline {
+// NewTimeline builds a timeline over cols sampling every interval of
+// simulated time (default 1 ms), retaining the last timelineCapacity
+// rows, and schedules its first sample one interval from now. It reads
+// the rate columns' baselines at once, so call it from the simulation
+// goroutine or before the scheduler runs.
+func NewTimeline(sch *sim.Scheduler, interval sim.Time, cols []TimelineColumn) *Timeline {
 	if interval <= 0 {
 		interval = sim.Millisecond
 	}
-	return &Timeline{interval: interval}
+	t := &Timeline{
+		interval: interval,
+		cols:     cols,
+		prev:     make([]float64, len(cols)),
+		rows:     make([]TimelineRow, timelineCapacity),
+	}
+	for i, c := range cols {
+		if c.Rate {
+			t.prev[i] = c.Probe()
+		}
+	}
+	var tick func()
+	tick = func() {
+		t.sample(sch.Now())
+		sch.After(t.interval, tick)
+	}
+	sch.After(t.interval, tick)
+	return t
 }
 
 // Interval returns the sampling cadence.
@@ -74,59 +97,6 @@ func (t *Timeline) Interval() sim.Time {
 	return t.interval
 }
 
-// Gauge registers a column storing probe() at each sample. Registration
-// after Start is ignored (columns are fixed once sampling begins, so
-// every row has the same width).
-func (t *Timeline) Gauge(name string, probe func() float64) {
-	t.addColumn(name, probe, false)
-}
-
-// Rate registers a column storing the per-second increase of the
-// cumulative probe() between samples.
-func (t *Timeline) Rate(name string, probe func() float64) {
-	t.addColumn(name, probe, true)
-}
-
-func (t *Timeline) addColumn(name string, probe func() float64, rate bool) {
-	if t == nil || probe == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.started {
-		return
-	}
-	t.cols = append(t.cols, &timelineColumn{name: name, probe: probe, rate: rate})
-}
-
-// Start allocates the ring, primes rate baselines, and schedules the
-// periodic sampling event. Call it from the simulation goroutine (or
-// before the scheduler runs); calling twice is a no-op.
-func (t *Timeline) Start(sch *sim.Scheduler) {
-	if t == nil || sch == nil {
-		return
-	}
-	t.mu.Lock()
-	if t.started {
-		t.mu.Unlock()
-		return
-	}
-	t.started = true
-	t.rows = make([]TimelineRow, timelineCapacity)
-	for _, c := range t.cols {
-		if c.rate {
-			c.prev = c.probe()
-		}
-	}
-	t.mu.Unlock()
-	var tick func()
-	tick = func() {
-		t.sample(sch.Now())
-		sch.After(t.interval, tick)
-	}
-	sch.After(t.interval, tick)
-}
-
 // sample records one row. Runs on the simulation goroutine.
 func (t *Timeline) sample(at sim.Time) {
 	t.mu.Lock()
@@ -134,10 +104,10 @@ func (t *Timeline) sample(at sim.Time) {
 	row := TimelineRow{At: at, V: make([]float64, len(t.cols))}
 	secs := t.interval.Seconds()
 	for i, c := range t.cols {
-		v := c.probe()
-		if c.rate {
-			row.V[i] = (v - c.prev) / secs
-			c.prev = v
+		v := c.Probe()
+		if c.Rate {
+			row.V[i] = (v - t.prev[i]) / secs
+			t.prev[i] = v
 		} else {
 			row.V[i] = v
 		}
@@ -150,16 +120,14 @@ func (t *Timeline) sample(at sim.Time) {
 	t.total++
 }
 
-// Columns returns the column names in registration (= row value) order.
+// Columns returns the column names in row value order.
 func (t *Timeline) Columns() []string {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	out := make([]string, len(t.cols))
 	for i, c := range t.cols {
-		out[i] = c.name
+		out[i] = c.Name
 	}
 	return out
 }

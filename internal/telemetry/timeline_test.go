@@ -11,12 +11,12 @@ import (
 
 func TestTimelineSampling(t *testing.T) {
 	sch := sim.NewScheduler()
-	tl := NewTimeline(sim.Millisecond)
 	var g float64
 	var cum float64
-	tl.Gauge("g", func() float64 { return g })
-	tl.Rate("r", func() float64 { return cum })
-	tl.Start(sch)
+	tl := NewTimeline(sch, sim.Millisecond, []TimelineColumn{
+		{Name: "g", Probe: func() float64 { return g }},
+		{Name: "r", Probe: func() float64 { return cum }, Rate: true},
+	})
 	for i := 0; i < 5; i++ {
 		g = float64(i + 1)
 		cum += 1000 // +1000/ms = 1e6/s
@@ -44,10 +44,8 @@ func TestTimelineSampling(t *testing.T) {
 
 func TestTimelineRingEviction(t *testing.T) {
 	sch := sim.NewScheduler()
-	tl := NewTimeline(sim.Millisecond)
 	n := 0.0
-	tl.Gauge("n", func() float64 { n++; return n })
-	tl.Start(sch)
+	tl := NewTimeline(sch, sim.Millisecond, []TimelineColumn{{Name: "n", Probe: func() float64 { n++; return n }}})
 	const total = timelineCapacity + 6
 	sch.RunFor(total * sim.Millisecond)
 	rows := tl.Rows()
@@ -67,11 +65,11 @@ func TestTimelineRingEviction(t *testing.T) {
 func TestTimelineJSONLDeterminism(t *testing.T) {
 	run := func() string {
 		sch := sim.NewScheduler()
-		tl := NewTimeline(100 * sim.Microsecond)
 		i := 0.0
-		tl.Gauge("v", func() float64 { i++; return i * 1.5 })
-		tl.Gauge("nan", func() float64 { return math.NaN() })
-		tl.Start(sch)
+		tl := NewTimeline(sch, 100*sim.Microsecond, []TimelineColumn{
+			{Name: "v", Probe: func() float64 { i++; return i * 1.5 }},
+			{Name: "nan", Probe: func() float64 { return math.NaN() }},
+		})
 		sch.RunFor(sim.Millisecond)
 		var b strings.Builder
 		if err := tl.WriteJSONL(&b); err != nil {
@@ -97,9 +95,7 @@ func TestTimelineJSONLDeterminism(t *testing.T) {
 // the last row of a dump is sample number total. One dump tears only
 // now and then, hence the loop.
 func TestTimelineJSONLUnderSampling(t *testing.T) {
-	tl := NewTimeline(sim.Microsecond)
-	tl.Gauge("v", func() float64 { return 1 })
-	tl.Start(sim.NewScheduler())
+	tl := NewTimeline(sim.NewScheduler(), sim.Microsecond, []TimelineColumn{{Name: "v", Probe: func() float64 { return 1 }}})
 	stop, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
@@ -138,8 +134,6 @@ func TestTimelineJSONLUnderSampling(t *testing.T) {
 
 func TestTimelineNilSafety(t *testing.T) {
 	var tl *Timeline
-	tl.Gauge("x", func() float64 { return 0 })
-	tl.Start(sim.NewScheduler())
 	if tl.Rows() != nil || tl.Columns() != nil || tl.Total() != 0 {
 		t.Fatal("nil timeline should be empty")
 	}
