@@ -1,10 +1,12 @@
-package core
+package core_test
 
 import (
 	"reflect"
 	"testing"
 	"unsafe"
 
+	"github.com/dtplab/dtp/internal/audit"
+	"github.com/dtplab/dtp/internal/core"
 	"github.com/dtplab/dtp/internal/sim"
 	"github.com/dtplab/dtp/internal/topo"
 )
@@ -16,44 +18,70 @@ const (
 	budgetLength = sim.Millisecond
 )
 
-// budgetRun counts the scheduler events, the beacons sent and the actor
-// events the FIFO lanes refused to the heap in the budget window of g at
-// seed 1, with the default config and wander (1 ms steps of 100 ppb).
-// fused picks the beacon chain.
-func budgetRun(t *testing.T, g topo.Graph, fused bool) (events, beacons, overflows uint64) {
+// budget is what one world costs in the budget window.
+type budget struct {
+	events, beacons uint64
+	queue           sim.QueueStats // lane counts and overflows over the window
+	// sweeps and pairChecks count the auditor's rounds and pair
+	// comparisons, when one is attached.
+	sweeps, pairChecks uint64
+}
+
+// budgetRun counts the scheduler events, the beacons sent and the
+// queue's filing in the budget window of g at seed 1, with the default
+// config and wander (1 ms steps of 100 ppb). fused picks the beacon
+// chain; audited attaches the online auditor at its default cadence.
+func budgetRun(t *testing.T, g topo.Graph, fused, audited bool) budget {
 	t.Helper()
-	defer func(was bool) { fuseChain = was }(fuseChain)
-	fuseChain = fused
-	cfg := DefaultConfig()
+	defer core.SetFusedChain(core.SetFusedChain(fused))
+	cfg := core.DefaultConfig()
 	cfg.WanderInterval, cfg.WanderStepPPB = sim.Millisecond, 100
 	sch := sim.NewScheduler()
-	n, err := NewNetwork(sch, 1, g, cfg)
+	n, err := core.NewNetwork(sch, 1, g, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var aud *audit.Auditor
+	if audited {
+		aud = audit.New(n, audit.Config{}, nil, nil)
 	}
 	n.Start()
 	sch.Run(budgetFrom)
 	if !n.AllSynced() {
 		t.Fatal("not synced when the budget window opens")
 	}
-	sent := func() (s uint64) {
+	snap := func() (b budget) {
+		b.events, b.queue = sch.Processed(), sch.QueueStats()
 		for _, d := range n.Devices {
-			for _, p := range d.ports {
-				s += p.beaconsSent
+			for _, p := range d.Ports() {
+				sent, _, _, _ := p.Stats()
+				b.beacons += sent
 			}
 		}
-		return s
+		if aud != nil {
+			b.sweeps, b.pairChecks = aud.Checks(), aud.PairChecks()
+		}
+		return b
 	}
-	e0, b0, o0 := sch.Processed(), sent(), sch.QueueStats().LaneOverflows
+	b0 := snap()
 	sch.RunFor(budgetLength)
-	return sch.Processed() - e0, sent() - b0, sch.QueueStats().LaneOverflows - o0
+	b := snap()
+	b.events -= b0.events
+	b.beacons -= b0.beacons
+	b.sweeps -= b0.sweeps
+	b.pairChecks -= b0.pairChecks
+	b.queue.LaneOverflows -= b0.queue.LaneOverflows
+	for l := range b.queue.ByLane {
+		b.queue.ByLane[l] -= b0.queue.ByLane[l]
+	}
+	return b
 }
 
 // allocsPerSimMs is the steady-state allocation rate of a synced paper
 // tree without wander, whose re-arming closure allocates by design.
 func allocsPerSimMs(t *testing.T) float64 {
 	sch := sim.NewScheduler()
-	n, err := NewNetwork(sch, 1, topo.PaperTree(), DefaultConfig())
+	n, err := core.NewNetwork(sch, 1, topo.PaperTree(), core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,38 +91,54 @@ func allocsPerSimMs(t *testing.T) float64 {
 }
 
 // TestEngineBudget pins what the engine costs in units that do not
-// depend on the machine: scheduler events per simulated millisecond and
-// per beacon, actor events the FIFO lanes refuse to the heap,
-// allocations, and the size of the structures a beacon touches. Every
-// entry is an equality unless marked as a ceiling. A change that moves
-// one edits the table and says why; a one-event change to the beacon
-// path moves every event count.
+// depend on the machine: scheduler events per simulated millisecond,
+// per beacon and per beacon by lane (the port's opcode & 7; lanes 1-3
+// carry the five-event chain of flights re-filed by wander steps, 4 the
+// process events a crossing schedules, 7 the landings and the settled
+// process events), actor events the FIFO lanes refuse to the heap, the
+// auditor's pair checks per sweep, allocations, and the size of the
+// structures a beacon touches. Every entry is an equality unless marked
+// as a ceiling. A change that moves one edits the table and says why; a
+// one-event change to the beacon path moves every event count and the
+// row of the lane the event takes.
 func TestEngineBudget(t *testing.T) {
-	pairEvents, _, pairHeap := budgetRun(t, topo.Pair(), true)
-	treeEvents, treeBeacons, treeHeap := budgetRun(t, topo.PaperTree(), true)
-	ft4Events, _, ft4Heap := budgetRun(t, topo.FatTree(4), true)
+	pair := budgetRun(t, topo.Pair(), true, false)
+	tree := budgetRun(t, topo.PaperTree(), true, false)
+	ft4 := budgetRun(t, topo.FatTree(4), true, false)
 	// The five-event chain, the reference flights are tested against.
-	chainEvents, chainBeacons, _ := budgetRun(t, topo.PaperTree(), false)
+	chain := budgetRun(t, topo.PaperTree(), false, false)
+	audited := budgetRun(t, topo.FatTree(4), true, true)
 	perBeacon := func(events, beacons uint64) float64 {
 		return float64((events*10_000 + beacons/2) / beacons) // x1e4, rounded
 	}
+	lane := func(b budget, l int) float64 { return perBeacon(b.queue.ByLane[l], b.beacons) }
 	slots, _ := reflect.TypeOf(sim.Scheduler{}).FieldByName("slots")
 	for _, row := range []struct {
 		name      string
 		got, want float64
 		ceiling   bool
 	}{
-		{"events per sim-ms, pair", float64(pairEvents), 4722, false},
-		{"events per sim-ms, paper tree", float64(treeEvents), 51931, false},
-		{"events per sim-ms, fattree:4", float64(ft4Events), 226562, false},
-		{"lane overflows to the heap per sim-ms, pair", float64(pairHeap), 0, false},
-		{"lane overflows to the heap per sim-ms, paper tree", float64(treeHeap), 0, false},
-		{"lane overflows to the heap per sim-ms, fattree:4", float64(ft4Heap), 7, false},
-		{"beacons sent per sim-ms, paper tree", float64(treeBeacons), 17189, false},
-		{"events per beacon x1e4, paper tree", perBeacon(treeEvents, treeBeacons), 30212, false},
-		{"events per beacon x1e4, five-event chain", perBeacon(chainEvents, chainBeacons), 50209, false},
+		{"events per sim-ms, pair", float64(pair.events), 3262, false},
+		{"events per sim-ms, paper tree", float64(tree.events), 35793, false},
+		{"events per sim-ms, fattree:4", float64(ft4.events), 156092, false},
+		{"lane overflows to the heap per sim-ms, pair", float64(pair.queue.LaneOverflows), 0, false},
+		{"lane overflows to the heap per sim-ms, paper tree", float64(tree.queue.LaneOverflows), 0, false},
+		{"lane overflows to the heap per sim-ms, fattree:4", float64(ft4.queue.LaneOverflows), 46, false},
+		{"beacons sent per sim-ms, paper tree", float64(tree.beacons), 17189, false},
+		{"events per beacon x1e4, paper tree", perBeacon(tree.events, tree.beacons), 20823, false},
+		{"events per beacon x1e4, five-event chain", perBeacon(chain.events, chain.beacons), 50209, false},
+		{"lane 0 (evBeacon) per beacon x1e4, paper tree", lane(tree, 0), 10000, false},
+		{"lane 1 (evTxBlock) per beacon x1e4, paper tree", lane(tree, 1), 1, false},
+		{"lane 2 (evRxArrive) per beacon x1e4, paper tree", lane(tree, 2), 2, false},
+		{"lane 3 (evCdc) per beacon x1e4, paper tree", lane(tree, 3), 1, false},
+		{"lane 4 (evProcess) per beacon x1e4, paper tree", lane(tree, 4), 611, false},
+		{"lane 5 (evWatchdog) per beacon x1e4, paper tree", lane(tree, 5), 205, false},
+		{"lane 6 (no port opcode) per beacon x1e4, paper tree", lane(tree, 6), 0, false},
+		{"lane 7 (evLand, evSettled) per beacon x1e4, paper tree", lane(tree, 7), 10002, false},
+		{"audit sweeps per sim-ms, fattree:4", float64(audited.sweeps), 10, false},
+		{"audit pair checks per sweep, fattree:4", float64(audited.pairChecks) / float64(audited.sweeps), 630, false},
 		{"allocations per sim-ms, paper tree", allocsPerSimMs(t), 0, false},
-		{"Port bytes", float64(unsafe.Sizeof(Port{})), 392, true},
+		{"Port bytes", float64(unsafe.Sizeof(core.Port{})), 392, true},
 		{"event slot bytes", float64(slots.Type.Elem().Size()), 72, false},
 	} {
 		switch {

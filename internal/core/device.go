@@ -56,12 +56,15 @@ func newDevice(n *Network, node topo.Node, offsetPPM float64, rng *sim.RNG) *Dev
 	return d
 }
 
-// refileFlights runs before the oscillator changes rate: a flight's RX
+// refileFlights runs before the oscillator changes rate. A flight's RX
 // pipeline runs at its sender's rate, so every flight this device sent
-// that has not reached its receiver goes back to the five-event chain.
+// that has not reached its receiver goes back to the five-event chain;
+// and a settled flight toward this device was put on a tick of the old
+// rate, so every one that has not landed lands at its crossing again.
 func (d *Device) refileFlights() {
 	for _, p := range d.ports {
 		p.wire.Refile()
+		p.peer.wire.Unsettle()
 	}
 }
 

@@ -14,10 +14,11 @@ import (
 // A fuzz program is a world byte, a seed byte, then 4-byte operations
 // [mutation, port, when, stage]: at 200 µs + when·5 µs the mutation is
 // armed on the port (by link order, A side first). Stage 0 applies it
-// there and then; stages 1-4 apply it at the instant a skipped stage of
+// there and then; stages 1-5 apply it at the instant a skipped stage of
 // the port's next beacon would run: T1 (TX pipeline done), T2 (leading
-// edge at the peer), T3 (the landing itself) or halfway along the
-// cable. Those instants are where the re-filing rules decide.
+// edge at the peer), T3 (the landing itself), halfway along the cable,
+// or halfway from T2 to T3 (past the far end, short of a settled
+// landing). Those instants are where the re-filing rules decide.
 const (
 	fuzzBase   = 200 * sim.Microsecond
 	fuzzStep   = 5 * sim.Microsecond
@@ -26,8 +27,10 @@ const (
 
 // fuzzMutations are the changes a skipped stage can read, with their
 // restores: the port's outbound wire (delay, BER, loss), its device's
-// oscillator rate, and the peer going down (a bounce that is back up
-// before the landing, or a crash and restart).
+// oscillator rate, the peer going down (a bounce that is back up
+// before the landing, or a crash and restart), and on the receiving
+// side, which a settled landing reads: the peer's oscillator rate and
+// the peer port down for microseconds.
 var fuzzMutations = []func(p *core.Port, w *link.Wire, base sim.Time, arg byte){
 	func(p *core.Port, w *link.Wire, base sim.Time, arg byte) {
 		_ = w.SetDelay(base + sim.Time(arg)*sim.Nanosecond)
@@ -50,6 +53,15 @@ var fuzzMutations = []func(p *core.Port, w *link.Wire, base sim.Time, arg byte){
 		d := p.Peer().Device()
 		d.Crash()
 		p.Device().Clock().Scheduler().After(50*sim.Microsecond+sim.Time(arg)*sim.Microsecond, d.Restart)
+	},
+	func(p *core.Port, w *link.Wire, base sim.Time, arg byte) {
+		clk := p.Peer().Device().Clock()
+		clk.AdjustPPM(max(-clk.MaxPPM(), min(clk.MaxPPM(), clk.PPM()+float64(int8(arg))/8)))
+	},
+	func(p *core.Port, w *link.Wire, base sim.Time, arg byte) {
+		peer := p.Peer()
+		peer.Down()
+		p.Device().Clock().Scheduler().After(sim.Time(arg)*sim.Microsecond, peer.Up)
 	},
 }
 
@@ -92,7 +104,7 @@ func fuzzProgram(prog []byte) fusionWorld {
 		for _, op := range ops {
 			op, p := op, ports[int(op[1])%len(ports)]
 			n.Sch.At(fuzzBase+sim.Time(op[2])*fuzzStep, func() {
-				if op[3]%5 == 0 {
+				if op[3]%6 == 0 {
 					apply(op, p)
 					return
 				}
@@ -102,7 +114,7 @@ func fuzzProgram(prog []byte) fusionWorld {
 		// The instants are the port's own sums (pd = 1 on these
 		// worlds): insert runs at the beacon's instant, right after the
 		// beacon_tx event, so a mutation scheduled here precedes the
-		// launch in (time, seq) order as a chaos script's would.
+		// launch in (time, Key) order as a chaos script's would.
 		return func(e telemetry.Event) {
 			p := byName[e.Who]
 			if e.Kind != telemetry.KindBeaconTx || len(armed[p]) == 0 {
@@ -111,10 +123,11 @@ func fuzzProgram(prog []byte) fusionWorld {
 			period := p.Device().Clock().PeriodFs()
 			t1 := e.At + sim.Femto(phy.DefaultTxPipelineTicks*period)
 			t2 := t1 + wires[p].Delay()
-			at := [...]sim.Time{t1, t2, t2 + sim.Femto(phy.DefaultRxPipelineTicks*period), (t1 + t2) / 2}
+			t3 := t2 + sim.Femto(phy.DefaultRxPipelineTicks*period)
+			at := [...]sim.Time{t1, t2, t3, (t1 + t2) / 2, (t2 + t3) / 2}
 			for _, op := range armed[p] {
 				op := op
-				n.Sch.At(at[op[3]%5-1], func() { apply(op, p) })
+				n.Sch.At(at[op[3]%6-1], func() { apply(op, p) })
 			}
 			delete(armed, p)
 		}
@@ -129,8 +142,10 @@ func fuzzProgram(prog []byte) fusionWorld {
 // search found flights reordering it in 2 of 3 000 programs (5 of 2 000
 // when about half the operations switch BER on), and never a counter or
 // a per-emitter trace. The seed corpus holds the storm shapes (a
-// flap, a BER burst, a crash) and, for each re-filing hook, a program
-// on which a network that lacks that hook diverges.
+// flap, a BER burst, a crash) and, for each re-filing hook — Refile on
+// a down peer, on a sender rate change and in the wire setters,
+// Unsettle on a down peer and on a receiver rate change — a program on
+// which a network that lacks that hook diverges.
 func FuzzFusedChain(f *testing.F) {
 	for _, prog := range [][]byte{
 		// A flap, a BER burst and a crash, as in the storm, on chain:3
@@ -141,12 +156,17 @@ func FuzzFusedChain(f *testing.F) {
 		{2, 217, 7, 6, 15, 3, 2, 0, 25, 4, 3, 0, 45, 1, 8, 7, 65, 0},
 		// Found by random search: each diverges once its hook is gone.
 		// Down without re-filing (a bounce back up before the landing):
-		{0x90, 0x4, 0xa5, 0x31, 0xf9, 0x67, 0x7, 0x8d, 0xf5, 0x31, 0x9e, 0xe0, 0x29, 0x92, 0x7, 0xd8, 0x40, 0x21, 0xfa, 0x50, 0x52, 0x43},
+		{0x90, 0x4, 0x3, 0x31, 0xf9, 0x3, 0x7, 0x8d, 0xf5, 0x4, 0x5, 0xe0, 0x29, 0x1, 0x7, 0xd8, 0x40, 0x3, 0x7, 0x50, 0x52, 0x2},
 		// a rate change without re-filing:
-		{0x85, 0xe7, 0x32, 0x8, 0x54, 0x13, 0x6, 0x9f, 0x8f, 0xe0, 0x6, 0x23, 0x5b, 0x2e},
+		{0x85, 0xe7, 0x5, 0x8, 0x54, 0x4, 0x6, 0x9f, 0x8f, 0x4, 0x6, 0x23, 0x5b, 0x1},
 		// wire delay and BER setters without re-filing:
-		{0xcf, 0x53, 0x0, 0x9b, 0x2c, 0xe2, 0x82, 0xfa, 0xd8, 0x5b, 0x0, 0x99, 0x81, 0x5c, 0x0, 0xc5, 0x95, 0xea, 0x0, 0x44, 0x62, 0xa7, 0x0, 0xf7, 0x51, 0x24, 0x13, 0x5c, 0xc7, 0x29},
-		{0x70, 0x2f, 0x2, 0x1d, 0x58, 0x29, 0xf4, 0x46, 0x4f, 0xee, 0x2, 0x26, 0xab, 0xe3, 0x2, 0xa, 0x4f, 0xf2, 0x2, 0x75, 0xba, 0x7e, 0xc2, 0xe5, 0x83, 0x25},
+		{0xcf, 0x53, 0x0, 0x9b, 0x2c, 0x1, 0x4, 0xfa, 0xd8, 0x1, 0x0, 0x99, 0x81, 0x2, 0x0, 0xc5, 0x95, 0x4, 0x0, 0x44, 0x62, 0x2, 0x0, 0xf7, 0x51, 0x1, 0x1, 0x5c, 0xc7, 0x1},
+		{0x70, 0x2f, 0x2, 0x1d, 0x58, 0x1, 0x1, 0x46, 0x4f, 0x3, 0x2, 0x26, 0xab, 0x2, 0x2, 0xa, 0x4f, 0x2, 0x2, 0x75, 0xba, 0x1, 0x5, 0xe5, 0x83, 0x2},
+		// Settled landings: Down without handing them back (the peer held
+		// down from mid-cable, then bounced at T3):
+		{0x1e, 0x73, 10, 0xc4, 0xc6, 4, 7, 0xbd, 0x41, 3},
+		// a receiver rate change without handing them back:
+		{0x60, 0xf9, 9, 0x5d, 0xb8, 1, 9, 0x2e, 0xe1, 4},
 	} {
 		f.Add(prog)
 	}

@@ -171,8 +171,8 @@ func NewNetwork(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config, o
 			portCold: portCold{idx: len(b.ports)},
 		}
 		pa.peer, pb.peer = pb, pa
-		wireAB.OnRefile(pa.refile)
-		wireBA.OnRefile(pb.refile)
+		wireAB.OnFlights(pb.land, pa.refile)
+		wireBA.OnFlights(pa.land, pb.refile)
 		if parentLink != nil {
 			pa.uplink = parentLink[l.A] == li
 			pb.uplink = parentLink[l.B] == li

@@ -257,10 +257,12 @@ func (p *Port) endSession(next portState) {
 
 // Down tears the port down (cable pull, peer power-off). Pending beacons
 // stop; counters keep running on both sides. Flights toward the port
-// that have not arrived go back to the five-event chain first, to meet
-// the down port on arrival as they would have.
+// that have not arrived go back to the five-event chain first, and
+// settled ones that have not landed back to their landing, to meet the
+// down port as they would have.
 func (p *Port) Down() {
 	p.peer.wire.Refile()
+	p.peer.wire.Unsettle()
 	if p.state != portDown {
 		tel := &p.dev.net.tel
 		tel.portsUp.Add(-1)
@@ -271,19 +273,25 @@ func (p *Port) Down() {
 
 // --- Pooled event dispatch --------------------------------------------
 
-// Port actor opcodes. A message costs three scheduler events on a clean
+// Port actor opcodes. A message costs two scheduler events on a clean
 // wire toward a peer that is up: the beacon timer (or the closure that
-// inserts an INIT, ACK or JOIN), evLand at the receiver's clock-domain
-// crossing, and evProcess one to a few local ticks later. Insert launches
-// the block as a link flight: the TX pipeline, the cable and the RX
-// pipeline are fixed delays, so the crossing instant is known at launch
-// and the two stages between are skipped. A lossy or bit-error wire,
-// 1 GbE fragments, a full flight ring, a peer that is down, and every
-// flight re-filed by a change that a skipped stage reads take the
-// five-event chain instead, evTxBlock → evRxArrive → evCdc → evProcess,
-// which is also the reference the fused chain is tested against. Every
-// stage is a pooled event with the block or message in its two
-// arguments: the chain allocates nothing.
+// inserts an INIT, ACK or JOIN) and evProcess on the receiver's local
+// tick. Insert launches the block as a link flight: the TX pipeline, the
+// cable and the RX pipeline are fixed delays, so the instant the block
+// reaches the receiver's clock-domain crossing is known at launch, and
+// the crossing itself is a function of the receiver's oscillator phase
+// outside the metastability band — so the receiver schedules evProcess
+// at launch (land), in the place among same-instant process events that
+// a landing would have given it, and the three stages between are
+// skipped. A landing in the band, a mixed-speed receiver, a block that
+// does not parse, and a settled flight whose receiver changes rate or
+// goes down before the landing keep evLand at the crossing instead. A
+// lossy or bit-error wire, 1 GbE fragments, a full flight ring, a peer
+// that is down, and every flight re-filed by a change that a skipped
+// stage before the far end reads take the five-event chain, evTxBlock →
+// evRxArrive → evCdc → evProcess, which is also the reference the fused
+// chain is tested against. Every stage is a pooled event with the block
+// or message in its two arguments: the chain allocates nothing.
 const (
 	evBeacon   uint8 = iota // a = port-cycle slot the beacon fired at
 	evTxBlock               // a = block payload, b = sync byte: TX pipeline done, launch onto the wire
@@ -292,7 +300,12 @@ const (
 	evProcess               // a = message payload, b = message type: aligned to a local tick
 	evWatchdog              // a = silence threshold (sim.Time): beacon-loss sweep
 	_                       // lane 6 is timesvc.Load's
-	evLand                  // a = block payload, b = sync byte: a flight's evCdc, in a lane of its own (see insert)
+	evLand                  // a = block payload, b = sync byte: a flight's evCdc, in the lane evSettled shares (see land)
+	// evSettled is evProcess for a settled flight (see land), in evLand's
+	// lane: both are scheduled at launch for the crossing, so together
+	// they arrive in time order, where evProcess's lane holds events
+	// scheduled at the crossing, a flight's length later.
+	evSettled = evLand | 8
 )
 
 // fuseChain launches blocks as link flights. Only tests turn it off, to
@@ -314,22 +327,47 @@ func (p *Port) OnEvent(code uint8, a, b uint64) {
 		p.onWireArrival(phy.Block{Sync: byte(b), Payload: a})
 	case evCdc, evLand:
 		p.cdcCross(phy.Block{Sync: byte(b), Payload: a})
-	case evProcess:
+	case evProcess, evSettled:
 		p.process(phy.Message{Type: phy.MsgType(b), Payload: a})
 	case evWatchdog:
 		p.watchdogSweep(simTime(a))
 	}
 }
 
-// refile is the outbound wire's way back to the five-event chain (see
-// link.Wire.Refile): a flight whose TX pipeline is still ahead resumes
-// at evTxBlock, one already on the cable at the peer's evRxArrive.
-func (p *Port) refile(f link.Flight, txAhead bool) {
-	if txAhead {
-		p.sch().AtActor(f.T1, p, evTxBlock, f.Block.Payload, uint64(f.Block.Sync))
-		return
+// refile is the outbound wire's way back to per-stage events (see
+// link.Wire.Refile and Unsettle): a flight whose TX pipeline is still
+// ahead resumes at evTxBlock, one already on the cable at the peer's
+// evRxArrive, and a settled one past the far end at the peer's evLand,
+// in the place its launch reserved.
+func (p *Port) refile(f link.Flight, from link.Stage) sim.Event {
+	b := f.Block
+	switch from {
+	case link.TxAhead:
+		return p.sch().AtActor(f.T1, p, evTxBlock, b.Payload, uint64(b.Sync))
+	case link.OnCable:
+		return p.sch().AtActor(f.T2, p.peer, evRxArrive, b.Payload, uint64(b.Sync))
 	}
-	p.sch().AtActor(f.T2, p.peer, evRxArrive, f.Block.Payload, uint64(f.Block.Sync))
+	return p.sch().AtActorKey(f.T3, f.Key, p.peer, evLand, b.Payload, uint64(b.Sync))
+}
+
+// land is the inbound wire's launch hook (link.Wire.OnFlights): a block
+// in flight reaches this port's clock-domain crossing at t3, in key k's
+// place. When the crossing's outcome is fixed already — the port cycle
+// is one device tick, the block parses, and t3 falls outside the
+// metastability band, so no random draw is due — it schedules evProcess
+// on the local tick at once, keyed as if evLand had scheduled it at t3:
+// after every event scheduled before t3, and among process events in
+// landing order. Otherwise it schedules evLand at t3 in k's place.
+func (p *Port) land(b phy.Block, t3 simTime, k sim.Key) (sim.Event, bool) {
+	if p.pd == 1 && !p.fragmented && b.Valid() {
+		if _, m, ok := p.codec().ExtractMessage(b); ok {
+			if tick, metastable := p.cdcTick(t3); !metastable {
+				at := p.dev.clock.TimeOfCount(tick)
+				return p.sch().AtActorKey(at, sim.Key{From: t3, Seq: k.Seq}, p, evSettled, m.Payload, uint64(m.Type)), true
+			}
+		}
+	}
+	return p.sch().AtActorKey(t3, k, p, evLand, b.Payload, uint64(b.Sync)), false
 }
 
 // initSamples is how many INIT/INIT-ACK exchanges one delay measurement
@@ -432,7 +470,7 @@ func (p *Port) insert(t phy.MsgType, payload uint64) {
 		// runs at this (the sender's) port-cycle rate.
 		t1 := p.sch().Now() + txDelay
 		if fuseChain && p.peer.state != portDown &&
-			p.wire.LaunchActor(b, t1, p.cycleDur(phy.DefaultRxPipelineTicks), p.peer, evLand) {
+			p.wire.LaunchActor(b, t1, p.cycleDur(phy.DefaultRxPipelineTicks)) {
 			return
 		}
 		p.sch().AtActor(t1, p, evTxBlock, b.Payload, uint64(b.Sync))
@@ -538,8 +576,10 @@ func (p *Port) cdcCross(b phy.Block) {
 	if !ok {
 		return // plain idle, partial message, undefined type, or parity failure
 	}
-	now := p.sch().Now()
-	tick := p.nextCycleTick(p.dev.clock.CounterAt(now)+1) + uint64(p.cdcExtraCycles(now))*p.pd
+	tick, metastable := p.cdcTick(p.sch().Now())
+	if metastable {
+		tick += uint64(p.rng.IntN(2)) * p.pd // either outcome
+	}
 	p.sch().AtActor(p.dev.clock.TimeOfCount(tick), p, evProcess, m.Payload, uint64(m.Type))
 }
 
@@ -562,29 +602,33 @@ const (
 	cdcJitterFs int64 = 200_000
 )
 
-// cdcExtraTicks models the synchronization FIFO between the recovered
-// and local clock domains. Its base delay is the fill level latched at
-// link-up (constant for the session, like a PCS elastic buffer — this
-// is the "one random delay" of §2.5 that the INIT measurement absorbs
-// into the measured OWD). On top of that, data landing inside the setup
-// window just before the capturing edge takes one extra cycle, with
-// true randomness only inside a narrow metastability band.
-func (p *Port) cdcExtraCycles(now simTime) int {
-	if p.cfg().CDCMaxExtraTicks <= 0 {
-		return 0
-	}
+// cdcTick models the synchronization FIFO between the recovered and
+// local clock domains: the local tick on which a block reaching it at t
+// is processed. That is the next port-cycle edge plus the FIFO's base
+// delay, the fill level latched at link-up (constant for the session,
+// like a PCS elastic buffer — this is the "one random delay" of §2.5
+// that the INIT measurement absorbs into the measured OWD). On top of
+// that, data landing inside the setup window just before the capturing
+// edge takes one extra cycle, with true randomness only inside a narrow
+// metastability band: there metastable is set and the caller draws the
+// extra cycle. Outside the band the tick is a function of t and the
+// local oscillator alone.
+func (p *Port) cdcTick(t simTime) (tick uint64, metastable bool) {
 	clk := p.dev.clock
-	nextEdge := clk.TimeOfCount(p.nextCycleTick(clk.CounterAt(now) + 1))
-	residFs := (nextEdge - now).Fs()
+	edge := p.nextCycleTick(clk.CounterAt(t) + 1)
+	if p.cfg().CDCMaxExtraTicks <= 0 {
+		return edge, false
+	}
+	residFs := (clk.TimeOfCount(edge) - t).Fs()
 	setupFs := int64(cdcSetupFraction * float64(clk.PeriodFs()) * float64(p.pd))
-	extra := 0
+	cycles := uint64(p.cdcFill)
 	switch {
 	case residFs < setupFs-cdcJitterFs:
-		extra = 1
+		cycles++
 	case residFs < setupFs+cdcJitterFs:
-		extra = p.rng.IntN(2) // metastable: either outcome
+		metastable = true
 	}
-	return p.cdcFill + extra
+	return edge + cycles*p.pd, metastable
 }
 
 // process handles a message in the local clock domain.

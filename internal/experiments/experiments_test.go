@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/dtplab/dtp/internal/par"
 	"github.com/dtplab/dtp/internal/sim"
 )
 
@@ -86,16 +87,21 @@ func TestFig6cDistributionShape(t *testing.T) {
 // 1.47–1.57 µs.
 func TestPTPLoadOrdering(t *testing.T) {
 	o := Options{Seed: 5, Duration: 200 * sim.Millisecond}
-	idle, err := RunPTP(o, LoadIdle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	med, err := RunPTP(o, LoadMedium)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc, err := AblationTCModes(o)
-	if err != nil {
+	// The idle and medium runs go beside AblationTCModes, which fans out
+	// its four heavy-load TC modes itself: six independent simulations.
+	var idle, med *PTPFigResult
+	var tc *PTPAblationResult
+	if _, err := par.Map(0, 3, func(i int) (done struct{}, err error) {
+		switch i {
+		case 0:
+			tc, err = AblationTCModes(o)
+		case 1:
+			idle, err = RunPTP(o, LoadIdle)
+		default:
+			med, err = RunPTP(o, LoadMedium)
+		}
+		return done, err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	heavy := tc.RealisticWorstNs

@@ -18,7 +18,8 @@
 // pipeline, propagation and RX pipeline are settled at launch, so the
 // receiver's event is scheduled at once and the stages between are never
 // run as events. Anything that could change a settled stage re-files the
-// flights still ahead of it (Refile) onto the per-stage events first.
+// flights still ahead of it (Refile, Unsettle) onto the per-stage events
+// first.
 package link
 
 import (
@@ -68,13 +69,14 @@ type Wire struct {
 
 	// fly is a ring of the flights launched and not yet retired, in
 	// launch order (which is also arrival order: every flight of a wire
-	// takes the same stages while nothing re-files them). refile,
-	// installed by the owner with OnRefile, turns one back into
-	// per-stage events.
+	// takes the same stages while nothing re-files them). land and
+	// refile, installed by the owner with OnFlights, schedule a flight's
+	// event at launch and turn one back into per-stage events.
 	fly    [flightCap]Flight
 	flyHd  uint8
 	flyN   uint8
-	refile func(f Flight, txAhead bool)
+	land   func(b phy.Block, t3 sim.Time, k sim.Key) (sim.Event, bool)
+	refile func(f Flight, from Stage) sim.Event
 }
 
 // flightCap bounds the flights one wire carries at once. A launch that
@@ -84,15 +86,46 @@ type Wire struct {
 const flightCap = 4
 
 // Flight is a block launched past its TX pipeline, the cable and the RX
-// pipeline in one step: Ev, the receiver's event at the end of all
-// three, is already scheduled. T1 and T2 are the instants the skipped
+// pipeline in one step. T1, T2 and T3 are the instants the skipped
 // stages would have run at: the TX pipeline done (the block enters the
-// cable) and the leading edge at the receiver.
+// cable), the leading edge at the receiver, and the RX pipeline done —
+// the landing at the receiver's clock-domain crossing. Key is the
+// landing's place among the events due at T3, reserved at launch. Ev is
+// already scheduled: the landing itself, or, when Settled, what the
+// landing would have scheduled (the receiver knew it at launch), so the
+// landing is skipped too.
 type Flight struct {
-	Ev     sim.Event
-	T1, T2 sim.Time
-	Block  phy.Block
+	Ev         sim.Event
+	T1, T2, T3 sim.Time
+	Key        sim.Key
+	Block      phy.Block
+	Settled    bool
 }
+
+// ahead reports whether a stage at t is still ahead at now. A stage at
+// exactly now counts as ahead, as it is for a change made by an event
+// scheduled before the launch.
+func ahead(t, now sim.Time) bool { return t >= now }
+
+// landed reports whether nothing can change the flight any more: it has
+// reached the far end and, if settled, its landing has passed too.
+func (f *Flight) landed(now sim.Time) bool {
+	return !ahead(f.T2, now) && !(f.Settled && ahead(f.T3, now))
+}
+
+// Stage names the first skipped stage still ahead of a flight that is
+// handed back to its owner (OnFlights).
+type Stage uint8
+
+const (
+	// TxAhead: the TX pipeline has not finished (T1 ahead).
+	TxAhead Stage = iota
+	// OnCable: the block is on the cable, counted sent (T2 ahead).
+	OnCable
+	// Landing: the landing at T3, at the flight's Key, for a settled
+	// flight whose receiver-side inputs are about to change.
+	Landing
+)
 
 // New creates a wire. A negative delay is a configuration error (it
 // would schedule arrivals in the past), reported rather than panicking
@@ -193,26 +226,30 @@ func (w *Wire) SendBlockActor(b phy.Block, act sim.Actor, code uint8) {
 	w.sch.AfterActor(w.cfg.Delay, act, code, b.Payload, uint64(b.Sync))
 }
 
-// OnRefile installs the owner's way back to per-stage events. Refile
-// calls fn for each flight still ahead of its skipped stages, oldest
-// first, after cancelling its event: txAhead reports that the TX
-// pipeline had not finished yet (T1 not passed), else the block is on
-// the cable and counted sent. A wire without it launches no flights.
-func (w *Wire) OnRefile(fn func(f Flight, txAhead bool)) { w.refile = fn }
+// OnFlights installs what flights need from the wire's owner. land
+// schedules a launched block's event: its landing at the receiver's
+// clock-domain crossing at t3, at key k, or — reporting settled — what
+// that landing would schedule, when the receiver can tell at launch.
+// refile schedules the per-stage event a flight handed back resumes at
+// (see Refile and Unsettle; the flight's Ev is cancelled first). A wire
+// without them launches no flights.
+func (w *Wire) OnFlights(land func(b phy.Block, t3 sim.Time, k sim.Key) (ev sim.Event, settled bool), refile func(f Flight, from Stage) sim.Event) {
+	w.land, w.refile = land, refile
+}
 
 // LaunchActor is SendBlockActor settled at launch: the TX pipeline
 // ends at t1, the block reaches the far end at t2 = t1 + Delay() and
-// act's event fires rx after that, with the block in its arguments.
-// It reports false, launching nothing, when a skipped stage could draw
-// on the wire's random stream (injected loss or bit errors) or the
-// ring is full: the caller then schedules the stages one by one.
-// Flights that have reached the far end leave the ring here, counted
-// sent, so the landing event never touches the sender's wire.
-func (w *Wire) LaunchActor(b phy.Block, t1, rx sim.Time, act sim.Actor, code uint8) bool {
-	if w.lossP != 0 || w.blockErrP != 0 || w.refile == nil {
+// lands rx after that, at t3, where the owner's land hook takes it (see
+// OnFlights). It reports false, launching nothing, when a skipped stage
+// could draw on the wire's random stream (injected loss or bit errors)
+// or the ring is full: the caller then schedules the stages one by one.
+// Landed flights leave the ring here, counted sent, so no event of the
+// receiver touches the sender's wire.
+func (w *Wire) LaunchActor(b phy.Block, t1, rx sim.Time) bool {
+	if w.lossP != 0 || w.blockErrP != 0 || w.land == nil {
 		return false
 	}
-	for now := w.sch.Now(); w.flyN > 0 && w.fly[w.flyHd].T2 < now; w.flyN-- {
+	for now := w.sch.Now(); w.flyN > 0 && w.fly[w.flyHd].landed(now); w.flyN-- {
 		w.flyHd = (w.flyHd + 1) % flightCap
 		w.sent++
 	}
@@ -220,37 +257,57 @@ func (w *Wire) LaunchActor(b phy.Block, t1, rx sim.Time, act sim.Actor, code uin
 		return false
 	}
 	t2 := t1 + w.cfg.Delay
+	t3 := t2 + rx
 	f := &w.fly[(w.flyHd+w.flyN)%flightCap]
-	f.Ev = w.sch.AtActor(t2+rx, act, code, b.Payload, uint64(b.Sync))
-	f.T1, f.T2, f.Block = t1, t2, b
+	f.Key = w.sch.Reserve()
+	f.Ev, f.Settled = w.land(b, t3, f.Key)
+	f.T1, f.T2, f.T3, f.Block = t1, t2, t3, b
 	w.flyN++
 	return true
 }
 
 // Refile hands every flight whose arrival at the far end (T2) has not
-// passed back to the owner (see OnRefile); the others only await their
-// landing, which nothing can change any more. Call it before a change
-// that a skipped stage would read takes effect: the wire's own delay,
-// BER or loss (its setters call it), the sender's clock rate (read by
-// the RX pipeline) and the receiver going down (read on arrival). A
-// stage at exactly the current instant counts as ahead, as it is for a
-// change made by an event scheduled before the launch.
+// passed back to the owner, at TxAhead or OnCable (see OnFlights); the
+// others only await their landing, which nothing on the sender's side
+// can change any more. Call it before a change that a skipped stage
+// before T2 would read takes effect: the wire's own delay, BER or loss
+// (its setters call it), the sender's clock rate (read by the RX
+// pipeline) and the receiver going down (read on arrival).
 func (w *Wire) Refile() {
 	now := w.sch.Now()
 	keep := w.flyN
-	for keep > 0 && w.fly[(w.flyHd+keep-1)%flightCap].T2 >= now {
+	for keep > 0 && ahead(w.fly[(w.flyHd+keep-1)%flightCap].T2, now) {
 		keep--
 	}
 	for i := keep; i < w.flyN; i++ {
 		f := w.fly[(w.flyHd+i)%flightCap]
 		f.Ev.Cancel()
-		txAhead := f.T1 >= now
-		if !txAhead {
+		from := TxAhead
+		if !ahead(f.T1, now) {
+			from = OnCable
 			w.sent++
 		}
-		w.refile(f, txAhead)
+		w.refile(f, from)
 	}
 	w.flyN = keep
+}
+
+// Unsettle hands the landing of every settled flight whose T3 has not
+// passed back to the owner (Landing): the receiver's event was worked
+// out at launch from inputs that are about to change, so the landing
+// runs at T3 after all, in the place its Key reserved. Call it before a
+// change that the receiver's clock-domain crossing reads takes effect:
+// the receiver's clock rate and the receiver going down.
+func (w *Wire) Unsettle() {
+	now := w.sch.Now()
+	for i := uint8(0); i < w.flyN; i++ {
+		f := &w.fly[(w.flyHd+i)%flightCap]
+		if f.Settled && ahead(f.T3, now) {
+			f.Ev.Cancel()
+			f.Settled = false
+			f.Ev = w.refile(*f, Landing)
+		}
+	}
 }
 
 // flipRandomBit flips one uniformly random bit of the 66 on the wire:

@@ -235,6 +235,20 @@ func TestSetLossDropsBlocks(t *testing.T) {
 	}
 }
 
+// landAt is a land hook (OnFlights) that never settles: the landing
+// itself is scheduled on act at t3, at the reserved key.
+func landAt(sch *sim.Scheduler, act sim.Actor) func(phy.Block, sim.Time, sim.Key) (sim.Event, bool) {
+	return func(b phy.Block, t3 sim.Time, k sim.Key) (sim.Event, bool) {
+		return sch.AtActorKey(t3, k, act, 0, b.Payload, uint64(b.Sync)), false
+	}
+}
+
+// refiled is one flight handed back to the owner.
+type refiled struct {
+	f    Flight
+	from Stage
+}
+
 // A flight lands rx after t1 + Delay(), counts as sent once t1 passes,
 // and a change to the wire hands back the flights that have not reached
 // the far end: TX-ahead before t1, on the cable after it, and a flight
@@ -251,16 +265,15 @@ func TestFlightLaunchLandRefile(t *testing.T) {
 			t.Error("flight corrupted its block")
 		}
 	})
-	launch := func(t1 sim.Time) bool { return w.LaunchActor(b, t1, 5*sim.Nanosecond, sink, 0) }
+	launch := func(t1 sim.Time) bool { return w.LaunchActor(b, t1, 5*sim.Nanosecond) }
 	if launch(10 * sim.Nanosecond) {
-		t.Fatal("launched without a refile hook")
-	}
-	type refiled struct {
-		f       Flight
-		txAhead bool
+		t.Fatal("launched without the owner's hooks")
 	}
 	var back []refiled
-	w.OnRefile(func(f Flight, txAhead bool) { back = append(back, refiled{f, txAhead}) })
+	w.OnFlights(landAt(sch, sink), func(f Flight, from Stage) sim.Event {
+		back = append(back, refiled{f, from})
+		return sim.Event{}
+	})
 	for _, t1 := range []sim.Time{10, 20, 30, 100} {
 		if !launch(t1 * sim.Nanosecond) {
 			t.Fatalf("launch at t1=%v ns refused", int64(t1))
@@ -275,7 +288,7 @@ func TestFlightLaunchLandRefile(t *testing.T) {
 	}
 	sch.Run(76 * sim.Nanosecond)
 	w.SetLossP(0.5)
-	if len(back) != 2 || back[0].f.T2 != 80*sim.Nanosecond || back[0].txAhead || !back[1].txAhead {
+	if len(back) != 2 || back[0].f.T2 != 80*sim.Nanosecond || back[0].from != OnCable || back[1].from != TxAhead {
 		t.Fatalf("refiled %+v, want t2 = 80 ns on the cable and t1 = 100 ns ahead of it", back)
 	}
 	if sent, _ := w.Stats(); sent != 3 {
@@ -290,11 +303,93 @@ func TestFlightLaunchLandRefile(t *testing.T) {
 	}
 	sch.Run(150 * sim.Nanosecond) // exactly the flight's t2
 	_ = w.SetDelay(60 * sim.Nanosecond)
-	if len(back) != 3 || back[2].f.T2 != 150*sim.Nanosecond || back[2].txAhead {
+	if len(back) != 3 || back[2].f.T2 != 150*sim.Nanosecond || back[2].from != OnCable {
 		t.Fatalf("refiled %+v, want the flight arriving now handed back on the cable", back)
 	}
 	sch.Drain()
 	if len(landed) != 2 || landed[1] != 75*sim.Nanosecond {
 		t.Fatalf("landings %v, want only the two flights never refiled (65 ns, 75 ns)", landed)
+	}
+}
+
+// A settled flight's event is what its landing would schedule, keyed at
+// (T3, the reserved seq). It keeps its ring slot until T3 has passed;
+// Unsettle hands it back at Landing, in the reserved place, until then
+// (T3 itself included) and leaves it alone after; Refile still takes a
+// settled flight that has not reached the far end to the per-stage
+// events.
+func TestSettledFlightUnsettle(t *testing.T) {
+	sch := sim.NewScheduler()
+	w := mustNew(t, sch, sim.NewRNG(1, "wire"), Config{Delay: 50 * sim.Nanosecond})
+	b := phy.IdleBlock()
+	const rx, process = 5 * sim.Nanosecond, 3 * sim.Nanosecond
+	var processed, landed []sim.Time
+	procSink := blockSink(func(phy.Block) { processed = append(processed, sch.Now()) })
+	landSink := blockSink(func(phy.Block) { landed = append(landed, sch.Now()) })
+	var keys []sim.Key
+	var back []refiled
+	w.OnFlights(func(b phy.Block, t3 sim.Time, k sim.Key) (sim.Event, bool) {
+		keys = append(keys, k)
+		return sch.AtActorKey(t3+process, sim.Key{From: t3, Seq: k.Seq}, procSink, 0, b.Payload, uint64(b.Sync)), true
+	}, func(f Flight, from Stage) sim.Event {
+		back = append(back, refiled{f, from})
+		if from != Landing {
+			return sim.Event{}
+		}
+		return sch.AtActorKey(f.T3, f.Key, landSink, 0, f.Block.Payload, uint64(f.Block.Sync))
+	})
+	launch := func(t1 sim.Time) {
+		t.Helper()
+		if !w.LaunchActor(b, t1, rx) {
+			t.Fatalf("launch at t1=%v refused", t1)
+		}
+	}
+	// T1 10, T2 60, T3 65: unsettled after T2, it lands at T3.
+	launch(10 * sim.Nanosecond)
+	sch.Run(62 * sim.Nanosecond)
+	w.Unsettle()
+	if len(back) != 1 || back[0].from != Landing || back[0].f.Key != keys[0] || back[0].f.T3 != 65*sim.Nanosecond {
+		t.Fatalf("unsettled %+v, want the flight back at its landing (65 ns) with key %+v", back, keys[0])
+	}
+	w.Refile() // past T2: nothing for the sender's side to hand back
+	if len(back) != 1 {
+		t.Fatalf("refiled %+v after T2", back[1:])
+	}
+	// T1 70, T2 120, T3 125: Unsettle at exactly T3 counts as ahead.
+	launch(70 * sim.Nanosecond)
+	sch.Run(125 * sim.Nanosecond)
+	w.Unsettle()
+	if len(back) != 2 || back[1].from != Landing || back[1].f.T3 != 125*sim.Nanosecond {
+		t.Fatalf("unsettled %+v, want the flight landing now back at its landing", back)
+	}
+	// T1 130, T2 180, T3 185: a settled flight is left alone once T3 has
+	// passed, and keeps its ring slot until then.
+	launch(130 * sim.Nanosecond)
+	sch.Run(183 * sim.Nanosecond)
+	for i := 0; i < flightCap-1; i++ {
+		launch(200 * sim.Nanosecond)
+	}
+	if w.LaunchActor(b, 200*sim.Nanosecond, rx) {
+		t.Fatal("a settled flight short of its landing left the ring")
+	}
+	// Past 185 ns only the three launched at 183 ns (T3 255) are handed
+	// back at their landing; the Refile that follows takes all three,
+	// short of T1, to the TX pipeline and cancels those landings.
+	sch.Run(186 * sim.Nanosecond)
+	w.Unsettle()
+	if len(back) != 5 || back[2].f.T3 != 255*sim.Nanosecond || back[4].from != Landing {
+		t.Fatalf("unsettled %+v, want only the three flights landing at 255 ns", back[2:])
+	}
+	_ = w.SetDelay(40 * sim.Nanosecond)
+	if len(back) != 8 || back[5].from != TxAhead || back[7].from != TxAhead {
+		t.Fatalf("refiled %+v, want the three flights short of T1 handed back", back[5:])
+	}
+	sch.Drain()
+	want := []sim.Time{188 * sim.Nanosecond}
+	if len(processed) != 1 || processed[0] != want[0] {
+		t.Fatalf("processed %v, want only the flight never handed back (%v)", processed, want)
+	}
+	if len(landed) != 2 || landed[0] != 65*sim.Nanosecond || landed[1] != 125*sim.Nanosecond {
+		t.Fatalf("landings %v, want the two unsettled flights at 65 and 125 ns", landed)
 	}
 }

@@ -12,6 +12,7 @@ type fzWorker struct {
 	in      []byte
 	log     []eqRecord
 	live    []Event // every handle ever issued: cancels hit live and stale ones
+	keys    []Key   // by id - 1: the key each event was filed at
 	nextID  int
 	pending []int // Pending() after each Run horizon
 }
@@ -37,17 +38,27 @@ func fzDelay(b int) Time {
 }
 
 // spawn schedules the next id at t: a closure when kind names the
-// twelfth class, else an actor event on one of eqOpcodes opcodes.
+// twelfth class, else an actor event on one of eqOpcodes opcodes. Every
+// other dozen kinds files the actor event at a key whose From lies
+// ahead of now — at now, halfway to t or at t — as a stage settled ahead
+// of time is, so it ties with events scheduled later.
 func (w *fzWorker) spawn(t Time, kind int) {
 	w.nextID++
 	id := w.nextID
 	var e Event
-	if kind%(eqOpcodes+1) == eqOpcodes {
+	k := Key{From: w.s.now, Seq: w.s.seq}
+	switch {
+	case kind%(eqOpcodes+1) == eqOpcodes:
 		e = w.s.At(t, func() { w.fire(id) })
-	} else {
+	case kind/(eqOpcodes+1)%2 == 1:
+		k = w.s.Reserve()
+		k.From += (t - k.From) * Time(kind%3) / 2
+		e = w.s.AtActorKey(t, k, w, uint8(kind%(eqOpcodes+1)), uint64(id), 0)
+	default:
 		e = w.s.AtActor(t, w, uint8(kind%(eqOpcodes+1)), uint64(id), 0)
 	}
 	w.live = append(w.live, e)
+	w.keys = append(w.keys, k)
 }
 
 func (w *fzWorker) OnEvent(_ uint8, id, _ uint64) { w.fire(int(id)) }
@@ -93,9 +104,21 @@ func (w *fzWorker) run() {
 	w.s.Drain()
 }
 
+// sorted fails unless the log is in (time, Key) order.
+func (w *fzWorker) sorted(t *testing.T) {
+	t.Helper()
+	for i := 1; i < len(w.log); i++ {
+		p, c := w.log[i-1], w.log[i]
+		pk, ck := w.keys[p.id-1], w.keys[c.id-1]
+		if c.at < p.at || c.at == p.at && (ck.From < pk.From || ck.From == pk.From && ck.Seq < pk.Seq) {
+			t.Fatalf("dispatch %d out of (time, Key) order: (%v, %+v) after (%v, %+v)", i, c.at, ck, p.at, pk)
+		}
+	}
+}
+
 // FuzzSchedulerOrder runs one byte program on NewScheduler and on
 // NewHeapScheduler: the logs must match, the reference's log must be
-// (time, seq)-sorted, and Pending must agree at every horizon.
+// (time, Key)-sorted, and Pending must agree at every horizon.
 func FuzzSchedulerOrder(f *testing.F) {
 	// Seeds after the directed lane cases: pure FIFO appends, anti-FIFO
 	// overflow, same-time bursts across classes, cancels at assorted
@@ -117,6 +140,10 @@ func FuzzSchedulerOrder(f *testing.F) {
 	f.Add([]byte{2, 0, 8, 0, 14, 90, 3, 1, 3, 4, 4, 0, 66 + 6*11, 0, 4, 70})     // bursts, cancels, horizon on a tie
 	f.Add([]byte{0, 100, 1, 100, 6 * 11, 100, 3, 0, 3, 0, 3, 2, 4, 100, 4, 250}) // cancel twice: the second is stale
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})          // children at the current instant
+	// Keyed events (kinds 12..23) due at one instant with plain ones
+	// scheduled before and after their From: a burst of keyed kinds, a
+	// run into the middle, plain events at the burst's instant.
+	f.Add([]byte{6 * 13, 100, 6 * 14, 100, 6 * 15, 100, 4, 80, 6 * 3, 20, 6 * 16, 20, 2 + 6*2, 20, 5, 255})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 4096 {
 			prog = prog[:4096]
@@ -125,7 +152,7 @@ func FuzzSchedulerOrder(f *testing.F) {
 		heap := &fzWorker{s: NewHeapScheduler(), in: prog}
 		lanes.run()
 		heap.run()
-		eqSorted(t, heap.log)
+		heap.sorted(t)
 		eqCompare(t, lanes.log, heap.log)
 		if len(lanes.pending) != len(heap.pending) {
 			t.Fatalf("%d horizons on lanes+heap, %d on heap", len(lanes.pending), len(heap.pending))

@@ -4,7 +4,7 @@ package sim
 // (lanes.go). It holds what has no FIFO structure to exploit — closures
 // (samplers, oscillator-wander resamples, chaos scripts) and the actor
 // events a lane refused — and, under NewHeapScheduler, every event. It
-// is ordered by slotLess, the (time, seq) dispatch order; slot .prev
+// is ordered by slotLess, the (time, Key) dispatch order; slot .prev
 // tracks each resident's heap position so Cancel can remove from the
 // middle. Every change refreshes the heapSrc entry of the key cache
 // from the root, so dispatch compares cached keys only.
@@ -17,7 +17,7 @@ func (s *Scheduler) heapPush(idx uint32) {
 	s.heap = append(s.heap, idx)
 	s.heapUp(len(s.heap) - 1)
 	if sl.prev == 0 {
-		s.head[heapSrc], s.headAt[heapSrc], s.headSeq[heapSrc] = idx, sl.at, sl.seq
+		s.cacheHead(heapSrc, idx)
 	}
 }
 
@@ -44,9 +44,7 @@ func (s *Scheduler) heapRemove(idx uint32) {
 		s.clearHead(heapSrc)
 		return
 	}
-	root := s.heap[0]
-	sl := &s.slots[root]
-	s.head[heapSrc], s.headAt[heapSrc], s.headSeq[heapSrc] = root, sl.at, sl.seq
+	s.cacheHead(heapSrc, s.heap[0])
 }
 
 func (s *Scheduler) heapSwap(i, j int) {

@@ -6,13 +6,13 @@ package sim
 // (the beacon period; a block's flight through the TX pipeline, the
 // cable and the RX pipeline; the CDC crossing), so the events of one
 // opcode arrive nearly in time order. A lane is a doubly linked
-// list of pooled slots sorted by (time, seq); an actor event is offered
+// list of pooled slots sorted by (time, Key); an actor event is offered
 // to lane code&(numLanes-1) and placed by walking back from the tail —
 // a slot written moments ago — instead of sifting through the heap.
 //
-// Lanes are advisory. Dispatch takes the (time, seq) minimum over the
+// Lanes are advisory. Dispatch takes the (time, Key) minimum over the
 // lane heads (tracked as minLane) and the heap's root (Scheduler.popLE),
-// and every source is itself sorted by (time, seq), so the event a lane
+// and every source is itself sorted by (time, Key), so the event a lane
 // holds would have fired at exactly the same point from the heap. Lane
 // choice, the walk bound and the back-off below change cost only, never
 // order.
@@ -20,7 +20,7 @@ package sim
 const (
 	// numLanes must be a power of two (lane = opcode & (numLanes-1)).
 	numLanes = 8
-	// heapSrc is the heap's index in Scheduler.head/headAt/headSeq and
+	// heapSrc is the heap's index in Scheduler.head/headAt/headKey and
 	// the eventSlot.lane value of a heap resident.
 	heapSrc = numLanes
 	// laneWalkMax bounds the links an out-of-order insert may walk back
@@ -51,14 +51,11 @@ func (s *Scheduler) laneBypass(l int, t Time) bool {
 }
 
 // laneInsert links slot idx into lane l, reporting false if the lane
-// refuses it (the caller then files it in the heap). The new slot
-// carries the largest seq so far, so it sorts after every resident with
-// at <= its own time and the walk compares times only.
+// refuses it (the caller then files it in the heap).
 func (s *Scheduler) laneInsert(idx uint32, l int) bool {
 	sl := &s.slots[idx]
-	t := sl.at
 	cur := s.laneTail[l]
-	if cur == nilSlot || s.slots[cur].at <= t {
+	if cur == nilSlot || s.slotLess(cur, idx) {
 		sl.prev, sl.next = cur, nilSlot
 		s.laneTail[l] = idx
 		if cur == nilSlot {
@@ -73,7 +70,7 @@ func (s *Scheduler) laneInsert(idx uint32, l int) bool {
 	// does not.
 	for i := 0; i < laneWalkMax; i++ {
 		p := s.slots[cur].prev
-		if p != nilSlot && s.slots[p].at > t {
+		if p != nilSlot && s.slotLess(idx, p) {
 			cur = p
 			continue
 		}
@@ -92,12 +89,9 @@ func (s *Scheduler) laneInsert(idx uint32, l int) bool {
 }
 
 // laneNewHead records freshly scheduled slot idx as the head of lane l.
-// Carrying the largest seq so far, it becomes the earliest lane head
-// only with a strictly earlier time.
 func (s *Scheduler) laneNewHead(l int, idx uint32) {
-	sl := &s.slots[idx]
-	s.head[l], s.headAt[l], s.headSeq[l] = idx, sl.at, sl.seq
-	if s.minLane >= 0 && sl.at < s.headAt[s.minLane] {
+	s.cacheHead(l, idx)
+	if s.minLane >= 0 && s.headLess(l, s.minLane) {
 		s.minLane = l
 	}
 }
@@ -113,19 +107,19 @@ func (s *Scheduler) laneDropHead(l int, n uint32) {
 		s.laneTail[l] = nilSlot
 		// clearHead, spelled out: the call would push lanePop over the
 		// inliner's budget and cost popLE a call per lane pop.
-		s.head[l], s.headAt[l], s.headSeq[l] = nilSlot, maxTime, ^uint64(0)
+		s.head[l], s.headAt[l] = nilSlot, maxTime
 		return
 	}
 	h := &s.slots[n]
 	h.prev = nilSlot
-	s.head[l], s.headAt[l], s.headSeq[l] = n, h.at, h.seq
+	s.head[l], s.headAt[l], s.headKey[l] = n, h.at, h.key
 }
 
 // findMinLane re-finds the lane whose head sorts first.
 func (s *Scheduler) findMinLane() {
 	best, bt := 0, s.headAt[0]
 	for l := 1; l < numLanes; l++ {
-		if t := s.headAt[l]; t < bt || t == bt && s.headSeq[l] < s.headSeq[best] {
+		if t := s.headAt[l]; t < bt || t == bt && s.headKey[l].less(s.headKey[best]) {
 			best, bt = l, t
 		}
 	}

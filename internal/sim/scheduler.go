@@ -13,8 +13,27 @@ type Actor interface {
 	OnEvent(code uint8, a, b uint64)
 }
 
+// funcActor carries a closure (At/After) through the actor path. A func
+// value is pointer-shaped, so storing it in the slot's Actor does not
+// allocate.
+type funcActor func()
+
+func (f funcActor) OnEvent(uint8, uint64, uint64) { f() }
+
 // nilSlot terminates slot chains (lanes, the free list).
 const nilSlot = ^uint32(0)
+
+// Key is an event's place among the events due at one instant: they
+// fire in (From, Seq) order, where From is the instant the event was
+// scheduled at and Seq its sequence number. Seq grows with every
+// schedule, and so with From, so for events scheduled the ordinary way
+// the order is the schedule order. Reserve takes the key an event
+// scheduled now would get; AtActorKey files an event at a key reserved
+// earlier, or at one whose From lies ahead (see AtActorKey).
+type Key struct {
+	From Time
+	Seq  uint64
+}
 
 // eventSlot is one pooled event. Slots live in Scheduler.slots and are
 // addressed by index; cancelled and fired slots are cleared (callback
@@ -23,10 +42,9 @@ const nilSlot = ^uint32(0)
 // handles can never touch a reused slot.
 type eventSlot struct {
 	at      Time
-	seq     uint64 // tie-breaker: FIFO among events with equal timestamps
+	key     Key // among equal timestamps, dispatch goes by key
 	a, b    uint64
-	fn      func()
-	actor   Actor
+	actor   Actor  // a funcActor for a closure
 	next    uint32 // lane successor, free-list link
 	prev    uint32 // lane predecessor; heap position for a heap resident
 	gen     uint32
@@ -89,12 +107,12 @@ func (e Event) Cancel() bool {
 // for concurrent use; simulations are single-goroutine by design so that
 // a seed fully determines a run.
 //
-// Dispatch follows the total order (time, seq). An actor event is
+// Dispatch follows the total order (time, Key). An actor event is
 // offered to the FIFO lane its opcode names — the model's pipeline
 // stages each schedule at now + a constant, so within an opcode times
 // are nearly monotone and the insert is a tail append (lanes.go).
 // Closures, and actor events a lane refuses, go to a binary heap over
-// slot indices (heap.go). Dispatch pops the (time, seq) minimum over the
+// slot indices (heap.go). Dispatch pops the (time, Key) minimum over the
 // lane heads and the heap's root. NewHeapScheduler turns the lanes off:
 // every event takes the heap, the reference the lanes are tested against.
 type Scheduler struct {
@@ -113,22 +131,23 @@ type Scheduler struct {
 
 	// lanesOff files every event in the heap (NewHeapScheduler).
 	lanesOff bool
-	// heap is a binary min-heap of slot indices by (time, seq).
+	// heap is a binary min-heap of slot indices by (time, Key).
 	heap []uint32
 
 	// head[l] is the first slot of lane l and, at index heapSrc, the
-	// heap's root (nilSlot when the source is empty); headAt and
-	// headSeq cache its (time, seq) key — (maxTime, ^0) when empty,
-	// which sorts after any real event — so dispatch picks the next
-	// event from adjacent keys without touching a slot. minLane is the
-	// lane whose head sorts first, or -1 when a head has departed since
-	// it was last found (see laneDropHead).
+	// heap's root (nilSlot when the source is empty); headAt and headKey
+	// cache its (time, Key) so dispatch picks the next event from
+	// adjacent keys without touching a slot. An empty source reads
+	// headAt maxTime, which no event is scheduled at, so it sorts after
+	// every real event whatever its stale Key. minLane is the lane whose
+	// head sorts first, or -1 when a head has departed since it was last
+	// found (see laneDropHead).
 	head    [numLanes + 1]uint32
 	headAt  [numLanes + 1]Time
-	headSeq [numLanes + 1]uint64
+	headKey [numLanes + 1]Key
 	minLane int
 
-	// FIFO lanes: doubly linked slot lists sorted by (time, seq).
+	// FIFO lanes: doubly linked slot lists sorted by (time, Key).
 	// laneSkip[l] > 0 sends that many out-of-order inserts straight to
 	// the heap after a refused walk (see laneBypass).
 	laneTail [numLanes]uint32
@@ -145,6 +164,9 @@ type QueueStats struct {
 	LaneInserts   uint64 // actor events linked into a FIFO lane
 	LaneOverflows uint64 // actor events a lane refused, filed in the heap
 	HeapPending   int    // events resident in the heap now
+	// ByLane counts the actor events offered to each lane, linked or
+	// refused: the events of each opcode & 7.
+	ByLane [numLanes]uint64
 }
 
 // NewScheduler returns an empty scheduler at time zero: FIFO lanes
@@ -183,13 +205,38 @@ func (s *Scheduler) HighWaterPending() int { return s.highWater }
 
 // clearHead marks source src (a lane, or heapSrc) empty in the key cache.
 func (s *Scheduler) clearHead(src int) {
-	s.head[src], s.headAt[src], s.headSeq[src] = nilSlot, maxTime, ^uint64(0)
+	s.head[src], s.headAt[src] = nilSlot, maxTime
 }
+
+// cacheHead records slot idx as the head of source src in the key cache.
+func (s *Scheduler) cacheHead(src int, idx uint32) {
+	sl := &s.slots[idx]
+	s.head[src], s.headAt[src], s.headKey[src] = idx, sl.at, sl.key
+}
+
+// headLess reports whether source i's head sorts before source j's.
+func (s *Scheduler) headLess(i, j int) bool {
+	if s.headAt[i] != s.headAt[j] {
+		return s.headAt[i] < s.headAt[j]
+	}
+	return s.tieLess(i, j)
+}
+
+// tieLess orders the heads of sources i and j when their times are
+// equal: by Key.
+func (s *Scheduler) tieLess(i, j int) bool { return s.headKey[i].less(s.headKey[j]) }
+
+// less reports whether k sorts before o among events due at one instant.
+func (k Key) less(o Key) bool { return k.From < o.From || k.From == o.From && k.Seq < o.Seq }
 
 // QueueStats returns the queue's self-report. See QueueStats.
 func (s *Scheduler) QueueStats() QueueStats {
 	st := s.stats
 	st.HeapPending = len(s.heap)
+	for _, n := range st.ByLane {
+		st.LaneInserts += n
+	}
+	st.LaneInserts -= st.LaneOverflows
 	return st
 }
 
@@ -206,12 +253,11 @@ func (s *Scheduler) alloc() uint32 {
 }
 
 // release clears a fired or cancelled slot and pushes it on the free
-// list. Dropping fn/actor here is load-bearing twice over: the GC can
+// list. Dropping the actor here is load-bearing twice over: the GC can
 // reclaim captured state immediately, and the bumped generation
 // invalidates every outstanding handle to the old event.
 func (s *Scheduler) release(idx uint32) {
 	sl := &s.slots[idx]
-	sl.fn = nil
 	sl.actor = nil
 	sl.pending = false
 	sl.gen++
@@ -219,36 +265,53 @@ func (s *Scheduler) release(idx uint32) {
 	s.free = idx
 }
 
-// schedule files one event. lane is the FIFO lane to offer it to, or
+// schedule files one event at key *k, or at the next key now when k is
+// nil (a pointer, so the ordinary path passes one word and AtActor stays
+// within the inliner's budget). lane is the FIFO lane to offer it to, or
 // heapSrc to send it straight to the heap.
-func (s *Scheduler) schedule(t Time, fn func(), act Actor, lane int, code uint8, a, b uint64) Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, s.now))
+func (s *Scheduler) schedule(t Time, k *Key, act Actor, lane int, code uint8, a, b uint64) Event {
+	if t < s.now || t == maxTime {
+		panic(fmt.Sprintf("sim: scheduling at %v (now %v)", t, s.now))
+	}
+	if act == nil {
+		panic("sim: nil event actor")
 	}
 	idx := s.alloc()
 	sl := &s.slots[idx]
 	sl.at = t
-	sl.seq = s.seq
-	s.seq++
-	sl.fn = fn
+	if k == nil {
+		sl.key = s.Reserve()
+	} else {
+		sl.key = *k
+	}
 	sl.actor = act
 	sl.code = code
 	sl.a, sl.b = a, b
 	sl.pending = true
-	switch {
-	case lane == heapSrc || s.lanesOff:
+	if lane == heapSrc || s.lanesOff {
 		s.heapPush(idx)
-	case !s.laneBypass(lane, t) && s.laneInsert(idx, lane):
-		s.stats.LaneInserts++
-	default:
-		s.stats.LaneOverflows++
-		s.heapPush(idx)
+	} else {
+		s.stats.ByLane[lane]++
+		if s.laneBypass(lane, t) || !s.laneInsert(idx, lane) {
+			s.stats.LaneOverflows++
+			s.heapPush(idx)
+		}
 	}
 	s.size++
 	if s.size > s.highWater {
 		s.highWater = s.size
 	}
 	return Event{s: s, slot: idx, gen: sl.gen}
+}
+
+// Reserve takes the key the next event scheduled now would get, for an
+// event filed later with AtActorKey: a stage of a pipeline that is
+// settled ahead of time keeps the place among same-instant events that
+// scheduling it now would have given it.
+func (s *Scheduler) Reserve() Key {
+	k := Key{From: s.now, Seq: s.seq}
+	s.seq++
+	return k
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
@@ -258,7 +321,7 @@ func (s *Scheduler) At(t Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	return s.schedule(t, fn, nil, heapSrc, 0, 0, 0)
+	return s.schedule(t, nil, funcActor(fn), heapSrc, 0, 0, 0)
 }
 
 // After schedules fn to run d after the current time.
@@ -272,10 +335,20 @@ func (s *Scheduler) After(d Time, fn func()) Event {
 // AtActor schedules act.OnEvent(code, a, b) at absolute time t without
 // allocating: the opcode and arguments live in the pooled slot.
 func (s *Scheduler) AtActor(t Time, act Actor, code uint8, a, b uint64) Event {
-	if act == nil {
-		panic("sim: nil event actor")
-	}
 	return s.schedule(t, nil, act, int(code&(numLanes-1)), code, a, b)
+}
+
+// AtActorKey is AtActor filed at key k instead of the next one: among
+// the events due at t it fires in k's place. k.Seq comes from Reserve;
+// k.From may be the instant a stage that is skipped would have run at,
+// so that the event sorts as if that stage had scheduled it — before
+// any event scheduled after k.From, after any scheduled before it. k.From
+// must not lie after t.
+func (s *Scheduler) AtActorKey(t Time, k Key, act Actor, code uint8, a, b uint64) Event {
+	if k.From > t {
+		panic(fmt.Sprintf("sim: key from %v for an event at %v", k.From, t))
+	}
+	return s.schedule(t, &k, act, int(code&(numLanes-1)), code, a, b)
 }
 
 // AfterActor schedules act.OnEvent(code, a, b) to run d after the
@@ -295,19 +368,15 @@ func (s *Scheduler) AfterActor(d Time, act Actor, code uint8, a, b uint64) Event
 func (s *Scheduler) dispatch(idx uint32) {
 	sl := &s.slots[idx]
 	s.now = sl.at
-	fn, act, code, a, b := sl.fn, sl.actor, sl.code, sl.a, sl.b
+	act, code, a, b := sl.actor, sl.code, sl.a, sl.b
 	s.size--
 	s.release(idx)
 	s.processed++
-	if act != nil {
-		act.OnEvent(code, a, b)
-	} else {
-		fn()
-	}
+	act.OnEvent(code, a, b)
 }
 
 // popLE removes and returns the earliest pending slot if its time is at
-// or before `until`: the (time, seq) minimum of the earliest lane head
+// or before `until`: the (time, Key) minimum of the earliest lane head
 // and the heap's root, both read from the key cache. Which source holds
 // an event never enters the comparison, so filing is free to be a cost
 // decision.
@@ -319,7 +388,7 @@ func (s *Scheduler) popLE(until Time) (uint32, bool) {
 		s.findMinLane()
 	}
 	src := s.minLane
-	if t, h := s.headAt[src], s.headAt[heapSrc]; h < t || h == t && s.headSeq[heapSrc] < s.headSeq[src] {
+	if t, h := s.headAt[src], s.headAt[heapSrc]; h < t || h == t && s.tieLess(heapSrc, src) {
 		src = heapSrc
 	}
 	if s.headAt[src] > until {
@@ -371,12 +440,12 @@ func (s *Scheduler) Drain() {
 	}
 }
 
-// slotLess orders slots by (time, seq): the total dispatch order the
+// slotLess orders slots by (time, Key): the total dispatch order the
 // lanes and the heap both keep.
 func (s *Scheduler) slotLess(i, j uint32) bool {
 	a, b := &s.slots[i], &s.slots[j]
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.seq < b.seq
+	return a.key.less(b.key)
 }

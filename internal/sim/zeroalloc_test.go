@@ -123,24 +123,33 @@ func TestEventSlotSize(t *testing.T) {
 	}
 }
 
-// pipelineActor reproduces the shape of a port's per-beacon traffic:
-// three opcodes, numbered as the port numbers them — the beacon timer
-// (0), the landing at the peer's clock-domain crossing (7) and the
-// message's processing (4) — each scheduled one per-stage constant ahead
-// of now (beacon period; TX pipeline, cable and RX pipeline; CDC), the
-// constants differing between actors by an oscillator's worth of skew.
-// Within an opcode, schedule times are monotone up to a few places — the
-// class of traffic the FIFO lanes exist for.
+// pipelineActor reproduces the shape of a port's per-beacon traffic,
+// with opcodes numbered as the port numbers them: the beacon timer (0)
+// and the message's processing, scheduled at launch in the landing's
+// lane (15, lane 7) at a key from the landing instant — except for one
+// beacon in 16, the metastability band's share, whose landing (7) runs
+// and schedules the processing (4) itself. Each is scheduled one
+// per-stage constant ahead (beacon period; TX pipeline, cable and RX
+// pipeline; CDC), the constants differing between actors by an
+// oscillator's worth of skew. Within an opcode, schedule times are
+// monotone up to a few places — the class of traffic the FIFO lanes
+// exist for.
 type pipelineActor struct {
 	s                   *Scheduler
 	period, flight, cdc Time
+	beacons             int
 }
 
 func (a *pipelineActor) OnEvent(code uint8, _, _ uint64) {
 	switch code {
 	case 0:
 		a.s.AfterActor(a.period, a, 0, 0, 0)
-		a.s.AfterActor(a.flight, a, 7, 0, 0)
+		if a.beacons++; a.beacons%16 == 0 {
+			a.s.AfterActor(a.flight, a, 7, 0, 0)
+			return
+		}
+		land := a.s.Now() + a.flight
+		a.s.AtActorKey(land+a.cdc, Key{From: land, Seq: a.s.Reserve().Seq}, a, 15, 0, 0)
 	case 7:
 		a.s.AfterActor(a.cdc, a, 4, 0, 0)
 	}

@@ -223,15 +223,19 @@ func (g *Gauge) writeExposition(b *strings.Builder, name, labels string) {
 
 // Histogram counts observations into fixed buckets (upper bounds,
 // ascending; a final +Inf bucket is implicit) and tracks count, sum,
-// min, and max. Observe is one atomic add plus a short linear scan over
-// the bucket bounds, cheap enough for per-beacon hot paths.
+// min, and max. Observe is one atomic add plus finding the bucket:
+// computed for evenly spaced bounds (LinearBuckets), else a short
+// linear scan over the bounds — cheap enough for per-beacon hot paths.
 type Histogram struct {
-	upper   []float64
-	buckets []atomic.Uint64 // len(upper)+1; last is +Inf
-	count   atomic.Uint64
-	sumBits atomic.Uint64
-	minBits atomic.Uint64 // +Inf until first Observe
-	maxBits atomic.Uint64 // -Inf until first Observe
+	upper []float64
+	// invWidth is 1/spacing when the bounds are exactly upper[0] +
+	// i·spacing, so bucketIndex computes the index; 0 otherwise.
+	invWidth float64
+	buckets  []atomic.Uint64 // len(upper)+1; last is +Inf
+	count    atomic.Uint64
+	sumBits  atomic.Uint64
+	minBits  atomic.Uint64 // +Inf until first Observe
+	maxBits  atomic.Uint64 // -Inf until first Observe
 }
 
 func newHistogram(buckets []float64) *Histogram {
@@ -243,6 +247,16 @@ func newHistogram(buckets []float64) *Histogram {
 	h := &Histogram{
 		upper:   append([]float64(nil), buckets...),
 		buckets: make([]atomic.Uint64, len(buckets)+1),
+	}
+	if n := len(buckets); n > 2 {
+		width := buckets[1] - buckets[0]
+		linear := !math.IsInf(width, 0)
+		for i := 2; i < n && linear; i++ {
+			linear = buckets[i] == buckets[0]+float64(i)*width
+		}
+		if linear {
+			h.invWidth = 1 / width
+		}
 	}
 	h.minBits.Store(math.Float64bits(math.Inf(1)))
 	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
@@ -269,9 +283,36 @@ func ExponentialBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// bucketIndex returns the bucket holding v (the last, +Inf bucket when
-// v exceeds every upper bound).
+// bucketIndex returns the bucket holding v: the first whose upper bound
+// is at least v, or the last, +Inf bucket when v exceeds every bound
+// (NaN exceeds none: bucket 0). Evenly spaced bounds compute it: the
+// truncated quotient is the bound at or below v, and the loops step past
+// it, correcting any rounding against the bounds themselves, so the
+// answer is the scan's exactly.
 func (h *Histogram) bucketIndex(v float64) int {
+	n := len(h.upper)
+	if h.invWidth == 0 {
+		return h.scanIndex(v)
+	}
+	if !(v > h.upper[0]) {
+		return 0
+	}
+	if v > h.upper[n-1] {
+		return n
+	}
+	// upper[0] < v <= upper[n-1]: the index is in [1, n-1].
+	i := min(int((v-h.upper[0])*h.invWidth), n-1)
+	for i > 0 && v <= h.upper[i-1] {
+		i--
+	}
+	for v > h.upper[i] {
+		i++
+	}
+	return i
+}
+
+// scanIndex is bucketIndex by a linear scan over the bounds.
+func (h *Histogram) scanIndex(v float64) int {
 	i := 0
 	for i < len(h.upper) && v > h.upper[i] {
 		i++

@@ -219,3 +219,40 @@ func TestConcurrentUpdates(t *testing.T) {
 		t.Fatalf("tracer total = %d, want 8000", tr.Total())
 	}
 }
+
+// Evenly spaced bounds compute the bucket index; it must be the scan's
+// for every value: NaN and ±Inf, each bound exactly, the floats either
+// side of each bound, and a spread of values in and around the range.
+// Bounds that are not evenly spaced keep the scan.
+func TestLinearBucketIndexMatchesScan(t *testing.T) {
+	for _, b := range [][]float64{
+		LinearBuckets(-8, 1, 17), // dtp_beacon_offset_ticks
+		LinearBuckets(0, 0.5, 10),
+		LinearBuckets(-1e3, 250, 9),
+		LinearBuckets(1e-9, 1e-9, 12),
+		LinearBuckets(0.1, 0.1, 7), // 0.1 steps do not add up exactly: scanned
+		ExponentialBuckets(1, 2, 8),
+		{0, 1, 3},
+	} {
+		h := newHistogram(b)
+		vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.MaxFloat64, -math.MaxFloat64}
+		for _, u := range b {
+			vals = append(vals, u, math.Nextafter(u, math.Inf(-1)), math.Nextafter(u, math.Inf(1)))
+		}
+		lo, hi := b[0], b[len(b)-1]
+		for i := 0; i <= 1000; i++ {
+			vals = append(vals, lo-(hi-lo)/4+float64(i)*(hi-lo)*1.5/1000)
+		}
+		for _, v := range vals {
+			if got, want := h.bucketIndex(v), h.scanIndex(v); got != want {
+				t.Fatalf("bounds %v: bucketIndex(%v) = %d, the scan says %d", b, v, got, want)
+			}
+		}
+	}
+	if h := newHistogram(LinearBuckets(-8, 1, 17)); h.invWidth == 0 {
+		t.Fatal("unit-wide bounds not recognised as evenly spaced")
+	}
+	if h := newHistogram(ExponentialBuckets(1, 2, 8)); h.invWidth != 0 {
+		t.Fatal("exponential bounds taken for evenly spaced")
+	}
+}
