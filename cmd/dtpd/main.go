@@ -3,27 +3,27 @@
 // synchronization where one host broadcasts (counter, UTC) pairs and
 // every other host serves UTC by interpolation.
 //
-// It is a client of the dtp façade: dtp.New, System.TimePlane (a daemon
-// on every host node of the -topo graph — default the paper's tree,
-// eight hosts s4–s11 — the first broadcasting, the rest serving
-// TrueTime-style intervals) and System.Timeline. All measurement flows
-// through the telemetry registry; with -listen the live metrics and the
-// protocol event trace are served over HTTP for the life of the
-// process:
+// It is a campaign.Arm client, like dtpsim: its flags make a one-point
+// campaign grid whose run attaches the serving plane (a daemon on every
+// host node of the -topo graph — default the paper's tree, eight hosts
+// s4–s11 — the first broadcasting UTC, the rest serving TrueTime-style
+// intervals) and a windowed timeline. All measurement flows through the
+// telemetry registry; with -listen the live metrics and the protocol
+// event trace are served over HTTP for the life of the process:
 //
-//	dtpd -duration 2s -cal 10ms -listen :9090 &
+//	dtpd -duration 2s -listen :9090 &
 //	curl localhost:9090/metrics   # Prometheus text exposition
 //	curl localhost:9090/trace     # JSONL protocol events
 //
 // -metrics-out and -trace-out dump the registry and the protocol trace
-// to files at exit.
+// to files at exit, through the writer dtpsim uses.
 package main
 
 import (
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"net"
 	"net/http"
@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"github.com/dtplab/dtp"
+	"github.com/dtplab/dtp/internal/campaign"
 	"github.com/dtplab/dtp/internal/cliutil"
 	"github.com/dtplab/dtp/internal/telemetry"
 	"github.com/dtplab/dtp/internal/timesvc"
@@ -42,7 +43,6 @@ var (
 	// -topo -seed -duration -metrics-out -trace-out
 	shared = cliutil.Flags{Topo: "tree", Duration: 2 * time.Second}
 
-	calFlag    = flag.Duration("cal", 10*time.Millisecond, "daemon calibration interval")
 	listenFlag = flag.String("listen", "", "serve /metrics, /trace, /timeline, /healthz and (once the run ends) /time/<host>/now on this address (e.g. :9090) and keep running")
 	traceFlag  = flag.Int("trace-cap", 16384, "protocol trace ring capacity (events)")
 	pprofFlag  = flag.Bool("pprof", false, "with -listen, also expose /debug/pprof/* and /debug/vars")
@@ -62,18 +62,26 @@ func main() {
 	if err := shared.Validate(); err != nil {
 		cliutil.Fatal("dtpd", 2, err)
 	}
-	disc, err := shared.ParseDiscipline()
-	if err != nil {
-		cliutil.Fatal("dtpd", 2, err)
+	// The run's one point: the serving plane (§5 + TrueTime-style
+	// intervals: a daemon on every host, the first host broadcasting UTC
+	// from a perfect source standing in for GPS/PTP at the timeserver, a
+	// TimeService backed by a live 4TD auditor on every other) and the
+	// timeline that enumerates it. -discipline is the estimator every
+	// daemon runs, not a campaign's probe.
+	grid := campaign.Grid{
+		Topos:        []string{shared.Topo},
+		Seeds:        []uint64{shared.Seed},
+		Durations:    []campaign.Duration{campaign.Duration(shared.Duration)},
+		TimeService:  true,
+		SamplePeriod: campaign.Duration(*timelineEvery),
+		SyncTimeout:  campaign.Duration(10 * time.Millisecond),
 	}
-	g, err := shared.Topology()
-	if err != nil {
-		cliutil.Fatal("dtpd", 2, err)
+	if shared.Hardened {
+		grid.Hardened = []bool{true}
 	}
 
 	reg := dtp.NewMetricsRegistry()
 	tracer := dtp.NewTracer(*traceFlag)
-	tracer.SetKinds() // demo binary: include per-beacon firehose kinds in /trace
 
 	// Bind the listener before simulating so a bad -listen fails fast.
 	// The mux outlives this block: /time/<host>/ handlers register after
@@ -82,8 +90,8 @@ func main() {
 	var ln net.Listener
 	var mux *http.ServeMux
 	if *listenFlag != "" {
-		ln, err = net.Listen("tcp", *listenFlag)
-		if err != nil {
+		var err error
+		if ln, err = net.Listen("tcp", *listenFlag); err != nil {
 			cliutil.Fatal("dtpd", 1, err)
 		}
 		mux = http.NewServeMux()
@@ -107,33 +115,24 @@ func main() {
 		}
 	}
 
-	opts := []dtp.Option{dtp.WithSeed(shared.Seed), dtp.WithTelemetry(reg, tracer), dtp.WithDiscipline(disc)}
-	if shared.Hardened {
-		opts = append(opts, dtp.WithHardened())
-	}
-	sys, err := dtp.New(g, opts...)
-	if err != nil {
-		cliutil.Fatal("dtpd", 1, err)
-	}
-	// A long-lived daemon may report wall-clock throughput: these metrics
-	// are intentionally nondeterministic and never appear in dtpsim dumps.
-	sys.EnableSchedulerMetrics(true)
-	sys.Start()
-	if err := sys.RunUntilSynced(10 * time.Millisecond); err != nil {
-		cliutil.Fatal("dtpd", 1, err)
-	}
-
-	// The serving plane (§5 + TrueTime-style intervals): a daemon on
-	// every host, the first host broadcasting UTC (from a perfect source
-	// standing in for GPS/PTP at the timeserver), a TimeService backed by
-	// a live 4TD auditor on every other. Attach order as campaign.Arm:
-	// plane, then the timeline that enumerates it.
-	tp, err := sys.TimePlane(dtp.TimePlaneOptions{
-		CalInterval: *calFlag, BroadcastInterval: 50 * time.Millisecond, LoadQPS: *loadQPSFlag,
+	rig, err := campaign.Arm(campaign.Spec{
+		Point:    grid.Expand()[0],
+		Registry: reg, Tracer: tracer, SchedMetrics: true,
+		LoadQPS: *loadQPSFlag, Timeline: true, Estimator: shared.Discipline,
 	})
-	if err != nil {
+	if errors.Is(err, campaign.ErrNotSynced) {
+		cliutil.Fatal("dtpd", 1, err)
+	} else if err != nil {
 		cliutil.Fatal("dtpd", 2, err)
 	}
+	sys, tp := rig.Sys, rig.Plane
+	art := cliutil.Artifacts{MetricsOut: shared.MetricsOut, TraceOut: shared.TraceOut}
+	art.Snapshot(tracer)
+	// Demo binary: the per-beacon firehose kinds join /trace once the
+	// network is synced. On during INIT, they fill the default ring on
+	// the tree and evict the INIT and synced events the snapshot keeps.
+	tracer.SetKinds()
+
 	// Handles for the report. The plane itself named every host, so the
 	// accessors cannot fail.
 	served := tp.Hosts()
@@ -147,9 +146,8 @@ func main() {
 	for i, h := range served {
 		services[i], _ = tp.Service(h)
 	}
-	tl := sys.Timeline(dtp.TimelineOptions{Interval: *timelineEvery})
 	if mux != nil {
-		mux.Handle("/timeline", tl)
+		mux.Handle("/timeline", rig.Timeline)
 		mux.Handle("/healthz", tp.HealthHandler())
 		fmt.Printf("dtpd: timeline on http://%s/timeline, serving-plane health on /healthz\n", ln.Addr())
 	}
@@ -265,21 +263,8 @@ func main() {
 		fmt.Printf("time service continues on http://%s/time/<host>/now (wall-extrapolated)\n", ln.Addr())
 	}
 
-	if shared.MetricsOut != "" {
-		if err := cliutil.WriteFile(shared.MetricsOut, func(w io.Writer) error {
-			return dtp.WriteMetrics(w, reg)
-		}); err != nil {
-			cliutil.Fatal("dtpd", 1, err)
-		}
-		fmt.Printf("metrics written to %s\n", shared.MetricsOut)
-	}
-	if shared.TraceOut != "" {
-		if err := cliutil.WriteFile(shared.TraceOut, func(w io.Writer) error {
-			return dtp.WriteTrace(w, tracer)
-		}); err != nil {
-			cliutil.Fatal("dtpd", 1, err)
-		}
-		fmt.Printf("trace written to %s\n", shared.TraceOut)
+	if err := art.Write(os.Stdout, reg, tracer, nil); err != nil {
+		cliutil.Fatal("dtpd", 1, err)
 	}
 
 	if ln != nil {

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime/pprof"
 	"slices"
@@ -36,7 +35,6 @@ import (
 	"github.com/dtplab/dtp"
 	"github.com/dtplab/dtp/internal/campaign"
 	"github.com/dtplab/dtp/internal/cliutil"
-	"github.com/dtplab/dtp/internal/telemetry"
 )
 
 var (
@@ -256,7 +254,6 @@ func runSingle(grid campaign.Grid) {
 		if shared.TraceOut != "" {
 			tracer.SetKinds() // dump requested: include per-beacon firehose kinds
 		}
-		// The wall-clock rate stays off: -metrics-out must be deterministic.
 		spec.Registry, spec.Tracer, spec.SchedMetrics = reg, tracer, true
 	}
 	wallStart := time.Now()
@@ -290,14 +287,8 @@ func runSingle(grid campaign.Grid) {
 		fmt.Printf("time service: %s broadcasting UTC, serving %v\n", tp.Broadcaster(), tp.Hosts())
 	}
 
-	// Snapshot the trace now, while the one-shot INIT/synced events are
-	// still in the ring: on long runs the beacon firehose evicts them
-	// before the final dump, and offline analysis (dtptrace -assert-owd)
-	// needs them. The snapshot is merged into the dump by sequence number.
-	var earlyTrace []telemetry.Event
-	if shared.TraceOut != "" {
-		earlyTrace = tracer.Events()
-	}
+	art := cliutil.Artifacts{MetricsOut: shared.MetricsOut, TraceOut: shared.TraceOut, TimelineOut: *timelineOut}
+	art.Snapshot(tracer)
 
 	fmt.Printf("%12s %14s %14s %10s\n", "t", "max offset", "bound", "ok")
 	var worst int64
@@ -351,42 +342,8 @@ func runSingle(grid campaign.Grid) {
 			}
 		}
 	}
-	if shared.MetricsOut != "" {
-		if err := cliutil.WriteFile(shared.MetricsOut, func(w io.Writer) error {
-			return dtp.WriteMetrics(w, reg)
-		}); err != nil {
-			fatal(1, err)
-		}
-		fmt.Printf("metrics written to %s\n", shared.MetricsOut)
-	}
-	if shared.TraceOut != "" {
-		final := tracer.Events()
-		var events []telemetry.Event
-		for _, e := range earlyTrace {
-			if len(final) == 0 || e.Seq < final[0].Seq {
-				events = append(events, e)
-			}
-		}
-		events = append(events, final...)
-		total := tracer.Total()
-		if err := cliutil.WriteFile(shared.TraceOut, func(w io.Writer) error {
-			// The header's drop count is what the ring evicted beyond
-			// the merged early+final window.
-			if err := telemetry.WriteTraceHeader(w, len(events), total, total-uint64(len(events))); err != nil {
-				return err
-			}
-			return telemetry.WriteEvents(w, events)
-		}); err != nil {
-			fatal(1, err)
-		}
-		fmt.Printf("trace written to %s (%d events, %d dropped)\n",
-			shared.TraceOut, len(events), total-uint64(len(events)))
-	}
-	if *timelineOut != "" {
-		if err := cliutil.WriteFile(*timelineOut, rig.Timeline.WriteJSONL); err != nil {
-			fatal(1, err)
-		}
-		fmt.Printf("timeline written to %s (%d samples)\n", *timelineOut, rig.Timeline.Total())
+	if err := art.Write(os.Stdout, reg, tracer, rig.Timeline); err != nil {
+		fatal(1, err)
 	}
 	if rec != nil {
 		if err := rec.Err(); err != nil {

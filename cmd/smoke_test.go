@@ -23,6 +23,8 @@ func TestCommandExitCodes(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	trace := filepath.Join(dir, "trace.jsonl")
+	dtpdTrace := filepath.Join(dir, "dtpd-trace.jsonl")
+	dtpdMetrics := [2]string{filepath.Join(dir, "dtpd-a.prom"), filepath.Join(dir, "dtpd-b.prom")}
 	prof := filepath.Join(dir, "prof")
 	liar := []string{"-topo", "tree", "-duration", "160ms", "-chaos", "../examples/chaos/liar.json"}
 	// Durations past sim.Time's ~106 days used to wrap negative and panic
@@ -47,7 +49,8 @@ func TestCommandExitCodes(t *testing.T) {
 	liars := write("liars.json", `{"topos": ["pair"], "liars": [3]}`)
 	smoke := "../examples/campaign/smoke.json"
 
-	// In order: the dtptrace step reads what the -trace-out step wrote.
+	// In order: each dtptrace step reads what a -trace-out step wrote,
+	// and the second dtpd metrics run compares its file with the first's.
 	for _, tc := range []struct {
 		name   string
 		argv   []string
@@ -67,10 +70,25 @@ func TestCommandExitCodes(t *testing.T) {
 		{"trace in", []string{"dtptrace", "-trace", trace, "-topo", "pair"}, 0, "", nil},
 		{"dtptrace without input", []string{"dtptrace"}, 2, "-trace or -bundle is required", nil},
 		{"dtptrace missing file", []string{"dtptrace", "-trace", filepath.Join(dir, "absent")}, 1, "", nil},
-		{"dtpd run", []string{"dtpd", "-topo", "pair", "-duration", "20ms", "-cal", "5ms"}, 0, "",
+		{"dtpd run", []string{"dtpd", "-topo", "pair", "-duration", "20ms"}, 0, "",
 			func(t *testing.T, out string) {
 				if strings.Contains(out, "Inf") {
 					t.Errorf("dtpd report prints an infinity:\n%s", out)
+				}
+			}},
+		// dtpd's trace used to keep only its last 16 384 events, none of
+		// them the INIT measurements the OWD check reads.
+		{"dtpd trace out", []string{"dtpd", "-topo", "tree", "-duration", "20ms", "-trace-out", dtpdTrace}, 0, "", nil},
+		{"dtpd trace owd", []string{"dtptrace", "-trace", dtpdTrace, "-topo", "tree", "-assert-owd", "43:45"}, 0, "", nil},
+		// dtpd's metrics used to carry a wall-clock rate, so equal seeds
+		// wrote different files.
+		{"dtpd metrics out", []string{"dtpd", "-topo", "tree", "-duration", "20ms", "-seed", "3", "-metrics-out", dtpdMetrics[0]}, 0, "", nil},
+		{"dtpd metrics rerun", []string{"dtpd", "-topo", "tree", "-duration", "20ms", "-seed", "3", "-metrics-out", dtpdMetrics[1]}, 0, "",
+			func(t *testing.T, _ string) {
+				a, errA := os.ReadFile(dtpdMetrics[0])
+				b, errB := os.ReadFile(dtpdMetrics[1])
+				if errA != nil || errB != nil || !bytes.Equal(a, b) {
+					t.Errorf("two dtpd runs at one seed wrote different metrics (read errors %v, %v)", errA, errB)
 				}
 			}},
 		{"dtpd unknown topology", []string{"dtpd", "-topo", "nope"}, 2, "unknown topology", nil},

@@ -507,11 +507,10 @@ func (s *System) Audit(o AuditOptions) *Auditor {
 
 // EnableSchedulerMetrics exports the event loop's own throughput
 // (events processed, queue depth and high water, a depth histogram)
-// through the WithTelemetry registry. wallRate additionally exports
-// events per wall-clock second — useful live, but host-dependent, so
-// leave it off when the metric export must be byte-deterministic.
-func (s *System) EnableSchedulerMetrics(wallRate bool) {
-	telemetry.InstrumentScheduler(s.cfg.reg, s.sch, wallRate)
+// through the WithTelemetry registry; every figure is deterministic per
+// seed, so metric dumps stay byte-stable.
+func (s *System) EnableSchedulerMetrics() {
+	telemetry.InstrumentScheduler(s.cfg.reg, s.sch)
 }
 
 // Daemon is a software clock served by the DTP daemon on one host

@@ -38,10 +38,6 @@ type TimePlaneOptions struct {
 	// daemon default; compressed simulations want ~10ms).
 	CalInterval time.Duration
 
-	// BroadcastInterval is the UTC pair cadence (default 10 ms). It stays
-	// an option because dtpd broadcasts every 50 ms.
-	BroadcastInterval time.Duration
-
 	// Auditor supplies the live cross-host 4TD bound folded into every
 	// published interval. Nil attaches a fresh default auditor.
 	Auditor *Auditor
@@ -120,13 +116,9 @@ func (s *System) TimePlane(o TimePlaneOptions) (*TimePlane, error) {
 			ph.ld = timesvc.NewLoad(ph.svc, sim.NewRNG(s.cfg.seed, "timesvc-load/"+h), o.LoadQPS, s.cfg.reg)
 		}
 	}
-	bcast := sim.Time(10 * sim.Millisecond)
-	if o.BroadcastInterval > 0 {
-		bcast = sim.FromStd(o.BroadcastInterval)
-	}
 	// Built last, so its first tick queues after every service's: the
 	// plane's event order, which every artifact depends on.
-	tp.b = daemon.NewUTCBroadcaster(bh.d.d, daemon.TrueUTC{Sch: s.sch}, bcast, followers)
+	tp.b = daemon.NewUTCBroadcaster(bh.d.d, daemon.TrueUTC{Sch: s.sch}, 10*sim.Millisecond, followers)
 	s.timeplanes = append(s.timeplanes, tp)
 	return tp, nil
 }

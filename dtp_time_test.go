@@ -238,9 +238,7 @@ func TestTimePlaneIntervalInvariantUnderChaos(t *testing.T) {
 func TestTimePlaneReportAccessors(t *testing.T) {
 	sys := newSynced(t, PaperTree(), WithSeed(5), WithTelemetry(NewMetricsRegistry(), nil))
 	defer sys.Close()
-	tp, err := sys.TimePlane(TimePlaneOptions{
-		CalInterval: 5 * time.Millisecond, BroadcastInterval: 20 * time.Millisecond,
-	})
+	tp, err := sys.TimePlane(TimePlaneOptions{CalInterval: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

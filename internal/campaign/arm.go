@@ -15,8 +15,7 @@ type Spec struct {
 	Point
 
 	// Registry and Tracer instrument this run alone (nil = none).
-	// SchedMetrics also exports the event loop's own counters — the
-	// deterministic ones only, so metric dumps stay byte-stable.
+	// SchedMetrics also exports the event loop's own counters.
 	Registry     *dtp.MetricsRegistry
 	Tracer       *dtp.Tracer
 	SchedMetrics bool
@@ -124,7 +123,7 @@ func Arm(s Spec) (_ *Rig, err error) {
 	}()
 	r.Sys = sys
 	if s.SchedMetrics {
-		sys.EnableSchedulerMetrics(false)
+		sys.EnableSchedulerMetrics()
 	}
 	if s.Audit {
 		r.Auditor = sys.Audit(dtp.AuditOptions{Interval: s.AuditEvery.Std()})

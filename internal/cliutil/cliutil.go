@@ -2,7 +2,8 @@
 // tools. All four commands (dtpsim, dtpd, dtptrace, dtpexp) register
 // their common flags through one definition — same names, same help
 // text, same parsing and validation — so the CLIs cannot drift apart
-// flag by flag as they grow.
+// flag by flag as they grow. dtpsim and dtpd also write a run's output
+// files through one writer, Artifacts.
 package cliutil
 
 import (
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"github.com/dtplab/dtp"
+	"github.com/dtplab/dtp/internal/telemetry"
 )
 
 // Set selects which shared flags a command registers.
@@ -170,4 +172,67 @@ func WriteFile(path string, fill func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// Artifacts are a run's output files — the -metrics-out registry dump,
+// the -trace-out protocol trace and the -timeline-out windowed timeline
+// — written by the one writer both simulation commands share. An empty
+// path writes nothing.
+type Artifacts struct {
+	MetricsOut, TraceOut, TimelineOut string
+
+	early []telemetry.Event
+}
+
+// Snapshot keeps the trace ring as it stands right after arming, while
+// the one-shot INIT and synced events are still in it: on long runs the
+// beacon firehose evicts them before the final dump, and offline
+// analysis (dtptrace -assert-owd) needs them.
+func (a *Artifacts) Snapshot(tr *dtp.Tracer) {
+	if a.TraceOut != "" {
+		a.early = tr.Events()
+	}
+}
+
+// Write writes each named file and reports it on out. The trace is the
+// Snapshot merged by sequence number with the final ring, and its
+// header's drop count is what the ring evicted beyond that window. tl
+// is read only when TimelineOut is set.
+func (a *Artifacts) Write(out io.Writer, reg *dtp.MetricsRegistry, tr *dtp.Tracer, tl *dtp.Timeline) error {
+	if a.MetricsOut != "" {
+		if err := WriteFile(a.MetricsOut, func(w io.Writer) error {
+			return dtp.WriteMetrics(w, reg)
+		}); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "metrics written to %s\n", a.MetricsOut)
+	}
+	if a.TraceOut != "" {
+		final := tr.Events()
+		var events []telemetry.Event
+		for _, e := range a.early {
+			if len(final) == 0 || e.Seq < final[0].Seq {
+				events = append(events, e)
+			}
+		}
+		events = append(events, final...)
+		total := tr.Total()
+		dropped := total - uint64(len(events))
+		if err := WriteFile(a.TraceOut, func(w io.Writer) error {
+			if err := telemetry.WriteTraceHeader(w, len(events), total, dropped); err != nil {
+				return err
+			}
+			return telemetry.WriteEvents(w, events)
+		}); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "trace written to %s (%d events, %d dropped)\n", a.TraceOut, len(events), dropped)
+	}
+	if a.TimelineOut != "" {
+		if err := WriteFile(a.TimelineOut, tl.WriteJSONL); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "timeline written to %s (%d samples)\n", a.TimelineOut, tl.Total())
+	}
+	return nil
 }

@@ -3,11 +3,17 @@ package cliutil
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/dtplab/dtp"
+	"github.com/dtplab/dtp/internal/telemetry"
 )
 
 func parse(t *testing.T, f *Flags, which Set, args ...string) error {
@@ -133,5 +139,64 @@ func TestDisciplineFlag(t *testing.T) {
 		if err := parse(t, &bad, FlagDiscipline, "-discipline", spec); err == nil {
 			t.Fatalf("-discipline %s validated", spec)
 		}
+	}
+}
+
+// TestArtifactsTraceMerge pins the -trace-out writer: the ring snapshot
+// taken after arming keeps each event the final ring no longer holds,
+// no event appears twice, and the header counts what neither kept.
+func TestArtifactsTraceMerge(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		before, more int // events recorded before and after Snapshot
+		wantDropped  uint64
+	}{
+		{"ring wrapped", 5, 20, 12}, // keeps 5 early + the last 8 of 25
+		{"ring held all", 3, 2, 0},  // the final ring holds the snapshot
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := dtp.NewTracer(8)
+			record := func(n int) {
+				for i := 0; i < n; i++ {
+					tr.Record(0, telemetry.KindSynced, "p", int64(i), 0, "")
+				}
+			}
+			record(tc.before)
+			a := Artifacts{TraceOut: filepath.Join(t.TempDir(), "trace.jsonl")}
+			a.Snapshot(tr)
+			early := tr.Events()
+			record(tc.more)
+			var out bytes.Buffer
+			if err := a.Write(&out, nil, tr, nil); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(a.TraceOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			events, hdr, err := telemetry.ReadJSONLHeader(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			final := tr.Events()
+			for _, e := range early {
+				if e.Seq < final[0].Seq && !slices.ContainsFunc(events, func(w telemetry.Event) bool { return w.Seq == e.Seq }) {
+					t.Errorf("early event %d lost", e.Seq)
+				}
+			}
+			for i := 1; i < len(events); i++ {
+				if events[i].Seq <= events[i-1].Seq {
+					t.Fatalf("seq %d follows %d: duplicate or out of order", events[i].Seq, events[i-1].Seq)
+				}
+			}
+			if hdr.Events != len(events) || hdr.Total != tr.Total() ||
+				hdr.Dropped != hdr.Total-uint64(len(events)) || hdr.Dropped != tc.wantDropped {
+				t.Errorf("header %+v for %d written of %d, want %d dropped", *hdr, len(events), tr.Total(), tc.wantDropped)
+			}
+			if want := fmt.Sprintf("(%d events, %d dropped)\n", len(events), tc.wantDropped); !strings.HasSuffix(out.String(), want) {
+				t.Errorf("report %q, want suffix %q", out.String(), want)
+			}
+		})
 	}
 }

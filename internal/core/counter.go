@@ -31,8 +31,10 @@ func newUnitCounter(clk *xo.Clock, delta uint64) *unitCounter {
 }
 
 // at returns the counter value at simulated time t.
-func (u *unitCounter) at(t simTime) uint64 {
-	tick := u.clk.CounterAt(t)
+func (u *unitCounter) at(t simTime) uint64 { return u.atTick(u.clk.CounterAt(t)) }
+
+// atTick returns the counter value at oscillator tick tick.
+func (u *unitCounter) atTick(tick uint64) uint64 {
 	if tick < u.refTick {
 		panic("core: counter queried before reference tick")
 	}
@@ -47,12 +49,12 @@ func (u *unitCounter) at(t simTime) uint64 {
 // Jumping backward panics — DTP counters are monotone by construction
 // (the max operation).
 func (u *unitCounter) setAt(v uint64, t simTime) {
-	cur := u.at(t)
-	if v < cur {
+	tick := u.clk.CounterAt(t)
+	if cur := u.atTick(tick); v < cur {
 		panic(fmt.Sprintf("core: counter jump backwards (%d -> %d)", cur, v))
 	}
 	u.capped = false
-	u.refTick = u.clk.CounterAt(t)
+	u.refTick = tick
 	u.base = v
 }
 

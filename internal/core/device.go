@@ -92,16 +92,16 @@ func (d *Device) GlobalCounterAt(t simTime) uint64 { return d.gc.at(t) }
 // PPM returns the device oscillator's current frequency offset.
 func (d *Device) PPM() float64 { return d.clock.PPM() }
 
-// jump requests a forward adjustment of the global counter to target
-// (Algorithm 1 T4 / Algorithm 2 T5). If join is set, the adjustment came
-// from a BEACON-JOIN and is propagated to every other active port so the
-// whole subnet converges to the new maximum (§3.2 "Network dynamics").
+// jump requests a forward adjustment of the global counter from cur,
+// its value now as the caller read it, to target (Algorithm 1 T4 /
+// Algorithm 2 T5). If join is set, the adjustment came from a
+// BEACON-JOIN and is propagated to every other active port so the whole
+// subnet converges to the new maximum (§3.2 "Network dynamics").
 // The adjustment lands at once: the 4TD accounting (BoundUnits, the
 // auditor) charges the §4.3 max circuit no latency, so neither does the
 // model.
-func (d *Device) jump(target uint64, from *Port, join bool) {
+func (d *Device) jump(target, cur uint64, from *Port, join bool) {
 	now := d.net.Sch.Now()
-	cur := d.gc.at(now)
 	if target <= cur {
 		return
 	}

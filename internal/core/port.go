@@ -736,8 +736,8 @@ func (p *Port) finishInit() {
 	// nothing reads it once the delay is known.
 	if p.pendingJoin != nil {
 		target := *p.pendingJoin + uint64(d)
-		if p.admit(target, p.dev.GlobalCounter(), true) {
-			p.dev.jump(target, p, true)
+		if local := p.dev.GlobalCounter(); p.admit(target, local, true) {
+			p.dev.jump(target, local, p, true)
 		}
 		if p.state != portSynced {
 			return // the rejected JOIN tripped quarantine
@@ -800,14 +800,14 @@ func (p *Port) handleBeacon(lsb uint64) {
 			switch {
 			case target > local:
 				p.jumps++
-				p.dev.jump(target, p, false)
+				p.dev.jump(target, local, p, false)
 			case target < local:
 				p.dev.stall(local-target, now)
 			}
 		}
 	} else if target > local {
 		p.jumps++
-		p.dev.jump(target, p, false)
+		p.dev.jump(target, local, p, false)
 	}
 	if p.dev.net.OnOffset != nil {
 		p.dev.net.OnOffset(p, offset)
@@ -834,7 +834,7 @@ func (p *Port) handleJoin(lsb uint64) {
 	local := p.dev.GlobalCounter()
 	if p.admit(target, local, true) && target > local {
 		p.jumps++
-		p.dev.jump(target, p, true)
+		p.dev.jump(target, local, p, true)
 	}
 }
 

@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"time"
-
-	"github.com/dtplab/dtp/internal/sim"
-)
+import "github.com/dtplab/dtp/internal/sim"
 
 // schedSampleInterval is the simulated cadence of InstrumentScheduler's
 // sampler.
@@ -14,14 +10,12 @@ const schedSampleInterval = sim.Millisecond
 // the registry: events processed, current and high-water queue depth, a
 // queue-depth histogram sampled every schedSampleInterval of simulated
 // time, the queue's own geometry (sim.QueueStats: FIFO-lane inserts,
-// overflows to the heap, heap population — all deterministic per
-// seed), and, when wallRate is set, events per wall-clock second. That
-// rate depends on host speed, so leave it off for runs whose metric
-// export must be byte-deterministic per seed (dtpsim -metrics-out);
-// long-lived serving processes (dtpd -listen) turn it on. The sampler
-// runs as a scheduler event, so all reads happen on the simulation
-// goroutine; concurrent HTTP scrapes only touch the atomic metric values.
-func InstrumentScheduler(reg *Registry, sch *sim.Scheduler, wallRate bool) {
+// overflows to the heap, heap population). Every figure is
+// deterministic per seed, so metric dumps stay byte-identical. The
+// sampler runs as a scheduler event, so all reads happen on the
+// simulation goroutine; concurrent HTTP scrapes only touch the atomic
+// metric values.
+func InstrumentScheduler(reg *Registry, sch *sim.Scheduler) {
 	if reg == nil || sch == nil {
 		return
 	}
@@ -40,13 +34,6 @@ func InstrumentScheduler(reg *Registry, sch *sim.Scheduler, wallRate bool) {
 		"Actor events a FIFO lane refused, filed in the scheduler's heap instead.")
 	heapPending := reg.Gauge("dtp_sched_heap_pending",
 		"Scheduler events currently resident in the heap (closures and lane overflows).")
-	var rate *Gauge
-	if wallRate {
-		rate = reg.Gauge("dtp_sched_events_per_wall_second",
-			"Scheduler events dispatched per wall-clock second (host-dependent).")
-	}
-	var lastProcessed uint64
-	lastWall := time.Now()
 	var sample func()
 	sample = func() {
 		p := sch.Processed()
@@ -59,13 +46,6 @@ func InstrumentScheduler(reg *Registry, sch *sim.Scheduler, wallRate bool) {
 		laneInserts.Set(float64(qs.LaneInserts))
 		laneOverflow.Set(float64(qs.LaneOverflows))
 		heapPending.Set(float64(qs.HeapPending))
-		if rate != nil {
-			now := time.Now()
-			if el := now.Sub(lastWall).Seconds(); el > 0 {
-				rate.Set(float64(p-lastProcessed) / el)
-			}
-			lastProcessed, lastWall = p, now
-		}
 		sch.After(schedSampleInterval, sample)
 	}
 	sch.After(schedSampleInterval, sample)

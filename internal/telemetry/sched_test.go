@@ -14,7 +14,7 @@ func (nopActor) OnEvent(uint8, uint64, uint64) {}
 func TestInstrumentScheduler(t *testing.T) {
 	sch := sim.NewScheduler()
 	reg := New()
-	InstrumentScheduler(reg, sch, false)
+	InstrumentScheduler(reg, sch)
 
 	// A self-rescheduling workload plus a burst of queued events, so both
 	// processed and queue-depth metrics have something to show.
@@ -81,27 +81,9 @@ func TestInstrumentScheduler(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", want, b.String())
 		}
 	}
-	// Wall-clock rate is opt-in: it must NOT leak into deterministic dumps.
-	if strings.Contains(b.String(), "dtp_sched_events_per_wall_second") {
-		t.Fatal("wall rate exported without being asked for")
-	}
-}
-
-func TestInstrumentSchedulerWallRate(t *testing.T) {
-	sch := sim.NewScheduler()
-	reg := New()
-	InstrumentScheduler(reg, sch, true)
-	sch.Run(5 * sim.Millisecond)
-	var b strings.Builder
-	if err := WritePrometheus(&b, reg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "dtp_sched_events_per_wall_second") {
-		t.Fatal("wall rate requested but gauge missing")
-	}
 }
 
 func TestInstrumentSchedulerNilSafe(t *testing.T) {
-	InstrumentScheduler(nil, sim.NewScheduler(), false)
-	InstrumentScheduler(New(), nil, false)
+	InstrumentScheduler(nil, sim.NewScheduler())
+	InstrumentScheduler(New(), nil)
 }
