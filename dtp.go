@@ -429,7 +429,7 @@ func (s *System) ByzantineStats() (rejected, quarantined uint64) {
 // measurement (t2 - t1 - OWD, in units) with the observing link
 // direction named "receiver-sender".
 func (s *System) OnOffsetSample(fn func(pair string, offsetTicks int64)) {
-	s.net.OnOffset = func(rx *core.Port, off int64) { fn(rx.PairName(), off) }
+	s.net.SetOnOffset(func(rx *core.Port, off int64) { fn(rx.PairName(), off) })
 }
 
 // SetUniformLoad saturates every link with back-to-back frames of the

@@ -8,6 +8,7 @@ import (
 	"github.com/dtplab/dtp/internal/audit"
 	"github.com/dtplab/dtp/internal/core"
 	"github.com/dtplab/dtp/internal/sim"
+	"github.com/dtplab/dtp/internal/telemetry"
 	"github.com/dtplab/dtp/internal/topo"
 )
 
@@ -21,6 +22,7 @@ const (
 // budget is what one world costs in the budget window.
 type budget struct {
 	events, beacons uint64
+	inboxed         uint64         // settled arrivals filed in a device inbox
 	queue           sim.QueueStats // lane counts and overflows over the window
 	// sweeps and pairChecks count the auditor's rounds and pair
 	// comparisons, when one is attached.
@@ -30,14 +32,20 @@ type budget struct {
 // budgetRun counts the scheduler events, the beacons sent and the
 // queue's filing in the budget window of g at seed 1, with the default
 // config and wander (1 ms steps of 100 ppb). fused picks the beacon
-// chain; audited attaches the online auditor at its default cadence.
-func budgetRun(t *testing.T, g topo.Graph, fused, audited bool) budget {
+// chain; traced attaches a tracer, which keeps every settled beacon an
+// evSettled event; audited attaches the online auditor at its default
+// cadence.
+func budgetRun(t *testing.T, g topo.Graph, fused, traced, audited bool) budget {
 	t.Helper()
 	defer core.SetFusedChain(core.SetFusedChain(fused))
 	cfg := core.DefaultConfig()
 	cfg.WanderInterval, cfg.WanderStepPPB = sim.Millisecond, 100
 	sch := sim.NewScheduler()
-	n, err := core.NewNetwork(sch, 1, g, cfg)
+	var opts []core.Option
+	if traced {
+		opts = append(opts, core.WithTelemetry(nil, telemetry.NewTracer(0)))
+	}
+	n, err := core.NewNetwork(sch, 1, g, cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +59,7 @@ func budgetRun(t *testing.T, g topo.Graph, fused, audited bool) budget {
 		t.Fatal("not synced when the budget window opens")
 	}
 	snap := func() (b budget) {
-		b.events, b.queue = sch.Processed(), sch.QueueStats()
+		b.events, b.queue, b.inboxed = sch.Processed(), sch.QueueStats(), core.InboxArrivals(n)
 		for _, d := range n.Devices {
 			for _, p := range d.Ports() {
 				sent, _, _, _ := p.Stats()
@@ -68,6 +76,7 @@ func budgetRun(t *testing.T, g topo.Graph, fused, audited bool) budget {
 	b := snap()
 	b.events -= b0.events
 	b.beacons -= b0.beacons
+	b.inboxed -= b0.inboxed
 	b.sweeps -= b0.sweeps
 	b.pairChecks -= b0.pairChecks
 	b.queue.LaneOverflows -= b0.queue.LaneOverflows
@@ -94,20 +103,26 @@ func allocsPerSimMs(t *testing.T) float64 {
 // depend on the machine: scheduler events per simulated millisecond,
 // per beacon and per beacon by lane (the port's opcode & 7; lanes 1-3
 // carry the five-event chain of flights re-filed by wander steps, 4 the
-// process events a crossing schedules, 7 the landings and the settled
-// process events), actor events the FIFO lanes refuse to the heap, the
-// auditor's pair checks per sweep, allocations, and the size of the
-// structures a beacon touches. Every entry is an equality unless marked
-// as a ceiling. A change that moves one edits the table and says why; a
+// process events a crossing schedules, 7 the landings and any settled
+// process event the inbox does not take), settled beacons applied from
+// a device inbox instead, actor events the FIFO lanes refuse to the
+// heap, the auditor's pair checks per sweep, allocations, and the size
+// of the structures a beacon touches. Untraced, settled beacons take the
+// inbox: a beacon costs its timer event, plus a landing and a process
+// event for the one in sixteen that lands in the metastability band.
+// Traced, every settled beacon is an evSettled event on lane 7, the path
+// dtpd and every exporting dtpsim run take: the traced paper-tree rows
+// pin it. Every entry is an equality unless marked as a ceiling. A change that moves one edits the table and says why; a
 // one-event change to the beacon path moves every event count and the
 // row of the lane the event takes.
 func TestEngineBudget(t *testing.T) {
-	pair := budgetRun(t, topo.Pair(), true, false)
-	tree := budgetRun(t, topo.PaperTree(), true, false)
-	ft4 := budgetRun(t, topo.FatTree(4), true, false)
+	pair := budgetRun(t, topo.Pair(), true, false, false)
+	tree := budgetRun(t, topo.PaperTree(), true, false, false)
+	traced := budgetRun(t, topo.PaperTree(), true, true, false)
+	ft4 := budgetRun(t, topo.FatTree(4), true, false, false)
 	// The five-event chain, the reference flights are tested against.
-	chain := budgetRun(t, topo.PaperTree(), false, false)
-	audited := budgetRun(t, topo.FatTree(4), true, true)
+	chain := budgetRun(t, topo.PaperTree(), false, false, false)
+	audited := budgetRun(t, topo.FatTree(4), true, false, true)
 	perBeacon := func(events, beacons uint64) float64 {
 		return float64((events*10_000 + beacons/2) / beacons) // x1e4, rounded
 	}
@@ -118,14 +133,14 @@ func TestEngineBudget(t *testing.T) {
 		got, want float64
 		ceiling   bool
 	}{
-		{"events per sim-ms, pair", float64(pair.events), 3262, false},
-		{"events per sim-ms, paper tree", float64(tree.events), 35793, false},
-		{"events per sim-ms, fattree:4", float64(ft4.events), 156092, false},
+		{"events per sim-ms, pair", float64(pair.events), 1802, false},
+		{"events per sim-ms, paper tree", float64(tree.events), 19656, false},
+		{"events per sim-ms, fattree:4", float64(ft4.events), 85622, false},
 		{"lane overflows to the heap per sim-ms, pair", float64(pair.queue.LaneOverflows), 0, false},
 		{"lane overflows to the heap per sim-ms, paper tree", float64(tree.queue.LaneOverflows), 0, false},
-		{"lane overflows to the heap per sim-ms, fattree:4", float64(ft4.queue.LaneOverflows), 46, false},
+		{"lane overflows to the heap per sim-ms, fattree:4", float64(ft4.queue.LaneOverflows), 14, false},
 		{"beacons sent per sim-ms, paper tree", float64(tree.beacons), 17189, false},
-		{"events per beacon x1e4, paper tree", perBeacon(tree.events, tree.beacons), 20823, false},
+		{"events per beacon x1e4, paper tree", perBeacon(tree.events, tree.beacons), 11435, false},
 		{"events per beacon x1e4, five-event chain", perBeacon(chain.events, chain.beacons), 50209, false},
 		{"lane 0 (evBeacon) per beacon x1e4, paper tree", lane(tree, 0), 10000, false},
 		{"lane 1 (evTxBlock) per beacon x1e4, paper tree", lane(tree, 1), 1, false},
@@ -134,7 +149,12 @@ func TestEngineBudget(t *testing.T) {
 		{"lane 4 (evProcess) per beacon x1e4, paper tree", lane(tree, 4), 611, false},
 		{"lane 5 (evWatchdog) per beacon x1e4, paper tree", lane(tree, 5), 205, false},
 		{"lane 6 (no port opcode) per beacon x1e4, paper tree", lane(tree, 6), 0, false},
-		{"lane 7 (evLand, evSettled) per beacon x1e4, paper tree", lane(tree, 7), 10002, false},
+		{"lane 7 (evLand, evSettled) per beacon x1e4, paper tree", lane(tree, 7), 611, false},
+		{"inbox arrivals per beacon x1e4, paper tree", perBeacon(tree.inboxed, tree.beacons), 9391, false},
+		{"beacons sent per sim-ms, traced paper tree", float64(traced.beacons), 17189, false},
+		{"events per beacon x1e4, traced paper tree", perBeacon(traced.events, traced.beacons), 20823, false},
+		{"lane 7 (evLand, evSettled) per beacon x1e4, traced paper tree", lane(traced, 7), 10002, false},
+		{"inbox arrivals per beacon x1e4, traced paper tree", perBeacon(traced.inboxed, traced.beacons), 0, false},
 		{"audit sweeps per sim-ms, fattree:4", float64(audited.sweeps), 10, false},
 		{"audit pair checks per sweep, fattree:4", float64(audited.pairChecks) / float64(audited.sweeps), 630, false},
 		{"allocations per sim-ms, paper tree", allocsPerSimMs(t), 0, false},

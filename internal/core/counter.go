@@ -51,11 +51,19 @@ func (u *unitCounter) atTick(tick uint64) uint64 {
 func (u *unitCounter) setAt(v uint64, t simTime) {
 	tick := u.clk.CounterAt(t)
 	if cur := u.atTick(tick); v < cur {
-		panic(fmt.Sprintf("core: counter jump backwards (%d -> %d)", cur, v))
+		panic(jumpBackwards{cur, v})
 	}
 	u.capped = false
 	u.refTick = tick
 	u.base = v
+}
+
+// jumpBackwards is setAt's panic value: a plain value, so the
+// formatting code stays off the jump path.
+type jumpBackwards struct{ cur, v uint64 }
+
+func (e jumpBackwards) Error() string {
+	return fmt.Sprintf("core: counter jump backwards (%d -> %d)", e.cur, e.v)
 }
 
 // stallBy holds the counter at its current value until `excess` units

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/dtplab/dtp/internal/phy"
 	"github.com/dtplab/dtp/internal/sim"
 	"github.com/dtplab/dtp/internal/telemetry"
 	"github.com/dtplab/dtp/internal/topo"
@@ -36,6 +37,130 @@ type Device struct {
 	// (notably the daemon) can detect a counter reset and discard state
 	// anchored to the pre-crash counter domain.
 	restarts uint64
+
+	// in is the inbox (see file): a ring of settled arrivals, inN of
+	// them from inHd on, sorted by (time, Key). Its length is fixed when
+	// the device's ports are known (inboxPerPort each), or zero.
+	in        []arrival
+	inHd, inN int
+	inboxed   uint64 // arrivals ever filed, for the engine budget
+}
+
+// arrival is a settled BEACON or BEACON-MSB for port p, filed in its
+// device's inbox instead of the scheduler: the evSettled event it
+// replaces would have dispatched at (at, key).
+type arrival struct {
+	at      simTime
+	key     sim.Key
+	p       *Port
+	payload uint64
+	typ     phy.MsgType
+}
+
+// inboxPerPort sizes a device's inbox: a wire carries at most four
+// flights, a beacon interval is longer than a clean flight, and every
+// port event settles the inbox, so arrivals rarely queue up behind a
+// port's next one. A full inbox costs an event, not an arrival.
+const inboxPerPort = 2
+
+// file puts a settled arrival in the inbox in (time, Key) order,
+// reporting false — filing nothing — when it may not: the inbox is full
+// (or has no room at all: NewNetwork leaves it empty where every arrival
+// must stay an event), the message is not a BEACON or BEACON-MSB (the
+// others schedule when processed, which only an event may), or an
+// OnOffset hook wants each sample in time order.
+//
+// An inbox arrival changes nothing but its own device, and only when it
+// is applied: process at the arrival's instant, by settle. Everything
+// that reads or changes the device settles first, and settle applies
+// exactly the arrivals the scheduler would already have dispatched
+// (sim.Scheduler.Due), so each lands in the place evSettled held and
+// every trajectory is the event's.
+func (d *Device) file(a arrival) bool {
+	if d.inN == len(d.in) || a.typ != phy.MsgBeacon && a.typ != phy.MsgBeaconMSB ||
+		d.net.onOffset != nil {
+		return false
+	}
+	i := d.inN
+	for ; i > 0; i-- {
+		prev := d.slot(i - 1)
+		if prev.at < a.at || prev.at == a.at && prev.key.Less(a.key) {
+			break
+		}
+		*d.slot(i) = *prev
+	}
+	*d.slot(i) = a
+	d.inN++
+	d.inboxed++
+	return true
+}
+
+// slot returns the inbox ring's i-th arrival from the head.
+func (d *Device) slot(i int) *arrival {
+	j := d.inHd + i
+	if j >= len(d.in) {
+		j -= len(d.in)
+	}
+	return &d.in[j]
+}
+
+// settle applies every inbox arrival that is due: it is called before
+// anything reads or changes the device's protocol state (port events,
+// the closures core schedules, the exported readers, link and device
+// lifecycle, rate changes, the telemetry flush, the end of a run).
+func (d *Device) settle() {
+	if d.inN != 0 {
+		d.applyDue()
+	}
+}
+
+// applyDue is settle's loop. Each arrival leaves the inbox before it is
+// processed, at its own instant.
+func (d *Device) applyDue() {
+	sch := d.net.Sch
+	for d.inN != 0 {
+		a := d.in[d.inHd]
+		if !sch.Due(a.at, a.key) {
+			return
+		}
+		if d.inHd++; d.inHd == len(d.in) {
+			d.inHd = 0
+		}
+		d.inN--
+		a.p.process(phy.Message{Type: a.typ, Payload: a.payload}, a.at)
+	}
+}
+
+// unfileAll applies the inbox's due arrivals and turns every other one
+// back into the evSettled event it replaced, at its own (time, Key). The
+// flight it came on, if still on the wire, takes that event as its own
+// (link.Wire.SetFlightEvent), so a Refile or Unsettle cancels it as it
+// would have.
+func (d *Device) unfileAll() {
+	d.settle()
+	for ; d.inN != 0; d.inN-- {
+		a := d.in[d.inHd]
+		if d.inHd++; d.inHd == len(d.in) {
+			d.inHd = 0
+		}
+		ev := d.net.Sch.AtActorKey(a.at, a.key, a.p, evSettled, a.payload, uint64(a.typ))
+		a.p.peer.wire.SetFlightEvent(a.key.Seq, ev)
+	}
+}
+
+// unfile takes the arrival reserved at seq out of the inbox, if it is
+// there (see Port.refile).
+func (d *Device) unfile(seq uint64) {
+	for i := 0; i < d.inN; i++ {
+		if d.slot(i).key.Seq != seq {
+			continue
+		}
+		for ; i+1 < d.inN; i++ {
+			*d.slot(i) = *d.slot(i + 1)
+		}
+		d.inN--
+		return
+	}
 }
 
 func newDevice(n *Network, node topo.Node, offsetPPM float64, rng *sim.RNG) *Device {
@@ -56,12 +181,15 @@ func newDevice(n *Network, node topo.Node, offsetPPM float64, rng *sim.RNG) *Dev
 	return d
 }
 
-// refileFlights runs before the oscillator changes rate. A flight's RX
-// pipeline runs at its sender's rate, so every flight this device sent
-// that has not reached its receiver goes back to the five-event chain;
-// and a settled flight toward this device was put on a tick of the old
-// rate, so every one that has not landed lands at its crossing again.
+// refileFlights runs before the oscillator changes rate. The inbox is
+// settled first: an arrival is applied on the tick arithmetic of its own
+// instant. A flight's RX pipeline runs at its sender's rate, so every
+// flight this device sent that has not reached its receiver goes back to
+// the five-event chain; and a settled flight toward this device was put
+// on a tick of the old rate, so every one that has not landed lands at
+// its crossing again.
 func (d *Device) refileFlights() {
+	d.settle()
 	for _, p := range d.ports {
 		p.wire.Refile()
 		p.peer.wire.Unsettle()
@@ -84,24 +212,28 @@ func (d *Device) Ports() []*Port { return d.ports }
 func (d *Device) Clock() *xo.Clock { return d.clock }
 
 // GlobalCounter returns the DTP global counter at the current time.
-func (d *Device) GlobalCounter() uint64 { return d.gc.at(d.net.Sch.Now()) }
+func (d *Device) GlobalCounter() uint64 { return d.GlobalCounterAt(d.net.Sch.Now()) }
 
-// GlobalCounterAt returns the DTP global counter at time t.
-func (d *Device) GlobalCounterAt(t simTime) uint64 { return d.gc.at(t) }
+// GlobalCounterAt returns the DTP global counter at time t, as the
+// device's state stands now. It is the one read of the counter from
+// outside the protocol: it settles the inbox to the present, not to t.
+func (d *Device) GlobalCounterAt(t simTime) uint64 {
+	d.settle()
+	return d.gc.at(t)
+}
 
 // PPM returns the device oscillator's current frequency offset.
 func (d *Device) PPM() float64 { return d.clock.PPM() }
 
-// jump requests a forward adjustment of the global counter from cur,
-// its value now as the caller read it, to target (Algorithm 1 T4 /
-// Algorithm 2 T5). If join is set, the adjustment came from a
+// jump requests a forward adjustment at instant now of the global
+// counter from cur, its value then as the caller read it, to target
+// (Algorithm 1 T4 / Algorithm 2 T5). If join is set, the adjustment came from a
 // BEACON-JOIN and is propagated to every other active port so the whole
 // subnet converges to the new maximum (§3.2 "Network dynamics").
 // The adjustment lands at once: the 4TD accounting (BoundUnits, the
 // auditor) charges the §4.3 max circuit no latency, so neither does the
 // model.
-func (d *Device) jump(target, cur uint64, from *Port, join bool) {
-	now := d.net.Sch.Now()
+func (d *Device) jump(target, cur uint64, from *Port, join bool, now simTime) {
 	if target <= cur {
 		return
 	}
@@ -144,6 +276,7 @@ func (d *Device) stall(excess uint64, at simTime) {
 // register is only visibly reset by Restart; a crashed device has no
 // observable counter.
 func (d *Device) Crash() {
+	d.settle()
 	tel := &d.net.tel
 	tel.crashes.Inc()
 	tel.tr.Record(d.net.Sch.Now(), telemetry.KindDeviceCrash, d.node.Name, 0, 0, "")
@@ -159,6 +292,7 @@ func (d *Device) Crash() {
 // now-lagging counter) up to the network maximum (§3.2 "Network
 // dynamics").
 func (d *Device) Restart() {
+	d.settle()
 	now := d.net.Sch.Now()
 	d.restarts++
 	d.gc.resetAt(now)

@@ -31,9 +31,14 @@ type fusionWorld struct {
 	speeds   map[int]phy.Speed // WithLinkSpeeds (MixedSpeedConfig), nil for none
 	scenario *chaos.Scenario   // nil: a clean run of until
 	until    sim.Time          // run length when there is no scenario
-	// arm, when set, is called on the built network and returns an
-	// observer of every trace event (how FuzzFusedChain aims its mutations).
-	arm func(n *core.Network) func(telemetry.Event)
+	// arm, when set, is called on the built network and, on a traced
+	// run, returns an observer of every trace event (how FuzzFusedChain
+	// aims its mutations).
+	arm func(n *core.Network, traced bool) func(telemetry.Event)
+	// inboxCap, when set, caps every device inbox at that many arrivals,
+	// so that a full inbox sends arrivals to evSettled among those it
+	// takes.
+	inboxCap int
 	// perEmitter digests the trace per emitting port or device instead
 	// of as one stream, leaving out the global sequence numbers: the
 	// interleaving of same-picosecond events on different devices is
@@ -43,12 +48,18 @@ type fusionWorld struct {
 
 // fingerprint runs w and renders everything a run exposes: a digest of
 // the full trace (firehose kinds included; one per emitter with
-// perEmitter), the worst pairwise
-// offset every 100 µs, every device counter and rate, every port's
-// state and stats, every wire's stats and impairments, the auditor's
-// counts, the chaos verdict and the metrics registry. Everything but
-// the scheduler's own event count.
-func fingerprint(t testing.TB, w fusionWorld, fused bool) (run string, events uint64) {
+// perEmitter), the worst pairwise offset every 100 µs, read by an event
+// in mid-run, every device counter and rate, every port's state and
+// stats, every wire's stats and impairments, the auditor's counts, the
+// chaos verdict and the metrics registry. Everything but the scheduler's
+// own event count and the arrivals the devices' inboxes took, which it
+// returns beside.
+//
+// Untraced, no tracer is attached and the trace digest is empty. That
+// is the mode in which settled beacons skip the scheduler through their
+// device's inbox (a tracer keeps them events, so that its ring stays in
+// time order), which the traced mode never exercises.
+func fingerprint(t testing.TB, w fusionWorld, fused, traced bool) (run string, events, inboxed uint64) {
 	defer core.SetFusedChain(core.SetFusedChain(fused))
 	cfg := core.DefaultConfig()
 	var opts []core.Option
@@ -60,41 +71,31 @@ func fingerprint(t testing.TB, w fusionWorld, fused bool) (run string, events ui
 	if w.cfg != nil {
 		w.cfg(&cfg)
 	}
-	reg, tr := telemetry.New(), telemetry.NewTracer(64)
-	tr.SetKinds()
-	traces, traced := map[string]hash.Hash{}, 0
+	reg := telemetry.New()
+	var tr *telemetry.Tracer
+	traces, recorded := map[string]hash.Hash{}, 0
 	var observe func(telemetry.Event)
-	tr.OnRecord(func(e telemetry.Event) {
-		// Every field JSONL renders, without the cost of rendering it.
-		traced++
-		stream := ""
-		if w.perEmitter {
-			stream, e.Seq = e.Who, 0
-		}
-		h := traces[stream]
-		if h == nil {
-			h = sha256.New()
-			traces[stream] = h
-		}
-		var b [40]byte
-		binary.LittleEndian.PutUint64(b[0:], e.Seq)
-		binary.LittleEndian.PutUint64(b[8:], uint64(e.At))
-		binary.LittleEndian.PutUint64(b[16:], uint64(e.Kind))
-		binary.LittleEndian.PutUint64(b[24:], uint64(e.V1))
-		binary.LittleEndian.PutUint64(b[32:], uint64(e.V2))
-		h.Write(b[:])
-		io.WriteString(h, e.Who+"\x00"+e.Detail+"\x00")
-		if observe != nil {
-			observe(e)
-		}
-	})
+	if traced {
+		tr = telemetry.NewTracer(64)
+		tr.SetKinds()
+		tr.OnRecord(func(e telemetry.Event) {
+			recordTrace(e, traces, w.perEmitter)
+			recorded++
+			if observe != nil {
+				observe(e)
+			}
+		})
+	}
 	sch := sim.NewScheduler()
 	n, err := core.NewNetwork(sch, w.seed, w.g, cfg, append(opts, core.WithTelemetry(reg, tr))...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if w.inboxCap > 0 {
+		core.CapInboxes(n, w.inboxCap)
+	}
 	if w.arm != nil {
-		observe = w.arm(n)
+		observe = w.arm(n, traced)
 	}
 	aud := audit.New(n, audit.Config{Interval: 100 * sim.Microsecond}, reg, tr)
 	until := w.until
@@ -107,11 +108,16 @@ func fingerprint(t testing.TB, w fusionWorld, fused bool) (run string, events ui
 	}
 	n.Start()
 	var b strings.Builder
-	for sch.Now() < until {
-		sch.Run(min(sch.Now()+100*sim.Microsecond, until))
+	var sample func()
+	sample = func() {
 		fmt.Fprintf(&b, "%d ", n.MaxPairwiseOffset())
+		if next := sch.Now() + 100*us; next < until {
+			sch.At(next, sample)
+		}
 	}
-	fmt.Fprintf(&b, "\ntrace %d events\n", traced)
+	sch.At(min(100*us, until), sample)
+	sch.Run(until)
+	fmt.Fprintf(&b, "%d\ntrace %d events\n", n.MaxPairwiseOffset(), recorded)
 	streams := make([]string, 0, len(traces))
 	for k := range traces {
 		streams = append(streams, k)
@@ -146,8 +152,37 @@ func fingerprint(t testing.TB, w fusionWorld, fused bool) (run string, events ui
 	if err := telemetry.WritePrometheus(&b, reg); err != nil {
 		t.Fatal(err)
 	}
-	return b.String(), sch.Processed()
+	return b.String(), sch.Processed(), core.InboxArrivals(n)
 }
+
+// recordTrace folds e into its stream's digest: every field JSONL
+// renders, without the cost of rendering it. With perEmitter the stream
+// is the emitter and the global sequence number is left out.
+func recordTrace(e telemetry.Event, traces map[string]hash.Hash, perEmitter bool) {
+	stream := ""
+	if perEmitter {
+		stream, e.Seq = e.Who, 0
+	}
+	h := traces[stream]
+	if h == nil {
+		h = sha256.New()
+		traces[stream] = h
+	}
+	var b [40]byte
+	binary.LittleEndian.PutUint64(b[0:], e.Seq)
+	binary.LittleEndian.PutUint64(b[8:], uint64(e.At))
+	binary.LittleEndian.PutUint64(b[16:], uint64(e.Kind))
+	binary.LittleEndian.PutUint64(b[24:], uint64(e.V1))
+	binary.LittleEndian.PutUint64(b[32:], uint64(e.V2))
+	h.Write(b[:])
+	io.WriteString(h, e.Who+"\x00"+e.Detail+"\x00")
+}
+
+// tracedModes names the two ways every fusion comparison runs.
+var tracedModes = []struct {
+	name   string
+	traced bool
+}{{"traced", true}, {"untraced", false}}
 
 // requireSameRun fails with the first line that differs.
 func requireSameRun(t *testing.T, fused, chain string) {
@@ -177,8 +212,9 @@ const us, ms = sim.Microsecond, sim.Millisecond
 
 // fusionWorlds are the runs the flight path must leave untouched: every
 // chaos kind (the attacks under hardened mode and without it), clean
-// and wandering oscillators, mixed speeds with 1 GbE fragments, and the
-// chain:5 storm seeds on which flights that are never re-filed diverge.
+// and wandering oscillators, mixed speeds with 1 GbE fragments, the
+// plain-mode worlds again with one-entry inboxes, and the chain:5 storm
+// seeds on which flights that are never re-filed diverge.
 func fusionWorlds(t testing.TB) []fusionWorld {
 	tree, ft4 := topo.PaperTree(), topo.FatTree(4)
 	accidents := &chaos.Scenario{Name: "accidents", SettleGrace: at(600 * us), ReconvergeDeadline: at(3 * ms), Faults: []chaos.Fault{
@@ -210,6 +246,12 @@ func fusionWorlds(t testing.TB) []fusionWorld {
 		{name: "chain3/mixed-speed", g: topo.Chain(3), seed: 5, until: 4 * ms,
 			speeds: map[int]phy.Speed{0: phy.Speed1G, 1: phy.Speed40G, 2: phy.Speed100G}},
 	}
+	for _, w := range worlds[:5:5] {
+		if w.cfg == nil {
+			w.name, w.inboxCap = w.name+"/inbox=1", 1
+			worlds = append(worlds, w)
+		}
+	}
 	storm, err := chaos.Load("../../examples/chaos/storm.json")
 	if err != nil {
 		t.Fatal(err)
@@ -220,17 +262,30 @@ func fusionWorlds(t testing.TB) []fusionWorld {
 	return worlds
 }
 
-// Flights skip two of the five stages of a block's chain; everything a
-// run exposes must stay byte-identical to the five-event chain. Flights
+// Flights skip the stages of a block's chain, and untraced, settled
+// beacons skip the scheduler too; everything a run exposes must stay
+// byte-identical to the five-event chain, traced and untraced. Flights
 // that are never re-filed diverge from it on the four storm seeds here.
 func TestFusedChainMatchesFiveEventChain(t *testing.T) {
 	for _, w := range fusionWorlds(t) {
 		t.Run(w.name, func(t *testing.T) {
-			fused, fusedEvents := fingerprint(t, w, true)
-			chain, chainEvents := fingerprint(t, w, false)
-			requireSameRun(t, fused, chain)
-			if fusedEvents*4 > chainEvents*3 {
-				t.Fatalf("flights ran %d events against the chain's %d: the fast path barely engaged", fusedEvents, chainEvents)
+			for _, m := range tracedModes {
+				if m.traced && w.inboxCap > 0 {
+					continue // a tracer leaves no inbox to cap
+				}
+				t.Run(m.name, func(t *testing.T) {
+					fused, fusedEvents, inboxed := fingerprint(t, w, true, m.traced)
+					chain, chainEvents, _ := fingerprint(t, w, false, m.traced)
+					requireSameRun(t, fused, chain)
+					if fusedEvents*4 > chainEvents*3 {
+						t.Fatalf("flights ran %d events against the chain's %d: the fast path barely engaged", fusedEvents, chainEvents)
+					}
+					// A tracer or hardened mode keeps every arrival an
+					// event; mixed speeds settle none.
+					if wantInbox := !m.traced && w.cfg == nil && w.speeds == nil; wantInbox != (inboxed > 0) {
+						t.Fatalf("%d arrivals took the inbox; want some: %v", inboxed, wantInbox)
+					}
+				})
 			}
 		})
 	}

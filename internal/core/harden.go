@@ -253,6 +253,7 @@ func (p *Port) quarantine() {
 // still-lying peer earns the next quarantine within a handful of
 // rejected messages.
 func (p *Port) releaseQuarantine() {
+	p.dev.settle()
 	if p.state == portQuarantined {
 		p.demote(demoteQuarantine, "quarantine_cooldown")
 	}

@@ -27,10 +27,8 @@ type Network struct {
 	// boundUnits is BoundUnits(), fixed by the graph and the link speeds.
 	boundUnits int64
 
-	// OnOffset, if set, is invoked for every processed beacon with the
-	// receiving port and the hardware offset sample
-	// offset = t2 - t1 - OWD (§6.2), in counter units.
-	OnOffset func(rx *Port, offsetUnits int64)
+	// onOffset is the offset-sample hook (SetOnOffset), or nil.
+	onOffset func(rx *Port, offsetUnits int64)
 
 	// tel holds telemetry handles; the zero value (uninstrumented) is a
 	// set of nil handles whose updates are no-ops. See WithTelemetry.
@@ -196,6 +194,16 @@ func NewNetwork(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config, o
 	if o.reg != nil || o.tr != nil {
 		n.instrument(o.reg, o.tr)
 	}
+	// Device inboxes (Device.file) stay empty where an arrival's effects
+	// reach past its device or must be seen in time order: with a tracer,
+	// whose ring is in time order; in hardened mode, whose quarantine
+	// schedules; and in master mode.
+	if o.tr == nil && !cfg.Hardened && cfg.Master == "" {
+		for _, d := range n.Devices {
+			d.in = make([]arrival, inboxPerPort*len(d.ports))
+		}
+		sch.AfterRun(n.settle)
+	}
 	return n, nil
 }
 
@@ -255,13 +263,35 @@ func (n *Network) DeviceByName(name string) (*Device, error) {
 	return n.Devices[node.ID], nil
 }
 
+// SetOnOffset installs fn, invoked for every processed beacon with the
+// receiving port and the hardware offset sample offset = t2 - t1 - OWD
+// (§6.2), in counter units; nil removes it. The samples come in time
+// order: while a hook is set no arrival takes an inbox (Device.file),
+// and installing one mid-run turns every arrival already filed back
+// into its event (Device.unfileAll).
+func (n *Network) SetOnOffset(fn func(rx *Port, offsetUnits int64)) {
+	n.onOffset = fn
+	if fn != nil {
+		for _, d := range n.Devices {
+			d.unfileAll()
+		}
+	}
+}
+
+// settle applies every device's due inbox arrivals (Device.settle):
+// after each run, and before the telemetry flush sums what they count.
+func (n *Network) settle() {
+	for _, d := range n.Devices {
+		d.settle()
+	}
+}
+
 // TrueOffsetUnits returns the ground-truth counter difference
 // c_a(t) - c_b(t) between two devices at the current instant — the
 // quantity the paper's ε bounds (§2.1, eq. 1). This is the simulator's
 // omniscient view; the protocol itself can only estimate it.
 func (n *Network) TrueOffsetUnits(a, b int) int64 {
-	t := n.Sch.Now()
-	return int64(n.Devices[a].gc.at(t)) - int64(n.Devices[b].gc.at(t))
+	return int64(n.Devices[a].GlobalCounter()) - int64(n.Devices[b].GlobalCounter())
 }
 
 // MaxAdjacentOffset returns the largest |true offset| across directly
@@ -289,11 +319,10 @@ func (n *Network) MaxPairwiseOffset() int64 {
 	if len(n.Devices) == 0 {
 		return 0
 	}
-	t := n.Sch.Now()
-	c0 := n.Devices[0].gc.at(t)
+	c0 := n.Devices[0].GlobalCounter()
 	var lo, hi int64
 	for _, d := range n.Devices[1:] {
-		delta := int64(d.gc.at(t) - c0)
+		delta := int64(d.GlobalCounter() - c0)
 		if delta < lo {
 			lo = delta
 		}

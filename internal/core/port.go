@@ -188,11 +188,15 @@ func (p *Port) State() string { return p.state.String() }
 
 // Faulty reports whether this port has declared its peer faulty and
 // stopped synchronizing to it.
-func (p *Port) Faulty() bool { return p.faulty }
+func (p *Port) Faulty() bool {
+	p.dev.settle()
+	return p.faulty
+}
 
 // Stats returns beacon counters: sent, received, ignored (guard or
 // parity violations), and counter jumps caused by this port.
 func (p *Port) Stats() (sent, received, ignored, jumps uint64) {
+	p.dev.settle()
 	return p.beaconsSent, p.beaconsReceived, p.beaconsIgnored, p.jumps
 }
 
@@ -207,6 +211,7 @@ func (p *Port) SetGate(g TxGate) { p.gate = g }
 // link-up scope and nothing else: the session scope of a down port is
 // already void.
 func (p *Port) Up() {
+	p.dev.settle()
 	if p.state != portDown {
 		return
 	}
@@ -261,6 +266,7 @@ func (p *Port) endSession(next portState) {
 // settled ones that have not landed back to their landing, to meet the
 // down port as they would have.
 func (p *Port) Down() {
+	p.dev.settle()
 	p.peer.wire.Refile()
 	p.peer.wire.Unsettle()
 	if p.state != portDown {
@@ -276,14 +282,16 @@ func (p *Port) Down() {
 // Port actor opcodes. A message costs two scheduler events on a clean
 // wire toward a peer that is up: the beacon timer (or the closure that
 // inserts an INIT, ACK or JOIN) and evProcess on the receiver's local
-// tick. Insert launches the block as a link flight: the TX pipeline, the
-// cable and the RX pipeline are fixed delays, so the instant the block
-// reaches the receiver's clock-domain crossing is known at launch, and
-// the crossing itself is a function of the receiver's oscillator phase
-// outside the metastability band — so the receiver schedules evProcess
-// at launch (land), in the place among same-instant process events that
-// a landing would have given it, and the three stages between are
-// skipped. A landing in the band, a mixed-speed receiver, a block that
+// tick — and an untraced BEACON only the first, its processing filed in
+// the receiving device's inbox (Device.file). Insert launches the block
+// as a link flight: the TX pipeline, the cable and the RX pipeline are
+// fixed delays, so the instant the block reaches the receiver's
+// clock-domain crossing is known at launch, and the crossing itself is
+// a function of the receiver's oscillator phase outside the
+// metastability band — so the receiver settles evProcess at launch
+// (land), in the place among same-instant process events that a landing
+// would have given it, and the three stages between are skipped. A
+// landing in the band, a mixed-speed receiver, a block that
 // does not parse, and a settled flight whose receiver changes rate or
 // goes down before the landing keep evLand at the crossing instead. A
 // lossy or bit-error wire, 1 GbE fragments, a full flight ring, a peer
@@ -312,8 +320,10 @@ const (
 // run the five-event chain as the reference (export_test.go).
 var fuseChain = true
 
-// OnEvent implements sim.Actor.
+// OnEvent implements sim.Actor. Every event first applies the device's
+// due inbox arrivals (Device.settle).
 func (p *Port) OnEvent(code uint8, a, b uint64) {
+	p.dev.settle()
 	switch code {
 	case evBeacon:
 		if p.state != portSynced {
@@ -328,7 +338,7 @@ func (p *Port) OnEvent(code uint8, a, b uint64) {
 	case evCdc, evLand:
 		p.cdcCross(phy.Block{Sync: byte(b), Payload: a})
 	case evProcess, evSettled:
-		p.process(phy.Message{Type: phy.MsgType(b), Payload: a})
+		p.process(phy.Message{Type: phy.MsgType(b), Payload: a}, p.sch().Now())
 	case evWatchdog:
 		p.watchdogSweep(simTime(a))
 	}
@@ -338,8 +348,10 @@ func (p *Port) OnEvent(code uint8, a, b uint64) {
 // link.Wire.Refile and Unsettle): a flight whose TX pipeline is still
 // ahead resumes at evTxBlock, one already on the cable at the peer's
 // evRxArrive, and a settled one past the far end at the peer's evLand,
-// in the place its launch reserved.
+// in the place its launch reserved. A flight the peer filed in its
+// inbox has no event to cancel: it leaves the inbox here, at any stage.
 func (p *Port) refile(f link.Flight, from link.Stage) sim.Event {
+	p.peer.dev.unfile(f.Key.Seq)
 	b := f.Block
 	switch from {
 	case link.TxAhead:
@@ -354,16 +366,22 @@ func (p *Port) refile(f link.Flight, from link.Stage) sim.Event {
 // in flight reaches this port's clock-domain crossing at t3, in key k's
 // place. When the crossing's outcome is fixed already — the port cycle
 // is one device tick, the block parses, and t3 falls outside the
-// metastability band, so no random draw is due — it schedules evProcess
-// on the local tick at once, keyed as if evLand had scheduled it at t3:
-// after every event scheduled before t3, and among process events in
-// landing order. Otherwise it schedules evLand at t3 in k's place.
+// metastability band, so no random draw is due — the message is settled:
+// it is processed on the local tick, keyed as if evLand had scheduled it
+// at t3 — after every event scheduled before t3, and among process
+// events in landing order. A settled BEACON or BEACON-MSB goes to the
+// device's inbox when it may (Device.file), with no event at all;
+// anything else settled is evSettled at that tick and key. Otherwise it
+// schedules evLand at t3 in k's place.
 func (p *Port) land(b phy.Block, t3 simTime, k sim.Key) (sim.Event, bool) {
 	if p.pd == 1 && !p.fragmented && b.Valid() {
 		if _, m, ok := p.codec().ExtractMessage(b); ok {
 			if tick, metastable := p.cdcTick(t3); !metastable {
-				at := p.dev.clock.TimeOfCount(tick)
-				return p.sch().AtActorKey(at, sim.Key{From: t3, Seq: k.Seq}, p, evSettled, m.Payload, uint64(m.Type)), true
+				at, key := p.dev.clock.TimeOfCount(tick), sim.Key{From: t3, Seq: k.Seq}
+				if p.dev.file(arrival{at: at, key: key, p: p, payload: m.Payload, typ: m.Type}) {
+					return sim.Event{}, true
+				}
+				return p.sch().AtActorKey(at, key, p, evSettled, m.Payload, uint64(m.Type)), true
 			}
 		}
 	}
@@ -413,6 +431,7 @@ func (p *Port) sendInit() {
 	// from it, a completed measurement, or a fresh link-up).
 	retry := p.dev.tickDur(initRetryTicks << p.initBackoff)
 	p.initEvent = p.sch().After(retry, func() {
+		p.dev.settle()
 		if p.state != portInit {
 			return
 		}
@@ -450,7 +469,10 @@ func (p *Port) transmitNow(after int, t phy.MsgType, payload func() uint64) {
 	cycle := p.nextCycleTick(p.dev.clock.Counter()+1)/p.pd + uint64(after-1)
 	slot := p.gate.NextSlot(cycle)
 	at := p.dev.clock.TimeOfCount(slot * p.pd)
-	p.sch().At(at, func() { p.insert(t, payload()) })
+	p.sch().At(at, func() {
+		p.dev.settle()
+		p.insert(t, payload())
+	})
 }
 
 // insert composes the message with the counter value as of the insertion
@@ -508,6 +530,7 @@ func (p *Port) sendBeacon() {
 // can reconstruct the full counter and make an arbitrarily large
 // adjustment (§3.2 "Network dynamics").
 func (p *Port) sendJoinPair() {
+	p.dev.settle()
 	if p.state != portSynced {
 		return
 	}
@@ -515,9 +538,11 @@ func (p *Port) sendJoinPair() {
 	slot1 := p.gate.NextSlot(cycle)
 	slot2 := p.gate.NextSlot(slot1 + 1)
 	p.sch().At(p.dev.clock.TimeOfCount(slot1*p.pd), func() {
+		p.dev.settle()
 		p.insert(phy.MsgBeaconMSB, (p.dev.GlobalCounter()+p.dev.lieUnits)>>p.counterBits())
 	})
 	p.sch().At(p.dev.clock.TimeOfCount(slot2*p.pd), func() {
+		p.dev.settle()
 		p.insert(phy.MsgBeaconJoin, p.dev.GlobalCounter()+p.dev.lieUnits)
 	})
 }
@@ -631,8 +656,12 @@ func (p *Port) cdcTick(t simTime) (tick uint64, metastable bool) {
 	return edge + cycles*p.pd, metastable
 }
 
-// process handles a message in the local clock domain.
-func (p *Port) process(m phy.Message) {
+// process handles a message in the local clock domain at now, its own
+// instant: the scheduler's clock for an event, an earlier one for an
+// inbox arrival applied late (Device.settle). Only BEACON and
+// BEACON-MSB arrive late, so only their paths take now from here; the
+// others schedule, and run only as events.
+func (p *Port) process(m phy.Message, now simTime) {
 	if p.arrivedDown() {
 		return
 	}
@@ -642,7 +671,7 @@ func (p *Port) process(m phy.Message) {
 		// the cooldown's re-INIT escape hatch runs.
 		return
 	}
-	p.lastRx = p.sch().Now()
+	p.lastRx = now
 	switch m.Type {
 	case phy.MsgInit:
 		// T1: reply with INIT-ACK echoing the sender's counter. The
@@ -665,7 +694,7 @@ func (p *Port) process(m phy.Message) {
 	case phy.MsgInitAck:
 		p.handleInitAck(m.Payload)
 	case phy.MsgBeacon:
-		p.handleBeacon(m.Payload)
+		p.handleBeacon(m.Payload, now)
 	case phy.MsgBeaconMSB:
 		p.peerMsb = m.Payload
 		p.havePeerMsb = true
@@ -737,7 +766,7 @@ func (p *Port) finishInit() {
 	if p.pendingJoin != nil {
 		target := *p.pendingJoin + uint64(d)
 		if local := p.dev.GlobalCounter(); p.admit(target, local, true) {
-			p.dev.jump(target, local, p, true)
+			p.dev.jump(target, local, p, true, p.sch().Now())
 		}
 		if p.state != portSynced {
 			return // the rejected JOIN tripped quarantine
@@ -751,13 +780,12 @@ func (p *Port) finishInit() {
 	p.scheduleWatchdog()
 }
 
-// handleBeacon implements T4: lc ← max(lc, c + d), with the paper's
-// bit-error guard and faulty-peer detection.
-func (p *Port) handleBeacon(lsb uint64) {
+// handleBeacon implements T4 at instant now: lc ← max(lc, c + d), with
+// the paper's bit-error guard and faulty-peer detection.
+func (p *Port) handleBeacon(lsb uint64, now simTime) {
 	if p.state != portSynced || p.owdUnits < 0 {
 		return
 	}
-	now := p.sch().Now()
 	local := p.dev.gc.at(now)
 	c := reconstructNear(local, lsb, p.counterBits())
 	target := c + uint64(p.owdUnits)
@@ -777,7 +805,7 @@ func (p *Port) handleBeacon(lsb uint64) {
 		if tel.tr.Enabled(telemetry.KindBeaconIgnored) {
 			tel.tr.Record(now, telemetry.KindBeaconIgnored, p.tname, offset, 0, "")
 		}
-		p.recordViolation()
+		p.recordViolation(now)
 		return
 	}
 	// Bounded-jump admission: a beacon that passes the guard can still
@@ -800,17 +828,17 @@ func (p *Port) handleBeacon(lsb uint64) {
 			switch {
 			case target > local:
 				p.jumps++
-				p.dev.jump(target, local, p, false)
+				p.dev.jump(target, local, p, false, now)
 			case target < local:
 				p.dev.stall(local-target, now)
 			}
 		}
 	} else if target > local {
 		p.jumps++
-		p.dev.jump(target, local, p, false)
+		p.dev.jump(target, local, p, false, now)
 	}
-	if p.dev.net.OnOffset != nil {
-		p.dev.net.OnOffset(p, offset)
+	if p.dev.net.onOffset != nil {
+		p.dev.net.onOffset(p, offset)
 	}
 }
 
@@ -834,7 +862,7 @@ func (p *Port) handleJoin(lsb uint64) {
 	local := p.dev.GlobalCounter()
 	if p.admit(target, local, true) && target > local {
 		p.jumps++
-		p.dev.jump(target, local, p, true)
+		p.dev.jump(target, local, p, true, p.sch().Now())
 	}
 }
 
@@ -849,10 +877,10 @@ const (
 	faultyWindowTicks = 1_000_000
 )
 
-// recordViolation counts guard violations in a sliding window; too many
-// mark the peer faulty.
-func (p *Port) recordViolation() {
-	tick := p.dev.clock.Counter()
+// recordViolation counts a guard violation at instant now in a sliding
+// window; too many mark the peer faulty.
+func (p *Port) recordViolation(now simTime) {
+	tick := p.dev.clock.CounterAt(now)
 	if tick-p.violationWindow > faultyWindowTicks {
 		p.violationWindow, p.violationCount = tick, 0
 	}
@@ -862,7 +890,7 @@ func (p *Port) recordViolation() {
 	if p.violationCount > faultyJumpLimit {
 		if !p.faulty {
 			tel.faultyPorts.Inc()
-			tel.tr.Record(p.sch().Now(), telemetry.KindFaultyPeer, p.tname,
+			tel.tr.Record(now, telemetry.KindFaultyPeer, p.tname,
 				int64(p.violationCount), 0, "")
 		}
 		p.faulty = true
@@ -940,7 +968,10 @@ func (p *Port) arrivedDown() bool {
 }
 
 // DroppedDown returns how many blocks arrived while the port was down.
-func (p *Port) DroppedDown() uint64 { return p.droppedDown }
+func (p *Port) DroppedDown() uint64 {
+	p.dev.settle()
+	return p.droppedDown
+}
 
 // --- Helpers ----------------------------------------------------------
 

@@ -129,6 +129,7 @@ func (n *Network) OnEvent(uint8, uint64, uint64) { n.telemetryFlush() }
 // metrics and reschedules itself. It runs on the scheduler goroutine,
 // the sole writer of the port counters and the fields it reads.
 func (n *Network) telemetryFlush() {
+	n.settle()
 	t := &n.tel
 	var sent, rx, ignored, down uint64
 	for _, lp := range n.linkPorts {

@@ -11,7 +11,7 @@ package sim
 // a slot written moments ago — instead of sifting through the heap.
 //
 // Lanes are advisory. Dispatch takes the (time, Key) minimum over the
-// lane heads (tracked as minLane) and the heap's root (Scheduler.popLE),
+// lane heads (tracked as minLane) and the heap's root (Scheduler.run),
 // and every source is itself sorted by (time, Key), so the event a lane
 // holds would have fired at exactly the same point from the heap. Lane
 // choice, the walk bound and the back-off below change cost only, never
@@ -98,15 +98,15 @@ func (s *Scheduler) laneNewHead(l int, idx uint32) {
 
 // laneDropHead makes the successor n (nilSlot for none) of lane l's
 // departing head the new head. The earliest lane head is re-found by
-// the next popLE, not here: n's key is usually a cache miss, and a scan
-// branching on it now would stall where the dispatched callback's work
-// can overlap the miss instead.
+// the next pop (Scheduler.run), not here: n's key is usually a cache
+// miss, and a scan branching on it now would stall where the dispatched
+// callback's work can overlap the miss instead.
 func (s *Scheduler) laneDropHead(l int, n uint32) {
 	s.minLane = -1
 	if n == nilSlot {
 		s.laneTail[l] = nilSlot
 		// clearHead, spelled out: the call would push lanePop over the
-		// inliner's budget and cost popLE a call per lane pop.
+		// inliner's budget and cost the run loop a call per lane pop.
 		s.head[l], s.headAt[l] = nilSlot, maxTime
 		return
 	}
@@ -119,7 +119,7 @@ func (s *Scheduler) laneDropHead(l int, n uint32) {
 func (s *Scheduler) findMinLane() {
 	best, bt := 0, s.headAt[0]
 	for l := 1; l < numLanes; l++ {
-		if t := s.headAt[l]; t < bt || t == bt && s.headKey[l].less(s.headKey[best]) {
+		if t := s.headAt[l]; t < bt || t == bt && s.headKey[l].Less(s.headKey[best]) {
 			best, bt = l, t
 		}
 	}

@@ -154,7 +154,16 @@ type Scheduler struct {
 	laneSkip [numLanes]uint32
 
 	stats QueueStats
+
+	// cur is the key of the event being dispatched, idleKey between
+	// dispatches (see Due). afterRun holds the AfterRun hooks.
+	cur      Key
+	afterRun []func()
 }
+
+// idleKey sorts after every key an event can carry: the bound Due
+// applies between dispatches.
+var idleKey = Key{From: maxTime, Seq: ^uint64(0)}
 
 // QueueStats reports how the scheduler filed its events. Every field is
 // a function of the event sequence alone, so the figures are
@@ -172,7 +181,7 @@ type QueueStats struct {
 // NewScheduler returns an empty scheduler at time zero: FIFO lanes
 // ahead of the heap.
 func NewScheduler() *Scheduler {
-	s := &Scheduler{free: nilSlot}
+	s := &Scheduler{free: nilSlot, cur: idleKey}
 	for src := range s.head {
 		s.clearHead(src)
 	}
@@ -224,10 +233,10 @@ func (s *Scheduler) headLess(i, j int) bool {
 
 // tieLess orders the heads of sources i and j when their times are
 // equal: by Key.
-func (s *Scheduler) tieLess(i, j int) bool { return s.headKey[i].less(s.headKey[j]) }
+func (s *Scheduler) tieLess(i, j int) bool { return s.headKey[i].Less(s.headKey[j]) }
 
-// less reports whether k sorts before o among events due at one instant.
-func (k Key) less(o Key) bool { return k.From < o.From || k.From == o.From && k.Seq < o.Seq }
+// Less reports whether k sorts before o among events due at one instant.
+func (k Key) Less(o Key) bool { return k.From < o.From || k.From == o.From && k.Seq < o.Seq }
 
 // QueueStats returns the queue's self-report. See QueueStats.
 func (s *Scheduler) QueueStats() QueueStats {
@@ -271,7 +280,7 @@ func (s *Scheduler) release(idx uint32) {
 // heapSrc to send it straight to the heap.
 func (s *Scheduler) schedule(t Time, k *Key, act Actor, lane int, code uint8, a, b uint64) Event {
 	if t < s.now || t == maxTime {
-		panic(fmt.Sprintf("sim: scheduling at %v (now %v)", t, s.now))
+		panic(pastSchedule{t, s.now})
 	}
 	if act == nil {
 		panic("sim: nil event actor")
@@ -327,7 +336,7 @@ func (s *Scheduler) At(t Time, fn func()) Event {
 // After schedules fn to run d after the current time.
 func (s *Scheduler) After(d Time, fn func()) Event {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
+		panic(negativeDelay(d))
 	}
 	return s.At(s.now+d, fn)
 }
@@ -346,7 +355,7 @@ func (s *Scheduler) AtActor(t Time, act Actor, code uint8, a, b uint64) Event {
 // must not lie after t.
 func (s *Scheduler) AtActorKey(t Time, k Key, act Actor, code uint8, a, b uint64) Event {
 	if k.From > t {
-		panic(fmt.Sprintf("sim: key from %v for an event at %v", k.From, t))
+		panic(keyAhead{k.From, t})
 	}
 	return s.schedule(t, &k, act, int(code&(numLanes-1)), code, a, b)
 }
@@ -355,80 +364,90 @@ func (s *Scheduler) AtActorKey(t Time, k Key, act Actor, code uint8, a, b uint64
 // current time. See AtActor.
 func (s *Scheduler) AfterActor(d Time, act Actor, code uint8, a, b uint64) Event {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
+		panic(negativeDelay(d))
 	}
 	return s.AtActor(s.now+d, act, code, a, b)
-}
-
-// dispatch fires slot idx: advances the clock, recycles the slot, then
-// invokes the callback. The slot is released before the call so a
-// callback rescheduling immediately (the common periodic pattern) reuses
-// it, and so the fired event's own handle is already stale inside the
-// callback.
-func (s *Scheduler) dispatch(idx uint32) {
-	sl := &s.slots[idx]
-	s.now = sl.at
-	act, code, a, b := sl.actor, sl.code, sl.a, sl.b
-	s.size--
-	s.release(idx)
-	s.processed++
-	act.OnEvent(code, a, b)
-}
-
-// popLE removes and returns the earliest pending slot if its time is at
-// or before `until`: the (time, Key) minimum of the earliest lane head
-// and the heap's root, both read from the key cache. Which source holds
-// an event never enters the comparison, so filing is free to be a cost
-// decision.
-func (s *Scheduler) popLE(until Time) (uint32, bool) {
-	if s.size == 0 {
-		return 0, false
-	}
-	if s.minLane < 0 {
-		s.findMinLane()
-	}
-	src := s.minLane
-	if t, h := s.headAt[src], s.headAt[heapSrc]; h < t || h == t && s.tieLess(heapSrc, src) {
-		src = heapSrc
-	}
-	if s.headAt[src] > until {
-		return 0, false
-	}
-	if src == heapSrc {
-		return s.heapPop(), true
-	}
-	return s.lanePop(src), true
 }
 
 const maxTime = Time(1<<63 - 1)
 
 // Step dispatches the single earliest event. It returns false when the
 // queue is empty.
-func (s *Scheduler) Step() bool {
-	idx, ok := s.popLE(maxTime)
-	if !ok {
-		return false
-	}
-	s.dispatch(idx)
-	return true
-}
+func (s *Scheduler) Step() bool { return s.run(maxTime, true) }
 
 // Run dispatches events until no event at or before `until` remains,
-// then advances the clock to exactly `until`. Events scheduled during
-// the run are honoured if they fall within the horizon.
+// then advances the clock to exactly `until` and runs the AfterRun
+// hooks. Events scheduled during the run are honoured if they fall
+// within the horizon.
 func (s *Scheduler) Run(until Time) {
 	if until < s.now {
 		panic(fmt.Sprintf("sim: Run(%v) before now %v", until, s.now))
 	}
-	for {
-		idx, ok := s.popLE(until)
-		if !ok {
+	s.run(until, false)
+	s.now = until
+	for _, fn := range s.afterRun {
+		fn()
+	}
+}
+
+// run dispatches events in (time, Key) order while the earliest is at
+// or before until, stopping after the first when once is set, and
+// reports whether it dispatched any. Each pass pops the minimum of the
+// earliest lane head and the heap's root, both read from the key cache:
+// which source holds an event never enters the comparison, so filing is
+// free to be a cost decision. The popped slot is released before its
+// callback runs, so a callback rescheduling at once (the common periodic
+// pattern) reuses it, and the fired event's own handle is already stale
+// inside the callback. The pop and the dispatch are written out here,
+// not called: both are over the inliner's budget, and a call each per
+// event is measurable on the beacon path.
+func (s *Scheduler) run(until Time, once bool) bool {
+	fired := false
+	for s.size != 0 {
+		if s.minLane < 0 {
+			s.findMinLane()
+		}
+		src := s.minLane
+		if t, h := s.headAt[src], s.headAt[heapSrc]; h < t || h == t && s.tieLess(heapSrc, src) {
+			src = heapSrc
+		}
+		if s.headAt[src] > until {
 			break
 		}
-		s.dispatch(idx)
+		var idx uint32
+		if src == heapSrc {
+			idx = s.heapPop()
+		} else {
+			idx = s.lanePop(src)
+		}
+		sl := &s.slots[idx]
+		s.now, s.cur = sl.at, sl.key
+		act, code, a, b := sl.actor, sl.code, sl.a, sl.b
+		s.size--
+		s.release(idx)
+		s.processed++
+		act.OnEvent(code, a, b)
+		fired = true
+		if once {
+			break
+		}
 	}
-	s.now = until
+	s.cur = idleKey
+	return fired
 }
+
+// Due reports whether an event at (t, k) would have been dispatched
+// already: t has passed, or t is now and k sorts before the event being
+// dispatched — before every key, between dispatches. A model that
+// defers work settled ahead of time (core's per-device inbox) applies
+// exactly what is due before anything reads the state it changes, so
+// the deferred work lands in its (time, Key) place.
+func (s *Scheduler) Due(t Time, k Key) bool { return t < s.now || t == s.now && k.Less(s.cur) }
+
+// AfterRun installs fn to run each time Run returns, after the clock
+// has reached the horizon: the hook that applies deferred work that is
+// due by then (see Due), so nothing read after a run lags it.
+func (s *Scheduler) AfterRun(fn func()) { s.afterRun = append(s.afterRun, fn) }
 
 // RunFor advances the simulation by d. See Run.
 func (s *Scheduler) RunFor(d Time) { s.Run(s.now + d) }
@@ -440,6 +459,24 @@ func (s *Scheduler) Drain() {
 	}
 }
 
+// pastSchedule, negativeDelay and keyAhead are the scheduler's panic
+// values for a modelling bug. Being plain values rather than formatted
+// strings keeps the scheduling calls within the inliner's budget; the
+// text is built only if the panic is printed.
+type (
+	pastSchedule  struct{ at, now Time }
+	negativeDelay Time
+	keyAhead      struct{ from, at Time }
+)
+
+func (e pastSchedule) Error() string {
+	return fmt.Sprintf("sim: scheduling at %v (now %v)", e.at, e.now)
+}
+func (e negativeDelay) Error() string { return fmt.Sprintf("sim: negative delay %v", Time(e)) }
+func (e keyAhead) Error() string {
+	return fmt.Sprintf("sim: key from %v for an event at %v", e.from, e.at)
+}
+
 // slotLess orders slots by (time, Key): the total dispatch order the
 // lanes and the heap both keep.
 func (s *Scheduler) slotLess(i, j uint32) bool {
@@ -447,5 +484,5 @@ func (s *Scheduler) slotLess(i, j uint32) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.key.less(b.key)
+	return a.key.Less(b.key)
 }

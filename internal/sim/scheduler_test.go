@@ -302,3 +302,60 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	b.ResetTimer()
 	s.Drain()
 }
+
+// Due is the bound deferred work is applied to: inside a dispatch, what
+// sorts before the event being dispatched; between dispatches,
+// everything up to now. AfterRun hooks run once per Run, with the clock
+// at the horizon.
+func TestDueBoundsDispatch(t *testing.T) {
+	s := NewScheduler()
+	early := s.Reserve() // a key taken before the events below
+	var late Key
+	s.At(10*Nanosecond, func() {
+		late = s.Reserve()
+		if !s.Due(10*Nanosecond, early) || s.Due(10*Nanosecond, late) {
+			t.Error("inside a dispatch, Due must admit earlier keys only")
+		}
+		if !s.Due(9*Nanosecond, late) || s.Due(11*Nanosecond, early) {
+			t.Error("Due must go by time first")
+		}
+	})
+	var hooks []Time
+	s.AfterRun(func() {
+		hooks = append(hooks, s.Now())
+		if !s.Due(s.Now(), late) {
+			t.Error("between dispatches, every key at now is due")
+		}
+	})
+	s.Run(10 * Nanosecond)
+	s.Run(20 * Nanosecond)
+	if len(hooks) != 2 || hooks[0] != 10*Nanosecond || hooks[1] != 20*Nanosecond {
+		t.Fatalf("AfterRun ran at %v, want once per Run at its horizon", hooks)
+	}
+}
+
+// The panic values are plain values, to keep the tick arithmetic
+// inlinable; their text is what the formatted panics said.
+func TestPanicValuesKeepText(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{fsOverflow(-1 << 62), "sim: -4611686018427387904 ps overflows femtosecond representation"},
+		{pastSchedule{Millisecond, Second}, "sim: scheduling at 1000us (now 1s)"},
+		{negativeDelay(-Nanosecond), "sim: negative delay -1000ps"},
+		{keyAhead{2 * Nanosecond, Nanosecond}, "sim: key from 2ns for an event at 1000ps"},
+	} {
+		if got := c.err.Error(); got != c.want {
+			t.Errorf("%q, want %q", got, c.want)
+		}
+	}
+	defer func() {
+		if _, ok := recover().(pastSchedule); !ok {
+			t.Error("scheduling in the past did not panic with pastSchedule")
+		}
+	}()
+	s := NewScheduler()
+	s.Run(Second)
+	s.At(Millisecond, func() {})
+}

@@ -36,9 +36,16 @@ func Femto(fs int64) Time { return Time(fs / 1000) }
 func (t Time) Fs() int64 {
 	const maxFs = int64(9_223_372_036_854_775) // max int64 / 1000, in ps
 	if int64(t) > maxFs || int64(t) < -maxFs {
-		panic(fmt.Sprintf("sim: %d ps overflows femtosecond representation", int64(t)))
+		panic(fsOverflow(t))
 	}
 	return int64(t) * 1000
+}
+
+// fsOverflow is Fs's panic value; a plain value keeps Fs inlinable.
+type fsOverflow Time
+
+func (e fsOverflow) Error() string {
+	return fmt.Sprintf("sim: %d ps overflows femtosecond representation", int64(e))
 }
 
 // Seconds returns t as floating-point seconds.

@@ -154,7 +154,7 @@ func (c *Clock) tickFs(n uint64) int64 {
 func (c *Clock) CounterAt(t sim.Time) uint64 {
 	elapsed := t.Fs() - c.baseTickFs
 	if elapsed < 0 {
-		panic(fmt.Sprintf("xo: CounterAt(%v) precedes base tick", t))
+		panic(beforeBase(t))
 	}
 	return c.baseCount + uint64(elapsed/c.periodFs)
 }
@@ -164,7 +164,7 @@ func (c *Clock) CounterAt(t sim.Time) uint64 {
 // events without per-tick events.
 func (c *Clock) TimeOfCount(n uint64) sim.Time {
 	if n < c.baseCount {
-		panic("xo: TimeOfCount before base count")
+		panic(countBeforeBase{})
 	}
 	fs := c.tickFs(n)
 	return sim.Time((fs + 999) / 1000)
@@ -177,10 +177,28 @@ func (c *Clock) TimeOfCount(n uint64) sim.Time {
 func (c *Clock) SetCounterAt(n uint64, t sim.Time) {
 	cur := c.CounterAt(t)
 	if n < cur {
-		panic(fmt.Sprintf("xo: counter jump backwards (%d -> %d)", cur, n))
+		panic(jumpBackwards{cur, n})
 	}
 	c.baseTickFs = c.tickFs(cur)
 	c.baseCount = n
+}
+
+// beforeBase, countBeforeBase and jumpBackwards are the tick
+// arithmetic's panic values for a modelling bug. Being plain values
+// rather than formatted strings keeps CounterAt and TimeOfCount within
+// the inliner's budget; the text is built only if the panic is printed.
+type (
+	beforeBase      sim.Time
+	countBeforeBase struct{}
+	jumpBackwards   struct{ cur, n uint64 }
+)
+
+func (e beforeBase) Error() string {
+	return fmt.Sprintf("xo: CounterAt(%v) precedes base tick", sim.Time(e))
+}
+func (countBeforeBase) Error() string { return "xo: TimeOfCount before base count" }
+func (e jumpBackwards) Error() string {
+	return fmt.Sprintf("xo: counter jump backwards (%d -> %d)", e.cur, e.n)
 }
 
 // AdjustPPM changes the oscillator's frequency offset at the current

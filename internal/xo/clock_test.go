@@ -226,3 +226,20 @@ func BenchmarkCounterAt(b *testing.B) {
 		_ = c.CounterAt(t)
 	}
 }
+
+// The panic values are plain values, to keep CounterAt and TimeOfCount
+// inlinable; their text is what the formatted panics said.
+func TestPanicValuesKeepText(t *testing.T) {
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{beforeBase(-sim.Nanosecond), "xo: CounterAt(-1000ps) precedes base tick"},
+		{countBeforeBase{}, "xo: TimeOfCount before base count"},
+		{jumpBackwards{5, 3}, "xo: counter jump backwards (5 -> 3)"},
+	} {
+		if got := c.err.Error(); got != c.want {
+			t.Errorf("%q, want %q", got, c.want)
+		}
+	}
+}
