@@ -69,9 +69,6 @@ func Chain(hops int) Topology { return topo.Chain(hops) }
 // diameter for k >= 4.
 func FatTree(k int) Topology { return topo.FatTree(k) }
 
-// Star returns a single switch with n hosts plus a timeserver.
-func Star(n int) Topology { return topo.Star(n) }
-
 // maxDevices caps the device count of a topology ParseTopology
 // builds. Every device carries ports, an oscillator and its share of
 // pending events, so a spec far past this (fattree:512 is 33.9 M
@@ -112,7 +109,7 @@ func ParseTopology(spec string) (Topology, error) {
 		if n < 1 {
 			return Topology{}, fmt.Errorf("dtp: star needs at least 1 client, got %d", n)
 		}
-		devices, build = float64(n)+2, func() Topology { return Star(n) }
+		devices, build = float64(n)+2, func() Topology { return topo.Star(n) }
 	case "chain":
 		if arg == "" {
 			n = 4
@@ -266,11 +263,6 @@ func WriteMetrics(w io.Writer, reg *MetricsRegistry) error {
 	return telemetry.WritePrometheus(w, reg)
 }
 
-// WriteTrace dumps the tracer's retained events as JSON Lines.
-func WriteTrace(w io.Writer, tr *Tracer) error {
-	return telemetry.WriteJSONL(w, tr)
-}
-
 // TelemetryHandler serves /metrics (Prometheus) and /trace (JSONL).
 func TelemetryHandler(reg *MetricsRegistry, tr *Tracer) http.Handler {
 	return telemetry.Handler(reg, tr)
@@ -358,9 +350,6 @@ func (s *System) RunUntilSynced(max time.Duration) error {
 	}
 	return nil
 }
-
-// Synced reports whether every link completed INIT.
-func (s *System) Synced() bool { return s.net.AllSynced() }
 
 // TickNanos returns the duration of one counter unit in nanoseconds.
 func (s *System) TickNanos() float64 {
@@ -578,10 +567,6 @@ func (d *Daemon) Discipline() string { return d.d.Discipline() }
 // DroppedSamples returns how many calibration samples the discipline's
 // outlier logic has rejected.
 func (d *Daemon) DroppedSamples() uint64 { return d.d.DroppedSamples() }
-
-// DisciplineResets returns how many times a device restart forced the
-// discipline to discard its state and reacquire.
-func (d *Daemon) DisciplineResets() uint64 { return d.d.DisciplineResets() }
 
 // ErrorBoundTicks returns the discipline's self-reported bound on the
 // current estimate's error, in ticks (+Inf before the first

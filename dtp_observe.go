@@ -220,9 +220,3 @@ func (s *System) FlightRecorder(o FlightOptions) (*FlightRecorder, error) {
 		telemetry.KindPortQuarantined)
 	return rec, nil
 }
-
-// LoadFlightBundle reads and validates a flight bundle file (schema,
-// trace kinds, timeline consistency).
-func LoadFlightBundle(path string) (*telemetry.Bundle, error) {
-	return telemetry.LoadBundle(path)
-}

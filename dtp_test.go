@@ -343,7 +343,11 @@ func TestGraphAndDevices(t *testing.T) {
 	if err != nil || len(sysC.Devices()) != 4 {
 		t.Fatal("chain build")
 	}
-	sysS, err := New(Star(4))
+	star, err := ParseTopology("star:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysS, err := New(star)
 	if err != nil || len(sysS.Devices()) != 6 {
 		t.Fatal("star build")
 	}
@@ -532,5 +536,38 @@ func TestChaosOnFacade(t *testing.T) {
 	}}
 	if _, err := sys.Chaos(ChaosOptions{Scenario: badSc}); err == nil {
 		t.Fatal("Chaos accepted an unknown device")
+	}
+}
+
+// TestGradientChainBreach pins the constructive reproducer of ROADMAP
+// item 1's "per-pair excess" finding: on a 6-hop chain whose oscillator
+// skews run linearly from -100 ppm at h0 to +100 ppm at h1 (legal under
+// the paper's ±100 ppm assumption), adjacent pairs read 5 or 6 ticks
+// against their 4-tick bound at beacon interval 1200. The test asserts
+// the breach it sees, so the breach cannot vanish, or grow, unnoticed.
+// When item 1 fixes the model or derives the missing term, it flips to
+// assert the bound.
+func TestGradientChainBreach(t *testing.T) {
+	const hops = 6
+	ppm := map[string]float64{}
+	for i, n := range Chain(hops).Nodes { // h0, sw1 … sw5, h1
+		ppm[n.Name] = -100 + 200*float64(i)/hops
+	}
+	for _, c := range []struct {
+		seed       uint64
+		violations uint64
+		minSlack   int64
+	}{{1, 9, -2}, {2, 18, -1}, {3, 76, -2}, {4, 71, -3}} {
+		sys, err := New(Chain(hops), WithSeed(c.seed), WithPPM(ppm), WithBeaconInterval(1200))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys.Start()
+		a := sys.Audit(AuditOptions{Interval: 5 * time.Microsecond})
+		sys.Run(200 * time.Millisecond)
+		if a.Violations() != c.violations || a.MinSlackUnits() != c.minSlack {
+			t.Errorf("seed %d: %d violations, min slack %d; pinned %d and %d",
+				c.seed, a.Violations(), a.MinSlackUnits(), c.violations, c.minSlack)
+		}
 	}
 }

@@ -17,17 +17,9 @@ import (
 // intervals from.
 type TimeService = timesvc.Service
 
-// TimeClock is the lock-free, allocation-free reader of a TimeService.
-type TimeClock = timesvc.Clock
-
-// TimeInterval is a TrueTime-style uncertainty interval in UTC ps.
-type TimeInterval = timesvc.Interval
-
-// Read-path sentinel errors, re-exported for errors.Is checks.
-var (
-	ErrTimeNoSnapshot = timesvc.ErrNoSnapshot
-	ErrTimeStale      = timesvc.ErrStale
-)
+// ErrTimeStale is the read path's stale-snapshot error, re-exported for
+// errors.Is checks.
+var ErrTimeStale = timesvc.ErrStale
 
 // TimePlaneOptions configures the serving plane attached by TimePlane.
 // The topology's first host broadcasts (counter, UTC) pairs (§5.2),
@@ -165,10 +157,10 @@ func (tp *TimePlane) UTCErrorPs(host string) (float64, error) {
 	return f.UTCErrorPs(), nil
 }
 
-// Clock returns the named host's in-sim TimeClock (TSC timebase; only
-// usable while the simulation goroutine is idle or from scheduler
-// callbacks).
-func (tp *TimePlane) Clock(host string) (*TimeClock, error) {
+// Clock returns the named host's in-sim clock, the lock-free,
+// allocation-free reader of its TimeService (TSC timebase; only usable
+// while the simulation goroutine is idle or from scheduler callbacks).
+func (tp *TimePlane) Clock(host string) (*timesvc.Clock, error) {
 	svc, err := tp.Service(host)
 	if err != nil {
 		return nil, err
@@ -195,16 +187,6 @@ func (tp *TimePlane) Load(host string) *timesvc.Load {
 		return ph.ld
 	}
 	return nil
-}
-
-// TimeHandler serves the named host's clock over HTTP (GET now /
-// interval as JSON) — mountable on the same mux as TelemetryHandler.
-func (tp *TimePlane) TimeHandler(host string) (http.Handler, error) {
-	c, err := tp.Clock(host)
-	if err != nil {
-		return nil, err
-	}
-	return timesvc.Handler(host, c), nil
 }
 
 // HealthHandler serves the plane's /healthz summary: per served host,

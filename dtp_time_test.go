@@ -49,10 +49,11 @@ func TestTimePlaneServesCoveredIntervals(t *testing.T) {
 	}
 
 	// The HTTP surface serves the same clock as JSON.
-	hdl, err := tp.TimeHandler(tp.Hosts()[0])
+	clk, err := tp.Clock(tp.Hosts()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	hdl := timesvc.Handler(tp.Hosts()[0], clk)
 	rec := httptest.NewRecorder()
 	hdl.ServeHTTP(rec, httptest.NewRequest("GET", "/now", nil))
 	if rec.Code != 200 {

@@ -40,6 +40,8 @@ func main() {
 		log.Fatal(err)
 	}
 	sys.Run(500 * time.Millisecond) // daemons calibrate
+	fmt.Printf("daemon rate estimates (DTP counter per TSC tick, vs nominal): s4 %+.2f ppm, s11 %+.2f ppm\n\n",
+		sender.RatioPPM(), receiver.RatioPPM())
 
 	rng := rand.New(rand.NewPCG(1, 2))
 	tick := sys.TickNanos()

@@ -63,4 +63,33 @@ func main() {
 	sys.Run(100 * time.Millisecond)
 	fmt.Printf("steady state: max offset %d ticks (bound %d ticks = %.1f ns)\n",
 		sys.MaxOffsetTicks(), sys.BoundTicks(), sys.BoundNanos())
+
+	// The §5.4 extension trades masterlessness for a chosen rate: with a
+	// master, every device follows s0's clock along a spanning tree
+	// instead of the fastest oscillator it can hear.
+	slow := map[string]float64{"s0": -100}
+	for _, name := range sys.Devices()[1:] {
+		slow[name] = 100
+	}
+	fmt.Println("\n-- s0 slow by 100 ppm, every other oscillator fast by 100 ppm --")
+	for _, master := range []string{"", "s0"} {
+		opts := []dtp.Option{dtp.WithSeed(23), dtp.WithPPM(slow)}
+		label := "masterless"
+		if master != "" {
+			opts, label = append(opts, dtp.WithMaster(master)), "WithMaster(s0)"
+		}
+		m, err := dtp.New(dtp.PaperTree(), opts...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		m.Start()
+		if err := m.RunUntilSynced(time.Second); err != nil {
+			log.Fatal(err)
+		}
+		c0, _ := m.Counter("s11")
+		m.Run(100 * time.Millisecond)
+		c1, _ := m.Counter("s11")
+		ppm := (float64(c1-c0)/(156.25e6*0.1) - 1) * 1e6
+		fmt.Printf("%-16s network rate %+6.1f ppm, max offset %d ticks\n", label, ppm, m.MaxOffsetTicks())
+	}
 }

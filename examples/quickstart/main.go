@@ -28,6 +28,19 @@ func main() {
 	if err := sys.RunUntilSynced(time.Second); err != nil {
 		log.Fatal(err)
 	}
+	// Each BEACON a port receives yields one protocol offset measurement,
+	// t2 - t1 - OWD: how far the sender's counter was ahead on arrival.
+	var samples int
+	var worstSample int64
+	sys.OnOffsetSample(func(pair string, offsetTicks int64) {
+		samples++
+		if offsetTicks < 0 {
+			offsetTicks = -offsetTicks
+		}
+		if offsetTicks > worstSample {
+			worstSample = offsetTicks
+		}
+	})
 	owd, _ := sys.MeasuredOWDTicks("h0", "h1")
 	fmt.Printf("link up, measured one-way delay: %d ticks (%.1f ns)\n",
 		owd, float64(owd)*sys.TickNanos())
@@ -58,4 +71,10 @@ func main() {
 	}
 	fmt.Printf("worst offset under full load: %d ticks = %.1f ns (bound %.1f ns)\n",
 		worst, float64(worst)*sys.TickNanos(), sys.BoundNanos())
+
+	// Back to idle links.
+	sys.ClearLoad()
+	sys.Run(200 * time.Millisecond)
+	fmt.Printf("load cleared: offset now %.1f ns\n", sys.MaxOffsetNanos())
+	fmt.Printf("%d protocol offset samples, worst |t2 - t1 - OWD| = %d ticks\n", samples, worstSample)
 }

@@ -32,18 +32,18 @@ func stateName(code int64) string {
 	return fmt.Sprintf("state%d", code)
 }
 
-// DwellEntry is the total time one port spent in one protocol state.
-type DwellEntry struct {
+// dwellEntry is the total time one port spent in one protocol state.
+type dwellEntry struct {
 	Port    string
 	State   string
 	Entries int
 	Total   sim.Time
 }
 
-// JumpChain is a causal sequence of counter jumps: each jump happened on
+// jumpChain is a causal sequence of counter jumps: each jump happened on
 // a port whose peer device jumped shortly before — the max-propagation
 // wavefront of §3.2 crossing the network.
-type JumpChain struct {
+type jumpChain struct {
 	Ports []string   // chronological
 	Times []sim.Time // event timestamps
 	Sizes []int64    // jump distances, units
@@ -53,22 +53,22 @@ type JumpChain struct {
 type Report struct {
 	Start, End sim.Time
 	Events     int
-	Dwell      []DwellEntry
+	Dwell      []dwellEntry
 	OWD        *stats.IntHist            // synced events' measured OWD, port cycles
 	Offsets    *stats.IntHist            // beacon_rx offsets, ticks (Figure 6c)
 	PairOff    map[string]*stats.IntHist // per receiving port
-	Chains     []JumpChain
+	Chains     []jumpChain
 	Violations []telemetry.Event
 
 	// Hardened-mode defense activity: counter_rejected events grouped by
 	// rejecting port, and the quarantine events themselves. RejectPorts
 	// is sorted by port name for deterministic rendering.
-	RejectPorts []RejectSummary
+	RejectPorts []rejectSummary
 	Quarantines []telemetry.Event
 }
 
-// RejectSummary aggregates one port's bounded-jump admission rejections.
-type RejectSummary struct {
+// rejectSummary aggregates one port's bounded-jump admission rejections.
+type rejectSummary struct {
 	Port    string
 	Count   int
 	Beacons int // rejected BEACON advances
@@ -112,17 +112,17 @@ func Analyze(events []telemetry.Event, g *topo.Graph, window sim.Time) *Report {
 		cur   string
 		since sim.Time
 	}
-	dwell := map[string]map[string]*DwellEntry{}
+	dwell := map[string]map[string]*dwellEntry{}
 	ports := map[string]*dwellState{}
 	addDwell := func(port, state string, d sim.Time, entries int) {
 		m := dwell[port]
 		if m == nil {
-			m = map[string]*DwellEntry{}
+			m = map[string]*dwellEntry{}
 			dwell[port] = m
 		}
 		e := m[state]
 		if e == nil {
-			e = &DwellEntry{Port: port, State: state}
+			e = &dwellEntry{Port: port, State: state}
 			m[state] = e
 		}
 		e.Total += d
@@ -184,22 +184,22 @@ func Analyze(events []telemetry.Event, g *topo.Graph, window sim.Time) *Report {
 	}
 
 	if g != nil {
-		r.Chains = buildChains(jumps, PortPeers(*g), window)
+		r.Chains = buildChains(jumps, portPeers(*g), window)
 	}
 	return r
 }
 
 // summarizeRejects folds counter_rejected events into per-port
 // summaries, sorted by port name.
-func summarizeRejects(rejects []telemetry.Event) []RejectSummary {
+func summarizeRejects(rejects []telemetry.Event) []rejectSummary {
 	if len(rejects) == 0 {
 		return nil
 	}
-	byPort := map[string]*RejectSummary{}
+	byPort := map[string]*rejectSummary{}
 	for _, e := range rejects {
 		s := byPort[e.Who]
 		if s == nil {
-			s = &RejectSummary{Port: e.Who, First: e.At, MaxAdv: e.V1}
+			s = &rejectSummary{Port: e.Who, First: e.At, MaxAdv: e.V1}
 			byPort[e.Who] = s
 		}
 		s.Count++
@@ -213,7 +213,7 @@ func summarizeRejects(rejects []telemetry.Event) []RejectSummary {
 		}
 		s.Last = e.At
 	}
-	out := make([]RejectSummary, 0, len(byPort))
+	out := make([]rejectSummary, 0, len(byPort))
 	for _, s := range byPort {
 		out = append(out, *s)
 	}
@@ -221,11 +221,11 @@ func summarizeRejects(rejects []telemetry.Event) []RejectSummary {
 	return out
 }
 
-// PortPeers maps every port name ("s1[2]") to its peer's port name,
+// portPeers maps every port name ("s1[2]") to its peer's port name,
 // reconstructing internal/core's deterministic numbering: ports are
 // created in topology link order, so a device's n-th incident link owns
 // its port n.
-func PortPeers(g topo.Graph) map[string]string {
+func portPeers(g topo.Graph) map[string]string {
 	next := make([]int, len(g.Nodes))
 	m := make(map[string]string, 2*len(g.Links))
 	for _, l := range g.Links {
@@ -251,7 +251,7 @@ func deviceOf(who string) string {
 // peer device within the window, then reports maximal chains longest
 // first. A jump at device X caused by a beacon from Y implies Y's
 // counter moved first: that is the causal edge.
-func buildChains(jumps []telemetry.Event, peers map[string]string, window sim.Time) []JumpChain {
+func buildChains(jumps []telemetry.Event, peers map[string]string, window sim.Time) []jumpChain {
 	n := len(jumps)
 	if n == 0 {
 		return nil
@@ -282,12 +282,12 @@ func buildChains(jumps []telemetry.Event, peers map[string]string, window sim.Ti
 		return jumps[order[a]].Seq < jumps[order[b]].Seq
 	})
 	used := make([]bool, n)
-	var out []JumpChain
+	var out []jumpChain
 	for _, end := range order {
 		if used[end] || length[end] < 2 {
 			continue
 		}
-		var c JumpChain
+		var c jumpChain
 		for k := end; k >= 0; k = prev[k] {
 			used[k] = true
 			c.Ports = append(c.Ports, jumps[k].Who)

@@ -119,11 +119,11 @@ func TestAnalyzeDeterministic(t *testing.T) {
 }
 
 func TestPortPeers(t *testing.T) {
-	m := PortPeers(topo.Pair())
+	m := portPeers(topo.Pair())
 	if m["h0[0]"] != "h1[0]" || m["h1[0]"] != "h0[0]" {
 		t.Fatalf("pair peers wrong: %v", m)
 	}
-	m = PortPeers(topo.PaperTree())
+	m = portPeers(topo.PaperTree())
 	// Link order: s0-s1 first, then s0-s2, s0-s3, then s1's hosts.
 	for port, want := range map[string]string{
 		"s0[0]": "s1[0]",
@@ -138,7 +138,7 @@ func TestPortPeers(t *testing.T) {
 }
 
 func TestBuildChainsSynthetic(t *testing.T) {
-	peers := PortPeers(topo.Chain(3)) // h0 - sw1 - sw2 - h1, ports in link order
+	peers := portPeers(topo.Chain(3)) // h0 - sw1 - sw2 - h1, ports in link order
 	// A jump wavefront h0 -> sw1 -> sw2 (each jump lands on the port that
 	// received the causing beacon), plus one jump far outside the window.
 	jumps := []telemetry.Event{

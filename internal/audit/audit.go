@@ -552,9 +552,9 @@ func (a *Auditor) LiveBoundUnits(device string) int64 {
 	return worst
 }
 
-// WorstPairOffsetUnits returns the worst |offset| seen for a device
+// worstPairOffsetUnits returns the worst |offset| seen for a device
 // pair, by topology node IDs in either order (0 if never checked).
-func (a *Auditor) WorstPairOffsetUnits(i, j int) int64 {
+func (a *Auditor) worstPairOffsetUnits(i, j int) int64 {
 	if i > j {
 		i, j = j, i
 	}

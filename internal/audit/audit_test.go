@@ -42,7 +42,7 @@ func TestAuditorPairStaysInBound(t *testing.T) {
 	if a.MinSlackUnits() <= 0 {
 		t.Fatalf("min slack %d, want positive headroom", a.MinSlackUnits())
 	}
-	if w := a.WorstPairOffsetUnits(1, 0); w != a.WorstOffsetUnits() {
+	if w := a.worstPairOffsetUnits(1, 0); w != a.WorstOffsetUnits() {
 		t.Fatalf("pair worst %d != global worst %d", w, a.WorstOffsetUnits())
 	}
 	var b strings.Builder

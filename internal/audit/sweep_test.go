@@ -146,8 +146,8 @@ func requireSame(t *testing.T, at string, a *Auditor, o *mapAuditor) {
 	n := len(a.net.Graph.Nodes)
 	for i := -2; i < n+2; i++ {
 		for j := -2; j < n+2; j++ {
-			if g, w := a.WorstPairOffsetUnits(i, j), o.worstPair(i, j); g != w {
-				t.Fatalf("%s: WorstPairOffsetUnits(%d,%d) = %d, map sweep has %d", at, i, j, g, w)
+			if g, w := a.worstPairOffsetUnits(i, j), o.worstPair(i, j); g != w {
+				t.Fatalf("%s: worstPairOffsetUnits(%d,%d) = %d, map sweep has %d", at, i, j, g, w)
 			}
 		}
 	}

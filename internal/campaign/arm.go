@@ -9,7 +9,7 @@ import (
 )
 
 // Spec is one run to arm: its record, the Point, plus what cannot go in
-// a file. RunPoint fills one per grid point, dtpsim's single mode one
+// a file. runPoint fills one per grid point, dtpsim's single mode one
 // for the point its flags make.
 type Spec struct {
 	Point
@@ -183,7 +183,7 @@ func Arm(s Spec) (_ *Rig, err error) {
 			for _, h := range r.Plane.Hosts() {
 				if ld := r.Plane.Load(h); ld != nil {
 					host := h
-					ld.OnError = func(err error) { r.ReadStale(host, err) }
+					ld.OnError = func(err error) { r.readStale(host, err) }
 				}
 			}
 		}
@@ -191,11 +191,11 @@ func Arm(s Spec) (_ *Rig, err error) {
 	return r, nil
 }
 
-// ReadStale trips the flight recorder when a served read failed closed
+// readStale trips the flight recorder when a served read failed closed
 // on a *stale* snapshot: the publish loop stopped while readers still
 // asked for time — what the black box exists to explain. No-snapshot
 // errors are honest warm-up and pass.
-func (r *Rig) ReadStale(host string, err error) {
+func (r *Rig) readStale(host string, err error) {
 	if r.Recorder != nil && errors.Is(err, dtp.ErrTimeStale) {
 		r.Recorder.Trigger("read_stale", host)
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/dtplab/dtp"
+	"github.com/dtplab/dtp/internal/telemetry"
 )
 
 // fullSpec asks for everything Arm can attach, on the paper tree: the
@@ -51,7 +52,7 @@ func TestArmAttachOrder(t *testing.T) {
 	if len(bundles) != 1 {
 		t.Fatalf("want 1 bundle, got %v", bundles)
 	}
-	b, err := dtp.LoadFlightBundle(bundles[0])
+	b, err := telemetry.LoadBundle(bundles[0])
 	if err != nil {
 		t.Fatal(err)
 	}

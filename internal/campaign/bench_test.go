@@ -20,7 +20,7 @@ func BenchmarkCampaignPoint(b *testing.B) {
 	p := g.Expand()[0]
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res := RunPoint(p, "")
+		res := runPoint(p, "")
 		if res.Err != "" {
 			b.Fatal(res.Err)
 		}

@@ -94,7 +94,7 @@ func TestGridCadenceSigns(t *testing.T) {
 }
 
 func TestRunPointBadTopology(t *testing.T) {
-	res := RunPoint(Point{Topo: "moebius:4", Seed: 1, Load: "none", Beacon: 200, Duration: msec(1)}, "")
+	res := runPoint(Point{Topo: "moebius:4", Seed: 1, Load: "none", Beacon: 200, Duration: msec(1)}, "")
 	if res.Err == "" || res.Synced {
 		t.Fatalf("bad topology should produce an errored result, got %+v", res)
 	}

@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/dtplab/dtp"
+	"github.com/dtplab/dtp/internal/telemetry"
 )
 
 // flightGrid is the canned black-box campaign: the breaker scenario's
@@ -71,7 +71,7 @@ func TestFlightCampaignProducesValidBundles(t *testing.T) {
 			t.Fatalf("run %d: storm demoted ports but tripped no flight bundle", i)
 		}
 		for _, path := range r.FlightBundles {
-			b, err := dtp.LoadFlightBundle(path)
+			b, err := telemetry.LoadBundle(path)
 			if err != nil {
 				t.Fatalf("run %d bundle %s invalid: %v", i, path, err)
 			}

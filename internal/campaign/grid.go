@@ -118,7 +118,7 @@ type Grid struct {
 
 // Point is one fully resolved run: the grid's axes at one coordinate
 // plus the grid-wide settings, so it alone says what to arm (Arm) and
-// how to sample it (RunPoint). Only the flight directory, a deployment
+// how to sample it (runPoint). Only the flight directory, a deployment
 // path, stays outside. The settings are kept out of result rows.
 type Point struct {
 	// Index is the run's position in grid order; results are always

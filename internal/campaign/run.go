@@ -63,7 +63,7 @@ func Run(g Grid, opts Options) (*Report, error) {
 	// Map's worker indices arrive in any order; results land by index,
 	// so the merge is in grid order no matter how execution interleaves.
 	_, _ = par.Map(jobs, len(points), func(i int) (struct{}, error) {
-		results[i] = RunPoint(points[i], g.FlightDir)
+		results[i] = runPoint(points[i], g.FlightDir)
 		if emit != nil {
 			emit(i)
 		}
@@ -95,14 +95,14 @@ func orderedEmitter(results []Result, fn func(*Result)) func(i int) {
 	}
 }
 
-// RunPoint executes one point to completion and returns its Result:
+// runPoint executes one point to completion and returns its Result:
 // Arm the point, one sample loop, fill. flightDir, when set, arms the
 // black box: every run gets its own registry + tracer (runs stay
 // independent), a timeline at the sampling cadence, and a flight
 // recorder dumping into <flightDir>/run-NNN/. Exported so tests and
 // benchmarks can run single points; the campaign's determinism rests on
 // this function depending only on its arguments, never on shared state.
-func RunPoint(p Point, flightDir string) (res Result) {
+func runPoint(p Point, flightDir string) (res Result) {
 	res = Result{Point: p, ChaosOK: true}
 	wallStart := time.Now()
 	defer func() { res.Wall = time.Since(wallStart) }()
@@ -150,7 +150,7 @@ func RunPoint(p Point, flightDir string) (res Result) {
 				w, covered, err := tp.ReadCheck(h)
 				if err != nil {
 					res.TimeFailedClosed++
-					rig.ReadStale(h, err)
+					rig.readStale(h, err)
 					continue
 				}
 				res.TimeReads++
@@ -276,9 +276,9 @@ func owdRange(sys *dtp.System) (lo, hi int64) {
 	return lo, hi
 }
 
-// Label renders a Point's one-line human label, prefixed by the grid
+// label renders a Point's one-line human label, prefixed by the grid
 // name when set.
-func (g Grid) Label(p Point) string {
+func (g Grid) label(p Point) string {
 	if g.Name != "" {
 		return fmt.Sprintf("%s[%d] %s", g.Name, p.Index, p)
 	}

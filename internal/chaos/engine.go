@@ -43,7 +43,7 @@ type Engine struct {
 // Verify can require zero violations outside declared windows.
 func NewEngine(n *core.Network, sc *Scenario, seed uint64,
 	reg *telemetry.Registry, tr *telemetry.Tracer, aud *audit.Auditor) (*Engine, error) {
-	if err := sc.Validate(); err != nil {
+	if err := sc.validate(); err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	e := &Engine{net: n, sch: n.Sch, sc: *sc, aud: aud, tr: tr,

@@ -281,7 +281,7 @@ func TestEveryKind(t *testing.T) {
 			if err := json.Unmarshal(b, &back); err != nil || !reflect.DeepEqual(sc, back) {
 				t.Fatalf("JSON round trip: %v\n%s", err, b)
 			}
-			if err := back.Validate(); err != nil {
+			if err := back.validate(); err != nil {
 				t.Fatal(err)
 			}
 			c := newCampaign(t, topo.Chain(2), core.DefaultConfig(), 1, &back)

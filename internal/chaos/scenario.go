@@ -119,7 +119,7 @@ type Fault struct {
 	Cadence Duration `json:"cadence,omitempty"`
 }
 
-// permanent reports whether the fault never clears. Validate admits a
+// permanent reports whether the fault never clears. validate admits a
 // zero Duration only where the kind's duration rule allows it.
 func (f *Fault) permanent() bool { return f.Duration.T == 0 }
 
@@ -170,7 +170,7 @@ func Load(path string) (*Scenario, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %s: %w", path, err)
 	}
-	if err := sc.Validate(); err != nil {
+	if err := sc.validate(); err != nil {
 		return nil, fmt.Errorf("chaos: %s: %w", path, err)
 	}
 	return &sc, nil
@@ -202,11 +202,11 @@ func (sc *Scenario) fillDefaults() {
 	}
 }
 
-// Validate checks every fault for structural errors (unknown kinds,
+// validate checks every fault for structural errors (unknown kinds,
 // missing targets, out-of-range probabilities, a window that ends past
 // the simulated clock's range) without touching a network; target names
 // are resolved later by NewEngine.
-func (sc *Scenario) Validate() error {
+func (sc *Scenario) validate() error {
 	if len(sc.Faults) == 0 {
 		return fmt.Errorf("scenario %q has no faults", sc.Name)
 	}

@@ -59,7 +59,7 @@ func TestScenarioJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(sc, back) {
 		t.Fatalf("round trip changed the scenario:\n  in:  %+v\n  out: %+v", sc, back)
 	}
-	if err := back.Validate(); err != nil {
+	if err := back.validate(); err != nil {
 		t.Fatalf("round-tripped scenario invalid: %v", err)
 	}
 }
@@ -154,7 +154,7 @@ func TestScenarioValidation(t *testing.T) {
 			{Kind: KindLiar, Device: "d", At: D(1), Duration: D(1), JumpUnits: 5000, Cadence: D(1)}}}, ""},
 	}
 	for _, c := range cases {
-		err := c.sc.Validate()
+		err := c.sc.validate()
 		if c.want == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", c.name, err)
@@ -175,7 +175,7 @@ func TestValidationNamesFaultIndex(t *testing.T) {
 		{Kind: KindCrash, Device: "d", At: D(1), Duration: D(1)},
 		{Kind: "meteor"},
 	}}
-	err := sc.Validate()
+	err := sc.validate()
 	if err == nil {
 		t.Fatal("scenario with unknown kind validated")
 	}
@@ -263,7 +263,7 @@ func FuzzScenarioJSON(f *testing.F) {
 	f.Add([]byte(`{"faults":[{"kind":"ber_degrade","link":["h0","h1"],"at":"1ms","duration":"1s","ber":1e-12}]}`))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		sc, err := decode(b)
-		if err != nil || sc.Validate() != nil {
+		if err != nil || sc.validate() != nil {
 			return
 		}
 		for i, fl := range sc.Faults {
@@ -279,7 +279,7 @@ func FuzzScenarioJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded scenario does not decode: %v\n%s", err, out)
 		}
-		if err := back.Validate(); err != nil {
+		if err := back.validate(); err != nil {
 			t.Fatalf("re-encoded scenario does not validate: %v\n%s", err, out)
 		}
 		if again, _ := json.Marshal(&back); !bytes.Equal(again, out) {

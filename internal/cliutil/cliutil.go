@@ -160,9 +160,9 @@ func Fatal(cmd string, code int, err error) {
 	os.Exit(code)
 }
 
-// WriteFile creates path, streams fill into it, and closes it,
+// writeFile creates path, streams fill into it, and closes it,
 // returning the first error encountered.
-func WriteFile(path string, fill func(io.Writer) error) error {
+func writeFile(path string, fill func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -200,7 +200,7 @@ func (a *Artifacts) Snapshot(tr *dtp.Tracer) {
 // is read only when TimelineOut is set.
 func (a *Artifacts) Write(out io.Writer, reg *dtp.MetricsRegistry, tr *dtp.Tracer, tl *dtp.Timeline) error {
 	if a.MetricsOut != "" {
-		if err := WriteFile(a.MetricsOut, func(w io.Writer) error {
+		if err := writeFile(a.MetricsOut, func(w io.Writer) error {
 			return dtp.WriteMetrics(w, reg)
 		}); err != nil {
 			return err
@@ -218,7 +218,7 @@ func (a *Artifacts) Write(out io.Writer, reg *dtp.MetricsRegistry, tr *dtp.Trace
 		events = append(events, final...)
 		total := tr.Total()
 		dropped := total - uint64(len(events))
-		if err := WriteFile(a.TraceOut, func(w io.Writer) error {
+		if err := writeFile(a.TraceOut, func(w io.Writer) error {
 			if err := telemetry.WriteTraceHeader(w, len(events), total, dropped); err != nil {
 				return err
 			}
@@ -229,7 +229,7 @@ func (a *Artifacts) Write(out io.Writer, reg *dtp.MetricsRegistry, tr *dtp.Trace
 		fmt.Fprintf(out, "trace written to %s (%d events, %d dropped)\n", a.TraceOut, len(events), dropped)
 	}
 	if a.TimelineOut != "" {
-		if err := WriteFile(a.TimelineOut, tl.WriteJSONL); err != nil {
+		if err := writeFile(a.TimelineOut, tl.WriteJSONL); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "timeline written to %s (%d samples)\n", a.TimelineOut, tl.Total())

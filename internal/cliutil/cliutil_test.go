@@ -100,7 +100,7 @@ func TestValidateOnlyChecksRegistered(t *testing.T) {
 
 func TestWriteFile(t *testing.T) {
 	path := t.TempDir() + "/out.txt"
-	if err := WriteFile(path, func(w io.Writer) error {
+	if err := writeFile(path, func(w io.Writer) error {
 		_, err := w.Write([]byte("hello"))
 		return err
 	}); err != nil {

@@ -202,8 +202,8 @@ func (d *Device) Name() string { return d.node.Name }
 // ID returns the device's topology node ID.
 func (d *Device) ID() int { return d.node.ID }
 
-// Kind returns whether the device is a host NIC or a switch.
-func (d *Device) Kind() topo.Kind { return d.node.Kind }
+// kind returns whether the device is a host NIC or a switch.
+func (d *Device) kind() topo.Kind { return d.node.Kind }
 
 // Ports returns the device's DTP ports.
 func (d *Device) Ports() []*Port { return d.ports }

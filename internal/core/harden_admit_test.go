@@ -184,8 +184,8 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if n.LinkSynced(0) {
 		t.Fatal("link still reports synced with one side quarantined")
 	}
-	if !n.LinkQuarantined(0) {
-		t.Fatal("LinkQuarantined(0) = false after quarantine")
+	if !n.linkQuarantined(0) {
+		t.Fatal("linkQuarantined(0) = false after quarantine")
 	}
 	if got := countKind(tr, telemetry.KindPortQuarantined); got != 1 {
 		t.Fatalf("%d KindPortQuarantined events, want 1", got)
@@ -198,7 +198,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 	if !n.AllSynced() {
 		t.Fatal("pair did not resynchronize after quarantine cooldown")
 	}
-	if n.LinkQuarantined(0) {
+	if n.linkQuarantined(0) {
 		t.Fatal("link still quarantined after cooldown release")
 	}
 	if _, quarAfter := n.ByzantineStats(); quarAfter != 1 {

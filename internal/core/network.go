@@ -249,8 +249,8 @@ func (n *Network) SetLinkDown(i int) {
 // link model for the heavy-load experiments.
 func (n *Network) SetGateAll(factory func(p *Port) TxGate) {
 	for _, lp := range n.linkPorts {
-		lp[0].SetGate(factory(lp[0]))
-		lp[1].SetGate(factory(lp[1]))
+		lp[0].setGate(factory(lp[0]))
+		lp[1].setGate(factory(lp[1]))
 	}
 }
 
@@ -343,9 +343,9 @@ func (n *Network) LinkSynced(i int) bool {
 	return lp[0].state == portSynced && lp[1].state == portSynced
 }
 
-// LinkQuarantined reports whether either port of topology link i is in
+// linkQuarantined reports whether either port of topology link i is in
 // hardened-mode quarantine.
-func (n *Network) LinkQuarantined(i int) bool {
+func (n *Network) linkQuarantined(i int) bool {
 	lp := n.linkPorts[i]
 	return lp[0].state == portQuarantined || lp[1].state == portQuarantined
 }

@@ -200,8 +200,8 @@ func (p *Port) Stats() (sent, received, ignored, jumps uint64) {
 	return p.beaconsSent, p.beaconsReceived, p.beaconsIgnored, p.jumps
 }
 
-// SetGate replaces the port's transmit gate (traffic model).
-func (p *Port) SetGate(g TxGate) { p.gate = g }
+// setGate replaces the port's transmit gate (traffic model).
+func (p *Port) setGate(g TxGate) { p.gate = g }
 
 // --- Link-session lifecycle --------------------------------------------
 

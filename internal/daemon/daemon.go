@@ -92,7 +92,7 @@ type Daemon struct {
 	// The discipline owns all calibration state; the daemon holds a
 	// copy of its latest model for lock-free-style reads on the serve
 	// path (everything runs under the sim scheduler, but the model
-	// copy also keeps EstimateAt free of interface calls).
+	// copy also keeps estimateAt free of interface calls).
 	disc    discipline.Discipline
 	model   discipline.Model
 	nominal float64 // nominal counter units per TSC ps
@@ -179,8 +179,8 @@ func (d *Daemon) OffsetHistogram() *telemetry.Histogram { return d.offHist }
 // Stop halts calibration (estimates keep extrapolating).
 func (d *Daemon) Stop() { d.stopped = true }
 
-// Calibrations returns how many PCIe reads have completed.
-func (d *Daemon) Calibrations() uint64 { return d.calCount }
+// calibrations returns how many PCIe reads have completed.
+func (d *Daemon) calibrations() uint64 { return d.calCount }
 
 // readLatency draws one PCIe MMIO round-trip.
 func (d *Daemon) readLatency() sim.Time {
@@ -244,7 +244,7 @@ func (d *Daemon) calibrate() {
 		d.gErr.Set(d.model.ErrUnits)
 		d.gRatio.Set((d.model.Ratio/d.nominal - 1) * 1e6)
 		if d.OnSample != nil || d.offHist != nil || d.tr.Enabled(telemetry.KindDaemonCal) {
-			est := d.EstimateAt(d.sch.Now())
+			est := d.estimateAt(d.sch.Now())
 			truth := float64(d.dev.GlobalCounterAt(d.sch.Now()))
 			off := est - truth
 			d.offHist.Observe(off)
@@ -260,18 +260,18 @@ func (d *Daemon) calibrate() {
 	})
 }
 
-// EstimateAt returns the daemon's get_DTP_counter() estimate (in counter
+// estimateAt returns the daemon's get_DTP_counter() estimate (in counter
 // units, fractional) at time t, interpolated from the TSC.
-func (d *Daemon) EstimateAt(t sim.Time) float64 { return d.model.EstimateAt(d.tsc.At(t)) }
+func (d *Daemon) estimateAt(t sim.Time) float64 { return d.model.EstimateAt(d.tsc.At(t)) }
 
 // Estimate returns the current get_DTP_counter() value.
-func (d *Daemon) Estimate() float64 { return d.EstimateAt(d.sch.Now()) }
+func (d *Daemon) Estimate() float64 { return d.estimateAt(d.sch.Now()) }
 
 // OffsetUnits returns ground truth: estimate minus hardware counter, in
 // counter units (offset_sw of §6.2).
 func (d *Daemon) OffsetUnits() float64 {
 	now := d.sch.Now()
-	return d.EstimateAt(now) - float64(d.dev.GlobalCounterAt(now))
+	return d.estimateAt(now) - float64(d.dev.GlobalCounterAt(now))
 }
 
 // Device returns the attached DTP device.

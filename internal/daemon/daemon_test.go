@@ -79,10 +79,10 @@ func TestDaemonStop(t *testing.T) {
 	sch, n := syncedPair(t, 7)
 	d := attach(t, n.Devices[0], DefaultConfig().Compressed(100), 13)
 	sch.RunFor(sim.Second)
-	c := d.Calibrations()
+	c := d.calibrations()
 	d.Stop()
 	sch.RunFor(sim.Second)
-	if d.Calibrations() != c {
+	if d.calibrations() != c {
 		t.Fatal("stopped daemon kept calibrating")
 	}
 }
@@ -129,7 +129,7 @@ func TestExternalSyncUTC(t *testing.T) {
 		t.Fatal("UTC available before any broadcast")
 	}
 	sch.RunFor(2 * sim.Second)
-	if f.Received() == 0 {
+	if f.received() == 0 {
 		t.Fatal("no broadcasts received")
 	}
 	s := stats.NewSummary(0)
@@ -141,9 +141,9 @@ func TestExternalSyncUTC(t *testing.T) {
 		t.Fatalf("UTC error reached %.0f ps", s.MaxAbs())
 	}
 	b.Stop()
-	got := f.Received()
+	got := f.received()
 	sch.RunFor(sim.Second)
-	if f.Received() != got {
+	if f.received() != got {
 		t.Fatal("stopped broadcaster kept sending")
 	}
 }
@@ -168,7 +168,7 @@ func TestUTCErrorPsIsMagnitude(t *testing.T) {
 		if e < 0 {
 			t.Fatalf("UTCErrorPs returned signed value %.0f ps", e)
 		}
-		signed := f.UTCSignedErrorPs()
+		signed := f.utcSignedErrorPs()
 		if math.Abs(signed) != e {
 			t.Fatalf("UTCErrorPs %.0f != |signed error %.0f|", e, signed)
 		}
@@ -207,11 +207,11 @@ func TestFollowerDropsStalePairs(t *testing.T) {
 	if f.Ratio() != ratio {
 		t.Fatalf("stale pair changed the ratio: %g -> %g", ratio, f.Ratio())
 	}
-	if f.StalePairs() != 2 {
-		t.Fatalf("StalePairs = %d, want 2", f.StalePairs())
+	if f.stalePairs() != 2 {
+		t.Fatalf("stalePairs = %d, want 2", f.stalePairs())
 	}
-	if f.Received() != 4 {
-		t.Fatalf("Received = %d, want 4 (stale pairs still count as consumed)", f.Received())
+	if f.received() != 4 {
+		t.Fatalf("Received = %d, want 4 (stale pairs still count as consumed)", f.received())
 	}
 
 	// A fresh advancing pair resumes normal anchoring.

@@ -155,18 +155,18 @@ func (f *UTCFollower) deliver(pair UTCBroadcast) {
 	f.have = true
 }
 
-// Received returns the number of broadcasts consumed (including stale
+// received returns the number of broadcasts consumed (including stale
 // ones that were dropped without anchoring).
-func (f *UTCFollower) Received() uint64 { return f.recvd }
+func (f *UTCFollower) received() uint64 { return f.recvd }
 
 // RatioUpdates returns how many ratio measurements have been folded in
 // — a readiness signal for consumers that need a converged estimate
 // (the serving plane's warmup gate).
 func (f *UTCFollower) RatioUpdates() uint64 { return f.updates }
 
-// StalePairs returns how many broadcasts carried a non-advancing
+// stalePairs returns how many broadcasts carried a non-advancing
 // counter and were dropped.
-func (f *UTCFollower) StalePairs() uint64 { return f.stale }
+func (f *UTCFollower) stalePairs() uint64 { return f.stale }
 
 // Ratio returns the estimated UTC picoseconds per DTP counter unit.
 func (f *UTCFollower) Ratio() float64 { return f.ratio }
@@ -210,11 +210,11 @@ func (f *UTCFollower) UTCErrorPs() float64 {
 	return math.Abs(utc - float64(f.d.sch.Now()))
 }
 
-// UTCSignedErrorPs returns the signed ground-truth error (estimate
+// utcSignedErrorPs returns the signed ground-truth error (estimate
 // minus true time), +Inf before the first broadcast. Callers that need
 // the error's direction (e.g. interval-coverage checks) use this;
 // UTCErrorPs reports the magnitude its doc always promised.
-func (f *UTCFollower) UTCSignedErrorPs() float64 {
+func (f *UTCFollower) utcSignedErrorPs() float64 {
 	utc, err := f.UTC()
 	if err != nil {
 		return math.Inf(1)

@@ -18,8 +18,8 @@ const (
 	// MTUFrame is the paper's "MTU-sized (1522B)" frame: 8-byte
 	// preamble, Ethernet header, 1500-byte payload, FCS.
 	MTUFrame = 1522
-	// JumboFrame is the paper's jumbo workload (~9 kB).
-	JumboFrame = 9022
+	// jumboFrame is the paper's jumbo workload (~9 kB).
+	jumboFrame = 9022
 	// PTPEventFrame is a PTP Sync/Delay_Req message on the wire.
 	PTPEventFrame = 90
 	// UDPNTPFrame is an NTP mode-3/4 datagram on the wire.

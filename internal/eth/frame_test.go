@@ -19,10 +19,10 @@ func TestFrameString(t *testing.T) {
 
 func TestFrameSizeConstants(t *testing.T) {
 	// Sanity: sizes ordered and in the ranges the paper uses.
-	if !(MinFrame < PTPEventFrame && PTPEventFrame < UDPNTPFrame && UDPNTPFrame < MTUFrame && MTUFrame < JumboFrame) {
+	if !(MinFrame < PTPEventFrame && PTPEventFrame < UDPNTPFrame && UDPNTPFrame < MTUFrame && MTUFrame < jumboFrame) {
 		t.Fatal("frame size constants out of order")
 	}
-	if MTUFrame != 1522 || JumboFrame != 9022 {
+	if MTUFrame != 1522 || jumboFrame != 9022 {
 		t.Fatal("paper frame sizes changed")
 	}
 }

@@ -176,9 +176,9 @@ func (n *Network) Send(f *eth.Frame) bool {
 	return port.enqueue(f)
 }
 
-// QueueDepthBytes reports the egress queue occupancy from node `from`
+// queueDepthBytes reports the egress queue occupancy from node `from`
 // toward node `dst` (next hop), for monitoring.
-func (n *Network) QueueDepthBytes(from, dst int) int {
+func (n *Network) queueDepthBytes(from, dst int) int {
 	p := n.elements[from].portToward(dst)
 	if p == nil {
 		return 0
@@ -186,8 +186,8 @@ func (n *Network) QueueDepthBytes(from, dst int) int {
 	return p.queueBytes
 }
 
-// Drops returns total frames tail-dropped across the fabric.
-func (n *Network) Drops() uint64 {
+// drops returns total frames tail-dropped across the fabric.
+func (n *Network) drops() uint64 {
 	var total uint64
 	for _, el := range n.elements {
 		for _, p := range el.ports {
@@ -197,8 +197,8 @@ func (n *Network) Drops() uint64 {
 	return total
 }
 
-// Delivered returns total frames delivered to host handlers.
-func (n *Network) Delivered() uint64 {
+// delivered returns total frames delivered to host handlers.
+func (n *Network) delivered() uint64 {
 	var total uint64
 	for _, el := range n.elements {
 		total += el.delivered

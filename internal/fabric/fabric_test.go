@@ -86,7 +86,7 @@ func TestQueueTailDrop(t *testing.T) {
 	if sent >= blast {
 		t.Fatal("no sends rejected despite an overfull queue")
 	}
-	if n.Drops() == 0 {
+	if n.drops() == 0 {
 		t.Fatal("drop counter not incremented")
 	}
 	if delivered != sent {
@@ -247,13 +247,13 @@ func TestBulkTrafficRate(t *testing.T) {
 	g := NewSprayGen(n, 1, []int{2}, 4.0, 8, 21)
 	g.Start()
 	sch.Run(50 * sim.Millisecond)
-	g.Stop()
+	g.stop = true
 	// 4 Gbps of 1522B frames for 50ms = ~16.4k frames.
 	gotGbps := float64(received*eth.MTUFrame*8) / 1e9 / 0.050
 	if gotGbps < 3.5 || gotGbps > 4.5 {
 		t.Fatalf("delivered %.2f Gbps, want ~4", gotGbps)
 	}
-	if g.Sent() == 0 {
+	if g.sent == 0 {
 		t.Fatal("generator sent nothing")
 	}
 }
@@ -268,9 +268,9 @@ func TestSprayGenHitsAllDestinations(t *testing.T) {
 	g := NewSprayGen(n, 2, []int{2, 3, 4, 5}, 4.0, 8, 77)
 	g.Start()
 	sch.Run(20 * sim.Millisecond)
-	g.Stop()
+	g.stop = true
 	sch.RunFor(5 * sim.Millisecond)
-	if g.Sent() == 0 {
+	if g.sent == 0 {
 		t.Fatal("sprayer sent nothing")
 	}
 	if got[2] != 0 {
@@ -281,9 +281,9 @@ func TestSprayGenHitsAllDestinations(t *testing.T) {
 			t.Fatalf("destination %d never hit", node)
 		}
 	}
-	after := g.Sent()
+	after := g.sent
 	sch.RunFor(20 * sim.Millisecond)
-	if g.Sent() != after {
+	if g.sent != after {
 		t.Fatal("stopped sprayer kept sending")
 	}
 }
@@ -320,14 +320,14 @@ func TestQueueDepthObservable(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		n.Send(&eth.Frame{Src: 1, Dst: 2, Size: eth.MTUFrame, Proto: eth.ProtoBulk})
 	}
-	if n.QueueDepthBytes(1, 2) == 0 {
+	if n.queueDepthBytes(1, 2) == 0 {
 		t.Fatal("source egress queue empty right after 20 sends")
 	}
 	sch.Run(10 * sim.Millisecond)
-	if n.QueueDepthBytes(1, 2) != 0 {
+	if n.queueDepthBytes(1, 2) != 0 {
 		t.Fatal("queue did not drain")
 	}
-	if n.Delivered() == 0 {
+	if n.delivered() == 0 {
 		t.Fatal("nothing delivered")
 	}
 }

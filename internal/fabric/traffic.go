@@ -46,12 +46,6 @@ func (g *SprayGen) Start() {
 	g.net.Sch.After(g.rng.UniformTime(0, g.gap()), g.emit)
 }
 
-// Stop halts the sprayer.
-func (g *SprayGen) Stop() { g.stop = true }
-
-// Sent returns frames emitted.
-func (g *SprayGen) Sent() uint64 { return g.sent }
-
 func (g *SprayGen) gap() sim.Time {
 	bitsPerBurst := float64(g.FrameSize*8*g.Burst) * 1000
 	return sim.Time(bitsPerBurst / g.RateGbps)

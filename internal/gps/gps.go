@@ -45,5 +45,5 @@ func (r *Receiver) Read() float64 {
 	return float64(r.sch.Now()) + r.bias + r.rng.Normal(0, noisePs)
 }
 
-// OffsetPs returns this receiver's instantaneous error versus true time.
-func (r *Receiver) OffsetPs() float64 { return r.Read() - float64(r.sch.Now()) }
+// offsetPs returns this receiver's instantaneous error versus true time.
+func (r *Receiver) offsetPs() float64 { return r.Read() - float64(r.sch.Now()) }

@@ -44,7 +44,7 @@ func TestReceiverBiasIsStable(t *testing.T) {
 	meanOffset := func() float64 {
 		sum := 0.0
 		for i := 0; i < 1000; i++ {
-			sum += r.OffsetPs()
+			sum += r.offsetPs()
 		}
 		return sum / 1000
 	}

@@ -29,13 +29,13 @@ import (
 	"github.com/dtplab/dtp/internal/sim"
 )
 
-// PropagationPerMeter is the signal propagation delay in fiber or twinax:
+// propagationPerMeter is the signal propagation delay in fiber or twinax:
 // about 2/3 the speed of light.
-const PropagationPerMeter = 5 * sim.Nanosecond
+const propagationPerMeter = 5 * sim.Nanosecond
 
 // DelayForLength converts a cable length to a propagation delay.
 func DelayForLength(meters float64) sim.Time {
-	return sim.Time(meters * float64(PropagationPerMeter))
+	return sim.Time(meters * float64(propagationPerMeter))
 }
 
 // Config describes one direction of a physical link.

@@ -306,7 +306,7 @@ func TestFlightLaunchLandRefile(t *testing.T) {
 	if len(back) != 3 || back[2].f.T2 != 150*sim.Nanosecond || back[2].from != OnCable {
 		t.Fatalf("refiled %+v, want the flight arriving now handed back on the cable", back)
 	}
-	sch.Drain()
+	drain(sch)
 	if len(landed) != 2 || landed[1] != 75*sim.Nanosecond {
 		t.Fatalf("landings %v, want only the two flights never refiled (65 ns, 75 ns)", landed)
 	}
@@ -384,12 +384,18 @@ func TestSettledFlightUnsettle(t *testing.T) {
 	if len(back) != 8 || back[5].from != TxAhead || back[7].from != TxAhead {
 		t.Fatalf("refiled %+v, want the three flights short of T1 handed back", back[5:])
 	}
-	sch.Drain()
+	drain(sch)
 	want := []sim.Time{188 * sim.Nanosecond}
 	if len(processed) != 1 || processed[0] != want[0] {
 		t.Fatalf("processed %v, want only the flight never handed back (%v)", processed, want)
 	}
 	if len(landed) != 2 || landed[0] != 65*sim.Nanosecond || landed[1] != 125*sim.Nanosecond {
 		t.Fatalf("landings %v, want the two unsettled flights at 65 and 125 ns", landed)
+	}
+}
+
+// drain dispatches every remaining event regardless of timestamp.
+func drain(s *sim.Scheduler) {
+	for s.Step() {
 	}
 }

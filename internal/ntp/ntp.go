@@ -162,9 +162,9 @@ func NewClient(n *fabric.Network, node, server int, cfg Config, seed uint64) *Cl
 	return c
 }
 
-// Stop halts polling: the pending poll is cancelled and replies still
+// stop halts polling: the pending poll is cancelled and replies still
 // in flight are ignored.
-func (c *Client) Stop() {
+func (c *Client) stop() {
 	c.pollEv.Cancel()
 	c.stopped = true
 }
@@ -175,8 +175,8 @@ func (c *Client) OffsetToServerPs() float64 {
 	return c.Clock.At(now) - float64(now)
 }
 
-// Stats returns protocol counters.
-func (c *Client) Stats() (polls, replies, steps uint64) {
+// stats returns protocol counters.
+func (c *Client) stats() (polls, replies, steps uint64) {
 	return c.polls, c.replies, c.steps
 }
 

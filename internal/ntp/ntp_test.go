@@ -81,7 +81,7 @@ func TestNTPStepsOnStartup(t *testing.T) {
 	sch, _, clients := deploy(t, 11, cfg)
 	sch.Run(5 * sim.Second)
 	for _, c := range clients {
-		polls, replies, steps := c.Stats()
+		polls, replies, steps := c.stats()
 		if polls == 0 || replies == 0 {
 			t.Fatal("client not exchanging")
 		}
@@ -130,10 +130,10 @@ func TestNTPStopHalts(t *testing.T) {
 	sch, _, clients := deploy(t, 31, cfg)
 	sch.Run(5 * sim.Second)
 	c := clients[0]
-	polls, _, _ := c.Stats()
-	c.Stop()
+	polls, _, _ := c.stats()
+	c.stop()
 	sch.RunFor(5 * sim.Second)
-	polls2, _, _ := c.Stats()
+	polls2, _, _ := c.stats()
 	if polls2 != polls {
 		t.Fatalf("stopped client still polled (%d -> %d)", polls, polls2)
 	}

@@ -7,36 +7,36 @@ import (
 
 func TestIdleBlock(t *testing.T) {
 	b := IdleBlock()
-	if !b.IsIdle() || !b.IsControl() || !b.Valid() {
+	if !b.isIdle() || !b.isControl() || !b.Valid() {
 		t.Fatal("IdleBlock misclassified")
 	}
-	if b.ControlBits() != 0 {
-		t.Fatalf("idle block control bits = %#x, want 0", b.ControlBits())
+	if b.controlBits() != 0 {
+		t.Fatalf("idle block control bits = %#x, want 0", b.controlBits())
 	}
-	if b.BlockType() != BTIdle {
-		t.Fatalf("idle block type = %#x, want %#x", b.BlockType(), BTIdle)
+	if b.blockType() != btIdle {
+		t.Fatalf("idle block type = %#x, want %#x", b.blockType(), btIdle)
 	}
 }
 
 func TestDataBlockOctetOrder(t *testing.T) {
-	b := DataBlock([8]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08})
-	if b.Sync != SyncData {
-		t.Fatal("DataBlock sync header wrong")
+	b := dataBlock([8]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08})
+	if b.Sync != syncData {
+		t.Fatal("dataBlock sync header wrong")
 	}
 	if b.Payload != 0x0807060504030201 {
 		t.Fatalf("payload = %#x", b.Payload)
 	}
-	if b.IsIdle() || b.IsControl() {
+	if b.isIdle() || b.isControl() {
 		t.Fatal("data block misclassified as control")
 	}
 }
 
 func TestWithControlBitsRoundTrip(t *testing.T) {
-	b := IdleBlock().WithControlBits(0x00ab_cdef_0123_45)
-	if got := b.ControlBits(); got != 0x00ab_cdef_0123_45 {
+	b := IdleBlock().withControlBits(0x00ab_cdef_0123_45)
+	if got := b.controlBits(); got != 0x00ab_cdef_0123_45 {
 		t.Fatalf("control bits = %#x", got)
 	}
-	if b.BlockType() != BTIdle {
+	if b.blockType() != btIdle {
 		t.Fatal("block type clobbered by WithControlBits")
 	}
 }
@@ -47,20 +47,20 @@ func TestWithControlBitsOverflowPanics(t *testing.T) {
 			t.Fatal("57-bit control bits did not panic")
 		}
 	}()
-	IdleBlock().WithControlBits(1 << 56)
+	IdleBlock().withControlBits(1 << 56)
 }
 
 func TestBlockValidity(t *testing.T) {
 	if (Block{Sync: 0b00}).Valid() || (Block{Sync: 0b11}).Valid() {
 		t.Fatal("invalid sync header accepted")
 	}
-	if !(Block{Sync: SyncData}).Valid() || !(Block{Sync: SyncControl}).Valid() {
+	if !(Block{Sync: syncData}).Valid() || !(Block{Sync: syncControl}).Valid() {
 		t.Fatal("valid sync header rejected")
 	}
 }
 
 func TestBlockString(t *testing.T) {
-	for _, b := range []Block{IdleBlock(), DataBlock([8]byte{1}), {Sync: 3}} {
+	for _, b := range []Block{IdleBlock(), dataBlock([8]byte{1}), {Sync: 3}} {
 		if b.String() == "" {
 			t.Fatal("empty String()")
 		}
@@ -69,13 +69,13 @@ func TestBlockString(t *testing.T) {
 
 func TestScramblerRoundTrip(t *testing.T) {
 	s := NewScrambler()
-	d := NewDescrambler()
+	d := newDescrambler()
 	// The descrambler self-synchronizes within 58 bits; the first block
 	// may decode wrong, everything after must round-trip.
 	inputs := []uint64{0xdeadbeefcafef00d, 0x0123456789abcdef, 0, ^uint64(0), 0x1e}
-	_ = d.Descramble(s.Scramble(0xffffffffffffffff)) // sync block
+	_ = d.descramble(s.Scramble(0xffffffffffffffff)) // sync block
 	for _, in := range inputs {
-		if got := d.Descramble(s.Scramble(in)); got != in {
+		if got := d.descramble(s.Scramble(in)); got != in {
 			t.Fatalf("roundtrip(%#x) = %#x", in, got)
 		}
 	}
@@ -85,10 +85,10 @@ func TestScramblerSelfSynchronization(t *testing.T) {
 	// A descrambler starting from an arbitrary state must converge after
 	// one full block (64 > 58 state bits).
 	s := NewScrambler()
-	d := &Descrambler{state: 0x2aaa_aaaa_aaaa_aaa}
-	d.Descramble(s.Scramble(0x5555555555555555))
+	d := &descrambler{state: 0x2aaa_aaaa_aaaa_aaa}
+	d.descramble(s.Scramble(0x5555555555555555))
 	for i, in := range []uint64{1, 2, 3, 0xfedcba9876543210} {
-		if got := d.Descramble(s.Scramble(in)); got != in {
+		if got := d.descramble(s.Scramble(in)); got != in {
 			t.Fatalf("block %d after sync: got %#x want %#x", i, got, in)
 		}
 	}
@@ -103,10 +103,10 @@ func TestScramblerChangesBits(t *testing.T) {
 
 func TestScramblerRoundTripProperty(t *testing.T) {
 	s := NewScrambler()
-	d := NewDescrambler()
-	d.Descramble(s.Scramble(0)) // synchronize
+	d := newDescrambler()
+	d.descramble(s.Scramble(0)) // synchronize
 	f := func(in uint64) bool {
-		return d.Descramble(s.Scramble(in)) == in
+		return d.descramble(s.Scramble(in)) == in
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

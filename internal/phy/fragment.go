@@ -10,32 +10,32 @@ package phy
 // consecutive idle ordered sets. 4 × 14 = 56 bits carries the same
 // 3-bit type + 53-bit payload as one 10G /E/ block.
 
-// FragmentsPerMessage is how many ordered sets one DTP message spans at
+// fragmentsPerMessage is how many ordered sets one DTP message spans at
 // 1 GbE.
-const FragmentsPerMessage = 4
+const fragmentsPerMessage = 4
 
-// FragmentBits is the chunk width per fragment.
-const FragmentBits = 14
+// fragmentBits is the chunk width per fragment.
+const fragmentBits = 14
 
 // Fragment is one 16-bit ordered-set payload: seq in the top 2 bits,
 // chunk in the low 14.
 type Fragment uint16
 
-// Seq returns the fragment's position (0..3).
-func (f Fragment) Seq() int { return int(f >> FragmentBits) }
+// seq returns the fragment's position (0..3).
+func (f Fragment) seq() int { return int(f >> fragmentBits) }
 
-// Chunk returns the fragment's 14 data bits.
-func (f Fragment) Chunk() uint64 { return uint64(f) & (1<<FragmentBits - 1) }
+// chunk returns the fragment's 14 data bits.
+func (f Fragment) chunk() uint64 { return uint64(f) & (1<<fragmentBits - 1) }
 
 // FragmentMessage splits an encoded message (56 bits, as produced by
-// Codec.Encode) into four ordered-set fragments, chunk 0 carrying the
+// Codec.encode) into four ordered-set fragments, chunk 0 carrying the
 // least significant bits.
-func FragmentMessage(c Codec, m Message) [FragmentsPerMessage]Fragment {
-	bits := c.Encode(m)
-	var out [FragmentsPerMessage]Fragment
-	for i := 0; i < FragmentsPerMessage; i++ {
-		chunk := bits >> (i * FragmentBits) & (1<<FragmentBits - 1)
-		out[i] = Fragment(uint16(i)<<FragmentBits | uint16(chunk))
+func FragmentMessage(c Codec, m Message) [fragmentsPerMessage]Fragment {
+	bits := c.encode(m)
+	var out [fragmentsPerMessage]Fragment
+	for i := 0; i < fragmentsPerMessage; i++ {
+		chunk := bits >> (i * fragmentBits) & (1<<fragmentBits - 1)
+		out[i] = Fragment(uint16(i)<<fragmentBits | uint16(chunk))
 	}
 	return out
 }
@@ -58,40 +58,40 @@ func NewAssembler(codec Codec) *Assembler {
 // Push consumes one fragment. When the fourth in-order fragment lands,
 // it returns the decoded message.
 func (a *Assembler) Push(f Fragment) (m Message, ok bool) {
-	if f.Seq() != a.next {
+	if f.seq() != a.next {
 		// Out of order: drop any partial state. A seq-0 fragment can
 		// still start a fresh message.
 		a.next = 0
 		a.acc = 0
-		if f.Seq() != 0 {
+		if f.seq() != 0 {
 			return Message{}, false
 		}
 	}
-	a.acc |= f.Chunk() << (a.next * FragmentBits)
+	a.acc |= f.chunk() << (a.next * fragmentBits)
 	a.next++
-	if a.next < FragmentsPerMessage {
+	if a.next < fragmentsPerMessage {
 		return Message{}, false
 	}
 	bits := a.acc
 	a.next = 0
 	a.acc = 0
-	return a.codec.Decode(bits)
+	return a.codec.decode(bits)
 }
 
 // EmbedFragment packs a fragment into an idle block's control bits so
 // the existing wire model (propagation + bit errors over Block) carries
 // it; this stands in for the 8b/10b ordered set on the line.
 func EmbedFragment(f Fragment) Block {
-	return IdleBlock().WithControlBits(uint64(f))
+	return IdleBlock().withControlBits(uint64(f))
 }
 
 // ExtractFragment recovers a fragment from an idle block. ok is false
 // for a non-idle block or empty idles.
 func ExtractFragment(b Block) (Fragment, bool) {
-	if !b.IsIdle() {
+	if !b.isIdle() {
 		return 0, false
 	}
-	bits := b.ControlBits()
+	bits := b.controlBits()
 	if bits == 0 || bits>>16 != 0 {
 		return 0, false
 	}

@@ -17,7 +17,7 @@ func TestFragmentRoundTrip(t *testing.T) {
 		frags := FragmentMessage(c, m)
 		for i, f := range frags {
 			got, ok := a.Push(f)
-			if i < FragmentsPerMessage-1 {
+			if i < fragmentsPerMessage-1 {
 				if ok {
 					t.Fatalf("message completed after %d fragments", i+1)
 				}
@@ -34,10 +34,10 @@ func TestFragmentSeqAndChunk(t *testing.T) {
 	c := Codec{}
 	frags := FragmentMessage(c, Message{Type: MsgBeacon, Payload: 0x123456789abcd})
 	for i, f := range frags {
-		if f.Seq() != i {
-			t.Fatalf("fragment %d has seq %d", i, f.Seq())
+		if f.seq() != i {
+			t.Fatalf("fragment %d has seq %d", i, f.seq())
 		}
-		if f.Chunk()>>FragmentBits != 0 {
+		if f.chunk()>>fragmentBits != 0 {
 			t.Fatalf("chunk overflow in fragment %d", i)
 		}
 	}
@@ -95,7 +95,7 @@ func TestFragmentEmbedExtract(t *testing.T) {
 	if _, ok := ExtractFragment(IdleBlock()); ok {
 		t.Fatal("empty idle produced a fragment")
 	}
-	if _, ok := ExtractFragment(DataBlock([8]byte{1})); ok {
+	if _, ok := ExtractFragment(dataBlock([8]byte{1})); ok {
 		t.Fatal("data block produced a fragment")
 	}
 }

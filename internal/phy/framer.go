@@ -39,7 +39,7 @@ func BlocksPerFrame(frameOctets int) int {
 	return blocks + idleBlocks
 }
 
-// Encode converts frame octets into the block sequence /S/ D... /T/.
+// encode converts frame octets into the block sequence /S/ D... /T/.
 // The caller supplies the full frame including preamble; per clause 49
 // the first octet is replaced by the start control character, so frames
 // must be at least 8 octets.
@@ -49,16 +49,16 @@ func Encode(frame []byte) ([]Block, error) {
 	}
 	var blocks []Block
 	// Start block: type 0x78, octets 1..7 of the frame as D1..D7.
-	var p uint64 = BTStart
+	var p uint64 = btStart
 	for i := 0; i < 7; i++ {
 		p |= uint64(frame[1+i]) << (8 * (i + 1))
 	}
-	blocks = append(blocks, Block{Sync: SyncControl, Payload: p})
+	blocks = append(blocks, Block{Sync: syncControl, Payload: p})
 	rest := frame[8:]
 	for len(rest) >= 8 {
 		var oct [8]byte
 		copy(oct[:], rest[:8])
-		blocks = append(blocks, DataBlock(oct))
+		blocks = append(blocks, dataBlock(oct))
 		rest = rest[8:]
 	}
 	// Terminate block carrying len(rest) trailing octets.
@@ -67,19 +67,19 @@ func Encode(frame []byte) ([]Block, error) {
 	for i := 0; i < k; i++ {
 		p |= uint64(rest[i]) << (8 * (i + 1))
 	}
-	blocks = append(blocks, Block{Sync: SyncControl, Payload: p})
+	blocks = append(blocks, Block{Sync: syncControl, Payload: p})
 	return blocks, nil
 }
 
-// ErrBadSequence reports an invalid block sequence during decode.
-var ErrBadSequence = errors.New("phy: invalid block sequence")
+// errBadSequence reports an invalid block sequence during decode.
+var errBadSequence = errors.New("phy: invalid block sequence")
 
-// Decode reassembles a frame from its block sequence, inverting Encode.
+// decode reassembles a frame from its block sequence, inverting encode.
 // The first octet (consumed by the start control character) is restored
 // as the standard preamble octet 0x55.
 func Decode(blocks []Block) ([]byte, error) {
-	if len(blocks) < 2 || blocks[0].Sync != SyncControl || blocks[0].BlockType() != BTStart {
-		return nil, ErrBadSequence
+	if len(blocks) < 2 || blocks[0].Sync != syncControl || blocks[0].blockType() != btStart {
+		return nil, errBadSequence
 	}
 	frame := []byte{0x55}
 	p := blocks[0].Payload >> 8
@@ -88,20 +88,20 @@ func Decode(blocks []Block) ([]byte, error) {
 	}
 	for _, b := range blocks[1:] {
 		switch {
-		case b.Sync == SyncData:
+		case b.Sync == syncData:
 			for i := 0; i < 8; i++ {
 				frame = append(frame, byte(b.Payload>>(8*i)))
 			}
-		case b.Sync == SyncControl:
+		case b.Sync == syncControl:
 			k := -1
 			for j, tt := range termTypes {
-				if b.BlockType() == tt {
+				if b.blockType() == tt {
 					k = j
 					break
 				}
 			}
 			if k < 0 {
-				return nil, ErrBadSequence
+				return nil, errBadSequence
 			}
 			p := b.Payload >> 8
 			for i := 0; i < k; i++ {
@@ -109,8 +109,8 @@ func Decode(blocks []Block) ([]byte, error) {
 			}
 			return frame, nil
 		default:
-			return nil, ErrBadSequence
+			return nil, errBadSequence
 		}
 	}
-	return nil, ErrBadSequence // never saw a terminate block
+	return nil, errBadSequence // never saw a terminate block
 }

@@ -45,8 +45,8 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		nil,
 		{IdleBlock()},
 		{IdleBlock(), IdleBlock()},
-		{{Sync: SyncControl, Payload: BTStart}}, // start but no terminate
-		{{Sync: SyncControl, Payload: BTStart}, {Sync: 3}},
+		{{Sync: syncControl, Payload: btStart}}, // start but no terminate
+		{{Sync: syncControl, Payload: btStart}, {Sync: 3}},
 	}
 	for i, blocks := range cases {
 		if _, err := Decode(blocks); err == nil {
@@ -61,15 +61,15 @@ func TestEncodeBlockStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if blocks[0].BlockType() != BTStart {
+	if blocks[0].blockType() != btStart {
 		t.Fatal("first block not /S/")
 	}
 	last := blocks[len(blocks)-1]
-	if last.Sync != SyncControl || last.BlockType() != BTTerm0 {
+	if last.Sync != syncControl || last.blockType() != btTerm0 {
 		t.Fatalf("last block %v, want T0", last)
 	}
 	for _, b := range blocks[1 : len(blocks)-1] {
-		if b.Sync != SyncData {
+		if b.Sync != syncData {
 			t.Fatalf("interior block %v not data", b)
 		}
 	}
@@ -147,10 +147,10 @@ func TestProfilesReproduceTable2(t *testing.T) {
 }
 
 func TestProfileTickPeriod(t *testing.T) {
-	if ProfileFor(Speed10G).TickPeriod() != 6400*sim.Picosecond {
+	if ProfileFor(Speed10G).tickPeriod() != 6400*sim.Picosecond {
 		t.Fatal("10G tick period wrong")
 	}
-	if ProfileFor(Speed100G).TickPeriod() != 640*sim.Picosecond {
+	if ProfileFor(Speed100G).tickPeriod() != 640*sim.Picosecond {
 		t.Fatal("100G tick period wrong")
 	}
 }

@@ -37,11 +37,11 @@ func FuzzPHYDecode(f *testing.F) {
 			for _, fr := range frags {
 				blocks = append(blocks, EmbedFragment(fr))
 			}
-			f.Add(parity, c.Encode(m), fzRaw(append(blocks, c.EmbedMessage(m))...))
+			f.Add(parity, c.encode(m), fzRaw(append(blocks, c.EmbedMessage(m))...))
 		}
 	}
-	beacon := Codec{Parity: true}.Encode(Message{Type: MsgBeacon, Payload: 0xbeef})
-	f.Add(true, beacon^1<<(3+PayloadBits-1), fzRaw(IdleBlock().WithControlBits(beacon^1<<3)))
+	beacon := Codec{Parity: true}.encode(Message{Type: MsgBeacon, Payload: 0xbeef})
+	f.Add(true, beacon^1<<(3+PayloadBits-1), fzRaw(IdleBlock().withControlBits(beacon^1<<3)))
 	frame := make([]byte, 1518)
 	for i := range frame {
 		frame[i] = byte(i * 13)
@@ -54,8 +54,8 @@ func FuzzPHYDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, parity bool, bits uint64, raw []byte) {
 		c := Codec{Parity: parity}
-		if m, ok := c.Decode(bits); ok {
-			if got, want := c.Encode(m), bits&(1<<56-1); got != want {
+		if m, ok := c.decode(bits); ok {
+			if got, want := c.encode(m), bits&(1<<56-1); got != want {
 				t.Fatalf("Decode(%#x) = %+v re-encodes to %#x, want %#x", bits, m, got, want)
 			}
 		}

@@ -40,8 +40,8 @@ func (t MsgType) String() string {
 // least significant bits of the sender's counter.
 const PayloadBits = 53
 
-// PayloadMask masks a counter to the transmitted 53 bits.
-const PayloadMask = 1<<PayloadBits - 1
+// payloadMask masks a counter to the transmitted 53 bits.
+const payloadMask = 1<<PayloadBits - 1
 
 // Message is a decoded DTP protocol message.
 type Message struct {
@@ -64,9 +64,9 @@ func parityBit(payload uint64) uint64 {
 	return (payload ^ payload>>1 ^ payload>>2) & 1
 }
 
-// Encode packs a message into 56 control bits. It panics on a payload
-// wider than the codec allows; callers mask counters with PayloadMask.
-func (c Codec) Encode(m Message) uint64 {
+// encode packs a message into 56 control bits. It panics on a payload
+// wider than the codec allows; callers mask counters with payloadMask.
+func (c Codec) encode(m Message) uint64 {
 	if m.Type == MsgNone {
 		return 0
 	}
@@ -85,16 +85,16 @@ func (c Codec) Encode(m Message) uint64 {
 	return uint64(m.Type) | payload<<3
 }
 
-// Decode unpacks 56 control bits. ok is false for a plain idle block
+// decode unpacks 56 control bits. ok is false for a plain idle block
 // (type 0), an undefined type, or — in parity mode — a parity mismatch,
 // which the caller must treat as a dropped message per the paper's
 // failure-handling rule.
-func (c Codec) Decode(bits uint64) (m Message, ok bool) {
+func (c Codec) decode(bits uint64) (m Message, ok bool) {
 	t := MsgType(bits & 0b111)
 	if t == MsgNone || t > MsgBeaconMSB {
 		return Message{}, false
 	}
-	payload := bits >> 3 & PayloadMask
+	payload := bits >> 3 & payloadMask
 	if c.Parity {
 		got := payload >> (PayloadBits - 1)
 		payload &= 1<<(PayloadBits-1) - 1
@@ -111,21 +111,21 @@ func (c Codec) CounterMask() uint64 {
 	if c.Parity {
 		return 1<<(PayloadBits-1) - 1
 	}
-	return PayloadMask
+	return payloadMask
 }
 
 // EmbedMessage returns an idle block carrying m.
 func (c Codec) EmbedMessage(m Message) Block {
-	return IdleBlock().WithControlBits(c.Encode(m))
+	return IdleBlock().withControlBits(c.encode(m))
 }
 
 // ExtractMessage pulls a DTP message out of an idle block, returning the
 // scrubbed block (control bits restored to idles, as required so higher
 // layers never see DTP) and the message if one was present.
 func (c Codec) ExtractMessage(b Block) (clean Block, m Message, ok bool) {
-	if !b.IsIdle() {
+	if !b.isIdle() {
 		return b, Message{}, false
 	}
-	m, ok = c.Decode(b.ControlBits())
-	return b.WithControlBits(0), m, ok
+	m, ok = c.decode(b.controlBits())
+	return b.withControlBits(0), m, ok
 }

@@ -10,7 +10,7 @@ func TestMessageRoundTripNoParity(t *testing.T) {
 	for _, typ := range []MsgType{MsgInit, MsgInitAck, MsgBeacon, MsgBeaconJoin, MsgBeaconMSB} {
 		for _, payload := range []uint64{0, 1, 0x1f_ffff_ffff_ffff, 1 << 52} {
 			m := Message{Type: typ, Payload: payload}
-			got, ok := c.Decode(c.Encode(m))
+			got, ok := c.decode(c.encode(m))
 			if !ok || got != m {
 				t.Fatalf("roundtrip %v/%#x: got %v ok=%v", typ, payload, got, ok)
 			}
@@ -22,7 +22,7 @@ func TestMessageRoundTripParity(t *testing.T) {
 	c := Codec{Parity: true}
 	for _, payload := range []uint64{0, 7, 0xf_ffff_ffff_ffff} {
 		m := Message{Type: MsgBeacon, Payload: payload}
-		got, ok := c.Decode(c.Encode(m))
+		got, ok := c.decode(c.encode(m))
 		if !ok || got != m {
 			t.Fatalf("parity roundtrip %#x: got %v ok=%v", payload, got, ok)
 		}
@@ -31,10 +31,10 @@ func TestMessageRoundTripParity(t *testing.T) {
 
 func TestMessageNoneEncodesToZero(t *testing.T) {
 	c := Codec{}
-	if c.Encode(Message{Type: MsgNone}) != 0 {
+	if c.encode(Message{Type: MsgNone}) != 0 {
 		t.Fatal("MsgNone must encode to all-zero idle bits")
 	}
-	if _, ok := c.Decode(0); ok {
+	if _, ok := c.decode(0); ok {
 		t.Fatal("all-zero bits decoded as a message")
 	}
 }
@@ -42,7 +42,7 @@ func TestMessageNoneEncodesToZero(t *testing.T) {
 func TestMessageUndefinedTypeRejected(t *testing.T) {
 	c := Codec{}
 	for _, bits := range []uint64{6, 7} { // types 6 and 7 undefined
-		if _, ok := c.Decode(bits); ok {
+		if _, ok := c.decode(bits); ok {
 			t.Fatalf("undefined type %d accepted", bits)
 		}
 	}
@@ -55,16 +55,16 @@ func TestMessagePayloadOverflowPanics(t *testing.T) {
 			t.Fatal("54-bit payload did not panic")
 		}
 	}()
-	c.Encode(Message{Type: MsgBeacon, Payload: 1 << 53})
+	c.encode(Message{Type: MsgBeacon, Payload: 1 << 53})
 }
 
 func TestParityDetectsLSBErrors(t *testing.T) {
 	c := Codec{Parity: true}
-	bits := c.Encode(Message{Type: MsgBeacon, Payload: 0x1234})
+	bits := c.encode(Message{Type: MsgBeacon, Payload: 0x1234})
 	// Flip each of the three LSB payload bits (wire bits 3,4,5): parity
 	// must catch every single-bit error there.
 	for i := 3; i <= 5; i++ {
-		if _, ok := c.Decode(bits ^ 1<<i); ok {
+		if _, ok := c.decode(bits ^ 1<<i); ok {
 			t.Fatalf("flip of wire bit %d not detected", i)
 		}
 	}
@@ -75,7 +75,7 @@ func TestParityRoundTripProperty(t *testing.T) {
 	f := func(payload uint64) bool {
 		payload &= c.CounterMask()
 		m := Message{Type: MsgBeacon, Payload: payload}
-		got, ok := c.Decode(c.Encode(m))
+		got, ok := c.decode(c.encode(m))
 		return ok && got == m
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -96,7 +96,7 @@ func TestEmbedExtractMessage(t *testing.T) {
 	c := Codec{}
 	m := Message{Type: MsgBeaconJoin, Payload: 0xabcdef}
 	b := c.EmbedMessage(m)
-	if !b.IsIdle() {
+	if !b.isIdle() {
 		t.Fatal("embedded message not an idle block")
 	}
 	clean, got, ok := c.ExtractMessage(b)
@@ -104,14 +104,14 @@ func TestEmbedExtractMessage(t *testing.T) {
 		t.Fatalf("extract: got %v ok=%v", got, ok)
 	}
 	// Scrubbing: higher layers must see a pristine idle block (§4.2).
-	if clean.ControlBits() != 0 {
-		t.Fatalf("scrubbed block still carries bits: %#x", clean.ControlBits())
+	if clean.controlBits() != 0 {
+		t.Fatalf("scrubbed block still carries bits: %#x", clean.controlBits())
 	}
 }
 
 func TestExtractFromNonIdle(t *testing.T) {
 	c := Codec{}
-	b := DataBlock([8]byte{1, 2, 3})
+	b := dataBlock([8]byte{1, 2, 3})
 	clean, _, ok := c.ExtractMessage(b)
 	if ok {
 		t.Fatal("extracted message from data block")
@@ -134,12 +134,12 @@ func TestMessageSurvivesScrambling(t *testing.T) {
 	// link where the payload (including DTP bits) is scrambled.
 	c := Codec{Parity: true}
 	s := NewScrambler()
-	d := NewDescrambler()
-	d.Descramble(s.Scramble(0)) // sync
+	d := newDescrambler()
+	d.descramble(s.Scramble(0)) // sync
 	m := Message{Type: MsgBeacon, Payload: 0x000f_edcb_a987_6543 & c.CounterMask()}
 	tx := c.EmbedMessage(m)
 	wire := Block{Sync: tx.Sync, Payload: s.Scramble(tx.Payload)}
-	rx := Block{Sync: wire.Sync, Payload: d.Descramble(wire.Payload)}
+	rx := Block{Sync: wire.Sync, Payload: d.descramble(wire.Payload)}
 	_, got, ok := c.ExtractMessage(rx)
 	if !ok || got != m {
 		t.Fatalf("message through scrambler: got %v ok=%v", got, ok)

@@ -14,11 +14,11 @@ import (
 func TestPipelineFramesAndMessagesInterleaved(t *testing.T) {
 	codec := Codec{Parity: true}
 	scr := NewScrambler()
-	desc := NewDescrambler()
+	desc := newDescrambler()
 	// Link bring-up: the descrambler self-synchronizes within 58 bits;
 	// real links exchange idles during block alignment before any data.
 	for i := 0; i < 2; i++ {
-		desc.Descramble(scr.Scramble(IdleBlock().Payload))
+		desc.descramble(scr.Scramble(IdleBlock().Payload))
 	}
 
 	// Build the transmit stream: [IPG with message][frame][IPG with
@@ -48,7 +48,7 @@ func TestPipelineFramesAndMessagesInterleaved(t *testing.T) {
 	var rx []Block
 	for _, b := range stream {
 		wire := Block{Sync: b.Sync, Payload: scr.Scramble(b.Payload)}
-		rx = append(rx, Block{Sync: wire.Sync, Payload: desc.Descramble(wire.Payload)})
+		rx = append(rx, Block{Sync: wire.Sync, Payload: desc.descramble(wire.Payload)})
 	}
 
 	// RX DTP sublayer: pull messages out of idle blocks and scrub them;
@@ -64,7 +64,7 @@ func TestPipelineFramesAndMessagesInterleaved(t *testing.T) {
 	}
 	// Scrubbed stream must contain zero DTP residue.
 	for _, b := range scrubbed {
-		if b.IsIdle() && b.ControlBits() != 0 {
+		if b.isIdle() && b.controlBits() != 0 {
 			t.Fatalf("unscrubbed idle block: %v", b)
 		}
 	}
@@ -72,10 +72,10 @@ func TestPipelineFramesAndMessagesInterleaved(t *testing.T) {
 	var gotFrames [][]byte
 	for i := 0; i < len(scrubbed); {
 		b := scrubbed[i]
-		if b.Sync == SyncControl && b.BlockType() == BTStart {
+		if b.Sync == syncControl && b.blockType() == btStart {
 			j := i + 1
 			for ; j < len(scrubbed); j++ {
-				if scrubbed[j].Sync == SyncControl && scrubbed[j].BlockType() != BTStart {
+				if scrubbed[j].Sync == syncControl && scrubbed[j].blockType() != btStart {
 					break
 				}
 			}

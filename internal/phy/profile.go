@@ -83,9 +83,9 @@ func ProfileFor(s Speed) Profile {
 	panic(fmt.Sprintf("phy: unknown speed %v", s))
 }
 
-// TickPeriod returns the PCS clock period as simulated time (rounded to
+// tickPeriod returns the PCS clock period as simulated time (rounded to
 // ps; exact for all supported speeds).
-func (p Profile) TickPeriod() sim.Time {
+func (p Profile) tickPeriod() sim.Time {
 	return sim.Femto(p.PeriodFs)
 }
 

@@ -17,8 +17,8 @@ func NewScrambler() *Scrambler {
 	return &Scrambler{state: 0x3ff_ffff_ffff_ffff} // all 58 bits set
 }
 
-// ScrambleBit scrambles one bit.
-func (s *Scrambler) ScrambleBit(in uint64) uint64 {
+// scrambleBit scrambles one bit.
+func (s *Scrambler) scrambleBit(in uint64) uint64 {
 	out := (in ^ s.state>>38 ^ s.state>>57) & 1
 	s.state = s.state<<1&(1<<58-1) | out
 	return out
@@ -29,34 +29,34 @@ func (s *Scrambler) ScrambleBit(in uint64) uint64 {
 func (s *Scrambler) Scramble(payload uint64) uint64 {
 	var out uint64
 	for i := 0; i < 64; i++ {
-		out |= s.ScrambleBit(payload>>i&1) << i
+		out |= s.scrambleBit(payload>>i&1) << i
 	}
 	return out
 }
 
-// Descrambler is the matching self-synchronizing descrambler.
-type Descrambler struct {
+// descrambler is the matching self-synchronizing descrambler.
+type descrambler struct {
 	state uint64
 }
 
-// NewDescrambler returns a descrambler. Its initial state is deliberately
+// newDescrambler returns a descrambler. Its initial state is deliberately
 // different from the scrambler's to exercise self-synchronization.
-func NewDescrambler() *Descrambler {
-	return &Descrambler{}
+func newDescrambler() *descrambler {
+	return &descrambler{}
 }
 
-// DescrambleBit descrambles one bit.
-func (d *Descrambler) DescrambleBit(in uint64) uint64 {
+// descrambleBit descrambles one bit.
+func (d *descrambler) descrambleBit(in uint64) uint64 {
 	out := (in ^ d.state>>38 ^ d.state>>57) & 1
 	d.state = d.state<<1&(1<<58-1) | in&1
 	return out
 }
 
-// Descramble descrambles a 64-bit payload, least significant bit first.
-func (d *Descrambler) Descramble(payload uint64) uint64 {
+// descramble descrambles a 64-bit payload, least significant bit first.
+func (d *descrambler) descramble(payload uint64) uint64 {
 	var out uint64
 	for i := 0; i < 64; i++ {
-		out |= d.DescrambleBit(payload>>i&1) << i
+		out |= d.descrambleBit(payload>>i&1) << i
 	}
 	return out
 }

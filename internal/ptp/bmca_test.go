@@ -41,11 +41,11 @@ func TestBMCAPrefersLowerPriority(t *testing.T) {
 	sch, _, _, cs := failoverRig(t, 1)
 	sch.Run(3 * sim.Second)
 	for _, c := range cs {
-		if c.Master() != 1 {
-			t.Fatalf("client selected node %d, want primary 1", c.Master())
+		if c.master() != 1 {
+			t.Fatalf("client selected node %d, want primary 1", c.master())
 		}
-		if c.MasterSwitches() != 0 {
-			t.Fatalf("client switched %d times with a healthy primary", c.MasterSwitches())
+		if c.masterSwitches() != 0 {
+			t.Fatalf("client switched %d times with a healthy primary", c.masterSwitches())
 		}
 		if off := math.Abs(c.OffsetToMasterPs()) / 1000; off > 1000 {
 			t.Fatalf("client offset %.0f ns under primary", off)
@@ -59,13 +59,13 @@ func TestBMCAFailsOverAndBack(t *testing.T) {
 
 	// Primary dies: clients must adopt the backup within a few announce
 	// timeouts and converge to its (biased) clock.
-	primary.Stop()
+	primary.stop()
 	sch.RunFor(3 * sim.Second)
 	for _, c := range cs {
-		if c.Master() != 2 {
-			t.Fatalf("client still on node %d after primary death", c.Master())
+		if c.master() != 2 {
+			t.Fatalf("client still on node %d after primary death", c.master())
 		}
-		if c.MasterSwitches() == 0 {
+		if c.masterSwitches() == 0 {
 			t.Fatal("no failover recorded")
 		}
 		// The backup runs +300 ns fast; converged clients inherit that.
@@ -79,8 +79,8 @@ func TestBMCAFailsOverAndBack(t *testing.T) {
 	primary.Start()
 	sch.RunFor(3 * sim.Second)
 	for _, c := range cs {
-		if c.Master() != 1 {
-			t.Fatalf("client did not return to the primary (on %d)", c.Master())
+		if c.master() != 1 {
+			t.Fatalf("client did not return to the primary (on %d)", c.master())
 		}
 		if off := math.Abs(c.OffsetToMasterPs()) / 1000; off > 150 {
 			t.Fatalf("client offset %.0f ns after returning to primary", off)
@@ -102,17 +102,17 @@ func TestBMCAIgnoresForeignSyncs(t *testing.T) {
 	}
 }
 
-// TestGrandmasterRestartRunsOneSyncLoop: a Stop and Start within one
+// TestGrandmasterRestartRunsOneSyncLoop: a stop and Start within one
 // sync interval must leave one Sync loop running, not the stopped
 // loop's pending round plus a fresh one at twice the rate.
 func TestGrandmasterRestartRunsOneSyncLoop(t *testing.T) {
 	sch, primary, _, cs := failoverRig(t, 7)
 	sch.Run(sim.Second)
-	primary.Stop()
+	primary.stop()
 	primary.Start()
-	before, _, _ := cs[0].Stats()
+	before, _, _ := cs[0].stats()
 	sch.RunFor(10 * primary.cfg.SyncInterval)
-	syncs, _, _ := cs[0].Stats()
+	syncs, _, _ := cs[0].stats()
 	if n := syncs - before; n < 9 || n > 11 {
 		t.Fatalf("%d Syncs over 10 sync intervals after a restart, want about 10", n)
 	}
@@ -125,16 +125,16 @@ func TestRestartedClientRunsFreshLoops(t *testing.T) {
 	sch, primary, _, cs := failoverRig(t, 9)
 	sch.Run(sim.Second)
 	c := cs[0]
-	c.Stop()
+	c.stop()
 	c.Start()
-	_, before, _ := c.Stats()
+	_, before, _ := c.stats()
 	sch.RunFor(10 * c.cfg.DelayReqInterval)
-	if _, resps, _ := c.Stats(); resps-before < 9 || resps-before > 11 {
+	if _, resps, _ := c.stats(); resps-before < 9 || resps-before > 11 {
 		t.Fatalf("%d Delay_Resps over 10 intervals after a restart, want about 10", resps-before)
 	}
-	primary.Stop()
+	primary.stop()
 	sch.RunFor(3 * sim.Second)
-	if c.Master() != 2 {
-		t.Fatalf("restarted client still on node %d after primary death", c.Master())
+	if c.master() != 2 {
+		t.Fatalf("restarted client still on node %d after primary death", c.master())
 	}
 }

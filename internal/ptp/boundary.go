@@ -51,9 +51,3 @@ func (bc *BoundaryClock) Start() {
 	bc.Client.Start()
 	bc.master.Start()
 }
-
-// Stop halts both halves.
-func (bc *BoundaryClock) Stop() {
-	bc.Client.Stop()
-	bc.master.Stop()
-}

@@ -19,7 +19,7 @@ type Client struct {
 	node int
 	gm   int
 
-	PHC *PHC
+	PHC *phc
 
 	// Sync pairing state.
 	pendingT2 map[uint64]float64 // seq -> corrected t2
@@ -37,7 +37,7 @@ type Client struct {
 	// Servo.
 	servo   servo
 	stopped bool
-	// The pending delayRound and bmcaWatchdog, cancelled by Stop so a
+	// The pending delayRound and bmcaWatchdog, cancelled by stop so a
 	// restart runs exactly the loops a fresh start does.
 	delayEv, watchdogEv sim.Event
 	// synced flips after the first clock correction: like production
@@ -63,7 +63,7 @@ func NewClient(n *fabric.Network, node, gm int, cfg Config, seed uint64) *Client
 	rng := sim.NewRNG(seed, fmt.Sprintf("ptp/client/%d", node))
 	c := &Client{
 		net: n, cfg: cfg, node: node, gm: gm, rng: rng,
-		PHC:        NewPHC(n.Sch, rng.Uniform(-ppmRange, ppmRange)),
+		PHC:        newPHC(n.Sch, rng.Uniform(-ppmRange, ppmRange)),
 		pendingT2:  map[uint64]float64{},
 		pendingReq: map[uint64]float64{},
 	}
@@ -122,13 +122,13 @@ func (c *Client) selectMaster() {
 	c.synced = false // first measurement against the new master steps
 }
 
-// MasterSwitches reports how many BMCA failovers occurred.
-func (c *Client) MasterSwitches() uint64 { return c.switches }
+// masterSwitches reports how many BMCA failovers occurred.
+func (c *Client) masterSwitches() uint64 { return c.switches }
 
-// Master returns the currently selected master node.
-func (c *Client) Master() int { return c.gm }
+// master returns the currently selected master node.
+func (c *Client) master() int { return c.gm }
 
-// Start begins the Delay_Req cadence and, after a Stop, re-arms the
+// Start begins the Delay_Req cadence and, after a stop, re-arms the
 // BMCA watchdog (NewClient arms it for a fresh client).
 func (c *Client) Start() {
 	c.stopped = false
@@ -138,9 +138,9 @@ func (c *Client) Start() {
 	}
 }
 
-// Stop halts the client's transmissions and master selection (received
+// stop halts the client's transmissions and master selection (received
 // messages are ignored).
-func (c *Client) Stop() {
+func (c *Client) stop() {
 	c.stopped = true
 	c.delayEv.Cancel()
 	c.watchdogEv.Cancel()
@@ -153,8 +153,8 @@ func (c *Client) OffsetToMasterPs() float64 {
 	return c.PHC.At(now) - float64(now)
 }
 
-// Stats returns protocol counters.
-func (c *Client) Stats() (syncs, delayResps, steps uint64) {
+// stats returns protocol counters.
+func (c *Client) stats() (syncs, delayResps, steps uint64) {
 	return c.syncs, c.resps, c.steps
 }
 

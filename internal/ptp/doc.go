@@ -12,10 +12,10 @@ import (
 	"github.com/dtplab/dtp/internal/swclock"
 )
 
-// PHC is a PTP hardware clock: a steerable clock on the NIC.
-type PHC = swclock.Clock
+// phc is a PTP hardware clock: a steerable clock on the NIC.
+type phc = swclock.Clock
 
-// NewPHC creates a hardware clock with the given true oscillator error.
-func NewPHC(sch *sim.Scheduler, hwPPM float64) *PHC {
+// newPHC creates a hardware clock with the given true oscillator error.
+func newPHC(sch *sim.Scheduler, hwPPM float64) *phc {
 	return swclock.New(sch, hwPPM)
 }

@@ -45,14 +45,14 @@ func NewGrandmaster(n *fabric.Network, node int, clients []int, cfg Config, seed
 	return gm
 }
 
-// Time returns this master's PTP time (ps) at real time t.
-func (gm *Grandmaster) Time(t sim.Time) float64 { return gm.source(t) }
+// time returns this master's PTP time (ps) at real time t.
+func (gm *Grandmaster) time(t sim.Time) float64 { return gm.source(t) }
 
 // hwStamp models reading a hardware timestamp: true time plus uniform
 // latching jitter.
 func (gm *Grandmaster) hwStamp(t sim.Time) float64 {
 	j := timestampJitterNs * 1000
-	return gm.Time(t) + gm.rng.Uniform(-j, j)
+	return gm.time(t) + gm.rng.Uniform(-j, j)
 }
 
 // Start begins the Sync cadence.
@@ -60,9 +60,9 @@ func (gm *Grandmaster) Start() {
 	gm.syncEv = gm.net.Sch.After(gm.rng.UniformTime(0, gm.cfg.SyncInterval), gm.syncRound)
 }
 
-// Stop halts Sync transmission. It cancels the pending round, so a
+// stop halts Sync transmission. It cancels the pending round, so a
 // later Start runs one Sync loop, not two.
-func (gm *Grandmaster) Stop() { gm.syncEv.Cancel() }
+func (gm *Grandmaster) stop() { gm.syncEv.Cancel() }
 
 func (gm *Grandmaster) syncRound() {
 	for _, c := range gm.clients {

@@ -11,7 +11,7 @@ import (
 
 func TestPHCRate(t *testing.T) {
 	sch := sim.NewScheduler()
-	phc := NewPHC(sch, 50) // +50 ppm
+	phc := newPHC(sch, 50) // +50 ppm
 	sch.Run(sim.Second)
 	got := phc.Now()
 	want := 1e12 * (1 + 50e-6)
@@ -22,7 +22,7 @@ func TestPHCRate(t *testing.T) {
 
 func TestPHCStepAndAdjFreq(t *testing.T) {
 	sch := sim.NewScheduler()
-	phc := NewPHC(sch, 0)
+	phc := newPHC(sch, 0)
 	sch.Run(sim.Second)
 	phc.Step(-500)
 	if math.Abs(phc.Now()-(1e12-500)) > 1e-3 {
@@ -43,7 +43,7 @@ func TestPHCStepAndAdjFreq(t *testing.T) {
 
 func TestPHCRebasePreservesHistory(t *testing.T) {
 	sch := sim.NewScheduler()
-	phc := NewPHC(sch, 25)
+	phc := newPHC(sch, 25)
 	sch.Run(sim.Second)
 	before := phc.Now()
 	phc.SetHwPPM(-25)
@@ -59,7 +59,7 @@ func TestServoConvergesConstantDrift(t *testing.T) {
 	// Feed the servo the offsets a +30 ppm clock would accumulate; its
 	// integral must converge near -30000 ppb.
 	sch := sim.NewScheduler()
-	phc := NewPHC(sch, 30)
+	phc := newPHC(sch, 30)
 	var s servo
 	interval := sim.Second
 	for i := 0; i < 60; i++ {
@@ -121,7 +121,7 @@ func TestPTPConvergesOnIdleNetwork(t *testing.T) {
 		t.Fatalf("idle PTP offset %.1f ns is implausibly perfect", worst)
 	}
 	for _, c := range clients {
-		syncs, resps, _ := c.Stats()
+		syncs, resps, _ := c.stats()
 		if syncs == 0 || resps == 0 {
 			t.Fatal("client starved of protocol messages")
 		}
@@ -132,7 +132,7 @@ func TestPTPInitialStepHappens(t *testing.T) {
 	sch, clients := deploy(t, 7)
 	sch.Run(5 * sim.Second)
 	for _, c := range clients {
-		if _, _, steps := c.Stats(); steps == 0 {
+		if _, _, steps := c.stats(); steps == 0 {
 			t.Fatal("client with ±1ms initial error never stepped")
 		}
 	}

@@ -113,8 +113,8 @@ func runEquivalenceSeed(t *testing.T, seed uint64) {
 				seed, h, lanes.s.Pending(), heap.s.Pending())
 		}
 	}
-	lanes.s.Drain()
-	heap.s.Drain()
+	drain(lanes.s)
+	drain(heap.s)
 	eqSorted(t, heap.log)
 	eqCompare(t, lanes.log, heap.log)
 	if lanes.s.Processed() != heap.s.Processed() {
@@ -190,8 +190,8 @@ func TestLaneHeapEquivalencePeriodic(t *testing.T) {
 	lanes, heap := NewScheduler(), NewHeapScheduler()
 	mkAll(lanes, &lanesLog)
 	mkAll(heap, &heapLog)
-	lanes.Drain()
-	heap.Drain()
+	drain(lanes)
+	drain(heap)
 	eqCompare(t, lanesLog, heapLog)
 	if st := lanes.QueueStats(); st.LaneInserts == 0 || st.LaneOverflows == 0 {
 		t.Fatalf("periodic mix should both fill lanes and overflow them: %+v", st)
@@ -245,8 +245,8 @@ func eqBoth(t *testing.T, script func(r *eqRig)) *eqRig {
 	lanes, heap := &eqRig{s: NewScheduler()}, &eqRig{s: NewHeapScheduler()}
 	script(lanes)
 	script(heap)
-	lanes.s.Drain()
-	heap.s.Drain()
+	drain(lanes.s)
+	drain(heap.s)
 	eqCompare(t, lanes.log, heap.log)
 	return lanes
 }
@@ -333,7 +333,7 @@ func TestLaneEquivalence(t *testing.T) {
 		if st := s.QueueStats(); st.LaneInserts != 23 || st.LaneOverflows != 2 || st.HeapPending != 2 {
 			t.Fatalf("want two refusals resident in the heap: %+v", st)
 		}
-		s.Drain()
+		drain(s)
 		eqWantIDs(t, r, 0, 10, 1, 11, 2, 12, 3, 13, 4, 14, 101, 5, 15, 100, 6, 16, 7, 17, 8, 18, 102, 103, 9, 19, 104)
 	})
 
@@ -450,7 +450,7 @@ func TestLaneEquivalence(t *testing.T) {
 			if c.Cancel() || c.Pending() || a.Cancel() {
 				t.Fatal("stale handle touched the slot's lane tenant")
 			}
-			if !b.Pending() || b.At() != 9*Nanosecond {
+			if !b.Pending() || b.at() != 9*Nanosecond {
 				t.Fatal("live tenant disturbed by stale handles")
 			}
 		})

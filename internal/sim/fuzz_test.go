@@ -101,7 +101,7 @@ func (w *fzWorker) run() {
 			w.pending = append(w.pending, w.s.Pending())
 		}
 	}
-	w.s.Drain()
+	drain(w.s)
 }
 
 // sorted fails unless the log is in (time, Key) order.

@@ -13,7 +13,7 @@ func TestSchedulerHighWaterPending(t *testing.T) {
 	if hw := s.HighWaterPending(); hw != 10 {
 		t.Fatalf("high water %d after queuing 10, want 10", hw)
 	}
-	s.Drain()
+	drain(s)
 	if s.Pending() != 0 {
 		t.Fatal("drain left events queued")
 	}

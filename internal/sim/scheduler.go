@@ -71,9 +71,9 @@ func (e Event) Pending() bool {
 	return e.s != nil && e.s.slots[e.slot].gen == e.gen && e.s.slots[e.slot].pending
 }
 
-// At returns the simulated time the event is scheduled for, or 0 if the
+// at returns the simulated time the event is scheduled for, or 0 if the
 // event already fired, was cancelled, or is the zero Event.
-func (e Event) At() Time {
+func (e Event) at() Time {
 	if !e.Pending() {
 		return 0
 	}
@@ -451,13 +451,6 @@ func (s *Scheduler) AfterRun(fn func()) { s.afterRun = append(s.afterRun, fn) }
 
 // RunFor advances the simulation by d. See Run.
 func (s *Scheduler) RunFor(d Time) { s.Run(s.now + d) }
-
-// Drain dispatches every remaining event regardless of timestamp.
-// Intended for tests; production experiments always run to a horizon.
-func (s *Scheduler) Drain() {
-	for s.Step() {
-	}
-}
 
 // pastSchedule, negativeDelay and keyAhead are the scheduler's panic
 // values for a modelling bug. Being plain values rather than formatted

@@ -300,7 +300,7 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	}
 	s.After(Nanosecond, next)
 	b.ResetTimer()
-	s.Drain()
+	drain(s)
 }
 
 // Due is the bound deferred work is applied to: inside a dispatch, what
@@ -358,4 +358,10 @@ func TestPanicValuesKeepText(t *testing.T) {
 	s := NewScheduler()
 	s.Run(Second)
 	s.At(Millisecond, func() {})
+}
+
+// drain dispatches every remaining event regardless of timestamp.
+func drain(s *Scheduler) {
+	for s.Step() {
+	}
 }

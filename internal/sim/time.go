@@ -51,8 +51,8 @@ func (e fsOverflow) Error() string {
 // Seconds returns t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Nanoseconds returns t as floating-point nanoseconds.
-func (t Time) Nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
+// nanoseconds returns t as floating-point nanoseconds.
+func (t Time) nanoseconds() float64 { return float64(t) / float64(Nanosecond) }
 
 // Std converts t to a time.Duration (nanosecond resolution, truncated).
 func (t Time) Std() time.Duration { return time.Duration(int64(t) / 1000) }
@@ -74,7 +74,7 @@ func (t Time) String() string {
 	case t > Microsecond || t < -Microsecond:
 		return fmt.Sprintf("%.6gus", float64(t)/float64(Microsecond))
 	case t > Nanosecond || t < -Nanosecond:
-		return fmt.Sprintf("%.6gns", t.Nanoseconds())
+		return fmt.Sprintf("%.6gns", t.nanoseconds())
 	default:
 		return fmt.Sprintf("%dps", int64(t))
 	}

@@ -109,8 +109,8 @@ func TestCancelRecyclesImmediately(t *testing.T) {
 	if !e2.Pending() {
 		t.Fatal("recycled event lost by stale-handle interference")
 	}
-	if e2.At() != 2*Second {
-		t.Fatalf("recycled event At() = %v, want 2s", e2.At())
+	if e2.at() != 2*Second {
+		t.Fatalf("recycled event At() = %v, want 2s", e2.at())
 	}
 }
 

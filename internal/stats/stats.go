@@ -12,7 +12,7 @@ import (
 
 // Summary accumulates streaming min/max/mean/variance over every value
 // added, plus quantiles over a window of the most recent values: N, Min,
-// Max, MaxAbs, Mean and Stddev describe the whole stream, Quantile and
+// Max, MaxAbs, Mean and stddev describe the whole stream, Quantile and
 // QuantileAbs only the window.
 type Summary struct {
 	n          uint64
@@ -80,8 +80,8 @@ func (s *Summary) MaxAbs() float64 {
 // Mean returns the arithmetic mean.
 func (s *Summary) Mean() float64 { return s.mean }
 
-// Stddev returns the sample standard deviation.
-func (s *Summary) Stddev() float64 {
+// stddev returns the sample standard deviation.
+func (s *Summary) stddev() float64 {
 	if s.n < 2 {
 		return 0
 	}
@@ -123,7 +123,7 @@ func (s *Summary) String() string {
 		return "n=0"
 	}
 	return fmt.Sprintf("n=%d min=%.4g p50=%.4g p99=%.4g max=%.4g mean=%.4g sd=%.4g",
-		s.n, s.min, s.Quantile(0.5), s.Quantile(0.99), s.max, s.mean, s.Stddev())
+		s.n, s.min, s.Quantile(0.5), s.Quantile(0.99), s.max, s.mean, s.stddev())
 }
 
 // IntHist is a histogram over small integers (offsets in ticks).
@@ -146,8 +146,8 @@ func (h *IntHist) Add(v int64) {
 // Total returns the sample count.
 func (h *IntHist) Total() uint64 { return h.total }
 
-// Count returns the count at a value.
-func (h *IntHist) Count(v int64) uint64 { return h.counts[v] }
+// count returns the count at a value.
+func (h *IntHist) count(v int64) uint64 { return h.counts[v] }
 
 // Range returns the smallest and largest recorded values.
 func (h *IntHist) Range() (lo, hi int64) {

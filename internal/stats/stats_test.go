@@ -15,8 +15,8 @@ func TestSummaryBasics(t *testing.T) {
 	if s.N() != 5 || s.Min() != 1 || s.Max() != 5 || s.Mean() != 3 {
 		t.Fatalf("summary: %s", s)
 	}
-	if math.Abs(s.Stddev()-math.Sqrt(2.5)) > 1e-12 {
-		t.Fatalf("stddev %v", s.Stddev())
+	if math.Abs(s.stddev()-math.Sqrt(2.5)) > 1e-12 {
+		t.Fatalf("stddev %v", s.stddev())
 	}
 	if s.MaxAbs() != 5 {
 		t.Fatalf("maxabs %v", s.MaxAbs())
@@ -146,7 +146,7 @@ func TestIntHistPDF(t *testing.T) {
 	if probs[0] != 0.75 || probs[1] != 0 || probs[2] != 0.25 {
 		t.Fatalf("probs %v", probs)
 	}
-	if h.Total() != 4 || h.Count(0) != 3 {
+	if h.Total() != 4 || h.count(0) != 3 {
 		t.Fatal("counts")
 	}
 	lo, hi := h.Range()

@@ -13,8 +13,8 @@ import (
 	"github.com/dtplab/dtp/internal/sim"
 )
 
-// FlightSchema is the bundle file's schema identifier.
-const FlightSchema = "dtp-flight/1"
+// flightSchema is the bundle file's schema identifier.
+const flightSchema = "dtp-flight/1"
 
 // FlightConfig configures a Recorder.
 type FlightConfig struct {
@@ -152,7 +152,7 @@ func (r *Recorder) Trigger(reason, detail string) {
 // dump assembles and writes one bundle. Caller holds r.mu.
 func (r *Recorder) dump(at sim.Time, reason, detail string) error {
 	b := Bundle{
-		Schema: FlightSchema,
+		Schema: flightSchema,
 		Seed:   r.cfg.Seed,
 		Seq:    len(r.bundles),
 		Reason: reason,
@@ -180,10 +180,10 @@ func (r *Recorder) dump(at sim.Time, reason, detail string) error {
 	}
 	if r.tl != nil {
 		bt := &BundleTimeline{
-			IntervalPs: int64(r.tl.Interval()),
-			Columns:    r.tl.Columns(),
+			IntervalPs: int64(r.tl.cadence()),
+			Columns:    r.tl.columns(),
 		}
-		for _, row := range r.tl.Rows() {
+		for _, row := range r.tl.retainedRows() {
 			bt.Rows = append(bt.Rows, wireRow(row))
 		}
 		b.Timeline = bt
@@ -277,7 +277,7 @@ func wireEvent(e Event) BundleEvent {
 // Event converts the wire form back; ok is false when the kind is one
 // this build does not know.
 func (w BundleEvent) Event() (_ Event, ok bool) {
-	k, ok := KindFromString(w.Kind)
+	k, ok := kindFromString(w.Kind)
 	return Event{
 		Seq: w.Seq, At: sim.Time(w.TPs), Kind: k,
 		Who: w.Who, V1: w.V1, V2: w.V2, Detail: w.Detail,
@@ -291,7 +291,7 @@ type BundleTimeline struct {
 	Rows       []BundleRow `json:"rows"`
 }
 
-// BundleRow is the wire form of a TimelineRow: one line of a timeline
+// BundleRow is the wire form of a timelineRow: one line of a timeline
 // JSONL dump and one row of a bundle's timeline window.
 type BundleRow struct {
 	TPs int64     `json:"t_ps"`
@@ -299,7 +299,7 @@ type BundleRow struct {
 }
 
 // wireRow is the wire form of r.
-func wireRow(r TimelineRow) BundleRow {
+func wireRow(r timelineRow) BundleRow {
 	br := BundleRow{TPs: int64(r.At), V: make([]jsonNum, len(r.V))}
 	for i, v := range r.V {
 		br.V[i] = jsonNum(v)
@@ -363,7 +363,7 @@ func decodeBundle(data []byte) (*Bundle, error) {
 	if err := json.Unmarshal(data, &b); err != nil {
 		return nil, err
 	}
-	if b.Schema != FlightSchema {
+	if b.Schema != flightSchema {
 		return nil, fmt.Errorf("unknown schema %q", b.Schema)
 	}
 	if b.Trace != nil {

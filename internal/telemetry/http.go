@@ -32,7 +32,7 @@ func Handler(r *Registry, t *Tracer) http.Handler {
 		if raw := q.Get("kind"); raw != "" {
 			var mask uint64
 			for _, name := range strings.Split(raw, ",") {
-				k, ok := KindFromString(strings.TrimSpace(name))
+				k, ok := kindFromString(strings.TrimSpace(name))
 				if !ok {
 					http.Error(w, fmt.Sprintf("unknown trace kind %q", strings.TrimSpace(name)), http.StatusBadRequest)
 					return

@@ -136,12 +136,12 @@ func TestHandlerRootAndNotFound(t *testing.T) {
 
 func TestKindFromString(t *testing.T) {
 	for k := Kind(0); int(k) < len(kindNames); k++ {
-		got, ok := KindFromString(k.String())
+		got, ok := kindFromString(k.String())
 		if !ok || got != k {
 			t.Fatalf("round trip failed for %v", k)
 		}
 	}
-	if _, ok := KindFromString("nonsense"); ok {
+	if _, ok := kindFromString("nonsense"); ok {
 		t.Fatal("accepted unknown kind")
 	}
 }

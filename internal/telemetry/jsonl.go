@@ -8,14 +8,14 @@ import (
 	"strings"
 )
 
-// TraceSchema is the header line's schema identifier for JSONL trace
+// traceSchema is the header line's schema identifier for JSONL trace
 // dumps.
-const TraceSchema = "dtp-trace/1"
+const traceSchema = "dtp-trace/1"
 
-// TraceHeader is the first line of a JSONL trace dump. Dropped is the
+// traceHeader is the first line of a JSONL trace dump. Dropped is the
 // ring-overflow count — without it a reader has no way to tell a quiet
 // run from one whose history was mostly evicted.
-type TraceHeader struct {
+type traceHeader struct {
 	Schema  string `json:"schema"`
 	Events  int    `json:"events"`
 	Total   uint64 `json:"total"`
@@ -33,7 +33,7 @@ func newJSONLEncoder(w io.Writer) *json.Encoder {
 // WriteTraceHeader writes the header line. Field order is fixed for
 // byte-determinism.
 func WriteTraceHeader(w io.Writer, events int, total, dropped uint64) error {
-	h := TraceHeader{Schema: TraceSchema, Events: events, Total: total, Dropped: dropped}
+	h := traceHeader{Schema: traceSchema, Events: events, Total: total, Dropped: dropped}
 	if err := newJSONLEncoder(w).Encode(h); err != nil {
 		return fmt.Errorf("telemetry: trace header: %w", err)
 	}
@@ -89,9 +89,9 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 
 // ReadJSONLHeader is ReadJSONL plus the parsed header line, when the
 // dump has one.
-func ReadJSONLHeader(r io.Reader) ([]Event, *TraceHeader, error) {
+func ReadJSONLHeader(r io.Reader) ([]Event, *traceHeader, error) {
 	var out []Event
-	var hdr *TraceHeader
+	var hdr *traceHeader
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	line := 0
@@ -102,11 +102,11 @@ func ReadJSONLHeader(r io.Reader) ([]Event, *TraceHeader, error) {
 			continue
 		}
 		if line == 1 && strings.Contains(text, `"schema"`) {
-			var h TraceHeader
+			var h traceHeader
 			if err := json.Unmarshal([]byte(text), &h); err != nil {
 				return nil, nil, fmt.Errorf("telemetry: trace header: %w", err)
 			}
-			if h.Schema != TraceSchema {
+			if h.Schema != traceSchema {
 				return nil, nil, fmt.Errorf("telemetry: trace header: unknown schema %q", h.Schema)
 			}
 			hdr = &h

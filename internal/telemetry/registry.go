@@ -447,8 +447,8 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of observations.
-func (h *Histogram) Sum() float64 {
+// sum returns the sum of observations.
+func (h *Histogram) sum() float64 {
 	if h == nil {
 		return 0
 	}
@@ -471,11 +471,11 @@ func (h *Histogram) Max() float64 {
 	return math.Float64frombits(h.maxBits.Load())
 }
 
-// Quantile returns an estimate of the q-th quantile (0..1) by linear
+// quantile returns an estimate of the q-th quantile (0..1) by linear
 // interpolation within the bucket where the cumulative count crosses
 // q*total. Resolution is the bucket width; exact min/max clamp the
 // extremes. NaN when empty.
-func (h *Histogram) Quantile(q float64) float64 {
+func (h *Histogram) quantile(q float64) float64 {
 	if h == nil || h.Count() == 0 {
 		return math.NaN()
 	}
@@ -520,8 +520,8 @@ func (h *Histogram) Quantile(q float64) float64 {
 // roughly symmetric distribution: max(Q(q), -Q(1-q)). Convenient for
 // "p99 of |offset|" reporting.
 func (h *Histogram) QuantileAbs(q float64) float64 {
-	hiQ := h.Quantile(q)
-	loQ := -h.Quantile(1 - q)
+	hiQ := h.quantile(q)
+	loQ := -h.quantile(1 - q)
 	if loQ > hiQ {
 		return loQ
 	}
@@ -536,7 +536,7 @@ func (h *Histogram) writeExposition(b *strings.Builder, name, labels string) {
 	}
 	cum += h.buckets[len(h.upper)].Load()
 	writeSample(b, name+"_bucket", joinLabels(labels, `le="+Inf"`), float64(cum))
-	writeSample(b, name+"_sum", labels, h.Sum())
+	writeSample(b, name+"_sum", labels, h.sum())
 	writeSample(b, name+"_count", labels, float64(h.Count()))
 }
 

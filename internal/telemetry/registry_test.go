@@ -25,7 +25,7 @@ func TestNilSafety(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil handles must read as zero")
 	}
-	if !math.IsNaN(h.Quantile(0.5)) {
+	if !math.IsNaN(h.quantile(0.5)) {
 		t.Fatal("nil histogram quantile must be NaN")
 	}
 	var tr *Tracer
@@ -72,16 +72,16 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Min() != -5 || h.Max() != 5 {
 		t.Fatalf("min/max = %v/%v, want -5/5", h.Min(), h.Max())
 	}
-	if q := h.Quantile(0.5); q < -1.5 || q > 1.5 {
+	if q := h.quantile(0.5); q < -1.5 || q > 1.5 {
 		t.Fatalf("median %v too far from 0", q)
 	}
-	if q := h.Quantile(1); q != 5 {
+	if q := h.quantile(1); q != 5 {
 		t.Fatalf("Q(1) = %v, want 5 (exact max)", q)
 	}
 	if q := h.QuantileAbs(0.99); q < 4 || q > 5 {
 		t.Fatalf("QuantileAbs(0.99) = %v, want ~5", q)
 	}
-	if s := h.Sum(); s != 0 {
+	if s := h.sum(); s != 0 {
 		t.Fatalf("sum = %v, want 0", s)
 	}
 }
@@ -113,11 +113,11 @@ func TestHistogramBatchMatchesDirectObserve(t *testing.T) {
 	}
 	b.Flush()
 	b.Flush() // empty flush is a no-op
-	if batched.Count() != direct.Count() || batched.Sum() != direct.Sum() ||
+	if batched.Count() != direct.Count() || batched.sum() != direct.sum() ||
 		batched.Min() != direct.Min() || batched.Max() != direct.Max() {
 		t.Fatalf("batched count/sum/min/max = %d/%v/%v/%v, direct = %d/%v/%v/%v",
-			batched.Count(), batched.Sum(), batched.Min(), batched.Max(),
-			direct.Count(), direct.Sum(), direct.Min(), direct.Max())
+			batched.Count(), batched.sum(), batched.Min(), batched.Max(),
+			direct.Count(), direct.sum(), direct.Min(), direct.Max())
 	}
 	for i := range direct.buckets {
 		if got, want := batched.buckets[i].Load(), direct.buckets[i].Load(); got != want {

@@ -35,7 +35,7 @@ type Timeline struct {
 
 	mu    sync.Mutex
 	prev  []float64     // last cumulative value per column, rate columns only
-	rows  []TimelineRow // ring
+	rows  []timelineRow // ring
 	next  int
 	count int
 	total uint64 // rows ever sampled (dropped = total - count)
@@ -50,9 +50,9 @@ type TimelineColumn struct {
 	Rate  bool
 }
 
-// TimelineRow is one sampled snapshot: the simulated instant plus one
+// timelineRow is one sampled snapshot: the simulated instant plus one
 // value per column, in registration order.
-type TimelineRow struct {
+type timelineRow struct {
 	At sim.Time
 	V  []float64
 }
@@ -73,7 +73,7 @@ func NewTimeline(sch *sim.Scheduler, interval sim.Time, cols []TimelineColumn) *
 		interval: interval,
 		cols:     cols,
 		prev:     make([]float64, len(cols)),
-		rows:     make([]TimelineRow, timelineCapacity),
+		rows:     make([]timelineRow, timelineCapacity),
 	}
 	for i, c := range cols {
 		if c.Rate {
@@ -89,8 +89,8 @@ func NewTimeline(sch *sim.Scheduler, interval sim.Time, cols []TimelineColumn) *
 	return t
 }
 
-// Interval returns the sampling cadence.
-func (t *Timeline) Interval() sim.Time {
+// cadence returns the sampling cadence.
+func (t *Timeline) cadence() sim.Time {
 	if t == nil {
 		return 0
 	}
@@ -101,7 +101,7 @@ func (t *Timeline) Interval() sim.Time {
 func (t *Timeline) sample(at sim.Time) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	row := TimelineRow{At: at, V: make([]float64, len(t.cols))}
+	row := timelineRow{At: at, V: make([]float64, len(t.cols))}
 	secs := t.interval.Seconds()
 	for i, c := range t.cols {
 		v := c.Probe()
@@ -120,8 +120,8 @@ func (t *Timeline) sample(at sim.Time) {
 	t.total++
 }
 
-// Columns returns the column names in row value order.
-func (t *Timeline) Columns() []string {
+// columns returns the column names in row value order.
+func (t *Timeline) columns() []string {
 	if t == nil {
 		return nil
 	}
@@ -132,8 +132,8 @@ func (t *Timeline) Columns() []string {
 	return out
 }
 
-// Rows returns the retained rows in chronological order (deep copy).
-func (t *Timeline) Rows() []TimelineRow {
+// retainedRows returns the retained rows in chronological order (deep copy).
+func (t *Timeline) retainedRows() []timelineRow {
 	if t == nil {
 		return nil
 	}
@@ -142,16 +142,16 @@ func (t *Timeline) Rows() []TimelineRow {
 	return t.rowsLocked()
 }
 
-// rowsLocked is Rows with t.mu held.
-func (t *Timeline) rowsLocked() []TimelineRow {
-	out := make([]TimelineRow, 0, t.count)
+// rowsLocked is retainedRows with t.mu held.
+func (t *Timeline) rowsLocked() []timelineRow {
+	out := make([]timelineRow, 0, t.count)
 	start := t.next - t.count
 	if start < 0 {
 		start += len(t.rows)
 	}
 	for i := 0; i < t.count; i++ {
 		r := t.rows[(start+i)%len(t.rows)]
-		out = append(out, TimelineRow{At: r.At, V: append([]float64(nil), r.V...)})
+		out = append(out, timelineRow{At: r.At, V: append([]float64(nil), r.V...)})
 	}
 	return out
 }
@@ -166,12 +166,12 @@ func (t *Timeline) Total() uint64 {
 	return t.total
 }
 
-// TimelineSchema is the header line's schema identifier.
-const TimelineSchema = "dtp-timeline/1"
+// timelineSchema is the header line's schema identifier.
+const timelineSchema = "dtp-timeline/1"
 
-// TimelineHeader is the first line of a timeline JSONL dump; every
+// timelineHeader is the first line of a timeline JSONL dump; every
 // following line is a BundleRow.
-type TimelineHeader struct {
+type timelineHeader struct {
 	Schema     string   `json:"schema"`
 	IntervalPs int64    `json:"interval_ps"`
 	Columns    []string `json:"columns"`
@@ -194,14 +194,14 @@ func (t *Timeline) WriteJSONL(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	// Rows and total come from one critical section: a sample landing
+	// retainedRows and total come from one critical section: a sample landing
 	// between two would make the header count more rows than total.
 	t.mu.Lock()
 	rows, total := t.rowsLocked(), t.total
 	t.mu.Unlock()
 	enc := newJSONLEncoder(w)
-	if err := enc.Encode(TimelineHeader{
-		Schema: TimelineSchema, IntervalPs: int64(t.interval), Columns: t.Columns(),
+	if err := enc.Encode(timelineHeader{
+		Schema: timelineSchema, IntervalPs: int64(t.interval), Columns: t.columns(),
 		Rows: len(rows), Total: total, Dropped: total - uint64(len(rows)),
 	}); err != nil {
 		return fmt.Errorf("telemetry: timeline dump: %w", err)

@@ -22,11 +22,11 @@ func TestTimelineSampling(t *testing.T) {
 		cum += 1000 // +1000/ms = 1e6/s
 		sch.RunFor(sim.Millisecond)
 	}
-	rows := tl.Rows()
+	rows := tl.retainedRows()
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(rows))
 	}
-	if got := tl.Columns(); len(got) != 2 || got[0] != "g" || got[1] != "r" {
+	if got := tl.columns(); len(got) != 2 || got[0] != "g" || got[1] != "r" {
 		t.Fatalf("columns = %v", got)
 	}
 	for i, r := range rows {
@@ -48,7 +48,7 @@ func TestTimelineRingEviction(t *testing.T) {
 	tl := NewTimeline(sch, sim.Millisecond, []TimelineColumn{{Name: "n", Probe: func() float64 { n++; return n }}})
 	const total = timelineCapacity + 6
 	sch.RunFor(total * sim.Millisecond)
-	rows := tl.Rows()
+	rows := tl.retainedRows()
 	if len(rows) != timelineCapacity {
 		t.Fatalf("rows = %d, want %d (ring cap)", len(rows), timelineCapacity)
 	}
@@ -115,7 +115,7 @@ func TestTimelineJSONLUnderSampling(t *testing.T) {
 			t.Fatal(err)
 		}
 		lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
-		var h TimelineHeader
+		var h timelineHeader
 		var last struct {
 			T int64 `json:"t_ps"`
 		}
@@ -134,7 +134,7 @@ func TestTimelineJSONLUnderSampling(t *testing.T) {
 
 func TestTimelineNilSafety(t *testing.T) {
 	var tl *Timeline
-	if tl.Rows() != nil || tl.Columns() != nil || tl.Total() != 0 {
+	if tl.retainedRows() != nil || tl.columns() != nil || tl.Total() != 0 {
 		t.Fatal("nil timeline should be empty")
 	}
 	if err := tl.WriteJSONL(&strings.Builder{}); err != nil {

@@ -104,9 +104,9 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// KindFromString maps a stable snake_case name (as emitted in JSONL
+// kindFromString maps a stable snake_case name (as emitted in JSONL
 // dumps) back to its Kind.
-func KindFromString(s string) (Kind, bool) {
+func kindFromString(s string) (Kind, bool) {
 	for i, n := range kindNames {
 		if n == s {
 			return Kind(i), true

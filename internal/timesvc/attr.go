@@ -25,9 +25,9 @@ const (
 	numAttrComponents
 )
 
-// AttrComponentNames are the stable component label values, in
+// attrComponentNames are the stable component label values, in
 // recording order.
-var AttrComponentNames = [numAttrComponents]string{
+var attrComponentNames = [numAttrComponents]string{
 	"audit", "daemon", "broadcast", "residual",
 }
 
@@ -102,7 +102,7 @@ func (s *Service) Attribution() Attribution {
 	for i := range a.Components {
 		last := math.Float64frombits(s.attr.last[i].Load())
 		a.TotalLastPs += last
-		c := ComponentStat{Name: AttrComponentNames[i], LastPs: last}
+		c := ComponentStat{Name: attrComponentNames[i], LastPs: last}
 		if n > 0 {
 			c.MeanPs = sums[i] / n
 		}
@@ -115,7 +115,7 @@ func (s *Service) Attribution() Attribution {
 		}
 	}
 	if totalSum > 0 {
-		a.Dominant = AttrComponentNames[domIdx]
+		a.Dominant = attrComponentNames[domIdx]
 	}
 	return a
 }

@@ -59,7 +59,7 @@ func TestAttributionMetricsExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := b.String()
-	for _, comp := range AttrComponentNames {
+	for _, comp := range attrComponentNames {
 		if !strings.Contains(out, `dtp_timesvc_eps_last_ps{component="`+comp+`",host="h1"}`) {
 			t.Errorf("exposition missing eps_last gauge for %s", comp)
 		}
@@ -86,7 +86,7 @@ func TestHealthHandler(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("status %d: %s", rec.Code, body)
 	}
-	var out []HostHealth
+	var out []hostHealth
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatalf("healthz body not JSON: %v\n%s", err, body)
 	}
@@ -110,7 +110,7 @@ func TestHealthHandlerBeforeFirstPublish(t *testing.T) {
 	h := HealthHandler(map[string]*Service{"h1": p.svc})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	var out []HostHealth
+	var out []hostHealth
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatalf("healthz before publish not JSON: %v\n%s", err, rec.Body.String())
 	}

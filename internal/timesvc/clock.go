@@ -16,13 +16,13 @@ type Timebase interface {
 	Raw() int64
 }
 
-// TSCTimebase reads a simulated host's TSC software clock. It is only
+// tscTimebase reads a simulated host's TSC software clock. It is only
 // usable on the simulation goroutine (the clock extrapolates from the
 // scheduler's current instant).
-type TSCTimebase struct{ C *swclock.Clock }
+type tscTimebase struct{ C *swclock.Clock }
 
 // Raw returns the TSC reading in picoseconds.
-func (t TSCTimebase) Raw() int64 { return int64(t.C.Now()) }
+func (t tscTimebase) Raw() int64 { return int64(t.C.Now()) }
 
 // WallTimebase reads the host's monotonic clock, offset by Base. It is
 // safe for concurrent use from any goroutine: time.Since uses the
@@ -67,9 +67,9 @@ func (iv Interval) Contains(t float64) bool {
 // Read-path errors. Both are preallocated: the fast path must not
 // allocate even when failing.
 var (
-	// ErrNoSnapshot means nothing has been published yet (the service
+	// errNoSnapshot means nothing has been published yet (the service
 	// has not completed its first calibration).
-	ErrNoSnapshot = errors.New("timesvc: no snapshot published yet")
+	errNoSnapshot = errors.New("timesvc: no snapshot published yet")
 	// ErrStale means the current snapshot is older than its MaxAgePs:
 	// the service stopped calibrating (degraded daemon, lost audit
 	// bound) and the clock fails closed rather than serve an interval
@@ -113,9 +113,9 @@ func (c *Clock) NowInterval() (Interval, error) {
 	return iv, err
 }
 
-// After reports whether true UTC is certainly after t (ps): even the
+// after reports whether true UTC is certainly after t (ps): even the
 // interval's earliest edge has passed it.
-func (c *Clock) After(t float64) (bool, error) {
+func (c *Clock) after(t float64) (bool, error) {
 	iv, err := c.NowInterval()
 	if err != nil {
 		return false, err
@@ -123,9 +123,9 @@ func (c *Clock) After(t float64) (bool, error) {
 	return iv.EarliestPs > t, nil
 }
 
-// Before reports whether true UTC is certainly before t (ps): even the
+// before reports whether true UTC is certainly before t (ps): even the
 // interval's latest edge has not reached it.
-func (c *Clock) Before(t float64) (bool, error) {
+func (c *Clock) before(t float64) (bool, error) {
 	iv, err := c.NowInterval()
 	if err != nil {
 		return false, err
@@ -133,15 +133,15 @@ func (c *Clock) Before(t float64) (bool, error) {
 	return iv.LatestPs < t, nil
 }
 
-// WaitUntil returns how long the caller must wait until true UTC is
+// waitUntil returns how long the caller must wait until true UTC is
 // certainly past t (ps) — the TrueTime commit-wait primitive: a
-// transaction stamped t may acknowledge only after WaitUntil(t)
+// transaction stamped t may acknowledge only after waitUntil(t)
 // elapses. Returns 0 when the interval is already entirely past t.
 // The estimate converts the UTC shortfall back to timebase units
 // through the snapshot ratio; the half-width growth during the wait
 // itself is second-order (DriftPPM × wait) and deliberately ignored —
-// callers polling After(t) after the wait get the exact answer.
-func (c *Clock) WaitUntil(t float64) (time.Duration, error) {
+// callers polling after(t) after the wait get the exact answer.
+func (c *Clock) waitUntil(t float64) (time.Duration, error) {
 	sn := c.store.cur.Load()
 	_, iv, err := sn.at(c.tb.Raw())
 	if err != nil {

@@ -20,14 +20,14 @@ func publishedClock(tb Timebase, sn Snapshot) *Clock {
 
 func TestClockNoSnapshot(t *testing.T) {
 	c := NewClock(&Store{}, &fakeTimebase{})
-	if _, err := c.Now(); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("Now err = %v, want ErrNoSnapshot", err)
+	if _, err := c.Now(); !errors.Is(err, errNoSnapshot) {
+		t.Fatalf("Now err = %v, want errNoSnapshot", err)
 	}
-	if _, err := c.NowInterval(); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("NowInterval err = %v, want ErrNoSnapshot", err)
+	if _, err := c.NowInterval(); !errors.Is(err, errNoSnapshot) {
+		t.Fatalf("NowInterval err = %v, want errNoSnapshot", err)
 	}
-	if _, err := c.WaitUntil(0); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("WaitUntil err = %v, want ErrNoSnapshot", err)
+	if _, err := c.waitUntil(0); !errors.Is(err, errNoSnapshot) {
+		t.Fatalf("waitUntil err = %v, want errNoSnapshot", err)
 	}
 }
 
@@ -87,7 +87,7 @@ func TestClockFailsClosedWhenStale(t *testing.T) {
 	if _, err := c.Now(); !errors.Is(err, ErrStale) {
 		t.Fatalf("read past MaxAge err = %v, want ErrStale", err)
 	}
-	if _, err := c.WaitUntil(0); !errors.Is(err, ErrStale) {
+	if _, err := c.waitUntil(0); !errors.Is(err, ErrStale) {
 		t.Fatalf("WaitUntil past MaxAge err = %v, want ErrStale", err)
 	}
 }
@@ -98,16 +98,16 @@ func TestClockAfterBefore(t *testing.T) {
 		Epoch: 1, AnchorRaw: 0, AnchorUTC: 10_000, Ratio: 1, BoundPs: 100,
 	})
 	// Interval is [9900, 10100].
-	if after, _ := c.After(9_800); !after {
+	if after, _ := c.after(9_800); !after {
 		t.Fatal("After(9800) = false; earliest 9900 has passed it")
 	}
-	if after, _ := c.After(10_000); after {
+	if after, _ := c.after(10_000); after {
 		t.Fatal("After(10000) = true; 10000 is inside the interval")
 	}
-	if before, _ := c.Before(10_200); !before {
+	if before, _ := c.before(10_200); !before {
 		t.Fatal("Before(10200) = false; latest 10100 has not reached it")
 	}
-	if before, _ := c.Before(10_000); before {
+	if before, _ := c.before(10_000); before {
 		t.Fatal("Before(10000) = true; 10000 is inside the interval")
 	}
 }
@@ -118,11 +118,11 @@ func TestClockWaitUntil(t *testing.T) {
 		Epoch: 1, AnchorRaw: 0, AnchorUTC: 1_000_000, Ratio: 1, BoundPs: 100_000,
 	})
 	// earliest = 900000 ps. Target already passed: no wait.
-	if d, err := c.WaitUntil(800_000); err != nil || d != 0 {
+	if d, err := c.waitUntil(800_000); err != nil || d != 0 {
 		t.Fatalf("WaitUntil(past) = %v, %v; want 0, nil", d, err)
 	}
 	// Target 1 µs past earliest: wait ≈ 1 µs of timebase.
-	d, err := c.WaitUntil(1_900_000)
+	d, err := c.waitUntil(1_900_000)
 	if err != nil {
 		t.Fatal(err)
 	}

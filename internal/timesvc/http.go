@@ -7,8 +7,8 @@ import (
 	"sort"
 )
 
-// TimeResponse is the JSON body served for one time query.
-type TimeResponse struct {
+// timeResponse is the JSON body served for one time query.
+type timeResponse struct {
 	Host       string  `json:"host"`
 	UTCPs      float64 `json:"utc_ps"`
 	EarliestPs float64 `json:"earliest_ps"`
@@ -37,14 +37,14 @@ func Handler(host string, c *Clock) http.Handler {
 		utc, iv, err := sn.at(c.tb.Raw())
 		if err != nil {
 			status := http.StatusServiceUnavailable
-			if !errors.Is(err, ErrNoSnapshot) && !errors.Is(err, ErrStale) {
+			if !errors.Is(err, errNoSnapshot) && !errors.Is(err, ErrStale) {
 				status = http.StatusInternalServerError
 			}
 			http.Error(w, err.Error(), status)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(TimeResponse{
+		json.NewEncoder(w).Encode(timeResponse{
 			Host:       host,
 			UTCPs:      utc,
 			EarliestPs: iv.EarliestPs,
@@ -58,8 +58,8 @@ func Handler(host string, c *Clock) http.Handler {
 	return mux
 }
 
-// HostHealth is one host's entry in the /healthz body.
-type HostHealth struct {
+// hostHealth is one host's entry in the /healthz body.
+type hostHealth struct {
 	Host      string `json:"host"`
 	Publishes uint64 `json:"publishes"`
 	Degraded  uint64 `json:"degraded"`
@@ -87,10 +87,10 @@ func HealthHandler(services map[string]*Service) http.Handler {
 	}
 	sort.Strings(hosts)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		out := make([]HostHealth, 0, len(hosts))
+		out := make([]hostHealth, 0, len(hosts))
 		for _, h := range hosts {
 			svc := services[h]
-			hh := HostHealth{
+			hh := hostHealth{
 				Host:        h,
 				Publishes:   svc.Publishes(),
 				Degraded:    svc.DegradedTicks(),

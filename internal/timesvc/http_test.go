@@ -59,7 +59,7 @@ func TestHandlerPairsIntervalWithItsEpoch(t *testing.T) {
 		if rec.Code != 200 {
 			t.Fatalf("GET %s = %d: %s", path, rec.Code, rec.Body)
 		}
-		var got TimeResponse
+		var got timeResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestHandlerPairsIntervalWithItsEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := TimeResponse{Host: "h1", UTCPs: utc, EarliestPs: iv.EarliestPs,
+		want := timeResponse{Host: "h1", UTCPs: utc, EarliestPs: iv.EarliestPs,
 			LatestPs: iv.LatestPs, WidthPs: iv.WidthPs(), Epoch: got.Epoch}
 		if got != want {
 			t.Fatalf("GET %s: response does not match its epoch's snapshot:\n got %+v\nwant %+v", path, got, want)

@@ -43,7 +43,7 @@ type Load struct {
 // topology changes. reg may be nil.
 func NewLoad(svc *Service, rng *sim.RNG, qps float64, reg *telemetry.Registry) *Load {
 	l := &Load{svc: svc, sch: svc.sch, rng: rng, qps: qps}
-	host := svc.Host()
+	host := svc.host
 	l.mReads = reg.Counter("dtp_timesvc_reads_total",
 		"Simulated time-service reads served.", "host", host)
 	l.mErrors = reg.Counter("dtp_timesvc_read_errors_total",
@@ -103,14 +103,14 @@ func (l *Load) OnEvent(uint8, uint64, uint64) {
 // Reads returns the total simulated reads (including failed ones).
 func (l *Load) Reads() uint64 { return l.reads }
 
-// Errors returns reads that failed closed (ErrNoSnapshot / ErrStale).
+// Errors returns reads that failed closed (errNoSnapshot / ErrStale).
 func (l *Load) Errors() uint64 { return l.errors }
 
 // Covered returns successful reads whose interval contained true time.
 func (l *Load) Covered() uint64 { return l.covered }
 
-// MeanWidthPs returns the mean interval width over successful reads.
-func (l *Load) MeanWidthPs() float64 {
+// meanWidthPs returns the mean interval width over successful reads.
+func (l *Load) meanWidthPs() float64 {
 	n := l.reads - l.errors
 	if n == 0 {
 		return 0

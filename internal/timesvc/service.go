@@ -48,17 +48,17 @@ const (
 
 // Degradation reason codes (V1 of timesvc_degraded trace events).
 const (
-	// DegradedNoCalibration: the daemon has not completed a PCIe
+	// degradedNoCalibration: the daemon has not completed a PCIe
 	// calibration yet.
-	DegradedNoCalibration = iota
-	// DegradedNoBroadcast: no UTC broadcast pair has arrived.
-	DegradedNoBroadcast
-	// DegradedNoBound: the auditor has no live all-pairs bound for this
+	degradedNoCalibration = iota
+	// degradedNoBroadcast: no UTC broadcast pair has arrived.
+	degradedNoBroadcast
+	// degradedNoBound: the auditor has no live all-pairs bound for this
 	// host (not converged, or the host is partitioned).
-	DegradedNoBound
-	// DegradedWarmup: the UTC follower has fewer than warmupPairs ratio
+	degradedNoBound
+	// degradedWarmup: the UTC follower has fewer than warmupPairs ratio
 	// measurements; estimates are too raw to bound honestly.
-	DegradedWarmup
+	degradedWarmup
 )
 
 var degradedReasons = [...]string{"no_calibration", "no_broadcast", "no_bound", "warmup"}
@@ -119,7 +119,7 @@ func NewService(d *daemon.Daemon, f *daemon.UTCFollower, aud *audit.Auditor, reg
 		host: d.Device().Name(),
 		tr:   tr,
 	}
-	s.clock = NewClock(&s.store, TSCTimebase{C: d.TSC()})
+	s.clock = NewClock(&s.store, tscTimebase{C: d.TSC()})
 	s.mPublishes = reg.Counter("dtp_timesvc_publishes_total",
 		"Clock snapshots published by the time service.", "host", s.host)
 	for i, reason := range degradedReasons {
@@ -130,7 +130,7 @@ func NewService(d *daemon.Daemon, f *daemon.UTCFollower, aud *audit.Auditor, reg
 	s.mBound = reg.Gauge("dtp_timesvc_bound_ps",
 		"Uncertainty half-width of the last published snapshot, in picoseconds.",
 		"host", s.host)
-	for i, comp := range AttrComponentNames {
+	for i, comp := range attrComponentNames {
 		s.mEpsLast[i] = reg.Gauge("dtp_timesvc_eps_last_ps",
 			"Last published half-width component, in picoseconds.",
 			"host", s.host, "component", comp)
@@ -149,9 +149,6 @@ func (s *Service) Stop() {
 	s.stopped = true
 	s.event.Cancel()
 }
-
-// Host returns the served host's device name.
-func (s *Service) Host() string { return s.host }
 
 // Store returns the snapshot store, e.g. to build a Clock on a
 // different timebase (the load generator's wall clock).
@@ -181,21 +178,21 @@ func (s *Service) tick() {
 // not.
 func (s *Service) publish() {
 	if !s.d.Calibrated() {
-		s.degrade(DegradedNoCalibration)
+		s.degrade(degradedNoCalibration)
 		return
 	}
 	utc, err := s.f.UTC()
 	if err != nil {
-		s.degrade(DegradedNoBroadcast)
+		s.degrade(degradedNoBroadcast)
 		return
 	}
 	if s.f.RatioUpdates() < warmupPairs {
-		s.degrade(DegradedWarmup)
+		s.degrade(degradedWarmup)
 		return
 	}
 	boundUnits := s.aud.LiveBoundUnits(s.host)
 	if boundUnits < 0 {
-		s.degrade(DegradedNoBound)
+		s.degrade(degradedNoBound)
 		return
 	}
 

@@ -163,7 +163,7 @@ func TestServiceFailsClosedWhenStopped(t *testing.T) {
 
 func TestServiceDegradedBeforeBroadcast(t *testing.T) {
 	// No broadcaster at all: every tick must degrade (no broadcast), no
-	// snapshot may publish, reads fail with ErrNoSnapshot.
+	// snapshot may publish, reads fail with errNoSnapshot.
 	sch := sim.NewScheduler()
 	n, err := core.NewNetwork(sch, 27, topo.Pair(), core.DefaultConfig())
 	if err != nil {
@@ -186,8 +186,8 @@ func TestServiceDegradedBeforeBroadcast(t *testing.T) {
 	if svc.DegradedTicks() == 0 {
 		t.Fatal("no degraded ticks counted")
 	}
-	if _, _, err := svc.ReadCheck(); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("read err = %v, want ErrNoSnapshot", err)
+	if _, _, err := svc.ReadCheck(); !errors.Is(err, errNoSnapshot) {
+		t.Fatalf("read err = %v, want errNoSnapshot", err)
 	}
 }
 
@@ -211,7 +211,7 @@ func TestLoadObservesCoverageAndWidth(t *testing.T) {
 		t.Fatalf("%d of %d successful reads not covered by their interval",
 			ok-p.ld.Covered(), ok)
 	}
-	if w := p.ld.MeanWidthPs(); w <= 0 || w > 1e6 {
+	if w := p.ld.meanWidthPs(); w <= 0 || w > 1e6 {
 		t.Fatalf("mean width %.0f ps implausible", w)
 	}
 }

@@ -56,10 +56,10 @@ type Snapshot struct {
 // at evaluates the snapshot at the raw timebase reading raw: the UTC
 // estimate and its uncertainty interval. It is the one place the
 // interval formula is written; a nil snapshot (nothing published) fails
-// closed with ErrNoSnapshot.
+// closed with errNoSnapshot.
 func (sn *Snapshot) at(raw int64) (utcPs float64, iv Interval, err error) {
 	if sn == nil {
-		return 0, Interval{}, ErrNoSnapshot
+		return 0, Interval{}, errNoSnapshot
 	}
 	age := raw - sn.AnchorRaw
 	if sn.MaxAgePs > 0 && age > sn.MaxAgePs {

@@ -66,14 +66,14 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("topo: link %d-%d has non-positive length", l.A, l.B)
 		}
 	}
-	if len(g.Nodes) > 0 && len(g.ComponentOf(0)) != len(g.Nodes) {
+	if len(g.Nodes) > 0 && len(g.componentOf(0)) != len(g.Nodes) {
 		return fmt.Errorf("topo: graph is not connected")
 	}
 	return nil
 }
 
-// Adjacency returns, per node, the indices into Links of incident links.
-func (g *Graph) Adjacency() [][]int {
+// adjacency returns, per node, the indices into Links of incident links.
+func (g *Graph) adjacency() [][]int {
 	adj := make([][]int, len(g.Nodes))
 	for i, l := range g.Links {
 		adj[l.A] = append(adj[l.A], i)
@@ -82,9 +82,9 @@ func (g *Graph) Adjacency() [][]int {
 	return adj
 }
 
-// ComponentOf returns the set of node IDs reachable from start.
-func (g *Graph) ComponentOf(start int) []int {
-	adj := g.Adjacency()
+// componentOf returns the set of node IDs reachable from start.
+func (g *Graph) componentOf(start int) []int {
+	adj := g.adjacency()
 	seen := make([]bool, len(g.Nodes))
 	var out []int
 	queue := []int{start}
@@ -127,7 +127,7 @@ func (g *Graph) Hops() [][]int {
 // their own 4-cycle share.
 func (g *Graph) HopsWith(active []bool, weights []int64) (hops [][]int, wsum [][]int64) {
 	n := len(g.Nodes)
-	adj := g.Adjacency()
+	adj := g.adjacency()
 	hops = make([][]int, n)
 	if weights != nil {
 		wsum = make([][]int64, n)
@@ -212,7 +212,7 @@ func (g *Graph) HostDiameter() int {
 // broken deterministically by link index.
 func (g *Graph) NextHop() [][]int {
 	n := len(g.Nodes)
-	adj := g.Adjacency()
+	adj := g.adjacency()
 	table := make([][]int, n)
 	for dst := 0; dst < n; dst++ {
 		// BFS backwards from dst; first-discovered parent link wins.
@@ -263,8 +263,8 @@ func (g *Graph) HostIDs() []int {
 	return out
 }
 
-// SwitchIDs returns the IDs of all switch nodes.
-func (g *Graph) SwitchIDs() []int {
+// switchIDs returns the IDs of all switch nodes.
+func (g *Graph) switchIDs() []int {
 	var out []int
 	for _, n := range g.Nodes {
 		if n.Kind == Switch {

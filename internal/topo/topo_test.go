@@ -19,7 +19,7 @@ func TestPaperTreeShape(t *testing.T) {
 	if got := len(g.HostIDs()); got != 8 {
 		t.Fatalf("hosts = %d, want 8 (S4-S11)", got)
 	}
-	if got := len(g.SwitchIDs()); got != 4 {
+	if got := len(g.switchIDs()); got != 4 {
 		t.Fatalf("switches = %d, want 4 (S0-S3)", got)
 	}
 	// "the maximum number of hops between any two leaf servers was four"
@@ -111,7 +111,7 @@ func TestFatTreeShape(t *testing.T) {
 			t.Fatalf("fat-tree(%d) hosts = %d, want %d", k, got, wantHosts)
 		}
 		wantSwitches := k*k + k*k/4 // k pods * k switches + (k/2)^2 core
-		if got := len(g.SwitchIDs()); got != wantSwitches {
+		if got := len(g.switchIDs()); got != wantSwitches {
 			t.Fatalf("fat-tree(%d) switches = %d, want %d", k, got, wantSwitches)
 		}
 	}
@@ -236,7 +236,7 @@ func TestChainProperty(t *testing.T) {
 
 func TestComponentOf(t *testing.T) {
 	g := PaperTree()
-	if got := len(g.ComponentOf(0)); got != 12 {
+	if got := len(g.componentOf(0)); got != 12 {
 		t.Fatalf("component size %d, want 12", got)
 	}
 }

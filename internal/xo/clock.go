@@ -19,12 +19,12 @@ import (
 
 // Standard 10 GbE PHY clock parameters (IEEE 802.3ae).
 const (
-	// NominalPeriod10GFs is the 156.25 MHz tick period in femtoseconds
+	// nominalPeriod10GFs is the 156.25 MHz tick period in femtoseconds
 	// (6.4 ns).
-	NominalPeriod10GFs = 6_400_000
-	// MaxPPM is the oscillator frequency tolerance required by the
+	nominalPeriod10GFs = 6_400_000
+	// defaultMaxPPM is the oscillator frequency tolerance required by the
 	// standard: ±100 parts per million.
-	MaxPPM = 100.0
+	defaultMaxPPM = 100.0
 )
 
 // Params configures an oscillator.
@@ -49,7 +49,7 @@ type Params struct {
 // Default10G returns oscillator parameters for a 10 GbE PHY with the given
 // constant ppm offset and no wander.
 func Default10G(offsetPPM float64) Params {
-	return Params{NominalPeriodFs: NominalPeriod10GFs, OffsetPPM: offsetPPM}
+	return Params{NominalPeriodFs: nominalPeriod10GFs, OffsetPPM: offsetPPM}
 }
 
 // Clock is a free-running oscillator driving a monotonically increasing
@@ -83,7 +83,7 @@ func NewClock(sch *sim.Scheduler, rng *sim.RNG, p Params) *Clock {
 	}
 	maxPPM := p.MaxPPM
 	if maxPPM == 0 {
-		maxPPM = MaxPPM
+		maxPPM = defaultMaxPPM
 	}
 	if p.OffsetPPM > maxPPM || p.OffsetPPM < -maxPPM {
 		panic(fmt.Sprintf("xo: offset %.3f ppm outside ±%.1f ppm", p.OffsetPPM, maxPPM))
@@ -170,11 +170,11 @@ func (c *Clock) TimeOfCount(n uint64) sim.Time {
 	return sim.Time((fs + 999) / 1000)
 }
 
-// SetCounterAt jumps the counter so that CounterAt(t) == n. Tick phase and
+// setCounterAt jumps the counter so that CounterAt(t) == n. Tick phase and
 // frequency are unchanged: only the labels move, exactly as a DTP local
 // counter adjustment works in hardware. n must not move the counter
 // backwards.
-func (c *Clock) SetCounterAt(n uint64, t sim.Time) {
+func (c *Clock) setCounterAt(n uint64, t sim.Time) {
 	cur := c.CounterAt(t)
 	if n < cur {
 		panic(jumpBackwards{cur, n})

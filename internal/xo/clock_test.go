@@ -72,7 +72,7 @@ func TestSetCounterAtJumpsForward(t *testing.T) {
 	sch.Run(sim.Microsecond)
 	now := sch.Now()
 	cur := c.CounterAt(now)
-	c.SetCounterAt(cur+5, now)
+	c.setCounterAt(cur+5, now)
 	if got := c.CounterAt(now); got != cur+5 {
 		t.Fatalf("after jump, counter = %d, want %d", got, cur+5)
 	}
@@ -93,7 +93,7 @@ func TestSetCounterAtRejectsBackwards(t *testing.T) {
 			t.Fatal("backwards jump did not panic")
 		}
 	}()
-	c.SetCounterAt(c.Counter()-1, sch.Now())
+	c.setCounterAt(c.Counter()-1, sch.Now())
 }
 
 func TestAdjustPPMPreservesCount(t *testing.T) {
@@ -144,7 +144,7 @@ func TestWanderStaysBounded(t *testing.T) {
 	sch := sim.NewScheduler()
 	rng := sim.NewRNG(99, "xo-wander")
 	c := NewClock(sch, rng, Params{
-		NominalPeriodFs: NominalPeriod10GFs,
+		NominalPeriodFs: nominalPeriod10GFs,
 		OffsetPPM:       95,
 		WanderInterval:  sim.Millisecond,
 		WanderStepPPB:   5000, // extreme to force clamping
@@ -152,7 +152,7 @@ func TestWanderStaysBounded(t *testing.T) {
 	prev := c.Counter()
 	for i := 0; i < 500; i++ {
 		sch.RunFor(sim.Millisecond)
-		if p := c.PPM(); p > MaxPPM || p < -MaxPPM {
+		if p := c.PPM(); p > defaultMaxPPM || p < -defaultMaxPPM {
 			t.Fatalf("wander escaped bounds: %v ppm", p)
 		}
 		n := c.Counter()
@@ -167,7 +167,7 @@ func TestWanderChangesFrequency(t *testing.T) {
 	sch := sim.NewScheduler()
 	rng := sim.NewRNG(7, "xo-wander2")
 	c := NewClock(sch, rng, Params{
-		NominalPeriodFs: NominalPeriod10GFs,
+		NominalPeriodFs: nominalPeriod10GFs,
 		WanderInterval:  sim.Millisecond,
 		WanderStepPPB:   100,
 	})

@@ -18,7 +18,7 @@ func TestSetCounterAtNearUint64Wrap(t *testing.T) {
 	now := sch.Now()
 
 	near := ^uint64(0) - 10 // 2^64 - 11
-	clk.SetCounterAt(near, now)
+	clk.setCounterAt(near, now)
 	if got := clk.CounterAt(now); got != near {
 		t.Fatalf("CounterAt after jump = %d, want %d", got, near)
 	}
@@ -44,7 +44,7 @@ func TestSetCounterAtMSBRollover(t *testing.T) {
 	now := sch.Now()
 
 	const boundary = uint64(1) << 53
-	clk.SetCounterAt(boundary-3, now)
+	clk.setCounterAt(boundary-3, now)
 	for n := boundary - 3; n < boundary+3; n++ {
 		at := clk.TimeOfCount(n)
 		if got := clk.CounterAt(at); got < n {
@@ -56,7 +56,7 @@ func TestSetCounterAtMSBRollover(t *testing.T) {
 	}
 	// Monotone across the boundary under further forward jumps.
 	sch.Run(clk.TimeOfCount(boundary + 3))
-	clk.SetCounterAt(boundary+100, sch.Now())
+	clk.setCounterAt(boundary+100, sch.Now())
 	if got := clk.Counter(); got < boundary+100 {
 		t.Fatalf("counter moved backwards across MSB rollover: %d", got)
 	}
@@ -70,8 +70,8 @@ func TestSetCounterAtBackwardPanics(t *testing.T) {
 	sch.Run(sim.Microsecond)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("backward SetCounterAt did not panic")
+			t.Fatal("backward setCounterAt did not panic")
 		}
 	}()
-	clk.SetCounterAt(clk.Counter()-1, sch.Now())
+	clk.setCounterAt(clk.Counter()-1, sch.Now())
 }
