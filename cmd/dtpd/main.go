@@ -165,8 +165,8 @@ func main() {
 
 	fmt.Println("\n== UTC via external synchronization (§5.2), error vs true time")
 	utc := reg.Histogram("dtp_utc_error_ns",
-		"UTC-follower error versus true time, in nanoseconds (§5.2).",
-		telemetry.LinearBuckets(-200, 20, 21))
+		"UTC-follower error magnitude |estimate - true time|, in nanoseconds (§5.2).",
+		telemetry.LinearBuckets(0, 20, 11))
 	for i := 0; i < 200; i++ {
 		sys.Run(time.Millisecond)
 		for _, h := range served {

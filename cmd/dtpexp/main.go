@@ -338,7 +338,7 @@ func table2(w io.Writer, o experiments.Options) error {
 }
 
 func sweepBound(w io.Writer, o experiments.Options) error {
-	rows, err := experiments.BoundSweep(o, 6)
+	rows, err := experiments.BoundSweep(o)
 	if err != nil {
 		return err
 	}

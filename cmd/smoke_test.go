@@ -82,7 +82,29 @@ func TestCommandExitCodes(t *testing.T) {
 		{"dtpd trace owd", []string{"dtptrace", "-trace", dtpdTrace, "-topo", "tree", "-assert-owd", "43:45"}, 0, "", nil},
 		// dtpd's metrics used to carry a wall-clock rate, so equal seeds
 		// wrote different files.
-		{"dtpd metrics out", []string{"dtpd", "-topo", "tree", "-duration", "20ms", "-seed", "3", "-metrics-out", dtpdMetrics[0]}, 0, "", nil},
+		{"dtpd metrics out", []string{"dtpd", "-topo", "tree", "-duration", "20ms", "-seed", "3", "-metrics-out", dtpdMetrics[0]}, 0, "",
+			func(t *testing.T, _ string) {
+				// The follower error is observed as a magnitude, so its
+				// histogram has no bucket below zero.
+				m, err := os.ReadFile(dtpdMetrics[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				buckets := 0
+				for _, line := range strings.Split(string(m), "\n") {
+					le, ok := strings.CutPrefix(line, `dtp_utc_error_ns_bucket{le="`)
+					if !ok {
+						continue
+					}
+					buckets++
+					if strings.HasPrefix(le, "-") {
+						t.Errorf("dtp_utc_error_ns has a negative bucket bound: %s", line)
+					}
+				}
+				if buckets == 0 {
+					t.Error("-metrics-out has no dtp_utc_error_ns buckets")
+				}
+			}},
 		{"dtpd metrics rerun", []string{"dtpd", "-topo", "tree", "-duration", "20ms", "-seed", "3", "-metrics-out", dtpdMetrics[1]}, 0, "",
 			func(t *testing.T, _ string) {
 				a, errA := os.ReadFile(dtpdMetrics[0])

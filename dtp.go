@@ -251,8 +251,11 @@ func NewTracer(capacity int) *Tracer { return telemetry.NewTracer(capacity) }
 
 // WithTelemetry instruments the network (and any daemons attached
 // later) with a metrics registry and/or event tracer. Either argument
-// may be nil. Overhead is a few atomic operations per protocol event —
-// cheap enough to leave enabled permanently.
+// may be nil. Beacon-rate events are staged in plain counters and folded
+// into the registry once per simulated millisecond. A tracer also keeps
+// each beacon's arrival a scheduler event of its own (no device inbox),
+// so a traced run does more work than an untraced one. The cost is
+// measured, not bounded (ROADMAP items 8 and 9).
 func WithTelemetry(reg *MetricsRegistry, tr *Tracer) Option {
 	return func(c *config) { c.reg, c.tracer = reg, tr }
 }
@@ -425,7 +428,7 @@ func (s *System) OnOffsetSample(fn func(pair string, offsetTicks int64)) {
 // given size, confining DTP messages to interpacket gaps.
 func (s *System) SetUniformLoad(frameOctets int) {
 	s.net.SetGateAll(func(p *core.Port) core.TxGate {
-		return core.NewSaturatedGate(frameOctets, 0)
+		return core.NewSaturatedGate(frameOctets)
 	})
 }
 

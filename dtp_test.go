@@ -1,6 +1,8 @@
 package dtp
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -568,6 +570,72 @@ func TestGradientChainBreach(t *testing.T) {
 		if a.Violations() != c.violations || a.MinSlackUnits() != c.minSlack {
 			t.Errorf("seed %d: %d violations, min slack %d; pinned %d and %d",
 				c.seed, a.Violations(), a.MinSlackUnits(), c.violations, c.minSlack)
+		}
+	}
+}
+
+// TestFacadeEntryPoints runs in-process the façade calls that otherwise
+// only the commands and the examples make, and checks an observable of
+// each: the default discipline a daemon inherits, the scheduler's
+// self-report and its metrics, the serving plane's attribution, and the
+// HTTP handlers dtpd mounts.
+func TestFacadeEntryPoints(t *testing.T) {
+	reg, tr := NewMetricsRegistry(), NewTracer(0)
+	sys, err := New(PaperTree(), WithSeed(3), WithTelemetry(reg, tr),
+		WithDiscipline(DisciplineConfig{Kind: "lad"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sys.EnableSchedulerMetrics()
+	sys.Start()
+	if err := sys.RunUntilSynced(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	tp, err := sys.TimePlane(TimePlaneOptions{CalInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := sys.Daemon(DaemonOptions{Host: "s4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Discipline(); got != "lad" {
+		t.Fatalf("daemon under WithDiscipline(lad) runs %q", got)
+	}
+	tl := sys.Timeline(TimelineOptions{})
+	sys.Run(200 * time.Millisecond)
+
+	if qs := sys.QueueStats(); qs.LaneInserts == 0 {
+		t.Fatalf("QueueStats reports no lane inserts: %+v", qs)
+	}
+	var m strings.Builder
+	if err := WriteMetrics(&m, reg); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(m.String(), "dtp_sched_events_processed_total") {
+		t.Fatal("EnableSchedulerMetrics exported no dtp_sched_events_processed_total")
+	}
+	a, err := tp.Attribution(tp.Hosts()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Publishes == 0 {
+		t.Fatalf("%s: attribution covers no publish", tp.Hosts()[0])
+	}
+	for _, c := range []struct {
+		name string
+		h    http.Handler
+		path string
+	}{
+		{"TelemetryHandler", TelemetryHandler(reg, tr), "/metrics"},
+		{"TelemetryHandler", TelemetryHandler(reg, tr), "/trace"},
+		{"Timeline", tl, "/timeline"},
+	} {
+		rec := httptest.NewRecorder()
+		c.h.ServeHTTP(rec, httptest.NewRequest("GET", c.path, nil))
+		if rec.Code != http.StatusOK || rec.Body.Len() == 0 {
+			t.Fatalf("%s GET %s = %d with %d bytes", c.name, c.path, rec.Code, rec.Body.Len())
 		}
 	}
 }

@@ -110,7 +110,7 @@ func (s *System) TimePlane(o TimePlaneOptions) (*TimePlane, error) {
 	}
 	// Built last, so its first tick queues after every service's: the
 	// plane's event order, which every artifact depends on.
-	tp.b = daemon.NewUTCBroadcaster(bh.d.d, daemon.TrueUTC{Sch: s.sch}, 10*sim.Millisecond, followers)
+	tp.b = daemon.NewUTCBroadcaster(bh.d.d, daemon.TrueUTC{Sch: s.sch}, followers)
 	s.timeplanes = append(s.timeplanes, tp)
 	return tp, nil
 }

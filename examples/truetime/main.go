@@ -59,7 +59,7 @@ func epsPTP() float64 {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := ptp.DefaultConfig().Compressed(50)
+	cfg := ptp.DefaultConfig().Compressed()
 	clients := []int{2, 3, 4, 5}
 	gm := ptp.NewGrandmaster(net, 1, clients, cfg, 8)
 	var cs []*ptp.Client
@@ -89,7 +89,7 @@ func epsNTP() float64 {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := ntp.DefaultConfig().Compressed(100)
+	cfg := ntp.DefaultConfig().Compressed()
 	ntp.NewServer(net, 1, cfg, 12)
 	var cs []*ntp.Client
 	for i, n := range []int{2, 3, 4, 5} {

@@ -28,7 +28,7 @@ func recordTrace(t *testing.T, seed uint64) []byte {
 	n.Start()
 	sch.Run(2 * sim.Millisecond)
 	var b bytes.Buffer
-	if err := telemetry.WriteJSONL(&b, tr); err != nil {
+	if err := telemetry.WriteEvents(&b, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()

@@ -87,8 +87,9 @@ type Auditor struct {
 	hops    [][]int
 	bounds  [][]int64
 
-	// Per-pair state, dense: the pair of node IDs i < j lives at
-	// pairIndex(i, j), so one sweep walks each slice front to back.
+	// Per-pair state, dense: the pair of node IDs i < j lives in row i
+	// of the strict upper triangle, row-major, so one sweep walks each
+	// slice front to back.
 	// pairBound is rebuilt when the synced link set changes; pairWorst
 	// and pairGauges (nil without a registry) persist.
 	pairBound  []int64 // bound, or unreachable
@@ -163,12 +164,6 @@ func New(n *core.Network, cfg Config, reg *telemetry.Registry, tr *telemetry.Tra
 const unreachable = math.MinInt64
 
 func (a *Auditor) numPairs() int { return len(a.counters) * (len(a.counters) - 1) / 2 }
-
-// pairIndex returns where the pair of node IDs i < j sits in the
-// per-pair slices: row i of the strict upper triangle, row-major.
-func (a *Auditor) pairIndex(i, j int) int {
-	return i*(2*len(a.counters)-i-1)/2 + j - i - 1
-}
 
 func (a *Auditor) instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	a.tr = tr
@@ -550,18 +545,6 @@ func (a *Auditor) LiveBoundUnits(device string) int64 {
 		}
 	}
 	return worst
-}
-
-// worstPairOffsetUnits returns the worst |offset| seen for a device
-// pair, by topology node IDs in either order (0 if never checked).
-func (a *Auditor) worstPairOffsetUnits(i, j int) int64 {
-	if i > j {
-		i, j = j, i
-	}
-	if i < 0 || j >= len(a.counters) || i == j {
-		return 0
-	}
-	return a.pairWorst[a.pairIndex(i, j)]
 }
 
 // Summary renders a one-line report.

@@ -258,3 +258,21 @@ func BenchmarkAuditSweep(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pairs), "ns/pair")
 }
+
+// worstPairOffsetUnits returns the worst |offset| seen for a device
+// pair, by topology node IDs in either order (0 if never checked).
+func (a *Auditor) worstPairOffsetUnits(i, j int) int64 {
+	if i > j {
+		i, j = j, i
+	}
+	if i < 0 || j >= len(a.counters) || i == j {
+		return 0
+	}
+	return a.pairWorst[a.pairIndex(i, j)]
+}
+
+// pairIndex returns where the pair of node IDs i < j sits in the
+// per-pair slices: row i of the strict upper triangle, row-major.
+func (a *Auditor) pairIndex(i, j int) int {
+	return i*(2*len(a.counters)-i-1)/2 + j - i - 1
+}

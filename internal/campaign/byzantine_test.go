@@ -62,13 +62,13 @@ func TestByzantineTolerance(t *testing.T) {
 	cleanOff := map[uint64]map[bool]int64{}
 	for _, r := range rep.Results {
 		if r.Err != "" {
-			t.Fatalf("run %d (%s) errored: %s", r.Index, rep.Grid.label(r.Point), r.Err)
+			t.Fatalf("run %d (%s) errored: %s", r.Index, r.Point, r.Err)
 		}
 		switch {
 		case r.Chaos == "":
 			if r.AuditViolations != 0 || !r.ChaosOK || !r.WithinBound {
 				t.Errorf("clean run %s: violations=%d withinBound=%v — hardening must not disturb a fault-free fabric",
-					rep.Grid.label(r.Point), r.AuditViolations, r.WithinBound)
+					r.Point, r.AuditViolations, r.WithinBound)
 			}
 			if cleanOff[r.Seed] == nil {
 				cleanOff[r.Seed] = map[bool]int64{}
@@ -78,26 +78,26 @@ func TestByzantineTolerance(t *testing.T) {
 			// The vulnerability: one liar poisons the whole fabric.
 			if r.AuditViolations == 0 {
 				t.Errorf("liar run %s: zero unexcused violations — plain DTP should have adopted the lie",
-					rep.Grid.label(r.Point))
+					r.Point)
 			}
 			if r.ChaosOK {
-				t.Errorf("liar run %s: chaos verification passed unhardened", rep.Grid.label(r.Point))
+				t.Errorf("liar run %s: chaos verification passed unhardened", r.Point)
 			}
 		default:
 			// The defense: rejections, quarantine, zero violations,
 			// full reconvergence by the scenario deadline.
 			if r.AuditViolations != 0 {
-				t.Errorf("hardened liar run %s: %d unexcused violations", rep.Grid.label(r.Point), r.AuditViolations)
+				t.Errorf("hardened liar run %s: %d unexcused violations", r.Point, r.AuditViolations)
 			}
 			if !r.ChaosOK {
-				t.Errorf("hardened liar run %s: chaos verification failed: %s", rep.Grid.label(r.Point), r.ChaosErr)
+				t.Errorf("hardened liar run %s: chaos verification failed: %s", r.Point, r.ChaosErr)
 			}
 			if r.CounterRejections < uint64(4) {
 				t.Errorf("hardened liar run %s: only %d rejections — admission never engaged",
-					rep.Grid.label(r.Point), r.CounterRejections)
+					r.Point, r.CounterRejections)
 			}
 			if r.PortQuarantines < 1 {
-				t.Errorf("hardened liar run %s: no quarantine despite a persistent liar", rep.Grid.label(r.Point))
+				t.Errorf("hardened liar run %s: no quarantine despite a persistent liar", r.Point)
 			}
 		}
 	}
@@ -180,7 +180,7 @@ func TestMultiLiarToleranceCurve(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rep.Results {
-		label := rep.Grid.label(r.Point)
+		label := r.Point
 		if r.Err != "" {
 			t.Fatalf("run %s errored: %s", label, r.Err)
 		}

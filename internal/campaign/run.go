@@ -275,12 +275,3 @@ func owdRange(sys *dtp.System) (lo, hi int64) {
 	}
 	return lo, hi
 }
-
-// label renders a Point's one-line human label, prefixed by the grid
-// name when set.
-func (g Grid) label(p Point) string {
-	if g.Name != "" {
-		return fmt.Sprintf("%s[%d] %s", g.Name, p.Index, p)
-	}
-	return fmt.Sprintf("[%d] %s", p.Index, p)
-}

@@ -111,7 +111,11 @@ func TestCampaignDeterminism(t *testing.T) {
 		if err := telemetry.WritePrometheus(&m, c.reg); err != nil {
 			t.Fatal(err)
 		}
-		if err := telemetry.WriteJSONL(&tr, c.tr); err != nil {
+		events := c.tr.Events()
+		if err := telemetry.WriteTraceHeader(&tr, len(events), c.tr.Total(), c.tr.Dropped()); err != nil {
+			t.Fatal(err)
+		}
+		if err := telemetry.WriteEvents(&tr, events); err != nil {
 			t.Fatal(err)
 		}
 		return m.String(), tr.String()

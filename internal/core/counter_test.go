@@ -164,9 +164,9 @@ func TestOpenGate(t *testing.T) {
 }
 
 func TestSaturatedGateSlots(t *testing.T) {
-	g := SaturatedGate{FrameBlocks: 200, Phase: 10}
+	g := SaturatedGate{FrameBlocks: 200}
 	cases := []struct{ want, slot uint64 }{
-		{0, 10}, {10, 10}, {11, 210}, {210, 210}, {211, 410}, {409, 410},
+		{0, 0}, {1, 200}, {200, 200}, {201, 400}, {399, 400},
 	}
 	for _, c := range cases {
 		if got := g.NextSlot(c.want); got != c.slot {
@@ -176,13 +176,13 @@ func TestSaturatedGateSlots(t *testing.T) {
 }
 
 func TestSaturatedGateFromFrameSize(t *testing.T) {
-	g := NewSaturatedGate(1522, 0)
+	g := NewSaturatedGate(1522)
 	// MTU frames: ~193 blocks per frame incl. IPG — one beacon slot per
 	// frame, ~200 ticks, matching §4.4.
 	if g.FrameBlocks < 185 || g.FrameBlocks > 200 {
 		t.Fatalf("MTU gate frame blocks = %d", g.FrameBlocks)
 	}
-	j := NewSaturatedGate(9022, 0)
+	j := NewSaturatedGate(9022)
 	if j.FrameBlocks < 1120 || j.FrameBlocks > 1200 {
 		t.Fatalf("jumbo gate frame blocks = %d", j.FrameBlocks)
 	}
@@ -195,7 +195,7 @@ func TestGateSlotProperty(t *testing.T) {
 	f := func(deltas []uint8) bool {
 		gates := []TxGate{
 			OpenGate{},
-			SaturatedGate{FrameBlocks: 200, Phase: 7},
+			SaturatedGate{FrameBlocks: 200},
 		}
 		for _, g := range gates {
 			want := uint64(0)

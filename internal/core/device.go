@@ -202,9 +202,6 @@ func (d *Device) Name() string { return d.node.Name }
 // ID returns the device's topology node ID.
 func (d *Device) ID() int { return d.node.ID }
 
-// kind returns whether the device is a host NIC or a switch.
-func (d *Device) kind() topo.Kind { return d.node.Kind }
-
 // Ports returns the device's DTP ports.
 func (d *Device) Ports() []*Port { return d.ports }
 
@@ -221,9 +218,6 @@ func (d *Device) GlobalCounterAt(t simTime) uint64 {
 	d.settle()
 	return d.gc.at(t)
 }
-
-// PPM returns the device oscillator's current frequency offset.
-func (d *Device) PPM() float64 { return d.clock.PPM() }
 
 // jump requests a forward adjustment at instant now of the global
 // counter from cur, its value then as the caller read it, to target

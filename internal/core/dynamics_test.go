@@ -447,7 +447,7 @@ func TestPortAccessors(t *testing.T) {
 		t.Fatal("device accessor broken")
 	}
 	d, err := n.DeviceByName("h0")
-	if err != nil || d.kind().String() != "host" {
+	if err != nil || d.node.Kind.String() != "host" {
 		t.Fatal("DeviceByName failed")
 	}
 	if _, err := n.DeviceByName("nope"); err == nil {

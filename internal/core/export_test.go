@@ -28,3 +28,22 @@ func CapInboxes(n *Network, perDevice int) {
 		}
 	}
 }
+
+// Faulty reports whether this port has declared its peer faulty and
+// stopped synchronizing to it.
+func (p *Port) Faulty() bool {
+	p.dev.settle()
+	return p.faulty
+}
+
+// Peer returns the port at the far end of the cable.
+func (p *Port) Peer() *Port { return p.peer }
+
+// DroppedDown returns how many blocks arrived while the port was down.
+func (p *Port) DroppedDown() uint64 {
+	p.dev.settle()
+	return p.droppedDown
+}
+
+// PPM returns the device oscillator's current frequency offset.
+func (d *Device) PPM() float64 { return d.clock.PPM() }

@@ -26,14 +26,13 @@ func (OpenGate) NextSlot(want uint64) uint64 { return want }
 // condition: beacon opportunities every ~200 ticks for MTU frames,
 // ~1200 for jumbo.
 type SaturatedGate struct {
-	FrameBlocks uint64 // blocks (= ticks) per frame including IPG
-	Phase       uint64 // tick offset of the first gap
+	FrameBlocks uint64 // blocks (= ticks) per frame including IPG; the first gap is at tick 0
 }
 
 // NewSaturatedGate builds a gate for back-to-back frames of the given
 // octet size.
-func NewSaturatedGate(frameOctets int, phase uint64) SaturatedGate {
-	return SaturatedGate{FrameBlocks: uint64(phy.BlocksPerFrame(frameOctets)), Phase: phase}
+func NewSaturatedGate(frameOctets int) SaturatedGate {
+	return SaturatedGate{FrameBlocks: uint64(phy.BlocksPerFrame(frameOctets))}
 }
 
 // NextSlot returns the first interpacket gap at or after want.
@@ -41,9 +40,5 @@ func (g SaturatedGate) NextSlot(want uint64) uint64 {
 	if g.FrameBlocks <= 1 {
 		return want
 	}
-	if want <= g.Phase {
-		return g.Phase
-	}
-	k := (want - g.Phase + g.FrameBlocks - 1) / g.FrameBlocks
-	return g.Phase + k*g.FrameBlocks
+	return (want + g.FrameBlocks - 1) / g.FrameBlocks * g.FrameBlocks
 }

@@ -232,3 +232,10 @@ func TestQuarantineCooldownInsideSlack(t *testing.T) {
 		t.Fatalf("free-run drift over one quarantine %.1f units > admission slack %d", drift, admitSlackUnits)
 	}
 }
+
+// linkQuarantined reports whether either port of topology link i is in
+// hardened-mode quarantine.
+func (n *Network) linkQuarantined(i int) bool {
+	lp := n.linkPorts[i]
+	return lp[0].state == portQuarantined || lp[1].state == portQuarantined
+}

@@ -343,13 +343,6 @@ func (n *Network) LinkSynced(i int) bool {
 	return lp[0].state == portSynced && lp[1].state == portSynced
 }
 
-// linkQuarantined reports whether either port of topology link i is in
-// hardened-mode quarantine.
-func (n *Network) linkQuarantined(i int) bool {
-	lp := n.linkPorts[i]
-	return lp[0].state == portQuarantined || lp[1].state == portQuarantined
-}
-
 // ByzantineStats returns hardened mode's cumulative bounded-jump
 // admission rejections and quarantine entries across all ports.
 func (n *Network) ByzantineStats() (rejected, quarantined uint64) {

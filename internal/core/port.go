@@ -176,22 +176,12 @@ func (p *Port) PairName() string { return p.dev.Name() + "-" + p.peer.dev.Name()
 // Device returns the port's owning device.
 func (p *Port) Device() *Device { return p.dev }
 
-// Peer returns the port at the far end of the cable.
-func (p *Port) Peer() *Port { return p.peer }
-
 // OWDUnits returns the one-way delay measured during INIT, in counter
 // units, or -1 if not yet measured.
 func (p *Port) OWDUnits() int64 { return p.owdUnits }
 
 // State exposes the protocol state (for tests and monitoring).
 func (p *Port) State() string { return p.state.String() }
-
-// Faulty reports whether this port has declared its peer faulty and
-// stopped synchronizing to it.
-func (p *Port) Faulty() bool {
-	p.dev.settle()
-	return p.faulty
-}
 
 // Stats returns beacon counters: sent, received, ignored (guard or
 // parity violations), and counter jumps caused by this port.
@@ -965,12 +955,6 @@ func (p *Port) arrivedDown() bool {
 	}
 	p.droppedDown++
 	return true
-}
-
-// DroppedDown returns how many blocks arrived while the port was down.
-func (p *Port) DroppedDown() uint64 {
-	p.dev.settle()
-	return p.droppedDown
 }
 
 // --- Helpers ----------------------------------------------------------

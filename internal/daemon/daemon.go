@@ -59,12 +59,14 @@ func DefaultConfig() Config {
 	}
 }
 
-// Compressed scales the calibration interval by 1/k for compressed-time
-// experiments.
-func (c Config) Compressed(k int64) Config {
-	if k > 1 {
-		c.CalInterval /= sim.Time(k)
-	}
+// compression is the time scale of compressed-time runs: the paper
+// calibrates once per second over hours; the experiments calibrate every
+// 10 ms over simulated seconds.
+const compression = 100
+
+// Compressed scales the calibration interval by 1/compression.
+func (c Config) Compressed() Config {
+	c.CalInterval /= compression
 	return c
 }
 
@@ -178,9 +180,6 @@ func (d *Daemon) OffsetHistogram() *telemetry.Histogram { return d.offHist }
 
 // Stop halts calibration (estimates keep extrapolating).
 func (d *Daemon) Stop() { d.stopped = true }
-
-// calibrations returns how many PCIe reads have completed.
-func (d *Daemon) calibrations() uint64 { return d.calCount }
 
 // readLatency draws one PCIe MMIO round-trip.
 func (d *Daemon) readLatency() sim.Time {

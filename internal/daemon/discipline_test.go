@@ -43,7 +43,7 @@ func TestGoldenDisciplineConvergence(t *testing.T) {
 	daemons := make([]*Daemon, len(cases))
 	for i, c := range cases {
 		d, err := Attach(n.Devices[0], Options{
-			Config:     DefaultConfig().Compressed(100), // calibrate every 10 ms
+			Config:     DefaultConfig().Compressed(), // calibrate every 10 ms
 			Discipline: discipline.Config{Kind: c.kind},
 		}, 23, nil, nil)
 		if err != nil {
@@ -134,7 +134,7 @@ func TestGoldenDisciplineConvergence(t *testing.T) {
 func TestDaemonDisciplineResetOnRestart(t *testing.T) {
 	sch, n := syncedPair(t, 25)
 	dev := n.Devices[0]
-	d, err := Attach(dev, Options{Config: DefaultConfig().Compressed(100)}, 27, nil, nil)
+	d, err := Attach(dev, Options{Config: DefaultConfig().Compressed()}, 27, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,18 +44,21 @@ type UTCBroadcast struct {
 // Delivery uses the DTP daemon's own counter estimate, so broadcaster-
 // side software error is included, as it would be in deployment.
 type UTCBroadcaster struct {
-	d        *Daemon
-	src      UTCSource
-	interval sim.Time
-	subs     []*UTCFollower
-	stopped  bool
+	d       *Daemon
+	src     UTCSource
+	subs    []*UTCFollower
+	stopped bool
 }
 
+// broadcastInterval is the UTC broadcast cadence, the serving plane's
+// publish cadence too.
+const broadcastInterval = 10 * sim.Millisecond
+
 // NewUTCBroadcaster wraps a daemon and a UTC source and starts
-// broadcasting to the followers, in order, every interval.
-func NewUTCBroadcaster(d *Daemon, src UTCSource, interval sim.Time, followers []*UTCFollower) *UTCBroadcaster {
-	b := &UTCBroadcaster{d: d, src: src, interval: interval, subs: followers}
-	d.sch.After(interval, b.tick)
+// broadcasting to the followers, in order, every broadcastInterval.
+func NewUTCBroadcaster(d *Daemon, src UTCSource, followers []*UTCFollower) *UTCBroadcaster {
+	b := &UTCBroadcaster{d: d, src: src, subs: followers}
+	d.sch.After(broadcastInterval, b.tick)
 	return b
 }
 
@@ -74,7 +77,7 @@ func (b *UTCBroadcaster) tick() {
 	for _, f := range b.subs {
 		f.deliver(pair)
 	}
-	b.d.sch.After(b.interval, b.tick)
+	b.d.sch.After(broadcastInterval, b.tick)
 }
 
 // UTCFollower consumes broadcasts at one server and serves UTC queries
@@ -155,18 +158,10 @@ func (f *UTCFollower) deliver(pair UTCBroadcast) {
 	f.have = true
 }
 
-// received returns the number of broadcasts consumed (including stale
-// ones that were dropped without anchoring).
-func (f *UTCFollower) received() uint64 { return f.recvd }
-
 // RatioUpdates returns how many ratio measurements have been folded in
 // — a readiness signal for consumers that need a converged estimate
 // (the serving plane's warmup gate).
 func (f *UTCFollower) RatioUpdates() uint64 { return f.updates }
-
-// stalePairs returns how many broadcasts carried a non-advancing
-// counter and were dropped.
-func (f *UTCFollower) stalePairs() uint64 { return f.stale }
 
 // Ratio returns the estimated UTC picoseconds per DTP counter unit.
 func (f *UTCFollower) Ratio() float64 { return f.ratio }
@@ -208,16 +203,4 @@ func (f *UTCFollower) UTCErrorPs() float64 {
 		return math.Inf(1)
 	}
 	return math.Abs(utc - float64(f.d.sch.Now()))
-}
-
-// utcSignedErrorPs returns the signed ground-truth error (estimate
-// minus true time), +Inf before the first broadcast. Callers that need
-// the error's direction (e.g. interval-coverage checks) use this;
-// UTCErrorPs reports the magnitude its doc always promised.
-func (f *UTCFollower) utcSignedErrorPs() float64 {
-	utc, err := f.UTC()
-	if err != nil {
-		return math.Inf(1)
-	}
-	return utc - float64(f.d.sch.Now())
 }

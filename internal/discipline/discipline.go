@@ -138,11 +138,11 @@ const (
 func (c Config) New(nominalRatio float64) (Discipline, error) {
 	switch c.Kind {
 	case "", "ma":
-		return newMovingAverage(maGain, maWindow, nominalRatio), nil
+		return newMovingAverage(nominalRatio), nil
 	case "pll":
-		return newPLL(pllKP, pllKI, nominalRatio), nil
+		return newPLL(nominalRatio), nil
 	case "theilsen":
-		return newTheilSen(tsWindow, nominalRatio), nil
+		return newTheilSen(nominalRatio), nil
 	case "lad":
 		return newLAD(ladWindow, ladDropK, nominalRatio), nil
 	}

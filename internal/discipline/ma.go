@@ -6,8 +6,6 @@ package discipline
 // against an anchor window calibrations old — the long baseline divides
 // per-read latch noise into the ratio.
 type movingAverage struct {
-	gain    float64
-	window  int
 	nominal float64
 
 	history []Sample
@@ -21,8 +19,8 @@ type movingAverage struct {
 // the daemon's historical ratioSlackPPM constant.)
 const maSlackPPM = 5
 
-func newMovingAverage(gain float64, window int, nominalRatio float64) *movingAverage {
-	d := &movingAverage{gain: gain, window: window, nominal: nominalRatio}
+func newMovingAverage(nominalRatio float64) *movingAverage {
+	d := &movingAverage{nominal: nominalRatio}
 	d.Reset()
 	return d
 }
@@ -31,12 +29,12 @@ func (d *movingAverage) Name() string { return "ma" }
 
 func (d *movingAverage) Feed(s Sample) Model {
 	d.history = append(d.history, s)
-	if len(d.history) > d.window+1 {
+	if len(d.history) > maWindow+1 {
 		d.history = d.history[1:]
 	}
 	if anchor := d.history[0]; s.TSC > anchor.TSC {
 		instRatio := (s.DTP - anchor.DTP) / (s.TSC - anchor.TSC)
-		d.m.Ratio += d.gain * (instRatio - d.m.Ratio)
+		d.m.Ratio += maGain * (instRatio - d.m.Ratio)
 	}
 	d.m.DTP = s.DTP
 	d.m.TSC = s.TSC

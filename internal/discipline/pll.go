@@ -10,7 +10,6 @@ import "math"
 // and pure frequency error by (1-ki), so acquisition from a cold
 // nominal ratio takes a few tens of samples.
 type pll struct {
-	kp, ki  float64
 	nominal float64
 
 	m      Model
@@ -40,8 +39,8 @@ const (
 	pllFloorSlackPPM = 5
 )
 
-func newPLL(kp, ki, nominalRatio float64) *pll {
-	d := &pll{kp: kp, ki: ki, nominal: nominalRatio}
+func newPLL(nominalRatio float64) *pll {
+	d := &pll{nominal: nominalRatio}
 	d.Reset()
 	return d
 }
@@ -67,8 +66,8 @@ func (d *pll) Feed(s Sample) Model {
 	}
 	pred := d.m.DTP + dt*d.m.Ratio
 	e := s.DTP - pred // phase error, counter units
-	d.m.Ratio += d.ki * (e / dt)
-	d.m.DTP = pred + d.kp*e
+	d.m.Ratio += pllKI * (e / dt)
+	d.m.DTP = pred + pllKP*e
 	d.m.TSC = s.TSC
 
 	ae := math.Abs(e)

@@ -8,7 +8,6 @@ import "math"
 // to any minority of PCIe contention spikes (breakdown point ~29%)
 // without explicitly detecting them.
 type theilSen struct {
-	window  int
 	nominal float64
 
 	hist  []Sample
@@ -32,8 +31,8 @@ const (
 	tsFloorSlackPPM = 5
 )
 
-func newTheilSen(window int, nominalRatio float64) *theilSen {
-	d := &theilSen{window: window, nominal: nominalRatio}
+func newTheilSen(nominalRatio float64) *theilSen {
+	d := &theilSen{nominal: nominalRatio}
 	d.Reset()
 	return d
 }
@@ -48,7 +47,7 @@ func (d *theilSen) Feed(s Sample) Model {
 		return d.m
 	}
 	d.hist = append(d.hist, s)
-	if len(d.hist) > d.window {
+	if len(d.hist) > tsWindow {
 		d.hist = d.hist[1:]
 	}
 	n := len(d.hist)

@@ -68,7 +68,7 @@ func bcCascadeLeaf(o Options, levels int) (*stats.Summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := ptp.DefaultConfig().Compressed(ptpCompression)
+	cfg := ptp.DefaultConfig().Compressed()
 	leafID := len(g.Nodes) - 1
 	gmClients := []int{1} // the first hop below the timeserver
 	if levels == 0 {

@@ -115,7 +115,7 @@ func DisciplineSweep(o Options) ([]DisciplineRow, error) {
 			return DisciplineRow{}, err
 		}
 		d, err := daemon.Attach(dev, daemon.Options{
-			Config:     c.sc.daemon(daemon.DefaultConfig().Compressed(daemonCompression)),
+			Config:     c.sc.daemon(daemon.DefaultConfig().Compressed()),
 			Discipline: dc,
 		}, o.Seed+20, nil, nil)
 		if err != nil {

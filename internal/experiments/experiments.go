@@ -141,7 +141,7 @@ func runDTPFig(o Options, frameOctets int, beaconInterval uint64) (*DTPFigResult
 		if s == nil {
 			s = stats.NewSummary(0)
 			res.PairSummaries[name] = s
-			res.PairSeries[name] = stats.NewSeries(20_000)
+			res.PairSeries[name] = stats.NewSeries()
 			res.Hist[name] = stats.NewIntHist()
 		}
 		s.Add(float64(off))
@@ -155,7 +155,7 @@ func runDTPFig(o Options, frameOctets int, beaconInterval uint64) (*DTPFigResult
 		return nil, fmt.Errorf("experiments: network failed to synchronize")
 	}
 	n.SetGateAll(func(p *core.Port) core.TxGate {
-		return core.NewSaturatedGate(frameOctets, 0)
+		return core.NewSaturatedGate(frameOctets)
 	})
 	sampleFor(sch, o, 250*sim.Microsecond, func() {
 		if t := n.MaxAdjacentOffset(); t > res.MaxTrueTicks {

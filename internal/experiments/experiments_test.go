@@ -34,7 +34,7 @@ func TestFig6aBounded(t *testing.T) {
 		}
 	}
 	for _, sr := range res.PairSeries {
-		if sr.Len() == 0 {
+		if len(sr.T) == 0 {
 			t.Fatal("empty series")
 		}
 	}
@@ -202,7 +202,7 @@ func TestTable2SpeedBounds(t *testing.T) {
 }
 
 func TestBoundSweepScaling(t *testing.T) {
-	rows, err := BoundSweep(Options{Seed: 17, Duration: 200 * sim.Millisecond}, 6)
+	rows, err := BoundSweep(Options{Seed: 17, Duration: 200 * sim.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,10 +22,6 @@ type DaemonFigResult struct {
 	RawMax float64
 }
 
-// daemonCompression: the paper calibrates once per second over hours;
-// we calibrate every 10 ms over simulated seconds.
-const daemonCompression = 100
-
 // Fig7 reproduces Figure 7: DTP daemons on the paper tree's leaves
 // reading their NIC counters over PCIe. Paper: raw offsets usually
 // within ±16 ticks with occasional spikes (7a); within ±4 ticks after a
@@ -44,7 +40,7 @@ func Fig7(o Options) (*DaemonFigResult, error) {
 			return nil, err
 		}
 		d, err := daemon.Attach(dev, daemon.Options{
-			Config:     daemon.DefaultConfig().Compressed(daemonCompression),
+			Config:     daemon.DefaultConfig().Compressed(),
 			Discipline: o.Discipline,
 		}, o.Seed+20+uint64(i), nil, nil)
 		if err != nil {

@@ -28,12 +28,15 @@ type IncrementalResult struct {
 	MergedWorstNs float64
 }
 
-// rackGraph builds one DTP-enabled rack: a ToR switch and `hosts`
+// hostsPerRack is the number of servers under each rack's ToR switch.
+const hostsPerRack = 4
+
+// rackGraph builds one DTP-enabled rack: a ToR switch and hostsPerRack
 // servers; host index 0 acts as the rack's PTP master.
-func rackGraph(hosts int) topo.Graph {
+func rackGraph() topo.Graph {
 	g := topo.Graph{}
 	g.Nodes = append(g.Nodes, topo.Node{ID: 0, Name: "tor", Kind: topo.Switch})
-	for i := 0; i < hosts; i++ {
+	for i := 0; i < hostsPerRack; i++ {
 		id := len(g.Nodes)
 		g.Nodes = append(g.Nodes, topo.Node{ID: id, Name: fmt.Sprintf("h%d", i), Kind: topo.Host})
 		g.Links = append(g.Links, topo.Link{A: 0, B: id, LengthM: topo.DefaultCableM})
@@ -42,7 +45,7 @@ func rackGraph(hosts int) topo.Graph {
 }
 
 // mergedGraph is both racks plus a DTP-enabled aggregation switch.
-func mergedGraph(hostsPerRack int) topo.Graph {
+func mergedGraph() topo.Graph {
 	g := topo.Graph{}
 	add := func(name string, k topo.Kind) int {
 		id := len(g.Nodes)
@@ -66,7 +69,6 @@ func mergedGraph(hostsPerRack int) topo.Graph {
 // DTP network), reporting the three precision regimes.
 func IncrementalDeployment(o Options) (*IncrementalResult, error) {
 	o = o.withDefaults(2 * sim.Second)
-	const hostsPerRack = 4
 	const period = 10 * sim.Millisecond
 	res := &IncrementalResult{}
 
@@ -74,7 +76,7 @@ func IncrementalDeployment(o Options) (*IncrementalResult, error) {
 	sch := sim.NewScheduler()
 	var racks [2]*core.Network
 	for r := 0; r < 2; r++ {
-		n, err := core.NewNetwork(sch, o.Seed+uint64(r), rackGraph(hostsPerRack), core.DefaultConfig())
+		n, err := core.NewNetwork(sch, o.Seed+uint64(r), rackGraph(), core.DefaultConfig())
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +88,7 @@ func IncrementalDeployment(o Options) (*IncrementalResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pcfg := ptp.DefaultConfig().Compressed(ptpCompression)
+	pcfg := ptp.DefaultConfig().Compressed()
 	gm := ptp.NewGrandmaster(fnet, 1, []int{2, 3}, pcfg, o.Seed+11)
 	masters := [2]*ptp.Client{
 		ptp.NewClient(fnet, 2, 1, pcfg, o.Seed+12),
@@ -137,7 +139,7 @@ func IncrementalDeployment(o Options) (*IncrementalResult, error) {
 	})
 
 	// ---- Phase 2: DTP-enable the aggregation layer. ------------------
-	sch2, merged, err := settled(o.Seed+20, mergedGraph(hostsPerRack), core.DefaultConfig(), 10*sim.Millisecond)
+	sch2, merged, err := settled(o.Seed+20, mergedGraph(), core.DefaultConfig(), 10*sim.Millisecond)
 	if err != nil {
 		return nil, err
 	}

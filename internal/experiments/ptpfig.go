@@ -44,10 +44,6 @@ type PTPFigResult struct {
 	WorstNs float64
 }
 
-// Compression applied to PTP experiments: a paper hour at 1 Hz sync
-// becomes simulated seconds at 50 Hz. Documented in EXPERIMENTS.md.
-const ptpCompression = 50
-
 // RunPTP reproduces Figures 6d–f on the paper's PTP network with
 // realistic transparent clocks.
 func RunPTP(o Options, load PTPLoad) (*PTPFigResult, error) {
@@ -68,7 +64,7 @@ func runPTP(o Options, fcfg fabric.Config, load PTPLoad) (*PTPFigResult, error) 
 	if err != nil {
 		return nil, err
 	}
-	cfg := ptp.DefaultConfig().Compressed(ptpCompression)
+	cfg := ptp.DefaultConfig().Compressed()
 	var nodes []int // client node IDs
 	var names []string
 	for _, h := range g.HostIDs() {
@@ -90,7 +86,7 @@ func runPTP(o Options, fcfg fabric.Config, load PTPLoad) (*PTPFigResult, error) 
 	// Each of the first n clients sprays the others of that group.
 	spray := func(n int, gbps float64, seed uint64) {
 		for i, src := range nodes[:n] {
-			fabric.NewSprayGen(net, src, nodes[:n], gbps, 32, seed+uint64(i)).Start()
+			fabric.NewSprayGen(net, src, nodes[:n], gbps, seed+uint64(i)).Start()
 		}
 	}
 	switch load {
@@ -108,7 +104,7 @@ func runPTP(o Options, fcfg fabric.Config, load PTPLoad) (*PTPFigResult, error) 
 	}
 	for _, name := range names {
 		res.ClientSummaries[name] = stats.NewSummary(0)
-		res.ClientSeries[name] = stats.NewSeries(20_000)
+		res.ClientSeries[name] = stats.NewSeries()
 	}
 	sampleFor(sch, o, 10*sim.Millisecond, func() {
 		for i, c := range clients {

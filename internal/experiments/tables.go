@@ -62,7 +62,7 @@ func runNTPWorst(o Options) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	cfg := ntp.DefaultConfig().Compressed(100)
+	cfg := ntp.DefaultConfig().Compressed()
 	ntp.NewServer(net, 1, cfg, o.Seed+1)
 	var clients []*ntp.Client
 	for i, node := range []int{2, 3, 4, 5} {
@@ -153,14 +153,18 @@ type BoundSweepRow struct {
 	SettledPairs bool
 }
 
-// BoundSweep measures the end-to-end offset across chains of increasing
-// length, validating the 4TD scaling claim including the fat-tree
-// diameter (6 hops -> 153.6 ns). Each chain length is an independent
-// simulation; the sweep fans out across o.Jobs workers and merges rows
-// in hop order.
-func BoundSweep(o Options, maxHops int) ([]BoundSweepRow, error) {
+// boundSweepHops is the longest chain BoundSweep runs: the fat-tree
+// diameter.
+const boundSweepHops = 6
+
+// BoundSweep measures the end-to-end offset across chains of 1 to
+// boundSweepHops hops, validating the 4TD scaling claim including the
+// fat-tree diameter (6 hops -> 153.6 ns). Each chain length is an
+// independent simulation; the sweep fans out across o.Jobs workers and
+// merges rows in hop order.
+func BoundSweep(o Options) ([]BoundSweepRow, error) {
 	o = o.withDefaults(500 * sim.Millisecond)
-	return par.Map(o.Jobs, maxHops, func(i int) (BoundSweepRow, error) {
+	return par.Map(o.Jobs, boundSweepHops, func(i int) (BoundSweepRow, error) {
 		hops := i + 1
 		sch, n, err := settled(o.Seed+uint64(hops), topo.Chain(hops), core.DefaultConfig(), 10*sim.Millisecond)
 		if err != nil {

@@ -176,36 +176,6 @@ func (n *Network) Send(f *eth.Frame) bool {
 	return port.enqueue(f)
 }
 
-// queueDepthBytes reports the egress queue occupancy from node `from`
-// toward node `dst` (next hop), for monitoring.
-func (n *Network) queueDepthBytes(from, dst int) int {
-	p := n.elements[from].portToward(dst)
-	if p == nil {
-		return 0
-	}
-	return p.queueBytes
-}
-
-// drops returns total frames tail-dropped across the fabric.
-func (n *Network) drops() uint64 {
-	var total uint64
-	for _, el := range n.elements {
-		for _, p := range el.ports {
-			total += p.dropped
-		}
-	}
-	return total
-}
-
-// delivered returns total frames delivered to host handlers.
-func (n *Network) delivered() uint64 {
-	var total uint64
-	for _, el := range n.elements {
-		total += el.delivered
-	}
-	return total
-}
-
 func (el *element) portToward(dst int) *egressPort {
 	if dst == el.node.ID {
 		return nil

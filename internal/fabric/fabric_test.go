@@ -105,8 +105,8 @@ func TestQueueingDelayGrowsWithContention(t *testing.T) {
 			worst = d
 		}
 	})
-	g1 := NewSprayGen(n, 3, []int{2}, 9, 16, 11)
-	g2 := NewSprayGen(n, 4, []int{2}, 9, 16, 12)
+	g1 := NewSprayGen(n, 3, []int{2}, 9, 11)
+	g2 := NewSprayGen(n, 4, []int{2}, 9, 12)
 	g1.Start()
 	g2.Start()
 	// Periodic probes measure path latency under congestion.
@@ -244,7 +244,7 @@ func TestBulkTrafficRate(t *testing.T) {
 	sch, n := newStar(t, DefaultConfig())
 	received := 0
 	n.Handle(2, eth.ProtoBulk, func(f *eth.Frame, rx sim.Time) { received++ })
-	g := NewSprayGen(n, 1, []int{2}, 4.0, 8, 21)
+	g := NewSprayGen(n, 1, []int{2}, 4.0, 21)
 	g.Start()
 	sch.Run(50 * sim.Millisecond)
 	g.stop = true
@@ -265,7 +265,7 @@ func TestSprayGenHitsAllDestinations(t *testing.T) {
 		node := node
 		n.Handle(node, eth.ProtoBulk, func(f *eth.Frame, rx sim.Time) { got[node]++ })
 	}
-	g := NewSprayGen(n, 2, []int{2, 3, 4, 5}, 4.0, 8, 77)
+	g := NewSprayGen(n, 2, []int{2, 3, 4, 5}, 4.0, 77)
 	g.Start()
 	sch.Run(20 * sim.Millisecond)
 	g.stop = true
@@ -295,7 +295,7 @@ func TestSprayGenNeedsDestinations(t *testing.T) {
 			t.Fatal("empty destination set accepted")
 		}
 	}()
-	NewSprayGen(n, 2, nil, 1, 1, 1)
+	NewSprayGen(n, 2, nil, 1, 1)
 }
 
 func TestMultiHopDelivery(t *testing.T) {
@@ -349,4 +349,34 @@ func TestBadConfigRejected(t *testing.T) {
 	if _, err := New(sim.NewScheduler(), 1, g, DefaultConfig()); err == nil {
 		t.Fatal("disconnected topology accepted")
 	}
+}
+
+// queueDepthBytes reports the egress queue occupancy from node `from`
+// toward node `dst` (next hop).
+func (n *Network) queueDepthBytes(from, dst int) int {
+	p := n.elements[from].portToward(dst)
+	if p == nil {
+		return 0
+	}
+	return p.queueBytes
+}
+
+// drops returns total frames tail-dropped across the fabric.
+func (n *Network) drops() uint64 {
+	var total uint64
+	for _, el := range n.elements {
+		for _, p := range el.ports {
+			total += p.dropped
+		}
+	}
+	return total
+}
+
+// delivered returns total frames delivered to host handlers.
+func (n *Network) delivered() uint64 {
+	var total uint64
+	for _, el := range n.elements {
+		total += el.delivered
+	}
+	return total
 }

@@ -21,22 +21,21 @@ type SprayGen struct {
 	Dsts      []int
 	FrameSize int
 	RateGbps  float64
-	Burst     int
 
 	sent uint64
 }
 
+// sprayBurst is how many back-to-back frames each burst sends.
+const sprayBurst = 32
+
 // NewSprayGen creates a sprayer from src across the destination set.
-func NewSprayGen(n *Network, src int, dsts []int, rateGbps float64, burst int, seed uint64) *SprayGen {
+func NewSprayGen(n *Network, src int, dsts []int, rateGbps float64, seed uint64) *SprayGen {
 	if len(dsts) == 0 {
 		panic("fabric: spray needs destinations")
 	}
-	if burst < 1 {
-		burst = 1
-	}
 	return &SprayGen{
 		net: n, rng: sim.NewRNG(seed, fmt.Sprintf("spray/%d", src)),
-		Src: src, Dsts: dsts, FrameSize: eth.MTUFrame, RateGbps: rateGbps, Burst: burst,
+		Src: src, Dsts: dsts, FrameSize: eth.MTUFrame, RateGbps: rateGbps,
 	}
 }
 
@@ -47,7 +46,7 @@ func (g *SprayGen) Start() {
 }
 
 func (g *SprayGen) gap() sim.Time {
-	bitsPerBurst := float64(g.FrameSize*8*g.Burst) * 1000
+	bitsPerBurst := float64(g.FrameSize*8*sprayBurst) * 1000
 	return sim.Time(bitsPerBurst / g.RateGbps)
 }
 
@@ -59,7 +58,7 @@ func (g *SprayGen) emit() {
 	if dst == g.Src {
 		dst = g.Dsts[(g.rng.IntN(len(g.Dsts))+1)%len(g.Dsts)]
 	}
-	for i := 0; i < g.Burst && dst != g.Src; i++ {
+	for i := 0; i < sprayBurst && dst != g.Src; i++ {
 		g.net.Send(&eth.Frame{Src: g.Src, Dst: dst, Size: g.FrameSize, Proto: eth.ProtoBulk})
 		g.sent++
 	}

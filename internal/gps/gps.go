@@ -44,6 +44,3 @@ func NewReceiver(sch *sim.Scheduler, seed uint64, name string) *Receiver {
 func (r *Receiver) Read() float64 {
 	return float64(r.sch.Now()) + r.bias + r.rng.Normal(0, noisePs)
 }
-
-// offsetPs returns this receiver's instantaneous error versus true time.
-func (r *Receiver) offsetPs() float64 { return r.Read() - float64(r.sch.Now()) }

@@ -77,3 +77,6 @@ func TestReadTracksTrueTime(t *testing.T) {
 		t.Fatal("receiver lost true time")
 	}
 }
+
+// offsetPs returns this receiver's instantaneous error versus true time.
+func (r *Receiver) offsetPs() float64 { return r.Read() - float64(r.sch.Now()) }

@@ -142,22 +142,16 @@ func New(sch *sim.Scheduler, rng *sim.RNG, cfg Config) (*Wire, error) {
 	return w, nil
 }
 
+// setBER sets the bit error rate and, from it, the chance that a 66-bit
+// block arrives corrupted: 1 - (1-ber)^66, multiplied out rather than
+// through math.Pow for tiny ber.
 func (w *Wire) setBER(ber float64) {
 	w.cfg.BER = ber
-	if ber > 0 {
-		w.blockErrP = 1 - pow1m(ber, 66)
-	} else {
-		w.blockErrP = 0
+	intact := 1.0
+	for i := 0; ber > 0 && i < 66; i++ {
+		intact *= 1 - ber
 	}
-}
-
-// pow1m computes (1-p)^n without math.Pow for tiny p.
-func pow1m(p float64, n int) float64 {
-	r := 1.0
-	for i := 0; i < n; i++ {
-		r *= 1 - p
-	}
-	return r
+	w.blockErrP = 1 - intact
 }
 
 // Delay returns the propagation delay.

@@ -58,11 +58,13 @@ func DefaultConfig() Config {
 	}
 }
 
-// Compressed scales the poll interval by 1/k for compressed-time runs.
-func (c Config) Compressed(k int64) Config {
-	if k > 1 {
-		c.PollInterval /= sim.Time(k)
-	}
+// compression is the time scale of compressed-time runs: a 16 s poll
+// becomes 160 ms.
+const compression = 100
+
+// Compressed scales the poll interval by 1/compression.
+func (c Config) Compressed() Config {
+	c.PollInterval /= compression
 	return c
 }
 
@@ -162,22 +164,10 @@ func NewClient(n *fabric.Network, node, server int, cfg Config, seed uint64) *Cl
 	return c
 }
 
-// stop halts polling: the pending poll is cancelled and replies still
-// in flight are ignored.
-func (c *Client) stop() {
-	c.pollEv.Cancel()
-	c.stopped = true
-}
-
 // OffsetToServerPs is ground truth: client clock minus true time.
 func (c *Client) OffsetToServerPs() float64 {
 	now := c.net.Sch.Now()
 	return c.Clock.At(now) - float64(now)
-}
-
-// stats returns protocol counters.
-func (c *Client) stats() (polls, replies, steps uint64) {
-	return c.polls, c.replies, c.steps
 }
 
 func (c *Client) poll() {

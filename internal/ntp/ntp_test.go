@@ -25,7 +25,7 @@ func deploy(t *testing.T, seed uint64, cfg Config) (*sim.Scheduler, *fabric.Netw
 }
 
 func TestNTPConvergesToMicroseconds(t *testing.T) {
-	cfg := DefaultConfig().Compressed(100) // poll every 160 ms
+	cfg := DefaultConfig().Compressed() // poll every 160 ms
 	sch, _, clients := deploy(t, 3, cfg)
 	sch.Run(20 * sim.Second) // >100 polls
 	worst := 0.0
@@ -54,7 +54,7 @@ func TestNTPWorseThanHardwareTimestamping(t *testing.T) {
 	// here check that the stack jitter actually dominates: zeroing it
 	// improves precision by at least an order of magnitude.
 	run := func(medianUs float64) float64 {
-		cfg := DefaultConfig().Compressed(100)
+		cfg := DefaultConfig().Compressed()
 		cfg.StackMedianUs = medianUs
 		sch, _, clients := deploy(t, 7, cfg)
 		sch.Run(20 * sim.Second)
@@ -77,11 +77,11 @@ func TestNTPWorseThanHardwareTimestamping(t *testing.T) {
 }
 
 func TestNTPStepsOnStartup(t *testing.T) {
-	cfg := DefaultConfig().Compressed(100)
+	cfg := DefaultConfig().Compressed()
 	sch, _, clients := deploy(t, 11, cfg)
 	sch.Run(5 * sim.Second)
 	for _, c := range clients {
-		polls, replies, steps := c.stats()
+		polls, replies, steps := c.polls, c.replies, c.steps
 		if polls == 0 || replies == 0 {
 			t.Fatal("client not exchanging")
 		}
@@ -115,7 +115,7 @@ func TestNTPClockFilterPrefersMinDelay(t *testing.T) {
 
 func TestNTPDeterminism(t *testing.T) {
 	run := func() float64 {
-		cfg := DefaultConfig().Compressed(100)
+		cfg := DefaultConfig().Compressed()
 		sch, _, clients := deploy(t, 21, cfg)
 		sch.Run(10 * sim.Second)
 		return clients[0].OffsetToServerPs()
@@ -126,15 +126,22 @@ func TestNTPDeterminism(t *testing.T) {
 }
 
 func TestNTPStopHalts(t *testing.T) {
-	cfg := DefaultConfig().Compressed(100)
+	cfg := DefaultConfig().Compressed()
 	sch, _, clients := deploy(t, 31, cfg)
 	sch.Run(5 * sim.Second)
 	c := clients[0]
-	polls, _, _ := c.stats()
+	polls := c.polls
 	c.stop()
 	sch.RunFor(5 * sim.Second)
-	polls2, _, _ := c.stats()
+	polls2 := c.polls
 	if polls2 != polls {
 		t.Fatalf("stopped client still polled (%d -> %d)", polls, polls2)
 	}
+}
+
+// stop halts polling: the pending poll is cancelled and replies still
+// in flight are ignored.
+func (c *Client) stop() {
+	c.pollEv.Cancel()
+	c.stopped = true
 }

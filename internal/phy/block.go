@@ -69,9 +69,6 @@ func (b Block) isIdle() bool {
 	return b.Sync == syncControl && b.blockType() == btIdle
 }
 
-// isControl reports whether b is any control block.
-func (b Block) isControl() bool { return b.Sync == syncControl }
-
 // Valid reports whether the sync header is one of the two legal values.
 // A corrupted sync header is how the receiver detects bit errors in the
 // header; payload errors are caught at higher layers (CRC) or by DTP's

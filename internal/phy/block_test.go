@@ -7,7 +7,7 @@ import (
 
 func TestIdleBlock(t *testing.T) {
 	b := IdleBlock()
-	if !b.isIdle() || !b.isControl() || !b.Valid() {
+	if !b.isIdle() || b.Sync != syncControl || !b.Valid() {
 		t.Fatal("IdleBlock misclassified")
 	}
 	if b.controlBits() != 0 {
@@ -26,7 +26,7 @@ func TestDataBlockOctetOrder(t *testing.T) {
 	if b.Payload != 0x0807060504030201 {
 		t.Fatalf("payload = %#x", b.Payload)
 	}
-	if b.isIdle() || b.isControl() {
+	if b.isIdle() || b.Sync == syncControl {
 		t.Fatal("data block misclassified as control")
 	}
 }

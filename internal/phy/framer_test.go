@@ -147,10 +147,10 @@ func TestProfilesReproduceTable2(t *testing.T) {
 }
 
 func TestProfileTickPeriod(t *testing.T) {
-	if ProfileFor(Speed10G).tickPeriod() != 6400*sim.Picosecond {
+	if sim.Femto(ProfileFor(Speed10G).PeriodFs) != 6400*sim.Picosecond {
 		t.Fatal("10G tick period wrong")
 	}
-	if ProfileFor(Speed100G).tickPeriod() != 640*sim.Picosecond {
+	if sim.Femto(ProfileFor(Speed100G).PeriodFs) != 640*sim.Picosecond {
 		t.Fatal("100G tick period wrong")
 	}
 }

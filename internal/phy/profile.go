@@ -83,12 +83,6 @@ func ProfileFor(s Speed) Profile {
 	panic(fmt.Sprintf("phy: unknown speed %v", s))
 }
 
-// tickPeriod returns the PCS clock period as simulated time (rounded to
-// ps; exact for all supported speeds).
-func (p Profile) tickPeriod() sim.Time {
-	return sim.Femto(p.PeriodFs)
-}
-
 // ByteTime returns the serialization time of n octets at this speed.
 func (p Profile) ByteTime(n int) sim.Time {
 	// n octets * 8 bits / (DataGbps * 1e9 bits/s), in ps.

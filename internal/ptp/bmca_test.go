@@ -19,7 +19,7 @@ func failoverRig(t *testing.T, seed uint64) (*sim.Scheduler, *Grandmaster, *Gran
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig().Compressed(50)
+	cfg := DefaultConfig().Compressed()
 	clients := []int{3, 4, 5}
 	primary := NewGrandmaster(net, 1, clients, cfg, seed+1)
 	primary.Priority = 10
@@ -41,11 +41,11 @@ func TestBMCAPrefersLowerPriority(t *testing.T) {
 	sch, _, _, cs := failoverRig(t, 1)
 	sch.Run(3 * sim.Second)
 	for _, c := range cs {
-		if c.master() != 1 {
-			t.Fatalf("client selected node %d, want primary 1", c.master())
+		if c.gm != 1 {
+			t.Fatalf("client selected node %d, want primary 1", c.gm)
 		}
-		if c.masterSwitches() != 0 {
-			t.Fatalf("client switched %d times with a healthy primary", c.masterSwitches())
+		if c.switches != 0 {
+			t.Fatalf("client switched %d times with a healthy primary", c.switches)
 		}
 		if off := math.Abs(c.OffsetToMasterPs()) / 1000; off > 1000 {
 			t.Fatalf("client offset %.0f ns under primary", off)
@@ -62,10 +62,10 @@ func TestBMCAFailsOverAndBack(t *testing.T) {
 	primary.stop()
 	sch.RunFor(3 * sim.Second)
 	for _, c := range cs {
-		if c.master() != 2 {
-			t.Fatalf("client still on node %d after primary death", c.master())
+		if c.gm != 2 {
+			t.Fatalf("client still on node %d after primary death", c.gm)
 		}
-		if c.masterSwitches() == 0 {
+		if c.switches == 0 {
 			t.Fatal("no failover recorded")
 		}
 		// The backup runs +300 ns fast; converged clients inherit that.
@@ -79,8 +79,8 @@ func TestBMCAFailsOverAndBack(t *testing.T) {
 	primary.Start()
 	sch.RunFor(3 * sim.Second)
 	for _, c := range cs {
-		if c.master() != 1 {
-			t.Fatalf("client did not return to the primary (on %d)", c.master())
+		if c.gm != 1 {
+			t.Fatalf("client did not return to the primary (on %d)", c.gm)
 		}
 		if off := math.Abs(c.OffsetToMasterPs()) / 1000; off > 150 {
 			t.Fatalf("client offset %.0f ns after returning to primary", off)
@@ -110,9 +110,9 @@ func TestGrandmasterRestartRunsOneSyncLoop(t *testing.T) {
 	sch.Run(sim.Second)
 	primary.stop()
 	primary.Start()
-	before, _, _ := cs[0].stats()
+	before := cs[0].syncs
 	sch.RunFor(10 * primary.cfg.SyncInterval)
-	syncs, _, _ := cs[0].stats()
+	syncs := cs[0].syncs
 	if n := syncs - before; n < 9 || n > 11 {
 		t.Fatalf("%d Syncs over 10 sync intervals after a restart, want about 10", n)
 	}
@@ -127,14 +127,26 @@ func TestRestartedClientRunsFreshLoops(t *testing.T) {
 	c := cs[0]
 	c.stop()
 	c.Start()
-	_, before, _ := c.stats()
+	before := c.resps
 	sch.RunFor(10 * c.cfg.DelayReqInterval)
-	if _, resps, _ := c.stats(); resps-before < 9 || resps-before > 11 {
+	if resps := c.resps; resps-before < 9 || resps-before > 11 {
 		t.Fatalf("%d Delay_Resps over 10 intervals after a restart, want about 10", resps-before)
 	}
 	primary.stop()
 	sch.RunFor(3 * sim.Second)
-	if c.master() != 2 {
-		t.Fatalf("restarted client still on node %d after primary death", c.master())
+	if c.gm != 2 {
+		t.Fatalf("restarted client still on node %d after primary death", c.gm)
 	}
 }
+
+// stop halts the client's transmissions and master selection (received
+// messages are ignored).
+func (c *Client) stop() {
+	c.stopped = true
+	c.delayEv.Cancel()
+	c.watchdogEv.Cancel()
+}
+
+// stop halts Sync transmission. It cancels the pending round, so a
+// later Start runs one Sync loop, not two.
+func (gm *Grandmaster) stop() { gm.syncEv.Cancel() }

@@ -122,12 +122,6 @@ func (c *Client) selectMaster() {
 	c.synced = false // first measurement against the new master steps
 }
 
-// masterSwitches reports how many BMCA failovers occurred.
-func (c *Client) masterSwitches() uint64 { return c.switches }
-
-// master returns the currently selected master node.
-func (c *Client) master() int { return c.gm }
-
 // Start begins the Delay_Req cadence and, after a stop, re-arms the
 // BMCA watchdog (NewClient arms it for a fresh client).
 func (c *Client) Start() {
@@ -138,24 +132,11 @@ func (c *Client) Start() {
 	}
 }
 
-// stop halts the client's transmissions and master selection (received
-// messages are ignored).
-func (c *Client) stop() {
-	c.stopped = true
-	c.delayEv.Cancel()
-	c.watchdogEv.Cancel()
-}
-
 // OffsetToMasterPs is ground truth: PHC time minus true time at the
 // current instant. This is what Figures 6d–f plot.
 func (c *Client) OffsetToMasterPs() float64 {
 	now := c.net.Sch.Now()
 	return c.PHC.At(now) - float64(now)
-}
-
-// stats returns protocol counters.
-func (c *Client) stats() (syncs, delayResps, steps uint64) {
-	return c.syncs, c.resps, c.steps
 }
 
 func (c *Client) wander() {

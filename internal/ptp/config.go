@@ -59,22 +59,24 @@ func DefaultConfig() Config {
 	}
 }
 
-// Compressed scales the protocol's time constants by 1/k so long
-// experiments can run in compressed simulated time while preserving the
-// ratio of sync cadence to queue dynamics. Documented per-experiment in
+// compression is the time scale of compressed-time runs: a paper hour
+// at 1 Hz sync becomes simulated seconds at 50 Hz. Documented in
 // EXPERIMENTS.md.
-func (c Config) Compressed(k int64) Config {
-	if k <= 1 {
-		return c
-	}
-	c.SyncInterval /= sim.Time(k)
-	c.DelayReqInterval /= sim.Time(k)
+const compression = 50
+
+// Compressed scales the protocol's time constants by 1/compression so
+// long experiments can run in compressed simulated time while preserving
+// the ratio of sync cadence to queue dynamics.
+func (c Config) Compressed() Config {
+	c.SyncInterval /= compression
+	c.DelayReqInterval /= compression
 	if c.WanderInterval > 0 {
-		c.WanderInterval /= sim.Time(k)
+		c.WanderInterval /= compression
 		// Random-walk variance accumulates linearly in time: stepping
-		// k× more often with the same step would inflate wander by √k,
-		// so scale the step down to preserve per-second variance.
-		c.WanderStepPPB /= math.Sqrt(float64(k))
+		// compression× more often with the same step would inflate
+		// wander by √compression, so scale the step down to preserve
+		// per-second variance.
+		c.WanderStepPPB /= math.Sqrt(compression)
 	}
 	return c
 }

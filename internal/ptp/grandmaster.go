@@ -60,10 +60,6 @@ func (gm *Grandmaster) Start() {
 	gm.syncEv = gm.net.Sch.After(gm.rng.UniformTime(0, gm.cfg.SyncInterval), gm.syncRound)
 }
 
-// stop halts Sync transmission. It cancels the pending round, so a
-// later Start runs one Sync loop, not two.
-func (gm *Grandmaster) stop() { gm.syncEv.Cancel() }
-
 func (gm *Grandmaster) syncRound() {
 	for _, c := range gm.clients {
 		// Announce precedes Sync each round (the paper: "each sync

@@ -75,10 +75,10 @@ func TestServoConvergesConstantDrift(t *testing.T) {
 }
 
 // deploy builds the paper's PTP network: star through one cut-through
-// switch, timeserver at node 1, 8 clients syncing every 100 ms.
+// switch, timeserver at node 1, 8 clients syncing every 20 ms.
 func deploy(t *testing.T, seed uint64) (*sim.Scheduler, []*Client) {
 	t.Helper()
-	cfg := DefaultConfig().Compressed(10)
+	cfg := DefaultConfig().Compressed()
 	sch := sim.NewScheduler()
 	g := topo.Star(8)
 	net, err := fabric.New(sch, seed, g, fabric.DefaultConfig())
@@ -105,7 +105,7 @@ func deploy(t *testing.T, seed uint64) (*sim.Scheduler, []*Client) {
 
 func TestPTPConvergesOnIdleNetwork(t *testing.T) {
 	sch, clients := deploy(t, 5)
-	sch.Run(10 * sim.Second) // ~100 sync rounds
+	sch.Run(10 * sim.Second) // ~500 sync rounds
 	worst := 0.0
 	for i := 0; i < 200; i++ {
 		sch.RunFor(10 * sim.Millisecond)
@@ -121,7 +121,7 @@ func TestPTPConvergesOnIdleNetwork(t *testing.T) {
 		t.Fatalf("idle PTP offset %.1f ns is implausibly perfect", worst)
 	}
 	for _, c := range clients {
-		syncs, resps, _ := c.stats()
+		syncs, resps := c.syncs, c.resps
 		if syncs == 0 || resps == 0 {
 			t.Fatal("client starved of protocol messages")
 		}
@@ -132,7 +132,7 @@ func TestPTPInitialStepHappens(t *testing.T) {
 	sch, clients := deploy(t, 7)
 	sch.Run(5 * sim.Second)
 	for _, c := range clients {
-		if _, _, steps := c.stats(); steps == 0 {
+		if c.steps == 0 {
 			t.Fatal("client with ±1ms initial error never stepped")
 		}
 	}
@@ -150,14 +150,11 @@ func TestPTPDeterminism(t *testing.T) {
 }
 
 func TestCompressedScalesIntervals(t *testing.T) {
-	c := DefaultConfig().Compressed(10)
-	if c.SyncInterval != 100*sim.Millisecond {
+	c := DefaultConfig().Compressed()
+	if c.SyncInterval != 20*sim.Millisecond {
 		t.Fatalf("sync interval %v", c.SyncInterval)
 	}
-	if c.DelayReqInterval != 75*sim.Millisecond {
+	if c.DelayReqInterval != 15*sim.Millisecond {
 		t.Fatalf("delay req interval %v", c.DelayReqInterval)
-	}
-	if got := DefaultConfig().Compressed(1); got.SyncInterval != sim.Second {
-		t.Fatal("Compressed(1) should be identity")
 	}
 }

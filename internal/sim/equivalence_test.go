@@ -450,7 +450,7 @@ func TestLaneEquivalence(t *testing.T) {
 			if c.Cancel() || c.Pending() || a.Cancel() {
 				t.Fatal("stale handle touched the slot's lane tenant")
 			}
-			if !b.Pending() || b.at() != 9*Nanosecond {
+			if !b.Pending() || b.s.slots[b.slot].at != 9*Nanosecond {
 				t.Fatal("live tenant disturbed by stale handles")
 			}
 		})

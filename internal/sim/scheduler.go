@@ -71,15 +71,6 @@ func (e Event) Pending() bool {
 	return e.s != nil && e.s.slots[e.slot].gen == e.gen && e.s.slots[e.slot].pending
 }
 
-// at returns the simulated time the event is scheduled for, or 0 if the
-// event already fired, was cancelled, or is the zero Event.
-func (e Event) at() Time {
-	if !e.Pending() {
-		return 0
-	}
-	return e.s.slots[e.slot].at
-}
-
 // Cancel removes the event from the scheduler, clears its callback
 // references, and recycles its slot immediately — a cancelled event
 // retains nothing. Returns false if the event already fired or was

@@ -146,9 +146,6 @@ func (h *IntHist) Add(v int64) {
 // Total returns the sample count.
 func (h *IntHist) Total() uint64 { return h.total }
 
-// count returns the count at a value.
-func (h *IntHist) count(v int64) uint64 { return h.counts[v] }
-
 // Range returns the smallest and largest recorded values.
 func (h *IntHist) Range() (lo, hi int64) {
 	first := true
@@ -191,23 +188,22 @@ func (h *IntHist) String() string {
 	return b.String()
 }
 
-// Series is a bounded time series: it keeps every point until cap, then
-// decimates by dropping every other retained point and doubling the
-// keep-stride — preserving overall shape for long runs.
+// Series is a bounded time series: it keeps every point until
+// seriesCap, then decimates by dropping every other retained point and
+// doubling the keep-stride — preserving overall shape for long runs.
 type Series struct {
 	T      []float64 // seconds
 	V      []float64
-	cap    int
 	stride int
 	skip   int
 }
 
-// NewSeries creates a series bounded to maxPoints (0 means 100k).
-func NewSeries(maxPoints int) *Series {
-	if maxPoints <= 0 {
-		maxPoints = 100_000
-	}
-	return &Series{cap: maxPoints, stride: 1}
+// seriesCap is the most points a Series retains.
+const seriesCap = 20_000
+
+// NewSeries creates an empty series.
+func NewSeries() *Series {
+	return &Series{stride: 1}
 }
 
 // Add appends a point, decimating when full.
@@ -217,9 +213,9 @@ func (s *Series) Add(tSec, v float64) {
 		return
 	}
 	s.skip = 0
-	if len(s.T) >= s.cap {
-		keepT := make([]float64, 0, s.cap/2+1)
-		keepV := make([]float64, 0, s.cap/2+1)
+	if len(s.T) >= seriesCap {
+		keepT := make([]float64, 0, seriesCap/2+1)
+		keepV := make([]float64, 0, seriesCap/2+1)
 		for i := 0; i < len(s.T); i += 2 {
 			keepT = append(keepT, s.T[i])
 			keepV = append(keepV, s.V[i])
@@ -230,9 +226,6 @@ func (s *Series) Add(tSec, v float64) {
 	s.T = append(s.T, tSec)
 	s.V = append(s.V, v)
 }
-
-// Len returns the number of retained points.
-func (s *Series) Len() int { return len(s.T) }
 
 // WriteTSV renders "time\tvalue" lines into sb.
 func (s *Series) WriteTSV(sb *strings.Builder) {

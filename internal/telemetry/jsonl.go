@@ -40,32 +40,15 @@ func WriteTraceHeader(w io.Writer, events int, total, dropped uint64) error {
 	return nil
 }
 
-// WriteJSONL dumps the tracer's retained events as JSON Lines: one
-// header line (schema, event count, drop accounting), then one event
-// per line, oldest first. The event schema is flat and stable:
+// WriteEvents serializes an event slice as JSON Lines, one BundleEvent
+// per line, after a WriteTraceHeader line. The event schema is flat and
+// stable:
 //
 //	{"seq":17,"t_ps":1280640,"kind":"beacon_rx","who":"s1[2]","v1":-1,"v2":0}
 //
 // "detail" appears only when non-empty. Field order is fixed, so two
-// identical traces serialize to identical bytes.
-func WriteJSONL(w io.Writer, t *Tracer) error {
-	if t == nil {
-		return nil
-	}
-	// Events/Total/Dropped each lock separately, so a concurrent Record
-	// could skew them; take the event slice first and derive the header
-	// from one Total read (dropped = total - len).
-	events := t.Events()
-	total := t.Total()
-	if err := WriteTraceHeader(w, len(events), total, total-uint64(len(events))); err != nil {
-		return err
-	}
-	return WriteEvents(w, events)
-}
-
-// WriteEvents serializes an event slice in the WriteJSONL schema, one
-// BundleEvent per line. It is the shared backend of the full dump and
-// the filtered /trace endpoint.
+// identical traces serialize to identical bytes. It is the shared
+// backend of a run's -trace-out dump and the filtered /trace endpoint.
 func WriteEvents(w io.Writer, events []Event) error {
 	enc := newJSONLEncoder(w)
 	for _, e := range events {
@@ -76,8 +59,8 @@ func WriteEvents(w io.Writer, events []Event) error {
 	return nil
 }
 
-// ReadJSONL parses a JSONL trace dump (the output of WriteJSONL or the
-// /trace endpoint) back into events. The events are returned along with
+// ReadJSONL parses a JSONL trace dump (a run's -trace-out or the /trace
+// endpoint) back into events. The events are returned along with
 // the header when one is present (nil header for headerless dumps from
 // older exports). Blank lines are skipped; a line that is not valid
 // JSON or names an unknown kind is an error, so a truncated or foreign

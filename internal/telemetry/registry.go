@@ -1,6 +1,6 @@
 // Package telemetry is the always-on observability layer: a metrics
 // Registry of atomic counters, gauges, and fixed-bucket histograms
-// cheap enough to leave enabled inside the per-tick PHY/port hot path,
+// built to stay enabled inside the per-tick PHY/port hot path,
 // a bounded ring-buffer Tracer of typed protocol events stamped with
 // simulated time, and exporters (Prometheus text exposition, JSONL
 // trace dump, an HTTP handler serving both).

@@ -36,9 +36,6 @@ func TestNilSafety(t *testing.T) {
 	if err := WritePrometheus(&strings.Builder{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteJSONL(&strings.Builder{}, nil); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestRegistrationIsIdempotent(t *testing.T) {

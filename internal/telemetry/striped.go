@@ -2,19 +2,19 @@ package telemetry
 
 import (
 	"math"
-	"strings"
-	"sync"
 	"sync/atomic"
 )
 
 // StripedHistogram is a lock-free histogram built for writer rates where
 // even an uncontended atomic add per observation is too expensive — the
 // tens of millions of reads/sec the snapshot fast path in
-// internal/timesvc serves on one core. Three ideas keep
-// the record path near-free:
+// internal/timesvc serves on one core. The benchmark's telemetry and
+// timesvc probes are its one user: they measure what recording each read
+// would cost, so only the write side exists. Three ideas keep the record
+// path near-free:
 //
-//   - Power-of-two exponential buckets: the bucket index is one
-//     bits.Len64, not a linear scan over bounds.
+//   - Power-of-two exponential buckets: the bucket index is a float64
+//     exponent difference, not a linear scan over bounds.
 //   - Shard-per-writer: each writer claims its own stripe of counters,
 //     so concurrent writers never contend on a cache line.
 //   - Batched flush: a StripeWriter accumulates into plain (non-atomic)
@@ -22,13 +22,6 @@ import (
 //     atomic adds every flushEvery records, so the steady-state Observe
 //     is an array increment and a float add — zero allocations, zero
 //     atomics.
-//
-// Scrapers merge all stripes on read (Snapshot). A scrape that races a
-// flush may see count and sum from different instants — each word is
-// individually consistent (no torn float64s), the cross-word skew is at
-// most one unflushed batch per writer, and calling Flush on every
-// writer first makes the snapshot exact (what the deterministic export
-// paths do).
 //
 // Bucket i (0-based) has upper bound unit·2^i; values above the last
 // finite bound land in an implicit overflow bucket. A nil
@@ -40,9 +33,6 @@ type StripedHistogram struct {
 	nb       int     // finite buckets; index nb is the overflow bucket
 	stripes  []hstripe
 	claimed  atomic.Uint32
-
-	mu      sync.Mutex
-	writers []*StripeWriter // every writer ever issued, for FlushAll
 }
 
 // maxStripedBuckets bounds the finite bucket count so stripes can embed
@@ -92,56 +82,6 @@ func NewStripedHistogram(unit float64, buckets, stripes int) *StripedHistogram {
 // stripedMantMask extracts a float64's 52 mantissa bits.
 const stripedMantMask = 1<<52 - 1
 
-// StripedHistogram registers (or finds) a striped histogram in the
-// registry. Like Histogram, re-registration reuses the first shape;
-// nil-safe.
-func (r *Registry) StripedHistogram(name, help string, unit float64, buckets, stripes int, labels ...string) *StripedHistogram {
-	if r == nil {
-		return nil
-	}
-	return r.lookup(name, help, "histogram", labels, func() metric {
-		return NewStripedHistogram(unit, buckets, stripes)
-	}).(*StripedHistogram)
-}
-
-// index maps a value to its bucket: the smallest i with v <= unit·2^i,
-// clamped to the overflow bucket. NaN and non-positive values land in
-// bucket 0. Classification is pure bit arithmetic against the unit's
-// precomputed exponent and mantissa — no divide, no Ceil — because
-// Observe sits on 10M+/sec read paths: with v = 2^ev·(1+fv) and
-// unit = 2^eu·(1+fu), v/unit is exactly 2^(ev-eu) when fv = fu, in
-// (2^(ev-eu), 2^(ev-eu+1)) when fv > fu, and in (2^(ev-eu-1), 2^(ev-eu))
-// when fv < fu — so the bucket is ev-eu, bumped by one when fv > fu.
-// Unlike dividing first, this never rounds across a bucket boundary.
-func (h *StripedHistogram) index(v float64) int {
-	if !(v > h.unit) {
-		return 0
-	}
-	bv := math.Float64bits(v)
-	i := int(bv>>52&0x7ff) - h.unitExp
-	if bv&stripedMantMask > h.unitMant {
-		i++
-	}
-	if i > h.nb {
-		i = h.nb
-	}
-	return i
-}
-
-// UpperBounds returns the finite bucket upper bounds.
-func (h *StripedHistogram) UpperBounds() []float64 {
-	if h == nil {
-		return nil
-	}
-	out := make([]float64, h.nb)
-	v := h.unit
-	for i := range out {
-		out[i] = v
-		v *= 2
-	}
-	return out
-}
-
 // Writer claims a stripe and returns a new single-goroutine writer
 // handle. Writers beyond the stripe count share stripes round-robin
 // (still correct — stripe counters are atomic — just with some cache
@@ -152,32 +92,11 @@ func (h *StripedHistogram) Writer() *StripeWriter {
 		return nil
 	}
 	idx := int(h.claimed.Add(1)-1) % len(h.stripes)
-	w := &StripeWriter{
+	return &StripeWriter{
 		h: h, s: &h.stripes[idx],
 		unit: h.unit, unitExp: int32(h.unitExp), unitMant: h.unitMant,
 		nb:         int32(h.nb),
 		flushEvery: defaultFlushEvery,
-	}
-	h.mu.Lock()
-	h.writers = append(h.writers, w)
-	h.mu.Unlock()
-	return w
-}
-
-// FlushAll folds every writer's pending local counts into the shared
-// stripes. Only safe when the writers' owning goroutines are quiescent
-// (e.g. after a hammer phase has joined, or on the simulation goroutine
-// that owns all writers); the deterministic export paths call it before
-// scraping.
-func (h *StripedHistogram) FlushAll() {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	ws := append([]*StripeWriter(nil), h.writers...)
-	h.mu.Unlock()
-	for _, w := range ws {
-		w.Flush()
 	}
 }
 
@@ -212,8 +131,16 @@ type StripeWriter struct {
 
 // Observe records one sample: an array increment, a float add, and an
 // amortized flush. Zero allocations (pinned by TestStripeWriterAllocs).
-// The bucket math is index() inlined against the writer-local copies of
-// the histogram's classification fields.
+// The bucket is the smallest i with v <= unit·2^i, clamped to the
+// overflow bucket; NaN and non-positive values land in bucket 0. It is
+// pure bit arithmetic against the unit's precomputed exponent and
+// mantissa — no divide, no Ceil: with v = 2^ev·(1+fv) and
+// unit = 2^eu·(1+fu), v/unit is exactly 2^(ev-eu) when fv = fu, in
+// (2^(ev-eu), 2^(ev-eu+1)) when fv > fu, and in (2^(ev-eu-1), 2^(ev-eu))
+// when fv < fu — so the bucket is ev-eu, bumped by one when fv > fu.
+// Unlike dividing first, this never rounds across a bucket boundary.
+// The tests hold it to a reference, index, that computes the same on
+// the histogram's own fields.
 func (w *StripeWriter) Observe(v float64) {
 	if w == nil {
 		return
@@ -252,101 +179,4 @@ func (w *StripeWriter) Flush() {
 	atomicAddFloat(&w.s.sumBits, w.sum)
 	w.pending = 0
 	w.sum = 0
-}
-
-// HistogramSnapshot is a merged, plain-value view of a StripedHistogram
-// at one scrape.
-type HistogramSnapshot struct {
-	Upper   []float64 // finite upper bounds, ascending
-	Buckets []uint64  // len(Upper)+1; the last is the overflow bucket
-	Count   uint64
-	Sum     float64
-}
-
-// Snapshot merges every stripe into one consistent-enough view (see the
-// type comment for the racing-flush caveat).
-func (h *StripedHistogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	s := HistogramSnapshot{
-		Upper:   h.UpperBounds(),
-		Buckets: make([]uint64, h.nb+1),
-	}
-	for i := range h.stripes {
-		st := &h.stripes[i]
-		for b := 0; b <= h.nb; b++ {
-			s.Buckets[b] += st.buckets[b].Load()
-		}
-		s.Count += st.count.Load()
-		s.Sum += math.Float64frombits(st.sumBits.Load())
-	}
-	return s
-}
-
-// Count returns the merged observation count.
-func (h *StripedHistogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	var n uint64
-	for i := range h.stripes {
-		n += h.stripes[i].count.Load()
-	}
-	return n
-}
-
-// Mean returns the mean observation (NaN when empty).
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return math.NaN()
-	}
-	return s.Sum / float64(s.Count)
-}
-
-// Quantile estimates the q-th quantile (0..1) by linear interpolation
-// within the crossing bucket. The overflow bucket reports its lower
-// bound (a deliberate under-estimate: the histogram has no upper
-// evidence there). NaN when empty.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, n := range s.Buckets {
-		cum += float64(n)
-		if cum < rank {
-			continue
-		}
-		if i >= len(s.Upper) { // overflow bucket
-			return s.Upper[len(s.Upper)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = s.Upper[i-1]
-		}
-		hi := s.Upper[i]
-		if n == 0 {
-			return lo
-		}
-		frac := (rank - (cum - float64(n))) / float64(n)
-		return lo + frac*(hi-lo)
-	}
-	return s.Upper[len(s.Upper)-1]
-}
-
-// writeExposition renders the merged view in the same shape as a plain
-// Histogram (cumulative le buckets, _sum, _count).
-func (h *StripedHistogram) writeExposition(b *strings.Builder, name, labels string) {
-	s := h.Snapshot()
-	var cum uint64
-	for i, up := range s.Upper {
-		cum += s.Buckets[i]
-		writeSample(b, name+"_bucket", joinLabels(labels, `le="`+formatFloat(up)+`"`), float64(cum))
-	}
-	cum += s.Buckets[len(s.Upper)]
-	writeSample(b, name+"_bucket", joinLabels(labels, `le="+Inf"`), float64(cum))
-	writeSample(b, name+"_sum", labels, s.Sum)
-	writeSample(b, name+"_count", labels, float64(s.Count))
 }

@@ -2,13 +2,13 @@ package telemetry
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
 
+// TestStripedBucketIndex checks Observe's bucket arithmetic against a
+// table: each value, observed alone, must land in the wanted bucket.
 func TestStripedBucketIndex(t *testing.T) {
-	h := NewStripedHistogram(1000, 8, 1)
 	cases := []struct {
 		v    float64
 		want int
@@ -22,8 +22,16 @@ func TestStripedBucketIndex(t *testing.T) {
 		{1000*128 + 1, 8}, {1e18, 8}, // overflow
 	}
 	for _, c := range cases {
-		if got := h.index(c.v); got != c.want {
-			t.Errorf("index(%g) = %d, want %d", c.v, got, c.want)
+		w := NewStripedHistogram(1000, 8, 1).Writer()
+		w.Observe(c.v)
+		got := -1
+		for i, n := range w.local {
+			if n != 0 {
+				got = i
+			}
+		}
+		if got != c.want {
+			t.Errorf("Observe(%g) filled bucket %d, want %d", c.v, got, c.want)
 		}
 	}
 }
@@ -35,7 +43,7 @@ func TestStripedObserveAndSnapshot(t *testing.T) {
 		w.Observe(float64(i))
 	}
 	w.Flush()
-	s := h.Snapshot()
+	s := h.snapshot()
 	if s.Count != 1000 {
 		t.Fatalf("count = %d, want 1000", s.Count)
 	}
@@ -49,17 +57,10 @@ func TestStripedObserveAndSnapshot(t *testing.T) {
 	if total != s.Count {
 		t.Fatalf("bucket total %d != count %d", total, s.Count)
 	}
-	// Median of 1..1000 should land around 500 (bucket resolution).
-	if q := s.Quantile(0.5); q < 320 || q > 700 {
-		t.Fatalf("p50 = %g, want ~500 within bucket resolution", q)
-	}
-	if m := s.Mean(); math.Abs(m-500.5) > 1e-9 {
-		t.Fatalf("mean = %g, want 500.5", m)
-	}
 }
 
 // TestStripedConcurrent hammers one histogram from many writers while a
-// scraper reads Snapshot and the Prometheus exposition concurrently.
+// scraper merges the stripes concurrently.
 // Under -race this proves the no-torn-reads claim; the final merged
 // totals prove no observation is lost.
 func TestStripedConcurrent(t *testing.T) {
@@ -78,7 +79,7 @@ func TestStripedConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			s := h.Snapshot()
+			s := h.snapshot()
 			var total uint64
 			for _, n := range s.Buckets {
 				total += n
@@ -94,8 +95,6 @@ func TestStripedConcurrent(t *testing.T) {
 					return
 				}
 			}
-			var b strings.Builder
-			h.writeExposition(&b, "x", "")
 		}
 	}()
 
@@ -115,7 +114,7 @@ func TestStripedConcurrent(t *testing.T) {
 	close(stop)
 	scraper.Wait()
 
-	s := h.Snapshot()
+	s := h.snapshot()
 	if s.Count != writers*perWriter {
 		t.Fatalf("count = %d, want %d", s.Count, writers*perWriter)
 	}
@@ -145,45 +144,26 @@ func TestStripedNilSafety(t *testing.T) {
 	w := h.Writer()
 	w.Observe(1)
 	w.Flush()
-	h.FlushAll()
-	if h.Count() != 0 {
-		t.Fatal("nil histogram should count 0")
-	}
-	s := h.Snapshot()
-	if s.Count != 0 || len(s.Buckets) != 0 {
-		t.Fatal("nil histogram snapshot should be empty")
-	}
-	var r *Registry
-	if r.StripedHistogram("x", "", 1, 8, 1) != nil {
-		t.Fatal("nil registry should return nil histogram")
-	}
 }
 
-func TestStripedRegistryExposition(t *testing.T) {
-	r := New()
-	h := r.StripedHistogram("dtp_test_eps_ps", "help", 1000, 4, 2, "host", "s4")
-	w := h.Writer()
-	w.Observe(500)
-	w.Observe(1500)
-	w.Observe(1e9) // overflow
-	w.Flush()
-	var b strings.Builder
-	if err := WritePrometheus(&b, r); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`dtp_test_eps_ps_bucket{host="s4",le="1000"} 1`,
-		`dtp_test_eps_ps_bucket{host="s4",le="2000"} 2`,
-		`dtp_test_eps_ps_bucket{host="s4",le="+Inf"} 3`,
-		`dtp_test_eps_ps_count{host="s4"} 3`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q in:\n%s", want, out)
+// stripedTotals is the merged view of every stripe.
+type stripedTotals struct {
+	Buckets []uint64 // nb+1; the last is the overflow bucket
+	Count   uint64
+	Sum     float64
+}
+
+// snapshot merges every stripe with atomic loads: the read side the
+// tests check the writers against.
+func (h *StripedHistogram) snapshot() stripedTotals {
+	s := stripedTotals{Buckets: make([]uint64, h.nb+1)}
+	for i := range h.stripes {
+		st := &h.stripes[i]
+		for b := 0; b <= h.nb; b++ {
+			s.Buckets[b] += st.buckets[b].Load()
 		}
+		s.Count += st.count.Load()
+		s.Sum += math.Float64frombits(st.sumBits.Load())
 	}
-	// Re-registration returns the same series.
-	if r.StripedHistogram("dtp_test_eps_ps", "help", 1000, 4, 2, "host", "s4") != h {
-		t.Fatal("re-registration should return the same histogram")
-	}
+	return s
 }

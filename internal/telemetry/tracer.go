@@ -150,9 +150,10 @@ type Tracer struct {
 // firehoseKinds are the kinds that fire at beacon frequency — millions
 // per simulated second (in steady state roughly every other beacon
 // causes a small forward counter jump, so jumps are firehose too). They
-// are masked by default so an instrumented run keeps the Registry's <5%
-// overhead budget; enable them explicitly with SetKinds() (no
-// arguments) when the full frame-level trace is worth the cost.
+// are masked by default, so an instrumented run records lifecycle
+// events only; enable them explicitly with SetKinds() (no arguments)
+// when the full frame-level trace is worth its cost, which
+// BenchmarkSyncTelemetryFullTrace measures.
 const firehoseKinds = 1<<KindBeaconTx | 1<<KindBeaconRx | 1<<KindBeaconIgnored | 1<<KindCounterJump
 
 // NewTracer returns a tracer keeping the last capacity events

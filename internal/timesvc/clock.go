@@ -112,48 +112,3 @@ func (c *Clock) NowInterval() (Interval, error) {
 	_, iv, err := c.At(c.tb.Raw())
 	return iv, err
 }
-
-// after reports whether true UTC is certainly after t (ps): even the
-// interval's earliest edge has passed it.
-func (c *Clock) after(t float64) (bool, error) {
-	iv, err := c.NowInterval()
-	if err != nil {
-		return false, err
-	}
-	return iv.EarliestPs > t, nil
-}
-
-// before reports whether true UTC is certainly before t (ps): even the
-// interval's latest edge has not reached it.
-func (c *Clock) before(t float64) (bool, error) {
-	iv, err := c.NowInterval()
-	if err != nil {
-		return false, err
-	}
-	return iv.LatestPs < t, nil
-}
-
-// waitUntil returns how long the caller must wait until true UTC is
-// certainly past t (ps) — the TrueTime commit-wait primitive: a
-// transaction stamped t may acknowledge only after waitUntil(t)
-// elapses. Returns 0 when the interval is already entirely past t.
-// The estimate converts the UTC shortfall back to timebase units
-// through the snapshot ratio; the half-width growth during the wait
-// itself is second-order (DriftPPM × wait) and deliberately ignored —
-// callers polling after(t) after the wait get the exact answer.
-func (c *Clock) waitUntil(t float64) (time.Duration, error) {
-	sn := c.store.cur.Load()
-	_, iv, err := sn.at(c.tb.Raw())
-	if err != nil {
-		return 0, err
-	}
-	if iv.EarliestPs > t {
-		return 0, nil
-	}
-	ratio := sn.Ratio
-	if ratio <= 0 {
-		ratio = 1
-	}
-	waitNs := (t - iv.EarliestPs) / ratio / 1000
-	return time.Duration(waitNs), nil
-}

@@ -108,12 +108,3 @@ func (l *Load) Errors() uint64 { return l.errors }
 
 // Covered returns successful reads whose interval contained true time.
 func (l *Load) Covered() uint64 { return l.covered }
-
-// meanWidthPs returns the mean interval width over successful reads.
-func (l *Load) meanWidthPs() float64 {
-	n := l.reads - l.errors
-	if n == 0 {
-		return 0
-	}
-	return l.widthSum / float64(n)
-}

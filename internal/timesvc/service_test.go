@@ -27,7 +27,7 @@ type servedPair struct {
 // calibrating 100x faster than the paper's once a second.
 func startDaemon(t *testing.T, dev *core.Device, seed uint64) *daemon.Daemon {
 	t.Helper()
-	d, err := daemon.Attach(dev, daemon.Options{Config: daemon.DefaultConfig().Compressed(100)}, seed, nil, nil)
+	d, err := daemon.Attach(dev, daemon.Options{Config: daemon.DefaultConfig().Compressed()}, seed, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func newServedPair(t *testing.T, seed uint64, qps float64) *servedPair {
 	d1 := startDaemon(t, n.Devices[1], seed+101)
 
 	f := daemon.NewUTCFollower(d1, nil)
-	daemon.NewUTCBroadcaster(d0, daemon.TrueUTC{Sch: sch}, 10*sim.Millisecond, []*daemon.UTCFollower{f})
+	daemon.NewUTCBroadcaster(d0, daemon.TrueUTC{Sch: sch}, []*daemon.UTCFollower{f})
 
 	// Margin 0: the audit bound stays pure hardware 4TD; the service
 	// composes the software-side error terms itself.
@@ -214,4 +214,13 @@ func TestLoadObservesCoverageAndWidth(t *testing.T) {
 	if w := p.ld.meanWidthPs(); w <= 0 || w > 1e6 {
 		t.Fatalf("mean width %.0f ps implausible", w)
 	}
+}
+
+// meanWidthPs returns the mean interval width over successful reads.
+func (l *Load) meanWidthPs() float64 {
+	n := l.reads - l.errors
+	if n == 0 {
+		return 0
+	}
+	return l.widthSum / float64(n)
 }

@@ -263,17 +263,6 @@ func (g *Graph) HostIDs() []int {
 	return out
 }
 
-// switchIDs returns the IDs of all switch nodes.
-func (g *Graph) switchIDs() []int {
-	var out []int
-	for _, n := range g.Nodes {
-		if n.Kind == Switch {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
-
 // LinkBetween returns the index into Links of the cable between two
 // named adjacent devices, in either order.
 func (g *Graph) LinkBetween(a, b string) (int, error) {

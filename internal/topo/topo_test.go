@@ -250,3 +250,14 @@ func TestByName(t *testing.T) {
 		t.Fatal("phantom node found")
 	}
 }
+
+// switchIDs returns the IDs of all switch nodes.
+func (g *Graph) switchIDs() []int {
+	var out []int
+	for _, n := range g.Nodes {
+		if n.Kind == Switch {
+			out = append(out, n.ID)
+		}
+	}
+	return out
+}

@@ -170,19 +170,6 @@ func (c *Clock) TimeOfCount(n uint64) sim.Time {
 	return sim.Time((fs + 999) / 1000)
 }
 
-// setCounterAt jumps the counter so that CounterAt(t) == n. Tick phase and
-// frequency are unchanged: only the labels move, exactly as a DTP local
-// counter adjustment works in hardware. n must not move the counter
-// backwards.
-func (c *Clock) setCounterAt(n uint64, t sim.Time) {
-	cur := c.CounterAt(t)
-	if n < cur {
-		panic(jumpBackwards{cur, n})
-	}
-	c.baseTickFs = c.tickFs(cur)
-	c.baseCount = n
-}
-
 // beforeBase, countBeforeBase and jumpBackwards are the tick
 // arithmetic's panic values for a modelling bug. Being plain values
 // rather than formatted strings keeps CounterAt and TimeOfCount within

@@ -243,3 +243,16 @@ func TestPanicValuesKeepText(t *testing.T) {
 		}
 	}
 }
+
+// setCounterAt jumps the counter so that CounterAt(t) == n. Tick phase and
+// frequency are unchanged: only the labels move, exactly as a DTP local
+// counter adjustment works in hardware. n must not move the counter
+// backwards.
+func (c *Clock) setCounterAt(n uint64, t sim.Time) {
+	cur := c.CounterAt(t)
+	if n < cur {
+		panic(jumpBackwards{cur, n})
+	}
+	c.baseTickFs = c.tickFs(cur)
+	c.baseCount = n
+}
