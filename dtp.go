@@ -419,9 +419,13 @@ func (s *System) ByzantineStats() (rejected, quarantined uint64) {
 
 // OnOffsetSample registers a callback receiving every protocol offset
 // measurement (t2 - t1 - OWD, in units) with the observing link
-// direction named "receiver-sender".
+// direction named "receiver-sender". The samples of one link direction
+// arrive in time order; those of different directions may interleave
+// out of it. fn may run after its sample's instant (the engine applies
+// beacons lazily), so it must neither read nor change the System:
+// record what it is given, and read the System between runs.
 func (s *System) OnOffsetSample(fn func(pair string, offsetTicks int64)) {
-	s.net.SetOnOffset(func(rx *core.Port, off int64) { fn(rx.PairName(), off) })
+	s.net.OnOffset = func(rx *core.Port, _ sim.Time, off int64) { fn(rx.PairName(), off) }
 }
 
 // SetUniformLoad saturates every link with back-to-back frames of the

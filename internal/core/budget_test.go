@@ -7,6 +7,7 @@ import (
 
 	"github.com/dtplab/dtp/internal/audit"
 	"github.com/dtplab/dtp/internal/core"
+	"github.com/dtplab/dtp/internal/phy"
 	"github.com/dtplab/dtp/internal/sim"
 	"github.com/dtplab/dtp/internal/telemetry"
 	"github.com/dtplab/dtp/internal/topo"
@@ -29,28 +30,53 @@ type budget struct {
 	sweeps, pairChecks uint64
 }
 
+// budgetWorld is one run the budget measures: g at seed 1, with the
+// default config and wander (1 ms steps of 100 ppb).
+type budgetWorld struct {
+	g topo.Graph
+	// chain runs the five-event chain instead of link flights.
+	chain bool
+	// traced attaches a tracer, which keeps every settled beacon an
+	// evSettled event.
+	traced bool
+	// audited attaches the online auditor at its default cadence.
+	audited bool
+	// hooked sets an OnOffset hook that keeps nothing.
+	hooked bool
+	// master roots the tree at s0 in master mode (§5.4).
+	master bool
+	// speeds, when set, runs MixedSpeedConfig WithLinkSpeeds (§7).
+	speeds map[int]phy.Speed
+}
+
 // budgetRun counts the scheduler events, the beacons sent and the
-// queue's filing in the budget window of g at seed 1, with the default
-// config and wander (1 ms steps of 100 ppb). fused picks the beacon
-// chain; traced attaches a tracer, which keeps every settled beacon an
-// evSettled event; audited attaches the online auditor at its default
-// cadence.
-func budgetRun(t *testing.T, g topo.Graph, fused, traced, audited bool) budget {
+// queue's filing in the budget window of w.
+func budgetRun(t *testing.T, w budgetWorld) budget {
 	t.Helper()
-	defer core.SetFusedChain(core.SetFusedChain(fused))
+	defer core.SetFusedChain(core.SetFusedChain(!w.chain))
 	cfg := core.DefaultConfig()
-	cfg.WanderInterval, cfg.WanderStepPPB = sim.Millisecond, 100
-	sch := sim.NewScheduler()
 	var opts []core.Option
-	if traced {
+	if w.speeds != nil {
+		cfg = core.MixedSpeedConfig()
+		opts = append(opts, core.WithLinkSpeeds(w.speeds))
+	}
+	cfg.WanderInterval, cfg.WanderStepPPB = sim.Millisecond, 100
+	if w.master {
+		cfg.Master = "s0"
+	}
+	sch := sim.NewScheduler()
+	if w.traced {
 		opts = append(opts, core.WithTelemetry(nil, telemetry.NewTracer(0)))
 	}
-	n, err := core.NewNetwork(sch, 1, g, cfg, opts...)
+	n, err := core.NewNetwork(sch, 1, w.g, cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if w.hooked {
+		n.OnOffset = func(*core.Port, sim.Time, int64) {}
+	}
 	var aud *audit.Auditor
-	if audited {
+	if w.audited {
 		aud = audit.New(n, audit.Config{}, nil, nil)
 	}
 	n.Start()
@@ -112,17 +138,24 @@ func allocsPerSimMs(t *testing.T) float64 {
 // event for the one in sixteen that lands in the metastability band.
 // Traced, every settled beacon is an evSettled event on lane 7, the path
 // dtpd and every exporting dtpsim run take: the traced paper-tree rows
-// pin it. Every entry is an equality unless marked as a ceiling. A change that moves one edits the table and says why; a
+// pin it. An OnOffset hook, master mode and multi-tick port cycles take
+// the inbox like a plain run: the hooked and master-mode rows match the
+// paper tree's, and mixed-speed chain:3 files every settled beacon but
+// those of its 1 GbE link, whose fragments never settle. Every entry is an equality unless marked as a ceiling. A change that moves one edits the table and says why; a
 // one-event change to the beacon path moves every event count and the
 // row of the lane the event takes.
 func TestEngineBudget(t *testing.T) {
-	pair := budgetRun(t, topo.Pair(), true, false, false)
-	tree := budgetRun(t, topo.PaperTree(), true, false, false)
-	traced := budgetRun(t, topo.PaperTree(), true, true, false)
-	ft4 := budgetRun(t, topo.FatTree(4), true, false, false)
+	paper := topo.PaperTree()
+	pair := budgetRun(t, budgetWorld{g: topo.Pair()})
+	tree := budgetRun(t, budgetWorld{g: paper})
+	traced := budgetRun(t, budgetWorld{g: paper, traced: true})
+	hooked := budgetRun(t, budgetWorld{g: paper, hooked: true})
+	master := budgetRun(t, budgetWorld{g: paper, master: true})
+	mixed := budgetRun(t, budgetWorld{g: topo.Chain(3), speeds: mixedSpeeds})
+	ft4 := budgetRun(t, budgetWorld{g: topo.FatTree(4)})
 	// The five-event chain, the reference flights are tested against.
-	chain := budgetRun(t, topo.PaperTree(), false, false, false)
-	audited := budgetRun(t, topo.FatTree(4), true, false, true)
+	chain := budgetRun(t, budgetWorld{g: paper, chain: true})
+	audited := budgetRun(t, budgetWorld{g: topo.FatTree(4), audited: true})
 	perBeacon := func(events, beacons uint64) float64 {
 		return float64((events*10_000 + beacons/2) / beacons) // x1e4, rounded
 	}
@@ -155,6 +188,11 @@ func TestEngineBudget(t *testing.T) {
 		{"events per beacon x1e4, traced paper tree", perBeacon(traced.events, traced.beacons), 20823, false},
 		{"lane 7 (evLand, evSettled) per beacon x1e4, traced paper tree", lane(traced, 7), 10002, false},
 		{"inbox arrivals per beacon x1e4, traced paper tree", perBeacon(traced.inboxed, traced.beacons), 0, false},
+		{"events per beacon x1e4, hooked paper tree", perBeacon(hooked.events, hooked.beacons), 11435, false},
+		{"inbox arrivals per beacon x1e4, hooked paper tree", perBeacon(hooked.inboxed, hooked.beacons), 9391, false},
+		{"events per beacon x1e4, master-mode paper tree", perBeacon(master.events, master.beacons), 11435, false},
+		{"inbox arrivals per beacon x1e4, master-mode paper tree", perBeacon(master.inboxed, master.beacons), 9391, false},
+		{"inbox arrivals per beacon x1e4, mixed-speed chain:3", perBeacon(mixed.inboxed, mixed.beacons), 5649, false},
 		{"audit sweeps per sim-ms, fattree:4", float64(audited.sweeps), 10, false},
 		{"audit pair checks per sweep, fattree:4", float64(audited.pairChecks) / float64(audited.sweeps), 630, false},
 		{"allocations per sim-ms, paper tree", allocsPerSimMs(t), 0, false},

@@ -66,9 +66,8 @@ const inboxPerPort = 2
 // file puts a settled arrival in the inbox in (time, Key) order,
 // reporting false — filing nothing — when it may not: the inbox is full
 // (or has no room at all: NewNetwork leaves it empty where every arrival
-// must stay an event), the message is not a BEACON or BEACON-MSB (the
-// others schedule when processed, which only an event may), or an
-// OnOffset hook wants each sample in time order.
+// must stay an event), or the message is not a BEACON or BEACON-MSB (the
+// others schedule when processed, which only an event may).
 //
 // An inbox arrival changes nothing but its own device, and only when it
 // is applied: process at the arrival's instant, by settle. Everything
@@ -77,8 +76,7 @@ const inboxPerPort = 2
 // (sim.Scheduler.Due), so each lands in the place evSettled held and
 // every trajectory is the event's.
 func (d *Device) file(a arrival) bool {
-	if d.inN == len(d.in) || a.typ != phy.MsgBeacon && a.typ != phy.MsgBeaconMSB ||
-		d.net.onOffset != nil {
+	if d.inN == len(d.in) || a.typ != phy.MsgBeacon && a.typ != phy.MsgBeaconMSB {
 		return false
 	}
 	i := d.inN
@@ -128,23 +126,6 @@ func (d *Device) applyDue() {
 		}
 		d.inN--
 		a.p.process(phy.Message{Type: a.typ, Payload: a.payload}, a.at)
-	}
-}
-
-// unfileAll applies the inbox's due arrivals and turns every other one
-// back into the evSettled event it replaced, at its own (time, Key). The
-// flight it came on, if still on the wire, takes that event as its own
-// (link.Wire.SetFlightEvent), so a Refile or Unsettle cancels it as it
-// would have.
-func (d *Device) unfileAll() {
-	d.settle()
-	for ; d.inN != 0; d.inN-- {
-		a := d.in[d.inHd]
-		if d.inHd++; d.inHd == len(d.in) {
-			d.inHd = 0
-		}
-		ev := d.net.Sch.AtActorKey(a.at, a.key, a.p, evSettled, a.payload, uint64(a.typ))
-		a.p.peer.wire.SetFlightEvent(a.key.Seq, ev)
 	}
 }
 

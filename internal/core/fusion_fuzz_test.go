@@ -65,16 +65,26 @@ var fuzzMutations = []func(p *core.Port, w *link.Wire, base sim.Time, arg byte){
 	},
 }
 
+// fuzzWorlds are what a program's world byte picks from, modulo their
+// number: a pair, chain:3 and the paper tree, then the paper tree in
+// master mode (§5.4) and chain:3 at mixed speeds (§7), whose 40 and
+// 100 GbE ports run multi-tick cycles.
+var fuzzWorlds = []fusionWorld{
+	{g: topo.Pair()},
+	{g: topo.Chain(3)},
+	{g: topo.PaperTree()},
+	{g: topo.PaperTree(), cfg: func(c *core.Config) { c.Master = "s0" }},
+	{g: topo.Chain(3), speeds: mixedSpeeds},
+}
+
 // fuzzProgram decodes a program into a world whose arm hook schedules
 // its mutations.
 func fuzzProgram(prog []byte) fusionWorld {
-	worlds := []topo.Graph{topo.Pair(), topo.Chain(3), topo.PaperTree()}
-	w := fusionWorld{name: "fuzz", until: fuzzWindow, perEmitter: true}
+	w := fuzzWorlds[0]
 	if len(prog) > 0 {
-		w.g = worlds[int(prog[0])%len(worlds)]
-	} else {
-		w.g = worlds[0]
+		w = fuzzWorlds[int(prog[0])%len(fuzzWorlds)]
 	}
+	w.name, w.until, w.perEmitter = "fuzz", fuzzWindow, true
 	if len(prog) > 1 {
 		w.seed = uint64(prog[1])
 	}
@@ -95,12 +105,17 @@ func fuzzProgram(prog []byte) fusionWorld {
 		var ports []*core.Port
 		wires := map[*core.Port]*link.Wire{}
 		byName := map[string]int{}
+		// cycles holds each port's cycle in device ticks: 4 of them
+		// make up its link's contribution to the bound, in counter units.
+		cycles := map[*core.Port]int64{}
 		for i := range n.Graph.Links {
 			a, b := n.LinkPorts(i)
 			ab, ba := n.LinkWires(i)
 			byName[a.Name()], byName[b.Name()] = len(ports), len(ports)+1
 			ports = append(ports, a, b)
 			wires[a], wires[b] = ab, ba
+			cycles[a] = n.LinkBoundUnits(i) / 4 / int64(n.Config().UnitsPerTick)
+			cycles[b] = cycles[a]
 		}
 		bases := map[*link.Wire]sim.Time{}
 		for _, wire := range wires {
@@ -131,17 +146,18 @@ func fuzzProgram(prog []byte) fusionWorld {
 			return nil
 		}
 		aimed = aimed[:0]
-		// The instants are the port's own sums (pd = 1 on these
-		// worlds): insert runs at the beacon's instant, right after the
-		// beacon_tx event, so a mutation scheduled here precedes the
-		// launch in (time, Key) order as a chaos script's would.
+		// The instants are the port's own sums, in its port cycles (both
+		// pipelines run at the sender's): insert runs at the beacon's
+		// instant, right after the beacon_tx event, so a mutation
+		// scheduled here precedes the launch in (time, Key) order as a
+		// chaos script's would.
 		return func(e telemetry.Event) {
 			pi, ok := byName[e.Who]
 			if !ok || e.Kind != telemetry.KindBeaconTx || len(armed[ports[pi]]) == 0 {
 				return
 			}
 			p := ports[pi]
-			period := p.Device().Clock().PeriodFs()
+			period := cycles[p] * p.Device().Clock().PeriodFs()
 			t1 := e.At + sim.Femto(phy.DefaultTxPipelineTicks*period)
 			t2 := t1 + wires[p].Delay()
 			t3 := t2 + sim.Femto(phy.DefaultRxPipelineTicks*period)
@@ -172,28 +188,33 @@ func fuzzProgram(prog []byte) fusionWorld {
 // Unsettle on a down peer and on a receiver rate change — a program on
 // which a network that lacks that hook diverges. Untraced, seed#1 and
 // seed#3 also diverge when MaxPairwiseOffset reads the counters without
-// settling the inboxes.
+// settling the inboxes. The random-search programs were found when the
+// world byte picked among the first three worlds; they carry their
+// world's index.
 func FuzzFusedChain(f *testing.F) {
 	for _, prog := range [][]byte{
-		// A flap, a BER burst and a crash, as in the storm, on chain:3
-		// and the paper tree at the storm seeds.
+		// A flap, a BER burst and a crash, as in the storm, on chain:3,
+		// the paper tree, the master-mode tree and mixed-speed chain:3
+		// at the storm seeds.
 		{1, 32, 7, 2, 10, 0, 7, 2, 40, 2, 2, 3, 60, 1, 3, 3, 90, 0, 8, 5, 120, 0},
 		{2, 55, 7, 4, 10, 2, 7, 4, 40, 3, 2, 6, 60, 1, 3, 6, 90, 0, 8, 9, 120, 0},
 		{1, 76, 7, 1, 12, 1, 2, 3, 30, 2, 3, 3, 50, 3, 8, 1, 70, 0},
 		{2, 217, 7, 6, 15, 3, 2, 0, 25, 4, 3, 0, 45, 1, 8, 7, 65, 0},
+		{3, 55, 7, 4, 10, 2, 7, 4, 40, 3, 2, 6, 60, 1, 3, 6, 90, 0, 8, 9, 120, 0},
+		{4, 32, 7, 2, 10, 0, 7, 2, 40, 2, 2, 3, 60, 1, 3, 3, 90, 0, 8, 5, 120, 0},
 		// Found by random search: each diverges once its hook is gone.
 		// Down without re-filing (a bounce back up before the landing):
-		{0x90, 0x4, 0x3, 0x31, 0xf9, 0x3, 0x7, 0x8d, 0xf5, 0x4, 0x5, 0xe0, 0x29, 0x1, 0x7, 0xd8, 0x40, 0x3, 0x7, 0x50, 0x52, 0x2},
+		{0, 0x4, 0x3, 0x31, 0xf9, 0x3, 0x7, 0x8d, 0xf5, 0x4, 0x5, 0xe0, 0x29, 0x1, 0x7, 0xd8, 0x40, 0x3, 0x7, 0x50, 0x52, 0x2},
 		// a rate change without re-filing:
-		{0x85, 0xe7, 0x5, 0x8, 0x54, 0x4, 0x6, 0x9f, 0x8f, 0x4, 0x6, 0x23, 0x5b, 0x1},
+		{1, 0xe7, 0x5, 0x8, 0x54, 0x4, 0x6, 0x9f, 0x8f, 0x4, 0x6, 0x23, 0x5b, 0x1},
 		// wire delay and BER setters without re-filing:
-		{0xcf, 0x53, 0x0, 0x9b, 0x2c, 0x1, 0x4, 0xfa, 0xd8, 0x1, 0x0, 0x99, 0x81, 0x2, 0x0, 0xc5, 0x95, 0x4, 0x0, 0x44, 0x62, 0x2, 0x0, 0xf7, 0x51, 0x1, 0x1, 0x5c, 0xc7, 0x1},
-		{0x70, 0x2f, 0x2, 0x1d, 0x58, 0x1, 0x1, 0x46, 0x4f, 0x3, 0x2, 0x26, 0xab, 0x2, 0x2, 0xa, 0x4f, 0x2, 0x2, 0x75, 0xba, 0x1, 0x5, 0xe5, 0x83, 0x2},
+		{0, 0x53, 0x0, 0x9b, 0x2c, 0x1, 0x4, 0xfa, 0xd8, 0x1, 0x0, 0x99, 0x81, 0x2, 0x0, 0xc5, 0x95, 0x4, 0x0, 0x44, 0x62, 0x2, 0x0, 0xf7, 0x51, 0x1, 0x1, 0x5c, 0xc7, 0x1},
+		{1, 0x2f, 0x2, 0x1d, 0x58, 0x1, 0x1, 0x46, 0x4f, 0x3, 0x2, 0x26, 0xab, 0x2, 0x2, 0xa, 0x4f, 0x2, 0x2, 0x75, 0xba, 0x1, 0x5, 0xe5, 0x83, 0x2},
 		// Settled landings: Down without handing them back (the peer held
 		// down from mid-cable, then bounced at T3):
-		{0x1e, 0x73, 10, 0xc4, 0xc6, 4, 7, 0xbd, 0x41, 3},
+		{0, 0x73, 10, 0xc4, 0xc6, 4, 7, 0xbd, 0x41, 3},
 		// a receiver rate change without handing them back:
-		{0x60, 0xf9, 9, 0x5d, 0xb8, 1, 9, 0x2e, 0xe1, 4},
+		{0, 0xf9, 9, 0x5d, 0xb8, 1, 9, 0x2e, 0xe1, 4},
 	} {
 		f.Add(prog)
 	}

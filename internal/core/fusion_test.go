@@ -210,11 +210,16 @@ func at(t sim.Time) chaos.Duration { return chaos.D(t) }
 
 const us, ms = sim.Microsecond, sim.Millisecond
 
+// mixedSpeeds runs chain:3's links at 1, 40 and 100 GbE (§7): 1 GbE
+// fragments, and ports whose cycle is several device ticks.
+var mixedSpeeds = map[int]phy.Speed{0: phy.Speed1G, 1: phy.Speed40G, 2: phy.Speed100G}
+
 // fusionWorlds are the runs the flight path must leave untouched: every
 // chaos kind (the attacks under hardened mode and without it), clean
-// and wandering oscillators, mixed speeds with 1 GbE fragments, the
-// plain-mode worlds again with one-entry inboxes, and the chain:5 storm
-// seeds on which flights that are never re-filed diverge.
+// and wandering oscillators, mixed speeds with 1 GbE fragments, master
+// mode (§5.4) clean and through the accidents, the plain-mode worlds
+// again with one-entry inboxes, and the chain:5 storm seeds on which
+// flights that are never re-filed diverge.
 func fusionWorlds(t testing.TB) []fusionWorld {
 	tree, ft4 := topo.PaperTree(), topo.FatTree(4)
 	accidents := &chaos.Scenario{Name: "accidents", SettleGrace: at(600 * us), ReconvergeDeadline: at(3 * ms), Faults: []chaos.Fault{
@@ -233,6 +238,7 @@ func fusionWorlds(t testing.TB) []fusionWorld {
 		linkFault(tree, 6, chaos.Fault{Kind: chaos.KindSpoof, At: at(5 * ms), Duration: at(ms), JumpUnits: 6, Cadence: at(2 * us)}),
 	}}
 	hardened := func(c *core.Config) { c.Hardened = true }
+	master := func(c *core.Config) { c.Master = "s0" }
 	worlds := []fusionWorld{
 		{name: "tree/clean", g: tree, seed: 1, until: 5 * ms},
 		{name: "tree/accidents", g: tree, seed: 2, scenario: accidents},
@@ -244,7 +250,9 @@ func fusionWorlds(t testing.TB) []fusionWorld {
 			linkFault(ft4, 7, chaos.Fault{Kind: chaos.KindFlap, At: at(2 * ms), Duration: at(ms), MeanUp: at(150 * us), MeanDown: at(50 * us)}),
 		}}},
 		{name: "chain3/mixed-speed", g: topo.Chain(3), seed: 5, until: 4 * ms,
-			speeds: map[int]phy.Speed{0: phy.Speed1G, 1: phy.Speed40G, 2: phy.Speed100G}},
+			speeds: mixedSpeeds},
+		{name: "tree/clean/master", g: tree, seed: 6, until: 5 * ms, cfg: master},
+		{name: "tree/accidents/master", g: tree, seed: 7, scenario: accidents, cfg: master},
 	}
 	for _, w := range worlds[:5:5] {
 		if w.cfg == nil {
@@ -281,8 +289,12 @@ func TestFusedChainMatchesFiveEventChain(t *testing.T) {
 						t.Fatalf("flights ran %d events against the chain's %d: the fast path barely engaged", fusedEvents, chainEvents)
 					}
 					// A tracer or hardened mode keeps every arrival an
-					// event; mixed speeds settle none.
-					if wantInbox := !m.traced && w.cfg == nil && w.speeds == nil; wantInbox != (inboxed > 0) {
+					// event.
+					cfg := core.DefaultConfig()
+					if w.cfg != nil {
+						w.cfg(&cfg)
+					}
+					if wantInbox := !m.traced && !cfg.Hardened; wantInbox != (inboxed > 0) {
 						t.Fatalf("%d arrivals took the inbox; want some: %v", inboxed, wantInbox)
 					}
 				})

@@ -35,11 +35,12 @@ func TestRunLeavesNoDueArrival(t *testing.T) {
 }
 
 // An OnOffset hook installed mid-run must see every sample at its
-// beacon's own instant, in time order, as the five-event chain does:
-// arrivals filed before it was installed go back to the scheduler, as
-// the events of their flights, which a rate change at once cancels.
+// beacon's own instant, per link direction in time order, as the
+// five-event chain does: arrivals already filed when it is installed,
+// and those filed after, which a rate change at once hands back to
+// their events (Device.refileFlights) or the inbox keeps taking.
 func TestOnOffsetInstalledMidRun(t *testing.T) {
-	run := func(rateChange bool) (log []string, filed uint64, held int) {
+	run := func(rateChange bool) (byPair map[string][]string, stats []string, filed uint64, held int) {
 		sch := sim.NewScheduler()
 		n, err := NewNetwork(sch, 1, topo.PaperTree(), DefaultConfig())
 		if err != nil {
@@ -54,9 +55,10 @@ func TestOnOffsetInstalledMidRun(t *testing.T) {
 		for _, d := range n.Devices {
 			held += d.inN
 		}
-		n.SetOnOffset(func(rx *Port, off int64) {
-			log = append(log, fmt.Sprintf("%v %s %d", sch.Now(), rx.PairName(), off))
-		})
+		byPair = map[string][]string{}
+		n.OnOffset = func(rx *Port, at sim.Time, off int64) {
+			byPair[rx.PairName()] = append(byPair[rx.PairName()], fmt.Sprintf("%v %d", at, off))
+		}
 		if rateChange {
 			for _, d := range n.Devices {
 				d.Clock().AdjustPPM(d.PPM() + 1)
@@ -66,28 +68,39 @@ func TestOnOffsetInstalledMidRun(t *testing.T) {
 		for _, d := range n.Devices {
 			for _, p := range d.Ports() {
 				sent, rx, ignored, jumps := p.Stats()
-				log = append(log, fmt.Sprintf("%s %d %d %d %d", p.PairName(), sent, rx, ignored, jumps))
+				stats = append(stats, fmt.Sprintf("%s %d %d %d %d", p.PairName(), sent, rx, ignored, jumps))
 			}
 		}
-		return log, InboxArrivals(n) - filed, held
+		return byPair, stats, InboxArrivals(n) - filed, held
 	}
 	for _, rateChange := range []bool{false, true} {
-		fused, after, held := run(rateChange)
+		fused, fusedStats, after, held := run(rateChange)
 		was := SetFusedChain(false)
-		chain, _, _ := run(rateChange)
+		chain, chainStats, _, _ := run(rateChange)
 		SetFusedChain(was)
 		if held == 0 {
 			t.Fatal("no arrival was filed when the hook was installed")
 		}
-		if after != 0 {
-			t.Errorf("rate change %v: %d arrivals took an inbox with a hook set", rateChange, after)
+		if after == 0 {
+			t.Errorf("rate change %v: no arrival took an inbox with a hook set", rateChange)
 		}
 		if len(fused) != len(chain) {
-			t.Fatalf("rate change %v: %d samples, five-event chain %d", rateChange, len(fused), len(chain))
+			t.Fatalf("rate change %v: samples on %d link directions, five-event chain %d", rateChange, len(fused), len(chain))
 		}
-		for i := range fused {
-			if fused[i] != chain[i] {
-				t.Fatalf("rate change %v: sample %d: %q, five-event chain %q", rateChange, i, fused[i], chain[i])
+		for pair, c := range chain {
+			f := fused[pair]
+			if len(f) != len(c) {
+				t.Fatalf("rate change %v: %s: %d samples, five-event chain %d", rateChange, pair, len(f), len(c))
+			}
+			for i := range f {
+				if f[i] != c[i] {
+					t.Fatalf("rate change %v: %s sample %d: %q, five-event chain %q", rateChange, pair, i, f[i], c[i])
+				}
+			}
+		}
+		for i := range fusedStats {
+			if fusedStats[i] != chainStats[i] {
+				t.Fatalf("rate change %v: %q, five-event chain %q", rateChange, fusedStats[i], chainStats[i])
 			}
 		}
 	}

@@ -27,8 +27,14 @@ type Network struct {
 	// boundUnits is BoundUnits(), fixed by the graph and the link speeds.
 	boundUnits int64
 
-	// onOffset is the offset-sample hook (SetOnOffset), or nil.
-	onOffset func(rx *Port, offsetUnits int64)
+	// OnOffset, when set, is invoked for every processed beacon with the
+	// receiving port, the beacon's processing instant and the hardware
+	// offset sample offset = t2 - t1 - OWD (§6.2), in counter units.
+	// The samples of one port come in time order; those of different
+	// devices need not, and a sample may reach fn after its instant (a
+	// device applies inbox arrivals late, Device.settle), so fn must
+	// neither read nor change the network.
+	OnOffset func(rx *Port, at sim.Time, offsetUnits int64)
 
 	// tel holds telemetry handles; the zero value (uninstrumented) is a
 	// set of nil handles whose updates are no-ops. See WithTelemetry.
@@ -196,9 +202,9 @@ func NewNetwork(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config, o
 	}
 	// Device inboxes (Device.file) stay empty where an arrival's effects
 	// reach past its device or must be seen in time order: with a tracer,
-	// whose ring is in time order; in hardened mode, whose quarantine
-	// schedules; and in master mode.
-	if o.tr == nil && !cfg.Hardened && cfg.Master == "" {
+	// whose ring is in record order; and in hardened mode, whose
+	// admission and quarantine read the scheduler's clock and schedule.
+	if o.tr == nil && !cfg.Hardened {
 		for _, d := range n.Devices {
 			d.in = make([]arrival, inboxPerPort*len(d.ports))
 		}
@@ -261,21 +267,6 @@ func (n *Network) DeviceByName(name string) (*Device, error) {
 		return nil, fmt.Errorf("core: no node named %q", name)
 	}
 	return n.Devices[node.ID], nil
-}
-
-// SetOnOffset installs fn, invoked for every processed beacon with the
-// receiving port and the hardware offset sample offset = t2 - t1 - OWD
-// (§6.2), in counter units; nil removes it. The samples come in time
-// order: while a hook is set no arrival takes an inbox (Device.file),
-// and installing one mid-run turns every arrival already filed back
-// into its event (Device.unfileAll).
-func (n *Network) SetOnOffset(fn func(rx *Port, offsetUnits int64)) {
-	n.onOffset = fn
-	if fn != nil {
-		for _, d := range n.Devices {
-			d.unfileAll()
-		}
-	}
 }
 
 // settle applies every device's due inbox arrivals (Device.settle):

@@ -354,17 +354,18 @@ func (p *Port) refile(f link.Flight, from link.Stage) sim.Event {
 
 // land is the inbound wire's launch hook (link.Wire.OnFlights): a block
 // in flight reaches this port's clock-domain crossing at t3, in key k's
-// place. When the crossing's outcome is fixed already — the port cycle
-// is one device tick, the block parses, and t3 falls outside the
-// metastability band, so no random draw is due — the message is settled:
-// it is processed on the local tick, keyed as if evLand had scheduled it
+// place (1 GbE fragments never launch: see insert). When the crossing's
+// outcome is fixed already — the block parses, and t3 falls outside the
+// metastability band, so no random draw is due — the message is
+// settled: it is processed on the local port-cycle tick (cdcTick, the
+// arithmetic cdcCross runs at t3), keyed as if evLand had scheduled it
 // at t3 — after every event scheduled before t3, and among process
 // events in landing order. A settled BEACON or BEACON-MSB goes to the
 // device's inbox when it may (Device.file), with no event at all;
 // anything else settled is evSettled at that tick and key. Otherwise it
 // schedules evLand at t3 in k's place.
 func (p *Port) land(b phy.Block, t3 simTime, k sim.Key) (sim.Event, bool) {
-	if p.pd == 1 && !p.fragmented && b.Valid() {
+	if b.Valid() {
 		if _, m, ok := p.codec().ExtractMessage(b); ok {
 			if tick, metastable := p.cdcTick(t3); !metastable {
 				at, key := p.dev.clock.TimeOfCount(tick), sim.Key{From: t3, Seq: k.Seq}
@@ -827,8 +828,8 @@ func (p *Port) handleBeacon(lsb uint64, now simTime) {
 		p.jumps++
 		p.dev.jump(target, local, p, false, now)
 	}
-	if p.dev.net.onOffset != nil {
-		p.dev.net.onOffset(p, offset)
+	if fn := p.dev.net.OnOffset; fn != nil {
+		fn(p, now, offset)
 	}
 }
 

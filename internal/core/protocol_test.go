@@ -83,14 +83,14 @@ func TestPairOffsetSamplesBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	var min, max int64
-	n.SetOnOffset(func(rx *Port, off int64) {
+	n.OnOffset = func(rx *Port, _ sim.Time, off int64) {
 		if off < min {
 			min = off
 		}
 		if off > max {
 			max = off
 		}
-	})
+	}
 	n.Start()
 	sch.Run(200 * sim.Millisecond)
 	if min < -4 || max > 4 {

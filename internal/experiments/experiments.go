@@ -132,7 +132,7 @@ func runDTPFig(o Options, frameOctets int, beaconInterval uint64) (*DTPFigResult
 	for _, p := range figPairs {
 		wanted[p] = true
 	}
-	n.SetOnOffset(func(rx *core.Port, off int64) {
+	n.OnOffset = func(rx *core.Port, at sim.Time, off int64) {
 		name := rx.PairName()
 		if !wanted[name] {
 			return
@@ -145,9 +145,9 @@ func runDTPFig(o Options, frameOctets int, beaconInterval uint64) (*DTPFigResult
 			res.Hist[name] = stats.NewIntHist()
 		}
 		s.Add(float64(off))
-		res.PairSeries[name].Add(sch.Now().Seconds(), float64(off))
+		res.PairSeries[name].Add(at.Seconds(), float64(off))
 		res.Hist[name].Add(off)
-	})
+	}
 	// Links come up idle, the network synchronizes, then load starts.
 	n.Start()
 	sch.Run(10 * sim.Millisecond)

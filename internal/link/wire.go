@@ -304,19 +304,6 @@ func (w *Wire) Unsettle() {
 	}
 }
 
-// SetFlightEvent makes ev the event of the flight reserved at seq, if it
-// is still on the wire: the owner has scheduled, after all, work it had
-// kept out of the scheduler (the zero Ev its land hook returned), and
-// Refile and Unsettle must cancel that event.
-func (w *Wire) SetFlightEvent(seq uint64, ev sim.Event) {
-	for i := uint8(0); i < w.flyN; i++ {
-		if f := &w.fly[(w.flyHd+i)%flightCap]; f.Key.Seq == seq {
-			f.Ev = ev
-			return
-		}
-	}
-}
-
 // flipRandomBit flips one uniformly random bit of the 66 on the wire:
 // 2 sync bits or 64 payload bits.
 func (w *Wire) flipRandomBit(b phy.Block) phy.Block {

@@ -134,10 +134,8 @@ type Client struct {
 
 	Clock *swclock.Clock
 
-	seq     uint64
-	pollEv  sim.Event // the pending poll
-	stopped bool
-	synced  bool
+	seq    uint64
+	synced bool
 
 	// filter holds (offset, delay) samples.
 	filter []sample
@@ -160,7 +158,7 @@ func NewClient(n *fabric.Network, node, server int, cfg Config, seed uint64) *Cl
 	}
 	c.Clock.Step(rng.Uniform(-1e10, 1e10)) // ±10 ms initial error
 	n.Handle(node, eth.ProtoNTP, c.onResponse)
-	c.pollEv = n.Sch.After(rng.UniformTime(0, cfg.PollInterval), c.poll)
+	n.Sch.After(rng.UniformTime(0, cfg.PollInterval), c.poll)
 	return c
 }
 
@@ -183,12 +181,12 @@ func (c *Client) poll() {
 			Proto: eth.ProtoNTP, Payload: request{Seq: seq, Client: c.node, T1: t1},
 		})
 	})
-	c.pollEv = c.net.Sch.After(c.cfg.PollInterval, c.poll)
+	c.net.Sch.After(c.cfg.PollInterval, c.poll)
 }
 
 func (c *Client) onResponse(f *eth.Frame, rx sim.Time) {
 	resp, ok := f.Payload.(response)
-	if !ok || c.stopped {
+	if !ok {
 		return
 	}
 	// Receive-path stack delay before the daemon can stamp t4.

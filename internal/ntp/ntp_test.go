@@ -124,24 +124,3 @@ func TestNTPDeterminism(t *testing.T) {
 		t.Fatalf("same seed diverged: %v vs %v", a, b)
 	}
 }
-
-func TestNTPStopHalts(t *testing.T) {
-	cfg := DefaultConfig().Compressed()
-	sch, _, clients := deploy(t, 31, cfg)
-	sch.Run(5 * sim.Second)
-	c := clients[0]
-	polls := c.polls
-	c.stop()
-	sch.RunFor(5 * sim.Second)
-	polls2 := c.polls
-	if polls2 != polls {
-		t.Fatalf("stopped client still polled (%d -> %d)", polls, polls2)
-	}
-}
-
-// stop halts polling: the pending poll is cancelled and replies still
-// in flight are ignored.
-func (c *Client) stop() {
-	c.pollEv.Cancel()
-	c.stopped = true
-}

@@ -118,35 +118,6 @@ func TestGrandmasterRestartRunsOneSyncLoop(t *testing.T) {
 	}
 }
 
-// TestRestartedClientRunsFreshLoops: a client stopped and started
-// again within one Delay_Req interval sends one Delay_Req per interval,
-// not two, and still fails over when its master dies.
-func TestRestartedClientRunsFreshLoops(t *testing.T) {
-	sch, primary, _, cs := failoverRig(t, 9)
-	sch.Run(sim.Second)
-	c := cs[0]
-	c.stop()
-	c.Start()
-	before := c.resps
-	sch.RunFor(10 * c.cfg.DelayReqInterval)
-	if resps := c.resps; resps-before < 9 || resps-before > 11 {
-		t.Fatalf("%d Delay_Resps over 10 intervals after a restart, want about 10", resps-before)
-	}
-	primary.stop()
-	sch.RunFor(3 * sim.Second)
-	if c.gm != 2 {
-		t.Fatalf("restarted client still on node %d after primary death", c.gm)
-	}
-}
-
-// stop halts the client's transmissions and master selection (received
-// messages are ignored).
-func (c *Client) stop() {
-	c.stopped = true
-	c.delayEv.Cancel()
-	c.watchdogEv.Cancel()
-}
-
 // stop halts Sync transmission. It cancels the pending round, so a
 // later Start runs one Sync loop, not two.
 func (gm *Grandmaster) stop() { gm.syncEv.Cancel() }

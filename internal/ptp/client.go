@@ -35,11 +35,7 @@ type Client struct {
 	haveDelay  bool
 
 	// Servo.
-	servo   servo
-	stopped bool
-	// The pending delayRound and bmcaWatchdog, cancelled by stop so a
-	// restart runs exactly the loops a fresh start does.
-	delayEv, watchdogEv sim.Event
+	servo servo
 	// synced flips after the first clock correction: like production
 	// daemons, the very first measurement steps the clock uncondition-
 	// ally, and the servo slews from there.
@@ -75,7 +71,7 @@ func NewClient(n *fabric.Network, node, gm int, cfg Config, seed uint64) *Client
 		n.Sch.After(cfg.WanderInterval, c.wander)
 	}
 	// BMCA watchdog: re-evaluate master liveness every sync interval.
-	c.watchdogEv = n.Sch.After(cfg.SyncInterval, c.bmcaWatchdog)
+	n.Sch.After(cfg.SyncInterval, c.bmcaWatchdog)
 	return c
 }
 
@@ -88,7 +84,7 @@ type masterInfo struct {
 // bmcaWatchdog prunes dead masters and re-selects.
 func (c *Client) bmcaWatchdog() {
 	c.selectMaster()
-	c.watchdogEv = c.net.Sch.After(c.cfg.SyncInterval, c.bmcaWatchdog)
+	c.net.Sch.After(c.cfg.SyncInterval, c.bmcaWatchdog)
 }
 
 // selectMaster implements the best-master-clock decision: lowest
@@ -122,14 +118,10 @@ func (c *Client) selectMaster() {
 	c.synced = false // first measurement against the new master steps
 }
 
-// Start begins the Delay_Req cadence and, after a stop, re-arms the
-// BMCA watchdog (NewClient arms it for a fresh client).
+// Start begins the Delay_Req cadence (NewClient arms the BMCA
+// watchdog).
 func (c *Client) Start() {
-	c.stopped = false
-	c.delayEv = c.net.Sch.After(c.rng.UniformTime(0, c.cfg.DelayReqInterval), c.delayRound)
-	if !c.watchdogEv.Pending() {
-		c.watchdogEv = c.net.Sch.After(c.cfg.SyncInterval, c.bmcaWatchdog)
-	}
+	c.net.Sch.After(c.rng.UniformTime(0, c.cfg.DelayReqInterval), c.delayRound)
 }
 
 // OffsetToMasterPs is ground truth: PHC time minus true time at the
@@ -161,7 +153,7 @@ func (c *Client) hwStamp(t sim.Time) float64 {
 // --- Receive paths ------------------------------------------------------
 
 func (c *Client) onEvent(f *eth.Frame, rx sim.Time) {
-	if c.stopped || f.Src != c.gm {
+	if f.Src != c.gm {
 		return // Syncs from non-selected masters are ignored
 	}
 	if m, ok := f.Payload.(syncMsg); ok {
@@ -181,9 +173,6 @@ func (c *Client) onEvent(f *eth.Frame, rx sim.Time) {
 }
 
 func (c *Client) onGeneral(f *eth.Frame, rx sim.Time) {
-	if c.stopped {
-		return
-	}
 	switch m := f.Payload.(type) {
 	case announce:
 		c.masters[m.GM] = masterInfo{priority: m.Priority, lastSeen: rx}
@@ -243,7 +232,7 @@ func (c *Client) delayRound() {
 			}
 		}
 	}
-	c.delayEv = c.net.Sch.After(c.cfg.DelayReqInterval, c.delayRound)
+	c.net.Sch.After(c.cfg.DelayReqInterval, c.delayRound)
 }
 
 // pushDelay adds a path-delay sample and refreshes the filtered value:
