@@ -215,9 +215,11 @@ func WithPPM(byName map[string]float64) Option {
 // bounded-jump admission of remote counters, quarantine with a re-INIT
 // escape hatch for peers that keep failing it, and a quorum combiner
 // gating large session-initial adoptions. On a fault-free network the
-// defenses never fire and runs are tick-identical to plain mode; the
-// trade-off is that long-diverged live partitions no longer auto-merge
-// (see DESIGN.md "Threat model & hardened mode").
+// defenses never fire and runs are tick-identical to plain mode, and an
+// untraced run takes the same engine path in both modes, so a
+// fault-free hardened run costs what a plain one does; the trade-off is
+// that long-diverged live partitions no longer auto-merge (see
+// DESIGN.md "Threat model & hardened mode").
 func WithHardened() Option {
 	return func(c *config) { c.cfg.Hardened = true }
 }

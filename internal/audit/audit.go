@@ -212,7 +212,6 @@ func (a *Auditor) Stop() {
 // are expected (an injected fault is active, plus settle grace).
 type degradeWindow struct {
 	from, until sim.Time
-	reason      string
 }
 
 // ExpectDegradation declares [from, until] as an expected-degradation
@@ -221,8 +220,8 @@ type degradeWindow struct {
 // inside any declared window are tallied as excused instead of
 // violations, so a chaos campaign can still assert zero *unexpected*
 // violations. Windows are pruned once they expire.
-func (a *Auditor) ExpectDegradation(from, until sim.Time, reason string) {
-	a.windows = append(a.windows, degradeWindow{from: from, until: until, reason: reason})
+func (a *Auditor) ExpectDegradation(from, until sim.Time) {
+	a.windows = append(a.windows, degradeWindow{from: from, until: until})
 }
 
 // excusedAt reports whether t falls inside a declared window, pruning

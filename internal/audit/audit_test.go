@@ -248,7 +248,7 @@ func TestExpectDegradationExcusesWindows(t *testing.T) {
 		core.WithPPM(map[string]float64{"h0": 100, "h1": -100}))
 	// The broken cadence desynchronizes the pair permanently; excuse
 	// only the first stretch of the run.
-	a.ExpectDegradation(0, 10*sim.Millisecond, "test fault")
+	a.ExpectDegradation(0, 10*sim.Millisecond)
 	n.Sch.Run(25 * sim.Millisecond)
 
 	if a.ExcusedViolations() == 0 {
@@ -274,7 +274,7 @@ func TestExpectDegradationExcusesWindows(t *testing.T) {
 func TestExpectDegradationFullCover(t *testing.T) {
 	n, a, _, _ := newAudited(t, topo.Pair(), 2, Config{}, brokenConfig(),
 		core.WithPPM(map[string]float64{"h0": 100, "h1": -100}))
-	a.ExpectDegradation(0, sim.Time(1)*sim.Second, "covers everything")
+	a.ExpectDegradation(0, sim.Time(1)*sim.Second)
 	n.Sch.Run(20 * sim.Millisecond)
 
 	if a.ExcusedViolations() == 0 {

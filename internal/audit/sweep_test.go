@@ -195,7 +195,7 @@ func TestDenseSweepMatchesMapSweep(t *testing.T) {
 			n, a, _, _ := newAudited(t, tc.g, 4, Config{}, ccfg, opts...)
 			o := shadow(a)
 			for _, w := range tc.windows {
-				a.ExpectDegradation(w[0], w[1], "test fault")
+				a.ExpectDegradation(w[0], w[1])
 				o.windows = append(o.windows, degradeWindow{from: w[0], until: w[1]})
 			}
 			sawUnreach := false

@@ -30,7 +30,6 @@ type Options struct {
 // host-dependent execution record, kept out of all JSON output.
 type Report struct {
 	Grid      Grid
-	Points    []Point
 	Results   []Result
 	Aggregate Aggregate
 	Jobs      int
@@ -70,7 +69,7 @@ func Run(g Grid, opts Options) (*Report, error) {
 		return struct{}{}, nil
 	})
 	rep := &Report{
-		Grid: g, Points: points, Results: results,
+		Grid: g, Results: results,
 		Aggregate: Aggregated(g.Name, results),
 		Jobs:      jobs, Wall: time.Since(start),
 	}

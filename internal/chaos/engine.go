@@ -86,7 +86,7 @@ func NewEngine(n *core.Network, sc *Scenario, seed uint64,
 		if !h.permanent() {
 			e.temporal++
 			if aud != nil && !kinds[h.Kind].adversarial {
-				aud.ExpectDegradation(h.At.T, h.end()+e.sc.SettleGrace.T, h.Kind+" "+h.target())
+				aud.ExpectDegradation(h.At.T, h.end()+e.sc.SettleGrace.T)
 			}
 		}
 		e.sch.At(h.At.T, func() { e.inject(h) })

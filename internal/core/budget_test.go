@@ -45,6 +45,8 @@ type budgetWorld struct {
 	hooked bool
 	// master roots the tree at s0 in master mode (§5.4).
 	master bool
+	// hardened turns on Byzantine-hardened admission.
+	hardened bool
 	// speeds, when set, runs MixedSpeedConfig WithLinkSpeeds (§7).
 	speeds map[int]phy.Speed
 }
@@ -64,6 +66,7 @@ func budgetRun(t *testing.T, w budgetWorld) budget {
 	if w.master {
 		cfg.Master = "s0"
 	}
+	cfg.Hardened = w.hardened
 	sch := sim.NewScheduler()
 	if w.traced {
 		opts = append(opts, core.WithTelemetry(nil, telemetry.NewTracer(0)))
@@ -138,10 +141,11 @@ func allocsPerSimMs(t *testing.T) float64 {
 // event for the one in sixteen that lands in the metastability band.
 // Traced, every settled beacon is an evSettled event on lane 7, the path
 // dtpd and every exporting dtpsim run take: the traced paper-tree rows
-// pin it. An OnOffset hook, master mode and multi-tick port cycles take
-// the inbox like a plain run: the hooked and master-mode rows match the
-// paper tree's, and mixed-speed chain:3 files every settled beacon but
-// those of its 1 GbE link, whose fragments never settle. Every entry is an equality unless marked as a ceiling. A change that moves one edits the table and says why; a
+// pin it. An OnOffset hook, master mode, hardened mode and multi-tick
+// port cycles take the inbox like a plain run: the hooked, master-mode
+// and hardened rows match the paper tree's (traced, the hardened tree
+// matches the traced one), and mixed-speed chain:3 files every settled
+// beacon but those of its 1 GbE link, whose fragments never settle. Every entry is an equality unless marked as a ceiling. A change that moves one edits the table and says why; a
 // one-event change to the beacon path moves every event count and the
 // row of the lane the event takes.
 func TestEngineBudget(t *testing.T) {
@@ -151,6 +155,8 @@ func TestEngineBudget(t *testing.T) {
 	traced := budgetRun(t, budgetWorld{g: paper, traced: true})
 	hooked := budgetRun(t, budgetWorld{g: paper, hooked: true})
 	master := budgetRun(t, budgetWorld{g: paper, master: true})
+	hardened := budgetRun(t, budgetWorld{g: paper, hardened: true})
+	tracedHardened := budgetRun(t, budgetWorld{g: paper, traced: true, hardened: true})
 	mixed := budgetRun(t, budgetWorld{g: topo.Chain(3), speeds: mixedSpeeds})
 	ft4 := budgetRun(t, budgetWorld{g: topo.FatTree(4)})
 	// The five-event chain, the reference flights are tested against.
@@ -192,6 +198,9 @@ func TestEngineBudget(t *testing.T) {
 		{"inbox arrivals per beacon x1e4, hooked paper tree", perBeacon(hooked.inboxed, hooked.beacons), 9391, false},
 		{"events per beacon x1e4, master-mode paper tree", perBeacon(master.events, master.beacons), 11435, false},
 		{"inbox arrivals per beacon x1e4, master-mode paper tree", perBeacon(master.inboxed, master.beacons), 9391, false},
+		{"events per beacon x1e4, hardened paper tree", perBeacon(hardened.events, hardened.beacons), 11435, false},
+		{"inbox arrivals per beacon x1e4, hardened paper tree", perBeacon(hardened.inboxed, hardened.beacons), 9391, false},
+		{"events per beacon x1e4, traced hardened paper tree", perBeacon(tracedHardened.events, tracedHardened.beacons), 20823, false},
 		{"inbox arrivals per beacon x1e4, mixed-speed chain:3", perBeacon(mixed.inboxed, mixed.beacons), 5649, false},
 		{"audit sweeps per sim-ms, fattree:4", float64(audited.sweeps), 10, false},
 		{"audit pair checks per sweep, fattree:4", float64(audited.pairChecks) / float64(audited.sweeps), 630, false},

@@ -67,14 +67,18 @@ var fuzzMutations = []func(p *core.Port, w *link.Wire, base sim.Time, arg byte){
 
 // fuzzWorlds are what a program's world byte picks from, modulo their
 // number: a pair, chain:3 and the paper tree, then the paper tree in
-// master mode (§5.4) and chain:3 at mixed speeds (§7), whose 40 and
-// 100 GbE ports run multi-tick cycles.
+// master mode (§5.4), chain:3 at mixed speeds (§7), whose 40 and
+// 100 GbE ports run multi-tick cycles, and the fusion worlds' hardened
+// pair, which runs on past the program's window into its overclaim's
+// beacon rejections and quarantines (untraced, applied from the
+// inboxes).
 var fuzzWorlds = []fusionWorld{
 	{g: topo.Pair()},
 	{g: topo.Chain(3)},
 	{g: topo.PaperTree()},
 	{g: topo.PaperTree(), cfg: func(c *core.Config) { c.Master = "s0" }},
 	{g: topo.Chain(3), speeds: mixedSpeeds},
+	creepPair,
 }
 
 // fuzzProgram decodes a program into a world whose arm hook schedules
@@ -195,13 +199,14 @@ func FuzzFusedChain(f *testing.F) {
 	for _, prog := range [][]byte{
 		// A flap, a BER burst and a crash, as in the storm, on chain:3,
 		// the paper tree, the master-mode tree and mixed-speed chain:3
-		// at the storm seeds.
+		// at the storm seeds, and on the hardened pair at its seed.
 		{1, 32, 7, 2, 10, 0, 7, 2, 40, 2, 2, 3, 60, 1, 3, 3, 90, 0, 8, 5, 120, 0},
 		{2, 55, 7, 4, 10, 2, 7, 4, 40, 3, 2, 6, 60, 1, 3, 6, 90, 0, 8, 9, 120, 0},
 		{1, 76, 7, 1, 12, 1, 2, 3, 30, 2, 3, 3, 50, 3, 8, 1, 70, 0},
 		{2, 217, 7, 6, 15, 3, 2, 0, 25, 4, 3, 0, 45, 1, 8, 7, 65, 0},
 		{3, 55, 7, 4, 10, 2, 7, 4, 40, 3, 2, 6, 60, 1, 3, 6, 90, 0, 8, 9, 120, 0},
 		{4, 32, 7, 2, 10, 0, 7, 2, 40, 2, 2, 3, 60, 1, 3, 3, 90, 0, 8, 5, 120, 0},
+		{5, 9, 7, 0, 10, 0, 7, 0, 40, 2, 2, 1, 60, 1, 3, 1, 90, 0, 8, 0, 120, 0},
 		// Found by random search: each diverges once its hook is gone.
 		// Down without re-filing (a bounce back up before the landing):
 		{0, 0x4, 0x3, 0x31, 0xf9, 0x3, 0x7, 0x8d, 0xf5, 0x4, 0x5, 0xe0, 0x29, 0x1, 0x7, 0xd8, 0x40, 0x3, 0x7, 0x50, 0x52, 0x2},

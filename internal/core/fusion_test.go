@@ -214,12 +214,31 @@ const us, ms = sim.Microsecond, sim.Millisecond
 // fragments, and ports whose cycle is several device ticks.
 var mixedSpeeds = map[int]phy.Speed{0: phy.Speed1G, 1: phy.Speed40G, 2: phy.Speed100G}
 
+// creepPair is a hardened pair whose h0 overclaims by one more unit
+// every 2 µs for 1 ms. Its oscillators keep still, so the creep is
+// caught on beacons by the windowed pull budget: h1 rejects h0's, and
+// h0 rejects h1's once h1 has adopted part of the lie. Untraced, those
+// twelve rejections and the three quarantines they earn are applied
+// from the inboxes; the tree's attacks are caught on JOINs, which stay
+// events.
+var creepPair = fusionWorld{
+	name: "pair/creep/hardened", g: topo.Pair(), seed: 9,
+	cfg: func(c *core.Config) {
+		c.Hardened = true
+		c.WanderInterval, c.WanderStepPPB = 0, 0
+	},
+	scenario: &chaos.Scenario{Name: "creep", ReconvergeDeadline: at(3 * ms), Faults: []chaos.Fault{
+		{Kind: chaos.KindOverclaim, Device: "h0", At: at(2 * ms), Duration: at(ms), JumpUnits: 1, Cadence: at(2 * us)},
+	}},
+}
+
 // fusionWorlds are the runs the flight path must leave untouched: every
 // chaos kind (the attacks under hardened mode and without it), clean
 // and wandering oscillators, mixed speeds with 1 GbE fragments, master
-// mode (§5.4) clean and through the accidents, the plain-mode worlds
-// again with one-entry inboxes, and the chain:5 storm seeds on which
-// flights that are never re-filed diverge.
+// mode (§5.4) clean and through the accidents, a hardened pair caught
+// on its beacons, the plain-mode worlds again with one-entry inboxes,
+// and the chain:5 storm seeds on which flights that are never re-filed
+// diverge.
 func fusionWorlds(t testing.TB) []fusionWorld {
 	tree, ft4 := topo.PaperTree(), topo.FatTree(4)
 	accidents := &chaos.Scenario{Name: "accidents", SettleGrace: at(600 * us), ReconvergeDeadline: at(3 * ms), Faults: []chaos.Fault{
@@ -253,6 +272,7 @@ func fusionWorlds(t testing.TB) []fusionWorld {
 			speeds: mixedSpeeds},
 		{name: "tree/clean/master", g: tree, seed: 6, until: 5 * ms, cfg: master},
 		{name: "tree/accidents/master", g: tree, seed: 7, scenario: accidents, cfg: master},
+		creepPair,
 	}
 	for _, w := range worlds[:5:5] {
 		if w.cfg == nil {
@@ -288,13 +308,8 @@ func TestFusedChainMatchesFiveEventChain(t *testing.T) {
 					if fusedEvents*4 > chainEvents*3 {
 						t.Fatalf("flights ran %d events against the chain's %d: the fast path barely engaged", fusedEvents, chainEvents)
 					}
-					// A tracer or hardened mode keeps every arrival an
-					// event.
-					cfg := core.DefaultConfig()
-					if w.cfg != nil {
-						w.cfg(&cfg)
-					}
-					if wantInbox := !m.traced && !cfg.Hardened; wantInbox != (inboxed > 0) {
+					// A tracer keeps every arrival an event.
+					if wantInbox := !m.traced; wantInbox != (inboxed > 0) {
 						t.Fatalf("%d arrivals took the inbox; want some: %v", inboxed, wantInbox)
 					}
 				})

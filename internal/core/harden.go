@@ -100,7 +100,10 @@ func (p *Port) admitSlack() int64 {
 }
 
 // admitTarget gates a remote-implied counter value (target, at local
-// counter value local) through bounded-jump admission. Algorithm 2
+// counter value local) through bounded-jump admission at instant now,
+// the message's own: a beacon applied late from the inbox
+// (Device.settle) is judged on the tick clock of its arrival, and what
+// its rejection records and schedules is stamped from there. Algorithm 2
 // adopts only forward values, so admission budgets exactly the
 // adoptable quantity: the message's lead over the local counter. A
 // value at or behind the local counter cannot move it and always
@@ -118,16 +121,16 @@ func (p *Port) admitSlack() int64 {
 // (a long-diverged partition healing) is refused — hardened mode fails
 // secure there and heals through quarantine, re-INIT and the quorum
 // combiner instead.
-func (p *Port) admitTarget(target, local uint64, join bool) bool {
+func (p *Port) admitTarget(target, local uint64, join bool, now simTime) bool {
 	lead := int64(target - local)
 	slack := p.admitSlack()
 	if !p.admitValid {
 		if lead > slack && !p.dev.quorumAgrees(p, target, local) {
-			p.rejectTarget(lead, slack, join)
+			p.rejectTarget(lead, slack, join, now)
 			return false
 		}
 		p.admitValid = true
-		p.pullWindow = p.dev.clock.Counter()
+		p.pullWindow = p.dev.clock.CounterAt(now)
 		p.pulledUnits = 0
 		return true
 	}
@@ -135,18 +138,18 @@ func (p *Port) admitTarget(target, local uint64, join bool) bool {
 		return true
 	}
 	if lead > slack {
-		p.rejectTarget(lead, slack, join)
+		p.rejectTarget(lead, slack, join, now)
 		return false
 	}
 	cfg := p.cfg()
-	tick := p.dev.clock.Counter()
+	tick := p.dev.clock.CounterAt(now)
 	if tick-p.pullWindow > faultyWindowTicks {
 		p.pullWindow, p.pulledUnits = tick, 0
 	}
 	elapsed := int64(tick-p.pullWindow) * int64(cfg.UnitsPerTick)
 	ok, allowance := admitBudget(p.pulledUnits+lead, elapsed, slack)
 	if !ok {
-		p.rejectTarget(p.pulledUnits+lead, allowance, join)
+		p.rejectTarget(p.pulledUnits+lead, allowance, join, now)
 		return false
 	}
 	p.pulledUnits += lead
@@ -157,11 +160,11 @@ func (p *Port) admitTarget(target, local uint64, join bool) bool {
 // JOIN, or a JOIN that waited for the delay measurement: plain mode
 // admits everything; hardened mode runs bounded-jump admission and
 // records what it admits as this port's quorum vote.
-func (p *Port) admit(target, local uint64, join bool) bool {
+func (p *Port) admit(target, local uint64, join bool, now simTime) bool {
 	if !p.cfg().Hardened {
 		return true
 	}
-	ok := p.admitTarget(target, local, join)
+	ok := p.admitTarget(target, local, join, now)
 	if ok {
 		p.noteTarget(target, local)
 	}
@@ -205,7 +208,7 @@ func (d *Device) quorumAgrees(from *Port, target, local uint64) bool {
 // rejectTarget records a bounded-jump admission failure and, past
 // quarantineRejectLimit rejections within the faultyWindowTicks sliding
 // window, quarantines the port.
-func (p *Port) rejectTarget(advance, allowance int64, join bool) {
+func (p *Port) rejectTarget(advance, allowance int64, join bool, now simTime) {
 	tel := &p.dev.net.tel
 	tel.rejections.Inc()
 	p.dev.net.rejectedTotal++
@@ -213,15 +216,15 @@ func (p *Port) rejectTarget(advance, allowance int64, join bool) {
 	if join {
 		detail = "join"
 	}
-	tel.tr.Record(p.sch().Now(), telemetry.KindCounterRejected, p.tname,
+	tel.tr.Record(now, telemetry.KindCounterRejected, p.tname,
 		advance, allowance, detail)
-	tick := p.dev.clock.Counter()
+	tick := p.dev.clock.CounterAt(now)
 	if tick-p.rejectWindow > faultyWindowTicks {
 		p.rejectWindow, p.rejectCount = tick, 0
 	}
 	p.rejectCount++
 	if p.rejectCount >= quarantineRejectLimit {
-		p.quarantine()
+		p.quarantine(now)
 	}
 }
 
@@ -231,20 +234,22 @@ func (p *Port) rejectTarget(advance, allowance int64, join bool) {
 // beaconing, ignores every arriving message (even INITs — answering
 // would let the suspect peer re-arm a session early), and reports its
 // link unsynced, which drops it from the auditor's active set so
-// quarantined paths never contribute to BFS bounds.
-func (p *Port) quarantine() {
+// quarantined paths never contribute to BFS bounds. The release is due
+// a cooldown after now, the quarantining message's instant, even when
+// that message is applied late (see DESIGN.md "Ties" for its key).
+func (p *Port) quarantine(now simTime) {
 	if p.state != portSynced {
 		return
 	}
 	tel := &p.dev.net.tel
 	tel.quarantines.Inc()
 	p.dev.net.quarantineTotal++
-	tel.tr.Record(p.sch().Now(), telemetry.KindPortQuarantined, p.tname,
+	tel.tr.Record(now, telemetry.KindPortQuarantined, p.tname,
 		int64(p.rejectCount), p.owdUnits, "")
 	p.endSession(portQuarantined)
 	p.rejectCount = 0 // spent: the next session earns its own quarantine
 	cool := p.dev.tickDur(quarantineCooldownTicks)
-	p.quarEvent = p.sch().After(cool, p.releaseQuarantine)
+	p.quarEvent = p.sch().At(now+cool, p.releaseQuarantine)
 }
 
 // releaseQuarantine is the escape hatch: after the cooldown the port
@@ -275,7 +280,9 @@ func (d *Device) LieUnits() uint64 { return d.lieUnits }
 // BroadcastJoin announces the device's (possibly inflated) counter with
 // a BEACON-MSB + BEACON-JOIN pair on every synced port — what a
 // Byzantine device does to push a lie through the otherwise unguarded
-// JOIN path, and what hardened admission must stop.
+// JOIN path, and what hardened admission must stop. It reads each
+// port's state unsettled: sendJoinPair settles the device and checks
+// the state again, and no inbox arrival makes a port synced.
 func (d *Device) BroadcastJoin() {
 	for _, p := range d.ports {
 		if p.state == portSynced {

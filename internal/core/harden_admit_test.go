@@ -78,7 +78,7 @@ func TestAdmitTargetCounterWraparound(t *testing.T) {
 		before := rejections()
 		for step := uint64(0); step <= 2000; step += 100 {
 			target := boundary + step
-			if !p.admitTarget(target, target, false) {
+			if !p.admitTarget(target, target, false, sch.Now()) {
 				t.Fatalf("boundary %#x: honest value at +%d rejected", boundary, step)
 			}
 			p.noteTarget(target, target)
@@ -92,7 +92,7 @@ func TestAdmitTargetCounterWraparound(t *testing.T) {
 
 		// A small forward lead across the wrap is honest noise and must
 		// pass the per-message cap exactly like far from the boundary.
-		if !p.admitTarget(boundary+2003, boundary+2000, false) {
+		if !p.admitTarget(boundary+2003, boundary+2000, false, sch.Now()) {
 			t.Fatalf("boundary %#x: +3 lead across the wrap rejected", boundary)
 		}
 		if p.pulledUnits != 3 {
@@ -101,7 +101,7 @@ func TestAdmitTargetCounterWraparound(t *testing.T) {
 
 		// A lying jump exactly at the wrap must still be rejected: the
 		// remote claims 1e6 units the local clock never saw.
-		if p.admitTarget(boundary+2000+1_000_000, boundary+2000, true) {
+		if p.admitTarget(boundary+2000+1_000_000, boundary+2000, true, sch.Now()) {
 			t.Fatalf("boundary %#x: inflated jump admitted across the wrap", boundary)
 		}
 		// Reset the rejection window so the loop's rejections never
@@ -133,7 +133,7 @@ func TestAdmitTargetCatchesCompliantRatchet(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		// Each lie leads by exactly the slack and is "adopted": the next
 		// one measures against the freshly poisoned counter.
-		if !p.admitTarget(local+uint64(slack), local, false) {
+		if !p.admitTarget(local+uint64(slack), local, false, sch.Now()) {
 			break
 		}
 		admitted++

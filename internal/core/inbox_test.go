@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/dtplab/dtp/internal/sim"
+	"github.com/dtplab/dtp/internal/telemetry"
 	"github.com/dtplab/dtp/internal/topo"
 )
 
@@ -103,5 +104,122 @@ func TestOnOffsetInstalledMidRun(t *testing.T) {
 				t.Fatalf("rate change %v: %q, five-event chain %q", rateChange, fusedStats[i], chainStats[i])
 			}
 		}
+	}
+}
+
+// creepingPair is a hardened pair at seed 9 whose h0 lies one unit more
+// every 2 µs from 2 ms until creepEnd, the overclaim of the fusion
+// worlds' pair/creep/hardened without chaos's jitter: each port catches
+// its peer's beacons on the windowed pull budget and is quarantined.
+// Untraced (tr nil), those beacons are applied from the inboxes.
+func creepingPair(t *testing.T, tr *telemetry.Tracer) (*sim.Scheduler, *Network) {
+	t.Helper()
+	sch := sim.NewScheduler()
+	cfg := DefaultConfig()
+	cfg.Hardened = true
+	n, err := NewNetwork(sch, 9, topo.Pair(), cfg, WithTelemetry(nil, tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0 := n.Devices[0]
+	for at := 2 * sim.Millisecond; at < creepEnd; at += 2 * sim.Microsecond {
+		sch.At(at, func() { h0.SetLieUnits(h0.LieUnits() + 1) })
+	}
+	sch.At(creepEnd, func() { h0.SetLieUnits(0) })
+	n.Start()
+	return sch, n
+}
+
+const creepEnd = 3 * sim.Millisecond
+
+// A beacon applied late from the inbox can quarantine its port, so every
+// reader of port state or of the Byzantine totals settles first. Each
+// reader alone, called by an event between a quarantining arrival's
+// instant and its device's next event, must report what the five-event
+// chain's evProcess has left at that instant.
+func TestReadersSettleQuarantine(t *testing.T) {
+	tr := telemetry.NewTracer(1 << 12)
+	sch, _ := creepingPair(t, tr)
+	sch.Run(creepEnd)
+	var quarantines []telemetry.Event
+	for _, e := range tr.Events() {
+		if e.Kind == telemetry.KindPortQuarantined {
+			quarantines = append(quarantines, e)
+		}
+	}
+	if len(quarantines) == 0 {
+		t.Fatal("the creep earned no quarantine")
+	}
+	readers := []struct {
+		name string
+		read func(n *Network, p *Port) any
+	}{
+		{"Network.LinkSynced", func(n *Network, p *Port) any { return n.LinkSynced(0) }},
+		{"Network.AllSynced", func(n *Network, p *Port) any { return n.AllSynced() }},
+		{"Network.ByzantineStats", func(n *Network, p *Port) any { rej, quar := n.ByzantineStats(); return [2]uint64{rej, quar} }},
+		{"Port.State", func(n *Network, p *Port) any { return p.State() }},
+		{"Port.OWDUnits", func(n *Network, p *Port) any { return p.OWDUnits() }},
+	}
+	for _, r := range readers {
+		run := func(fused bool) (got []string) {
+			defer SetFusedChain(SetFusedChain(fused))
+			sch, n := creepingPair(t, nil)
+			for _, q := range quarantines {
+				p, peer := n.LinkPorts(0)
+				if peer.Name() == q.Who {
+					p = peer
+				}
+				sch.At(q.At+1, func() {
+					if d := p.dev; fused && (d.inN == 0 || d.in[d.inHd].at != q.At) {
+						t.Fatalf("%s at %v: its quarantining arrival is not waiting in the inbox", q.Who, q.At)
+					}
+					got = append(got, fmt.Sprintf("%s at %v: %v", q.Who, q.At, r.read(n, p)))
+				})
+			}
+			sch.Run(creepEnd)
+			return got
+		}
+		fused, chain := run(true), run(false)
+		for i := range chain {
+			if fused[i] != chain[i] {
+				t.Errorf("%s read %s, five-event chain %s", r.name, fused[i], chain[i])
+			}
+		}
+	}
+}
+
+// A beacon applied late, past the instant at which the windowed pull
+// budget grows by a unit (elapsed>>12), must be admitted or rejected as
+// at its own instant: admission reads the tick clock at the arrival's
+// instant, not at the settle.
+func TestLateBeaconAdmittedOnTime(t *testing.T) {
+	sch, n := creepingPair(t, nil)
+	sch.Run(creepEnd / 2)
+	if !n.AllSynced() {
+		t.Fatal("pair did not sync")
+	}
+	p, _ := n.LinkPorts(0)
+	clk := p.dev.clock
+	// The settle is now, tick N; the arrival two ticks before. The window
+	// opened so that the budget's ppm term reads 0 units at the arrival
+	// and 1 at the settle, with the slack spent: a one-unit lead is
+	// rejected on time and would pass at the settle.
+	tick := clk.Counter()
+	at := clk.TimeOfCount(tick - 2)
+	perStep := (1<<12 + p.cfg().UnitsPerTick - 1) / p.cfg().UnitsPerTick
+	local := p.dev.GlobalCounter()
+	arm := func() {
+		p.admitValid, p.pullWindow, p.pulledUnits, p.rejectCount = true, tick-perStep, p.admitSlack(), 0
+	}
+	arm()
+	if !p.admitTarget(local+1, local, false, sch.Now()) {
+		t.Fatal("the lead is not admissible at the settle: the test does not straddle a budget step")
+	}
+	arm()
+	if p.admitTarget(local+1, local, false, at) {
+		t.Fatalf("a lead over the budget at its instant %v was admitted on the budget at the settle %v", at, sch.Now())
+	}
+	if p.pulledUnits != p.admitSlack() {
+		t.Fatalf("a rejected lead was charged: %d pulled units, want %d", p.pulledUnits, p.admitSlack())
 	}
 }

@@ -201,10 +201,9 @@ func NewNetwork(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config, o
 		n.instrument(o.reg, o.tr)
 	}
 	// Device inboxes (Device.file) stay empty where an arrival's effects
-	// reach past its device or must be seen in time order: with a tracer,
-	// whose ring is in record order; and in hardened mode, whose
-	// admission and quarantine read the scheduler's clock and schedule.
-	if o.tr == nil && !cfg.Hardened {
+	// must be seen in time order: with a tracer, whose ring is in record
+	// order.
+	if o.tr == nil {
 		for _, d := range n.Devices {
 			d.in = make([]arrival, inboxPerPort*len(d.ports))
 		}
@@ -331,12 +330,15 @@ func (n *Network) MaxPairwiseOffset() int64 {
 // the BFS bounds automatically.
 func (n *Network) LinkSynced(i int) bool {
 	lp := n.linkPorts[i]
+	lp[0].dev.settle()
+	lp[1].dev.settle()
 	return lp[0].state == portSynced && lp[1].state == portSynced
 }
 
 // ByzantineStats returns hardened mode's cumulative bounded-jump
 // admission rejections and quarantine entries across all ports.
 func (n *Network) ByzantineStats() (rejected, quarantined uint64) {
+	n.settle()
 	return n.rejectedTotal, n.quarantineTotal
 }
 
@@ -352,6 +354,7 @@ func (n *Network) LinkBoundUnits(i int) int64 {
 // AllSynced reports whether every port of every link has completed its
 // delay measurement.
 func (n *Network) AllSynced() bool {
+	n.settle()
 	for _, lp := range n.linkPorts {
 		if lp[0].state != portSynced || lp[1].state != portSynced {
 			return false

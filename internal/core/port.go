@@ -178,10 +178,16 @@ func (p *Port) Device() *Device { return p.dev }
 
 // OWDUnits returns the one-way delay measured during INIT, in counter
 // units, or -1 if not yet measured.
-func (p *Port) OWDUnits() int64 { return p.owdUnits }
+func (p *Port) OWDUnits() int64 {
+	p.dev.settle()
+	return p.owdUnits
+}
 
 // State exposes the protocol state (for tests and monitoring).
-func (p *Port) State() string { return p.state.String() }
+func (p *Port) State() string {
+	p.dev.settle()
+	return p.state.String()
+}
 
 // Stats returns beacon counters: sent, received, ignored (guard or
 // parity violations), and counter jumps caused by this port.
@@ -756,7 +762,7 @@ func (p *Port) finishInit() {
 	// nothing reads it once the delay is known.
 	if p.pendingJoin != nil {
 		target := *p.pendingJoin + uint64(d)
-		if local := p.dev.GlobalCounter(); p.admit(target, local, true) {
+		if local := p.dev.GlobalCounter(); p.admit(target, local, true, p.sch().Now()) {
 			p.dev.jump(target, local, p, true, p.sch().Now())
 		}
 		if p.state != portSynced {
@@ -802,7 +808,7 @@ func (p *Port) handleBeacon(lsb uint64, now simTime) {
 	// Bounded-jump admission: a beacon that passes the guard can still
 	// ratchet the fabric a few units at a time; the windowed pull budget
 	// caps what this peer may drag the counter forward.
-	if !p.admit(target, local, false) {
+	if !p.admit(target, local, false, now) {
 		p.beaconsIgnored++
 		return
 	}
@@ -851,7 +857,7 @@ func (p *Port) handleJoin(lsb uint64) {
 	}
 	target := full + uint64(p.owdUnits)
 	local := p.dev.GlobalCounter()
-	if p.admit(target, local, true) && target > local {
+	if p.admit(target, local, true, p.sch().Now()) && target > local {
 		p.jumps++
 		p.dev.jump(target, local, p, true, p.sch().Now())
 	}

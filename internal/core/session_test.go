@@ -96,7 +96,7 @@ func TestHardenedSessionExits(t *testing.T) {
 		w := dirty(t, 33)
 		local := w.p.dev.GlobalCounter()
 		for i := dirtyRejects; i < quarantineRejectLimit; i++ {
-			if w.p.admitTarget(local+1_000_000, local, true) {
+			if w.p.admitTarget(local+1_000_000, local, true, w.n.Sch.Now()) {
 				t.Fatal("a million-unit mid-session lead was admitted")
 			}
 		}

@@ -104,7 +104,6 @@ type element struct {
 // egressPort is one transmit queue plus its wire.
 type egressPort struct {
 	owner    *element
-	linkIdx  int
 	peerNode int
 	wire     *link.Wire
 
@@ -113,8 +112,7 @@ type egressPort struct {
 	queueBytes int
 	busy       bool
 
-	enqueued uint64
-	dropped  uint64
+	dropped uint64
 }
 
 // New builds a fabric over the topology graph.
@@ -148,10 +146,10 @@ func New(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config) (*Networ
 			return nil, fmt.Errorf("fabric: link %d: %w", li, err)
 		}
 		n.elements[l.A].ports[li] = &egressPort{
-			owner: n.elements[l.A], linkIdx: li, peerNode: l.B, wire: wa,
+			owner: n.elements[l.A], peerNode: l.B, wire: wa,
 		}
 		n.elements[l.B].ports[li] = &egressPort{
-			owner: n.elements[l.B], linkIdx: li, peerNode: l.A, wire: wb,
+			owner: n.elements[l.B], peerNode: l.A, wire: wb,
 		}
 	}
 	return n, nil
@@ -194,7 +192,6 @@ func (p *egressPort) enqueue(f *eth.Frame) bool {
 		p.dropped++
 		return false
 	}
-	p.enqueued++
 	if p.owner.net.cfg.PTPPriority && f.Proto == eth.ProtoPTPEvent {
 		p.prio = append(p.prio, f)
 	} else {

@@ -69,16 +69,14 @@ func (c Config) Compressed() Config {
 }
 
 type request struct {
-	Seq    uint64
 	Client int
 	T1     float64 // client transmit timestamp (client clock, ps)
 }
 
 type response struct {
-	Seq uint64
-	T1  float64 // echoed
-	T2  float64 // server receive (server clock, ps)
-	T3  float64 // server transmit (server clock, ps)
+	T1 float64 // echoed
+	T2 float64 // server receive (server clock, ps)
+	T3 float64 // server transmit (server clock, ps)
 }
 
 // Server is a stratum-1 NTP server: its clock is true time, read through
@@ -118,7 +116,7 @@ func (s *Server) onRequest(f *eth.Frame, rx sim.Time) {
 			t3 := float64(s.net.Sch.Now())
 			s.net.Send(&eth.Frame{
 				Src: s.node, Dst: req.Client, Size: eth.UDPNTPFrame,
-				Proto: eth.ProtoNTP, Payload: response{Seq: req.Seq, T1: req.T1, T2: t2, T3: t3},
+				Proto: eth.ProtoNTP, Payload: response{T1: req.T1, T2: t2, T3: t3},
 			})
 		})
 	})
@@ -134,7 +132,6 @@ type Client struct {
 
 	Clock *swclock.Clock
 
-	seq    uint64
 	synced bool
 
 	// filter holds (offset, delay) samples.
@@ -170,15 +167,13 @@ func (c *Client) OffsetToServerPs() float64 {
 
 func (c *Client) poll() {
 	c.polls++
-	c.seq++
-	seq := c.seq
 	// Transmit path stack delay happens before the wire sees the frame;
 	// t1 is stamped at the syscall, before that delay.
 	t1 := c.Clock.Now()
 	c.net.Sch.After(stackDelay(c.rng, c.cfg), func() {
 		c.net.Send(&eth.Frame{
 			Src: c.node, Dst: c.srv, Size: eth.UDPNTPFrame,
-			Proto: eth.ProtoNTP, Payload: request{Seq: seq, Client: c.node, T1: t1},
+			Proto: eth.ProtoNTP, Payload: request{Client: c.node, T1: t1},
 		})
 	})
 	c.net.Sch.After(c.cfg.PollInterval, c.poll)
