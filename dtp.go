@@ -216,8 +216,9 @@ func WithPPM(byName map[string]float64) Option {
 // escape hatch for peers that keep failing it, and a quorum combiner
 // gating large session-initial adoptions. On a fault-free network the
 // defenses never fire and runs are tick-identical to plain mode, and an
-// untraced run takes the same engine path in both modes, so a
-// fault-free hardened run costs what a plain one does; the trade-off is
+// untraced run takes the same engine path in both modes (wherever
+// beacons come sooner than a quarantine cooldown), so a fault-free
+// hardened run costs what a plain one does; the trade-off is
 // that long-diverged live partitions no longer auto-merge (see
 // DESIGN.md "Threat model & hardened mode").
 func WithHardened() Option {

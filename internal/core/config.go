@@ -90,8 +90,10 @@ type Config struct {
 	// device's other synced ports corroborate them. On a fault-free
 	// network the admission never fires, so hardened and plain runs are
 	// tick-identical, and untraced they take the same engine path (a
-	// settled beacon is admitted from its device's inbox, Device.file),
-	// so a fault-free hardened run costs what a plain one does; the
+	// settled beacon is admitted from its device's inbox, Device.file,
+	// wherever a port's beacons come sooner than a quarantine cooldown:
+	// Port.arrivalsMayWait), so a fault-free hardened run costs what a
+	// plain one does; the
 	// price is that two long-diverged live partitions no longer
 	// auto-merge (see DESIGN.md "Threat model").
 	// The mode's parameters are the constants at the top of harden.go.

@@ -66,7 +66,8 @@ const inboxPerPort = 2
 // file puts a settled arrival in the inbox in (time, Key) order,
 // reporting false — filing nothing — when it may not: the inbox is full
 // (or has no room at all: NewNetwork leaves it empty where every arrival
-// must stay an event), or the message is not a BEACON or BEACON-MSB (the
+// must stay an event), the port's arrivals must stay events (see
+// Port.setGate), or the message is not a BEACON or BEACON-MSB (the
 // others schedule when processed, which only an event may).
 //
 // An inbox arrival changes nothing but its own device, and only when it
@@ -76,7 +77,7 @@ const inboxPerPort = 2
 // (sim.Scheduler.Due), so each lands in the place evSettled held and
 // every trajectory is the event's.
 func (d *Device) file(a arrival) bool {
-	if d.inN == len(d.in) || a.typ != phy.MsgBeacon && a.typ != phy.MsgBeaconMSB {
+	if d.inN == len(d.in) || a.p.noInbox || a.typ != phy.MsgBeacon && a.typ != phy.MsgBeaconMSB {
 		return false
 	}
 	i := d.inN
@@ -141,6 +142,24 @@ func (d *Device) unfile(seq uint64) {
 		}
 		d.inN--
 		return
+	}
+}
+
+// evict turns every arrival for port p waiting in the inbox back into
+// events (see Port.setGate): a flight whose landing is still ahead lands
+// at its crossing again (link.Wire.Unsettle), and one that has landed
+// becomes the evSettled event filing it replaced, at its instant and key.
+func (d *Device) evict(p *Port) {
+	d.settle()
+	p.peer.wire.Unsettle()
+	for i := 0; i < d.inN; {
+		a := d.slot(i)
+		if a.p != p {
+			i++
+			continue
+		}
+		p.sch().AtActorKey(a.at, a.key, p, evSettled, a.payload, uint64(a.typ))
+		d.unfile(a.key.Seq)
 	}
 }
 

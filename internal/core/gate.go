@@ -9,9 +9,12 @@ import "github.com/dtplab/dtp/internal/phy"
 //
 // NextSlot returns a slot >= want. Callers drive it with strictly
 // increasing `want` values (the next beacon is always requested after
-// the previous slot), so no cross-query ordering is required.
+// the previous slot), so no cross-query ordering is required. maxWait
+// bounds how far past want the slot may fall: hardened ports read it to
+// bound how long an arrival may wait in the inbox (Port.setGate).
 type TxGate interface {
 	NextSlot(want uint64) uint64
+	maxWait() uint64
 }
 
 // OpenGate is an idle link: every tick carries an /E/ block.
@@ -19,6 +22,8 @@ type OpenGate struct{}
 
 // NextSlot returns want: the link is always free.
 func (OpenGate) NextSlot(want uint64) uint64 { return want }
+
+func (OpenGate) maxWait() uint64 { return 0 }
 
 // SaturatedGate models a link fully loaded with back-to-back frames of a
 // fixed size: message slots exist only in the interpacket gap, i.e. once
@@ -41,4 +46,12 @@ func (g SaturatedGate) NextSlot(want uint64) uint64 {
 		return want
 	}
 	return (want + g.FrameBlocks - 1) / g.FrameBlocks * g.FrameBlocks
+}
+
+// maxWait is a frame less the gap's block.
+func (g SaturatedGate) maxWait() uint64 {
+	if g.FrameBlocks <= 1 {
+		return 0
+	}
+	return g.FrameBlocks - 1
 }

@@ -252,6 +252,25 @@ func (p *Port) quarantine(now simTime) {
 	p.quarEvent = p.sch().At(now+cool, p.releaseQuarantine)
 }
 
+// arrivalsMayWait reports whether p's settled arrivals may wait in its
+// device's inbox. Applied late, at the device's next event, a hardened
+// arrival can quarantine p, whose release is then due a cooldown after
+// the arrival's own instant: the settle must come before that. Only a
+// synced port is quarantined, and a synced port's beacon timer is always
+// pending, armed by an event no later than the arrival's instant (none
+// of the device's events runs between the instant and the settle) for
+// at most a beacon interval plus the gate's wait (TxGate.maxWait) port
+// cycles after it. So the arrivals may wait wherever that spacing, in
+// device ticks, is shorter than the cooldown; beyond it — beacon
+// intervals far past the paper's, or frames of hundreds of kilobytes —
+// they stay events.
+func (p *Port) arrivalsMayWait() bool {
+	iv, wait := p.cfg().BeaconIntervalTicks, p.gate.maxWait()
+	return !p.cfg().Hardened ||
+		iv < quarantineCooldownTicks && wait < quarantineCooldownTicks &&
+			(iv+wait)*p.pd < quarantineCooldownTicks
+}
+
 // releaseQuarantine is the escape hatch: after the cooldown the port
 // demotes itself to INIT and re-measures the delay. An honestly
 // restarted peer passes the fresh session's admission and rejoins; a

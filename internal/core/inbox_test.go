@@ -223,3 +223,98 @@ func TestLateBeaconAdmittedOnTime(t *testing.T) {
 		t.Fatalf("a rejected lead was charged: %d pulled units, want %d", p.pulledUnits, p.admitSlack())
 	}
 }
+
+// A hardened arrival applied late can quarantine its port, whose
+// release is due a cooldown after the arrival's instant; so where the
+// port's beacons, which bound the settle, are spaced a cooldown or more
+// apart — by the beacon interval, or by a loaded link's gate installed
+// mid-run — its arrivals stay events. In each run h1 rejects h0's
+// 30-unit overclaim on the admission slack (the guard is widened to let
+// it through) until it quarantines h0, with no other event on h1 before
+// its next beacon; everything the run leaves must match the five-event
+// chain.
+//
+// The gate changes between runs, as System.SetUniformLoad does, while an
+// arrival waits in h1's inbox, its flight ahead of its landing or past
+// it; the change empties the inbox. A rate change on h1 just after it
+// hands the flights still ahead of their landing back to the wire's
+// owner, and each must land once.
+func TestWideBeaconSpacingQuarantinesOnTime(t *testing.T) {
+	const lieEnd = 12 * sim.Millisecond
+	// A slot every 90 000 blocks: inside the beacon-loss watchdog of a
+	// 2000-tick interval, so the port stays synced between beacons.
+	wide := NewSaturatedGate(720_000)
+	cases := []struct {
+		name         string
+		interval     uint64
+		gate, landed bool
+	}{
+		{"interval=100000", 100_000, false, false},
+		{"gate/in-flight", 2000, true, false},
+		{"gate/landed", 2000, true, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// run stops for the gate change at stop or, when stop is 0,
+			// at the first nanosecond with the arrival waiting as the
+			// case asks, and reports where it stopped.
+			run := func(fused bool, stop sim.Time) (got []string, stopped sim.Time) {
+				defer SetFusedChain(SetFusedChain(fused))
+				sch := sim.NewScheduler()
+				cfg := DefaultConfig()
+				cfg.Hardened, cfg.BeaconIntervalTicks, cfg.GuardUnits = true, c.interval, 64
+				n, err := NewNetwork(sch, 9, topo.Pair(), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.OnOffset = func(rx *Port, at sim.Time, off int64) {
+					got = append(got, fmt.Sprintf("%s %v %d", rx.Name(), at, off))
+				}
+				h0, h1 := n.Devices[0], n.Devices[1]
+				sch.At(2*sim.Millisecond, func() { h0.SetLieUnits(30) })
+				sch.At(lieEnd, func() { h0.SetLieUnits(0) })
+				n.Start()
+				if c.gate {
+					waiting := func() bool {
+						return h1.inN > 0 && (h1.in[h1.inHd].key.From < sch.Now()) == c.landed
+					}
+					if sch.Run(1500 * sim.Microsecond); stop > 0 {
+						sch.Run(stop)
+					}
+					for stop == 0 && !waiting() {
+						sch.RunFor(sim.Nanosecond)
+					}
+					stopped = sch.Now()
+					n.SetGateAll(func(*Port) TxGate { return wide })
+					if h1.inN != 0 {
+						t.Fatalf("h1 still holds %d arrivals after the gate change", h1.inN)
+					}
+					h1.Clock().AdjustPPM(h1.PPM() + 1)
+				}
+				sch.Run(lieEnd + 8*sim.Millisecond)
+				for _, d := range n.Devices {
+					for _, p := range d.Ports() {
+						sent, rx, ignored, jumps := p.Stats()
+						got = append(got, fmt.Sprintf("%s counter=%d %s owd=%d beacons=%d/%d/%d/%d",
+							p.Name(), d.GlobalCounter(), p.State(), p.OWDUnits(), sent, rx, ignored, jumps))
+					}
+				}
+				rej, quar := n.ByzantineStats()
+				if quar == 0 {
+					t.Fatalf("%d rejections earned no quarantine", rej)
+				}
+				return append(got, fmt.Sprintf("byzantine %d %d", rej, quar)), stopped
+			}
+			fused, stopped := run(true, 0)
+			chain, _ := run(false, stopped)
+			if len(fused) != len(chain) {
+				t.Fatalf("%d lines, five-event chain %d", len(fused), len(chain))
+			}
+			for i := range chain {
+				if fused[i] != chain[i] {
+					t.Fatalf("line %d: %q, five-event chain %q", i, fused[i], chain[i])
+				}
+			}
+		})
+	}
+}

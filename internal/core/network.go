@@ -167,14 +167,16 @@ func NewNetwork(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config, o
 			fragmented = fragmented || speed == phy.Speed1G
 		}
 		pa := &Port{
-			portHot:  portHot{dev: a, sched: sch, wire: wireAB, rng: n.rng.Fork(fmt.Sprintf("port/%d/a", li)), gate: OpenGate{}, owdUnits: -1, pd: pd, fragmented: fragmented},
+			portHot:  portHot{dev: a, sched: sch, wire: wireAB, rng: n.rng.Fork(fmt.Sprintf("port/%d/a", li)), owdUnits: -1, pd: pd, fragmented: fragmented},
 			portCold: portCold{idx: len(a.ports)},
 		}
 		pb := &Port{
-			portHot:  portHot{dev: b, sched: sch, wire: wireBA, rng: n.rng.Fork(fmt.Sprintf("port/%d/b", li)), gate: OpenGate{}, owdUnits: -1, pd: pd, fragmented: fragmented},
+			portHot:  portHot{dev: b, sched: sch, wire: wireBA, rng: n.rng.Fork(fmt.Sprintf("port/%d/b", li)), owdUnits: -1, pd: pd, fragmented: fragmented},
 			portCold: portCold{idx: len(b.ports)},
 		}
 		pa.peer, pb.peer = pb, pa
+		pa.setGate(OpenGate{})
+		pb.setGate(OpenGate{})
 		wireAB.OnFlights(pb.land, pa.refile)
 		wireBA.OnFlights(pa.land, pb.refile)
 		if parentLink != nil {

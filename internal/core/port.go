@@ -80,6 +80,10 @@ type portHot struct {
 	cdcFill int
 	// fragmented selects the 1 GbE fragment encoding for this port.
 	fragmented bool
+	// noInbox keeps this port's settled arrivals out of its device's
+	// inbox: hardened, with beacons that were once spaced too far apart
+	// for an arrival to wait there (see setGate).
+	noInbox bool
 	// uplink marks the port leading toward the master in §5.4 mode; only
 	// uplink ports adjust the device counter then.
 	uplink bool
@@ -196,8 +200,19 @@ func (p *Port) Stats() (sent, received, ignored, jumps uint64) {
 	return p.beaconsSent, p.beaconsReceived, p.beaconsIgnored, p.jumps
 }
 
-// setGate replaces the port's transmit gate (traffic model).
-func (p *Port) setGate(g TxGate) { p.gate = g }
+// setGate replaces the port's transmit gate (traffic model). A gate
+// that spaces a hardened port's beacons too far apart for its arrivals
+// to wait in the inbox (arrivalsMayWait) turns those waiting there back
+// into events, and the port's arrivals stay events from then on: a
+// beacon timer armed under that gate may still be pending after the
+// next change.
+func (p *Port) setGate(g TxGate) {
+	p.gate = g
+	if !p.noInbox && !p.arrivalsMayWait() {
+		p.noInbox = true
+		p.dev.evict(p)
+	}
+}
 
 // --- Link-session lifecycle --------------------------------------------
 
