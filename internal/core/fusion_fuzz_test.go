@@ -190,8 +190,10 @@ func fuzzProgram(prog []byte) fusionWorld {
 // flap, a BER burst, a crash) and, for each re-filing hook — Refile on
 // a down peer, on a sender rate change and in the wire setters,
 // Unsettle on a down peer and on a receiver rate change — a program on
-// which a network that lacks that hook diverges. Untraced, seed#1 and
-// seed#3 also diverge when MaxPairwiseOffset reads the counters without
+// which a network that lacks that hook diverges, and four programs that
+// hand back a band landing's draw at its T3 (TestBandLandingHandedBack
+// pins each rule that hand-back needs). Untraced, seed#1 and seed#3
+// also diverge when MaxPairwiseOffset reads the counters without
 // settling the inboxes. The random-search programs were found when the
 // world byte picked among the first three worlds; they carry their
 // world's index.
@@ -220,6 +222,14 @@ func FuzzFusedChain(f *testing.F) {
 		{0, 0x73, 10, 0xc4, 0xc6, 4, 7, 0xbd, 0x41, 3},
 		// a receiver rate change without handing them back:
 		{0, 0xf9, 9, 0x5d, 0xb8, 1, 9, 0x2e, 0xe1, 4},
+		// Band landings, drawn at launch: a receiver rate change, and a
+		// receiver bounce of 7 ns (9.9 ns on the tree), at the T3 of a
+		// beacon that lands in the metastability band, so its draw is
+		// handed back at its landing — on the pair, then on the paper tree.
+		{0, 1, 9, 0x11, 0x46, 3},
+		{0, 1, 7, 0x11, 0x46, 3},
+		{2, 1, 9, 0x6, 0x63, 3},
+		{2, 1, 7, 0x6, 0x63, 3},
 	} {
 		f.Add(prog)
 	}

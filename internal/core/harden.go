@@ -313,8 +313,12 @@ func (d *Device) BroadcastJoin() {
 // InjectSpoofedBeacon models an on-path attacker forging a BEACON with
 // an arbitrary counter value toward this port: the message enters the
 // receive path exactly as a wire arrival would, RX pipeline and CDC
-// crossing included.
+// crossing included. It can cross ahead of flights already on the
+// cable, so those settled at launch land at their crossing again
+// (link.Wire.Unsettle), and a band draw one took goes back to the
+// port's stream to be taken after the forgery's.
 func (p *Port) InjectSpoofedBeacon(value uint64) {
+	p.peer.wire.Unsettle()
 	codec := p.codec()
 	m := phy.Message{Type: phy.MsgBeacon, Payload: value & codec.CounterMask()}
 	if p.fragmented {

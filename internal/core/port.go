@@ -10,7 +10,7 @@ import (
 )
 
 // portState tracks where a port is in Algorithm 1.
-type portState int
+type portState uint8
 
 const (
 	portDown        portState = iota
@@ -62,7 +62,6 @@ type portHot struct {
 	// profiles at warehouse scale.
 	sched *sim.Scheduler
 
-	state portState
 	// pd is the number of device clock ticks per port cycle: 1 in a
 	// homogeneous network (the device clock IS the port clock), or the
 	// port speed's Delta in a mixed-speed network whose devices run a
@@ -78,6 +77,7 @@ type portHot struct {
 	// buffer, the fill level is constant for the life of the link
 	// session; only arrivals inside the metastability band dither.
 	cdcFill int
+	state   portState
 	// fragmented selects the 1 GbE fragment encoding for this port.
 	fragmented bool
 	// noInbox keeps this port's settled arrivals out of its device's
@@ -161,6 +161,14 @@ type portCold struct {
 	rejectCount     int
 	rejectWindow    uint64    // tick at which the rejection window started
 	quarEvent       sim.Event // quarantine cooldown timer
+
+	// crossUntil is the latest instant at which a block bound for this
+	// port may yet reach its clock-domain crossing as an event — a block
+	// on the per-stage path, or a landing kept as evLand — and draw there
+	// if it lands in the metastability band. Until it has passed, land
+	// keeps band landings as evLand too, so the port's stream draws in
+	// crossing order (see crossingAhead).
+	crossUntil simTime
 
 	// Stats.
 	droppedDown uint64 // blocks that arrived while the port was down
@@ -298,16 +306,18 @@ func (p *Port) Down() {
 // as a link flight: the TX pipeline, the cable and the RX pipeline are
 // fixed delays, so the instant the block reaches the receiver's
 // clock-domain crossing is known at launch, and the crossing itself is
-// a function of the receiver's oscillator phase outside the
-// metastability band — so the receiver settles evProcess at launch
-// (land), in the place among same-instant process events that a landing
-// would have given it, and the three stages between are skipped. A
-// landing in the band, a mixed-speed receiver, a block that
-// does not parse, and a settled flight whose receiver changes rate or
-// goes down before the landing keep evLand at the crossing instead. A
-// lossy or bit-error wire, 1 GbE fragments, a full flight ring, a peer
-// that is down, and every flight re-filed by a change that a skipped
-// stage before the far end reads take the five-event chain, evTxBlock →
+// a function of the receiver's oscillator phase — and, inside the
+// metastability band, of one draw on the receiver's stream, which the
+// receiver then takes at launch — so the receiver settles evProcess at
+// launch (land), in the place among same-instant process events that a
+// landing would have given it, and the three stages between are
+// skipped. A block that does not parse, a landing in the band while a
+// block bound for the same port is still on its way to a crossing run
+// as an event, and a settled flight whose receiver changes rate or goes
+// down before the landing keep evLand at the crossing instead. A lossy
+// or bit-error wire, 1 GbE fragments, a full flight ring, a peer that is
+// down, and every flight re-filed by a change that a skipped stage
+// before the far end reads take the five-event chain, evTxBlock →
 // evRxArrive → evCdc → evProcess, which is also the reference the fused
 // chain is tested against. Every stage is a pooled event with the block
 // or message in its two arguments: the chain allocates nothing.
@@ -343,6 +353,7 @@ func (p *Port) OnEvent(code uint8, a, b uint64) {
 		p.sendBeacon()
 		p.scheduleBeacons(a)
 	case evTxBlock:
+		p.peer.crossingAhead(p.sch().Now() + p.wire.Delay())
 		p.wire.SendBlockActor(phy.Block{Sync: byte(b), Payload: a}, p.peer, evRxArrive)
 	case evRxArrive:
 		p.onWireArrival(phy.Block{Sync: byte(b), Payload: a})
@@ -361,8 +372,15 @@ func (p *Port) OnEvent(code uint8, a, b uint64) {
 // evRxArrive, and a settled one past the far end at the peer's evLand,
 // in the place its launch reserved. A flight the peer filed in its
 // inbox has no event to cancel: it leaves the inbox here, at any stage.
+// A flight whose band draw the peer took at launch hands it back too:
+// the peer's stream goes back to where it stood before, and the flight
+// draws again when it crosses, in crossing order (crossingAhead).
 func (p *Port) refile(f link.Flight, from link.Stage) sim.Event {
 	p.peer.dev.unfile(f.Key.Seq)
+	if f.Drew {
+		p.peer.rng.Rewind(f.Mark)
+	}
+	p.peer.crossingAhead(f.T3)
 	b := f.Block
 	switch from {
 	case link.TxAhead:
@@ -373,31 +391,54 @@ func (p *Port) refile(f link.Flight, from link.Stage) sim.Event {
 	return p.sch().AtActorKey(f.T3, f.Key, p.peer, evLand, b.Payload, uint64(b.Sync))
 }
 
-// land is the inbound wire's launch hook (link.Wire.OnFlights): a block
-// in flight reaches this port's clock-domain crossing at t3, in key k's
-// place (1 GbE fragments never launch: see insert). When the crossing's
-// outcome is fixed already — the block parses, and t3 falls outside the
-// metastability band, so no random draw is due — the message is
-// settled: it is processed on the local port-cycle tick (cdcTick, the
-// arithmetic cdcCross runs at t3), keyed as if evLand had scheduled it
-// at t3 — after every event scheduled before t3, and among process
-// events in landing order. A settled BEACON or BEACON-MSB goes to the
-// device's inbox when it may (Device.file), with no event at all;
-// anything else settled is evSettled at that tick and key. Otherwise it
-// schedules evLand at t3 in k's place.
-func (p *Port) land(b phy.Block, t3 simTime, k sim.Key) (sim.Event, bool) {
+// land is the inbound wire's launch hook (link.Wire.OnFlights): flight
+// f's block reaches this port's clock-domain crossing at f.T3, in f.Key's
+// place (1 GbE fragments never launch: see insert). When the block
+// parses, the message is settled: it is processed on the local
+// port-cycle tick (cdcTick, the arithmetic cdcCross runs at T3), keyed
+// as if evLand had scheduled it at T3 — after every event scheduled
+// before T3, and among process events in landing order. A landing in
+// the metastability band takes its draw (bandCycle) here, at launch,
+// with the stream's mark kept in f for refile to rewind to; but while a
+// block bound for this port may still cross as an event before it
+// (crossUntil), that crossing has to draw first, so the band landing
+// keeps its evLand. A settled BEACON or BEACON-MSB goes to the device's
+// inbox when it may (Device.file), with no event at all; anything else
+// settled is evSettled at that tick and key. Otherwise land schedules
+// evLand at T3 in f.Key's place.
+func (p *Port) land(f *link.Flight) {
+	b := f.Block
 	if b.Valid() {
 		if _, m, ok := p.codec().ExtractMessage(b); ok {
-			if tick, metastable := p.cdcTick(t3); !metastable {
-				at, key := p.dev.clock.TimeOfCount(tick), sim.Key{From: t3, Seq: k.Seq}
-				if p.dev.file(arrival{at: at, key: key, p: p, payload: m.Payload, typ: m.Type}) {
-					return sim.Event{}, true
+			tick, metastable := p.cdcTick(f.T3)
+			if metastable && p.crossUntil < p.sch().Now() {
+				f.Drew, f.Mark = true, p.rng.Mark()
+				tick += p.bandCycle()
+				metastable = false
+			}
+			if !metastable {
+				f.Settled = true
+				at, key := p.dev.clock.TimeOfCount(tick), sim.Key{From: f.T3, Seq: f.Key.Seq}
+				if !p.dev.file(arrival{at: at, key: key, p: p, payload: m.Payload, typ: m.Type}) {
+					f.Ev = p.sch().AtActorKey(at, key, p, evSettled, m.Payload, uint64(m.Type))
 				}
-				return p.sch().AtActorKey(at, key, p, evSettled, m.Payload, uint64(m.Type)), true
+				return
 			}
 		}
 	}
-	return p.sch().AtActorKey(t3, k, p, evLand, b.Payload, uint64(b.Sync)), false
+	p.crossingAhead(f.T3)
+	f.Ev = p.sch().AtActorKey(f.T3, f.Key, p, evLand, b.Payload, uint64(b.Sync))
+}
+
+// crossingAhead notes that a block bound for this port may reach its
+// clock-domain crossing as an event as late as t, and draw there: until
+// t has passed, band landings keep their evLand (see land). Every block
+// off the flight path calls it at each stage it is scheduled for: the
+// TX pipeline, the cable and the RX pipeline.
+func (p *Port) crossingAhead(t simTime) {
+	if t > p.crossUntil {
+		p.crossUntil = t
+	}
 }
 
 // initSamples is how many INIT/INIT-ACK exchanges one delay measurement
@@ -507,6 +548,7 @@ func (p *Port) insert(t phy.MsgType, payload uint64) {
 			p.wire.LaunchActor(b, t1, p.cycleDur(phy.DefaultRxPipelineTicks)) {
 			return
 		}
+		p.peer.crossingAhead(t1)
 		p.sch().AtActor(t1, p, evTxBlock, b.Payload, uint64(b.Sync))
 		return
 	}
@@ -584,9 +626,15 @@ func (p *Port) onWireArrival(b phy.Block) {
 	// The RX pipeline runs in the recovered clock domain: the sender's
 	// port-cycle rate.
 	rxDelay := p.peer.cycleDur(phy.DefaultRxPipelineTicks)
+	p.crossingAhead(p.sch().Now() + rxDelay)
 	p.sch().AfterActor(rxDelay, p, evCdc, b.Payload, uint64(b.Sync))
 }
 
+// cdcCross runs a block's clock-domain crossing as an event: evCdc on
+// the five-event chain, evLand for a flight that land did not settle.
+// A message that parses is processed on cdcTick's local tick; in the
+// metastability band the extra cycle is drawn here, at the crossing
+// (bandCycle), which keeps the port's draws in crossing order.
 func (p *Port) cdcCross(b phy.Block) {
 	if p.arrivedDown() {
 		return
@@ -615,10 +663,16 @@ func (p *Port) cdcCross(b phy.Block) {
 	}
 	tick, metastable := p.cdcTick(p.sch().Now())
 	if metastable {
-		tick += uint64(p.rng.IntN(2)) * p.pd // either outcome
+		tick += p.bandCycle()
 	}
 	p.sch().AtActor(p.dev.clock.TimeOfCount(tick), p, evProcess, m.Payload, uint64(m.Type))
 }
+
+// bandCycle draws a metastability-band landing's outcome on the port's
+// stream: no extra port cycle, or one. It is the one draw on that
+// stream besides Up's cdcFill, taken by land at launch or by cdcCross
+// at the crossing; ROADMAP item 2's CDC chooser would hook it.
+func (p *Port) bandCycle() uint64 { return uint64(p.rng.IntN(2)) * p.pd }
 
 // The synchronizer's timing, fixed by the modelled hardware rather than
 // by any experiment.
@@ -647,9 +701,9 @@ const (
 // that the INIT measurement absorbs into the measured OWD). On top of
 // that, data landing inside the setup window just before the capturing
 // edge takes one extra cycle, with true randomness only inside a narrow
-// metastability band: there metastable is set and the caller draws the
-// extra cycle. Outside the band the tick is a function of t and the
-// local oscillator alone.
+// metastability band: there metastable is set, and bandCycle draws
+// whether the extra cycle is taken. Outside the band the tick is a
+// function of t and the local oscillator alone.
 func (p *Port) cdcTick(t simTime) (tick uint64, metastable bool) {
 	clk := p.dev.clock
 	edge := p.nextCycleTick(clk.CounterAt(t) + 1)

@@ -75,7 +75,7 @@ type Wire struct {
 	fly    [flightCap]Flight
 	flyHd  uint8
 	flyN   uint8
-	land   func(b phy.Block, t3 sim.Time, k sim.Key) (sim.Event, bool)
+	land   func(f *Flight)
 	refile func(f Flight, from Stage) sim.Event
 }
 
@@ -93,13 +93,18 @@ const flightCap = 4
 // landing's place among the events due at T3, reserved at launch. Ev is
 // already scheduled: the landing itself, or, when Settled, what the
 // landing would have scheduled (the receiver knew it at launch), so the
-// landing is skipped too.
+// landing is skipped too. Drew marks a settled flight whose receiver
+// drew on its random stream at launch to settle it; Mark is the stream
+// as it stood before that draw, for the owner to rewind to when the
+// flight is handed back (see Refile).
 type Flight struct {
 	Ev         sim.Event
 	T1, T2, T3 sim.Time
 	Key        sim.Key
 	Block      phy.Block
 	Settled    bool
+	Drew       bool
+	Mark       sim.RNGMark
 }
 
 // ahead reports whether a stage at t is still ahead at now. A stage at
@@ -221,13 +226,14 @@ func (w *Wire) SendBlockActor(b phy.Block, act sim.Actor, code uint8) {
 }
 
 // OnFlights installs what flights need from the wire's owner. land
-// schedules a launched block's event: its landing at the receiver's
-// clock-domain crossing at t3, at key k, or — reporting settled — what
-// that landing would schedule, when the receiver can tell at launch.
-// refile schedules the per-stage event a flight handed back resumes at
-// (see Refile and Unsettle; the flight's Ev is cancelled first). A wire
-// without them launches no flights.
-func (w *Wire) OnFlights(land func(b phy.Block, t3 sim.Time, k sim.Key) (ev sim.Event, settled bool), refile func(f Flight, from Stage) sim.Event) {
+// sets a launched flight's Ev, given its Block, T3 and Key: its landing
+// at the receiver's clock-domain crossing at T3, at the Key, or — setting
+// Settled, and Drew with Mark if it drew to tell — what that landing
+// would schedule, when the receiver can tell at launch. refile schedules
+// the per-stage event a flight handed back resumes at (see Refile and
+// Unsettle; the flight's Ev is cancelled first). A wire without them
+// launches no flights.
+func (w *Wire) OnFlights(land func(f *Flight), refile func(f Flight, from Stage) sim.Event) {
 	w.land, w.refile = land, refile
 }
 
@@ -251,11 +257,10 @@ func (w *Wire) LaunchActor(b phy.Block, t1, rx sim.Time) bool {
 		return false
 	}
 	t2 := t1 + w.cfg.Delay
-	t3 := t2 + rx
 	f := &w.fly[(w.flyHd+w.flyN)%flightCap]
-	f.Key = w.sch.Reserve()
-	f.Ev, f.Settled = w.land(b, t3, f.Key)
-	f.T1, f.T2, f.T3, f.Block = t1, t2, t3, b
+	f.T1, f.T2, f.T3, f.Key, f.Block = t1, t2, t2+rx, w.sch.Reserve(), b
+	f.Ev, f.Settled, f.Drew = sim.Event{}, false, false
+	w.land(f)
 	w.flyN++
 	return true
 }
@@ -267,12 +272,18 @@ func (w *Wire) LaunchActor(b phy.Block, t1, rx sim.Time) bool {
 // before T2 would read takes effect: the wire's own delay, BER or loss
 // (its setters call it), the sender's clock rate (read by the RX
 // pipeline) and the receiver going down (read on arrival).
+//
+// Flights draw in launch order, and those handed back by one call are
+// the latest launched: only the earliest that drew is handed back with
+// Drew set, since rewinding the receiver's stream to its Mark undoes
+// the later ones' draws too. Unsettle does the same.
 func (w *Wire) Refile() {
 	now := w.sch.Now()
 	keep := w.flyN
 	for keep > 0 && ahead(w.fly[(w.flyHd+keep-1)%flightCap].T2, now) {
 		keep--
 	}
+	drew := false
 	for i := keep; i < w.flyN; i++ {
 		f := w.fly[(w.flyHd+i)%flightCap]
 		f.Ev.Cancel()
@@ -281,6 +292,7 @@ func (w *Wire) Refile() {
 			from = OnCable
 			w.sent++
 		}
+		f.Drew, drew = f.Drew && !drew, drew || f.Drew
 		w.refile(f, from)
 	}
 	w.flyN = keep
@@ -294,12 +306,15 @@ func (w *Wire) Refile() {
 // the receiver's clock rate and the receiver going down.
 func (w *Wire) Unsettle() {
 	now := w.sch.Now()
+	drew := false
 	for i := uint8(0); i < w.flyN; i++ {
 		f := &w.fly[(w.flyHd+i)%flightCap]
 		if f.Settled && ahead(f.T3, now) {
 			f.Ev.Cancel()
-			f.Settled = false
-			f.Ev = w.refile(*f, Landing)
+			back := *f
+			back.Drew, drew = f.Drew && !drew, drew || f.Drew
+			f.Settled, f.Drew = false, false
+			f.Ev = w.refile(back, Landing)
 		}
 	}
 }

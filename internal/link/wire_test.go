@@ -236,10 +236,10 @@ func TestSetLossDropsBlocks(t *testing.T) {
 }
 
 // landAt is a land hook (OnFlights) that never settles: the landing
-// itself is scheduled on act at t3, at the reserved key.
-func landAt(sch *sim.Scheduler, act sim.Actor) func(phy.Block, sim.Time, sim.Key) (sim.Event, bool) {
-	return func(b phy.Block, t3 sim.Time, k sim.Key) (sim.Event, bool) {
-		return sch.AtActorKey(t3, k, act, 0, b.Payload, uint64(b.Sync)), false
+// itself is scheduled on act at T3, at the reserved key.
+func landAt(sch *sim.Scheduler, act sim.Actor) func(*Flight) {
+	return func(f *Flight) {
+		f.Ev = sch.AtActorKey(f.T3, f.Key, act, 0, f.Block.Payload, uint64(f.Block.Sync))
 	}
 }
 
@@ -328,9 +328,10 @@ func TestSettledFlightUnsettle(t *testing.T) {
 	landSink := blockSink(func(phy.Block) { landed = append(landed, sch.Now()) })
 	var keys []sim.Key
 	var back []refiled
-	w.OnFlights(func(b phy.Block, t3 sim.Time, k sim.Key) (sim.Event, bool) {
-		keys = append(keys, k)
-		return sch.AtActorKey(t3+process, sim.Key{From: t3, Seq: k.Seq}, procSink, 0, b.Payload, uint64(b.Sync)), true
+	w.OnFlights(func(f *Flight) {
+		keys = append(keys, f.Key)
+		f.Ev = sch.AtActorKey(f.T3+process, sim.Key{From: f.T3, Seq: f.Key.Seq}, procSink, 0, f.Block.Payload, uint64(f.Block.Sync))
+		f.Settled = true
 	}, func(f Flight, from Stage) sim.Event {
 		back = append(back, refiled{f, from})
 		if from != Landing {
@@ -391,6 +392,51 @@ func TestSettledFlightUnsettle(t *testing.T) {
 	}
 	if len(landed) != 2 || landed[0] != 65*sim.Nanosecond || landed[1] != 125*sim.Nanosecond {
 		t.Fatalf("landings %v, want the two unsettled flights at 65 and 125 ns", landed)
+	}
+}
+
+// Flights draw in launch order, so one hand-back passes on only the
+// earliest draw among the flights it hands back: rewinding to that
+// one's mark undoes the later ones too. Unsettle clears Drew in the
+// ring, so a Refile after it undoes only a draw taken since.
+func TestHandBackUndoesEarliestDraw(t *testing.T) {
+	sch := sim.NewScheduler()
+	w := mustNew(t, sch, sim.NewRNG(1, "wire"), Config{Delay: 50 * sim.Nanosecond})
+	stream := sim.NewRNG(1, "receiver")
+	var marks []sim.RNGMark
+	launched := 0
+	// Every flight but the first draws at launch.
+	w.OnFlights(func(f *Flight) {
+		if launched++; launched > 1 {
+			f.Drew, f.Mark = true, stream.Mark()
+			marks = append(marks, f.Mark)
+			stream.IntN(2)
+		}
+		f.Settled = true
+	}, func(f Flight, from Stage) sim.Event {
+		if f.Drew {
+			stream.Rewind(f.Mark)
+		}
+		return sim.Event{}
+	})
+	launch := func(t1 sim.Time) {
+		t.Helper()
+		if !w.LaunchActor(phy.IdleBlock(), t1*sim.Nanosecond, 5*sim.Nanosecond) {
+			t.Fatalf("launch at t1=%v ns refused", int64(t1))
+		}
+	}
+	launch(10)
+	launch(20)
+	launch(30)
+	w.Unsettle()
+	if stream.Mark() != marks[0] {
+		t.Fatal("Unsettle left the stream elsewhere than before the earliest draw")
+	}
+	stream.IntN(2)
+	launch(40)
+	w.Refile()
+	if stream.Mark() != marks[2] {
+		t.Fatal("Refile left the stream elsewhere than before the one draw taken since Unsettle")
 	}
 }
 

@@ -12,7 +12,11 @@ import (
 // removing one component never perturbs the randomness seen by another.
 type RNG struct {
 	*rand.Rand
+	src *rand.PCG
 }
+
+// RNGMark is a position in a stream, taken by Mark for Rewind.
+type RNGMark struct{ pcg rand.PCG }
 
 // NewRNG derives an independent stream from a run seed and a label.
 func NewRNG(seed uint64, label string) *RNG {
@@ -24,8 +28,16 @@ func NewRNG(seed uint64, label string) *RNG {
 	h.Write(buf[:])
 	h.Write([]byte(label))
 	s2 := h.Sum64()
-	return &RNG{rand.New(rand.NewPCG(seed, s2))}
+	src := rand.NewPCG(seed, s2)
+	return &RNG{rand.New(src), src}
 }
+
+// Mark returns the stream's position.
+func (r *RNG) Mark() RNGMark { return RNGMark{*r.src} }
+
+// Rewind puts the stream back at m, taken from it by Mark: the draws
+// made since are made again, with the same values.
+func (r *RNG) Rewind(m RNGMark) { *r.src = m.pcg }
 
 // Fork derives a sub-stream, e.g. one per port of a device.
 func (r *RNG) Fork(label string) *RNG {

@@ -223,6 +223,32 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 }
 
+// A mark, draws of every kind, then a rewind to the mark: the same
+// draws replay the same values, and a second rewind replays them again.
+func TestRNGRewindReplays(t *testing.T) {
+	r := NewRNG(7, "port/0/a")
+	r.Uint64() // not at the stream's start
+	draws := func() (got [4]float64) {
+		got[0] = float64(r.IntN(2))
+		got[1] = r.Float64()
+		got[2] = r.NormFloat64()
+		got[3] = float64(r.Uint64())
+		return got
+	}
+	m := r.Mark()
+	first := draws()
+	after := r.Mark()
+	for i := 0; i < 2; i++ {
+		r.Rewind(m)
+		if again := draws(); again != first {
+			t.Fatalf("replay %d drew %v, first pass %v", i, again, first)
+		}
+		if r.Mark() != after {
+			t.Fatalf("replay %d left the stream elsewhere than the first pass", i)
+		}
+	}
+}
+
 func TestRNGIndependentLabels(t *testing.T) {
 	a := NewRNG(7, "oscillator/0")
 	b := NewRNG(7, "oscillator/1")
