@@ -432,17 +432,12 @@ func (s *System) OnOffsetSample(fn func(pair string, offsetTicks int64)) {
 }
 
 // SetUniformLoad saturates every link with back-to-back frames of the
-// given size, confining DTP messages to interpacket gaps.
-func (s *System) SetUniformLoad(frameOctets int) {
-	s.net.SetGateAll(func(p *core.Port) core.TxGate {
-		return core.NewSaturatedGate(frameOctets)
-	})
-}
+// given size, confining DTP messages to interpacket gaps; a size of 0
+// clears the load.
+func (s *System) SetUniformLoad(frameOctets int) { s.net.SetLoad(frameOctets) }
 
 // ClearLoad returns every link to idle.
-func (s *System) ClearLoad() {
-	s.net.SetGateAll(func(p *core.Port) core.TxGate { return core.OpenGate{} })
-}
+func (s *System) ClearLoad() { s.net.SetLoad(0) }
 
 // CutLink tears down the cable between two adjacent devices (both
 // directions), e.g. to create a partition.

@@ -115,17 +115,40 @@ func budgetRun(t *testing.T, w budgetWorld) budget {
 	return b
 }
 
-// allocsPerSimMs is the steady-state allocation rate of a synced paper
-// tree without wander, whose re-arming closure allocates by design.
-func allocsPerSimMs(t *testing.T) float64 {
+// wanderingTree is a paper tree synced by warmUp, its oscillators
+// wandering as every benchmark workload's do: a 100 ppb step every 10 ms.
+func wanderingTree(t *testing.T, warmUp sim.Time) (*sim.Scheduler, *core.Network) {
+	cfg := core.DefaultConfig()
+	cfg.WanderInterval, cfg.WanderStepPPB = 10*sim.Millisecond, 100
 	sch := sim.NewScheduler()
-	n, err := core.NewNetwork(sch, 1, topo.PaperTree(), core.DefaultConfig())
+	n, err := core.NewNetwork(sch, 1, topo.PaperTree(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.Start()
-	sch.Run(budgetFrom)
-	return testing.AllocsPerRun(3, func() { sch.RunFor(sim.Millisecond) })
+	sch.Run(warmUp)
+	return sch, n
+}
+
+// allocsPerSimMs is the steady-state allocation rate of a synced,
+// wandering paper tree, over runs of 10 sim-ms: each takes one wander
+// step per device.
+func allocsPerSimMs(t *testing.T) float64 {
+	sch, _ := wanderingTree(t, budgetFrom)
+	return testing.AllocsPerRun(3, func() { sch.RunFor(10 * sim.Millisecond) }) / 10
+}
+
+// allocsPerFlap is what one flap of link 0 allocates on a synced,
+// wandering paper tree: down, 2 ms, up, and 3 ms in which both ends run
+// INIT, re-measure and send their JOIN pairs.
+func allocsPerFlap(t *testing.T) float64 {
+	sch, n := wanderingTree(t, 10*sim.Millisecond)
+	return testing.AllocsPerRun(3, func() {
+		n.SetLinkDown(0)
+		sch.RunFor(2 * sim.Millisecond)
+		n.SetLinkUp(0)
+		sch.RunFor(3 * sim.Millisecond)
+	})
 }
 
 // TestEngineBudget pins what the engine costs in units that do not
@@ -135,8 +158,9 @@ func allocsPerSimMs(t *testing.T) float64 {
 // process events a crossing schedules, 7 the landings and any settled
 // process event the inbox does not take), settled beacons applied from
 // a device inbox instead, actor events the FIFO lanes refuse to the
-// heap, the auditor's pair checks per sweep, allocations, and the size
-// of the structures a beacon touches. Untraced, settled beacons take the
+// heap, the auditor's pair checks per sweep, allocations per sim-ms
+// and per link flap (wander on), and the size of the structures a
+// beacon touches. Untraced, settled beacons take the
 // inbox: a beacon costs its timer event alone, the one in sixteen that
 // lands in the metastability band included (its draw is taken at
 // launch), and lanes 4 and 7 carry only the landings a wander step hands
@@ -207,6 +231,7 @@ func TestEngineBudget(t *testing.T) {
 		{"audit sweeps per sim-ms, fattree:4", float64(audited.sweeps), 10, false},
 		{"audit pair checks per sweep, fattree:4", float64(audited.pairChecks) / float64(audited.sweeps), 630, false},
 		{"allocations per sim-ms, paper tree", allocsPerSimMs(t), 0, false},
+		{"allocations per link flap, paper tree", allocsPerFlap(t), 0, false},
 		{"Port bytes", float64(unsafe.Sizeof(core.Port{})), 392, true},
 		{"event slot bytes", float64(slots.Type.Elem().Size()), 72, false},
 	} {

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"github.com/dtplab/dtp/internal/sim"
+	"github.com/dtplab/dtp/internal/topo"
 	"github.com/dtplab/dtp/internal/xo"
 )
 
@@ -154,54 +155,66 @@ func TestUnitCounterResetAt(t *testing.T) {
 	}
 }
 
+// An idle link (no frame blocks) offers a slot every cycle.
 func TestOpenGate(t *testing.T) {
-	g := OpenGate{}
+	var p Port
 	for _, w := range []uint64{0, 1, 12345} {
-		if g.NextSlot(w) != w {
-			t.Fatal("OpenGate delayed a slot")
+		if p.nextSlot(w) != w {
+			t.Fatal("an idle link delayed a slot")
 		}
 	}
 }
 
 func TestSaturatedGateSlots(t *testing.T) {
-	g := SaturatedGate{FrameBlocks: 200}
+	p := Port{portHot: portHot{frameBlocks: 200}}
 	cases := []struct{ want, slot uint64 }{
 		{0, 0}, {1, 200}, {200, 200}, {201, 400}, {399, 400},
 	}
 	for _, c := range cases {
-		if got := g.NextSlot(c.want); got != c.slot {
-			t.Fatalf("NextSlot(%d) = %d, want %d", c.want, got, c.slot)
+		if got := p.nextSlot(c.want); got != c.slot {
+			t.Fatalf("nextSlot(%d) = %d, want %d", c.want, got, c.slot)
 		}
 	}
 }
 
+// Network.SetLoad turns a frame size into blocks per frame on every
+// port, and 0 back into an idle link.
 func TestSaturatedGateFromFrameSize(t *testing.T) {
-	g := NewSaturatedGate(1522)
-	// MTU frames: ~193 blocks per frame incl. IPG — one beacon slot per
-	// frame, ~200 ticks, matching §4.4.
-	if g.FrameBlocks < 185 || g.FrameBlocks > 200 {
-		t.Fatalf("MTU gate frame blocks = %d", g.FrameBlocks)
+	n, err := NewNetwork(sim.NewScheduler(), 1, topo.Pair(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	j := NewSaturatedGate(9022)
-	if j.FrameBlocks < 1120 || j.FrameBlocks > 1200 {
-		t.Fatalf("jumbo gate frame blocks = %d", j.FrameBlocks)
+	a, b := n.LinkPorts(0)
+	for _, c := range []struct {
+		octets int
+		lo, hi uint64
+	}{
+		// MTU frames: ~193 blocks per frame incl. IPG — one beacon slot
+		// per frame, ~200 ticks, matching §4.4.
+		{1522, 185, 200},
+		{9022, 1120, 1200},
+		{0, 0, 0},
+	} {
+		n.SetLoad(c.octets)
+		for _, p := range []*Port{a, b} {
+			if p.frameBlocks < c.lo || p.frameBlocks > c.hi {
+				t.Fatalf("SetLoad(%d): %s frame blocks = %d", c.octets, p.Name(), p.frameBlocks)
+			}
+		}
 	}
 }
 
-// Property: every gate returns a slot at or after the requested tick,
-// and deterministic gates are monotone when driven past the last slot
-// (the way the beacon scheduler drives them).
+// Property: an idle and a loaded link return a slot at or after the
+// requested cycle, and are monotone when driven past the last slot (the
+// way the beacon scheduler drives them).
 func TestGateSlotProperty(t *testing.T) {
 	f := func(deltas []uint8) bool {
-		gates := []TxGate{
-			OpenGate{},
-			SaturatedGate{FrameBlocks: 200},
-		}
-		for _, g := range gates {
+		for _, fb := range []uint64{0, 200} {
+			p := Port{portHot: portHot{frameBlocks: fb}}
 			want := uint64(0)
 			for _, d := range deltas {
 				want += uint64(d) + 1
-				slot := g.NextSlot(want)
+				slot := p.nextSlot(want)
 				if slot < want {
 					return false
 				}

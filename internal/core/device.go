@@ -67,7 +67,7 @@ const inboxPerPort = 2
 // reporting false — filing nothing — when it may not: the inbox is full
 // (or has no room at all: NewNetwork leaves it empty where every arrival
 // must stay an event), the port's arrivals must stay events (see
-// Port.setGate), or the message is not a BEACON or BEACON-MSB (the
+// Port.setLoad), or the message is not a BEACON or BEACON-MSB (the
 // others schedule when processed, which only an event may).
 //
 // An inbox arrival changes nothing but its own device, and only when it
@@ -104,9 +104,10 @@ func (d *Device) slot(i int) *arrival {
 }
 
 // settle applies every inbox arrival that is due: it is called before
-// anything reads or changes the device's protocol state (port events,
-// the closures core schedules, the exported readers, link and device
-// lifecycle, rate changes, the telemetry flush, the end of a run).
+// anything reads or changes the device's protocol state (a port event,
+// which every event core schedules is; the exported readers; link and
+// device lifecycle; rate changes; the telemetry flush; the end of a
+// run).
 func (d *Device) settle() {
 	if d.inN != 0 {
 		d.applyDue()
@@ -146,7 +147,7 @@ func (d *Device) unfile(seq uint64) {
 }
 
 // evict turns every arrival for port p waiting in the inbox back into
-// events (see Port.setGate): a flight whose landing is still ahead lands
+// events (see Port.setLoad): a flight whose landing is still ahead lands
 // at its crossing again (link.Wire.Unsettle), and one that has landed
 // becomes the evSettled event filing it replaced, at its instant and key.
 func (d *Device) evict(p *Port) {

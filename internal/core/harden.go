@@ -249,7 +249,7 @@ func (p *Port) quarantine(now simTime) {
 	p.endSession(portQuarantined)
 	p.rejectCount = 0 // spent: the next session earns its own quarantine
 	cool := p.dev.tickDur(quarantineCooldownTicks)
-	p.quarEvent = p.sch().At(now+cool, p.releaseQuarantine)
+	p.quarEvent = p.sch().AtActor(now+cool, p, evRelease, 0, 0)
 }
 
 // arrivalsMayWait reports whether p's settled arrivals may wait in its
@@ -259,13 +259,13 @@ func (p *Port) quarantine(now simTime) {
 // synced port is quarantined, and a synced port's beacon timer is always
 // pending, armed by an event no later than the arrival's instant (none
 // of the device's events runs between the instant and the settle) for
-// at most a beacon interval plus the gate's wait (TxGate.maxWait) port
-// cycles after it. So the arrivals may wait wherever that spacing, in
-// device ticks, is shorter than the cooldown; beyond it — beacon
-// intervals far past the paper's, or frames of hundreds of kilobytes —
-// they stay events.
+// at most a beacon interval plus the load's wait (a frame less its gap
+// block, see nextSlot) port cycles after it. So the arrivals may wait
+// wherever that spacing, in device ticks, is shorter than the cooldown;
+// beyond it — beacon intervals far past the paper's, or frames of
+// hundreds of kilobytes — they stay events.
 func (p *Port) arrivalsMayWait() bool {
-	iv, wait := p.cfg().BeaconIntervalTicks, p.gate.maxWait()
+	iv, wait := p.cfg().BeaconIntervalTicks, max(p.frameBlocks, 1)-1
 	return !p.cfg().Hardened ||
 		iv < quarantineCooldownTicks && wait < quarantineCooldownTicks &&
 			(iv+wait)*p.pd < quarantineCooldownTicks
@@ -275,9 +275,8 @@ func (p *Port) arrivalsMayWait() bool {
 // demotes itself to INIT and re-measures the delay. An honestly
 // restarted peer passes the fresh session's admission and rejoins; a
 // still-lying peer earns the next quarantine within a handful of
-// rejected messages.
+// rejected messages. It is the evRelease body.
 func (p *Port) releaseQuarantine() {
-	p.dev.settle()
 	if p.state == portQuarantined {
 		p.demote(demoteQuarantine, "quarantine_cooldown")
 	}
@@ -299,14 +298,11 @@ func (d *Device) LieUnits() uint64 { return d.lieUnits }
 // BroadcastJoin announces the device's (possibly inflated) counter with
 // a BEACON-MSB + BEACON-JOIN pair on every synced port — what a
 // Byzantine device does to push a lie through the otherwise unguarded
-// JOIN path, and what hardened admission must stop. It reads each
-// port's state unsettled: sendJoinPair settles the device and checks
-// the state again, and no inbox arrival makes a port synced.
+// JOIN path, and what hardened admission must stop.
 func (d *Device) BroadcastJoin() {
+	d.settle()
 	for _, p := range d.ports {
-		if p.state == portSynced {
-			p.sendJoinPair()
-		}
+		p.sendJoinPair()
 	}
 }
 

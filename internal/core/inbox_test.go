@@ -234,16 +234,17 @@ func TestLateBeaconAdmittedOnTime(t *testing.T) {
 // its next beacon; everything the run leaves must match the five-event
 // chain.
 //
-// The gate changes between runs, as System.SetUniformLoad does, while an
+// The load changes between runs, as System.SetUniformLoad does, while an
 // arrival waits in h1's inbox, its flight ahead of its landing or past
 // it; the change empties the inbox. A rate change on h1 just after it
 // hands the flights still ahead of their landing back to the wire's
 // owner, and each must land once.
 func TestWideBeaconSpacingQuarantinesOnTime(t *testing.T) {
 	const lieEnd = 12 * sim.Millisecond
-	// A slot every 90 000 blocks: inside the beacon-loss watchdog of a
-	// 2000-tick interval, so the port stays synced between beacons.
-	wide := NewSaturatedGate(720_000)
+	// Frames of 720 000 octets leave a slot every 90 000 blocks: inside
+	// the beacon-loss watchdog of a 2000-tick interval, so the port
+	// stays synced between beacons.
+	const wide = 720_000
 	cases := []struct {
 		name         string
 		interval     uint64
@@ -255,7 +256,7 @@ func TestWideBeaconSpacingQuarantinesOnTime(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			// run stops for the gate change at stop or, when stop is 0,
+			// run stops for the load change at stop or, when stop is 0,
 			// at the first nanosecond with the arrival waiting as the
 			// case asks, and reports where it stopped.
 			run := func(fused bool, stop sim.Time) (got []string, stopped sim.Time) {
@@ -285,9 +286,9 @@ func TestWideBeaconSpacingQuarantinesOnTime(t *testing.T) {
 						sch.RunFor(sim.Nanosecond)
 					}
 					stopped = sch.Now()
-					n.SetGateAll(func(*Port) TxGate { return wide })
+					n.SetLoad(wide)
 					if h1.inN != 0 {
-						t.Fatalf("h1 still holds %d arrivals after the gate change", h1.inN)
+						t.Fatalf("h1 still holds %d arrivals after the load change", h1.inN)
 					}
 					h1.Clock().AdjustPPM(h1.PPM() + 1)
 				}

@@ -168,15 +168,15 @@ func NewNetwork(sch *sim.Scheduler, seed uint64, graph topo.Graph, cfg Config, o
 		}
 		pa := &Port{
 			portHot:  portHot{dev: a, sched: sch, wire: wireAB, rng: n.rng.Fork(fmt.Sprintf("port/%d/a", li)), owdUnits: -1, pd: pd, fragmented: fragmented},
-			portCold: portCold{idx: len(a.ports)},
+			portCold: portCold{idx: len(a.ports), initOutstanding: make(map[uint64]uint64, initSamples)},
 		}
 		pb := &Port{
 			portHot:  portHot{dev: b, sched: sch, wire: wireBA, rng: n.rng.Fork(fmt.Sprintf("port/%d/b", li)), owdUnits: -1, pd: pd, fragmented: fragmented},
-			portCold: portCold{idx: len(b.ports)},
+			portCold: portCold{idx: len(b.ports), initOutstanding: make(map[uint64]uint64, initSamples)},
 		}
 		pa.peer, pb.peer = pb, pa
-		pa.setGate(OpenGate{})
-		pb.setGate(OpenGate{})
+		pa.setLoad(0)
+		pb.setLoad(0)
 		wireAB.OnFlights(pb.land, pa.refile)
 		wireBA.OnFlights(pa.land, pb.refile)
 		if parentLink != nil {
@@ -222,8 +222,8 @@ func (n *Network) Config() Config { return n.cfg }
 func (n *Network) Start() {
 	for _, lp := range n.linkPorts {
 		pa, pb := lp[0], lp[1]
-		n.Sch.At(n.rng.UniformTime(0, sim.Microsecond), pa.Up)
-		n.Sch.At(n.rng.UniformTime(0, sim.Microsecond), pb.Up)
+		n.Sch.AtActor(n.rng.UniformTime(0, sim.Microsecond), pa, evLinkUp, 0, 0)
+		n.Sch.AtActor(n.rng.UniformTime(0, sim.Microsecond), pb, evLinkUp, 0, 0)
 	}
 }
 
@@ -252,12 +252,18 @@ func (n *Network) SetLinkDown(i int) {
 	n.linkPorts[i][1].Down()
 }
 
-// SetGateAll installs a transmit gate on every port, e.g. a saturated-
-// link model for the heavy-load experiments.
-func (n *Network) SetGateAll(factory func(p *Port) TxGate) {
+// SetLoad saturates every link in both directions with back-to-back
+// frames of frameOctets octets, the paper's heavy load: DTP messages
+// then ride only the interpacket gaps (see Port.nextSlot). 0 returns
+// every link to idle.
+func (n *Network) SetLoad(frameOctets int) {
+	var blocks uint64
+	if frameOctets > 0 {
+		blocks = uint64(phy.BlocksPerFrame(frameOctets))
+	}
 	for _, lp := range n.linkPorts {
-		lp[0].setGate(factory(lp[0]))
-		lp[1].setGate(factory(lp[1]))
+		lp[0].setLoad(blocks)
+		lp[1].setLoad(blocks)
 	}
 }
 

@@ -56,7 +56,10 @@ type portHot struct {
 	peer *Port
 	wire *link.Wire // outbound direction
 	rng  *sim.RNG
-	gate TxGate
+	// frameBlocks is the blocks per frame (interpacket gap included) of
+	// the back-to-back frames saturating the outbound link, or 0 when
+	// it is idle: the transmit gate nextSlot works from (see setLoad).
+	frameBlocks uint64
 	// sched caches dev.net.Sch: the scheduler is consulted several
 	// times per event and the two-level pointer chase shows up in
 	// profiles at warehouse scale.
@@ -82,7 +85,7 @@ type portHot struct {
 	fragmented bool
 	// noInbox keeps this port's settled arrivals out of its device's
 	// inbox: hardened, with beacons that were once spaced too far apart
-	// for an arrival to wait there (see setGate).
+	// for an arrival to wait there (see setLoad).
 	noInbox bool
 	// uplink marks the port leading toward the master in §5.4 mode; only
 	// uplink ports adjust the device counter then.
@@ -118,6 +121,7 @@ type portCold struct {
 	sessionMinOwd int64
 	// initOutstanding maps the masked counter value embedded in each
 	// in-flight INIT to its full value, so ACK echoes can be paired.
+	// Each round clears it; NewNetwork makes it once.
 	initOutstanding map[uint64]uint64
 	// initRTTs collects the RTT samples of this INIT round; the final
 	// OWD uses the minimum, which carries the least CDC noise.
@@ -136,7 +140,8 @@ type portCold struct {
 	// Received-MSB state for reconstructing full 106-bit counters.
 	peerMsb     uint64
 	havePeerMsb bool
-	pendingJoin *uint64 // JOIN that arrived before our OWD was measured
+	joinPending bool   // a JOIN arrived before our OWD was measured
+	pendingJoin uint64 // its counter, valid while joinPending
 
 	// asm reassembles 1 GbE message fragments (nil until first use).
 	asm *phy.Assembler
@@ -208,14 +213,14 @@ func (p *Port) Stats() (sent, received, ignored, jumps uint64) {
 	return p.beaconsSent, p.beaconsReceived, p.beaconsIgnored, p.jumps
 }
 
-// setGate replaces the port's transmit gate (traffic model). A gate
-// that spaces a hardened port's beacons too far apart for its arrivals
-// to wait in the inbox (arrivalsMayWait) turns those waiting there back
-// into events, and the port's arrivals stay events from then on: a
-// beacon timer armed under that gate may still be pending after the
-// next change.
-func (p *Port) setGate(g TxGate) {
-	p.gate = g
+// setLoad sets the outbound link's traffic: frameBlocks per saturating
+// frame, or 0 for an idle link. A load that spaces a hardened port's
+// beacons too far apart for its arrivals to wait in the inbox
+// (arrivalsMayWait) turns those waiting there back into events, and the
+// port's arrivals stay events from then on: a beacon timer armed under
+// that load may still be pending after the next change.
+func (p *Port) setLoad(frameBlocks uint64) {
+	p.frameBlocks = frameBlocks
 	if !p.noInbox && !p.arrivalsMayWait() {
 		p.noInbox = true
 		p.dev.evict(p)
@@ -266,7 +271,7 @@ func (p *Port) endSession(next portState) {
 	p.setState(next)
 	p.owdUnits = -1
 	p.havePeerMsb = false
-	p.pendingJoin = nil
+	p.joinPending = false
 	p.asm = nil
 	p.faulty = false
 	p.violationCount = 0
@@ -299,8 +304,8 @@ func (p *Port) Down() {
 // --- Pooled event dispatch --------------------------------------------
 
 // Port actor opcodes. A message costs two scheduler events on a clean
-// wire toward a peer that is up: the beacon timer (or the closure that
-// inserts an INIT, ACK or JOIN) and evProcess on the receiver's local
+// wire toward a peer that is up: the beacon timer (or evInsert, for an
+// INIT, ACK or JOIN) and evProcess on the receiver's local
 // tick — and an untraced BEACON only the first, its processing filed in
 // the receiving device's inbox (Device.file). Insert launches the block
 // as a link flight: the TX pipeline, the cable and the RX pipeline are
@@ -321,6 +326,10 @@ func (p *Port) Down() {
 // evRxArrive → evCdc → evProcess, which is also the reference the fused
 // chain is tested against. Every stage is a pooled event with the block
 // or message in its two arguments: the chain allocates nothing.
+//
+// Every event internal/core schedules is a port opcode, these or the
+// timers below, so every one enters through OnEvent, which settles the
+// device first.
 const (
 	evBeacon   uint8 = iota // a = port-cycle slot the beacon fired at
 	evTxBlock               // a = block payload, b = sync byte: TX pipeline done, launch onto the wire
@@ -335,6 +344,24 @@ const (
 	// they arrive in time order, where evProcess's lane holds events
 	// scheduled at the crossing, a flight's length later.
 	evSettled = evLand | 8
+)
+
+// The port's other timers, codes 9-13 in lanes 1-5: the untraced steady
+// state leaves those nearly empty, where lane 0 is the beacon timers'
+// (every insert there would walk past these), lane 6 timesvc.Load's and
+// lane 7 the landings'. A lane is only where an event waits: dispatch
+// goes by (time, Key) whatever the lane, so the choice is a cost one.
+// Bring-up files its link-ups and INIT inserts in no time order, and a
+// lane that refuses one sends its next out-of-order inserts to the heap
+// (sim/lanes.go), so those two keep out of the watchdog's lane 5, the
+// one whose steady traffic is out of order; the INIT retry, a timeout
+// like the watchdog, joins it there.
+const (
+	evInsert    uint8 = 9 + iota // lane 1, a = message type, b = an INIT-ACK's echo: insert at this slot (transmitNow)
+	evJoinPair                   // lane 2: the JOIN pair, joinDelayTicks after the delay measurement
+	evRelease                    // lane 3: the quarantine cooldown is over (releaseQuarantine)
+	evLinkUp                     // lane 4: Network.Start brings the port up
+	evInitRetry                  // lane 5: the INIT round's retry timeout
 )
 
 // fuseChain launches blocks as link flights. Only tests turn it off, to
@@ -363,6 +390,17 @@ func (p *Port) OnEvent(code uint8, a, b uint64) {
 		p.process(phy.Message{Type: phy.MsgType(b), Payload: a}, p.sch().Now())
 	case evWatchdog:
 		p.watchdogSweep(simTime(a))
+	case evInitRetry:
+		p.retryInit()
+	case evInsert:
+		t := phy.MsgType(a)
+		p.insert(t, p.payloadNow(t, b))
+	case evJoinPair:
+		p.sendJoinPair()
+	case evRelease:
+		p.releaseQuarantine()
+	case evLinkUp:
+		p.Up()
 	}
 }
 
@@ -462,18 +500,13 @@ func (p *Port) sendInit() {
 	tel := &p.dev.net.tel
 	tel.initRounds.Inc()
 	tel.tr.Record(p.sch().Now(), telemetry.KindInitRound, p.tname, int64(len(p.initRTTs)), 0, "")
-	p.initOutstanding = map[uint64]uint64{}
+	clear(p.initOutstanding)
 	p.initRTTs = p.initRTTs[:0]
-	mask := p.codec().CounterMask()
 	for i := 0; i < initSamples; i++ {
 		// Space the probes so each sees an independent CDC phase; the
 		// counter is read at the insertion tick, not at scheduling
 		// time, since the RTT is relative to the embedded value.
-		p.transmitNow(1+i*137, phy.MsgInit, func() uint64 {
-			full := p.dev.gc.at(p.sch().Now())
-			p.initOutstanding[full&mask] = full
-			return full
-		})
+		p.transmitNow(1+i*137, phy.MsgInit, 0)
 	}
 	// Retry if INITs or ACKs are lost — to bit errors, or because the
 	// peer had not come up yet. The base timeout is generous relative to
@@ -483,20 +516,23 @@ func (p *Port) sendInit() {
 	// spin. The backoff resets the moment the peer shows life (an INIT
 	// from it, a completed measurement, or a fresh link-up).
 	retry := p.dev.tickDur(initRetryTicks << p.initBackoff)
-	p.initEvent = p.sch().After(retry, func() {
-		p.dev.settle()
-		if p.state != portInit {
-			return
-		}
-		if len(p.initRTTs) > 0 {
-			p.finishInit() // partial round: use what arrived
-			return
-		}
-		if p.initBackoff < maxInitBackoff {
-			p.initBackoff++
-		}
-		p.sendInit()
-	})
+	p.initEvent = p.sch().AfterActor(retry, p, evInitRetry, 0, 0)
+}
+
+// retryInit is the evInitRetry body: a round that timed out finishes on
+// what arrived, or, with nothing, backs off and runs again.
+func (p *Port) retryInit() {
+	if p.state != portInit {
+		return
+	}
+	if len(p.initRTTs) > 0 {
+		p.finishInit() // partial round: use what arrived
+		return
+	}
+	if p.initBackoff < maxInitBackoff {
+		p.initBackoff++
+	}
+	p.sendInit()
 }
 
 // initRetryTicks is the base INIT-round retry timeout; maxInitBackoff
@@ -510,22 +546,39 @@ const (
 // --- Transmit path ----------------------------------------------------
 
 // transmitNow inserts a message into the next idle block at least
-// `after` port cycles ahead, then models the deterministic TX pipeline
-// and the wire. The payload is evaluated at the insertion instant so
-// embedded counters are exact even when the transmit gate delays the
-// slot. The current block is already committed to the wire, so the
-// earliest insertion opportunity is one cycle out.
-func (p *Port) transmitNow(after int, t phy.MsgType, payload func() uint64) {
-	if after < 1 {
-		after = 1
-	}
+// `after` (>= 1) port cycles ahead, then models the deterministic TX
+// pipeline and the wire. The payload is evaluated at the insertion
+// instant (payloadNow) so embedded counters are exact even when the
+// load delays the slot; echo is an INIT-ACK's. The current block is
+// already committed to the wire, so the earliest insertion opportunity
+// is one cycle out.
+func (p *Port) transmitNow(after int, t phy.MsgType, echo uint64) {
 	cycle := p.nextCycleTick(p.dev.clock.Counter()+1)/p.pd + uint64(after-1)
-	slot := p.gate.NextSlot(cycle)
-	at := p.dev.clock.TimeOfCount(slot * p.pd)
-	p.sch().At(at, func() {
-		p.dev.settle()
-		p.insert(t, payload())
-	})
+	p.insertAt(p.nextSlot(cycle), t, echo)
+}
+
+// insertAt schedules evInsert for message type t at port-cycle slot.
+func (p *Port) insertAt(slot uint64, t phy.MsgType, echo uint64) {
+	p.sch().AtActor(p.dev.clock.TimeOfCount(slot*p.pd), p, evInsert, uint64(t), echo)
+}
+
+// payloadNow is the value a message of type t embeds when inserted now:
+// for an INIT the counter, recorded for its ACK's echo to pair with;
+// for a BEACON-MSB the upper bits, and for a BEACON-JOIN all of the
+// counter plus the device's lie; for an INIT-ACK the echo.
+func (p *Port) payloadNow(t phy.MsgType, echo uint64) uint64 {
+	if t == phy.MsgInitAck {
+		return echo
+	}
+	gc := p.dev.gc.at(p.sch().Now())
+	switch t {
+	case phy.MsgInit:
+		p.initOutstanding[gc&p.codec().CounterMask()] = gc
+		return gc
+	case phy.MsgBeaconMSB:
+		return (gc + p.dev.lieUnits) >> p.counterBits()
+	}
+	return gc + p.dev.lieUnits // BEACON-JOIN
 }
 
 // insert composes the message with the counter value as of the insertion
@@ -582,23 +635,15 @@ func (p *Port) sendBeacon() {
 
 // sendJoinPair transmits BEACON-MSB followed by BEACON-JOIN so the peer
 // can reconstruct the full counter and make an arbitrarily large
-// adjustment (§3.2 "Network dynamics").
+// adjustment (§3.2 "Network dynamics"). Its callers have settled the
+// device.
 func (p *Port) sendJoinPair() {
-	p.dev.settle()
 	if p.state != portSynced {
 		return
 	}
-	cycle := p.nextCycleTick(p.dev.clock.Counter()+1) / p.pd
-	slot1 := p.gate.NextSlot(cycle)
-	slot2 := p.gate.NextSlot(slot1 + 1)
-	p.sch().At(p.dev.clock.TimeOfCount(slot1*p.pd), func() {
-		p.dev.settle()
-		p.insert(phy.MsgBeaconMSB, (p.dev.GlobalCounter()+p.dev.lieUnits)>>p.counterBits())
-	})
-	p.sch().At(p.dev.clock.TimeOfCount(slot2*p.pd), func() {
-		p.dev.settle()
-		p.insert(phy.MsgBeaconJoin, p.dev.GlobalCounter()+p.dev.lieUnits)
-	})
+	slot := p.nextSlot(p.nextCycleTick(p.dev.clock.Counter()+1) / p.pd)
+	p.insertAt(slot, phy.MsgBeaconMSB, 0)
+	p.insertAt(p.nextSlot(slot+1), phy.MsgBeaconJoin, 0)
 }
 
 // scheduleBeacons arranges T3 to fire every BeaconIntervalTicks port
@@ -607,7 +652,7 @@ func (p *Port) sendJoinPair() {
 func (p *Port) scheduleBeacons(fromCycle uint64) {
 	cfg := p.cfg()
 	next := fromCycle + cfg.BeaconIntervalTicks
-	slot := p.gate.NextSlot(next)
+	slot := p.nextSlot(next)
 	p.beaconEvent = p.sch().AtActor(p.dev.clock.TimeOfCount(slot*p.pd), p, evBeacon, slot, 0)
 }
 
@@ -745,8 +790,7 @@ func (p *Port) process(m phy.Message, now simTime) {
 		// ACK enters the TX path two cycles after the INIT is
 		// processed. Together with α = 3 this biases the measured OWD
 		// to transit-1..transit, the regime the §3.3 analysis assumes.
-		echo := m.Payload
-		p.transmitNow(ackTurnaroundTicks, phy.MsgInitAck, func() uint64 { return echo })
+		p.transmitNow(ackTurnaroundTicks, phy.MsgInitAck, m.Payload)
 		// A peer that probes us while we are backed off has just come
 		// back: drop the backoff and start a fresh full-rate round now
 		// instead of waiting out an inflated retry timer. Loop-safe —
@@ -829,8 +873,8 @@ func (p *Port) finishInit() {
 	// through the same session-initial admission as any other JOIN, or
 	// the race would be a bypass. It stays cached until the session ends;
 	// nothing reads it once the delay is known.
-	if p.pendingJoin != nil {
-		target := *p.pendingJoin + uint64(d)
+	if p.joinPending {
+		target := p.pendingJoin + uint64(d)
 		if local := p.dev.GlobalCounter(); p.admit(target, local, true, p.sch().Now()) {
 			p.dev.jump(target, local, p, true, p.sch().Now())
 		}
@@ -840,7 +884,7 @@ func (p *Port) finishInit() {
 	}
 	// Announce our counter for max-agreement, then start beacons and
 	// the beacon-loss watchdog.
-	p.sch().After(p.cycleDur(joinDelayTicks), p.sendJoinPair)
+	p.sch().AfterActor(p.cycleDur(joinDelayTicks), p, evJoinPair, 0, 0)
 	p.scheduleBeacons(p.dev.clock.Counter() / p.pd)
 	p.lastRx = p.sch().Now()
 	p.scheduleWatchdog()
@@ -921,7 +965,7 @@ func (p *Port) handleJoin(lsb uint64) {
 		full = reconstructNear(p.dev.GlobalCounter(), lsb, bits)
 	}
 	if p.owdUnits < 0 {
-		p.pendingJoin = &full
+		p.pendingJoin, p.joinPending = full, true
 		return
 	}
 	target := full + uint64(p.owdUnits)
@@ -1038,6 +1082,18 @@ func (p *Port) arrivedDown() bool {
 func (p *Port) sch() *sim.Scheduler { return p.sched }
 func (p *Port) cfg() *Config        { return &p.dev.net.cfg }
 func (p *Port) codec() phy.Codec    { return p.dev.net.codec }
+
+// nextSlot returns the first port cycle at or after want whose block
+// may carry a message. On an idle link every block is idle; a link
+// saturated with back-to-back frames leaves one /E/ block per frame, in
+// the interpacket gap (§4.4: a slot every ~200 ticks for MTU frames,
+// ~1200 for jumbo), the first at cycle 0.
+func (p *Port) nextSlot(want uint64) uint64 {
+	if fb := p.frameBlocks; fb > 1 {
+		return (want + fb - 1) / fb * fb
+	}
+	return want
+}
 
 // nextCycleTick returns the smallest port-cycle boundary (device tick
 // that is a multiple of pd) at or after `from`.

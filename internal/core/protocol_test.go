@@ -226,7 +226,7 @@ func TestSaturatedLinkStillBounded(t *testing.T) {
 	if !n.AllSynced() {
 		t.Fatal("pair did not sync")
 	}
-	n.SetGateAll(func(p *Port) TxGate { return NewSaturatedGate(1522) })
+	n.SetLoad(1522)
 	var worst int64
 	for i := 0; i < 2000; i++ {
 		sch.RunFor(100 * sim.Microsecond)

@@ -30,10 +30,9 @@ func TestHardenedSessionExits(t *testing.T) {
 		}
 		_, p := n.LinkPorts(0)
 		tick := p.dev.clock.Counter()
-		join := uint64(1)
 		p.faulty, p.violationCount = true, 5
 		p.peerMsb, p.havePeerMsb = 7, true
-		p.pendingJoin = &join
+		p.pendingJoin, p.joinPending = 1, true
 		p.asm = phy.NewAssembler(p.codec())
 		p.admitValid, p.pullWindow, p.pulledUnits = true, tick, 3
 		p.noteTarget(p.dev.GlobalCounter(), p.dev.GlobalCounter())
@@ -46,10 +45,10 @@ func TestHardenedSessionExits(t *testing.T) {
 		if p.state != state {
 			t.Fatalf("%s: state %v, want %v", at, p.state, state)
 		}
-		if p.owdUnits != -1 || p.havePeerMsb || p.pendingJoin != nil || p.asm != nil ||
+		if p.owdUnits != -1 || p.havePeerMsb || p.joinPending || p.asm != nil ||
 			p.faulty || p.violationCount != 0 || p.admitValid || p.pulledUnits != 0 || p.haveTarget {
 			t.Errorf("%s: session scope not void: owd %d msb %v join %v asm %v faulty %v violations %d admitValid %v pulled %d vote %v",
-				at, p.owdUnits, p.havePeerMsb, p.pendingJoin != nil, p.asm != nil,
+				at, p.owdUnits, p.havePeerMsb, p.joinPending, p.asm != nil,
 				p.faulty, p.violationCount, p.admitValid, p.pulledUnits, p.haveTarget)
 		}
 		for _, ev := range []*sim.Event{&p.beaconEvent, &p.initEvent, &p.watchEvent, &p.quarEvent} {

@@ -154,9 +154,7 @@ func runDTPFig(o Options, frameOctets int, beaconInterval uint64) (*DTPFigResult
 	if !n.AllSynced() {
 		return nil, fmt.Errorf("experiments: network failed to synchronize")
 	}
-	n.SetGateAll(func(p *core.Port) core.TxGate {
-		return core.NewSaturatedGate(frameOctets)
-	})
+	n.SetLoad(frameOctets)
 	sampleFor(sch, o, 250*sim.Microsecond, func() {
 		if t := n.MaxAdjacentOffset(); t > res.MaxTrueTicks {
 			res.MaxTrueTicks = t

@@ -69,6 +69,9 @@ type Clock struct {
 
 	wanderStepPPB float64
 	wanderEvery   sim.Time
+	// rearm is wanderStep's method value, built once: building it at
+	// every step would allocate.
+	rearm func()
 
 	// onRate, when set (OnRateChange), runs just before every change of
 	// the rate.
@@ -99,7 +102,8 @@ func NewClock(sch *sim.Scheduler, rng *sim.RNG, p Params) *Clock {
 	}
 	c.setPPM(p.OffsetPPM)
 	if c.wanderEvery > 0 && c.wanderStepPPB > 0 {
-		sch.After(c.wanderEvery, c.wanderStep)
+		c.rearm = c.wanderStep
+		sch.After(c.wanderEvery, c.rearm)
 	}
 	return c
 }
@@ -133,7 +137,7 @@ func (c *Clock) wanderStep() {
 		ppm = -c.maxPPM
 	}
 	c.setPPM(ppm)
-	c.sch.After(c.wanderEvery, c.wanderStep)
+	c.sch.After(c.wanderEvery, c.rearm)
 }
 
 // rebase re-anchors the linear segment at the most recent tick at or
